@@ -30,6 +30,7 @@ use rx_xpath::ast::{Axis, CmpOp, Expr, Operand, Path, Step};
 use rx_xpath::containment::{classify, IndexMatch};
 use rx_xpath::quickxscan::QuickXScan;
 use rx_xpath::QueryTree;
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -79,6 +80,50 @@ impl KeyRange {
             },
             CmpOp::Ne => return None,
         })
+    }
+
+    /// The intersection of two ranges: the tighter bound on each side, the
+    /// exclusive one when both sides name the same key. `None` when no key
+    /// lies in both ranges.
+    fn intersect(&self, other: &KeyRange) -> Option<KeyRange> {
+        let lo = tighter_bound(&self.lo, &other.lo, Ordering::Greater);
+        let hi = tighter_bound(&self.hi, &other.hi, Ordering::Less);
+        if let (Some((l, l_incl)), Some((h, h_incl))) = (&lo, &hi) {
+            match l.cmp(h) {
+                Ordering::Greater => return None,
+                Ordering::Equal if !(*l_incl && *h_incl) => return None,
+                _ => {}
+            }
+        }
+        Some(KeyRange { lo, hi })
+    }
+
+    /// Scan this range of `index`, counting the entries read.
+    fn scan(&self, index: &ValueIndex, stats: &mut AccessStats) -> Result<Vec<IndexEntry>> {
+        let entries = index.range(
+            self.lo.as_ref().map(|(k, i)| (k.as_slice(), *i)),
+            self.hi.as_ref().map(|(k, i)| (k.as_slice(), *i)),
+        )?;
+        stats.index_entries += entries.len() as u64;
+        Ok(entries)
+    }
+}
+
+/// The tighter of two optional bounds: the one whose key compares `wins`
+/// against the other (`Greater` for lower bounds, `Less` for upper bounds);
+/// on equal keys the bound is inclusive only if both are.
+fn tighter_bound(
+    a: &Option<(Vec<u8>, bool)>,
+    b: &Option<(Vec<u8>, bool)>,
+    wins: Ordering,
+) -> Option<(Vec<u8>, bool)> {
+    match (a, b) {
+        (None, x) | (x, None) => x.clone(),
+        (Some((ka, ia)), Some((kb, ib))) => Some(match ka.cmp(kb) {
+            Ordering::Equal => (ka.clone(), *ia && *ib),
+            o if o == wins => (ka.clone(), *ia),
+            _ => (kb.clone(), *ib),
+        }),
     }
 }
 
@@ -268,32 +313,60 @@ fn term_for(
     best
 }
 
-/// Decompose a predicate expression into indexable comparison terms. Returns
-/// `(terms, combine, fully_covered)`; `fully_covered` is false when any part
-/// of the expression could not be turned into an index term (so verification
-/// is mandatory).
-fn decompose(
-    expr: &Expr,
-    indexes: &[Arc<ValueIndex>],
-    path: &Path,
-    anchor: usize,
-) -> (Vec<IndexTerm>, Combine, bool) {
-    match expr {
-        Expr::And(a, b) => {
-            let (mut ta, _, ca) = decompose(a, indexes, path, anchor);
-            let (tb, _, cb) = decompose(b, indexes, path, anchor);
-            ta.extend(tb);
-            (ta, Combine::And, ca && cb)
+/// The index terms found for a predicate (sub)expression: the terms, how
+/// they combine, and whether they cover the expression fully (`false` when
+/// some part could not be turned into an index term, so the combined list
+/// only filters and verification is mandatory).
+type Decomposed = (Vec<IndexTerm>, Combine, bool);
+
+/// True when `d` holds an OR list of two or more terms.
+fn is_or_list(d: &Decomposed) -> bool {
+    d.0.len() > 1 && d.1 == Combine::Or
+}
+
+/// Conjoin two decompositions. An OR list cannot be flattened into an AND
+/// list (`a ∩ b ∩ c` misses what `a ∩ (b ∪ c)` holds), so when one side is
+/// an OR list the other side's terms alone are kept — a superset of the
+/// candidates — and verification becomes mandatory.
+fn conjoin(a: Decomposed, b: Decomposed) -> Decomposed {
+    let covered = a.2 && b.2;
+    if a.0.is_empty() {
+        return (b.0, b.1, covered);
+    }
+    if b.0.is_empty() {
+        return (a.0, a.1, covered);
+    }
+    match (is_or_list(&a), is_or_list(&b)) {
+        (false, false) => {
+            let (mut terms, _, _) = a;
+            terms.extend(b.0);
+            (terms, Combine::And, covered)
         }
+        (true, _) => (b.0, b.1, false),
+        (false, true) => (a.0, a.1, false),
+    }
+}
+
+/// Decompose a predicate expression into indexable comparison terms.
+fn decompose(expr: &Expr, indexes: &[Arc<ValueIndex>], path: &Path, anchor: usize) -> Decomposed {
+    match expr {
+        Expr::And(a, b) => conjoin(
+            decompose(a, indexes, path, anchor),
+            decompose(b, indexes, path, anchor),
+        ),
         Expr::Or(a, b) => {
-            let (ta, _, ca) = decompose(a, indexes, path, anchor);
-            let (tb, _, cb) = decompose(b, indexes, path, anchor);
+            let da = decompose(a, indexes, path, anchor);
+            let db = decompose(b, indexes, path, anchor);
             // ORing is only usable when BOTH sides are fully indexable;
-            // otherwise the index list would miss qualifying candidates.
-            if ca && cb && !ta.is_empty() && !tb.is_empty() {
-                let mut t = ta;
-                t.extend(tb);
-                (t, Combine::Or, true)
+            // otherwise the index list would miss qualifying candidates. An
+            // AND list on either side is ORed term by term, a superset of
+            // its candidates, so the result then needs verification.
+            if da.2 && db.2 && !da.0.is_empty() && !db.0.is_empty() {
+                let flat = |d: &Decomposed| d.0.len() == 1 || d.1 == Combine::Or;
+                let covered = flat(&da) && flat(&db);
+                let mut t = da.0;
+                t.extend(db.0);
+                (t, Combine::Or, covered)
             } else {
                 (Vec::new(), Combine::Or, false)
             }
@@ -337,22 +410,13 @@ pub fn plan(path: &Path, column: &XmlColumn, prefer_nodeid: bool) -> AccessPlan 
     let Some(anchor) = path.steps.iter().rposition(|s| !s.predicates.is_empty()) else {
         return AccessPlan::FullScan;
     };
-    let preds = &path.steps[anchor].predicates;
-    let mut terms = Vec::new();
-    let mut combine = Combine::And;
-    let mut covered = true;
-    for (i, p) in preds.iter().enumerate() {
-        let (t, c, cov) = decompose(p, &indexes, path, anchor);
-        if i == 0 {
-            combine = c;
-        } else if c != combine && !t.is_empty() {
-            // Mixed and/or across predicate brackets: conjunction of
-            // brackets; treat as AND and require verification.
-            covered = false;
-        }
-        covered &= cov;
-        terms.extend(t);
-    }
+    // Predicate brackets are a conjunction: `[p][q]` ≡ `[p and q]`.
+    let (terms, combine, mut covered) = path.steps[anchor]
+        .predicates
+        .iter()
+        .map(|p| decompose(p, &indexes, path, anchor))
+        .reduce(conjoin)
+        .expect("the anchor step has predicates");
     if terms.is_empty() {
         return AccessPlan::FullScan;
     }
@@ -529,6 +593,58 @@ fn anchor_listed(sorted: &[NodeId], n: &NodeId, anchor_depth: usize) -> bool {
     }
 }
 
+/// Scan the ranges of a plan's index terms, returning one entry list per
+/// scan, to be combined with `combine`.
+///
+/// Under `Combine::And`, terms on the same index whose multi-valued flag is
+/// clear are answered by one scan of the intersection of their ranges (no
+/// scan at all when it is empty) instead of one scan per term. With at most
+/// one entry per document, a document (or anchor node) lies in every term's
+/// list exactly when its single entry lies in every range, so the combined
+/// candidates are the same. The flag is read here, at execution time, since
+/// a cached plan outlives any flip, and read again after the scan: every
+/// entry the scan could have seen was inserted after its document raised the
+/// flag, so a clear flag after the scan proves the intersection was sound,
+/// and a set one sends the group back to one scan per term (DESIGN.md §9.5).
+/// `Combine::Or`, single terms and multi-valued indexes scan term by term.
+fn scan_terms(
+    terms: &[IndexTerm],
+    combine: Combine,
+    stats: &mut AccessStats,
+) -> Result<Vec<Vec<IndexEntry>>> {
+    let mut groups: Vec<Vec<&IndexTerm>> = Vec::with_capacity(terms.len());
+    for t in terms {
+        match groups
+            .iter_mut()
+            .find(|g| combine == Combine::And && Arc::ptr_eq(&g[0].index, &t.index))
+        {
+            Some(g) => g.push(t),
+            None => groups.push(vec![t]),
+        }
+    }
+    let mut out = Vec::with_capacity(groups.len());
+    for group in groups {
+        let index = &group[0].index;
+        if group.len() > 1 && !index.is_multi_valued() {
+            let range = group[1..]
+                .iter()
+                .try_fold(group[0].range.clone(), |r, t| r.intersect(&t.range));
+            let entries = match range {
+                Some(r) => r.scan(index, stats)?,
+                None => Vec::new(),
+            };
+            if !index.is_multi_valued() {
+                out.push(entries);
+                continue;
+            }
+        }
+        for t in group {
+            out.push(t.range.scan(&t.index, stats)?);
+        }
+    }
+    Ok(out)
+}
+
 /// Execute a plan. `table` supplies the document population for scans.
 /// Compiles the tree once; use [`execute_tree`] to reuse a compiled tree
 /// (e.g. from the plan cache) or to run in parallel.
@@ -568,16 +684,7 @@ pub fn execute_tree(
             verify,
             ..
         } => {
-            // Scan every term's range.
-            let mut term_entries: Vec<Vec<IndexEntry>> = Vec::with_capacity(terms.len());
-            for t in terms {
-                let entries = t.index.range(
-                    t.range.lo.as_ref().map(|(k, i)| (k.as_slice(), *i)),
-                    t.range.hi.as_ref().map(|(k, i)| (k.as_slice(), *i)),
-                )?;
-                stats.index_entries += entries.len() as u64;
-                term_entries.push(entries);
-            }
+            let term_entries = scan_terms(terms, *combine, &mut stats)?;
             match granularity {
                 Granularity::DocId => {
                     let sets: Vec<BTreeSet<DocId>> = term_entries
@@ -670,7 +777,8 @@ pub fn execute_tree(
 /// Compile + plan a query exactly once, through `cache` when one is given.
 /// The cache key is `(table id, column, canonical path text, prefer_nodeid)`
 /// so differently written but identical queries share an entry; a miss
-/// compiles outside the cache lock and publishes the result.
+/// compiles outside the cache lock, once however many callers race on the
+/// key, and publishes the result.
 pub fn prepare(
     cache: Option<&PlanCache>,
     table: &Arc<BaseTable>,
@@ -678,25 +786,24 @@ pub fn prepare(
     path: &Path,
     prefer_nodeid: bool,
 ) -> Result<Arc<CachedPlan>> {
-    let key = cache.map(|_| PlanKey {
-        table: table.def.id,
-        column: column.name.clone(),
-        path: path.to_string(),
-        prefer_nodeid,
-    });
-    if let (Some(c), Some(k)) = (cache, &key) {
-        if let Some(p) = c.get(k) {
-            return Ok(p);
-        }
+    let build = || -> Result<Arc<CachedPlan>> {
+        Ok(Arc::new(CachedPlan {
+            tree: Arc::new(QueryTree::compile(path)?),
+            plan: Arc::new(plan(path, column, prefer_nodeid)),
+        }))
+    };
+    match cache {
+        Some(c) => c.get_or_build(
+            PlanKey {
+                table: table.def.id,
+                column: column.name.clone(),
+                path: path.to_string(),
+                prefer_nodeid,
+            },
+            build,
+        ),
+        None => build(),
     }
-    let compiled = Arc::new(CachedPlan {
-        tree: Arc::new(QueryTree::compile(path)?),
-        plan: Arc::new(plan(path, column, prefer_nodeid)),
-    });
-    if let (Some(c), Some(k)) = (cache, key) {
-        c.insert(k, Arc::clone(&compiled));
-    }
-    Ok(compiled)
 }
 
 /// Plan + execute under the §5.1 DocID-locking protocol: IS on the table,
@@ -743,15 +850,10 @@ pub fn run_query_locked_with(
     let docs: Vec<DocId> = match prepared.plan.as_ref() {
         AccessPlan::FullScan => all_docids(table)?,
         AccessPlan::Index { terms, combine, .. } => {
-            let mut sets: Vec<BTreeSet<DocId>> = Vec::with_capacity(terms.len());
-            for t in terms {
-                let entries = t.index.range(
-                    t.range.lo.as_ref().map(|(k, i)| (k.as_slice(), *i)),
-                    t.range.hi.as_ref().map(|(k, i)| (k.as_slice(), *i)),
-                )?;
-                stats.index_entries += entries.len() as u64;
-                sets.push(entries.iter().map(|e| e.doc).collect());
-            }
+            let sets: Vec<BTreeSet<DocId>> = scan_terms(terms, *combine, &mut stats)?
+                .iter()
+                .map(|es| es.iter().map(|e| e.doc).collect())
+                .collect();
             combine_sets(sets, *combine).into_iter().collect()
         }
     };
@@ -976,13 +1078,26 @@ mod tests {
     #[test]
     fn index_plans_agree_with_scan() {
         let (db, t) = setup();
+        // Regression: a NaN price used to get an index key sorting above
+        // +inf, so exact NodeID plans for `RegPrice > x` returned it although
+        // every comparison with NaN is false.
+        db.insert_row(&t, &[ColValue::Xml(catalog_doc(20, f64::NAN, 0.1))])
+            .unwrap();
         let col = t.xml_column("doc").unwrap();
         let queries = [
             "/Catalog/Categories/Product[RegPrice > 100]",
+            "/Catalog/Categories/Product[RegPrice > 300]",
             "/Catalog/Categories/Product[RegPrice <= 110]",
             "/Catalog/Categories/Product[RegPrice = 130]/ProductName",
             "/Catalog/Categories/Product[Discount > 0.05 and RegPrice < 200]",
             "/Catalog/Categories/Product[RegPrice >= 350 or Discount = 0.3]",
+            "/Catalog/Categories/Product[RegPrice > 100 and RegPrice < 200]",
+            "/Catalog/Categories/Product[RegPrice >= 110][RegPrice <= 110]",
+            "/Catalog/Categories/Product[RegPrice > 200 and RegPrice < 100]",
+            "/Catalog/Categories/Product[RegPrice < 50 or RegPrice > 350][RegPrice < 30 or RegPrice > 370]",
+            "/Catalog/Categories/Product[RegPrice > 100][RegPrice < 50 or Discount > 0.25]",
+            "/Catalog/Categories/Product[RegPrice > 300 and RegPrice < 350 or RegPrice < 50]",
+            "/Catalog/Categories/Product[RegPrice < 50 or Discount > 0.25 and RegPrice > 300]",
         ];
         for qs in queries {
             let path = q(qs);
@@ -1026,6 +1141,61 @@ mod tests {
             ),
             AccessPlan::FullScan
         ));
+    }
+
+    #[test]
+    fn key_range_intersection() {
+        let k = |v: &str| encode_key(KeyType::Double, v).unwrap();
+        let r = |op, v| KeyRange::from_cmp(op, k(v)).unwrap();
+        let both = |a: KeyRange, b: KeyRange| {
+            let ab = a.intersect(&b);
+            assert_eq!(ab, b.intersect(&a), "intersection is symmetric");
+            ab
+        };
+        // The tighter bound wins on each side.
+        assert_eq!(
+            both(r(CmpOp::Gt, "100"), r(CmpOp::Lt, "200")),
+            Some(KeyRange {
+                lo: Some((k("100"), false)),
+                hi: Some((k("200"), false)),
+            })
+        );
+        assert_eq!(
+            both(r(CmpOp::Gt, "100"), r(CmpOp::Ge, "150")),
+            Some(KeyRange {
+                lo: Some((k("150"), true)),
+                hi: None,
+            })
+        );
+        assert_eq!(
+            both(r(CmpOp::Lt, "100"), r(CmpOp::Le, "50")),
+            Some(KeyRange {
+                lo: None,
+                hi: Some((k("50"), true)),
+            })
+        );
+        // On a tie the exclusive bound wins.
+        assert_eq!(
+            both(r(CmpOp::Gt, "100"), r(CmpOp::Ge, "100")),
+            Some(r(CmpOp::Gt, "100"))
+        );
+        assert_eq!(
+            both(r(CmpOp::Le, "200"), r(CmpOp::Lt, "200")),
+            Some(r(CmpOp::Lt, "200"))
+        );
+        assert_eq!(
+            both(r(CmpOp::Ge, "100"), r(CmpOp::Le, "100")),
+            Some(r(CmpOp::Eq, "100"))
+        );
+        assert_eq!(
+            both(r(CmpOp::Eq, "100"), r(CmpOp::Le, "100")),
+            Some(r(CmpOp::Eq, "100"))
+        );
+        // Empty intersections.
+        assert_eq!(both(r(CmpOp::Eq, "100"), r(CmpOp::Lt, "100")), None);
+        assert_eq!(both(r(CmpOp::Gt, "100"), r(CmpOp::Le, "100")), None);
+        assert_eq!(both(r(CmpOp::Gt, "200"), r(CmpOp::Lt, "100")), None);
+        assert_eq!(both(r(CmpOp::Eq, "100"), r(CmpOp::Eq, "200")), None);
     }
 
     #[test]

@@ -515,12 +515,21 @@ impl Database {
                 }
             }
         }
-        rx_storage::recover(db.txns.wal(), &env)?;
+        let report = rx_storage::recover(db.txns.wal(), &env)?;
         // Doc counters may lag the recovered data (they live in catalog
         // pages that might not have been flushed): raise each to the max
         // recovered DocID.
         let tables: Vec<Arc<BaseTable>> = db.tables.read().values().cloned().collect();
         for table in tables {
+            // Value indexes derived their multi-valued flag from the pages as
+            // found at open; redo and undo may have changed the entries since.
+            if report.redone + report.undone > 0 {
+                for col in &table.xml_columns {
+                    for vi in col.indexes() {
+                        vi.recompute_multi_valued()?;
+                    }
+                }
+            }
             let mut max_doc = 0u64;
             table.docid_index.scan_all(|k, _| {
                 if let Ok(b) = <[u8; 8]>::try_from(k) {

@@ -17,6 +17,7 @@ use crate::access::AccessPlan;
 use parking_lot::{Condvar, Mutex};
 use rx_xpath::QueryTree;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -228,9 +229,14 @@ struct PlanCacheInner {
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<PlanCacheInner>,
+    /// Serializes builds of keys that hash to the same stripe (see
+    /// [`PlanCache::get_or_build`]); `inner` is never held across a build.
+    build_latches: [Mutex<()>; BUILD_STRIPES],
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+const BUILD_STRIPES: usize = 16;
 
 impl PlanCache {
     /// Create a cache holding at most `capacity` plans (0 disables caching).
@@ -241,6 +247,7 @@ impl PlanCache {
                 map: HashMap::new(),
                 tick: 0,
             }),
+            build_latches: std::array::from_fn(|_| Mutex::new(())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -248,20 +255,51 @@ impl PlanCache {
 
     /// Look up a plan, refreshing its LRU position.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
+        let found = self.lookup(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// The cached plan for `key`, or the one `build` returns, published for
+    /// later callers. Callers that miss on the same key at the same time
+    /// queue on its build latch and look again once they hold it, so a key
+    /// is built, and counted as a miss, once while it stays cached rather
+    /// than once per racing caller.
+    pub fn get_or_build<E>(
+        &self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<Arc<CachedPlan>, E>,
+    ) -> Result<Arc<CachedPlan>, E> {
+        if self.capacity == 0 {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return build();
+        }
+        if let Some(plan) = self.lookup(&key) {
+            return Ok(plan);
+        }
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        let _building = self.build_latches[h.finish() as usize % BUILD_STRIPES].lock();
+        if let Some(plan) = self.lookup(&key) {
+            return Ok(plan);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let plan = build()?;
+        self.insert(key, Arc::clone(&plan));
+        Ok(plan)
+    }
+
+    /// Look up a plan, refreshing its LRU position and counting a hit.
+    fn lookup(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some((plan, used)) => {
-                *used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(plan))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let (plan, used) = inner.map.get_mut(key)?;
+        *used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(plan))
     }
 
     /// Insert a plan, evicting the least-recently-used entry when full.
@@ -403,6 +441,29 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn racing_misses_build_a_key_once() {
+        let cache = PlanCache::new(8);
+        let builds = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    let plan = cache.get_or_build(key(1, "/a"), || {
+                        builds.fetch_add(1, Ordering::Relaxed);
+                        // Hold the build open while the other callers miss.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        Ok::<_, ()>(dummy_plan())
+                    });
+                    assert!(plan.is_ok());
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!((cache.misses(), cache.hits()), (1, 3));
     }
 
     #[test]

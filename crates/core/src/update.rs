@@ -621,10 +621,13 @@ fn sibling_rel(parent_abs: &NodeId, sib: &NodeId) -> Result<RelId> {
 fn commit_edit(txn: &Txn, xml: &XmlTable, doc: DocId, edit: EditCtx) -> Result<UpdateStats> {
     let mut stats = UpdateStats::default();
     let limit = rx_storage::MAX_RECORD_SIZE - 64;
-    // Remove the stale interval entries FIRST: a spilled record's new entry
-    // may reuse exactly the same (doc, upper) key.
-    xml.delete_uppers(txn, doc, &edit.old_uppers)?;
     let mut rec = encode_record(&edit.header_bytes, &edit.entries, &edit.ctx)?;
+    let spills = rec.bytes.len() > limit;
+    if spills {
+        // Remove the stale interval entries FIRST: a spilled record's new
+        // entry may reuse exactly the same (doc, upper) key.
+        xml.delete_uppers(txn, doc, &edit.old_uppers)?;
+    }
     let mut entries = edit.entries;
     while rec.bytes.len() > limit {
         // Spill the largest element's children block into fresh records.
@@ -634,6 +637,18 @@ fn commit_edit(txn: &Txn, xml: &XmlTable, doc: DocId, edit: EditCtx) -> Result<U
     stats.bytes_written += rec.bytes.len() as u64;
     stats.records_touched += 1;
     xml.update_record(txn, doc, edit.rid, &rec, &[])?;
+    if !spills {
+        // Without a spill the record's surviving interval entries were
+        // overwritten in place above, and only the stale ones go, after.
+        // Deleting a live key and re-inserting it would leave a window in
+        // which an unlocked reader's NodeID probe finds no record at all.
+        let stale: Vec<NodeId> = edit
+            .old_uppers
+            .into_iter()
+            .filter(|u| !rec.interval_uppers.contains(u))
+            .collect();
+        xml.delete_uppers(txn, doc, &stale)?;
+    }
     Ok(stats)
 }
 

@@ -28,6 +28,8 @@ use rx_xml::nodeid::NodeId;
 use rx_xml::value::{encode_key, KeyType};
 use rx_xpath::quickxscan::{QuickXScan, ResultItem};
 use rx_xpath::{Path, QueryTree, XPathParser};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Anchor slot in the index's table space where the B+tree root lives.
@@ -138,6 +140,10 @@ pub struct ValueIndex {
     /// Compiled query tree for key generation.
     pub tree: QueryTree,
     btree: Arc<BTree>,
+    /// Set once some document has had more than one entry in this index
+    /// (see [`ValueIndex::is_multi_valued`]). Monotone while the index is
+    /// open: deletes and rollbacks never clear it.
+    multi_valued: AtomicBool,
 }
 
 impl ValueIndex {
@@ -163,6 +169,7 @@ impl ValueIndex {
             path,
             tree,
             btree,
+            multi_valued: AtomicBool::new(false),
         })
     }
 
@@ -171,18 +178,62 @@ impl ValueIndex {
         let path = Self::parse_path(&def.path_text)?;
         let tree = QueryTree::compile(&path)?;
         let btree = BTree::open(space, VALUE_INDEX_ANCHOR)?;
-        Ok(ValueIndex {
+        let vi = ValueIndex {
             def,
             path,
             tree,
             btree,
-        })
+            multi_valued: AtomicBool::new(false),
+        };
+        vi.recompute_multi_valued()?;
+        Ok(vi)
+    }
+
+    /// True once some document may hold more than one entry in this index.
+    /// While it is false, every document has at most one entry, so ANDed
+    /// key ranges over this index select exactly the documents whose single
+    /// entry lies in the intersection of the ranges (DESIGN.md §9.5).
+    /// `Acquire` pairs with the `Release` store in [`Self::insert_entries`]:
+    /// a reader that observes any entry of a multi-valued document through
+    /// the B+tree latch also observes the flag.
+    pub fn is_multi_valued(&self) -> bool {
+        self.multi_valued.load(Ordering::Acquire)
+    }
+
+    /// Re-derive the multi-valued flag from the stored entries: one scan
+    /// that stops at the first DocID seen twice. Runs at open and again
+    /// after crash recovery (which can redo or undo entries), when no
+    /// transaction is active, so clearing the flag here is sound.
+    pub(crate) fn recompute_multi_valued(&self) -> Result<()> {
+        let mut seen = HashSet::new();
+        let mut multi = false;
+        let mut err = None;
+        self.btree.scan_all(|k, _| match decode_entry_key(k) {
+            Ok((_, doc, _)) => {
+                multi = !seen.insert(doc);
+                !multi
+            }
+            Err(e) => {
+                err = Some(e);
+                false
+            }
+        })?;
+        if let Some(e) = err {
+            return Err(e);
+        }
+        self.multi_valued.store(multi, Ordering::Release);
+        Ok(())
     }
 
     /// Insert the entries for `items` (QuickXScan results with node IDs) of
     /// document `doc`. The RID of each node's record is resolved through the
     /// XML table's NodeID index. Items whose value does not cast to the key
     /// type are skipped.
+    ///
+    /// `items` must be *all* of the document's items for this index (every
+    /// caller derives them from the whole document): when more than one of
+    /// them casts, the multi-valued flag is raised before any entry becomes
+    /// visible in the B+tree.
     pub fn insert_entries(
         &self,
         txn: &Txn,
@@ -190,12 +241,21 @@ impl ValueIndex {
         xml: &XmlTable,
         items: &[ResultItem],
     ) -> Result<u64> {
+        let keyed: Vec<(&NodeId, Vec<u8>)> = items
+            .iter()
+            .filter_map(|item| {
+                // Not castable: zero entries for this node (§3.3).
+                Some((
+                    item.node.as_ref()?,
+                    encode_key(self.def.key_type, &item.value)?,
+                ))
+            })
+            .collect();
+        if keyed.len() > 1 {
+            self.multi_valued.store(true, Ordering::Release);
+        }
         let mut inserted = 0u64;
-        for item in items {
-            let Some(node) = &item.node else { continue };
-            let Some(keyval) = encode_key(self.def.key_type, &item.value) else {
-                continue; // not castable: zero entries for this node (§3.3)
-            };
+        for (node, keyval) in keyed {
             let Some(rid) = xml.locate(doc, node)? else {
                 return Err(EngineError::Record(format!(
                     "indexed node {node} of doc {doc} has no record"

@@ -442,11 +442,17 @@ pub fn double_sort_key(v: f64) -> [u8; 8] {
 /// Convert a node's string value into index-key bytes for the given key type.
 /// Returns `None` when the value does not cast (the node simply produces no
 /// index entry, as extended indexes allow zero entries per record, §3.3).
+/// NaN casts to no key either: every comparison with NaN is false, so a NaN
+/// entry could only ever produce false hits (its key sorts above +inf, inside
+/// every `> x` range).
 pub fn encode_key(ty: KeyType, value: &str) -> Option<Vec<u8>> {
     match ty {
         KeyType::String => Some(value.as_bytes().to_vec()),
         KeyType::Double => {
             let v: f64 = value.trim().parse().ok()?;
+            if v.is_nan() {
+                return None;
+            }
             Some(double_sort_key(v).to_vec())
         }
         KeyType::Decimal => Some(Decimal::parse(value).ok()?.sort_key()),
@@ -656,6 +662,10 @@ mod tests {
     fn encode_key_handles_bad_casts() {
         assert!(encode_key(KeyType::Double, "199.99").is_some());
         assert!(encode_key(KeyType::Double, "cheap").is_none());
+        for nan in ["NaN", "nan", " -NaN "] {
+            assert!(encode_key(KeyType::Double, nan).is_none(), "{nan}");
+        }
+        assert!(encode_key(KeyType::Double, "inf").is_some());
         assert!(encode_key(KeyType::Date, "2004-02-29").is_some());
         assert!(encode_key(KeyType::Date, "soon").is_none());
         assert!(encode_key(KeyType::String, "anything").is_some());
