@@ -6,13 +6,18 @@
 //! with the transaction; commit forces the log and releases locks, rollback
 //! runs the undo chain in reverse (each undo re-logs its compensation so crash
 //! recovery replays aborted transactions correctly).
+//!
+//! `Begin` is logged lazily, just ahead of the transaction's first record. A
+//! transaction that never logs — every read-only one — writes no `Begin`,
+//! `Commit` or `Abort` and never waits for a group-commit fsync: it only
+//! releases its locks and runs its outcome hooks (DESIGN.md §8.4).
 
 use crate::error::{Result, StorageError};
 use crate::lock::{LockManager, LockMode, LockName};
 use crate::wal::{LogRecord, Lsn, TxnId, Wal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Context handed to undo actions at rollback time so they can write
@@ -22,24 +27,18 @@ use std::sync::Arc;
 /// (and steal-policy page flushes could persist partial effects) — the
 /// classical reason ARIES logs CLRs.
 pub struct UndoCtx<'a> {
-    wal: &'a Wal,
-    txn: TxnId,
+    txn: &'a Txn,
 }
 
 impl UndoCtx<'_> {
     /// The rolling-back transaction's id.
     pub fn txn(&self) -> TxnId {
-        self.txn
+        self.txn.id
     }
 
     /// Append a compensation record (must carry this transaction's id).
     pub fn log(&self, rec: &LogRecord) -> Result<Lsn> {
-        debug_assert_eq!(
-            rec.txn(),
-            Some(self.txn),
-            "compensation must carry the txn id"
-        );
-        self.wal.log(rec)
+        self.txn.log(rec)
     }
 }
 
@@ -55,8 +54,9 @@ pub type TxnHook = Box<dyn FnOnce(bool) + Send>;
 
 struct TxnState {
     /// LSN of the transaction's Begin record (the undo keep-floor a
-    /// checkpoint must not truncate past while the txn is in flight).
-    begin_lsn: Lsn,
+    /// checkpoint must not truncate past while the txn is in flight); `None`
+    /// until the transaction logs its first record.
+    begin_lsn: Option<Lsn>,
     undo: Vec<UndoAction>,
     hooks: Vec<TxnHook>,
 }
@@ -90,14 +90,14 @@ impl TxnManager {
         &self.wal
     }
 
-    /// Begin a new transaction.
+    /// Begin a new transaction. Nothing is logged yet: the `Begin` record
+    /// is written just ahead of the transaction's first record.
     pub fn begin(self: &Arc<Self>) -> Result<Txn> {
         let id = self.next.fetch_add(1, Ordering::AcqRel);
-        let begin_lsn = self.wal.log(&LogRecord::Begin { txn: id })?;
         self.active.lock().insert(
             id,
             TxnState {
-                begin_lsn,
+                begin_lsn: None,
                 undo: Vec::new(),
                 hooks: Vec::new(),
             },
@@ -105,6 +105,7 @@ impl TxnManager {
         Ok(Txn {
             id,
             mgr: Arc::clone(self),
+            logged: AtomicBool::new(false),
             finished: false,
         })
     }
@@ -117,8 +118,14 @@ impl TxnManager {
     /// Lowest Begin LSN among in-flight transactions — a checkpoint must not
     /// truncate log records at or above this point, or recovery loses the
     /// undo chain (and possibly the eventual commit) of a live transaction.
+    /// Transactions that have not logged yet are skipped: their `Begin` will
+    /// get an LSN above any barrier taken now.
     pub fn oldest_active_lsn(&self) -> Option<Lsn> {
-        self.active.lock().values().map(|s| s.begin_lsn).min()
+        self.active
+            .lock()
+            .values()
+            .filter_map(|s| s.begin_lsn)
+            .min()
     }
 
     /// Remove the transaction and release its locks; the caller runs the
@@ -140,6 +147,9 @@ impl TxnManager {
 pub struct Txn {
     id: TxnId,
     mgr: Arc<TxnManager>,
+    /// Set once the `Begin` record is logged (the lock-free fast path of
+    /// [`Txn::log`]; `TxnState::begin_lsn` under `active` is authoritative).
+    logged: AtomicBool,
     finished: bool,
 }
 
@@ -149,10 +159,28 @@ impl Txn {
         self.id
     }
 
-    /// Append a log record on behalf of this transaction.
-    pub fn log(&self, rec: &LogRecord) -> Result<u64> {
+    /// Append a log record on behalf of this transaction, preceded by its
+    /// `Begin` record if this is the first one.
+    pub fn log(&self, rec: &LogRecord) -> Result<Lsn> {
         debug_assert_eq!(rec.txn(), Some(self.id), "record must carry this txn id");
+        if !self.logged.load(Ordering::Acquire) {
+            self.log_begin()?;
+        }
         self.mgr.wal.log(rec)
+    }
+
+    /// Log `Begin` unless a racing first `log` already did. Serialized by the
+    /// `active` mutex, so `Begin` is always the transaction's first record.
+    fn log_begin(&self) -> Result<()> {
+        let mut active = self.mgr.active.lock();
+        let st = active
+            .get_mut(&self.id)
+            .ok_or(StorageError::TxnNotActive(self.id))?;
+        if st.begin_lsn.is_none() {
+            st.begin_lsn = Some(self.mgr.wal.log(&LogRecord::Begin { txn: self.id })?);
+        }
+        self.logged.store(true, Ordering::Release);
+        Ok(())
     }
 
     /// Register an undo action to run if the transaction rolls back.
@@ -185,10 +213,14 @@ impl Txn {
 
     /// Commit: wait until the commit record is durable (joining the current
     /// group-commit batch rather than forcing a private fsync), release locks.
+    /// A transaction that logged nothing has nothing to make durable: it
+    /// writes no `Commit` and skips the wait.
     pub fn commit(mut self) -> Result<()> {
         if !self.finished {
-            let lsn = self.mgr.wal.log(&LogRecord::Commit { txn: self.id })?;
-            self.mgr.wal.wait_durable(lsn)?;
+            if self.logged.load(Ordering::Acquire) {
+                let lsn = self.log(&LogRecord::Commit { txn: self.id })?;
+                self.mgr.wal.wait_durable(lsn)?;
+            }
             let hooks = self.mgr.finish(self.id);
             self.finished = true;
             for h in hooks {
@@ -198,7 +230,8 @@ impl Txn {
         Ok(())
     }
 
-    /// Roll back: run undo actions in reverse, then log the abort.
+    /// Roll back: run undo actions in reverse, then log the abort (unless
+    /// the transaction, compensations included, never logged anything).
     pub fn rollback(mut self) -> Result<()> {
         self.rollback_inner()
     }
@@ -214,18 +247,17 @@ impl Txn {
                 None => return Err(StorageError::TxnNotActive(self.id)),
             }
         };
-        let ctx = UndoCtx {
-            wal: &self.mgr.wal,
-            txn: self.id,
-        };
+        let ctx = UndoCtx { txn: self };
         let mut first_err = None;
         for action in undo.into_iter().rev() {
             if let Err(e) = action(&ctx) {
                 first_err.get_or_insert(e);
             }
         }
-        let lsn = self.mgr.wal.log(&LogRecord::Abort { txn: self.id })?;
-        self.mgr.wal.wait_durable(lsn)?;
+        if self.logged.load(Ordering::Acquire) {
+            let lsn = self.log(&LogRecord::Abort { txn: self.id })?;
+            self.mgr.wal.wait_durable(lsn)?;
+        }
         let hooks = self.mgr.finish(self.id);
         self.finished = true;
         for h in hooks {
@@ -249,6 +281,7 @@ impl Drop for Txn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rid::Rid;
     use crate::wal::MemLogStore;
     use std::sync::atomic::AtomicU32;
 
@@ -259,8 +292,23 @@ mod tests {
         )
     }
 
+    /// A data record owned by `txn` (its contents never matter here).
+    fn insert(txn: TxnId, slot: u16) -> LogRecord {
+        LogRecord::HeapInsert {
+            txn,
+            space: 1,
+            rid: Rid::new(1, slot),
+            data: vec![slot as u8],
+        }
+    }
+
+    /// `(records written, fsyncs)`: what a read-only transaction must not move.
+    fn wal_counters(m: &TxnManager) -> (u64, u64) {
+        (m.wal().records_written(), m.wal().stats.snapshot().fsyncs)
+    }
+
     #[test]
-    fn commit_releases_locks_and_logs() {
+    fn lock_only_commit_releases_locks_and_logs_nothing() {
         let m = mgr();
         let t = m.begin().unwrap();
         let id = t.id();
@@ -269,9 +317,157 @@ mod tests {
         t.commit().unwrap();
         assert_eq!(m.locks().held_count(id), 0);
         assert_eq!(m.active_count(), 0);
+        assert!(m.wal().read_records().unwrap().is_empty());
+    }
+
+    #[test]
+    fn read_only_finish_skips_the_wal() {
+        let m = mgr();
+        let outcome = Arc::new(Mutex::new(Vec::new()));
+        let watch = |t: &Txn| {
+            let outcome = outcome.clone();
+            t.push_hook(Box::new(move |committed| outcome.lock().push(committed)));
+            t.lock(&LockName::Table(1), LockMode::S).unwrap();
+        };
+        let before = wal_counters(&m);
+        let t = m.begin().unwrap();
+        watch(&t);
+        t.commit().unwrap();
+        let t = m.begin().unwrap();
+        watch(&t);
+        t.rollback().unwrap();
+        let id = {
+            let t = m.begin().unwrap();
+            watch(&t);
+            t.id()
+            // dropped without commit
+        };
+        assert_eq!(wal_counters(&m), before);
+        assert_eq!(*outcome.lock(), vec![true, false, false]);
+        assert_eq!(m.locks().held_count(id), 0);
+        assert_eq!(m.active_count(), 0);
+    }
+
+    #[test]
+    fn begin_precedes_first_record() {
+        let m = mgr();
+        // A reader that opened first and never logs leaves no trace.
+        let reader = m.begin().unwrap();
+        let t = m.begin().unwrap();
+        let id = t.id();
+        t.log(&insert(id, 1)).unwrap();
+        t.log(&insert(id, 2)).unwrap();
+        t.commit().unwrap();
+        reader.commit().unwrap();
+        assert_eq!(
+            m.wal().read_records().unwrap(),
+            vec![
+                LogRecord::Begin { txn: id },
+                insert(id, 1),
+                insert(id, 2),
+                LogRecord::Commit { txn: id },
+            ]
+        );
+        assert_eq!(m.wal().stats.snapshot().fsyncs, 1);
+    }
+
+    #[test]
+    fn begin_precedes_compensations_on_rollback() {
+        let m = mgr();
+        let compensate = |t: &Txn, slot: u16| {
+            let id = t.id();
+            t.push_undo(Box::new(move |ctx| {
+                ctx.log(&LogRecord::HeapDelete {
+                    txn: id,
+                    space: 1,
+                    rid: Rid::new(1, slot),
+                    before: vec![slot as u8],
+                })
+                .map(drop)
+            }));
+        };
+        let delete = |id, slot: u16| LogRecord::HeapDelete {
+            txn: id,
+            space: 1,
+            rid: Rid::new(1, slot),
+            before: vec![slot as u8],
+        };
+        // A writer: Begin, its record, the compensation, Abort.
+        let t = m.begin().unwrap();
+        let a = t.id();
+        t.log(&insert(a, 1)).unwrap();
+        compensate(&t, 1);
+        t.rollback().unwrap();
+        // Only the undo action logs: its compensation still follows Begin.
+        let t = m.begin().unwrap();
+        let b = t.id();
+        compensate(&t, 2);
+        drop(t);
+        assert_eq!(
+            m.wal().read_records().unwrap(),
+            vec![
+                LogRecord::Begin { txn: a },
+                insert(a, 1),
+                delete(a, 1),
+                LogRecord::Abort { txn: a },
+                LogRecord::Begin { txn: b },
+                delete(b, 2),
+                LogRecord::Abort { txn: b },
+            ]
+        );
+    }
+
+    #[test]
+    fn racing_first_records_log_one_begin() {
+        const THREADS: u16 = 4;
+        const ROUNDS: usize = 200;
+        let m = mgr();
+        let gate = std::sync::Barrier::new(THREADS as usize);
+        for _ in 0..ROUNDS {
+            let t = m.begin().unwrap();
+            let id = t.id();
+            std::thread::scope(|s| {
+                for slot in 0..THREADS {
+                    let (t, gate) = (&t, &gate);
+                    s.spawn(move || {
+                        gate.wait();
+                        t.log(&insert(id, slot)).unwrap();
+                    });
+                }
+            });
+            t.commit().unwrap();
+        }
+        // Per transaction: one Begin, first, then the racing records, Commit.
         let recs = m.wal().read_records().unwrap();
-        assert!(matches!(recs[0], LogRecord::Begin { txn } if txn == id));
-        assert!(matches!(recs[1], LogRecord::Commit { txn } if txn == id));
+        assert_eq!(recs.len(), ROUNDS * (THREADS as usize + 2));
+        for txn in recs.chunks(THREADS as usize + 2) {
+            let id = txn[0].txn().unwrap();
+            assert_eq!(txn[0], LogRecord::Begin { txn: id });
+            assert!(txn[1..=THREADS as usize]
+                .iter()
+                .all(|r| matches!(r, LogRecord::HeapInsert { txn, .. } if *txn == id)));
+        }
+    }
+
+    #[test]
+    fn oldest_active_lsn_ignores_unlogged_transactions() {
+        let m = mgr();
+        let reader = m.begin().unwrap();
+        assert_eq!(m.oldest_active_lsn(), None);
+        let writer = m.begin().unwrap();
+        let begin = m.wal().current_lsn() + 1;
+        writer.log(&insert(writer.id(), 1)).unwrap();
+        assert_eq!(m.oldest_active_lsn(), Some(begin));
+        // A later first write does not move the floor below the writer's.
+        let late = m.begin().unwrap();
+        let late_begin = m.wal().current_lsn() + 1;
+        late.log(&insert(late.id(), 2)).unwrap();
+        assert_eq!(m.oldest_active_lsn(), Some(begin));
+        writer.commit().unwrap();
+        assert_eq!(m.oldest_active_lsn(), Some(late_begin));
+        late.commit().unwrap();
+        assert_eq!(m.oldest_active_lsn(), None);
+        reader.commit().unwrap();
     }
 
     #[test]
@@ -296,6 +492,7 @@ mod tests {
         let ran = Arc::new(AtomicU32::new(0));
         {
             let t = m.begin().unwrap();
+            t.log(&insert(t.id(), 1)).unwrap();
             let ran = ran.clone();
             t.push_undo(Box::new(move |_ctx| {
                 ran.fetch_add(1, Ordering::SeqCst);

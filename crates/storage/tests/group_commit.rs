@@ -13,6 +13,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rx-gc-{tag}-{}", std::process::id()));
@@ -25,6 +26,21 @@ const SPACE: u32 = 1;
 
 fn payload(owner: u64, seq: u64) -> Vec<u8> {
     format!("row-{owner}-{seq}").into_bytes()
+}
+
+/// Commit one transaction that logs a single heap insert (a log record only;
+/// no heap is touched). A transaction that logs nothing never reaches the
+/// group-commit path, so batching tests need every committer to write.
+fn commit_one_insert(txns: &Arc<TxnManager>, slot: u16) {
+    let t = txns.begin().unwrap();
+    t.log(&LogRecord::HeapInsert {
+        txn: t.id(),
+        space: SPACE,
+        rid: rx_storage::Rid::new(1, slot),
+        data: payload(t.id(), 0),
+    })
+    .unwrap();
+    t.commit().unwrap();
 }
 
 /// Acked commits (and only acked commits) survive `recover()`, even with a
@@ -194,23 +210,29 @@ fn one_fsync_amortizes_across_concurrent_committers() {
     std::thread::scope(|s| {
         // Leader: commits first and blocks inside the gated fsync.
         let leader_txns = Arc::clone(&txns);
-        let leader = s.spawn(move || {
-            leader_txns.begin().unwrap().commit().unwrap();
-        });
+        let leader = s.spawn(move || commit_one_insert(&leader_txns, 0));
         store.wait_entered();
 
-        // Followers: stage Begin+Commit and pile up on the durable-LSN
-        // condvar while the leader is stuck in fsync.
+        // Followers: stage Begin+HeapInsert+Commit and pile up on the
+        // durable-LSN condvar while the leader is stuck in fsync.
         let mut followers = Vec::new();
-        for _ in 0..FOLLOWERS {
+        for slot in 1..=FOLLOWERS as u16 {
             let txns = Arc::clone(&txns);
-            followers.push(s.spawn(move || {
-                txns.begin().unwrap().commit().unwrap();
-            }));
+            followers.push(s.spawn(move || commit_one_insert(&txns, slot)));
         }
-        // Every follower has staged its records (2 for the leader + 2 per
-        // follower) before the gate opens.
-        while wal.records_written() < 2 * (FOLLOWERS + 1) {
+        // Every follower has staged its records (3 per committer) before the
+        // gate opens. Bounded, so a committer that stops logging fails the
+        // test instead of hanging it.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while wal.records_written() < 3 * (FOLLOWERS + 1) {
+            if Instant::now() > deadline {
+                store.open_gate();
+                panic!(
+                    "followers staged only {} of {} records",
+                    wal.records_written(),
+                    3 * (FOLLOWERS + 1)
+                );
+            }
             std::thread::yield_now();
         }
         store.open_gate();
@@ -234,7 +256,7 @@ fn one_fsync_amortizes_across_concurrent_committers() {
         s.group_commits
     );
     assert!(
-        s.batch_records_max >= 2 * FOLLOWERS,
+        s.batch_records_max >= 3 * FOLLOWERS,
         "second batch must cover all followers, got max {}",
         s.batch_records_max
     );
@@ -249,12 +271,12 @@ fn checkpoint_coordinates_with_group_commit() {
     let txns = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
-        for _ in 0..4 {
+        for slot in 0..4 {
             let txns = Arc::clone(&txns);
             let stop = &stop;
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    txns.begin().unwrap().commit().unwrap();
+                    commit_one_insert(&txns, slot);
                 }
             });
         }
@@ -277,6 +299,102 @@ fn checkpoint_coordinates_with_group_commit() {
         .iter()
         .any(|r| matches!(r, LogRecord::Checkpoint | LogRecord::Commit { .. })));
     assert!(wal.durable_lsn() <= wal.records_written());
+    assert!(wal.stats.snapshot().fsyncs > 0, "no commit reached the WAL");
+}
+
+/// `Begin` is logged lazily, at a transaction's first record. Here a
+/// transaction inserts into the heap, a checkpoint runs before its first
+/// `log` (flushing the uncommitted insert into the page image and truncating
+/// the log, so its `Begin` lands behind the checkpoint marker), and only then
+/// does it log. Recovery must still know the transaction: uncommitted at the
+/// crash, its insert is rolled back; committed, the insert survives.
+/// Read-only transactions open at the crash logged nothing and must be
+/// neither winners nor losers.
+#[test]
+fn lazy_begin_after_checkpoint_recovers() {
+    for commit in [false, true] {
+        let dir = tmpdir(if commit { "lazy-commit" } else { "lazy-crash" });
+        let early = b"committed-before-checkpoint".to_vec();
+        let late = b"logged-after-checkpoint".to_vec();
+        let (early_rid, late_rid);
+        {
+            let pool = BufferPool::new(64);
+            let backend = Arc::new(FileBackend::open(&dir.join("space-1.dat")).unwrap());
+            let space = TableSpace::create(pool.clone(), SPACE, backend).unwrap();
+            let heap = HeapTable::create(space).unwrap();
+            pool.flush_all().unwrap();
+            let wal = Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log")).unwrap()));
+            let txns = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
+
+            // Log that the checkpoint will truncate.
+            let t = txns.begin().unwrap();
+            early_rid = heap.insert(&early).unwrap();
+            t.log(&LogRecord::HeapInsert {
+                txn: t.id(),
+                space: SPACE,
+                rid: early_rid,
+                data: early.clone(),
+            })
+            .unwrap();
+            t.commit().unwrap();
+
+            let readers: Vec<_> = (0..3).map(|_| txns.begin().unwrap()).collect();
+            let t = txns.begin().unwrap();
+            late_rid = heap.insert(&late).unwrap();
+            // Checkpoint exactly as Database::checkpoint does. Nobody has
+            // logged a Begin, so the floor is the barrier itself.
+            let barrier = wal.current_lsn() + 1;
+            let keep = txns.oldest_active_lsn().map_or(barrier, |l| l.min(barrier));
+            assert_eq!(keep, barrier);
+            pool.flush_all().unwrap();
+            wal.checkpoint(keep).unwrap();
+            t.log(&LogRecord::HeapInsert {
+                txn: t.id(),
+                space: SPACE,
+                rid: late_rid,
+                data: late.clone(),
+            })
+            .unwrap();
+            if commit {
+                t.commit().unwrap();
+            } else {
+                // The records reach disk with no Commit, then the crash.
+                wal.force().unwrap();
+                std::mem::forget(t);
+            }
+            // "Crash" with the readers still open and dirty pages unflushed.
+            std::mem::forget(readers);
+        }
+
+        let pool = BufferPool::new(64);
+        let backend = Arc::new(FileBackend::open(&dir.join("space-1.dat")).unwrap());
+        let space = TableSpace::open(pool.clone(), SPACE, backend).unwrap();
+        let heap = HeapTable::open(space).unwrap();
+        let wal = Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log")).unwrap()));
+        let env = RecoveryEnv {
+            heaps: HashMap::from([(SPACE, Arc::clone(&heap))]),
+            ..Default::default()
+        };
+        let report = recover(&wal, &env).unwrap();
+        assert_eq!(
+            (report.winners, report.losers),
+            (usize::from(commit), usize::from(!commit)),
+            "only the late writer may appear in {report:?}"
+        );
+        assert_eq!(heap.fetch(early_rid).unwrap(), early);
+        if commit {
+            assert_eq!(heap.fetch(late_rid).unwrap(), late);
+        } else {
+            assert!(
+                matches!(
+                    heap.fetch(late_rid),
+                    Err(StorageError::RecordNotFound { .. })
+                ),
+                "uncommitted insert flushed by the checkpoint survived recovery"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The review scenario for acked-commit loss: checkpoints race a storm of
