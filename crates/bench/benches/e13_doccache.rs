@@ -11,11 +11,7 @@ const DOCS: usize = 2000;
 
 struct CountSink(u64);
 impl IdEventSink for CountSink {
-    fn id_event(
-        &mut self,
-        _id: &rx_xml::NodeId,
-        _ev: rx_xml::event::Event<'_>,
-    ) -> rx_engine::Result<()> {
+    fn id_event(&mut self, _id: &[u8], _ev: rx_xml::event::Event<'_>) -> rx_engine::Result<()> {
         self.0 += 1;
         Ok(())
     }

@@ -709,6 +709,127 @@ fn e5_quickxscan() {
             ],
         ],
     );
+
+    e5d_stored_scan();
+}
+
+/// E5d: QuickXScan over stored documents — the full-scan access path. The
+/// pre-change lifecycle (a fresh scanner per document, every element's
+/// content replayed) against one reused lane scanner with virtual-SAX
+/// subtree skipping, over `scan-cold`-shaped documents, all in memory.
+fn e5d_stored_scan() {
+    use rx_engine::traverse::IdEventSink;
+    use rx_xpath::QuickXScan;
+
+    /// Forwards to the scanner but keeps the default `wants_content`, so
+    /// every subtree is replayed.
+    struct NoSkip<'a, 'q, 'd>(&'a mut QuickXScan<'q, 'd>);
+    impl IdEventSink for NoSkip<'_, '_, '_> {
+        fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> rx_engine::Result<()> {
+            self.0.id_event(id, ev)
+        }
+    }
+
+    println!("\npaper: QuickXScan 'has similar performance characteristics' to a relational");
+    println!("scan. Per-document cost of a one-hit ProductName scan over 1,000 stored");
+    println!("product documents (description_len 200, as in perfbench scan-cold), buffer");
+    println!("pool large enough to hold everything: the cost is evaluation and traversal.");
+    const DOCS: usize = 1000;
+    let spec = CatalogSpec {
+        products: DOCS,
+        description_len: 200,
+        ..Default::default()
+    };
+    let path = XPathParser::new()
+        .parse("/Catalog/Categories/Product[ProductName = \"Product-000500\"]/RegPrice")
+        .unwrap();
+    let tree = QueryTree::compile(&path).unwrap();
+    let mut rows = Vec::new();
+    for (shape, target) in [
+        ("one record per doc", rx_engine::pack::DEFAULT_TARGET_RECORD),
+        ("multi-record (target 128 B)", 128),
+    ] {
+        let db = mem_db(target);
+        let t = db
+            .create_table("products", &[("doc", ColumnKind::Xml)])
+            .unwrap();
+        for i in 0..DOCS {
+            db.insert_row(&t, &[ColValue::Xml(rx_gen::product_doc(&spec, i))])
+                .unwrap();
+        }
+        let col = t.xml_column("doc").unwrap();
+        let docs = access::all_docids(&t).unwrap();
+        let dict = db.dict();
+        let fresh_pass = |count: &mut (u64, u64)| {
+            let mut hits = Vec::new();
+            for &d in &docs {
+                let mut scan = QuickXScan::new(&tree, dict);
+                let mut tr = Traverser::new(col.xml_table(), d);
+                tr.run(&mut NoSkip(&mut scan)).unwrap();
+                count.0 += scan.stats.events;
+                count.1 += tr.stats.records_fetched;
+                hits.extend(scan.finish().unwrap());
+            }
+            hits
+        };
+        let lane_pass = |stats: &mut access::AccessStats| {
+            let mut lane = access::DocScanner::new(&tree, dict);
+            let mut hits = Vec::new();
+            for &d in &docs {
+                lane.evaluate(col, d, stats, &mut hits).unwrap();
+            }
+            hits
+        };
+        let mut full = (0u64, 0u64);
+        let before_hits = fresh_pass(&mut full);
+        let mut lane_stats = access::AccessStats::default();
+        let after_hits = lane_pass(&mut lane_stats);
+        assert_eq!(before_hits.len(), 1);
+        assert_eq!(after_hits.len(), 1);
+        assert_eq!(before_hits[0].value, after_hits[0].value);
+        assert_eq!(before_hits[0].node, after_hits[0].node);
+        let before = median_time(5, || {
+            std::hint::black_box(fresh_pass(&mut (0, 0)));
+        });
+        let after = median_time(5, || {
+            std::hint::black_box(lane_pass(&mut access::AccessStats::default()));
+        });
+        let n = DOCS as f64;
+        let per_doc = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e6 / n);
+        let per_event =
+            |d: std::time::Duration| format!("{:.0}", d.as_secs_f64() * 1e9 / full.0 as f64);
+        rows.push(vec![
+            shape.into(),
+            "fresh scanner per doc, no skip".into(),
+            per_doc(before),
+            per_event(before),
+            "0".into(),
+            format!("{:.2}", full.1 as f64 / n),
+            "1.00x".into(),
+        ]);
+        rows.push(vec![
+            shape.into(),
+            "lane scanner, subtree skip".into(),
+            per_doc(after),
+            per_event(after),
+            format!("{:.2}", lane_stats.subtrees_skipped as f64 / n),
+            format!("{:.2}", lane_stats.records_fetched as f64 / n),
+            format!("{:.2}x", before.as_secs_f64() / after.as_secs_f64()),
+        ]);
+    }
+    print_table(
+        "E5d: stored-document scan, per document (events = all SAX events of the document)",
+        &[
+            "documents",
+            "evaluator",
+            "µs/doc",
+            "ns/event",
+            "subtrees skipped/doc",
+            "records fetched/doc",
+            "speedup",
+        ],
+        &rows,
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1615,11 +1736,7 @@ fn e13_doc_cache() {
     /// serialization cost.
     struct CountSink(u64);
     impl IdEventSink for CountSink {
-        fn id_event(
-            &mut self,
-            _id: &rx_xml::NodeId,
-            _ev: rx_xml::event::Event<'_>,
-        ) -> rx_engine::Result<()> {
+        fn id_event(&mut self, _id: &[u8], _ev: rx_xml::event::Event<'_>) -> rx_engine::Result<()> {
             self.0 += 1;
             Ok(())
         }

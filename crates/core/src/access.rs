@@ -19,16 +19,15 @@
 use crate::db::{BaseTable, XmlColumn};
 use crate::error::{EngineError, Result};
 use crate::executor::{CachedPlan, PlanCache, PlanKey, QueryExecutor};
-use crate::traverse::{IdEventSink, Traverser};
+use crate::traverse::Traverser;
 use crate::validx::{IndexEntry, ValueIndex};
 use crate::xmltable::DocId;
-use rx_xml::event::Event;
 use rx_xml::name::NameDict;
 use rx_xml::nodeid::NodeId;
 use rx_xml::value::{encode_key, KeyType};
 use rx_xpath::ast::{Axis, CmpOp, Expr, Operand, Path, Step};
 use rx_xpath::containment::{classify, IndexMatch};
-use rx_xpath::quickxscan::QuickXScan;
+use rx_xpath::quickxscan::{QuickXScan, ResultItem};
 use rx_xpath::QueryTree;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -248,6 +247,8 @@ pub struct AccessStats {
     pub docs_evaluated: u64,
     /// Heap records fetched during evaluation.
     pub records_fetched: u64,
+    /// Element contents the scan declined and traversal jumped over.
+    pub subtrees_skipped: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -462,49 +463,59 @@ pub fn plan(path: &Path, column: &XmlColumn, prefer_nodeid: bool) -> AccessPlan 
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Drive QuickXScan over one stored document.
-struct ScanSink<'a, 'q, 'd> {
-    scan: &'a mut QuickXScan<'q, 'd>,
+/// One lane's document evaluator: a single QuickXScan that evaluates every
+/// document of the lane in turn. The scanner is reset between documents —
+/// after a failed or missing one too — so each document's hits, node IDs and
+/// match order are exactly those of a fresh scanner, while instances,
+/// operand buffers and the name memo are reused.
+pub struct DocScanner<'q, 'd> {
+    scan: QuickXScan<'q, 'd>,
+    items: Vec<ResultItem>,
 }
 
-impl IdEventSink for ScanSink<'_, '_, '_> {
-    fn id_event(&mut self, id: &NodeId, ev: Event<'_>) -> Result<()> {
-        use rx_xml::event::EventSink;
-        self.scan.set_current_node(id.clone());
-        self.scan.event(ev)?;
+impl<'q, 'd> DocScanner<'q, 'd> {
+    /// A lane evaluator for `tree`.
+    pub fn new(tree: &'q QueryTree, dict: &'d NameDict) -> Self {
+        DocScanner {
+            scan: QuickXScan::new(tree, dict),
+            items: Vec::new(),
+        }
+    }
+
+    /// Evaluate the tree over document `doc` of `column`, appending its hits
+    /// to `hits`. On error nothing is appended and the scanner is ready for
+    /// the next document.
+    pub fn evaluate(
+        &mut self,
+        column: &XmlColumn,
+        doc: DocId,
+        stats: &mut AccessStats,
+        hits: &mut Vec<QueryHit>,
+    ) -> Result<()> {
+        let mut t = Traverser::new(column.xml_table(), doc);
+        if let Err(e) = t.run(&mut self.scan) {
+            self.scan.reset();
+            return Err(e);
+        }
+        stats.docs_evaluated += 1;
+        stats.records_fetched += t.stats.records_fetched;
+        stats.subtrees_skipped += t.stats.subtrees_skipped;
+        self.scan.finish_into(&mut self.items)?;
+        hits.extend(self.items.drain(..).map(|i| QueryHit {
+            doc,
+            node: i.node,
+            value: i.value,
+        }));
         Ok(())
     }
 }
 
-/// Evaluate `tree` over document `doc` of `column`, returning hits.
-pub fn evaluate_document(
-    column: &XmlColumn,
-    dict: &NameDict,
-    tree: &QueryTree,
-    doc: DocId,
-    stats: &mut AccessStats,
-) -> Result<Vec<QueryHit>> {
-    let mut scan = QuickXScan::new(tree, dict);
-    let mut t = Traverser::new(column.xml_table(), doc);
-    t.run(&mut ScanSink { scan: &mut scan })?;
-    stats.docs_evaluated += 1;
-    stats.records_fetched += t.stats.records_fetched;
-    let items = scan.finish()?;
-    Ok(items
-        .into_iter()
-        .map(|i| QueryHit {
-            doc,
-            node: i.node,
-            value: i.value,
-        })
-        .collect())
-}
-
-/// Evaluate `tree` over each doc of `docs` in order. `skip_missing` applies
-/// the locked path's semantics: a candidate gathered before its S lock was
-/// granted may have been deleted by a transaction that committed in between
-/// (the lock only guarantees we never see a *partial* document, not that the
-/// document still exists), so `NotFound` skips the doc instead of failing.
+/// Evaluate `tree` over each doc of `docs` in order, with one scanner.
+/// `skip_missing` applies the locked path's semantics: a candidate gathered
+/// before its S lock was granted may have been deleted by a transaction that
+/// committed in between (the lock only guarantees we never see a *partial*
+/// document, not that the document still exists), so `NotFound` skips the
+/// doc instead of failing.
 fn evaluate_doc_list(
     column: &XmlColumn,
     dict: &NameDict,
@@ -513,10 +524,11 @@ fn evaluate_doc_list(
     skip_missing: bool,
     stats: &mut AccessStats,
 ) -> Result<Vec<QueryHit>> {
+    let mut lane = DocScanner::new(tree, dict);
     let mut hits = Vec::new();
     for &doc in docs {
-        match evaluate_document(column, dict, tree, doc, stats) {
-            Ok(h) => hits.extend(h),
+        match lane.evaluate(column, doc, stats, &mut hits) {
+            Ok(()) => {}
             Err(EngineError::NotFound { .. }) if skip_missing => continue,
             Err(e) => return Err(e),
         }
@@ -570,6 +582,7 @@ fn evaluate_docs(
         hits.extend(h);
         stats.docs_evaluated += s.docs_evaluated;
         stats.records_fetched += s.records_fetched;
+        stats.subtrees_skipped += s.subtrees_skipped;
     }
     Ok(hits)
 }
@@ -1284,6 +1297,91 @@ mod tests {
             evaluate_docs(None, col, db.dict(), &tree, docs, false, &mut serial_stats).unwrap();
         assert_eq!(hits, serial);
         assert_eq!(stats.docs_evaluated, serial_stats.docs_evaluated);
+    }
+
+    #[test]
+    fn lane_scanner_resets_after_missing_and_failed_documents() {
+        // Small records: a long ProductName spills its text into a record of
+        // its own, so a document can fail mid-traversal.
+        let db = Database::create_in_memory_with(crate::db::DbConfig {
+            target_record_size: 128,
+            ..Default::default()
+        })
+        .unwrap();
+        let t = db
+            .create_table("products", &[("doc", ColumnKind::Xml)])
+            .unwrap();
+        let doc = |name: &str, pad: usize, discount: f64| {
+            format!(
+                "<Catalog><Categories><Product><Discount>{discount}</Discount>\
+                 <ProductName>{name}{}</ProductName></Product></Categories></Catalog>",
+                "n".repeat(pad)
+            )
+        };
+        let insert = |text: String| db.insert_row(&t, &[ColValue::Xml(text)]).unwrap();
+        let first = insert(doc("first", 10, 0.3));
+        let deleted = insert(doc("deleted", 10, 0.3));
+        let failing = insert(doc("failing", 300, 0.3));
+        let last = insert(doc("last", 10, 0.3));
+        assert!(db.delete_row(&t, deleted).unwrap());
+        // Break the record holding the failing document's ProductName text
+        // behind the NodeID index's back: traversal fails with Discount
+        // already in Product's operands, ProductName's instance open and its
+        // string value accumulating.
+        let col = t.xml_column("doc").unwrap();
+        let xml = col.xml_table();
+        let root_rid = xml.locate(failing, &NodeId::root()).unwrap().unwrap();
+        let name_text = NodeId::from_bytes(&[0x02, 0x02, 0x02, 0x04, 0x02]).unwrap();
+        let broken_rid = xml.locate(failing, &name_text).unwrap().unwrap();
+        assert_ne!(broken_rid, root_rid, "the failing document spans records");
+        xml.heap().delete(broken_rid).unwrap();
+
+        let path = q("/Catalog/Categories/Product[Discount > 0.15]/ProductName");
+        let tree = QueryTree::compile(&path).unwrap();
+        let alone = |d: DocId| {
+            let mut hits = Vec::new();
+            DocScanner::new(&tree, db.dict())
+                .evaluate(col, d, &mut AccessStats::default(), &mut hits)
+                .unwrap();
+            hits
+        };
+        let (first_hits, last_hits) = (alone(first), alone(last));
+        assert_eq!(first_hits.len(), 1);
+        assert_eq!(last_hits.len(), 1);
+        assert!(last_hits[0].node.is_some());
+
+        let mut lane = DocScanner::new(&tree, db.dict());
+        let mut stats = AccessStats::default();
+        let mut hits = Vec::new();
+        lane.evaluate(col, first, &mut stats, &mut hits).unwrap();
+        let missing = lane.evaluate(col, deleted, &mut stats, &mut hits);
+        assert!(matches!(missing, Err(EngineError::NotFound { .. })));
+        let broken = lane.evaluate(col, failing, &mut stats, &mut hits);
+        assert!(broken.is_err());
+        assert!(!matches!(broken, Err(EngineError::NotFound { .. })));
+        assert_eq!(hits, first_hits, "failed documents append nothing");
+        lane.evaluate(col, last, &mut stats, &mut hits).unwrap();
+        assert_eq!(
+            hits[1..],
+            last_hits[..],
+            "exactly the last document's own hits"
+        );
+        assert_eq!(stats.docs_evaluated, 2);
+
+        // The list evaluator skips the deleted candidate on the locked path
+        // and returns the same hits as per-document evaluation.
+        let mut stats = AccessStats::default();
+        let listed = evaluate_doc_list(
+            col,
+            db.dict(),
+            &tree,
+            &[first, deleted, last],
+            true,
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(listed, [first_hits, last_hits].concat());
+        assert_eq!(stats.docs_evaluated, 2);
     }
 }
 

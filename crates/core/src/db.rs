@@ -1250,11 +1250,7 @@ impl Database {
                 let mut t = crate::traverse::Traverser::new(&col.xml, doc);
                 struct FtObs<'a, 'q, 'd>(&'a mut FullTextKeyGen<'q, 'd>);
                 impl crate::traverse::IdEventSink for FtObs<'_, '_, '_> {
-                    fn id_event(
-                        &mut self,
-                        id: &rx_xml::NodeId,
-                        ev: rx_xml::event::Event<'_>,
-                    ) -> Result<()> {
+                    fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> Result<()> {
                         self.0.node(id, &ev)
                     }
                 }
@@ -1272,11 +1268,7 @@ impl Database {
                 let mut t = crate::traverse::Traverser::new(&col.xml, doc);
                 struct Obs<'a, 'q, 'd>(&'a mut IndexKeyGen<'q, 'd>);
                 impl crate::traverse::IdEventSink for Obs<'_, '_, '_> {
-                    fn id_event(
-                        &mut self,
-                        id: &rx_xml::NodeId,
-                        ev: rx_xml::event::Event<'_>,
-                    ) -> Result<()> {
+                    fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> Result<()> {
                         self.0.node(id, &ev)
                     }
                 }
@@ -1361,11 +1353,7 @@ impl Database {
             b: &'b mut FullTextKeyGen<'q, 'd>,
         }
         impl crate::traverse::IdEventSink for Obs<'_, '_, '_, '_> {
-            fn id_event(
-                &mut self,
-                id: &rx_xml::NodeId,
-                ev: rx_xml::event::Event<'_>,
-            ) -> Result<()> {
+            fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> Result<()> {
                 self.a.node(id, &ev)?;
                 self.b.node(id, &ev)
             }

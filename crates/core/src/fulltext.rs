@@ -370,9 +370,9 @@ impl<'q, 'd> FullTextKeyGen<'q, 'd> {
 }
 
 impl NodeObserver for FullTextKeyGen<'_, '_> {
-    fn node(&mut self, id: &NodeId, ev: &Event<'_>) -> Result<()> {
+    fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()> {
         for scan in &mut self.scans {
-            scan.set_current_node(id.clone());
+            scan.set_current_node(id);
             scan.event(*ev)?;
         }
         Ok(())

@@ -95,14 +95,14 @@ impl<F: FnMut(PackedRecord) -> Result<()>> RecordSink for F {
 /// QuickXScan with `set_current_node`.
 pub trait NodeObserver {
     /// Called once per node, before the corresponding event logic runs.
-    fn node(&mut self, id: &NodeId, ev: &Event<'_>) -> Result<()>;
+    fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()>;
 }
 
 /// No-op observer.
 pub struct NoObserver;
 
 impl NodeObserver for NoObserver {
-    fn node(&mut self, _id: &NodeId, _ev: &Event<'_>) -> Result<()> {
+    fn node(&mut self, _id: &[u8], _ev: &Event<'_>) -> Result<()> {
         Ok(())
     }
 }
@@ -117,7 +117,7 @@ pub struct TeeObserver<'a, A: NodeObserver, B: NodeObserver> {
 }
 
 impl<A: NodeObserver, B: NodeObserver> NodeObserver for TeeObserver<'_, A, B> {
-    fn node(&mut self, id: &NodeId, ev: &Event<'_>) -> Result<()> {
+    fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()> {
         self.a.node(id, ev)?;
         self.b.node(id, ev)
     }
@@ -581,7 +581,7 @@ impl Packer<'_, '_> {
                 let parent = self.top();
                 let rel = parent.alloc_child();
                 let abs = parent_abs.child(&rel);
-                self.observer.node(&abs, &ev)?;
+                self.observer.node(abs.as_bytes(), &ev)?;
                 self.stats.nodes += 1;
                 self.stack.push(OpenElem {
                     name,
@@ -608,7 +608,7 @@ impl Packer<'_, '_> {
                     e.u8(ann as u8);
                     e.bytes(value.as_bytes());
                 })?;
-                self.observer.node(&abs, &ev)
+                self.observer.node(abs.as_bytes(), &ev)
             }
             Event::Text { value, ann } => {
                 let (_, abs) = self.push_leaf(|e, rel| {
@@ -617,7 +617,7 @@ impl Packer<'_, '_> {
                     e.u8(ann as u8);
                     e.bytes(value.as_bytes());
                 })?;
-                self.observer.node(&abs, &ev)
+                self.observer.node(abs.as_bytes(), &ev)
             }
             Event::Comment { value } => {
                 let (_, abs) = self.push_leaf(|e, rel| {
@@ -625,7 +625,7 @@ impl Packer<'_, '_> {
                     enc_rel(e, rel);
                     e.bytes(value.as_bytes());
                 })?;
-                self.observer.node(&abs, &ev)
+                self.observer.node(abs.as_bytes(), &ev)
             }
             Event::Pi { target, data } => {
                 let (_, abs) = self.push_leaf(|e, rel| {
@@ -634,14 +634,14 @@ impl Packer<'_, '_> {
                     e.varint(u64::from(target));
                     e.bytes(data.as_bytes());
                 })?;
-                self.observer.node(&abs, &ev)
+                self.observer.node(abs.as_bytes(), &ev)
             }
             Event::EndElement => {
                 let mut elem = self.stack.pop().ok_or_else(|| {
                     EngineError::Record("unbalanced end element during packing".into())
                 })?;
                 let end_abs = elem.abs.clone();
-                self.observer.node(&end_abs, &ev)?;
+                self.observer.node(end_abs.as_bytes(), &ev)?;
                 // Size-based grouping: spill the children when the sealed
                 // element would overflow the target.
                 let head_estimate = 24 + elem.nsdecls.len() * 8;
@@ -735,7 +735,7 @@ pub enum NodeView<'a> {
     /// with [`read_nodes`]).
     Element {
         /// Relative ID.
-        rel: RelId,
+        rel: &'a [u8],
         /// Name.
         name: QNameId,
         /// Namespace declarations on this element.
@@ -748,7 +748,7 @@ pub enum NodeView<'a> {
     /// An attribute node.
     Attribute {
         /// Relative ID.
-        rel: RelId,
+        rel: &'a [u8],
         /// Name.
         name: QNameId,
         /// Type annotation.
@@ -759,7 +759,7 @@ pub enum NodeView<'a> {
     /// A text node.
     Text {
         /// Relative ID.
-        rel: RelId,
+        rel: &'a [u8],
         /// Type annotation.
         ann: TypeAnn,
         /// Character content.
@@ -768,14 +768,14 @@ pub enum NodeView<'a> {
     /// A comment node.
     Comment {
         /// Relative ID.
-        rel: RelId,
+        rel: &'a [u8],
         /// Content.
         value: &'a str,
     },
     /// A processing instruction.
     Pi {
         /// Relative ID.
-        rel: RelId,
+        rel: &'a [u8],
         /// Target name.
         target: QNameId,
         /// Data.
@@ -784,18 +784,18 @@ pub enum NodeView<'a> {
     /// A range proxy for sibling subtrees stored in other records.
     Proxy {
         /// First covered sibling's relative ID.
-        first: RelId,
+        first: &'a [u8],
         /// Last covered sibling's relative ID.
-        last: RelId,
+        last: &'a [u8],
         /// Number of covered sibling subtrees.
         count: u64,
     },
 }
 
-impl NodeView<'_> {
+impl<'a> NodeView<'a> {
     /// The relative ID of the node (for proxies: of the first covered
-    /// sibling).
-    pub fn rel(&self) -> &RelId {
+    /// sibling), borrowed from the record.
+    pub fn rel(&self) -> &'a [u8] {
         match self {
             NodeView::Element { rel, .. }
             | NodeView::Attribute { rel, .. }
@@ -810,12 +810,13 @@ impl NodeView<'_> {
 /// Decode one node starting at `pos`; returns the view and the offset just
 /// past the node (for elements: past the whole subtree — the "subtree
 /// length" skip of §3.1).
-pub fn read_node(bytes: &[u8], pos: usize) -> Result<(NodeView<'_>, usize)> {
+pub fn read_node<'a>(bytes: &'a [u8], pos: usize) -> Result<(NodeView<'a>, usize)> {
     let mut d = Dec::new(&bytes[pos..]);
     let k = d.u8().map_err(dec_err)?;
-    let rel_of = |d: &mut Dec<'_>| -> Result<RelId> {
+    let rel_of = |d: &mut Dec<'a>| -> Result<&'a [u8]> {
         let b = d.bytes().map_err(dec_err)?;
-        RelId::from_bytes(b).map_err(|e| EngineError::Record(e.to_string()))
+        RelId::validate(b).map_err(|e| EngineError::Record(e.to_string()))?;
+        Ok(b)
     };
     let view = match k {
         kind::ELEMENT => {
@@ -1156,12 +1157,12 @@ mod tests {
         for n in read_nodes(region) {
             match n.unwrap() {
                 NodeView::Element { rel, content, .. } => {
-                    let abs = ctx.child(&rel);
+                    let abs = ctx.child(&RelId::from_bytes(rel).unwrap());
                     out.push(abs.clone());
                     collect_ids(content, &abs, out);
                 }
                 NodeView::Proxy { .. } => {}
-                other => out.push(ctx.child(other.rel())),
+                other => out.push(ctx.child(&RelId::from_bytes(other.rel()).unwrap())),
             }
         }
     }

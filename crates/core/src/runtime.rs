@@ -86,29 +86,12 @@ impl XmlHandle {
     /// themselves).
     pub fn query(&self, tree: &QueryTree, dict: &NameDict) -> Result<Sequence> {
         match self {
-            XmlHandle::Stored { column, doc, node } => {
+            // Subtree handles replay the whole document too: absolute paths
+            // need the document context (deferred handles usually reference
+            // whole docs).
+            XmlHandle::Stored { column, doc, .. } => {
                 let mut scan = QuickXScan::new(tree, dict);
-                let mut t = Traverser::new(column.xml_table(), *doc);
-                struct S<'a, 'q, 'd> {
-                    scan: &'a mut QuickXScan<'q, 'd>,
-                }
-                impl crate::traverse::IdEventSink for S<'_, '_, '_> {
-                    fn id_event(&mut self, id: &NodeId, ev: Event<'_>) -> Result<()> {
-                        self.scan.set_current_node(id.clone());
-                        self.scan.event(ev)?;
-                        Ok(())
-                    }
-                }
-                match node {
-                    None => t.run(&mut S { scan: &mut scan })?,
-                    Some(n) => {
-                        // Subtree queries still need the document context to
-                        // anchor absolute paths; replay the whole document
-                        // (deferred handles usually reference whole docs).
-                        let _ = n;
-                        t.run(&mut S { scan: &mut scan })?;
-                    }
-                }
+                Traverser::new(column.xml_table(), *doc).run(&mut scan)?;
                 let items = scan.finish()?;
                 Ok(Sequence {
                     items: items

@@ -730,8 +730,13 @@ impl P {
                 let col = Self::xml_column_of(&table, passing.as_deref())?;
                 let path = XPathParser::new().parse(&xpath)?;
                 let tree = rx_xpath::QueryTree::compile(&path)?;
-                let mut stats = access::AccessStats::default();
-                let hits = access::evaluate_document(col, dict, &tree, doc, &mut stats)?;
+                let mut hits = Vec::new();
+                access::DocScanner::new(&tree, dict).evaluate(
+                    col,
+                    doc,
+                    &mut access::AccessStats::default(),
+                    &mut hits,
+                )?;
                 Ok(Output::Sequence(hits))
             }
             (Proj::Star, Filter::Exists(xp)) => {
@@ -794,9 +799,10 @@ impl P {
                 let path = XPathParser::new().parse(&xpath)?;
                 let tree = rx_xpath::QueryTree::compile(&path)?;
                 let mut stats = access::AccessStats::default();
+                let mut lane = access::DocScanner::new(&tree, dict);
                 let mut hits = Vec::new();
                 for d in Self::contains_docs(&table, &terms)? {
-                    hits.extend(access::evaluate_document(col, dict, &tree, d, &mut stats)?);
+                    lane.evaluate(col, d, &mut stats, &mut hits)?;
                 }
                 Ok(Output::Sequence(hits))
             }

@@ -10,7 +10,19 @@
 //!
 //! The traversal pushes virtual SAX events annotated with absolute node IDs,
 //! so the same visitor drives serialization (ignore the IDs), QuickXScan
-//! re-evaluation (feed `set_current_node`), and value-index maintenance.
+//! re-evaluation (`QuickXScan` is itself an [`IdEventSink`]), and value-index
+//! maintenance.
+//!
+//! IDs are **borrowed**: the traverser keeps one Dewey-ID byte buffer, pushes
+//! each node's relative ID onto it, hands the sink `&[u8]` for the duration
+//! of the call, and truncates it again — no allocation per node. A sink that
+//! keeps an ID copies it.
+//!
+//! Sinks may also **decline an element's content** through
+//! [`IdEventSink::wants_content`], asked right after the element's start.
+//! The traverser then jumps over the content with the packed subtree length
+//! (§3.1) — nothing inside is decoded, and proxy records inside it are never
+//! fetched — and sends the element's end next.
 
 use crate::doccache::{CachedDoc, LoadedRecord};
 use crate::error::{EngineError, Result};
@@ -20,14 +32,23 @@ use rx_storage::Rid;
 use rx_xml::event::{Event, EventSink};
 use rx_xml::nodeid::NodeId;
 use rx_xml::value::TypeAnn;
+use rx_xpath::QuickXScan;
 use std::sync::Arc;
 
 /// A visitor receiving `(node id, event)` pairs from stored-document
 /// traversal. Start/End document and namespace events carry the context/root
 /// IDs of their record.
 pub trait IdEventSink {
-    /// Handle one identified event.
-    fn id_event(&mut self, id: &NodeId, ev: Event<'_>) -> Result<()>;
+    /// Handle one identified event. `id` is the node's absolute Dewey ID,
+    /// borrowed from the traverser for the duration of the call.
+    fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> Result<()>;
+
+    /// Asked right after an element's start (and namespace declarations):
+    /// `false` declines the element's content, which the traverser then
+    /// skips, sending the element's end next. The default wants everything.
+    fn wants_content(&self) -> bool {
+        true
+    }
 }
 
 /// Adapter: drop the node IDs and forward plain events (e.g. into the
@@ -35,8 +56,23 @@ pub trait IdEventSink {
 pub struct DropIds<'a, S: EventSink + ?Sized>(pub &'a mut S);
 
 impl<S: EventSink + ?Sized> IdEventSink for DropIds<'_, S> {
-    fn id_event(&mut self, _id: &NodeId, ev: Event<'_>) -> Result<()> {
+    fn id_event(&mut self, _id: &[u8], ev: Event<'_>) -> Result<()> {
         self.0.event(ev).map_err(EngineError::from)
+    }
+}
+
+/// QuickXScan over stored data: each event's ID becomes the scanner's
+/// current node, and the scanner's skip rule decides which element contents
+/// are worth replaying.
+impl IdEventSink for QuickXScan<'_, '_> {
+    fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> Result<()> {
+        self.set_current_node(id);
+        self.event(ev)?;
+        Ok(())
+    }
+
+    fn wants_content(&self) -> bool {
+        QuickXScan::wants_content(self)
     }
 }
 
@@ -49,6 +85,8 @@ pub struct TraverseStats {
     pub index_probes: u64,
     /// Nodes visited.
     pub nodes: u64,
+    /// Element contents the sink declined and the traversal jumped over.
+    pub subtrees_skipped: u64,
 }
 
 /// Depth-first, document-order traversal of one stored document.
@@ -70,8 +108,19 @@ pub struct Traverser<'x> {
     /// would have returned it — so consecutive anchors sharing a record cost
     /// one probe + one fetch instead of one each.
     memo: Option<(Vec<u8>, Vec<u8>, LoadedRecord)>,
+    /// Absolute ID of the node being replayed; while a region is replayed it
+    /// holds the region's context (parent) ID.
+    id: Vec<u8>,
     /// Counters.
     pub stats: TraverseStats,
+}
+
+/// `ctx` extended by one relative ID.
+fn child_id(ctx: &NodeId, rel: &[u8]) -> NodeId {
+    let mut v = Vec::with_capacity(ctx.as_bytes().len() + rel.len());
+    v.extend_from_slice(ctx.as_bytes());
+    v.extend_from_slice(rel);
+    NodeId::from_bytes_unchecked(v)
 }
 
 impl<'x> Traverser<'x> {
@@ -87,6 +136,7 @@ impl<'x> Traverser<'x> {
             doc,
             cached,
             memo: None,
+            id: Vec::new(),
             stats: TraverseStats::default(),
         }
     }
@@ -150,20 +200,22 @@ impl<'x> Traverser<'x> {
 
     /// Traverse the whole document, emitting events (with IDs) into `sink`.
     pub fn run(&mut self, sink: &mut dyn IdEventSink) -> Result<()> {
-        let root = NodeId::root();
-        sink.id_event(&root, Event::StartDocument)?;
-        // A full traversal reads every record anyway: warm the cache
-        // read-through so the next traversal of this document is free.
+        sink.id_event(&[], Event::StartDocument)?;
+        // Warm the cache read-through so the next traversal of this
+        // document is free (the snapshot holds every record, also those
+        // inside content the sink will decline).
         self.try_populate()?;
         // §3.4: search the NodeID index with (docid, 00).
-        let Some(rec) = self.locate_node(&root)? else {
+        let Some(rec) = self.locate_ceil(&[])? else {
             return Err(EngineError::NotFound {
                 kind: "document",
                 name: format!("docid {}", self.doc),
             });
         };
-        self.replay_region(rec.region(), &rec.header().context.clone(), sink)?;
-        sink.id_event(&root, Event::EndDocument)
+        self.id.clear();
+        self.id.extend_from_slice(rec.header().context.as_bytes());
+        self.replay_region(rec.region(), sink)?;
+        sink.id_event(&[], Event::EndDocument)
     }
 
     /// Traverse only the subtree rooted at `node` (used to serialize query
@@ -183,17 +235,17 @@ impl<'x> Traverser<'x> {
     /// probe memo across calls, so evaluating many anchors of one document
     /// re-fetches nothing when consecutive anchors live in the same record.
     pub fn string_value(&mut self, node: &NodeId) -> Result<String> {
-        struct Collect {
+        struct Collect<'n> {
             out: String,
-            root: NodeId,
+            root: &'n [u8],
         }
-        impl IdEventSink for Collect {
-            fn id_event(&mut self, id: &NodeId, ev: Event<'_>) -> Result<()> {
+        impl IdEventSink for Collect<'_> {
+            fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> Result<()> {
                 match ev {
                     Event::Text { value, .. } => self.out.push_str(value),
                     // Only the target attribute itself contributes its
                     // value; attributes of descendant elements do not.
-                    Event::Attribute { value, .. } if id == &self.root => {
+                    Event::Attribute { value, .. } if id == self.root => {
                         self.out.push_str(value);
                     }
                     _ => {}
@@ -203,7 +255,7 @@ impl<'x> Traverser<'x> {
         }
         let mut c = Collect {
             out: String::new(),
-            root: node.clone(),
+            root: node.as_bytes(),
         };
         self.run_subtree(node, &mut c)?;
         Ok(c.out)
@@ -218,133 +270,120 @@ impl<'x> Traverser<'x> {
         self.find_in_region(rec.region(), &rec.header().context.clone(), node)
     }
 
-    /// Replay all sibling entries of a region whose parent is `ctx`.
-    fn replay_region(
-        &mut self,
-        region: &[u8],
-        ctx: &NodeId,
-        sink: &mut dyn IdEventSink,
-    ) -> Result<()> {
+    /// Replay all sibling entries of a region whose parent is the node in
+    /// the ID buffer.
+    fn replay_region(&mut self, region: &[u8], sink: &mut dyn IdEventSink) -> Result<()> {
         for entry in read_nodes(region) {
-            let entry = entry?;
-            self.replay_entry(&entry, ctx, sink)?;
+            self.replay_entry(&entry?, sink)?;
         }
         Ok(())
     }
 
-    fn replay_entry(
-        &mut self,
-        entry: &NodeView<'_>,
-        ctx: &NodeId,
-        sink: &mut dyn IdEventSink,
-    ) -> Result<()> {
+    /// Replay one entry whose parent is the node in the ID buffer: push its
+    /// relative ID, emit, truncate.
+    fn replay_entry(&mut self, entry: &NodeView<'_>, sink: &mut dyn IdEventSink) -> Result<()> {
+        if let NodeView::Proxy { first, count, .. } = entry {
+            return self.replay_proxy(first, *count, sink);
+        }
+        let ctx_len = self.id.len();
+        self.id.extend_from_slice(entry.rel());
+        self.stats.nodes += 1;
         match entry {
             NodeView::Element {
-                rel,
                 name,
                 nsdecls,
                 content,
                 ..
             } => {
-                let abs = ctx.child(rel);
-                self.stats.nodes += 1;
-                sink.id_event(&abs, Event::StartElement { name: *name })?;
-                for (p, u) in nsdecls {
-                    sink.id_event(
-                        &abs,
-                        Event::NamespaceDecl {
-                            prefix: *p,
-                            uri: *u,
-                        },
-                    )?;
+                sink.id_event(&self.id, Event::StartElement { name: *name })?;
+                for &(prefix, uri) in nsdecls {
+                    sink.id_event(&self.id, Event::NamespaceDecl { prefix, uri })?;
                 }
-                self.replay_region(content, &abs, sink)?;
-                sink.id_event(&abs, Event::EndElement)?;
+                if sink.wants_content() {
+                    self.replay_region(content, sink)?;
+                } else {
+                    self.stats.subtrees_skipped += 1;
+                }
+                sink.id_event(&self.id, Event::EndElement)?;
             }
             NodeView::Attribute {
-                rel,
-                name,
-                ann,
-                value,
-            } => {
-                let abs = ctx.child(rel);
-                self.stats.nodes += 1;
-                sink.id_event(
-                    &abs,
-                    Event::Attribute {
-                        name: *name,
-                        value,
-                        ann: *ann,
-                    },
-                )?;
+                name, ann, value, ..
+            } => sink.id_event(
+                &self.id,
+                Event::Attribute {
+                    name: *name,
+                    value,
+                    ann: *ann,
+                },
+            )?,
+            NodeView::Text { ann, value, .. } => {
+                sink.id_event(&self.id, Event::Text { value, ann: *ann })?
             }
-            NodeView::Text { rel, ann, value } => {
-                let abs = ctx.child(rel);
-                self.stats.nodes += 1;
-                sink.id_event(&abs, Event::Text { value, ann: *ann })?;
+            NodeView::Comment { value, .. } => sink.id_event(&self.id, Event::Comment { value })?,
+            NodeView::Pi { target, value, .. } => sink.id_event(
+                &self.id,
+                Event::Pi {
+                    target: *target,
+                    data: value,
+                },
+            )?,
+            NodeView::Proxy { .. } => unreachable!("handled above"),
+        }
+        self.id.truncate(ctx_len);
+        Ok(())
+    }
+
+    /// Resolve a range proxy through the NodeID index, record by record
+    /// (§3.4's block-tree descent), replaying the `count` sibling subtrees
+    /// it covers.
+    fn replay_proxy(&mut self, first: &[u8], count: u64, sink: &mut dyn IdEventSink) -> Result<()> {
+        let ctx_len = self.id.len();
+        let mut remaining = count;
+        let mut probe = Vec::with_capacity(ctx_len + first.len());
+        probe.extend_from_slice(&self.id);
+        probe.extend_from_slice(first);
+        while remaining > 0 {
+            let Some(rec) = self.locate_ceil(&probe)? else {
+                return Err(EngineError::Record(format!(
+                    "dangling proxy: no record covers doc {} id {:02x?}",
+                    self.doc, probe
+                )));
+            };
+            if rec.header().context.as_bytes() != self.id.as_slice() {
+                return Err(EngineError::Record(format!(
+                    "proxy resolution landed on record with context {} (expected {})",
+                    rec.header().context,
+                    NodeId::from_bytes_unchecked(self.id.clone())
+                )));
             }
-            NodeView::Comment { rel, value } => {
-                let abs = ctx.child(rel);
-                self.stats.nodes += 1;
-                sink.id_event(&abs, Event::Comment { value })?;
-            }
-            NodeView::Pi { rel, target, value } => {
-                let abs = ctx.child(rel);
-                self.stats.nodes += 1;
-                sink.id_event(
-                    &abs,
-                    Event::Pi {
-                        target: *target,
-                        data: value,
-                    },
-                )?;
-            }
-            NodeView::Proxy { first, count, .. } => {
-                // Resolve the range through the NodeID index, record by
-                // record (§3.4's block-tree descent).
-                let mut remaining = *count;
-                let mut probe: Vec<u8> = ctx.child(first).as_bytes().to_vec();
-                while remaining > 0 {
-                    let Some(rec) = self.locate_ceil(&probe)? else {
-                        return Err(EngineError::Record(format!(
-                            "dangling proxy: no record covers doc {} id {:02x?}",
-                            self.doc, probe
-                        )));
-                    };
-                    if &rec.header().context != ctx {
-                        return Err(EngineError::Record(format!(
-                            "proxy resolution landed on record with context {} (expected {})",
-                            rec.header().context,
-                            ctx
-                        )));
-                    }
-                    let mut last_root: Option<NodeId> = None;
-                    for entry in read_nodes(rec.region()) {
-                        let entry = entry?;
-                        if remaining == 0 {
-                            break;
-                        }
-                        match &entry {
-                            NodeView::Proxy { count: c, last, .. } => {
-                                remaining = remaining.saturating_sub(*c);
-                                last_root = Some(ctx.child(last));
-                            }
-                            other => {
-                                remaining -= 1;
-                                last_root = Some(ctx.child(other.rel()));
-                            }
-                        }
-                        self.replay_entry(&entry, ctx, sink)?;
-                    }
-                    match last_root {
-                        Some(last) => probe = subtree_successor(&last),
-                        None => {
-                            return Err(EngineError::Record(
-                                "proxy resolution made no progress".into(),
-                            ))
-                        }
-                    }
+            let mut progressed = false;
+            for entry in read_nodes(rec.region()) {
+                let entry = entry?;
+                if remaining == 0 {
+                    break;
                 }
+                let last = match &entry {
+                    NodeView::Proxy { count: c, last, .. } => {
+                        remaining = remaining.saturating_sub(*c);
+                        last
+                    }
+                    other => {
+                        remaining -= 1;
+                        other.rel()
+                    }
+                };
+                // The next probe is the successor of the subtree just
+                // covered.
+                probe.truncate(ctx_len);
+                probe.extend_from_slice(last);
+                *probe.last_mut().expect("relative IDs are non-empty") += 1;
+                progressed = true;
+                self.replay_entry(&entry, sink)?;
+            }
+            if !progressed {
+                return Err(EngineError::Record(
+                    "proxy resolution made no progress".into(),
+                ));
             }
         }
         Ok(())
@@ -363,8 +402,8 @@ impl<'x> Traverser<'x> {
             let entry = entry?;
             match &entry {
                 NodeView::Proxy { first, last, .. } => {
-                    let first_abs = ctx.child(first);
-                    let last_abs = ctx.child(last);
+                    let first_abs = child_id(ctx, first);
+                    let last_abs = child_id(ctx, last);
                     // Does the target fall inside the proxied range?
                     let in_range = target >= &first_abs
                         && target.as_bytes() < subtree_successor(&last_abs).as_slice();
@@ -384,9 +423,11 @@ impl<'x> Traverser<'x> {
                     }
                 }
                 other => {
-                    let abs = ctx.child(other.rel());
+                    let abs = child_id(ctx, other.rel());
                     if &abs == target {
-                        return self.replay_entry(&entry, ctx, sink);
+                        self.id.clear();
+                        self.id.extend_from_slice(ctx.as_bytes());
+                        return self.replay_entry(&entry, sink);
                     }
                     if abs.is_ancestor(target) {
                         if let NodeView::Element { content, .. } = &entry {
@@ -419,8 +460,8 @@ impl<'x> Traverser<'x> {
             let entry = entry?;
             match &entry {
                 NodeView::Proxy { first, last, .. } => {
-                    let first_abs = ctx.child(first);
-                    let last_abs = ctx.child(last);
+                    let first_abs = child_id(ctx, first);
+                    let last_abs = child_id(ctx, last);
                     if target >= &first_abs
                         && target.as_bytes() < subtree_successor(&last_abs).as_slice()
                     {
@@ -437,7 +478,7 @@ impl<'x> Traverser<'x> {
                     }
                 }
                 other => {
-                    let abs = ctx.child(other.rel());
+                    let abs = child_id(ctx, other.rel());
                     if &abs == target {
                         return Ok(Some(match other {
                             NodeView::Element { name, .. } => StoredNode::Element { name: *name },

@@ -138,7 +138,7 @@ fn decode_entry(view: &NodeView<'_>) -> Result<ENode> {
             content,
             ..
         } => ENode::Elem {
-            rel: rel.clone(),
+            rel: RelId::from_bytes(rel)?,
             name: *name,
             ns: nsdecls.clone(),
             children: decode_region(content)?,
@@ -149,28 +149,28 @@ fn decode_entry(view: &NodeView<'_>) -> Result<ENode> {
             ann,
             value,
         } => ENode::Attr {
-            rel: rel.clone(),
+            rel: RelId::from_bytes(rel)?,
             name: *name,
             ann: *ann,
             value: (*value).to_string(),
         },
         NodeView::Text { rel, ann, value } => ENode::Text {
-            rel: rel.clone(),
+            rel: RelId::from_bytes(rel)?,
             ann: *ann,
             value: (*value).to_string(),
         },
         NodeView::Comment { rel, value } => ENode::Comment {
-            rel: rel.clone(),
+            rel: RelId::from_bytes(rel)?,
             value: (*value).to_string(),
         },
         NodeView::Pi { rel, target, value } => ENode::Pi {
-            rel: rel.clone(),
+            rel: RelId::from_bytes(rel)?,
             target: *target,
             value: (*value).to_string(),
         },
         NodeView::Proxy { first, last, count } => ENode::Proxy {
-            first: first.clone(),
-            last: last.clone(),
+            first: RelId::from_bytes(first)?,
+            last: RelId::from_bytes(last)?,
             count: *count,
         },
     })

@@ -443,9 +443,9 @@ impl<'q, 'd> IndexKeyGen<'q, 'd> {
 }
 
 impl NodeObserver for IndexKeyGen<'_, '_> {
-    fn node(&mut self, id: &NodeId, ev: &Event<'_>) -> Result<()> {
+    fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()> {
         for scan in &mut self.scans {
-            scan.set_current_node(id.clone());
+            scan.set_current_node(id);
             scan.event(*ev)?;
         }
         Ok(())

@@ -21,7 +21,7 @@
 use crate::access;
 use crate::db::{BaseTable, Database, XmlColumn};
 use crate::error::{EngineError, Result};
-use crate::traverse::{IdEventSink, Traverser};
+use crate::traverse::Traverser;
 use crate::xmltable::DocId;
 use rx_xml::event::{Event, EventSink};
 use rx_xml::nodeid::NodeId;
@@ -413,18 +413,7 @@ fn project(
     let tree = QueryTree::compile(&abs)?;
     let mut scan = QuickXScan::new(&tree, dict);
     scan.event(Event::StartDocument)?;
-    struct S<'a, 'q, 'd> {
-        scan: &'a mut QuickXScan<'q, 'd>,
-    }
-    impl IdEventSink for S<'_, '_, '_> {
-        fn id_event(&mut self, id: &NodeId, ev: Event<'_>) -> Result<()> {
-            self.scan.set_current_node(id.clone());
-            self.scan.event(ev)?;
-            Ok(())
-        }
-    }
-    let mut t = Traverser::new(column.xml_table(), doc);
-    t.run_subtree(node, &mut S { scan: &mut scan })?;
+    Traverser::new(column.xml_table(), doc).run_subtree(node, &mut scan)?;
     scan.event(Event::EndDocument)?;
     let items = scan.finish()?;
     Ok(items.into_iter().map(|i| i.value).collect())

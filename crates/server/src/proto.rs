@@ -669,18 +669,6 @@ impl HelloAck {
     }
 }
 
-/// Write one v1 frame: `u32` little-endian payload length, then the payload.
-#[deprecated(note = "use FrameCodec, which owns framing for both versions")]
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    FrameCodec::v1(MAX_FRAME).write(w, &Frame::data(0, payload.to_vec()))
-}
-
-/// Read one v1 frame. `Ok(None)` on clean EOF at a frame boundary.
-#[deprecated(note = "use FrameCodec, which owns framing for both versions")]
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    Ok(FrameCodec::v1(MAX_FRAME).read(r)?.map(|f| f.payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,18 +831,20 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn legacy_frame_helpers_still_speak_v1() {
+    fn v1_codec_frames_are_length_prefixed() {
+        let codec = FrameCodec::v1(MAX_FRAME);
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        // Byte-identical to the codec's v1 framing.
-        let mut via_codec = Vec::new();
-        FrameCodec::v1(MAX_FRAME)
-            .write(&mut via_codec, &Frame::data(0, b"hello".to_vec()))
+        codec
+            .write(&mut buf, &Frame::data(0, b"hello".to_vec()))
             .unwrap();
-        assert_eq!(buf, via_codec);
+        // v1 wire format: `u32` little-endian payload length, then the payload.
+        let mut expect = 5u32.to_le_bytes().to_vec();
+        expect.extend_from_slice(b"hello");
+        assert_eq!(buf, expect);
+        let mut r = &buf[..];
+        assert_eq!(codec.read(&mut r).unwrap().unwrap().payload, b"hello");
+        // Clean EOF at a frame boundary.
+        assert!(codec.read(&mut r).unwrap().is_none());
     }
 
     #[test]

@@ -40,6 +40,13 @@ impl RelId {
 
     /// Wrap raw bytes, validating well-formedness.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        Self::validate(bytes)?;
+        Ok(RelId(bytes.to_vec()))
+    }
+
+    /// Check that raw bytes form a well-formed relative ID, without copying
+    /// them (decoders that hand out borrowed IDs).
+    pub fn validate(bytes: &[u8]) -> Result<()> {
         if bytes.is_empty() {
             return Err(XmlError::NodeId {
                 message: "relative node ID cannot be empty".into(),
@@ -61,7 +68,7 @@ impl RelId {
                 message: "byte 0x00 is reserved for the implicit root ID".into(),
             });
         }
-        Ok(RelId(bytes.to_vec()))
+        Ok(())
     }
 
     /// The raw bytes.

@@ -29,6 +29,14 @@
 //! The struct implements [`EventSink`], so the same evaluator runs over the
 //! parser's token stream, packed persistent records, or constructed data —
 //! task 3 of the §4.4 virtual-SAX runtime.
+//!
+//! One scanner evaluates any number of documents in turn: feed a document's
+//! events, call [`QuickXScan::finish_into`] (which also readies the scanner
+//! for the next document), or [`QuickXScan::reset`] to abandon a document
+//! half way. Instances, operand sequences and string buffers are recycled
+//! across documents, and the element-name memo is shared by all query nodes
+//! and kept for the scanner's lifetime, so a warm scanner allocates only for
+//! the values and node IDs of its results.
 
 use crate::ast::{CmpOp, NodeTest};
 use crate::error::{Result as XResult, XPathError};
@@ -36,7 +44,6 @@ use crate::query_tree::{PExpr, POp, QAxis, QueryTree, Route};
 use rx_xml::event::{Event, EventSink};
 use rx_xml::name::{NameDict, QNameId};
 use rx_xml::nodeid::NodeId;
-use std::collections::HashMap;
 
 /// One item of a result or operand sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +86,15 @@ pub struct ScanStats {
     pub events: u64,
 }
 
+/// A value in flight. Main-path items remember their node's ID as a span of
+/// the scanner's per-document ID arena; a [`NodeId`] is only built for the
+/// items that survive into the result.
+struct Item {
+    value: String,
+    id: Option<(usize, usize)>,
+    order: u64,
+}
+
 struct Instance {
     /// Unique id, used for the sharing test on upward links.
     id: u64,
@@ -91,45 +107,74 @@ struct Instance {
     /// matching with the instance below it (then it propagates sideways).
     upward: Option<(usize, usize)>,
     /// Values held for upward routing whose matching path runs through this
-    /// instance's binding — filtered by this node's predicates at pop.
-    held: Vec<ResultItem>,
+    /// instance's binding — filtered by this node's predicates at pop. For a
+    /// `produces_value` node, slot 0 is reserved for the node's own value.
+    held: Vec<Item>,
     /// Values received *sideways* from a nested instance: they already passed
     /// the predicates of their own binding and only transit through this
     /// instance on the shared previous-step matching — never re-filtered.
-    transit: Vec<ResultItem>,
-    /// Index in `held` reserved for this node's own value.
-    own_slot: Option<usize>,
-    /// String-value accumulator (only filled for `produces_value` nodes).
+    transit: Vec<Item>,
+    /// String-value accumulator (only filled for accumulating nodes).
     text: String,
     /// Operand sequences for this node's own predicates.
-    operands: Vec<Vec<ResultItem>>,
+    operands: Vec<Vec<Item>>,
 }
+
+/// Spent string buffers kept for reuse, at most this many.
+const SPARE_TEXT_MAX: usize = 256;
 
 /// The streaming evaluator.
 pub struct QuickXScan<'q, 'd> {
     tree: &'q QueryTree,
     dict: &'d NameDict,
     stacks: Vec<Vec<Instance>>,
-    /// For each open document element: the query nodes that pushed on it.
-    doc_stack: Vec<Vec<usize>>,
+    /// Popped instances per query node, buffers emptied but not freed.
+    spare: Vec<Vec<Instance>>,
+    /// Emptied value strings, handed to the next accumulator or leaf match.
+    spare_text: Vec<String>,
+    /// Query nodes that pushed an instance, in push order, for all open
+    /// elements; `opened[k]` is where the run of the `k`-th open element
+    /// starts.
+    matched: Vec<usize>,
+    opened: Vec<usize>,
     doc_depth: u32,
     /// Open instances accumulating string values: (qnode, stack position).
     accumulators: Vec<(usize, usize)>,
-    /// Per-qnode memo of element-name test outcomes.
-    name_cache: Vec<HashMap<QNameId, bool>>,
+    /// Name-test memo shared by all query nodes: the names seen so far,
+    /// sorted, each with the offset of its row in `memo_rows`, which holds
+    /// one test outcome per query node. A hit is a binary search over the
+    /// distinct names — no hashing and no dictionary lock.
+    memo_keys: Vec<(QNameId, usize)>,
+    memo_rows: Vec<bool>,
+    /// Query nodes that can match an element start / attribute / text /
+    /// comment event, in index order.
+    element_nodes: Vec<usize>,
+    attribute_nodes: Vec<usize>,
+    text_nodes: Vec<usize>,
+    comment_nodes: Vec<usize>,
+    /// Parent of every descendant-axis query node (see
+    /// [`QuickXScan::wants_content`]).
+    descendant_parents: Vec<usize>,
     /// Per-qnode, per-operand: does the operand chain root use the
     /// descendant axis (⇒ operand sequences propagate sideways, Table 1)?
     operand_sideways: Vec<Vec<bool>>,
+    /// Empty operand sequences, as many as the widest node needs: what leaf
+    /// predicates are evaluated against.
+    no_operands: Vec<Vec<Item>>,
     next_inst: u64,
     next_order: u64,
     live: usize,
-    current_node: Option<NodeId>,
-    /// Counters for the complexity experiments.
+    /// ID bytes of the next event's node, valid while `has_current`.
+    current: Vec<u8>,
+    has_current: bool,
+    /// Per-document arena of the node IDs of main-path items.
+    ids: Vec<u8>,
+    /// Counters for the complexity experiments (cumulative over documents).
     pub stats: ScanStats,
 }
 
 impl<'q, 'd> QuickXScan<'q, 'd> {
-    /// Prepare an evaluator for one document.
+    /// Prepare an evaluator, ready for its first document.
     pub fn new(tree: &'q QueryTree, dict: &'d NameDict) -> Self {
         let n = tree.nodes.len();
         let mut operand_sideways = vec![Vec::new(); n];
@@ -144,57 +189,202 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
             }
             operand_sideways[q] = flags;
         }
+        let mut element_nodes = Vec::new();
+        let mut attribute_nodes = Vec::new();
+        let mut text_nodes = Vec::new();
+        let mut comment_nodes = Vec::new();
+        let mut descendant_parents = Vec::new();
+        for (q, node) in tree.nodes.iter().enumerate().skip(1) {
+            if node.axis == QAxis::Attribute {
+                attribute_nodes.push(q);
+                continue;
+            }
+            if node.axis == QAxis::Descendant {
+                descendant_parents.push(node.parent.expect("non-root"));
+            }
+            match node.test {
+                NodeTest::Name { .. } | NodeTest::AnyName => element_nodes.push(q),
+                NodeTest::AnyKind => {
+                    element_nodes.push(q);
+                    // node() kind tests match text nodes too, but only leaf
+                    // query nodes can bind a text node (text has no
+                    // children).
+                    if node.children.is_empty() {
+                        text_nodes.push(q);
+                    }
+                }
+                NodeTest::Text => text_nodes.push(q),
+                NodeTest::Comment => comment_nodes.push(q),
+            }
+        }
+        let widest = tree.nodes.iter().map(|n| n.operand_slots).max();
         let mut scan = QuickXScan {
             tree,
             dict,
             stacks: (0..n).map(|_| Vec::new()).collect(),
-            doc_stack: Vec::new(),
+            spare: (0..n).map(|_| Vec::new()).collect(),
+            spare_text: Vec::new(),
+            matched: Vec::new(),
+            opened: Vec::new(),
             doc_depth: 0,
             accumulators: Vec::new(),
-            name_cache: vec![HashMap::new(); n],
+            memo_keys: Vec::new(),
+            memo_rows: Vec::new(),
+            element_nodes,
+            attribute_nodes,
+            text_nodes,
+            comment_nodes,
+            descendant_parents,
             operand_sideways,
+            no_operands: (0..widest.unwrap_or(0)).map(|_| Vec::new()).collect(),
             next_inst: 1,
             next_order: 0,
             live: 0,
-            current_node: None,
+            current: Vec::new(),
+            has_current: false,
+            ids: Vec::new(),
             stats: ScanStats::default(),
         };
-        // The root query node's instance spans the whole document.
-        scan.push_instance(0, 0, 0, None);
+        scan.reset();
         scan
     }
 
     /// Supply the node ID of the *next* event's node (used by the engine when
     /// scanning persistent records, so results and index keys carry logical
-    /// node IDs).
-    pub fn set_current_node(&mut self, id: NodeId) {
-        self.current_node = Some(id);
+    /// node IDs). The bytes are copied into a reusable buffer; a [`NodeId`]
+    /// is built only if the node ends up in the result.
+    pub fn set_current_node(&mut self, id: &[u8]) {
+        self.current.clear();
+        self.current.extend_from_slice(id);
+        self.has_current = true;
+    }
+
+    /// Abandon the current document (complete or not) and get ready for the
+    /// next one: every instance, operand and pending value is dropped and
+    /// match numbering restarts. Buffers, the name memo and `stats` are kept.
+    pub fn reset(&mut self) {
+        for q in 0..self.stacks.len() {
+            while let Some(inst) = self.stacks[q].pop() {
+                self.recycle(q, inst);
+            }
+        }
+        self.matched.clear();
+        self.opened.clear();
+        self.accumulators.clear();
+        self.doc_depth = 0;
+        self.next_inst = 1;
+        self.next_order = 0;
+        self.live = 0;
+        self.has_current = false;
+        self.ids.clear();
+        // The root query node's instance spans the whole document.
+        self.push_instance(0, 0, 0, None);
+    }
+
+    /// Finish a document after `EndDocument`: append its result sequence (in
+    /// document order) to `out` and reset for the next document.
+    pub fn finish_into(&mut self, out: &mut Vec<ResultItem>) -> XResult<()> {
+        let done = self.take_results(out);
+        self.reset();
+        done
     }
 
     /// Finish after `EndDocument`, returning the result sequence.
     pub fn finish(mut self) -> XResult<Vec<ResultItem>> {
-        let root = self.stacks[0].pop().ok_or_else(|| XPathError::Eval {
+        let mut out = Vec::new();
+        self.take_results(&mut out)?;
+        Ok(out)
+    }
+
+    fn take_results(&mut self, out: &mut Vec<ResultItem>) -> XResult<()> {
+        let mut root = self.stacks[0].pop().ok_or_else(|| XPathError::Eval {
             message: "unbalanced document (root instance missing)".into(),
         })?;
+        self.live -= 1;
         // Root-level predicates (rare: `/.[…]/…`).
-        if !self.tree.nodes[0].predicates.is_empty() {
-            let ok = self.tree.nodes[0]
-                .predicates
-                .iter()
-                .all(|p| eval_pexpr(p, &root.operands));
-            if !ok {
-                return Ok(root.transit);
-            }
+        let pass = self.tree.nodes[0]
+            .predicates
+            .iter()
+            .all(|p| eval_pexpr(p, &root.operands));
+        if !pass {
+            root.held.clear();
         }
-        let mut out = root.held;
-        out.extend(root.transit);
-        out.sort_by_key(|i| i.order);
-        Ok(out)
+        let start = out.len();
+        let ids = &self.ids;
+        let items = root.held.drain(..).chain(root.transit.drain(..));
+        out.extend(items.map(|i| ResultItem {
+            node:
+                i.id.map(|(s, len)| NodeId::from_bytes_unchecked(ids[s..s + len].to_vec())),
+            value: i.value,
+            order: i.order,
+        }));
+        // Orders are unique, so an unstable sort gives the same sequence.
+        out[start..].sort_unstable_by_key(|i| i.order);
+        self.recycle(0, root);
+        Ok(())
     }
 
     /// Convenience: number of live matching instances right now.
     pub fn live_instances(&self) -> usize {
         self.live
+    }
+
+    /// The virtual-SAX skip hook, asked right after an element's start:
+    /// `false` means nothing inside the element can match or contribute a
+    /// value, so the event source may jump over its content and send the
+    /// element's end next. That holds when
+    ///
+    /// * the element matched no query node (so no child- or attribute-axis
+    ///   node can be licensed inside it),
+    /// * no string-value accumulator is open (so no text inside it is part
+    ///   of a value), and
+    /// * no descendant-axis query node has a live parent instance (so no
+    ///   descendant-axis node can be licensed inside it either).
+    ///
+    /// Every match inside the content would need a licensing instance, and
+    /// by these three conditions none exists or can be created there.
+    pub fn wants_content(&self) -> bool {
+        let Some(&start) = self.opened.last() else {
+            return true;
+        };
+        self.matched.len() > start
+            || !self.accumulators.is_empty()
+            || self
+                .descendant_parents
+                .iter()
+                .any(|&p| !self.stacks[p].is_empty())
+    }
+
+    /// Return a popped instance's buffers to the spare pools.
+    fn recycle(&mut self, q: usize, mut inst: Instance) {
+        let spare_text = &mut self.spare_text;
+        let slots = inst.operands.iter_mut();
+        for list in slots.chain([&mut inst.held, &mut inst.transit]) {
+            for item in list.drain(..) {
+                if spare_text.len() < SPARE_TEXT_MAX {
+                    let mut s = item.value;
+                    s.clear();
+                    spare_text.push(s);
+                }
+            }
+        }
+        inst.text.clear();
+        self.spare[q].push(inst);
+    }
+
+    /// A value string to fill, reused when one is spare.
+    fn text_buf(&mut self) -> String {
+        self.spare_text.pop().unwrap_or_default()
+    }
+
+    /// Record the current node's ID for a main-path item.
+    fn current_id(&mut self, route: Route) -> Option<(usize, usize)> {
+        if route != Route::Main || !self.has_current {
+            return None;
+        }
+        let start = self.ids.len();
+        self.ids.extend_from_slice(&self.current);
+        Some((start, self.current.len()))
     }
 
     fn push_instance(
@@ -204,34 +394,39 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         parent_inst: u64,
         upward: Option<(usize, usize)>,
     ) -> usize {
-        let node = &self.tree.nodes[q];
-        let mut held = Vec::new();
-        let own_slot = if node.produces_value {
+        let tree = self.tree;
+        let node = &tree.nodes[q];
+        let mut inst = self.spare[q].pop().unwrap_or_else(|| Instance {
+            id: 0,
+            depth: 0,
+            parent_inst: 0,
+            upward: None,
+            held: Vec::new(),
+            transit: Vec::new(),
+            text: String::new(),
+            operands: (0..node.operand_slots).map(|_| Vec::new()).collect(),
+        });
+        inst.id = self.next_inst;
+        inst.depth = depth;
+        inst.parent_inst = parent_inst;
+        inst.upward = upward;
+        if node.produces_value {
             self.next_order += 1;
-            held.push(ResultItem {
+            let id = self.current_id(node.route);
+            inst.held.push(Item {
                 value: String::new(),
-                node: self.current_node.clone(),
+                id,
                 order: self.next_order,
             });
-            Some(0)
-        } else {
-            None
-        };
-        let inst = Instance {
-            id: self.next_inst,
-            depth,
-            parent_inst,
-            upward,
-            held,
-            transit: Vec::new(),
-            own_slot,
-            text: String::new(),
-            operands: vec![Vec::new(); node.operand_slots],
-        };
+        }
+        let accumulates = node.produces_value || !node.self_value_operands.is_empty();
+        if accumulates && inst.text.capacity() == 0 {
+            inst.text = self.text_buf();
+        }
         self.next_inst += 1;
         self.stacks[q].push(inst);
         let pos = self.stacks[q].len() - 1;
-        if node.produces_value || !node.self_value_operands.is_empty() {
+        if accumulates {
             self.accumulators.push((q, pos));
         }
         self.live += 1;
@@ -240,20 +435,27 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         pos
     }
 
-    fn element_test_matches(&mut self, q: usize, name: QNameId) -> bool {
-        match &self.tree.nodes[q].test {
-            NodeTest::AnyName | NodeTest::AnyKind => true,
-            NodeTest::Text | NodeTest::Comment => false,
-            NodeTest::Name { uri, local } => {
-                if let Some(&hit) = self.name_cache[q].get(&name) {
-                    return hit;
+    /// The memo row (offset into `memo_rows`) of name-test outcomes for
+    /// `name`, computing it on the first sighting of the name.
+    fn name_row(&mut self, name: QNameId) -> usize {
+        match self.memo_keys.binary_search_by_key(&name, |&(k, _)| k) {
+            Ok(i) => self.memo_keys[i].1,
+            Err(i) => {
+                let row = self.memo_rows.len();
+                for node in &self.tree.nodes {
+                    let hit = match &node.test {
+                        NodeTest::AnyName | NodeTest::AnyKind => true,
+                        NodeTest::Text | NodeTest::Comment => false,
+                        NodeTest::Name {
+                            uri: Some(u),
+                            local,
+                        } => self.dict.matches(name, u, local),
+                        NodeTest::Name { uri: None, local } => self.dict.matches_local(name, local),
+                    };
+                    self.memo_rows.push(hit);
                 }
-                let hit = match uri {
-                    Some(u) => self.dict.matches(name, u, local),
-                    None => self.dict.matches_local(name, local),
-                };
-                self.name_cache[q].insert(name, hit);
-                hit
+                self.memo_keys.insert(i, (name, row));
+                row
             }
         }
     }
@@ -289,15 +491,14 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
 
     fn on_start_element(&mut self, name: QNameId) {
         self.doc_depth += 1;
-        let mut matched = Vec::new();
+        self.opened.push(self.matched.len());
+        let row = self.name_row(name);
         // Query nodes are created parents-first, so iterating in index order
         // sees a parent's fresh instance before its children are tested —
         // needed for same-element parent/child matches on child-axis chains.
-        for q in 1..self.tree.nodes.len() {
-            if self.tree.nodes[q].axis == QAxis::Attribute {
-                continue;
-            }
-            if !self.element_test_matches(q, name) {
+        for i in 0..self.element_nodes.len() {
+            let q = self.element_nodes[i];
+            if !self.memo_rows[row + q] {
                 continue;
             }
             let Some(ptop_pos) = self.licensed(q, self.doc_depth) else {
@@ -312,29 +513,28 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
                 _ => Some((parent, ptop_pos)),
             };
             self.push_instance(q, self.doc_depth, ptop_id, upward);
-            matched.push(q);
+            self.matched.push(q);
         }
-        self.doc_stack.push(matched);
-        self.current_node = None;
     }
 
     fn on_end_element(&mut self) -> XResult<()> {
-        let matched = self.doc_stack.pop().ok_or_else(|| XPathError::Eval {
+        let start = self.opened.pop().ok_or_else(|| XPathError::Eval {
             message: "unbalanced end element".into(),
         })?;
         // Children pop before parents (reverse creation order).
-        for &q in matched.iter().rev() {
+        while self.matched.len() > start {
+            let q = self.matched.pop().expect("length checked");
             self.pop_instance(q);
         }
         self.doc_depth -= 1;
-        self.current_node = None;
         Ok(())
     }
 
     fn pop_instance(&mut self, q: usize) {
         let mut inst = self.stacks[q].pop().expect("matched list is accurate");
         self.live -= 1;
-        let node = &self.tree.nodes[q];
+        let tree = self.tree;
+        let node = &tree.nodes[q];
         if node.produces_value || !node.self_value_operands.is_empty() {
             // Remove the accumulator registration (it is at the tail region).
             let pos = self.stacks[q].len();
@@ -348,14 +548,16 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
             // `.` operands: the node's own string value feeds the slot.
             for &idx in &node.self_value_operands {
                 self.next_order += 1;
-                inst.operands[idx].push(ResultItem {
-                    value: inst.text.clone(),
-                    node: None,
+                let mut value = self.text_buf();
+                value.push_str(&inst.text);
+                inst.operands[idx].push(Item {
+                    value,
+                    id: None,
                     order: self.next_order,
                 });
             }
-            if let Some(slot) = inst.own_slot {
-                inst.held[slot].value = std::mem::take(&mut inst.text);
+            if node.produces_value {
+                inst.held[0].value = std::mem::take(&mut inst.text);
             }
         }
         // Predicate filtering of the held candidate values (must run before
@@ -369,53 +571,42 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         // when the operand chain uses the descendant axis — propagate
         // sideways regardless of this instance's own predicate outcome.
         if node.operand_slots > 0 {
-            if let Some(below_pos) = self.stacks[q].len().checked_sub(1) {
+            if let Some(below) = self.stacks[q].last_mut() {
                 for idx in 0..node.operand_slots {
                     if self.operand_sideways[q][idx] && !inst.operands[idx].is_empty() {
-                        let vals = std::mem::take(&mut inst.operands[idx]);
                         self.stats.propagations += 1;
-                        self.stacks[q][below_pos].operands[idx].extend(vals);
+                        below.operands[idx].append(&mut inst.operands[idx]);
                     }
                 }
             }
         }
-        // Values that survive: transiting values unconditionally, own-path
-        // values only when this binding's predicates hold.
-        let mut outgoing = std::mem::take(&mut inst.transit);
-        if pass {
-            // Keep document order: this binding's values start before any
-            // nested instance's sideways contributions were received? No —
-            // transit values come from *descendant* elements, which start
-            // after this instance's own slot but may interleave with later
-            // own-path arrivals. Own-held first preserves start order for
-            // the common case (own value reserved at slot 0).
-            let mut own = std::mem::take(&mut inst.held);
-            own.extend(outgoing);
-            outgoing = own;
-        }
-        if outgoing.is_empty() {
-            return;
-        }
-        self.stats.propagations += 1;
-        match inst.upward {
-            None => {
+        // Values that survive: own-path values only when this binding's
+        // predicates hold, transiting values unconditionally. Their order in
+        // the target list does not matter: every item carries its match
+        // number, and the result is sorted by it when it is taken.
+        let own_leaves = pass && !inst.held.is_empty();
+        if own_leaves || !inst.transit.is_empty() {
+            self.stats.propagations += 1;
+            let target = match inst.upward {
                 // Sideways: merge into the nested instance below (it shares
                 // the previous-step matching — first transitivity property).
                 // Already-filtered values transit; they are not re-filtered
                 // by the receiving binding's predicates.
-                let below_pos = self.stacks[q].len() - 1;
-                self.stacks[q][below_pos].transit.extend(outgoing);
-            }
-            Some((pq, ppos)) => {
-                let target = &mut self.stacks[pq][ppos];
-                match node.route {
-                    Route::Operand { owner, idx } if owner == pq => {
-                        target.operands[idx].extend(outgoing);
+                None => &mut self.stacks[q].last_mut().expect("shared matching").transit,
+                Some((pq, ppos)) => {
+                    let target = &mut self.stacks[pq][ppos];
+                    match node.route {
+                        Route::Operand { owner, idx } if owner == pq => &mut target.operands[idx],
+                        _ => &mut target.held,
                     }
-                    _ => target.held.extend(outgoing),
                 }
+            };
+            if own_leaves {
+                target.append(&mut inst.held);
             }
+            target.append(&mut inst.transit);
         }
+        self.recycle(q, inst);
     }
 
     /// Instantaneous match of a leaf node (attribute / text / comment):
@@ -424,17 +615,20 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         let Some(ptop_pos) = self.licensed(q, node_depth) else {
             return;
         };
-        let node = &self.tree.nodes[q];
+        let tree = self.tree;
+        let node = &tree.nodes[q];
         // Leaf predicates see empty operand sequences.
-        let no_operands: Vec<Vec<ResultItem>> = vec![Vec::new(); node.operand_slots];
-        if !node.predicates.iter().all(|p| eval_pexpr(p, &no_operands)) {
+        let no_operands = &self.no_operands[..node.operand_slots];
+        if !node.predicates.iter().all(|p| eval_pexpr(p, no_operands)) {
             return;
         }
         let parent = node.parent.expect("non-root");
         self.next_order += 1;
-        let item = ResultItem {
-            value: value.to_string(),
-            node: self.current_node.clone(),
+        let mut text = self.text_buf();
+        text.push_str(value);
+        let item = Item {
+            value: text,
+            id: self.current_id(node.route),
             order: self.next_order,
         };
         self.stats.matchings += 1;
@@ -449,60 +643,33 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
     }
 
     fn on_attribute(&mut self, name: QNameId, value: &str) {
-        for q in 1..self.tree.nodes.len() {
-            let node = &self.tree.nodes[q];
-            if node.axis != QAxis::Attribute {
-                continue;
-            }
-            let hit = match &node.test {
-                NodeTest::AnyName | NodeTest::AnyKind => true,
-                NodeTest::Name { uri, local } => match uri {
-                    Some(u) => self.dict.matches(name, u, local),
-                    None => self.dict.matches_local(name, local),
-                },
-                _ => false,
-            };
-            if hit {
+        if self.attribute_nodes.is_empty() {
+            return;
+        }
+        let row = self.name_row(name);
+        for i in 0..self.attribute_nodes.len() {
+            let q = self.attribute_nodes[i];
+            if self.memo_rows[row + q] {
                 self.instantaneous(q, value, self.doc_depth);
             }
         }
-        self.current_node = None;
     }
 
     fn on_text(&mut self, value: &str) {
         // Feed every open string-value accumulator (string value = all
         // descendant text).
-        for i in 0..self.accumulators.len() {
-            let (q, pos) = self.accumulators[i];
+        for &(q, pos) in &self.accumulators {
             self.stacks[q][pos].text.push_str(value);
         }
-        for q in 1..self.tree.nodes.len() {
-            let node = &self.tree.nodes[q];
-            if node.axis == QAxis::Attribute {
-                continue;
-            }
-            let is_leaf_match = match node.test {
-                NodeTest::Text => true,
-                // node() kind tests match text nodes too, but only leaf query
-                // nodes can bind a text node (text has no children).
-                NodeTest::AnyKind => node.children.is_empty(),
-                _ => false,
-            };
-            if is_leaf_match {
-                self.instantaneous(q, value, self.doc_depth + 1);
-            }
+        for i in 0..self.text_nodes.len() {
+            self.instantaneous(self.text_nodes[i], value, self.doc_depth + 1);
         }
-        self.current_node = None;
     }
 
     fn on_comment(&mut self, value: &str) {
-        for q in 1..self.tree.nodes.len() {
-            let node = &self.tree.nodes[q];
-            if node.axis != QAxis::Attribute && node.test == NodeTest::Comment {
-                self.instantaneous(q, value, self.doc_depth + 1);
-            }
+        for i in 0..self.comment_nodes.len() {
+            self.instantaneous(self.comment_nodes[i], value, self.doc_depth + 1);
         }
-        self.current_node = None;
     }
 
     /// Debug view of a stack's depths (used by the Fig. 7 test).
@@ -515,7 +682,10 @@ impl EventSink for QuickXScan<'_, '_> {
     fn event(&mut self, ev: Event<'_>) -> rx_xml::Result<()> {
         self.stats.events += 1;
         match ev {
-            Event::StartDocument | Event::EndDocument | Event::NamespaceDecl { .. } => {}
+            Event::StartDocument
+            | Event::EndDocument
+            | Event::NamespaceDecl { .. }
+            | Event::Pi { .. } => {}
             Event::StartElement { name } => self.on_start_element(name),
             Event::EndElement => self
                 .on_end_element()
@@ -523,10 +693,9 @@ impl EventSink for QuickXScan<'_, '_> {
             Event::Attribute { name, value, .. } => self.on_attribute(name, value),
             Event::Text { value, .. } => self.on_text(value),
             Event::Comment { value } => self.on_comment(value),
-            Event::Pi { .. } => {
-                self.current_node = None;
-            }
         }
+        // The supplied ID belonged to this event's node only.
+        self.has_current = false;
         Ok(())
     }
 }
@@ -535,7 +704,7 @@ impl EventSink for QuickXScan<'_, '_> {
 // Predicate evaluation (existential general-comparison semantics)
 // ---------------------------------------------------------------------------
 
-fn eval_pexpr(e: &PExpr, operands: &[Vec<ResultItem>]) -> bool {
+fn eval_pexpr(e: &PExpr, operands: &[Vec<Item>]) -> bool {
     match e {
         PExpr::Or(a, b) => eval_pexpr(a, operands) || eval_pexpr(b, operands),
         PExpr::And(a, b) => eval_pexpr(a, operands) && eval_pexpr(b, operands),
@@ -545,7 +714,7 @@ fn eval_pexpr(e: &PExpr, operands: &[Vec<ResultItem>]) -> bool {
     }
 }
 
-fn eval_cmp(op: CmpOp, lhs: &POp, rhs: &POp, operands: &[Vec<ResultItem>]) -> bool {
+fn eval_cmp(op: CmpOp, lhs: &POp, rhs: &POp, operands: &[Vec<Item>]) -> bool {
     use POp::*;
     match (lhs, rhs) {
         // Normalize literal-on-the-left by flipping.

@@ -5,18 +5,25 @@
 //! * B+tree ≡ `BTreeMap` under arbitrary operation sequences;
 //! * parse → pack → store → traverse → serialize is the identity on
 //!   arbitrary generated documents at arbitrary packing targets;
-//! * QuickXScan ≡ DOM evaluation on arbitrary documents and queries.
+//! * QuickXScan ≡ DOM evaluation on arbitrary documents and queries;
+//! * the engine's full-scan path over stored documents (one reused scanner
+//!   per lane, virtual-SAX subtree skipping) ≡ DOM evaluation, with node IDs
+//!   equal to a fresh scanner that replays every subtree.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use system_rx::engine::access::{all_docids, execute_tree, AccessPlan};
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
+use system_rx::engine::traverse::{IdEventSink, Traverser};
+use system_rx::engine::QueryExecutor;
 use system_rx::storage::{BTree, BufferPool, MemBackend, TableSpace};
+use system_rx::xml::event::Event;
 use system_rx::xml::nodeid::RelId;
 use system_rx::xml::value::Decimal;
 use system_rx::xml::NameDict;
 use system_rx::xpath::baseline::DomXPath;
-use system_rx::xpath::{quickxscan::scan_str, QueryTree, XPathParser};
+use system_rx::xpath::{quickxscan::scan_str, QueryTree, QuickXScan, XPathParser};
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -27,7 +34,11 @@ use system_rx::xpath::{quickxscan::scan_str, QueryTree, XPathParser};
 fn arb_xml() -> impl Strategy<Value = String> {
     fn node(depth: u32) -> BoxedStrategy<String> {
         let name = prop_oneof![Just("a"), Just("b"), Just("c"), Just("d")];
-        let text = "[a-z0-9 ]{0,12}";
+        // Short fixed values make the value predicates of `arb_query` hit.
+        let text = prop_oneof![
+            3 => "[a-z0-9 ]{0,12}",
+            1 => prop_oneof![Just("x".to_string()), Just("5".to_string())],
+        ];
         if depth == 0 {
             (name, text)
                 .prop_map(|(n, t)| {
@@ -41,7 +52,10 @@ fn arb_xml() -> impl Strategy<Value = String> {
         } else {
             (
                 name,
-                proptest::option::of(("[a-z]{1,4}", "[a-z0-9]{0,6}")),
+                proptest::option::of((
+                    prop_oneof![Just("k".to_string()), "[a-z]{1,4}"],
+                    prop_oneof!["[0-9]{1,2}", "[a-z0-9]{0,6}"],
+                )),
                 prop::collection::vec(node(depth - 1), 0..4),
                 text,
             )
@@ -79,7 +93,29 @@ fn arb_query() -> impl Strategy<Value = String> {
         Just("//a/@*".to_string()),
         Just("//d/text()".to_string()),
         Just("//*[c]".to_string()),
+        Just("//a[b = \"x\"]".to_string()),
+        Just(from_root("/a[@k > 3]/b")),
+        Just(from_root("/a[b]/c")),
+        Just("//@*".to_string()),
+        Just("//a//text()".to_string()),
     ]
+}
+
+/// A child path from the generated document element `<root>` down: no
+/// descendant step from the document, so the scan's skip rule stays live.
+fn from_root(rest: &str) -> String {
+    format!("/root{rest}")
+}
+
+/// Forwards to a scanner but keeps `IdEventSink`'s default `wants_content`,
+/// so the traversal replays every subtree: the reference for the skipping
+/// full-scan path.
+struct NoSkip<'a, 'q, 'd>(&'a mut QuickXScan<'q, 'd>);
+
+impl IdEventSink for NoSkip<'_, '_, '_> {
+    fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> system_rx::engine::Result<()> {
+        self.0.id_event(id, ev)
+    }
 }
 
 proptest! {
@@ -175,6 +211,55 @@ proptest! {
         let dom = system_rx::xml::dom::DomTree::parse(&doc, &dict).unwrap();
         let dom_values = DomXPath::new(&tree, &dict).eval(&dom);
         prop_assert_eq!(scan_values, dom_values, "query {} over {}", query, doc);
+    }
+
+    #[test]
+    fn stored_scan_agrees_with_dom(
+        docs in prop::collection::vec(arb_xml(), 1..6),
+        query in arb_query(),
+        target in 128usize..600,
+    ) {
+        // Small pack targets spill subtrees into proxied records, so the
+        // skip rule also decides whether proxy records are fetched at all.
+        let db = Database::create_in_memory_with(DbConfig {
+            target_record_size: target,
+            buffer_pages: 512,
+            ..Default::default()
+        }).unwrap();
+        let t = db.create_table("t", &[("doc", ColumnKind::Xml)]).unwrap();
+        for doc in &docs {
+            db.insert_row(&t, &[ColValue::Xml(doc.clone())]).unwrap();
+        }
+        let col = t.xml_column("doc").unwrap();
+        let dict = db.dict();
+        let tree = Arc::new(QueryTree::compile(&XPathParser::new().parse(&query).unwrap()).unwrap());
+        let ids = all_docids(&t).unwrap();
+        prop_assert_eq!(ids.len(), docs.len());
+        let lanes = QueryExecutor::new(2);
+        for exec in [None, Some(&lanes)] {
+            let (hits, stats) =
+                execute_tree(&AccessPlan::FullScan, &t, col, dict, &tree, exec).unwrap();
+            prop_assert_eq!(stats.docs_evaluated, docs.len() as u64);
+            for (doc_text, &id) in docs.iter().zip(&ids) {
+                let mine: Vec<_> = hits.iter().filter(|h| h.doc == id).collect();
+                // Values: the DOM baseline over the original text.
+                let dom_dict = NameDict::new();
+                let dom = system_rx::xml::dom::DomTree::parse(doc_text, &dom_dict).unwrap();
+                let dom_values = DomXPath::new(&tree, &dom_dict).eval(&dom);
+                let values: Vec<&str> = mine.iter().map(|h| h.value.as_str()).collect();
+                prop_assert_eq!(values, dom_values, "query {} over {}", query, doc_text);
+                // Node IDs: a fresh scanner that sees every subtree.
+                let mut scan = QuickXScan::new(&tree, dict);
+                Traverser::new(col.xml_table(), id).run(&mut NoSkip(&mut scan)).unwrap();
+                let reference = scan.finish().unwrap();
+                prop_assert_eq!(mine.len(), reference.len());
+                for (h, r) in mine.iter().zip(&reference) {
+                    prop_assert!(r.node.is_some(), "stored hits carry node IDs");
+                    prop_assert_eq!(&h.node, &r.node, "query {} over {}", query, doc_text);
+                    prop_assert_eq!(&h.value, &r.value);
+                }
+            }
+        }
     }
 
     #[test]
