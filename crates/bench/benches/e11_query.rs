@@ -47,7 +47,7 @@ fn bench_parallel_query(c: &mut Criterion) {
             std::hint::black_box(access::prepare(None, &t, &col, &path, false).unwrap());
         })
     });
-    let cache = PlanCache::new(128);
+    let cache = PlanCache::new(rx_engine::executor::PLAN_CACHE_CAPACITY);
     access::prepare(Some(&cache), &t, &col, &path, false).unwrap();
     g.bench_function("prepare_warm", |b| {
         b.iter(|| {

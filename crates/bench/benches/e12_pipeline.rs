@@ -1,9 +1,10 @@
 //! E12: protocol v2 pipelining — queries and latency-bound requests over
-//! one loopback TCP connection, lockstep v1 vs multiplexed v2 sessions.
+//! loopback TCP: one session on its own connection (one request in flight)
+//! vs 8 sessions multiplexed on one connection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rx_bench::{load_product_docs, mem_db};
-use rx_server::{connect_tcp_multiplexed, connect_tcp_v1, ConnectOptions, Server, ServerConfig};
+use rx_server::{connect_tcp, connect_tcp_multiplexed, ConnectOptions, Server, ServerConfig};
 use std::time::Duration;
 
 fn bench_pipelining(c: &mut Criterion) {
@@ -25,16 +26,16 @@ fn bench_pipelining(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("e12_query_batch");
     g.sample_size(10);
-    let mut lockstep = connect_tcp_v1(addr).expect("v1 client");
-    g.bench_function("lockstep_v1", |b| {
+    let mut single = connect_tcp(addr).expect("single-session connection");
+    g.bench_function("one_session", |b| {
         b.iter(|| {
             for _ in 0..BATCH {
-                std::hint::black_box(lockstep.query("products", "doc", q).unwrap().len());
+                std::hint::black_box(single.query("products", "doc", q).unwrap().len());
             }
         })
     });
     let conn = connect_tcp_multiplexed(addr, ConnectOptions::default()).expect("mux");
-    g.bench_function("pipelined_v2_8_sessions", |b| {
+    g.bench_function("multiplexed_8_sessions", |b| {
         b.iter(|| {
             let handles: Vec<_> = (0..SESSIONS)
                 .map(|_| {
@@ -55,14 +56,14 @@ fn bench_pipelining(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("e12_latency_bound");
     g.sample_size(10);
-    g.bench_function("lockstep_v1_8x2ms", |b| {
+    g.bench_function("one_session_8x2ms", |b| {
         b.iter(|| {
             for _ in 0..8 {
-                lockstep.sleep_ms(2).unwrap();
+                single.sleep_ms(2).unwrap();
             }
         })
     });
-    g.bench_function("pipelined_v2_8x2ms", |b| {
+    g.bench_function("multiplexed_8x2ms", |b| {
         b.iter(|| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

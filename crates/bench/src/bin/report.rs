@@ -1538,7 +1538,7 @@ fn e11_parallel_query() {
     // Part 3: plan cache cold vs warm. Cold pays parse + compile + plan per
     // call; warm is one hash lookup.
     let n = 2000u32;
-    let cache = PlanCache::new(128);
+    let cache = PlanCache::new(rx_engine::executor::PLAN_CACHE_CAPACITY);
     let cold = {
         let start = Instant::now();
         for _ in 0..n {
@@ -1575,18 +1575,16 @@ fn e11_parallel_query() {
 }
 
 // ---------------------------------------------------------------------------
-// E12 — protocol v2 pipelining: multiplexed streams vs lockstep
+// E12 — protocol v2 pipelining: multiplexed sessions vs one session per connection
 // ---------------------------------------------------------------------------
 
 fn e12_pipelining() {
-    use rx_server::{
-        connect_tcp_multiplexed, connect_tcp_v1, ConnectOptions, Server, ServerConfig,
-    };
+    use rx_server::{connect_tcp, connect_tcp_multiplexed, ConnectOptions, Server, ServerConfig};
 
     println!("\n## E12 — pipelined sessions over one connection (protocol v2)");
-    println!("One lockstep v1 connection admits exactly one request in flight; protocol");
-    println!("v2 multiplexes many streams over the same socket, so independent requests");
-    println!("overlap server-side and complete out of order.");
+    println!("One session on a connection of its own has exactly one request in flight;");
+    println!("sessions multiplexed over one connection each own a stream, so independent");
+    println!("requests overlap server-side and complete out of order.");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("measurement host: {cores} core(s) available");
@@ -1607,11 +1605,11 @@ fn e12_pipelining() {
     const QUERIES: usize = 120; // total, divisible by SESSIONS
     let q = "/Catalog/Categories/Product[Description]/ProductName";
 
-    // Part 1: real query throughput, lockstep vs 8 pipelined sessions.
-    let mut lockstep = connect_tcp_v1(addr).expect("v1 client");
+    // Part 1: real query throughput, one session vs 8 multiplexed sessions.
+    let mut single = connect_tcp(addr).expect("single-session connection");
     let d_lock = median_time(3, || {
         for _ in 0..QUERIES {
-            std::hint::black_box(lockstep.query("products", "doc", q).unwrap().len());
+            std::hint::black_box(single.query("products", "doc", q).unwrap().len());
         }
     });
     let conn = connect_tcp_multiplexed(addr, ConnectOptions::default()).expect("mux connect");
@@ -1633,17 +1631,19 @@ fn e12_pipelining() {
     let qps_lock = QUERIES as f64 / d_lock.as_secs_f64();
     let qps_pipe = QUERIES as f64 / d_pipe.as_secs_f64();
     print_table(
-        &format!("E12a: {QUERIES} full-scan queries, lockstep vs {SESSIONS} pipelined sessions"),
+        &format!(
+            "E12a: {QUERIES} full-scan queries, one session vs {SESSIONS} multiplexed sessions"
+        ),
         &["mode", "elapsed", "queries/s", "speedup"],
         &[
             vec![
-                "lockstep (v1)".into(),
+                "one session (1 in flight)".into(),
                 fmt_dur(d_lock),
                 format!("{qps_lock:.1}"),
                 "1.00x".into(),
             ],
             vec![
-                format!("pipelined (v2, {SESSIONS} streams)"),
+                format!("multiplexed ({SESSIONS} sessions, one connection)"),
                 fmt_dur(d_pipe),
                 format!("{qps_pipe:.1}"),
                 format!("{:.2}x", qps_pipe / qps_lock),
@@ -1651,7 +1651,7 @@ fn e12_pipelining() {
         ],
     );
     if cores > 1 {
-        println!("shape check: pipelined throughput ≥2x lockstep — query execution for");
+        println!("shape check: multiplexed throughput ≥2x one session — query execution for");
         println!("sibling streams overlaps on the worker pool.");
     } else {
         println!("shape check (single-core host): CPU-bound queries cannot overlap without");
@@ -1664,7 +1664,7 @@ fn e12_pipelining() {
     const WAITS: usize = 40;
     let d_lock_w = median_time(3, || {
         for _ in 0..WAITS {
-            lockstep.sleep_ms(5).unwrap();
+            single.sleep_ms(5).unwrap();
         }
     });
     let d_pipe_w = median_time(3, || {
@@ -1689,13 +1689,13 @@ fn e12_pipelining() {
         &["mode", "elapsed", "requests/s", "speedup"],
         &[
             vec![
-                "lockstep (v1)".into(),
+                "one session (1 in flight)".into(),
                 fmt_dur(d_lock_w),
                 format!("{rps_lock:.1}"),
                 "1.00x".into(),
             ],
             vec![
-                format!("pipelined (v2, {SESSIONS} streams)"),
+                format!("multiplexed ({SESSIONS} sessions, one connection)"),
                 fmt_dur(d_pipe_w),
                 format!("{rps_pipe:.1}"),
                 format!("{:.2}x", rps_pipe / rps_lock),
@@ -1707,8 +1707,8 @@ fn e12_pipelining() {
 
     let stats = server.stats();
     println!(
-        "server counters: {} v1 / {} v2 connections, {} streams opened, {} out-of-order completions",
-        stats.connections_v1, stats.connections_v2, stats.streams_opened, stats.ooo_completions
+        "server counters: {} connections, {} streams opened, {} out-of-order completions",
+        stats.connections, stats.streams_opened, stats.ooo_completions
     );
     server.shutdown();
 }

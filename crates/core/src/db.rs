@@ -53,9 +53,6 @@ pub struct DbConfig {
     /// Query-executor lanes: how many candidate-document partitions a single
     /// query may evaluate concurrently. 1 disables intra-query parallelism.
     pub query_workers: usize,
-    /// Plan-cache capacity in entries (compiled `QueryTree` + `AccessPlan`
-    /// per distinct query). 0 disables the cache.
-    pub plan_cache_capacity: usize,
     /// Document record-cache budget in bytes, shared by every XML table of
     /// the database (§3.4 traversal short-circuit). 0 disables the cache;
     /// repeated traversals of a hot document then always re-probe the NodeID
@@ -70,7 +67,6 @@ impl Default for DbConfig {
             target_record_size: crate::pack::DEFAULT_TARGET_RECORD,
             lock_timeout: Duration::from_secs(2),
             query_workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            plan_cache_capacity: 128,
             doc_cache_bytes: 0,
         }
     }
@@ -419,7 +415,7 @@ impl Database {
         let locks = LockManager::new(config.lock_timeout);
         let txns = TxnManager::new(wal, locks);
         let executor = crate::executor::QueryExecutor::new(config.query_workers);
-        let plan_cache = crate::executor::PlanCache::new(config.plan_cache_capacity);
+        let plan_cache = crate::executor::PlanCache::new(crate::executor::PLAN_CACHE_CAPACITY);
         let doc_cache = crate::doccache::DocCache::new(config.doc_cache_bytes);
         Ok(Arc::new(Database {
             config,
@@ -459,7 +455,7 @@ impl Database {
         let locks = LockManager::new(config.lock_timeout);
         let txns = TxnManager::new(wal, locks);
         let executor = crate::executor::QueryExecutor::new(config.query_workers);
-        let plan_cache = crate::executor::PlanCache::new(config.plan_cache_capacity);
+        let plan_cache = crate::executor::PlanCache::new(crate::executor::PLAN_CACHE_CAPACITY);
         let doc_cache = crate::doccache::DocCache::new(config.doc_cache_bytes);
         let db = Arc::new(Database {
             config,

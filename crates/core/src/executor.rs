@@ -238,8 +238,12 @@ pub struct PlanCache {
 
 const BUILD_STRIPES: usize = 16;
 
+/// Plans a database's [`PlanCache`] holds (compiled `QueryTree` +
+/// `AccessPlan` per distinct query).
+pub const PLAN_CACHE_CAPACITY: usize = 128;
+
 impl PlanCache {
-    /// Create a cache holding at most `capacity` plans (0 disables caching).
+    /// Create a cache holding at most `capacity` plans.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
             capacity,
@@ -272,10 +276,6 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> Result<Arc<CachedPlan>, E>,
     ) -> Result<Arc<CachedPlan>, E> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return build();
-        }
         if let Some(plan) = self.lookup(&key) {
             return Ok(plan);
         }
@@ -304,9 +304,6 @@ impl PlanCache {
 
     /// Insert a plan, evicting the least-recently-used entry when full.
     pub fn insert(&self, key: PlanKey, plan: Arc<CachedPlan>) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -474,13 +471,5 @@ mod tests {
         cache.invalidate_table(1);
         assert!(cache.get(&key(1, "/a")).is_none());
         assert!(cache.get(&key(2, "/a")).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = PlanCache::new(0);
-        cache.insert(key(1, "/a"), dummy_plan());
-        assert!(cache.get(&key(1, "/a")).is_none());
-        assert_eq!(cache.len(), 0);
     }
 }

@@ -1,7 +1,5 @@
 //! The client side of the wire protocol: a shared [`Connection`] that
-//! multiplexes many concurrent [`Session`]s over one byte stream, and the
-//! blocking [`Client`] — now a thin single-session wrapper over the same
-//! machinery.
+//! multiplexes many concurrent [`Session`]s over one byte stream.
 //!
 //! A [`Connection`] owns the socket: a writer mutex serializes request
 //! frames, and a background router thread reads response frames and hands
@@ -11,10 +9,10 @@
 //! across sessions — that is the point — while each session itself stays
 //! blocking and in order.
 //!
-//! [`Client::connect`] negotiates protocol v2 and wraps one session, so
-//! existing call sites keep their exact API. [`Client::v1`] skips the
-//! handshake entirely and speaks the legacy lockstep framing — the path a
-//! pre-v2 binary takes implicitly.
+//! [`Session`] is the one blocking request API. A session keeps its
+//! connection alive, so a caller that wants a single session on a
+//! connection of its own (`connect_tcp`, `Server::connect`) just holds the
+//! session.
 
 use crate::proto::{
     self, ErrorCode, Frame, FrameCodec, Hello, HelloAck, Hit, Request, Response, WireError,
@@ -95,14 +93,10 @@ fn decode_response(payload: &[u8]) -> Result<Response, ClientError> {
     }
 }
 
-/// How to open a connection: the protocol version to request, how many
-/// concurrent streams to ask for, and the frame-size bound to enforce.
+/// How to open a connection: how many concurrent streams to ask for, and
+/// the frame-size bound to enforce.
 #[derive(Debug, Clone)]
 pub struct ConnectOptions {
-    /// Requested protocol version; the server answers with
-    /// `min(requested, supported)`, so asking for 1 is an explicit
-    /// downgrade and asking for more than it speaks still lands on v2.
-    pub version: u8,
     /// Concurrent in-flight requests to ask for; the server may grant
     /// less, never more than its own budget.
     pub max_streams: u32,
@@ -115,7 +109,6 @@ pub struct ConnectOptions {
 impl Default for ConnectOptions {
     fn default() -> Self {
         ConnectOptions {
-            version: proto::PROTO_MAX_VERSION,
             max_streams: 32,
             max_frame_bytes: proto::MAX_FRAME,
         }
@@ -157,19 +150,46 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Handshake on `stream` and require protocol v2. Fails with
-    /// [`ClientError::Protocol`] when the server downgrades to v1 (use
-    /// [`Client::connect`] if a lockstep fallback is acceptable).
+    /// Send a [`Hello`] on `stream` and start routing responses once the
+    /// server acknowledges protocol v2. A refusal comes back as the server's
+    /// error ([`ClientError::Server`] with `UnsupportedVersion`); an
+    /// acknowledgement of any other version is a [`ClientError::Protocol`].
     pub fn establish<S: Transport>(
         stream: S,
         opts: ConnectOptions,
     ) -> Result<Connection, ClientError> {
-        match negotiate(stream, opts)? {
-            Negotiated::V2(conn) => Ok(conn),
-            Negotiated::V1 { .. } => Err(ClientError::Protocol(
-                "server downgraded to protocol v1; multiplexing needs v2".into(),
-            )),
+        let (mut reader, mut writer, closer) = stream.into_split()?;
+        let codec = FrameCodec::new(opts.max_frame_bytes);
+        let hello = Hello {
+            version: proto::PROTO_VERSION,
+            max_streams: opts.max_streams,
+            max_frame: opts.max_frame_bytes as u64,
+        };
+        codec.write_handshake(&mut writer, &hello.encode())?;
+        let reply = codec
+            .read_handshake(&mut reader)?
+            .ok_or(ClientError::Closed)?;
+        // Anything but an ack is the server's refusal (or garbage).
+        let ack = HelloAck::decode(&reply).map_err(|msg| {
+            decode_response(&reply)
+                .err()
+                .unwrap_or(ClientError::Protocol(msg))
+        })?;
+        if ack.version != proto::PROTO_VERSION {
+            return Err(ClientError::Protocol(format!(
+                "server negotiated protocol v{}; this client speaks only v{}",
+                ack.version,
+                proto::PROTO_VERSION
+            )));
         }
+        let max_frame = opts.max_frame_bytes.min(ack.max_frame as usize).max(1024);
+        Ok(Connection::from_parts(
+            reader,
+            writer,
+            closer,
+            ack.max_streams,
+            max_frame,
+        ))
     }
 
     fn from_parts<R: Read + Send + 'static>(
@@ -186,7 +206,7 @@ impl Connection {
         let closed = Arc::new(AtomicBool::new(false));
         let inner = Arc::new(ConnInner {
             writer: Mutex::new(Box::new(writer)),
-            codec: FrameCodec::v2(max_frame),
+            codec: FrameCodec::new(max_frame),
             pending: Arc::clone(&pending),
             closed: Arc::clone(&closed),
             closer,
@@ -196,7 +216,7 @@ impl Connection {
         // The router holds only the pending map and the closed flag — not
         // the inner — so dropping the last user handle hangs up the socket
         // and lets this thread exit.
-        let codec = FrameCodec::v2(max_frame);
+        let codec = FrameCodec::new(max_frame);
         std::thread::Builder::new()
             .name("rx-client-router".into())
             .spawn(move || {
@@ -410,224 +430,5 @@ fn want_pong(resp: Response) -> Result<(), ClientError> {
     match resp {
         Response::Pong => Ok(()),
         other => unexpected(other),
-    }
-}
-
-/// What the handshake settled on.
-enum Negotiated<S: Transport> {
-    /// Lockstep v1 (explicit downgrade).
-    V1 {
-        reader: S::Reader,
-        writer: S::Writer,
-        codec: FrameCodec,
-        closer: Closer,
-    },
-    /// Multiplexed v2.
-    V2(Connection),
-}
-
-/// Send a [`Hello`] and interpret the reply. The hello travels v1-framed,
-/// so a pre-v2 server that cannot parse it fails loudly rather than
-/// desyncing.
-fn negotiate<S: Transport>(stream: S, opts: ConnectOptions) -> Result<Negotiated<S>, ClientError> {
-    let (mut reader, mut writer, closer) = stream.into_split()?;
-    let v1 = FrameCodec::v1(opts.max_frame_bytes);
-    let hello = Hello {
-        version: opts.version,
-        max_streams: opts.max_streams,
-        max_frame: opts.max_frame_bytes as u64,
-    };
-    v1.write(&mut writer, &Frame::data(0, hello.encode()))?;
-    let frame = v1.read(&mut reader)?.ok_or(ClientError::Closed)?;
-    let ack = match frame.payload.first() {
-        Some(&proto::ST_HELLO) => {
-            HelloAck::decode(&frame.payload).map_err(ClientError::Protocol)?
-        }
-        _ => return decode_response(&frame.payload).and_then(unexpected),
-    };
-    let max_frame = opts.max_frame_bytes.min(ack.max_frame as usize).max(1024);
-    match ack.version {
-        1 => Ok(Negotiated::V1 {
-            reader,
-            writer,
-            codec: FrameCodec::v1(max_frame),
-            closer,
-        }),
-        2 => Ok(Negotiated::V2(Connection::from_parts(
-            reader,
-            writer,
-            closer,
-            ack.max_streams,
-            max_frame,
-        ))),
-        v => Err(ClientError::Protocol(format!(
-            "server negotiated unknown protocol version {v}"
-        ))),
-    }
-}
-
-/// How a [`Client`] speaks to its server.
-enum Mode<S: Transport> {
-    /// Legacy lockstep framing, one request in flight.
-    V1 {
-        reader: S::Reader,
-        writer: S::Writer,
-        codec: FrameCodec,
-        /// Kept so the transport's hangup hook lives as long as the client.
-        _closer: Closer,
-    },
-    /// A single session on a multiplexed v2 connection.
-    V2 {
-        session: Session,
-        /// Keeps the connection (and its router thread) alive.
-        _conn: Connection,
-    },
-}
-
-/// A blocking connection to an rx-server: one outstanding request at a
-/// time, one server-side session, so dropping the client rolls back any
-/// open transaction. Since the v2 redesign this is a thin wrapper: either
-/// a single [`Session`] on a [`Connection`], or — via [`Client::v1`] or a
-/// server downgrade — the legacy lockstep loop.
-pub struct Client<S: Transport> {
-    mode: Mode<S>,
-}
-
-impl<S: Transport> Client<S> {
-    /// Handshake with default [`ConnectOptions`]: negotiate v2, accept a
-    /// downgrade to v1 lockstep if that is all the server speaks.
-    pub fn connect(stream: S) -> Result<Client<S>, ClientError> {
-        Client::connect_with(stream, ConnectOptions::default())
-    }
-
-    /// Handshake with explicit options (e.g. `version: 1` to force the
-    /// downgrade path, or a custom frame bound).
-    pub fn connect_with(stream: S, opts: ConnectOptions) -> Result<Client<S>, ClientError> {
-        let mode = match negotiate(stream, opts)? {
-            Negotiated::V1 {
-                reader,
-                writer,
-                codec,
-                closer,
-            } => Mode::V1 {
-                reader,
-                writer,
-                codec,
-                _closer: closer,
-            },
-            Negotiated::V2(conn) => Mode::V2 {
-                session: conn.session(),
-                _conn: conn,
-            },
-        };
-        Ok(Client { mode })
-    }
-
-    /// Speak legacy v1 with no handshake at all — byte-for-byte what a
-    /// pre-v2 client sends. The server sniffs the first frame and serves
-    /// the lockstep path.
-    pub fn v1(stream: S) -> Result<Client<S>, ClientError> {
-        let (reader, writer, closer) = stream.into_split()?;
-        Ok(Client {
-            mode: Mode::V1 {
-                reader,
-                writer,
-                codec: FrameCodec::v1(proto::MAX_FRAME),
-                _closer: closer,
-            },
-        })
-    }
-
-    /// The protocol version this client ended up speaking (1 or 2).
-    pub fn protocol_version(&self) -> u8 {
-        match &self.mode {
-            Mode::V1 { .. } => 1,
-            Mode::V2 { .. } => 2,
-        }
-    }
-
-    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        match &mut self.mode {
-            Mode::V1 {
-                reader,
-                writer,
-                codec,
-                ..
-            } => {
-                codec.write(writer, &Frame::data(0, req.encode()))?;
-                let frame = codec.read(reader)?.ok_or(ClientError::Closed)?;
-                decode_response(&frame.payload)
-            }
-            Mode::V2 { session, .. } => session.call(req),
-        }
-    }
-
-    /// Open an explicit transaction on this connection's session.
-    pub fn begin(&mut self) -> Result<(), ClientError> {
-        want_unit(self.call(&Request::Begin)?)
-    }
-
-    /// Commit the open transaction.
-    pub fn commit(&mut self) -> Result<(), ClientError> {
-        want_unit(self.call(&Request::Commit)?)
-    }
-
-    /// Roll back the open transaction.
-    pub fn rollback(&mut self) -> Result<(), ClientError> {
-        want_unit(self.call(&Request::Rollback)?)
-    }
-
-    /// Insert a row; returns its DocID.
-    pub fn insert_row(&mut self, table: &str, values: Vec<ColValue>) -> Result<u64, ClientError> {
-        want_doc(self.call(&Request::InsertRow {
-            table: table.to_string(),
-            values,
-        })?)
-    }
-
-    /// Fetch a row by DocID (`None` when the id is unknown).
-    pub fn fetch_row(&mut self, table: &str, doc: u64) -> Result<Option<Row>, ClientError> {
-        want_row(self.call(&Request::FetchRow {
-            table: table.to_string(),
-            doc,
-        })?)
-    }
-
-    /// Delete a row by DocID; returns whether it existed.
-    pub fn delete_row(&mut self, table: &str, doc: u64) -> Result<bool, ClientError> {
-        want_deleted(self.call(&Request::DeleteRow {
-            table: table.to_string(),
-            doc,
-        })?)
-    }
-
-    /// Evaluate an XPath over one XML column.
-    pub fn query(
-        &mut self,
-        table: &str,
-        column: &str,
-        path: &str,
-    ) -> Result<Vec<Hit>, ClientError> {
-        want_hits(self.call(&Request::Query {
-            table: table.to_string(),
-            column: column.to_string(),
-            path: path.to_string(),
-        })?)
-    }
-
-    /// Fetch the server's counter snapshot.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        want_stats(self.call(&Request::Stats)?)
-    }
-
-    /// Liveness check.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        want_pong(self.call(&Request::Ping)?)
-    }
-
-    /// Diagnostic: hold a worker slot for `millis` (admission-control
-    /// testing).
-    pub fn sleep_ms(&mut self, millis: u32) -> Result<(), ClientError> {
-        want_unit(self.call(&Request::Sleep { millis })?)
     }
 }

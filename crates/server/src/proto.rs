@@ -1,23 +1,21 @@
-//! The wire protocol: framed binary messages, in two versions.
+//! The wire protocol: framed binary messages over one byte stream.
 //!
-//! **v1 (lockstep)** frames are a little-endian `u32` payload length
-//! followed by the payload — one request in flight per connection.
-//!
-//! **v2 (multiplexed streams)** frames carry a stream id and a flags byte
-//! between the length and the payload: `u32 len · u32 stream_id · u8 flags
-//! · payload`. Many logical sessions share one connection, each request is
-//! tagged with its stream, and responses may return out of order. A
-//! connection opens with a v1-framed [`Hello`] handshake that negotiates
-//! the version (and per-connection stream budget), so v1 clients that skip
-//! the handshake keep working unchanged.
+//! Every frame after the handshake is `u32 len · u32 stream_id · u8 flags ·
+//! payload` (little-endian). Many logical sessions share one connection,
+//! each request is tagged with its stream, and responses may return out of
+//! order. A connection opens with a [`Hello`] / [`HelloAck`] handshake —
+//! the only two messages framed without the stream header, as a bare
+//! `u32 len · payload` — that settles the protocol version and the
+//! per-connection stream budget. A peer whose first frame is not a `Hello`
+//! asking for version 2 or later gets one `UnsupportedVersion` error in
+//! that same bare framing and is disconnected.
 //!
 //! Request payloads start with an opcode byte, response payloads with a
 //! status byte; all field encoding reuses the storage layer's
 //! [`Enc`]/[`Dec`] codec, so the TCP listener and the in-process channel
 //! transport share one byte format by construction. [`FrameCodec`] owns
-//! the length/stream framing for both versions and enforces a configurable
-//! `max_frame_bytes` so a corrupt length prefix is a protocol error, not
-//! an allocation attempt.
+//! the framing and enforces a configurable `max_frame_bytes` so a corrupt
+//! length prefix is a protocol error, not an allocation attempt.
 
 use crate::stats::StatsSnapshot;
 use rx_engine::{ColValue, Row};
@@ -30,8 +28,9 @@ use std::io::{self, Read, Write};
 /// [`crate::ConnectOptions::max_frame_bytes`].
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Highest protocol version this build speaks.
-pub const PROTO_MAX_VERSION: u8 = 2;
+/// The protocol version this build speaks. A [`Hello`] asking for a later
+/// version is answered with this one; an earlier one is refused.
+pub const PROTO_VERSION: u8 = 2;
 
 /// Frame flag: the sender is done with this stream; the server closes the
 /// stream's session (rolling back any open transaction). Carried on an
@@ -49,9 +48,8 @@ const OP_QUERY: u8 = 7;
 const OP_STATS: u8 = 8;
 const OP_PING: u8 = 9;
 const OP_SLEEP: u8 = 10;
-/// Handshake opcode: the first payload byte of a [`Hello`]. Public so the
-/// connection handler can recognise a handshake without decoding twice.
-pub const OP_HELLO: u8 = 11;
+/// Handshake opcode: the first payload byte of a [`Hello`].
+const OP_HELLO: u8 = 11;
 
 // Response status bytes.
 const ST_UNIT: u8 = 0;
@@ -62,7 +60,7 @@ const ST_HITS: u8 = 4;
 const ST_STATS: u8 = 5;
 const ST_PONG: u8 = 6;
 /// Handshake reply status: the first payload byte of a [`HelloAck`].
-pub const ST_HELLO: u8 = 7;
+const ST_HELLO: u8 = 7;
 const ST_ERROR: u8 = 255;
 
 /// A client request.
@@ -416,21 +414,12 @@ impl Response {
     }
 }
 
-/// Wire protocol versions a connection can speak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoVersion {
-    /// Length-prefixed lockstep frames, one request in flight.
-    V1,
-    /// Multiplexed streams: frames carry `(stream_id, flags)`.
-    V2,
-}
-
-/// One protocol frame. In v1 `stream` and `flags` are always zero.
+/// One protocol frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// The logical stream this frame belongs to (0 in v1).
+    /// The logical stream this frame belongs to.
     pub stream: u32,
-    /// Frame flags ([`FLAG_END_STREAM`]); 0 in v1.
+    /// Frame flags ([`FLAG_END_STREAM`]).
     pub flags: u8,
     /// The request/response payload.
     pub payload: Vec<u8>,
@@ -456,36 +445,20 @@ impl Frame {
     }
 }
 
-/// Owns the length/stream framing for both protocol versions: length
-/// prefixes, the v2 stream header, and the `max_frame_bytes` bound that
-/// turns a corrupt length prefix into a protocol error instead of an
-/// allocation attempt. Every frame on a connection — TCP handler, channel
-/// transport, client — goes through one of these.
+/// Owns the framing: length prefixes, the stream header, and the
+/// `max_frame_bytes` bound that turns a corrupt length prefix into a
+/// protocol error instead of an allocation attempt. Every frame on a
+/// connection — TCP handler, channel transport, client — goes through one
+/// of these.
 #[derive(Debug, Clone)]
 pub struct FrameCodec {
-    version: ProtoVersion,
     max_frame: usize,
 }
 
 impl FrameCodec {
-    /// A codec for `version` rejecting payloads larger than `max_frame`.
-    pub fn new(version: ProtoVersion, max_frame: usize) -> FrameCodec {
-        FrameCodec { version, max_frame }
-    }
-
-    /// A v1 (lockstep) codec.
-    pub fn v1(max_frame: usize) -> FrameCodec {
-        FrameCodec::new(ProtoVersion::V1, max_frame)
-    }
-
-    /// A v2 (multiplexed streams) codec.
-    pub fn v2(max_frame: usize) -> FrameCodec {
-        FrameCodec::new(ProtoVersion::V2, max_frame)
-    }
-
-    /// The version this codec frames.
-    pub fn version(&self) -> ProtoVersion {
-        self.version
+    /// A codec rejecting payloads larger than `max_frame`.
+    pub fn new(max_frame: usize) -> FrameCodec {
+        FrameCodec { max_frame }
     }
 
     /// The payload size bound enforced on both reads and writes.
@@ -493,44 +466,32 @@ impl FrameCodec {
         self.max_frame
     }
 
-    /// Write one frame. v1 cannot carry stream ids or flags; passing a
-    /// nonzero one there is an `InvalidInput` error (it would silently drop
-    /// routing information).
-    pub fn write<W: Write>(&self, w: &mut W, frame: &Frame) -> io::Result<()> {
-        if frame.payload.len() > self.max_frame {
+    fn check_len(&self, n: usize) -> io::Result<()> {
+        if n > self.max_frame {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "frame of {} bytes exceeds the {} byte limit",
-                    frame.payload.len(),
+                    "frame of {n} bytes exceeds the {} byte limit",
                     self.max_frame
                 ),
             ));
         }
-        let mut buf = Vec::with_capacity(9 + frame.payload.len());
-        buf.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-        match self.version {
-            ProtoVersion::V1 => {
-                if frame.stream != 0 || frame.flags != 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        "v1 frames cannot carry a stream id or flags",
-                    ));
-                }
-            }
-            ProtoVersion::V2 => {
-                buf.extend_from_slice(&frame.stream.to_le_bytes());
-                buf.push(frame.flags);
-            }
-        }
-        buf.extend_from_slice(&frame.payload);
+        Ok(())
+    }
+
+    fn put<W: Write>(&self, w: &mut W, head: &[u8], payload: &[u8]) -> io::Result<()> {
+        self.check_len(payload.len())?;
+        let mut buf = Vec::with_capacity(4 + head.len() + payload.len());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(head);
+        buf.extend_from_slice(payload);
         // One write_all so channel transports see whole frames per chunk.
         w.write_all(&buf)?;
         w.flush()
     }
 
-    /// Read one frame. `Ok(None)` on clean EOF at a frame boundary.
-    pub fn read<R: Read>(&self, r: &mut R) -> io::Result<Option<Frame>> {
+    /// Read a length prefix; `Ok(None)` on clean EOF at a frame boundary.
+    fn read_len<R: Read>(&self, r: &mut R) -> io::Result<Option<usize>> {
         let mut len = [0u8; 4];
         let mut filled = 0;
         while filled < 4 {
@@ -551,39 +512,55 @@ impl FrameCodec {
             }
         }
         let n = u32::from_le_bytes(len) as usize;
-        if n > self.max_frame {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame of {n} bytes exceeds the {} byte limit",
-                    self.max_frame
-                ),
-            ));
-        }
-        let (stream, flags) = match self.version {
-            ProtoVersion::V1 => (0, 0),
-            ProtoVersion::V2 => {
-                let mut head = [0u8; 5];
-                r.read_exact(&mut head)?;
-                (
-                    u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
-                    head[4],
-                )
-            }
+        self.check_len(n)?;
+        Ok(Some(n))
+    }
+
+    /// Write one frame.
+    pub fn write<W: Write>(&self, w: &mut W, frame: &Frame) -> io::Result<()> {
+        let mut head = [0u8; 5];
+        head[..4].copy_from_slice(&frame.stream.to_le_bytes());
+        head[4] = frame.flags;
+        self.put(w, &head, &frame.payload)
+    }
+
+    /// Read one frame. `Ok(None)` on clean EOF at a frame boundary.
+    pub fn read<R: Read>(&self, r: &mut R) -> io::Result<Option<Frame>> {
+        let Some(n) = self.read_len(r)? else {
+            return Ok(None);
         };
+        let mut head = [0u8; 5];
+        r.read_exact(&mut head)?;
         let mut payload = vec![0u8; n];
         r.read_exact(&mut payload)?;
         Ok(Some(Frame {
-            stream,
-            flags,
+            stream: u32::from_le_bytes([head[0], head[1], head[2], head[3]]),
+            flags: head[4],
             payload,
         }))
     }
+
+    /// Write a handshake message ([`Hello`], [`HelloAck`], or the error that
+    /// refuses a connection): a length prefix and the payload, no stream
+    /// header.
+    pub fn write_handshake<W: Write>(&self, w: &mut W, payload: &[u8]) -> io::Result<()> {
+        self.put(w, &[], payload)
+    }
+
+    /// Read a handshake message written by [`FrameCodec::write_handshake`].
+    /// `Ok(None)` on clean EOF before any byte.
+    pub fn read_handshake<R: Read>(&self, r: &mut R) -> io::Result<Option<Vec<u8>>> {
+        let Some(n) = self.read_len(r)? else {
+            return Ok(None);
+        };
+        let mut payload = vec![0u8; n];
+        r.read_exact(&mut payload)?;
+        Ok(Some(payload))
+    }
 }
 
-/// The client half of the version handshake, sent v1-framed as the very
-/// first message of a connection that wants v2. (v1 clients skip it; their
-/// first payload byte is an ordinary request opcode, never [`OP_HELLO`].)
+/// The client half of the version handshake: the very first message of a
+/// connection, framed by [`FrameCodec::write_handshake`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
     /// Highest protocol version the client speaks.
@@ -625,9 +602,9 @@ impl Hello {
     }
 }
 
-/// The server half of the handshake: the negotiated version (which may be
-/// lower than the client asked for — the explicit downgrade path), the
-/// granted per-connection stream budget, and the server's frame bound.
+/// The server half of the handshake: the negotiated version (the server's
+/// own when the client asked for a later one), the granted per-connection
+/// stream budget, and the server's frame bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HelloAck {
     /// The version the connection will speak from here on.
@@ -745,22 +722,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_round_trip_over_a_buffer() {
-        let codec = FrameCodec::v1(MAX_FRAME);
-        let mut buf = Vec::new();
-        codec
-            .write(&mut buf, &Frame::data(0, b"hello".to_vec()))
-            .unwrap();
-        codec.write(&mut buf, &Frame::data(0, Vec::new())).unwrap();
-        let mut r = &buf[..];
-        assert_eq!(codec.read(&mut r).unwrap().unwrap().payload, b"hello");
-        assert_eq!(codec.read(&mut r).unwrap().unwrap().payload, b"");
-        assert!(codec.read(&mut r).unwrap().is_none());
-    }
-
-    #[test]
     fn v2_frames_carry_stream_and_flags() {
-        let codec = FrameCodec::v2(MAX_FRAME);
+        let codec = FrameCodec::new(MAX_FRAME);
         let mut buf = Vec::new();
         codec
             .write(&mut buf, &Frame::data(7, b"payload".to_vec()))
@@ -778,33 +741,63 @@ mod tests {
     }
 
     #[test]
-    fn v1_refuses_stream_ids() {
-        let codec = FrameCodec::v1(MAX_FRAME);
+    fn frame_and_handshake_bytes_are_pinned() {
+        let codec = FrameCodec::new(MAX_FRAME);
+        // Stream frames: `u32 len · u32 stream · u8 flags · payload`.
         let mut buf = Vec::new();
-        assert!(codec.write(&mut buf, &Frame::data(1, Vec::new())).is_err());
+        codec
+            .write(
+                &mut buf,
+                &Frame {
+                    stream: 0x0102_0304,
+                    flags: FLAG_END_STREAM,
+                    payload: b"hi".to_vec(),
+                },
+            )
+            .unwrap();
+        assert_eq!(buf, [2, 0, 0, 0, 4, 3, 2, 1, 1, b'h', b'i']);
+        // Handshake messages: `u32 len · payload`, no stream header.
+        let hello = Hello {
+            version: 2,
+            max_streams: 16,
+            max_frame: 1 << 20,
+        };
+        let mut buf = Vec::new();
+        codec.write_handshake(&mut buf, &hello.encode()).unwrap();
+        let mut expect = 14u32.to_le_bytes().to_vec();
+        expect.extend_from_slice(&[OP_HELLO, 2, 16, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0]);
+        assert_eq!(buf, expect);
+        let mut r = &buf[..];
+        assert_eq!(
+            codec.read_handshake(&mut r).unwrap().unwrap(),
+            hello.encode()
+        );
+        // Clean EOF at a frame boundary.
+        assert!(codec.read_handshake(&mut r).unwrap().is_none());
     }
 
     #[test]
     fn oversized_frame_rejected_on_read_and_write() {
-        for codec in [FrameCodec::v1(1024), FrameCodec::v2(1024)] {
-            // Read side: a corrupt length prefix is a protocol error, not an
-            // allocation attempt.
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-            let mut r = &buf[..];
-            let err = codec.read(&mut r).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            // Write side: never emit a frame the configured peer bound
-            // would reject.
-            let mut out = Vec::new();
-            assert!(codec
-                .write(&mut out, &Frame::data(0, vec![0u8; 2048]))
-                .is_err());
-            // At the bound is fine.
-            codec
-                .write(&mut out, &Frame::data(0, vec![0u8; 1024]))
-                .unwrap();
-        }
+        let codec = FrameCodec::new(1024);
+        // Read side: a corrupt length prefix is a protocol error, not an
+        // allocation attempt — on stream frames and handshakes alike.
+        let hostile = u32::MAX.to_le_bytes();
+        let err = codec.read(&mut &hostile[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = codec.read_handshake(&mut &hostile[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Write side: never emit a frame the configured peer bound would
+        // reject.
+        let mut out = Vec::new();
+        assert!(codec
+            .write(&mut out, &Frame::data(0, vec![0u8; 2048]))
+            .is_err());
+        assert!(codec.write_handshake(&mut out, &[0u8; 2048]).is_err());
+        assert!(out.is_empty(), "a refused frame writes nothing");
+        // At the bound is fine.
+        codec
+            .write(&mut out, &Frame::data(0, vec![0u8; 1024]))
+            .unwrap();
     }
 
     #[test]
@@ -828,23 +821,6 @@ mod tests {
         let mut p = h.encode();
         p.push(0);
         assert!(Hello::decode(&p).is_err());
-    }
-
-    #[test]
-    fn v1_codec_frames_are_length_prefixed() {
-        let codec = FrameCodec::v1(MAX_FRAME);
-        let mut buf = Vec::new();
-        codec
-            .write(&mut buf, &Frame::data(0, b"hello".to_vec()))
-            .unwrap();
-        // v1 wire format: `u32` little-endian payload length, then the payload.
-        let mut expect = 5u32.to_le_bytes().to_vec();
-        expect.extend_from_slice(b"hello");
-        assert_eq!(buf, expect);
-        let mut r = &buf[..];
-        assert_eq!(codec.read(&mut r).unwrap().unwrap().payload, b"hello");
-        // Clean EOF at a frame boundary.
-        assert!(codec.read(&mut r).unwrap().is_none());
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The server: a fixed worker pool behind a bounded admission queue,
-//! per-connection handler threads that demultiplex protocol-v2 streams, a
-//! TCP listener, an in-process channel transport, and graceful shutdown.
+//! per-connection handler threads that demultiplex protocol streams, a TCP
+//! listener, an in-process channel transport, and graceful shutdown.
 //!
-//! Life of a connection: the handler reads the first frame v1-framed. A
-//! [`Hello`] negotiates protocol v2 (or an explicit downgrade to v1);
-//! anything else is a v1 client running today's lockstep loop unchanged.
+//! Life of a connection: the handler reads the first frame whole. A
+//! [`Hello`] asking for protocol v2 or later is acknowledged and the
+//! connection runs the stream demultiplexer; anything else — no `Hello`,
+//! or one asking for an earlier version — gets one `UnsupportedVersion`
+//! error and is disconnected.
 //!
-//! Life of a v2 request: the handler decodes frames off the socket and
+//! Life of a request: the handler decodes frames off the socket and
 //! dispatches each stream's request as an independent job on the worker
 //! pool — one session per stream, so per-stream transaction state lives in
 //! the [`SessionManager`] like any other session. A writer mutex
@@ -20,6 +22,7 @@
 //! sessions), and any session that still holds a transaction is rolled
 //! back.
 
+use crate::client::{ClientError, ConnectOptions, Connection, Session};
 use crate::proto::{
     self, ErrorCode, Frame, FrameCodec, Hello, HelloAck, Hit, Request, Response, WireError,
     FLAG_END_STREAM,
@@ -33,7 +36,7 @@ use rx_xpath::XPathParser;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,12 +50,13 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Sessions idle longer than this are reaped (open txns rolled back).
     pub idle_timeout: Duration,
-    /// Upper bound on concurrent in-flight requests per v2 connection;
+    /// Upper bound on concurrent in-flight requests per connection;
     /// a `Hello` may ask for less, never more. Requests beyond the budget
     /// are answered `Busy` on their stream.
     pub max_streams: u32,
-    /// Frame-payload read bound; larger length prefixes are a protocol
-    /// error instead of an allocation attempt.
+    /// Frame-payload bound; larger length prefixes are a protocol error
+    /// instead of an allocation attempt. Responses are written under the
+    /// smaller of this and the bound the client's `Hello` advertises.
     pub max_frame_bytes: usize,
 }
 
@@ -87,10 +91,18 @@ struct Inner {
     max_frame: usize,
     shutting_down: AtomicBool,
     in_flight: AtomicUsize,
-    /// One force-close hook per live connection.
-    closers: Mutex<Vec<Box<dyn Fn() + Send>>>,
-    /// Worker / acceptor / reaper / handler threads, joined on shutdown.
+    /// Live connections by id. A handler removes its own entry when it
+    /// exits, so the registry holds only connections still being served.
+    conns: Mutex<HashMap<u64, ConnEntry>>,
+    next_conn: AtomicU64,
+    /// Worker / acceptor / reaper threads, joined on shutdown.
     handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// A live connection: its force-close hook and its handler thread.
+struct ConnEntry {
+    close: Box<dyn Fn() + Send>,
+    handle: JoinHandle<()>,
 }
 
 impl Inner {
@@ -105,6 +117,37 @@ impl Inner {
         q.push_back(job);
         drop(q);
         self.queue_cv.notify_one();
+        Ok(())
+    }
+
+    /// Serve `stream` on a handler thread of its own, registered under a
+    /// fresh id with `close` as its force-close hook. Refused once shutdown
+    /// has begun: the flag is checked under the registry lock that shutdown
+    /// drains, so no connection slips in after the drain.
+    fn spawn_connection<T: Transport>(
+        self: &Arc<Self>,
+        name: &str,
+        stream: T,
+        close: Box<dyn Fn() + Send>,
+    ) -> io::Result<()> {
+        let mut conns = self.conns.lock();
+        if self.shutting_down.load(Ordering::SeqCst) {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                "server is shutting down",
+            ));
+        }
+        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
+        let inner = Arc::clone(self);
+        // The handler's exit-time removal waits for this lock, so it always
+        // finds the entry inserted below.
+        let handle = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                serve_connection(&inner, stream);
+                inner.conns.lock().remove(&id);
+            })?;
+        conns.insert(id, ConnEntry { close, handle });
         Ok(())
     }
 
@@ -159,7 +202,8 @@ impl Server {
             max_frame: config.max_frame_bytes,
             shutting_down: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            closers: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
             handles: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::new();
@@ -221,17 +265,15 @@ impl Server {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
                         let _ = stream.set_nodelay(true);
-                        if let Ok(clone) = stream.try_clone() {
-                            inner.closers.lock().push(Box::new(move || {
-                                let _ = clone.shutdown(std::net::Shutdown::Both);
-                            }));
-                        }
-                        let inner2 = Arc::clone(&inner);
-                        let h = std::thread::Builder::new()
-                            .name("rx-conn".into())
-                            .spawn(move || serve_connection(&inner2, stream))
-                            .expect("spawn connection handler");
-                        inner.handles.lock().push(h);
+                        let Ok(clone) = stream.try_clone() else {
+                            continue;
+                        };
+                        let close = Box::new(move || {
+                            let _ = clone.shutdown(std::net::Shutdown::Both);
+                        });
+                        // On refusal (shutdown began, or no thread could be
+                        // spawned) the stream is dropped, which hangs up.
+                        let _ = inner.spawn_connection("rx-conn", stream, close);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -243,58 +285,27 @@ impl Server {
         Ok(local)
     }
 
-    /// Open the in-process byte channel pair and spawn a connection handler
-    /// for the server side; returns the client side.
-    fn open_channel(&self) -> io::Result<ChannelStream> {
-        if self.inner.shutting_down.load(Ordering::SeqCst) {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "server is shutting down",
-            ));
-        }
+    /// Open an in-process multiplexed connection speaking the exact same
+    /// frame codec as TCP, over a pair of byte channels: one
+    /// socket-equivalent, many concurrent [`Session`]s.
+    pub fn connect_multiplexed(&self, opts: ConnectOptions) -> io::Result<Connection> {
         let (c2s_tx, c2s_rx) = mpsc::channel::<Vec<u8>>();
         let (s2c_tx, s2c_rx) = mpsc::channel::<Vec<u8>>();
         let closed = Arc::new(AtomicBool::new(false));
         let server_side = ChannelStream::new(s2c_tx, c2s_rx, Arc::clone(&closed));
         let client_side = ChannelStream::new(c2s_tx, s2c_rx, Arc::clone(&closed));
-        {
-            let closed = Arc::clone(&closed);
-            self.inner
-                .closers
-                .lock()
-                .push(Box::new(move || closed.store(true, Ordering::SeqCst)));
-        }
-        let inner = Arc::clone(&self.inner);
-        let h = std::thread::Builder::new()
-            .name("rx-conn-inproc".into())
-            .spawn(move || serve_connection(&inner, server_side))?;
-        self.inner.handles.lock().push(h);
-        Ok(client_side)
+        let close = Box::new(move || closed.store(true, Ordering::SeqCst));
+        self.inner
+            .spawn_connection("rx-conn-inproc", server_side, close)?;
+        Connection::establish(client_side, opts).map_err(client_to_io)
     }
 
-    /// Open an in-process connection speaking the exact same frame codec as
-    /// TCP, over a pair of byte channels. Negotiates protocol v2 and wraps
-    /// a single session — the drop-in blocking client.
-    pub fn connect(&self) -> io::Result<crate::client::Client<ChannelStream>> {
-        let stream = self.open_channel()?;
-        crate::client::Client::connect(stream).map_err(client_to_io)
-    }
-
-    /// Open an in-process connection on the legacy v1 lockstep path (no
-    /// handshake) — the compatibility route old clients take.
-    pub fn connect_v1(&self) -> io::Result<crate::client::Client<ChannelStream>> {
-        let stream = self.open_channel()?;
-        crate::client::Client::v1(stream).map_err(client_to_io)
-    }
-
-    /// Open an in-process multiplexed connection: one socket-equivalent,
-    /// many concurrent [`crate::client::Session`]s.
-    pub fn connect_multiplexed(
-        &self,
-        opts: crate::client::ConnectOptions,
-    ) -> io::Result<crate::client::Connection> {
-        let stream = self.open_channel()?;
-        crate::client::Connection::establish(stream, opts).map_err(client_to_io)
+    /// Open an in-process connection carrying a single [`Session`]; the
+    /// session keeps the connection alive and closes it when dropped.
+    pub fn connect(&self) -> io::Result<Session> {
+        Ok(self
+            .connect_multiplexed(ConnectOptions::default())?
+            .session())
     }
 
     /// Current counter snapshot (same data the wire `stats` request
@@ -324,8 +335,13 @@ impl Server {
             std::thread::sleep(Duration::from_millis(2));
         }
         // Unblock connection handlers so they can exit and close sessions.
-        for closer in self.inner.closers.lock().drain(..) {
-            closer();
+        // No connection registers after this drain (see `spawn_connection`).
+        let conns: Vec<ConnEntry> = self.inner.conns.lock().drain().map(|(_, c)| c).collect();
+        for c in &conns {
+            (c.close)();
+        }
+        for c in conns {
+            let _ = c.handle.join();
         }
         loop {
             let handle = self.inner.handles.lock().pop();
@@ -340,11 +356,20 @@ impl Server {
         // is rolled back so no lock outlives the server.
         self.inner.sessions.rollback_all();
     }
+
+    /// Sizes of the connection registry and of the long-lived thread list.
+    #[cfg(test)]
+    fn registry_sizes(&self) -> (usize, usize) {
+        (
+            self.inner.conns.lock().len(),
+            self.inner.handles.lock().len(),
+        )
+    }
 }
 
 /// Map a client-side establishment failure into the `io::Result` the
 /// connect helpers promise.
-fn client_to_io(e: crate::client::ClientError) -> io::Error {
+fn client_to_io(e: ClientError) -> io::Error {
     io::Error::other(e)
 }
 
@@ -358,8 +383,7 @@ fn snapshot(inner: &Inner) -> StatsSnapshot {
         sessions_opened: inner.counters.sessions_opened.load(Ordering::Relaxed),
         sessions_expired: inner.counters.sessions_expired.load(Ordering::Relaxed),
         sessions_active: inner.sessions.active(),
-        connections_v1: inner.counters.connections_v1.load(Ordering::Relaxed),
-        connections_v2: inner.counters.connections_v2.load(Ordering::Relaxed),
+        connections: inner.counters.connections.load(Ordering::Relaxed),
         streams_opened: inner.counters.streams_opened.load(Ordering::Relaxed),
         ooo_completions: inner.counters.ooo_completions.load(Ordering::Relaxed),
         latency: std::array::from_fn(|i| inner.counters.latency[i].snapshot()),
@@ -492,189 +516,98 @@ fn handle_request(inner: &Inner, session: u64, req: Request) -> Response {
 /// Serve one connection until EOF or shutdown. Generic over the transport
 /// so TCP and the in-process channel run the exact same code path.
 ///
-/// The first frame decides the dialect: a [`Hello`] negotiates v2 (or an
-/// explicit downgrade to v1); any other payload is a v1 request from a
-/// client that never heard of handshakes, served on the lockstep path with
-/// that first request replayed.
+/// The first frame must be a [`Hello`] asking for protocol v2 or later.
+/// Anything else — a request from a client that skips the handshake, or a
+/// `Hello` asking for an earlier version — is read whole and answered with
+/// one `UnsupportedVersion` error in handshake framing, and the connection
+/// is closed.
 fn serve_connection<T: Transport>(inner: &Arc<Inner>, stream: T) {
     let Ok((mut reader, mut writer, _closer)) = stream.into_split() else {
         return;
     };
-    let v1 = FrameCodec::v1(inner.max_frame);
-    let first = match v1.read(&mut reader) {
-        Ok(Some(f)) => f,
-        _ => return,
+    let codec = FrameCodec::new(inner.max_frame);
+    let hello = match codec.read_handshake(&mut reader) {
+        Ok(None) => return,
+        Ok(Some(payload)) => Hello::decode(&payload),
+        Err(e) => Err(e.to_string()),
     };
-    if first.payload.first() != Some(&proto::OP_HELLO) {
-        serve_v1(inner, reader, writer, Some(first.payload));
-        return;
-    }
-    let hello = match Hello::decode(&first.payload) {
-        Ok(h) => h,
-        Err(msg) => {
+    let hello = match hello {
+        Ok(h) if h.version >= proto::PROTO_VERSION => h,
+        refused => {
+            let why = match refused {
+                Ok(h) => format!("cannot negotiate protocol version {}", h.version),
+                Err(msg) => format!("the first frame must be a Hello ({msg})"),
+            };
             let resp = Response::Error(WireError {
-                code: ErrorCode::Protocol,
-                message: msg,
+                code: ErrorCode::UnsupportedVersion,
+                message: format!(
+                    "{why}; this server speaks protocol v{}",
+                    proto::PROTO_VERSION
+                ),
             });
-            let _ = v1.write(&mut writer, &Frame::data(0, resp.encode()));
+            let _ = codec.write_handshake(&mut writer, &resp.encode());
             return;
         }
     };
-    if hello.version == 0 {
-        // Unknown version: refuse cleanly instead of desyncing the codec.
-        let resp = Response::Error(WireError {
-            code: ErrorCode::UnsupportedVersion,
-            message: format!(
-                "cannot negotiate protocol version {} (this server speaks 1..={})",
-                hello.version,
-                proto::PROTO_MAX_VERSION
-            ),
-        });
-        let _ = v1.write(&mut writer, &Frame::data(0, resp.encode()));
-        return;
-    }
-    let version = hello.version.min(proto::PROTO_MAX_VERSION);
     let max_streams = hello.max_streams.clamp(1, inner.max_streams);
     let ack = HelloAck {
-        version,
+        version: proto::PROTO_VERSION,
         max_streams,
         max_frame: inner.max_frame as u64,
     };
-    if v1
-        .write(&mut writer, &Frame::data(0, ack.encode()))
-        .is_err()
-    {
+    if codec.write_handshake(&mut writer, &ack.encode()).is_err() {
         return;
     }
-    if version == 1 {
-        serve_v1(inner, reader, writer, None);
-    } else {
-        serve_v2(inner, reader, writer, max_streams);
-    }
+    // Responses must fit the client's read bound as well as ours; the
+    // client never reads with less than 1 KiB.
+    let write_bound = inner
+        .max_frame
+        .min(usize::try_from(hello.max_frame).unwrap_or(usize::MAX))
+        .max(1024);
+    serve_streams(inner, codec, reader, writer, write_bound, max_streams);
 }
 
-/// The legacy lockstep loop: one session per connection, one request in
-/// flight, responses written by the handler thread itself. `first` replays
-/// a request frame consumed while sniffing for a handshake.
-fn serve_v1<R: Read, W: Write>(
-    inner: &Arc<Inner>,
-    mut reader: R,
-    mut writer: W,
-    mut first: Option<Vec<u8>>,
-) {
-    inner
-        .counters
-        .connections_v1
-        .fetch_add(1, Ordering::Relaxed);
-    let codec = FrameCodec::v1(inner.max_frame);
-    let session = inner.sessions.open();
-    inner
-        .counters
-        .sessions_opened
-        .fetch_add(1, Ordering::Relaxed);
-    loop {
-        let payload = match first.take() {
-            Some(p) => p,
-            None => match codec.read(&mut reader) {
-                Ok(Some(f)) => f.payload,
-                _ => break,
-            },
-        };
-        let started = Instant::now();
-        inner
-            .counters
-            .requests_total
-            .fetch_add(1, Ordering::Relaxed);
-        let req = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(msg) => {
-                inner
-                    .counters
-                    .requests_errored
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error(WireError {
-                    code: ErrorCode::Protocol,
-                    message: msg,
-                });
-                if codec
-                    .write(&mut writer, &Frame::data(0, resp.encode()))
-                    .is_err()
-                {
-                    break;
-                }
-                continue;
-            }
-        };
-        let class = class_of(&req);
-        let (reply_tx, reply_rx) = mpsc::channel::<Response>();
-        let job_inner = Arc::clone(inner);
-        let submit = inner.submit(Box::new(move || {
-            let resp = handle_request(&job_inner, session, req);
-            let _ = reply_tx.send(resp);
-        }));
-        let resp = match submit {
-            Ok(()) => reply_rx.recv().unwrap_or_else(|_| {
-                Response::Error(WireError {
-                    code: ErrorCode::Internal,
-                    message: "worker dropped the request".into(),
-                })
-            }),
-            Err(Refused::Busy) => {
-                inner
-                    .counters
-                    .requests_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Error(WireError {
-                    code: ErrorCode::Busy,
-                    message: "admission queue full".into(),
-                })
-            }
-            Err(Refused::ShuttingDown) => Response::Error(WireError {
-                code: ErrorCode::ShuttingDown,
-                message: "server is shutting down".into(),
-            }),
-        };
-        if matches!(resp, Response::Error(_)) {
-            inner
-                .counters
-                .requests_errored
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        inner.counters.record_latency(class, started.elapsed());
-        if codec
-            .write(&mut writer, &Frame::data(0, resp.encode()))
-            .is_err()
-        {
-            break;
-        }
-    }
-    // EOF, IO error, or forced close: the session (and any open txn) dies
-    // with the connection.
-    inner.sessions.close(session);
-}
-
-/// Shared write side of one v2 connection: the writer mutex that
-/// serializes responses, and the dispatch-order ledger behind the
-/// out-of-order-completion counter and the `max_streams` budget.
-struct V2Conn<W: Write> {
+/// Shared write side of one connection: the writer mutex that serializes
+/// responses, and the dispatch-order ledger behind the out-of-order
+/// completion counter and the `max_streams` budget.
+struct StreamConn<W: Write> {
     writer: Mutex<W>,
+    /// Frames responses under the write bound settled at handshake.
     codec: FrameCodec,
-    state: Mutex<V2State>,
+    ledger: Mutex<Ledger>,
 }
 
-struct V2State {
+struct Ledger {
     next_seq: u64,
     /// Dispatch sequence → stream, for every admitted-but-unanswered
     /// request on this connection.
     in_flight: BTreeMap<u64, u32>,
 }
 
-impl<W: Write> V2Conn<W> {
-    /// Serialize one response frame back to the client. Returns whether the
-    /// connection is still writable (a dead connection just means the
-    /// reader will notice EOF next).
-    fn respond(&self, stream: u32, resp: &Response) -> bool {
-        let frame = Frame::data(stream, resp.encode());
+impl<W: Write> StreamConn<W> {
+    /// Serialize one response frame back to the client. A response too
+    /// large for the write bound is replaced by an error on the same
+    /// stream, so the caller never waits on an answer that cannot be sent.
+    /// Returns whether the connection is still writable (a dead connection
+    /// just means the reader will notice EOF next).
+    fn respond(&self, stream: u32, resp: &Response, inner: &Inner) -> bool {
+        let mut payload = resp.encode();
+        let bound = self.codec.max_frame();
+        if payload.len() > bound {
+            inner
+                .counters
+                .requests_errored
+                .fetch_add(1, Ordering::Relaxed);
+            payload = Response::Error(WireError {
+                code: ErrorCode::Invalid,
+                message: format!(
+                    "response of {} bytes exceeds the {bound}-byte frame bound",
+                    payload.len()
+                ),
+            })
+            .encode();
+        }
+        let frame = Frame::data(stream, payload);
         self.codec.write(&mut *self.writer.lock(), &frame).is_ok()
     }
 
@@ -683,7 +616,7 @@ impl<W: Write> V2Conn<W> {
     /// completion (`count_ooo` is false on the Busy/refusal path, where
     /// nothing actually completed).
     fn retire(&self, seq: u64, inner: &Inner, count_ooo: bool) {
-        let mut st = self.state.lock();
+        let mut st = self.ledger.lock();
         let oldest = st.in_flight.keys().next().copied();
         st.in_flight.remove(&seq);
         if count_ooo && oldest.is_some_and(|o| o < seq) {
@@ -695,31 +628,30 @@ impl<W: Write> V2Conn<W> {
     }
 }
 
-/// The v2 demultiplexer: decode frames off the socket, dispatch each
-/// stream's request as an independent job on the worker pool, and let the
-/// jobs write their own responses (out of order, tagged by stream id)
-/// through the shared writer.
-fn serve_v2<R: Read, W: Write + Send + 'static>(
+/// The demultiplexer: decode frames off the socket (read under the
+/// server's own bound), dispatch each stream's request as an independent
+/// job on the worker pool, and let the jobs write their own responses (out
+/// of order, tagged by stream id) through the shared writer.
+fn serve_streams<R: Read, W: Write + Send + 'static>(
     inner: &Arc<Inner>,
+    read_codec: FrameCodec,
     mut reader: R,
     writer: W,
+    write_bound: usize,
     max_streams: u32,
 ) {
-    inner
-        .counters
-        .connections_v2
-        .fetch_add(1, Ordering::Relaxed);
-    let conn = Arc::new(V2Conn {
+    inner.counters.connections.fetch_add(1, Ordering::Relaxed);
+    let conn = Arc::new(StreamConn {
         writer: Mutex::new(writer),
-        codec: FrameCodec::v2(inner.max_frame),
-        state: Mutex::new(V2State {
+        codec: FrameCodec::new(write_bound),
+        ledger: Mutex::new(Ledger {
             next_seq: 0,
             in_flight: BTreeMap::new(),
         }),
     });
     // Stream id → session id; owned by this reader thread alone.
     let mut streams: HashMap<u32, u64> = HashMap::new();
-    while let Ok(Some(frame)) = conn.codec.read(&mut reader) {
+    while let Ok(Some(frame)) = read_codec.read(&mut reader) {
         let stream = frame.stream;
         if frame.flags & FLAG_END_STREAM != 0 {
             // The client is done with this stream: close its session (and
@@ -745,7 +677,7 @@ fn serve_v2<R: Read, W: Write + Send + 'static>(
                     code: ErrorCode::Protocol,
                     message: msg,
                 });
-                if !conn.respond(stream, &resp) {
+                if !conn.respond(stream, &resp, inner) {
                     break;
                 }
                 continue;
@@ -772,7 +704,7 @@ fn serve_v2<R: Read, W: Write + Send + 'static>(
         // concurrent requests answers Busy on the offending stream; the
         // socket itself never stalls and sibling streams proceed.
         let seq = {
-            let mut st = conn.state.lock();
+            let mut st = conn.ledger.lock();
             if st.in_flight.len() >= max_streams as usize {
                 None
             } else {
@@ -796,7 +728,7 @@ fn serve_v2<R: Read, W: Write + Send + 'static>(
                 code: ErrorCode::Busy,
                 message: format!("connection stream budget ({max_streams}) exhausted"),
             });
-            if !conn.respond(stream, &resp) {
+            if !conn.respond(stream, &resp, inner) {
                 break;
             }
             continue;
@@ -813,7 +745,7 @@ fn serve_v2<R: Read, W: Write + Send + 'static>(
             }
             job_inner.counters.record_latency(class, started.elapsed());
             job_conn.retire(seq, &job_inner, true);
-            job_conn.respond(stream, &resp);
+            job_conn.respond(stream, &resp, &job_inner);
         }));
         match submit {
             Ok(()) => {}
@@ -840,7 +772,7 @@ fn serve_v2<R: Read, W: Write + Send + 'static>(
                     .requests_errored
                     .fetch_add(1, Ordering::Relaxed);
                 inner.counters.record_latency(class, started.elapsed());
-                if !conn.respond(stream, &resp) {
+                if !conn.respond(stream, &resp, inner) {
                     break;
                 }
             }
@@ -852,36 +784,27 @@ fn serve_v2<R: Read, W: Write + Send + 'static>(
     inner.sessions.close_many(streams.into_values());
 }
 
-/// Connect a TCP client to `addr`: negotiate protocol v2 and wrap a single
-/// session (the drop-in blocking client).
-pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<crate::client::Client<TcpStream>> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    crate::client::Client::connect(stream).map_err(client_to_io)
-}
-
-/// Connect a TCP client on the legacy v1 lockstep path (no handshake).
-pub fn connect_tcp_v1(addr: impl ToSocketAddrs) -> io::Result<crate::client::Client<TcpStream>> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    crate::client::Client::v1(stream).map_err(client_to_io)
+/// Connect to `addr` over TCP: one connection carrying a single
+/// [`Session`], which keeps the connection alive and closes it when
+/// dropped.
+pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<Session> {
+    Ok(connect_tcp_multiplexed(addr, ConnectOptions::default())?.session())
 }
 
 /// Open a multiplexed TCP connection: one socket, many concurrent
-/// [`crate::client::Session`]s.
+/// [`Session`]s.
 pub fn connect_tcp_multiplexed(
     addr: impl ToSocketAddrs,
-    opts: crate::client::ConnectOptions,
-) -> io::Result<crate::client::Connection> {
+    opts: ConnectOptions,
+) -> io::Result<Connection> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    crate::client::Connection::establish(stream, opts).map_err(client_to_io)
+    Connection::establish(stream, opts).map_err(client_to_io)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientError;
     use rx_engine::{ColValue, ColumnKind};
 
     fn test_server(workers: usize, queue_depth: usize) -> Arc<Server> {
@@ -1005,6 +928,29 @@ mod tests {
             c.ping().unwrap_err(),
             ClientError::Closed | ClientError::Io(_)
         ));
+    }
+
+    #[test]
+    fn closed_connections_leave_the_registries() {
+        let server = test_server(2, 16);
+        let baseline = server.registry_sizes();
+        assert_eq!(baseline.0, 0);
+        for _ in 0..200 {
+            let mut c = server.connect().unwrap();
+            c.ping().unwrap();
+        }
+        // Handlers notice the hangup asynchronously.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.registry_sizes() != baseline {
+            assert!(
+                Instant::now() < deadline,
+                "registries still hold {:?}, baseline {baseline:?}",
+                server.registry_sizes()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.stats().connections, 200);
+        server.shutdown();
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Session management: one session per v1 connection — or per *stream* of
-//! a v2 multiplexed connection — each owning at most one open [`Txn`],
+//! Session management: one session per *stream* of a multiplexed
+//! connection, each owning at most one open [`Txn`],
 //! with idle-timeout reaping. Transaction state is keyed by session id, so
 //! the demultiplexer gets independent per-stream transactions for free.
 //!

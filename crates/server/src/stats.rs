@@ -120,16 +120,14 @@ pub struct ServerCounters {
     pub sessions_opened: AtomicU64,
     /// Sessions reaped by the idle timeout.
     pub sessions_expired: AtomicU64,
-    /// Connections that spoke v1 (no handshake, or a negotiated downgrade).
-    pub connections_v1: AtomicU64,
-    /// Connections that negotiated v2 multiplexed streams.
-    pub connections_v2: AtomicU64,
-    /// Streams ever opened on v2 connections (streams-per-connection is
-    /// `streams_opened / connections_v2`).
+    /// Connections that completed the handshake.
+    pub connections: AtomicU64,
+    /// Streams ever opened (streams-per-connection is
+    /// `streams_opened / connections`).
     pub streams_opened: AtomicU64,
-    /// v2 responses that completed while an earlier-dispatched request on
-    /// the same connection was still in flight (out-of-order completions —
-    /// the win multiplexing exists for).
+    /// Responses that completed while an earlier-dispatched request on the
+    /// same connection was still in flight (out-of-order completions — the
+    /// win multiplexing exists for).
     pub ooo_completions: AtomicU64,
     /// Latency histograms indexed by [`ReqClass`].
     pub latency: [Histogram; REQ_CLASSES],
@@ -161,13 +159,11 @@ pub struct StatsSnapshot {
     pub sessions_expired: u64,
     /// Sessions currently open.
     pub sessions_active: u64,
-    /// Connections that spoke protocol v1.
-    pub connections_v1: u64,
-    /// Connections that negotiated protocol v2.
-    pub connections_v2: u64,
-    /// Streams ever opened on v2 connections.
+    /// Connections that completed the handshake.
+    pub connections: u64,
+    /// Streams ever opened.
     pub streams_opened: u64,
-    /// v2 responses completed out of dispatch order on their connection.
+    /// Responses completed out of dispatch order on their connection.
     pub ooo_completions: u64,
     /// Per-class latency histograms (indexed by [`ReqClass`]).
     pub latency: [LatencySnapshot; REQ_CLASSES],
@@ -186,8 +182,7 @@ impl StatsSnapshot {
             .u64(self.sessions_opened)
             .u64(self.sessions_expired)
             .u64(self.sessions_active)
-            .u64(self.connections_v1)
-            .u64(self.connections_v2)
+            .u64(self.connections)
             .u64(self.streams_opened)
             .u64(self.ooo_completions);
         for l in &self.latency {
@@ -238,8 +233,7 @@ impl StatsSnapshot {
             sessions_opened: next()?,
             sessions_expired: next()?,
             sessions_active: next()?,
-            connections_v1: next()?,
-            connections_v2: next()?,
+            connections: next()?,
             streams_opened: next()?,
             ooo_completions: next()?,
             ..StatsSnapshot::default()
@@ -316,8 +310,7 @@ mod tests {
             requests_total: 10,
             requests_rejected: 2,
             sessions_active: 3,
-            connections_v1: 1,
-            connections_v2: 4,
+            connections: 4,
             streams_opened: 17,
             ooo_completions: 6,
             ..StatsSnapshot::default()

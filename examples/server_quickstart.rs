@@ -1,7 +1,6 @@
 //! Serve a database over loopback TCP and talk to it three ways: a
-//! blocking client in an explicit transaction, a plain reader, and a
-//! protocol-v2 multiplexed connection pipelining several sessions over one
-//! socket.
+//! session in an explicit transaction, a plain reader session, and one
+//! multiplexed connection pipelining several sessions over one socket.
 //!
 //! Run with: `cargo run --example server_quickstart`
 
@@ -40,7 +39,8 @@ fn main() {
     let addr = server.listen(("127.0.0.1", 0)).expect("bind listener");
     println!("rx-server listening on {addr}");
 
-    // Client one inserts inside an explicit transaction.
+    // Session one, on a connection of its own, inserts inside an explicit
+    // transaction.
     let mut writer = connect_tcp(addr).expect("connect writer");
     writer.begin().unwrap();
     for (customer, total) in [("ada", 120), ("grace", 75), ("edsger", 310)] {
@@ -57,7 +57,7 @@ fn main() {
     }
     writer.commit().unwrap();
 
-    // Client two queries concurrently over its own connection. The second
+    // Session two queries concurrently over its own connection. The second
     // run of the same path is served from the plan cache, and the documents
     // it touches are replayed from the warm document cache — no heap
     // fetches, no index probes.
@@ -110,8 +110,8 @@ fn main() {
         stats.sessions_opened, stats.sessions_active, stats.sessions_expired
     );
     println!(
-        "connections v1/v2: {}/{}, streams opened {}, out-of-order completions {}",
-        stats.connections_v1, stats.connections_v2, stats.streams_opened, stats.ooo_completions
+        "connections: {}, streams opened {}, out-of-order completions {}",
+        stats.connections, stats.streams_opened, stats.ooo_completions
     );
     for class in ReqClass::all() {
         let l = &stats.latency[class as usize];

@@ -1,17 +1,18 @@
-//! Protocol v2 wire-level tests: property-based frame round-trips for both
-//! codec versions, handshake negotiation (v2, explicit v1 downgrade,
-//! unknown-version refusal), frame-size-bound enforcement, and full
-//! backwards compatibility for v1 clients against a v2 server.
+//! Protocol v2 wire-level tests: property-based frame round-trips,
+//! frame-size-bound enforcement, handshake negotiation (v2, future-version
+//! requests, refusal of peers that skip the handshake or ask for an earlier
+//! version), and responses too large for the frame bound.
 
 use proptest::prelude::*;
-use std::io::Cursor;
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{Cursor, Read};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use system_rx::engine::{ColValue, ColumnKind, Database};
 use system_rx::server::{
-    connect_tcp_multiplexed, Client, ClientError, ConnectOptions, ErrorCode, Frame, FrameCodec,
-    Server, ServerConfig,
+    connect_tcp, connect_tcp_multiplexed, ClientError, ConnectOptions, Connection, ErrorCode,
+    Frame, FrameCodec, Hello, HelloAck, Hit, Request, Response, Server, ServerConfig, Session,
 };
 
 // ---------------------------------------------------------------------------
@@ -25,7 +26,7 @@ proptest! {
         flags in any::<u8>(),
         payload in prop::collection::vec(any::<u8>(), 0..2048),
     ) {
-        let codec = FrameCodec::v2(1 << 20);
+        let codec = FrameCodec::new(1 << 20);
         let frame = Frame { stream, flags, payload };
         let mut wire = Vec::new();
         codec.write(&mut wire, &frame).unwrap();
@@ -39,25 +40,13 @@ proptest! {
     }
 
     #[test]
-    fn v1_frames_round_trip(payload in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let codec = FrameCodec::v1(1 << 20);
-        let frame = Frame::data(0, payload.clone());
-        let mut wire = Vec::new();
-        codec.write(&mut wire, &frame).unwrap();
-        let back = codec.read(&mut Cursor::new(wire)).unwrap().unwrap();
-        prop_assert_eq!(back.stream, 0u32);
-        prop_assert_eq!(back.flags, 0u8);
-        prop_assert_eq!(back.payload, payload);
-    }
-
-    #[test]
     fn back_to_back_v2_frames_never_desync(
         frames in prop::collection::vec(
             (any::<u32>(), any::<u8>(), prop::collection::vec(any::<u8>(), 0..256)),
             1..16,
         ),
     ) {
-        let codec = FrameCodec::v2(1 << 20);
+        let codec = FrameCodec::new(1 << 20);
         let mut wire = Vec::new();
         for (stream, flags, payload) in &frames {
             codec.write(&mut wire, &Frame {
@@ -83,7 +72,7 @@ proptest! {
 
 #[test]
 fn oversized_frames_rejected_without_allocation() {
-    let codec = FrameCodec::v2(4096);
+    let codec = FrameCodec::new(4096);
     // Write side refuses to emit a frame over the bound.
     let fat = Frame::data(1, vec![0u8; 5000]);
     let mut wire = Vec::new();
@@ -121,163 +110,236 @@ fn start_server() -> (Arc<Server>, std::net::SocketAddr) {
     (server, addr)
 }
 
+/// Send `payload` as the first frame of a raw TCP connection, framed as a
+/// handshake (length prefix, no stream header), and read the one reply.
+fn raw_first_frame(addr: std::net::SocketAddr, payload: &[u8]) -> (TcpStream, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let codec = FrameCodec::new(1 << 20);
+    codec.write_handshake(&mut stream, payload).unwrap();
+    let reply = codec
+        .read_handshake(&mut stream)
+        .unwrap()
+        .expect("the server must answer the first frame");
+    (stream, reply)
+}
+
 #[test]
 fn handshake_negotiates_v2_by_default() {
     let (server, addr) = start_server();
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let mut c = Client::connect(stream).unwrap();
-    assert_eq!(c.protocol_version(), 2);
-    c.ping().unwrap();
-    assert_eq!(server.stats().connections_v2, 1);
+    let stream = TcpStream::connect(addr).unwrap();
+    let conn = Connection::establish(stream, ConnectOptions::default()).unwrap();
+    assert_eq!(conn.max_streams(), ConnectOptions::default().max_streams);
+    conn.session().ping().unwrap();
+    assert_eq!(server.stats().connections, 1);
     server.shutdown();
 }
 
 #[test]
 fn asking_for_a_future_version_lands_on_v2() {
     let (server, addr) = start_server();
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let mut c = Client::connect_with(
-        stream,
-        ConnectOptions {
-            version: 9,
-            ..ConnectOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(c.protocol_version(), 2, "server caps at what it speaks");
-    c.ping().unwrap();
-    server.shutdown();
-}
-
-#[test]
-fn explicit_downgrade_to_v1_is_honored() {
-    let (server, addr) = start_server();
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let mut c = Client::connect_with(
-        stream,
-        ConnectOptions {
-            version: 1,
-            ..ConnectOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(c.protocol_version(), 1);
-    // The downgraded connection still does real work, lockstep.
-    let doc = c
-        .insert_row(
-            "items",
-            vec![ColValue::Str("v1".into()), ColValue::Xml("<item/>".into())],
-        )
+    let hello = Hello {
+        version: 9,
+        max_streams: 4,
+        max_frame: 1 << 20,
+    };
+    let (mut stream, reply) = raw_first_frame(addr, &hello.encode());
+    let ack = HelloAck::decode(&reply).unwrap();
+    assert_eq!(ack.version, 2, "server caps at what it speaks");
+    assert_eq!(ack.max_streams, 4);
+    // The connection now speaks stream frames.
+    let codec = FrameCodec::new(1 << 20);
+    codec
+        .write(&mut stream, &Frame::data(1, Request::Ping.encode()))
         .unwrap();
-    assert!(c.fetch_row("items", doc).unwrap().is_some());
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.connections_v1, 1);
-    assert_eq!(stats.connections_v2, 0);
+    let frame = codec.read(&mut stream).unwrap().unwrap();
+    assert_eq!(frame.stream, 1);
+    assert_eq!(Response::decode(&frame.payload).unwrap(), Response::Pong);
     server.shutdown();
 }
 
 #[test]
 fn unknown_version_refused_cleanly() {
     let (server, addr) = start_server();
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let err = match Client::connect_with(
-        stream,
-        ConnectOptions {
-            version: 0,
-            ..ConnectOptions::default()
-        },
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("version 0 must be refused"),
+    let hello = Hello {
+        version: 0,
+        max_streams: 4,
+        max_frame: 1 << 20,
     };
-    match err {
-        ClientError::Server(e) => assert_eq!(e.code, ErrorCode::UnsupportedVersion),
-        other => panic!("expected UnsupportedVersion, got {other}"),
+    let (_stream, reply) = raw_first_frame(addr, &hello.encode());
+    match Response::decode(&reply).unwrap() {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::UnsupportedVersion),
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     // The refusal did not wedge the server: a well-behaved client connects.
-    let mut ok = system_rx::server::connect_tcp(addr).unwrap();
+    let mut ok = connect_tcp(addr).unwrap();
     ok.ping().unwrap();
     server.shutdown();
 }
 
 #[test]
 fn connection_establish_refuses_downgrade() {
+    // A peer that acknowledges the Hello with protocol v1: the client must
+    // not start multiplexing on a connection that cannot carry it.
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let codec = FrameCodec::new(1 << 20);
+        let hello = codec.read_handshake(&mut stream).unwrap().unwrap();
+        assert_eq!(Hello::decode(&hello).unwrap().version, 2);
+        let ack = HelloAck {
+            version: 1,
+            max_streams: 1,
+            max_frame: 1 << 20,
+        };
+        codec.write_handshake(&mut stream, &ack.encode()).unwrap();
+    });
+    let err = match connect_tcp_multiplexed(addr, ConnectOptions::default()) {
+        Err(e) => e,
+        Ok(_) => panic!("a v1 acknowledgement must fail Connection::establish"),
+    };
+    assert!(err.to_string().contains("v1"), "{err}");
+    peer.join().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Refusal of peers that skip the handshake or ask for an earlier version
+// ---------------------------------------------------------------------------
+
+#[test]
+fn first_frames_other_than_a_v2_hello_are_refused() {
     let (server, addr) = start_server();
-    let err = match connect_tcp_multiplexed(
+    let insert = Request::InsertRow {
+        table: "items".into(),
+        values: vec![
+            ColValue::Str("legacy".into()),
+            ColValue::Xml("<item><price>9</price></item>".into()),
+        ],
+    };
+    let old_hello = Hello {
+        version: 1,
+        max_streams: 4,
+        max_frame: 1 << 20,
+    };
+    // What a lockstep (v1) client sends first: a length-prefixed request
+    // with no handshake; and a Hello asking for v1.
+    let firsts = [
+        ("v1 Ping", Request::Ping.encode()),
+        ("v1 InsertRow", insert.encode()),
+        ("Hello version 1", old_hello.encode()),
+    ];
+    assert_eq!(firsts[0].1.len(), 1, "a v1 Ping is a 1-byte payload");
+    for (what, payload) in &firsts {
+        let started = Instant::now();
+        let (mut stream, reply) = raw_first_frame(addr, payload);
+        match Response::decode(&reply) {
+            Ok(Response::Error(e)) => {
+                assert_eq!(e.code, ErrorCode::UnsupportedVersion, "{what}: {e:?}")
+            }
+            other => panic!("{what}: expected one UnsupportedVersion error, got {other:?}"),
+        }
+        // Exactly one frame, then EOF (a read timeout would be an error).
+        let mut rest = Vec::new();
+        stream
+            .read_to_end(&mut rest)
+            .unwrap_or_else(|e| panic!("{what}: no EOF after the refusal: {e}"));
+        assert!(
+            rest.is_empty(),
+            "{what}: {} bytes after the refusal",
+            rest.len()
+        );
+        assert!(started.elapsed() < Duration::from_secs(5), "{what}");
+        // The server keeps serving other connections.
+        connect_tcp(addr).unwrap().ping().unwrap();
+    }
+    // Nothing a refused peer sent was served.
+    let mut c = connect_tcp(addr).unwrap();
+    assert!(c.query("items", "doc", "/item").unwrap().is_empty());
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.connections, 4, "only the v2 clients were served");
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Responses larger than the frame bound
+// ---------------------------------------------------------------------------
+
+/// Run `query("t", "doc", "/a/b")` on `session` from another thread and
+/// wait at most 10 s for the outcome, so a lost response fails the test
+/// instead of hanging it.
+fn query_with_deadline(mut session: Session) -> (Session, Result<Vec<Hit>, ClientError>) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let r = session.query("t", "doc", "/a/b");
+        let _ = tx.send((session, r));
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("the query never got an answer")
+}
+
+fn big_value_server(max_frame_bytes: usize) -> (Arc<Server>, std::net::SocketAddr) {
+    let db = Database::create_in_memory().unwrap();
+    db.create_table("t", &[("doc", ColumnKind::Xml)]).unwrap();
+    let server = Server::start(
+        db,
+        ServerConfig {
+            workers: 2,
+            max_frame_bytes,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.listen(("127.0.0.1", 0)).unwrap();
+    let mut c = connect_tcp(addr).unwrap();
+    for i in 0..4 {
+        let value = format!("{i}").repeat(600);
+        c.insert_row("t", vec![ColValue::Xml(format!("<a><b>{value}</b></a>"))])
+            .unwrap();
+    }
+    (server, addr)
+}
+
+fn assert_frame_bound_error(r: Result<Vec<Hit>, ClientError>) {
+    match r {
+        Err(ClientError::Server(e)) => {
+            assert!(e.message.contains("frame bound"), "{e:?}")
+        }
+        other => panic!("expected a frame-bound error, got {other:?}"),
+    }
+}
+
+#[test]
+fn oversized_response_is_an_error_not_a_hang() {
+    // The server's own bound: four 600-byte values do not fit 1 KiB.
+    let (server, addr) = big_value_server(1024);
+    let (mut s, r) = query_with_deadline(connect_tcp(addr).unwrap());
+    assert_frame_bound_error(r);
+    // The session still works afterwards.
+    s.ping().unwrap();
+    assert!(s.query("t", "doc", "/a/c").unwrap().is_empty());
+    server.shutdown();
+}
+
+#[test]
+fn responses_respect_the_bound_the_client_advertises() {
+    // The server could send it, but the client said it reads at most
+    // 1 KiB: the answer is an error on that stream, and the connection's
+    // router (with every sibling session) survives.
+    let (server, addr) = big_value_server(system_rx::server::proto::MAX_FRAME);
+    let conn = connect_tcp_multiplexed(
         addr,
         ConnectOptions {
-            version: 1,
+            max_frame_bytes: 1024,
             ..ConnectOptions::default()
         },
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("downgrade must fail Connection::establish"),
-    };
-    // A multiplexed Connection cannot run on lockstep v1.
-    assert!(err.to_string().contains("v1"), "{err}");
-    server.shutdown();
-}
-
-// ---------------------------------------------------------------------------
-// v1 compatibility against a v2 server
-// ---------------------------------------------------------------------------
-
-#[test]
-fn raw_v1_client_full_workload_against_v2_server() {
-    // Byte-for-byte what a pre-v2 binary sends: no Hello at all. The
-    // server must sniff the first frame and serve the lockstep path.
-    let (server, addr) = start_server();
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let mut c = Client::v1(stream).unwrap();
-    assert_eq!(c.protocol_version(), 1);
-    c.ping().unwrap();
-    c.begin().unwrap();
-    let doc = c
-        .insert_row(
-            "items",
-            vec![
-                ColValue::Str("legacy".into()),
-                ColValue::Xml("<item><price>9</price></item>".into()),
-            ],
-        )
-        .unwrap();
-    c.commit().unwrap();
-    let row = c.fetch_row("items", doc).unwrap().expect("committed row");
-    assert_eq!(row.values[0], "legacy");
-    let hits = c.query("items", "doc", "/item/price").unwrap();
-    assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0].value, "9");
-    assert!(c.delete_row("items", doc).unwrap());
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.connections_v1, 1);
-    assert_eq!(stats.streams_opened, 0);
-    server.shutdown();
-}
-
-#[test]
-fn v1_and_v2_clients_share_one_server() {
-    let (server, addr) = start_server();
-    let mut old = Client::v1(std::net::TcpStream::connect(addr).unwrap()).unwrap();
-    let conn = connect_tcp_multiplexed(addr, ConnectOptions::default()).unwrap();
-    let mut new = conn.session();
-    let d1 = old
-        .insert_row(
-            "items",
-            vec![ColValue::Str("old".into()), ColValue::Xml("<item/>".into())],
-        )
-        .unwrap();
-    let d2 = new
-        .insert_row(
-            "items",
-            vec![ColValue::Str("new".into()), ColValue::Xml("<item/>".into())],
-        )
-        .unwrap();
-    assert_ne!(d1, d2);
-    // Each dialect sees the other's committed writes.
-    assert!(old.fetch_row("items", d2).unwrap().is_some());
-    assert!(new.fetch_row("items", d1).unwrap().is_some());
-    let stats = new.stats().unwrap();
-    assert_eq!(stats.connections_v1, 1);
-    assert_eq!(stats.connections_v2, 1);
+    )
+    .unwrap();
+    let mut sibling = conn.session();
+    let (mut s, r) = query_with_deadline(conn.session());
+    assert_frame_bound_error(r);
+    s.ping().unwrap();
+    sibling.ping().unwrap();
     server.shutdown();
 }

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use system_rx::engine::{ColValue, ColumnKind, Database};
 use system_rx::server::{
-    connect_tcp, connect_tcp_multiplexed, Client, ClientError, ConnectOptions, ReqClass, Server,
-    ServerConfig,
+    connect_tcp, connect_tcp_multiplexed, ClientError, ConnectOptions, ReqClass, Server,
+    ServerConfig, Session,
 };
 
 fn start_server(workers: usize, queue_depth: usize) -> (Arc<Server>, std::net::SocketAddr) {
@@ -169,7 +169,7 @@ fn overload_gets_server_busy_not_a_hang() {
 #[test]
 fn shutdown_rolls_back_abandoned_sessions() {
     let (server, addr) = start_server(2, 16);
-    let mut c: Client<std::net::TcpStream> = connect_tcp(addr).unwrap();
+    let mut c: Session = connect_tcp(addr).unwrap();
     c.begin().unwrap();
     c.insert_row(
         "items",
@@ -258,7 +258,7 @@ fn interleaved_streams_on_one_connection() {
     let hits = verify.query("items", "doc", "/item/seq").unwrap();
     assert_eq!(hits.len(), SESSIONS * ROWS_PER_SESSION);
     let stats = verify.stats().unwrap();
-    assert_eq!(stats.connections_v2, 1, "all traffic rode one connection");
+    assert_eq!(stats.connections, 1, "all traffic rode one connection");
     assert!(
         stats.streams_opened as usize >= SESSIONS,
         "each session is its own stream: {} < {SESSIONS}",
