@@ -20,7 +20,7 @@ use crate::db::{BaseTable, XmlColumn};
 use crate::error::{EngineError, Result};
 use crate::executor::{CachedPlan, PlanCache, PlanKey, QueryExecutor};
 use crate::traverse::Traverser;
-use crate::validx::{IndexEntry, ValueIndex};
+use crate::validx::{IndexEntry, IndexKeys, ValueIndex};
 use crate::xmltable::DocId;
 use rx_xml::name::NameDict;
 use rx_xml::nodeid::NodeId;
@@ -286,12 +286,17 @@ fn term_for(
         if m == IndexMatch::None {
             continue;
         }
-        let Some(key) = encode_key(idx.def.key_type, literal) else {
+        // Terms are tokens, not values: a full-text index never answers a
+        // comparison.
+        let IndexKeys::Typed(key_type) = idx.def.keys else {
+            continue;
+        };
+        let Some(key) = encode_key(key_type, literal) else {
             continue; // literal does not cast to the index key type
         };
         // String indexes can serve ordering comparisons only lexicographically,
         // which differs from numeric XPath semantics — restrict them to Eq.
-        if idx.def.key_type == KeyType::String && op != CmpOp::Eq {
+        if key_type == KeyType::String && op != CmpOp::Eq {
             continue;
         }
         let range = KeyRange::from_cmp(op, key)?;

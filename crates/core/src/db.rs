@@ -11,9 +11,8 @@
 //! name dictionary), the WAL + transaction manager, and the lock manager.
 
 use crate::error::{EngineError, Result};
-use crate::fulltext::{FullTextIndex, FullTextIndexDef, FullTextKeyGen};
-use crate::pack::{NodeObserver, Packer};
-use crate::validx::{IndexKeyGen, ValueIndex, ValueIndexDef};
+use crate::pack::Packer;
+use crate::validx::{IndexKeyGen, IndexKeys, ValueIndex, ValueIndexDef};
 use crate::xmltable::{DocId, XmlTable};
 use parking_lot::RwLock;
 use rx_storage::codec::{Dec, Enc};
@@ -26,7 +25,6 @@ use rx_xml::name::NameDict;
 use rx_xml::parser::Parser;
 use rx_xml::schema::{compile as compile_schema, parse_xsd, SchemaProgram};
 use rx_xml::value::KeyType;
-use rx_xpath::QueryTree;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -211,8 +209,8 @@ pub enum ColValue {
     },
 }
 
-/// One XML column of a base table with its internal XML table and value
-/// indexes.
+/// One XML column of a base table with its internal XML table and its
+/// indexes (value and full-text alike, DESIGN.md §13).
 pub struct XmlColumn {
     /// Column name.
     pub name: String,
@@ -220,7 +218,6 @@ pub struct XmlColumn {
     pub position: usize,
     xml: XmlTable,
     indexes: RwLock<Vec<Arc<ValueIndex>>>,
-    ft_indexes: RwLock<Vec<Arc<FullTextIndex>>>,
 }
 
 impl XmlColumn {
@@ -229,14 +226,20 @@ impl XmlColumn {
         &self.xml
     }
 
-    /// Snapshot of the column's value indexes.
+    /// Snapshot of the column's indexes, typed and terms-keyed alike (the
+    /// planner never answers a comparison from a terms index).
     pub fn indexes(&self) -> Vec<Arc<ValueIndex>> {
         self.indexes.read().clone()
     }
 
-    /// Snapshot of the column's full-text indexes.
-    pub fn fulltext_indexes(&self) -> Vec<Arc<FullTextIndex>> {
-        self.ft_indexes.read().clone()
+    /// Snapshot of the column's full-text (terms-keyed) indexes.
+    pub fn fulltext_indexes(&self) -> Vec<Arc<ValueIndex>> {
+        self.indexes
+            .read()
+            .iter()
+            .filter(|i| i.def.keys == IndexKeys::Terms)
+            .cloned()
+            .collect()
     }
 }
 
@@ -290,13 +293,6 @@ impl BaseTable {
     }
 }
 
-/// Per-index derived items: (value-index lists, full-text lists), one inner
-/// list per index in declaration order.
-type DerivedItems = (
-    Vec<Vec<rx_xpath::ResultItem>>,
-    Vec<Vec<rx_xpath::ResultItem>>,
-);
-
 /// A decoded base-table row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
@@ -342,12 +338,51 @@ fn k_doccnt(table_id: u32) -> Vec<u8> {
     format!("doccnt/{table_id}").into_bytes()
 }
 
-fn k_index(table: &str, index: &str) -> Vec<u8> {
-    format!("idx/{table}/{index}").into_bytes()
+/// Catalog key prefixes of index definitions: typed indexes under `idx/`,
+/// terms indexes under `fti/` (two name namespaces).
+const INDEX_PREFIXES: [&str; 2] = ["idx", "fti"];
+
+fn index_prefix(keys: IndexKeys) -> &'static str {
+    match keys {
+        IndexKeys::Typed(_) => INDEX_PREFIXES[0],
+        IndexKeys::Terms => INDEX_PREFIXES[1],
+    }
 }
 
-fn k_ft_index(table: &str, index: &str) -> Vec<u8> {
-    format!("fti/{table}/{index}").into_bytes()
+fn k_index(keys: IndexKeys, table: &str, index: &str) -> Vec<u8> {
+    format!("{}/{table}/{index}", index_prefix(keys)).into_bytes()
+}
+
+/// Catalog record of an index definition: `(column, path, key_type u8,
+/// space)` for a typed index, `(column, path, space)` for a terms index.
+fn encode_index_def(column: &str, def: &ValueIndexDef) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.str(column).str(&def.path_text);
+    if let IndexKeys::Typed(t) = def.keys {
+        e.u8(t as u8);
+    }
+    e.u32(def.space_id);
+    e.into_bytes()
+}
+
+/// Decode the record stored under catalog key `key` into `(column, def)`.
+fn decode_index_def(key: &[u8], val: &[u8]) -> Result<(String, ValueIndexDef)> {
+    let key = String::from_utf8_lossy(key);
+    let mut d = Dec::new(val);
+    let column = d.str()?.to_string();
+    let path_text = d.str()?.to_string();
+    let keys = if key.starts_with(index_prefix(IndexKeys::Terms)) {
+        IndexKeys::Terms
+    } else {
+        IndexKeys::Typed(KeyType::from_u8(d.u8()?)?)
+    };
+    let def = ValueIndexDef {
+        name: key.rsplit('/').next().unwrap_or_default().to_string(),
+        path_text,
+        keys,
+        space_id: d.u32()?,
+    };
+    Ok((column, def))
 }
 
 fn k_schema(name: &str) -> Vec<u8> {
@@ -501,12 +536,6 @@ impl Database {
                     env.indexes.insert(
                         (vi.def.space_id, crate::validx::VALUE_INDEX_ANCHOR as u32),
                         vi.btree_arc(),
-                    );
-                }
-                for fti in col.fulltext_indexes() {
-                    env.indexes.insert(
-                        (fti.def.space_id, crate::fulltext::FULLTEXT_ANCHOR as u32),
-                        fti.btree_arc(),
                     );
                 }
             }
@@ -728,7 +757,6 @@ impl Database {
                     position: pos,
                     xml,
                     indexes: RwLock::new(Vec::new()),
-                    ft_indexes: RwLock::new(Vec::new()),
                 }));
             } else {
                 col_spaces.push(0);
@@ -798,67 +826,26 @@ impl Database {
         let base_space = self.open_space(base_space_id)?;
         let heap = HeapTable::open(base_space.clone())?;
         let docid_index = BTree::open(base_space, DOCID_INDEX_ANCHOR)?;
+        let index_defs = self
+            .index_records(name)
+            .iter()
+            .map(|(k, v)| decode_index_def(k, v))
+            .collect::<Result<Vec<_>>>()?;
         let mut xml_columns = Vec::new();
         for (cname, pos, space) in xml_cols_raw {
             let xml = XmlTable::open(self.open_space(space)?)?;
             xml.set_doc_cache(Arc::clone(&self.doc_cache));
+            let mut indexes = Vec::new();
+            for (_, def) in index_defs.iter().filter(|(c, _)| *c == cname) {
+                let space = self.open_space(def.space_id)?;
+                indexes.push(Arc::new(ValueIndex::open(space, def.clone())?));
+            }
             let col = Arc::new(XmlColumn {
-                name: cname.clone(),
+                name: cname,
                 position: pos,
                 xml,
-                indexes: RwLock::new(Vec::new()),
-                ft_indexes: RwLock::new(Vec::new()),
+                indexes: RwLock::new(indexes),
             });
-            // Load value indexes for this column.
-            for (key, val) in self.catalog.list_prefix(&k_index(name, "")) {
-                let mut d = Dec::new(&val);
-                let col_name = d.str()?.to_string();
-                if col_name != cname {
-                    continue;
-                }
-                let path_text = d.str()?.to_string();
-                let key_type = KeyType::from_u8(d.u8()?)?;
-                let space_id = d.u32()?;
-                let idx_name = String::from_utf8_lossy(&key)
-                    .rsplit('/')
-                    .next()
-                    .unwrap_or_default()
-                    .to_string();
-                let vi = ValueIndex::open(
-                    self.open_space(space_id)?,
-                    ValueIndexDef {
-                        name: idx_name,
-                        path_text,
-                        key_type,
-                        space_id,
-                    },
-                )?;
-                col.indexes.write().push(Arc::new(vi));
-            }
-            // Load full-text indexes for this column.
-            for (key, val) in self.catalog.list_prefix(&k_ft_index(name, "")) {
-                let mut d = Dec::new(&val);
-                let col_name = d.str()?.to_string();
-                if col_name != cname {
-                    continue;
-                }
-                let path_text = d.str()?.to_string();
-                let space_id = d.u32()?;
-                let idx_name = String::from_utf8_lossy(&key)
-                    .rsplit('/')
-                    .next()
-                    .unwrap_or_default()
-                    .to_string();
-                let fti = FullTextIndex::open(
-                    self.open_space(space_id)?,
-                    FullTextIndexDef {
-                        name: idx_name,
-                        path_text,
-                        space_id,
-                    },
-                )?;
-                col.ft_indexes.write().push(Arc::new(fti));
-            }
             xml_columns.push(col);
         }
         let table = Arc::new(BaseTable {
@@ -878,6 +865,14 @@ impl Database {
         Ok(table)
     }
 
+    /// The catalog records `(key, value)` of every index on `table`.
+    fn index_records(&self, table: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
+        INDEX_PREFIXES
+            .iter()
+            .flat_map(|p| self.catalog.list_prefix(format!("{p}/{table}/").as_bytes()))
+            .collect()
+    }
+
     /// Get a table by name.
     pub fn table(&self, name: &str) -> Result<Arc<BaseTable>> {
         self.load_table(name)
@@ -890,19 +885,7 @@ impl Database {
     /// space is no longer reachable from the catalog).
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let t = self.load_table(name)?;
-        let index_keys: Vec<Vec<u8>> = self
-            .catalog
-            .list_prefix(&k_index(name, ""))
-            .into_iter()
-            .map(|(k, _)| k)
-            .chain(
-                self.catalog
-                    .list_prefix(&k_ft_index(name, ""))
-                    .into_iter()
-                    .map(|(k, _)| k),
-            )
-            .collect();
-        for key in index_keys {
+        for (key, _) in self.index_records(name) {
             self.catalog.delete(&key)?;
         }
         self.catalog.delete(&k_table(name))?;
@@ -919,11 +902,10 @@ impl Database {
         Ok(())
     }
 
-    // -- value indexes --------------------------------------------------------
+    // -- indexes --------------------------------------------------------------
 
     /// `CREATE INDEX … ON table(column) GENERATE KEY USING XPATH 'path' AS type`
-    /// (§3.3). The table must currently be empty of committed documents for
-    /// simplicity of the reproduction (create indexes before loading).
+    /// (§3.3). The index is backfilled from the documents already stored.
     pub fn create_value_index(
         &self,
         table: &str,
@@ -932,73 +914,87 @@ impl Database {
         path: &str,
         key_type: KeyType,
     ) -> Result<Arc<ValueIndex>> {
-        let t = self.table(table)?;
-        let col = t.xml_column(column)?;
-        if self.catalog.contains(&k_index(table, index_name)) {
-            return Err(EngineError::AlreadyExists {
-                kind: "index",
-                name: index_name.to_string(),
-            });
-        }
-        let space = self.allocate_space()?;
-        let space_id = space.id();
-        let vi = Arc::new(ValueIndex::create(
-            space,
-            ValueIndexDef {
-                name: index_name.to_string(),
-                path_text: path.to_string(),
-                key_type,
-                space_id,
-            },
-        )?);
-        let mut e = Enc::new();
-        e.str(column).str(path).u8(key_type as u8).u32(space_id);
-        self.catalog
-            .put(&k_index(table, index_name), &e.into_bytes())?;
-        col.indexes.write().push(Arc::clone(&vi));
-        // Cached plans chose their access path before this index existed.
-        self.plan_cache.invalidate_table(t.def.id);
-        self.pool.flush_all()?;
-        Ok(vi)
+        self.create_index(table, index_name, column, path, IndexKeys::Typed(key_type))
     }
 
     /// `CREATE FULLTEXT INDEX … ON table(column) USING XPATH 'path'` — the
-    /// §6 future-work extension: an inverted term index over the string
-    /// values of the nodes the path selects.
+    /// §6 future-work extension: a value index whose keys are the terms of
+    /// the string values of the nodes the path selects. Backfilled like
+    /// [`Database::create_value_index`].
     pub fn create_fulltext_index(
         &self,
         table: &str,
         index_name: &str,
         column: &str,
         path: &str,
-    ) -> Result<Arc<FullTextIndex>> {
+    ) -> Result<Arc<ValueIndex>> {
+        self.create_index(table, index_name, column, path, IndexKeys::Terms)
+    }
+
+    /// Create an index and fill it from every stored document of `column`
+    /// in one transaction that holds an S lock on the table: it waits out
+    /// writers (which hold IX) and holds off new ones until the index is
+    /// published in the column's list, so each document is indexed either
+    /// by the backfill or by its writer. The catalog definition is put only
+    /// after the commit, so a crash loses the whole index, never part of it
+    /// (recovery skips WAL records of spaces the catalog does not name).
+    fn create_index(
+        &self,
+        table: &str,
+        index_name: &str,
+        column: &str,
+        path: &str,
+        keys: IndexKeys,
+    ) -> Result<Arc<ValueIndex>> {
         let t = self.table(table)?;
         let col = t.xml_column(column)?;
-        if self.catalog.contains(&k_ft_index(table, index_name)) {
+        let def_key = k_index(keys, table, index_name);
+        if self.catalog.contains(&def_key) {
             return Err(EngineError::AlreadyExists {
-                kind: "full-text index",
+                kind: match keys {
+                    IndexKeys::Typed(_) => "index",
+                    IndexKeys::Terms => "full-text index",
+                },
                 name: index_name.to_string(),
             });
         }
         let space = self.allocate_space()?;
+        // The space counter is durable before any WAL record names the new
+        // space, so a crash before the definition is put cannot hand the id
+        // (and this backfill's records) to a later index.
+        self.pool.flush_space(0)?;
         let space_id = space.id();
-        let fti = Arc::new(FullTextIndex::create(
+        let vi = Arc::new(ValueIndex::create(
             space,
-            FullTextIndexDef {
+            ValueIndexDef {
                 name: index_name.to_string(),
                 path_text: path.to_string(),
+                keys,
                 space_id,
             },
         )?);
-        let mut e = Enc::new();
-        e.str(column).str(path).u32(space_id);
-        self.catalog
-            .put(&k_ft_index(table, index_name), &e.into_bytes())?;
-        col.ft_indexes.write().push(Arc::clone(&fti));
+        let txn = self.begin()?;
+        txn.lock(
+            &rx_storage::LockName::Table(t.def.id),
+            rx_storage::LockMode::S,
+        )?;
+        let mut keygen = IndexKeyGen::new([&vi.tree], &self.dict);
+        for doc in crate::access::all_docids(&t)? {
+            let items = keygen.derive(&col.xml, doc)?;
+            vi.insert_entries(&txn, doc, &col.xml, &items[0])?;
+        }
+        col.indexes.write().push(Arc::clone(&vi));
         // Cached plans chose their access path before this index existed.
         self.plan_cache.invalidate_table(t.def.id);
+        if let Err(e) = txn.commit() {
+            col.indexes.write().retain(|i| !Arc::ptr_eq(i, &vi));
+            self.plan_cache.invalidate_table(t.def.id);
+            return Err(e.into());
+        }
+        self.catalog
+            .put(&def_key, &encode_index_def(column, &vi.def))?;
         self.pool.flush_all()?;
-        Ok(fti)
+        Ok(vi)
     }
 
     // -- schemas --------------------------------------------------------------
@@ -1161,15 +1157,7 @@ impl Database {
         schema: Option<&SchemaProgram>,
     ) -> Result<()> {
         let indexes = col.indexes();
-        let ft_indexes = col.fulltext_indexes();
-        let trees: Vec<QueryTree> = indexes.iter().map(|i| i.tree.clone()).collect();
-        let ft_trees: Vec<QueryTree> = ft_indexes.iter().map(|i| i.tree.clone()).collect();
-        let mut keygen = IndexKeyGen::new(&trees, &self.dict);
-        let mut ft_keygen = FullTextKeyGen::new(&ft_trees, &self.dict);
-        let mut observer = crate::pack::TeeObserver {
-            a: &mut keygen,
-            b: &mut ft_keygen,
-        };
+        let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
         let xml = &col.xml;
         let mut err: Option<EngineError> = None;
         {
@@ -1178,7 +1166,7 @@ impl Database {
                 Ok(())
             };
             let mut packer =
-                Packer::with_target(self.config.target_record_size, &mut sink, &mut observer);
+                Packer::with_target(self.config.target_record_size, &mut sink, &mut keygen);
             let parse_result = match schema {
                 None => Parser::new(&self.dict).parse(text, &mut packer),
                 Some(program) => {
@@ -1201,10 +1189,6 @@ impl Database {
         let all_items = keygen.finish()?;
         for (vi, items) in indexes.iter().zip(&all_items) {
             vi.insert_entries(txn, doc, xml, items)?;
-        }
-        let ft_items = ft_keygen.finish()?;
-        for (fti, items) in ft_indexes.iter().zip(&ft_items) {
-            fti.insert_entries(txn, doc, xml, items)?;
         }
         self.persist_dict_if_grown()?;
         Ok(())
@@ -1238,38 +1222,11 @@ impl Database {
             return Ok(false);
         };
         for col in &table.xml_columns {
-            // Re-derive full-text postings by replaying the stored document.
-            let ft_indexes = col.fulltext_indexes();
-            if !ft_indexes.is_empty() {
-                let trees: Vec<QueryTree> = ft_indexes.iter().map(|i| i.tree.clone()).collect();
-                let mut keygen = FullTextKeyGen::new(&trees, &self.dict);
-                let mut t = crate::traverse::Traverser::new(&col.xml, doc);
-                struct FtObs<'a, 'q, 'd>(&'a mut FullTextKeyGen<'q, 'd>);
-                impl crate::traverse::IdEventSink for FtObs<'_, '_, '_> {
-                    fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> Result<()> {
-                        self.0.node(id, &ev)
-                    }
-                }
-                t.run(&mut FtObs(&mut keygen))?;
-                let all_items = keygen.finish()?;
-                for (fti, items) in ft_indexes.iter().zip(&all_items) {
-                    fti.delete_entries(txn, doc, items)?;
-                }
-            }
-            // Re-derive value index keys by replaying the stored document.
+            // Re-derive every index's entries by replaying the stored document.
             let indexes = col.indexes();
             if !indexes.is_empty() {
-                let trees: Vec<QueryTree> = indexes.iter().map(|i| i.tree.clone()).collect();
-                let mut keygen = IndexKeyGen::new(&trees, &self.dict);
-                let mut t = crate::traverse::Traverser::new(&col.xml, doc);
-                struct Obs<'a, 'q, 'd>(&'a mut IndexKeyGen<'q, 'd>);
-                impl crate::traverse::IdEventSink for Obs<'_, '_, '_> {
-                    fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> Result<()> {
-                        self.0.node(id, &ev)
-                    }
-                }
-                t.run(&mut Obs(&mut keygen))?;
-                let all_items = keygen.finish()?;
+                let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
+                let all_items = keygen.derive(&col.xml, doc)?;
                 for (vi, items) in indexes.iter().zip(&all_items) {
                     vi.delete_entries(txn, doc, items)?;
                 }
@@ -1334,38 +1291,11 @@ impl Database {
         Ok(ok)
     }
 
-    /// Re-derive every value-index and full-text entry of one document in
-    /// `column` (used around sub-document updates: derive → delete, mutate,
-    /// derive → insert). Returns per-index item lists.
-    fn derive_index_items(&self, col: &XmlColumn, doc: DocId) -> Result<DerivedItems> {
-        let indexes = col.indexes();
-        let ft_indexes = col.fulltext_indexes();
-        let trees: Vec<QueryTree> = indexes.iter().map(|i| i.tree.clone()).collect();
-        let ft_trees: Vec<QueryTree> = ft_indexes.iter().map(|i| i.tree.clone()).collect();
-        let mut keygen = IndexKeyGen::new(&trees, &self.dict);
-        let mut ft_keygen = FullTextKeyGen::new(&ft_trees, &self.dict);
-        struct Obs<'a, 'b, 'q, 'd> {
-            a: &'a mut IndexKeyGen<'q, 'd>,
-            b: &'b mut FullTextKeyGen<'q, 'd>,
-        }
-        impl crate::traverse::IdEventSink for Obs<'_, '_, '_, '_> {
-            fn id_event(&mut self, id: &[u8], ev: rx_xml::event::Event<'_>) -> Result<()> {
-                self.a.node(id, &ev)?;
-                self.b.node(id, &ev)
-            }
-        }
-        let mut t = crate::traverse::Traverser::new(&col.xml, doc);
-        t.run(&mut Obs {
-            a: &mut keygen,
-            b: &mut ft_keygen,
-        })?;
-        Ok((keygen.finish()?, ft_keygen.finish()?))
-    }
-
     /// Run a sub-document mutation under the §5.2 locking protocol with
-    /// value-index and full-text maintenance: old index entries derived from
-    /// the pre-image are removed, the mutation runs, and entries are
-    /// re-derived from the post-image — all in `txn`.
+    /// index maintenance: old index entries derived from the pre-image are
+    /// removed, the mutation runs, and entries are re-derived from the
+    /// post-image — each image in one traversal for every index, all in
+    /// `txn`.
     pub fn update_document_txn(
         &self,
         txn: &Txn,
@@ -1377,29 +1307,17 @@ impl Database {
     ) -> Result<crate::update::UpdateStats> {
         let col = table.xml_column(column)?;
         crate::conc::lock_subtree_exclusive(txn, table.def.id, doc, subtree)?;
-        let has_indexes = !col.indexes().is_empty() || !col.fulltext_indexes().is_empty();
-        let before = if has_indexes {
-            Some(self.derive_index_items(col, doc)?)
-        } else {
-            None
-        };
-        if let Some((vals, fts)) = &before {
-            for (vi, items) in col.indexes().iter().zip(vals) {
-                vi.delete_entries(txn, doc, items)?;
-            }
-            for (fti, items) in col.fulltext_indexes().iter().zip(fts) {
-                fti.delete_entries(txn, doc, items)?;
-            }
+        let indexes = col.indexes();
+        if indexes.is_empty() {
+            return mutate(txn, &col.xml);
+        }
+        let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
+        for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
+            vi.delete_entries(txn, doc, items)?;
         }
         let stats = mutate(txn, &col.xml)?;
-        if before.is_some() {
-            let (vals, fts) = self.derive_index_items(col, doc)?;
-            for (vi, items) in col.indexes().iter().zip(&vals) {
-                vi.insert_entries(txn, doc, &col.xml, items)?;
-            }
-            for (fti, items) in col.fulltext_indexes().iter().zip(&fts) {
-                fti.insert_entries(txn, doc, &col.xml, items)?;
-            }
+        for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
+            vi.insert_entries(txn, doc, &col.xml, items)?;
         }
         Ok(stats)
     }
@@ -1589,6 +1507,39 @@ mod tests {
         let (replanned, _, _) = db.query(&t, col, &path, false).unwrap();
         assert_eq!(replanned, hits);
         assert_eq!(db.stats().plan_cache_misses, 2);
+    }
+
+    #[test]
+    fn index_catalog_records_keep_their_bytes() {
+        let db = Database::create_in_memory().unwrap();
+        catalog_table(&db);
+        // Spaces 2 and 3 hold the base table and the XML column.
+        db.create_value_index(
+            "products",
+            "price_idx",
+            "doc",
+            "/Catalog/Product/RegPrice",
+            KeyType::Double,
+        )
+        .unwrap();
+        db.create_fulltext_index("products", "name_ft", "doc", "//ProductName")
+            .unwrap();
+        // idx/: (column, path, key_type u8, space u32 LE); strings are
+        // varint-length-prefixed.
+        let idx: Vec<u8> = [
+            &[3u8][..],
+            b"doc",
+            &[25],
+            b"/Catalog/Product/RegPrice",
+            &[2], // KeyType::Double
+            &[4, 0, 0, 0],
+        ]
+        .concat();
+        // fti/: (column, path, space u32 LE).
+        let fti: Vec<u8> = [&[3u8][..], b"doc", &[13], b"//ProductName", &[5, 0, 0, 0]].concat();
+        assert_eq!(db.catalog().get(b"idx/products/price_idx"), Some(idx));
+        assert_eq!(db.catalog().get(b"fti/products/name_ft"), Some(fti));
+        assert_eq!(db.index_records("products").len(), 2);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   entries (§3.1, Fig. 3);
 //! * [`xmltable`] — the internal XML table + NodeID index (§3.1, Fig. 2);
 //! * [`traverse`] — stored-data traversal and node fetch (§3.4);
-//! * [`validx`] — XPath value indexes with QuickXScan key generation (§3.3);
+//! * [`validx`] — XPath value indexes with QuickXScan key generation (§3.3),
+//!   full-text indexes among them as value indexes whose keys are terms;
+//! * [`fulltext`] — the tokenizer and term search of full-text indexes (§6);
 //! * [`update`] — sub-document updates with stable Dewey IDs (§3.1);
 //! * [`access`] — DocID/NodeID list, filtering, ANDing/ORing access methods
 //!   and access-path selection (§4.3, Table 2);

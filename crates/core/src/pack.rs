@@ -107,22 +107,6 @@ impl NodeObserver for NoObserver {
     }
 }
 
-/// Fan one node stream out to two observers (e.g. value-index and full-text
-/// key generation running side by side over a single insertion pass).
-pub struct TeeObserver<'a, A: NodeObserver, B: NodeObserver> {
-    /// First observer.
-    pub a: &'a mut A,
-    /// Second observer.
-    pub b: &'a mut B,
-}
-
-impl<A: NodeObserver, B: NodeObserver> NodeObserver for TeeObserver<'_, A, B> {
-    fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()> {
-        self.a.node(id, ev)?;
-        self.b.node(id, ev)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Encoding helpers
 // ---------------------------------------------------------------------------

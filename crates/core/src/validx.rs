@@ -1,4 +1,5 @@
-//! XPath value indexes (§3.3).
+//! XPath value indexes (§3.3), and full-text indexes as value indexes whose
+//! keys are terms.
 //!
 //! "Users can create XPath value indexes on frequently searched elements or
 //! attributes by specifying a simple XPath expression without predicates,
@@ -13,12 +14,19 @@
 //! Entries live in the same B+tree infrastructure as relational indexes.
 //! Keys are `escape(keyval) ++ DocID(BE) ++ NodeID`; the RID is the tree
 //! value — so one index serves DocID-list, NodeID-list and RID access.
-//! Values that fail to cast to the declared key type simply produce no entry
-//! (§3.3's zero-entries case) — the paper's indexes are not "complete copies
-//! of the base data".
+//!
+//! The only per-kind decision is how a node's string value becomes key
+//! values ([`IndexKeys`]): a typed index casts it to the declared type, and a
+//! value that fails to cast produces no entry (§3.3's zero-entries case — the
+//! paper's indexes are not "complete copies of the base data"); a terms index
+//! (the §6 full-text extension, [`crate::fulltext`]) yields one key per
+//! distinct term. Layout, key generation, logging, undo and recovery are
+//! shared.
 
 use crate::error::{EngineError, Result};
+use crate::fulltext::tokenize;
 use crate::pack::NodeObserver;
+use crate::traverse::{IdEventSink, Traverser};
 use crate::xmltable::{DocId, XmlTable};
 use rx_storage::wal::LogRecord;
 use rx_storage::{BTree, Rid, TableSpace, Txn};
@@ -118,20 +126,45 @@ fn decode_entry_key(key: &[u8]) -> Result<(Vec<u8>, DocId, NodeId)> {
     Ok((keyval, doc, node))
 }
 
-/// Definition of a value index (persisted in the catalog).
+/// How an indexed node's string value becomes key values — the one thing
+/// in which a full-text index differs from a typed value index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexKeys {
+    /// An XPath value index (§3.3): at most one key, the value cast to the
+    /// declared type ([`encode_key`]).
+    Typed(KeyType),
+    /// A full-text index (§6): one key per distinct term of the value
+    /// ([`tokenize`]). Terms are not values, so comparisons never use it.
+    Terms,
+}
+
+impl IndexKeys {
+    /// The encoded key values of a node whose string value is `value`.
+    pub fn keyvals(self, value: &str) -> Vec<Vec<u8>> {
+        match self {
+            IndexKeys::Typed(t) => encode_key(t, value).into_iter().collect(),
+            IndexKeys::Terms => tokenize(value)
+                .into_iter()
+                .map(String::into_bytes)
+                .collect(),
+        }
+    }
+}
+
+/// Definition of an index (persisted in the catalog).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ValueIndexDef {
     /// Index name.
     pub name: String,
     /// Source text of the index path (a simple path, §3.3).
     pub path_text: String,
-    /// Declared key type.
-    pub key_type: KeyType,
+    /// How node values become keys: a declared key type, or terms.
+    pub keys: IndexKeys,
     /// Table space holding the B+tree.
     pub space_id: u32,
 }
 
-/// A live XPath value index.
+/// A live index: an XPath value index or a full-text index.
 pub struct ValueIndex {
     /// Persistent definition.
     pub def: ValueIndexDef,
@@ -159,37 +192,35 @@ impl ValueIndex {
         Ok(path)
     }
 
-    /// Create the index structure in `space`.
-    pub fn create(space: Arc<TableSpace>, def: ValueIndexDef) -> Result<ValueIndex> {
+    fn new(btree: Arc<BTree>, def: ValueIndexDef) -> Result<ValueIndex> {
         let path = Self::parse_path(&def.path_text)?;
         let tree = QueryTree::compile(&path)?;
-        let btree = BTree::create(space, VALUE_INDEX_ANCHOR)?;
+        // A terms index is never range-intersected: call it multi-valued
+        // from the start rather than deriving the flag.
+        let multi_valued = AtomicBool::new(def.keys == IndexKeys::Terms);
         Ok(ValueIndex {
             def,
             path,
             tree,
             btree,
-            multi_valued: AtomicBool::new(false),
+            multi_valued,
         })
+    }
+
+    /// Create the index structure in `space`.
+    pub fn create(space: Arc<TableSpace>, def: ValueIndexDef) -> Result<ValueIndex> {
+        Self::new(BTree::create(space, VALUE_INDEX_ANCHOR)?, def)
     }
 
     /// Open an existing index.
     pub fn open(space: Arc<TableSpace>, def: ValueIndexDef) -> Result<ValueIndex> {
-        let path = Self::parse_path(&def.path_text)?;
-        let tree = QueryTree::compile(&path)?;
-        let btree = BTree::open(space, VALUE_INDEX_ANCHOR)?;
-        let vi = ValueIndex {
-            def,
-            path,
-            tree,
-            btree,
-            multi_valued: AtomicBool::new(false),
-        };
+        let vi = Self::new(BTree::open(space, VALUE_INDEX_ANCHOR)?, def)?;
         vi.recompute_multi_valued()?;
         Ok(vi)
     }
 
-    /// True once some document may hold more than one entry in this index.
+    /// True once some document may hold more than one entry in this index
+    /// (always, for a terms index).
     /// While it is false, every document has at most one entry, so ANDed
     /// key ranges over this index select exactly the documents whose single
     /// entry lies in the intersection of the ranges (DESIGN.md §9.5).
@@ -200,11 +231,14 @@ impl ValueIndex {
         self.multi_valued.load(Ordering::Acquire)
     }
 
-    /// Re-derive the multi-valued flag from the stored entries: one scan
-    /// that stops at the first DocID seen twice. Runs at open and again
-    /// after crash recovery (which can redo or undo entries), when no
-    /// transaction is active, so clearing the flag here is sound.
+    /// Re-derive the multi-valued flag of a typed index from the stored
+    /// entries: one scan that stops at the first DocID seen twice. Runs at
+    /// open and again after crash recovery (which can redo or undo entries),
+    /// when no transaction is active, so clearing the flag here is sound.
     pub(crate) fn recompute_multi_valued(&self) -> Result<()> {
+        if self.def.keys == IndexKeys::Terms {
+            return Ok(());
+        }
         let mut seen = HashSet::new();
         let mut multi = false;
         let mut err = None;
@@ -226,14 +260,14 @@ impl ValueIndex {
     }
 
     /// Insert the entries for `items` (QuickXScan results with node IDs) of
-    /// document `doc`. The RID of each node's record is resolved through the
-    /// XML table's NodeID index. Items whose value does not cast to the key
-    /// type are skipped.
+    /// document `doc`: one per key value [`IndexKeys::keyvals`] yields for
+    /// the item. The RID of each node's record is resolved through the XML
+    /// table's NodeID index.
     ///
     /// `items` must be *all* of the document's items for this index (every
-    /// caller derives them from the whole document): when more than one of
-    /// them casts, the multi-valued flag is raised before any entry becomes
-    /// visible in the B+tree.
+    /// caller derives them from the whole document): when they yield more
+    /// than one key, the multi-valued flag is raised before any entry
+    /// becomes visible in the B+tree.
     pub fn insert_entries(
         &self,
         txn: &Txn,
@@ -241,68 +275,30 @@ impl ValueIndex {
         xml: &XmlTable,
         items: &[ResultItem],
     ) -> Result<u64> {
-        let keyed: Vec<(&NodeId, Vec<u8>)> = items
+        let keyed: Vec<(&NodeId, Vec<Vec<u8>>)> = items
             .iter()
             .filter_map(|item| {
-                // Not castable: zero entries for this node (§3.3).
-                Some((
-                    item.node.as_ref()?,
-                    encode_key(self.def.key_type, &item.value)?,
-                ))
+                let node = item.node.as_ref()?;
+                let keyvals = self.def.keys.keyvals(&item.value);
+                // No key (a value that does not cast): zero entries (§3.3).
+                (!keyvals.is_empty()).then_some((node, keyvals))
             })
             .collect();
-        if keyed.len() > 1 {
+        let total: usize = keyed.iter().map(|(_, k)| k.len()).sum();
+        if total > 1 {
             self.multi_valued.store(true, Ordering::Release);
         }
-        let mut inserted = 0u64;
-        for (node, keyval) in keyed {
+        for (node, keyvals) in keyed {
             let Some(rid) = xml.locate(doc, node)? else {
                 return Err(EngineError::Record(format!(
                     "indexed node {node} of doc {doc} has no record"
                 )));
             };
-            let key = encode_entry_key(&keyval, doc, node);
-            let prev = self.btree.insert(&key, rid.to_u64())?;
-            txn.log(&LogRecord::IndexInsert {
-                txn: txn.id(),
-                space: self.def.space_id,
-                anchor: VALUE_INDEX_ANCHOR as u32,
-                key: key.clone(),
-                value: rid.to_u64(),
-                prev,
-            })?;
-            let btree = Arc::clone(&self.btree);
-            let space = self.def.space_id;
-            let rid_val = rid.to_u64();
-            txn.push_undo(Box::new(move |ctx| {
-                match prev {
-                    Some(p) => {
-                        ctx.log(&LogRecord::IndexInsert {
-                            txn: ctx.txn(),
-                            space,
-                            anchor: VALUE_INDEX_ANCHOR as u32,
-                            key: key.clone(),
-                            value: p,
-                            prev: None,
-                        })?;
-                        btree.insert(&key, p)?;
-                    }
-                    None => {
-                        ctx.log(&LogRecord::IndexDelete {
-                            txn: ctx.txn(),
-                            space,
-                            anchor: VALUE_INDEX_ANCHOR as u32,
-                            key: key.clone(),
-                            value: rid_val,
-                        })?;
-                        btree.delete(&key)?;
-                    }
-                }
-                Ok(())
-            }));
-            inserted += 1;
+            for keyval in keyvals {
+                self.insert_key(txn, encode_entry_key(&keyval, doc, node), rid.to_u64())?;
+            }
         }
-        Ok(inserted)
+        Ok(total as u64)
     }
 
     /// Delete the entries for `items` of document `doc`.
@@ -310,36 +306,84 @@ impl ValueIndex {
         let mut removed = 0u64;
         for item in items {
             let Some(node) = &item.node else { continue };
-            let Some(keyval) = encode_key(self.def.key_type, &item.value) else {
-                continue;
-            };
-            let key = encode_entry_key(&keyval, doc, node);
-            if let Some(v) = self.btree.delete(&key)? {
-                txn.log(&LogRecord::IndexDelete {
-                    txn: txn.id(),
-                    space: self.def.space_id,
-                    anchor: VALUE_INDEX_ANCHOR as u32,
-                    key: key.clone(),
-                    value: v,
-                })?;
-                let btree = Arc::clone(&self.btree);
-                let space = self.def.space_id;
-                txn.push_undo(Box::new(move |ctx| {
+            for keyval in self.def.keys.keyvals(&item.value) {
+                if self.delete_key(txn, encode_entry_key(&keyval, doc, node))? {
+                    removed += 1;
+                }
+            }
+        }
+        Ok(removed)
+    }
+
+    /// Insert one entry, logged, with its undo.
+    fn insert_key(&self, txn: &Txn, key: Vec<u8>, value: u64) -> Result<()> {
+        let prev = self.btree.insert(&key, value)?;
+        txn.log(&LogRecord::IndexInsert {
+            txn: txn.id(),
+            space: self.def.space_id,
+            anchor: VALUE_INDEX_ANCHOR as u32,
+            key: key.clone(),
+            value,
+            prev,
+        })?;
+        let btree = Arc::clone(&self.btree);
+        let space = self.def.space_id;
+        txn.push_undo(Box::new(move |ctx| {
+            match prev {
+                Some(p) => {
                     ctx.log(&LogRecord::IndexInsert {
                         txn: ctx.txn(),
                         space,
                         anchor: VALUE_INDEX_ANCHOR as u32,
                         key: key.clone(),
-                        value: v,
+                        value: p,
                         prev: None,
                     })?;
-                    btree.insert(&key, v)?;
-                    Ok(())
-                }));
-                removed += 1;
+                    btree.insert(&key, p)?;
+                }
+                None => {
+                    ctx.log(&LogRecord::IndexDelete {
+                        txn: ctx.txn(),
+                        space,
+                        anchor: VALUE_INDEX_ANCHOR as u32,
+                        key: key.clone(),
+                        value,
+                    })?;
+                    btree.delete(&key)?;
+                }
             }
-        }
-        Ok(removed)
+            Ok(())
+        }));
+        Ok(())
+    }
+
+    /// Delete one entry if present, logged, with its undo.
+    fn delete_key(&self, txn: &Txn, key: Vec<u8>) -> Result<bool> {
+        let Some(value) = self.btree.delete(&key)? else {
+            return Ok(false);
+        };
+        txn.log(&LogRecord::IndexDelete {
+            txn: txn.id(),
+            space: self.def.space_id,
+            anchor: VALUE_INDEX_ANCHOR as u32,
+            key: key.clone(),
+            value,
+        })?;
+        let btree = Arc::clone(&self.btree);
+        let space = self.def.space_id;
+        txn.push_undo(Box::new(move |ctx| {
+            ctx.log(&LogRecord::IndexInsert {
+                txn: ctx.txn(),
+                space,
+                anchor: VALUE_INDEX_ANCHOR as u32,
+                key: key.clone(),
+                value,
+                prev: None,
+            })?;
+            btree.insert(&key, value)?;
+            Ok(())
+        }));
+        Ok(true)
     }
 
     /// Exact-value lookup: all entries with the given encoded key value.
@@ -417,28 +461,44 @@ impl ValueIndex {
     }
 }
 
-/// Key-generation observer plugged into the [`crate::pack::Packer`]: runs one
-/// QuickXScan per value index over the insertion event stream, with node IDs
-/// supplied by the packer — "index keys for the node ID index and XPath value
-/// indexes are generated per record" (§3.2) without any separate pass.
+/// Key generation for every index of a column in one pass: one QuickXScan
+/// per index over a single event stream, with node IDs supplied by the
+/// source. Plugged into the [`crate::pack::Packer`] at insert time — "index
+/// keys for the node ID index and XPath value indexes are generated per
+/// record" (§3.2) without any separate pass — and into one stored-document
+/// traversal ([`IndexKeyGen::derive`]) for delete, update and backfill.
 pub struct IndexKeyGen<'q, 'd> {
     scans: Vec<QuickXScan<'q, 'd>>,
 }
 
 impl<'q, 'd> IndexKeyGen<'q, 'd> {
-    /// Build scans for the given query trees.
-    pub fn new(trees: &'q [QueryTree], dict: &'d NameDict) -> Self {
+    /// Build one scan per query tree, borrowing each index's compiled tree.
+    pub fn new(trees: impl IntoIterator<Item = &'q QueryTree>, dict: &'d NameDict) -> Self {
         IndexKeyGen {
-            scans: trees.iter().map(|t| QuickXScan::new(t, dict)).collect(),
+            scans: trees
+                .into_iter()
+                .map(|t| QuickXScan::new(t, dict))
+                .collect(),
         }
     }
 
-    /// Finish, returning one result list per index (node IDs + values).
-    pub fn finish(self) -> Result<Vec<Vec<ResultItem>>> {
+    /// Finish the current document, returning one result list per index
+    /// (node IDs + values), and get ready for the next document.
+    pub fn finish(&mut self) -> Result<Vec<Vec<ResultItem>>> {
         self.scans
-            .into_iter()
-            .map(|s| s.finish().map_err(EngineError::from))
+            .iter_mut()
+            .map(|s| {
+                let mut items = Vec::new();
+                s.finish_into(&mut items)?;
+                Ok(items)
+            })
             .collect()
+    }
+
+    /// Replay stored document `doc` once and return its items per index.
+    pub fn derive(&mut self, xml: &XmlTable, doc: DocId) -> Result<Vec<Vec<ResultItem>>> {
+        Traverser::new(xml, doc).run(self)?;
+        self.finish()
     }
 }
 
@@ -449,6 +509,17 @@ impl NodeObserver for IndexKeyGen<'_, '_> {
             scan.event(*ev)?;
         }
         Ok(())
+    }
+}
+
+/// Stored traversal skips an element's content only when no index wants it.
+impl IdEventSink for IndexKeyGen<'_, '_> {
+    fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> Result<()> {
+        self.node(id, &ev)
+    }
+
+    fn wants_content(&self) -> bool {
+        self.scans.iter().any(QuickXScan::wants_content)
     }
 }
 
@@ -470,7 +541,7 @@ mod tests {
             ValueIndexDef {
                 name: "idx".into(),
                 path_text: path.into(),
-                key_type,
+                keys: IndexKeys::Typed(key_type),
                 space_id: 11,
             },
         )
@@ -490,8 +561,7 @@ mod tests {
         doc: DocId,
         input: &str,
     ) {
-        let trees = vec![vi.tree.clone()];
-        let mut keygen = IndexKeyGen::new(&trees, dict);
+        let mut keygen = IndexKeyGen::new([&vi.tree], dict);
         let mut records = Vec::new();
         let mut packer = Packer::with_target(800, &mut records, &mut keygen);
         Parser::new(dict).parse(input, &mut packer).unwrap();

@@ -273,6 +273,57 @@ fn small_buffer_pool_forces_eviction_through_the_stack() {
 }
 
 #[test]
+fn indexes_created_on_a_loaded_table_cover_existing_documents() {
+    let dir = std::env::temp_dir().join(format!("rx-backfill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::create_dir(&dir).unwrap();
+    let t = db.create_table("t", &[("doc", ColumnKind::Xml)]).unwrap();
+    for i in 0..5 {
+        let doc = format!("<a><p>{i}</p><w>word{i} common</w></a>");
+        db.insert_row(&t, &[ColValue::Xml(doc)]).unwrap();
+    }
+    let path = XPathParser::new().parse("/a[p = 3]").unwrap();
+    let query = |db: &Database| {
+        let t = db.table("t").unwrap();
+        let (hits, _, explain) = db
+            .query(&t, t.xml_column("doc").unwrap(), &path, false)
+            .unwrap();
+        (hits.len(), explain)
+    };
+    assert_eq!(query(&db).0, 1, "full scan");
+
+    let vi = db
+        .create_value_index("t", "pidx", "doc", "/a/p", KeyType::Double)
+        .unwrap();
+    assert_eq!(vi.len().unwrap(), 5, "every stored document backfilled");
+    let (hits, explain) = query(&db);
+    assert!(explain.contains("list access"), "got plan: {explain}");
+    assert_eq!(hits, 1);
+
+    let ft = db.create_fulltext_index("t", "wft", "doc", "/a/w").unwrap();
+    assert_eq!(ft.search_all_terms("word3").unwrap(), vec![4]);
+    assert_eq!(ft.search_all_terms("common").unwrap().len(), 5);
+    // A terms index never answers a comparison, so the plan is unchanged.
+    assert_eq!(query(&db), (hits, explain));
+
+    // Later writes maintain both, and the backfill survives recovery.
+    db.insert_row(&t, &[ColValue::Xml("<a><p>3</p><w>late</w></a>".into())])
+        .unwrap();
+    drop((t, vi, ft, db));
+    let db = Database::open_dir(&dir).unwrap();
+    let (hits, explain) = query(&db);
+    assert!(explain.contains("list access"), "got plan: {explain}");
+    assert_eq!(hits, 2);
+    let t = db.table("t").unwrap();
+    let col = t.xml_column("doc").unwrap();
+    assert_eq!(col.indexes().len(), 2);
+    let ft = &col.fulltext_indexes()[0];
+    assert_eq!(ft.search_all_terms("word3").unwrap(), vec![4]);
+    assert_eq!(ft.search_all_terms("late").unwrap(), vec![6]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn sub_document_update_maintains_value_indexes() {
     use system_rx::engine::update::{self, InsertPos};
     use system_rx::xml::NodeId;
