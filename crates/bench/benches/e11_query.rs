@@ -33,6 +33,7 @@ fn bench_parallel_query(c: &mut Criterion) {
                     &dict,
                     &tree,
                     Some(&exec),
+                    None,
                 )
                 .unwrap();
                 std::hint::black_box(hits.len());

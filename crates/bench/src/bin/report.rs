@@ -4,7 +4,8 @@
 //! `EXPERIMENTS.md`.
 //!
 //! Run with: `cargo run --release -p rx-bench --bin report`
-//! Pass experiment ids (e.g. `e1 e5`) to run a subset.
+//! Pass experiment ids (e.g. `e1 e5`) to run a subset; an unknown id exits
+//! with status 2 and the list of valid ids.
 
 use rx_bench::{
     fmt_dur, load_product_docs, load_single_catalog, lob_store, median_time, mem_db, mem_db_cached,
@@ -30,52 +31,47 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Every experiment, by id, in report order.
+const EXPERIMENTS: [(&str, fn()); 14] = [
+    ("e1", e1_storage),
+    ("e2", e2_traversal),
+    ("e3", e3_update),
+    ("e4", e4_insertion),
+    ("e5", e5_quickxscan),
+    ("e6", e6_access_methods),
+    ("e7", e7_constructors),
+    ("e8", e8_runtime),
+    ("e9", e9_concurrency),
+    ("e10", e10_commit_throughput),
+    ("e11", e11_parallel_query),
+    ("e12", e12_pipelining),
+    ("e13", e13_doc_cache),
+    ("a1", a1_target_size_ablation),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id));
+    let known = |a: &String| EXPERIMENTS.iter().any(|(id, _)| a.eq_ignore_ascii_case(id));
+    let unknown: Vec<&str> = args
+        .iter()
+        .filter(|a| !known(a))
+        .map(String::as_str)
+        .collect();
+    if !unknown.is_empty() {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "unknown experiment id(s): {}\nvalid ids: {}",
+            unknown.join(" "),
+            valid.join(" ")
+        );
+        std::process::exit(2);
+    }
     println!("# System R/X experiment report");
     println!("(generated by `cargo run --release -p rx-bench --bin report`)");
-    if want("e1") {
-        e1_storage();
-    }
-    if want("e2") {
-        e2_traversal();
-    }
-    if want("e3") {
-        e3_update();
-    }
-    if want("e4") {
-        e4_insertion();
-    }
-    if want("e5") {
-        e5_quickxscan();
-    }
-    if want("e6") {
-        e6_access_methods();
-    }
-    if want("e7") {
-        e7_constructors();
-    }
-    if want("e8") {
-        e8_runtime();
-    }
-    if want("e9") {
-        e9_concurrency();
-    }
-    if want("e10") {
-        e10_commit_throughput();
-    }
-    if want("e11") {
-        e11_parallel_query();
-    }
-    if want("e12") {
-        e12_pipelining();
-    }
-    if want("e13") {
-        e13_doc_cache();
-    }
-    if want("a1") {
-        a1_target_size_ablation();
+    for (id, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id)) {
+            run();
+        }
     }
 }
 
@@ -1471,6 +1467,7 @@ fn e11_parallel_query() {
                 dict,
                 &scan_tree,
                 Some(&exec),
+                None,
             )
             .unwrap();
             hits = h.len();
@@ -1517,7 +1514,8 @@ fn e11_parallel_query() {
         let mut stats = access::AccessStats::default();
         let d = median_time(5, || {
             let (h, s) =
-                access::execute_tree(&idx_plan, &t, col, dict, &idx_tree, Some(&exec)).unwrap();
+                access::execute_tree(&idx_plan, &t, col, dict, &idx_tree, Some(&exec), None)
+                    .unwrap();
             hits = h.len();
             stats = s;
         });
@@ -1890,9 +1888,10 @@ fn e13_doc_cache() {
         ),
     ] {
         let (hits_off, sq_off) =
-            access::execute_tree(plan_off, &t_off, col_off, db_off.dict(), tree, None).unwrap();
+            access::execute_tree(plan_off, &t_off, col_off, db_off.dict(), tree, None, None)
+                .unwrap();
         let (hits_warm, sq_warm) =
-            access::execute_tree(plan_on, &t_on, col_on, db_on.dict(), tree, None).unwrap();
+            access::execute_tree(plan_on, &t_on, col_on, db_on.dict(), tree, None, None).unwrap();
         assert_eq!(
             hits_off, hits_warm,
             "{label}: cache-on results must be byte-identical to the cache-off baseline"
@@ -1903,12 +1902,14 @@ fn e13_doc_cache() {
         );
         let dq_cold = median_time(5, || {
             let (h, _) =
-                access::execute_tree(plan_off, &t_off, col_off, db_off.dict(), tree, None).unwrap();
+                access::execute_tree(plan_off, &t_off, col_off, db_off.dict(), tree, None, None)
+                    .unwrap();
             std::hint::black_box(h.len());
         });
         let dq_warm = median_time(5, || {
             let (h, _) =
-                access::execute_tree(plan_on, &t_on, col_on, db_on.dict(), tree, None).unwrap();
+                access::execute_tree(plan_on, &t_on, col_on, db_on.dict(), tree, None, None)
+                    .unwrap();
             std::hint::black_box(h.len());
         });
         rows.push(vec![
@@ -1954,6 +1955,7 @@ fn e13_doc_cache() {
             cs,
             dbs.dict(),
             &scan_tree,
+            None,
             None,
         )
         .unwrap();

@@ -16,12 +16,14 @@
 //! gives an exact list under NodeID-level ANDing; otherwise the list is a
 //! filter and re-evaluation runs.
 
+use crate::conc;
 use crate::db::{BaseTable, XmlColumn};
 use crate::error::{EngineError, Result};
 use crate::executor::{CachedPlan, PlanCache, PlanKey, QueryExecutor};
 use crate::traverse::Traverser;
 use crate::validx::{IndexEntry, IndexKeys, ValueIndex};
 use crate::xmltable::DocId;
+use rx_storage::Txn;
 use rx_xml::name::NameDict;
 use rx_xml::nodeid::NodeId;
 use rx_xml::value::{encode_key, KeyType};
@@ -515,51 +517,57 @@ impl<'q, 'd> DocScanner<'q, 'd> {
     }
 }
 
-/// Evaluate `tree` over each doc of `docs` in order, with one scanner.
-/// `skip_missing` applies the locked path's semantics: a candidate gathered
-/// before its S lock was granted may have been deleted by a transaction that
-/// committed in between (the lock only guarantees we never see a *partial*
-/// document, not that the document still exists), so `NotFound` skips the
-/// doc instead of failing.
-fn evaluate_doc_list(
-    column: &XmlColumn,
-    dict: &NameDict,
-    tree: &QueryTree,
-    docs: &[DocId],
-    skip_missing: bool,
-    stats: &mut AccessStats,
-) -> Result<Vec<QueryHit>> {
-    let mut lane = DocScanner::new(tree, dict);
-    let mut hits = Vec::new();
-    for &doc in docs {
-        match lane.evaluate(column, doc, stats, &mut hits) {
-            Ok(()) => {}
-            Err(EngineError::NotFound { .. }) if skip_missing => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(hits)
-}
-
-/// Fan document evaluation across the executor's lanes. Contiguous
-/// partitions of the (document-ordered) candidate list keep per-partition
-/// results in document order, so concatenating them in partition order
-/// reproduces exactly the serial output; per-partition stats are summed.
-/// The first error in partition (= document) order propagates, matching the
-/// serial loop. Falls back to the serial loop when no executor is supplied
-/// or the batch is too small to split.
+/// Evaluate `tree` over the candidate documents `docs` (in DocID order),
+/// fanning the work across the executor's lanes. Under a transaction every
+/// candidate is S-locked, in DocID order, before any lane starts, so lanes
+/// only read documents the transaction holds locks on and a lock timeout
+/// aborts the query before fan-out. A candidate gathered before its lock was
+/// granted may since have been deleted by a transaction that committed in
+/// between (the lock guarantees we never see a *partial* document, not that
+/// the document still exists), so under a transaction `NotFound` skips the
+/// document instead of failing.
+///
+/// Contiguous partitions of the candidate list keep per-partition results in
+/// document order, so concatenating them in partition order reproduces
+/// exactly the serial output; per-partition stats are summed. The first
+/// error in partition (= document) order propagates, matching the serial
+/// loop. Runs serially when no executor is supplied or the batch is too
+/// small to split.
+#[allow(clippy::too_many_arguments)]
 fn evaluate_docs(
     exec: Option<&QueryExecutor>,
+    txn: Option<&Txn>,
+    table: &BaseTable,
     column: &Arc<XmlColumn>,
     dict: &Arc<NameDict>,
     tree: &Arc<QueryTree>,
     docs: Vec<DocId>,
-    skip_missing: bool,
     stats: &mut AccessStats,
 ) -> Result<Vec<QueryHit>> {
+    if let Some(txn) = txn {
+        conc::lock_documents_shared(txn, table.def.id, &docs)?;
+    }
+    let locked = txn.is_some();
+    // One lane: a single scanner over a contiguous run of candidates.
+    let lane = move |column: &XmlColumn,
+                     dict: &NameDict,
+                     tree: &QueryTree,
+                     docs: &[DocId],
+                     stats: &mut AccessStats|
+          -> Result<Vec<QueryHit>> {
+        let mut scanner = DocScanner::new(tree, dict);
+        let mut hits = Vec::new();
+        for &doc in docs {
+            match scanner.evaluate(column, doc, stats, &mut hits) {
+                Err(EngineError::NotFound { .. }) if locked => {}
+                r => r?,
+            }
+        }
+        Ok(hits)
+    };
     let lanes = exec.map_or(1, QueryExecutor::workers);
     if lanes <= 1 || docs.len() <= 1 {
-        return evaluate_doc_list(column, dict, tree, &docs, skip_missing, stats);
+        return lane(column, dict, tree, &docs, stats);
     }
     let exec = exec.expect("lanes > 1 implies an executor");
     let chunk = docs.len().div_ceil(lanes.min(docs.len()));
@@ -576,8 +584,7 @@ fn evaluate_docs(
         let docs = Arc::clone(&docs);
         tasks.push(Box::new(move || {
             let mut stats = AccessStats::default();
-            let part = &docs[start..start + len];
-            let hits = evaluate_doc_list(&column, &dict, &tree, part, skip_missing, &mut stats)?;
+            let hits = lane(&column, &dict, &tree, &docs[start..start + len], &mut stats)?;
             Ok((hits, stats))
         }));
     }
@@ -663,9 +670,10 @@ fn scan_terms(
     Ok(out)
 }
 
-/// Execute a plan. `table` supplies the document population for scans.
-/// Compiles the tree once; use [`execute_tree`] to reuse a compiled tree
-/// (e.g. from the plan cache) or to run in parallel.
+/// Execute a plan without locks. `table` supplies the document population
+/// for scans. Compiles the tree once; use [`execute_tree`] to reuse a
+/// compiled tree (e.g. from the plan cache), to run in parallel, or to read
+/// under a transaction.
 pub fn execute(
     plan: &AccessPlan,
     table: &Arc<BaseTable>,
@@ -674,11 +682,19 @@ pub fn execute(
     path: &Path,
 ) -> Result<(Vec<QueryHit>, AccessStats)> {
     let tree = Arc::new(QueryTree::compile(path)?);
-    execute_tree(plan, table, column, dict, &tree, None)
+    execute_tree(plan, table, column, dict, &tree, None, None)
 }
 
 /// Execute a plan with an already-compiled tree, optionally fanning
 /// candidate-document evaluation across `exec`'s worker lanes.
+///
+/// With a transaction the read follows the §5.1 DocID-locking protocol:
+/// "care must be taken also to prevent reading a partially inserted document
+/// by using a lock". Candidates are gathered from index pages, then the
+/// table is IS-locked and every candidate document S-locked in DocID order
+/// before any document is read, so a reader waits for (or aborts against) a
+/// transaction that is inserting, deleting or updating a candidate instead
+/// of reading it half-written. Without a transaction nothing is locked.
 pub fn execute_tree(
     plan: &AccessPlan,
     table: &Arc<BaseTable>,
@@ -686,110 +702,117 @@ pub fn execute_tree(
     dict: &Arc<NameDict>,
     tree: &Arc<QueryTree>,
     exec: Option<&QueryExecutor>,
+    txn: Option<&Txn>,
 ) -> Result<(Vec<QueryHit>, AccessStats)> {
     let mut stats = AccessStats::default();
-    match plan {
-        AccessPlan::FullScan => {
-            let docs = all_docids(table)?;
-            let hits = evaluate_docs(exec, column, dict, tree, docs, false, &mut stats)?;
-            Ok((hits, stats))
+    let (docs, anchors) = match plan {
+        AccessPlan::FullScan => (all_docids(table)?, None),
+        AccessPlan::Index {
+            terms,
+            combine,
+            granularity: Granularity::DocId,
+            ..
+        } => {
+            let sets: Vec<BTreeSet<DocId>> = scan_terms(terms, *combine, &mut stats)?
+                .iter()
+                .map(|es| es.iter().map(|e| e.doc).collect())
+                .collect();
+            (combine_sets(sets, *combine).into_iter().collect(), None)
         }
         AccessPlan::Index {
             terms,
             combine,
-            granularity,
+            granularity: Granularity::NodeId,
             anchor_depth,
             verify,
             ..
         } => {
-            let term_entries = scan_terms(terms, *combine, &mut stats)?;
-            match granularity {
-                Granularity::DocId => {
-                    let sets: Vec<BTreeSet<DocId>> = term_entries
-                        .iter()
-                        .map(|es| es.iter().map(|e| e.doc).collect())
-                        .collect();
-                    let docs: Vec<DocId> = combine_sets(sets, *combine).into_iter().collect();
-                    stats.candidates = docs.len() as u64;
-                    let hits = evaluate_docs(exec, column, dict, tree, docs, false, &mut stats)?;
-                    Ok((hits, stats))
-                }
-                Granularity::NodeId => {
-                    // Map each entry's node to its ancestor at the anchor
-                    // depth (a Dewey prefix truncation), then combine.
-                    let sets: Vec<BTreeSet<(DocId, NodeId)>> = term_entries
-                        .iter()
-                        .map(|es| {
-                            es.iter()
-                                .filter_map(|e| {
-                                    ancestor_at_depth(&e.node, *anchor_depth).map(|a| (e.doc, a))
-                                })
-                                .collect()
+            // Map each entry's node to its ancestor at the anchor depth (a
+            // Dewey prefix truncation), then combine.
+            let sets: Vec<BTreeSet<(DocId, NodeId)>> = scan_terms(terms, *combine, &mut stats)?
+                .iter()
+                .map(|es| {
+                    es.iter()
+                        .filter_map(|e| {
+                            ancestor_at_depth(&e.node, *anchor_depth).map(|a| (e.doc, a))
                         })
-                        .collect();
-                    let nodes = combine_sets(sets, *combine);
-                    stats.candidates = nodes.len() as u64;
-                    if !verify {
-                        // Exact list, result = anchor nodes: emit directly.
-                        // `nodes` iterates in (doc, node) order, so one
-                        // traverser per document serves all of its anchors —
-                        // sharing the document-cache snapshot and the
-                        // ceiling-probe memo, consecutive anchors that live
-                        // in the same record cost one fetch, not one each.
-                        let xml = column.xml_table();
-                        let mut hits = Vec::with_capacity(nodes.len());
-                        let mut cur: Option<(DocId, crate::traverse::Traverser<'_>)> = None;
-                        for (doc, node) in nodes {
-                            if cur.as_ref().map(|(d, _)| *d) != Some(doc) {
-                                if let Some((_, done)) = cur.take() {
-                                    stats.records_fetched += done.stats.records_fetched;
-                                }
-                                cur = Some((doc, crate::traverse::Traverser::new(xml, doc)));
-                            }
-                            let (_, t) = cur.as_mut().expect("traverser bound above");
-                            let value = t.string_value(&node)?;
-                            hits.push(QueryHit {
-                                doc,
-                                node: Some(node),
-                                value,
-                            });
-                        }
-                        if let Some((_, done)) = cur {
-                            stats.records_fetched += done.stats.records_fetched;
-                        }
-                        return Ok((hits, stats));
-                    }
-                    // Verify per candidate *document* but only documents that
-                    // have candidates; node-level pre-filtering already cut
-                    // the verification set. Group anchors per document —
-                    // `nodes` iterates in (doc, node) order, so each doc's
-                    // anchor list arrives already byte-sorted and the filter
-                    // below is a binary search instead of a rescan of the
-                    // full candidate list per hit.
-                    let mut anchors: HashMap<DocId, Vec<NodeId>> = HashMap::new();
-                    let mut docs: Vec<DocId> = Vec::new();
-                    for (d, n) in &nodes {
-                        if docs.last() != Some(d) {
-                            docs.push(*d);
-                        }
-                        anchors.entry(*d).or_default().push(n.clone());
-                    }
-                    let all = evaluate_docs(exec, column, dict, tree, docs, false, &mut stats)?;
-                    // Keep only hits whose anchor candidate was listed.
-                    let hits = all
-                        .into_iter()
-                        .filter(|h| match &h.node {
-                            Some(n) => anchors
-                                .get(&h.doc)
-                                .is_some_and(|set| anchor_listed(set, n, *anchor_depth)),
-                            None => true,
-                        })
-                        .collect();
-                    Ok((hits, stats))
-                }
+                        .collect()
+                })
+                .collect();
+            let nodes = combine_sets(sets, *combine);
+            stats.candidates = nodes.len() as u64;
+            // An exact list whose result is the anchor nodes needs no
+            // re-evaluation, but only without locks: an index entry read
+            // before the S lock may belong to a value that a committed
+            // update has since replaced, so under a transaction the locked
+            // documents are evaluated and the entry only nominates them.
+            if !verify && txn.is_none() {
+                return emit_anchors(column, nodes, stats);
             }
+            // Evaluate per candidate *document*, then keep only hits under a
+            // listed anchor. `nodes` iterates in (doc, node) order, so each
+            // document's anchor list arrives already byte-sorted and the
+            // filter is a binary search instead of a rescan of the whole
+            // candidate list per hit.
+            let mut anchors: HashMap<DocId, Vec<NodeId>> = HashMap::new();
+            let mut docs: Vec<DocId> = Vec::new();
+            for (d, n) in nodes {
+                if docs.last() != Some(&d) {
+                    docs.push(d);
+                }
+                anchors.entry(d).or_default().push(n);
+            }
+            (docs, Some((anchors, *anchor_depth)))
         }
+    };
+    if anchors.is_none() {
+        stats.candidates = docs.len() as u64;
     }
+    let mut hits = evaluate_docs(exec, txn, table, column, dict, tree, docs, &mut stats)?;
+    if let Some((anchors, depth)) = anchors {
+        hits.retain(|h| match &h.node {
+            Some(n) => anchors
+                .get(&h.doc)
+                .is_some_and(|set| anchor_listed(set, n, depth)),
+            None => true,
+        });
+    }
+    Ok((hits, stats))
+}
+
+/// Answer an exact NodeID list whose result is the anchor nodes directly:
+/// each anchor's string value, without re-evaluating its document. `nodes`
+/// iterates in (doc, node) order, so one traverser per document serves all
+/// of its anchors — sharing the document-cache snapshot and the
+/// ceiling-probe memo, consecutive anchors that live in the same record cost
+/// one fetch, not one each.
+fn emit_anchors(
+    column: &XmlColumn,
+    nodes: BTreeSet<(DocId, NodeId)>,
+    mut stats: AccessStats,
+) -> Result<(Vec<QueryHit>, AccessStats)> {
+    let xml = column.xml_table();
+    let mut hits = Vec::with_capacity(nodes.len());
+    let mut cur: Option<(DocId, Traverser<'_>)> = None;
+    for (doc, node) in nodes {
+        if cur.as_ref().map(|(d, _)| *d) != Some(doc) {
+            if let Some((_, done)) = cur.take() {
+                stats.records_fetched += done.stats.records_fetched;
+            }
+            cur = Some((doc, Traverser::new(xml, doc)));
+        }
+        let (_, t) = cur.as_mut().expect("traverser bound above");
+        let value = t.string_value(&node)?;
+        hits.push(QueryHit {
+            doc,
+            node: Some(node),
+            value,
+        });
+    }
+    if let Some((_, done)) = cur {
+        stats.records_fetched += done.stats.records_fetched;
+    }
+    Ok((hits, stats))
 }
 
 /// Compile + plan a query exactly once, through `cache` when one is given.
@@ -822,98 +845,6 @@ pub fn prepare(
         ),
         None => build(),
     }
-}
-
-/// Plan + execute under the §5.1 DocID-locking protocol: IS on the table,
-/// then an S lock on every candidate document *before* it is evaluated —
-/// "care must be taken also to prevent reading a partially inserted document
-/// by using a lock": a value-index probe can surface entries of an
-/// uncommitted insert, and the S lock makes the reader wait for (or abort
-/// against) the inserting transaction instead of reading half a document.
-pub fn run_query_locked(
-    txn: &rx_storage::Txn,
-    table: &Arc<BaseTable>,
-    column: &Arc<XmlColumn>,
-    dict: &Arc<NameDict>,
-    path: &Path,
-    prefer_nodeid: bool,
-) -> Result<(Vec<QueryHit>, AccessStats)> {
-    run_query_locked_with(None, None, txn, table, column, dict, path, prefer_nodeid)
-}
-
-/// [`run_query_locked`] with a worker pool and plan cache. Every candidate's
-/// S lock is acquired, in document order, *before* evaluation fans out, so
-/// the locking protocol is byte-for-byte the serial one; workers only read
-/// documents the transaction already holds locks on. A lock timeout aborts
-/// the whole query before any fan-out happens.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_locked_with(
-    exec: Option<&QueryExecutor>,
-    cache: Option<&PlanCache>,
-    txn: &rx_storage::Txn,
-    table: &Arc<BaseTable>,
-    column: &Arc<XmlColumn>,
-    dict: &Arc<NameDict>,
-    path: &Path,
-    prefer_nodeid: bool,
-) -> Result<(Vec<QueryHit>, AccessStats)> {
-    txn.lock(
-        &rx_storage::LockName::Table(table.def.id),
-        rx_storage::LockMode::IS,
-    )?;
-    let prepared = prepare(cache, table, column, path, prefer_nodeid)?;
-    // Gather candidate documents first (index scans read only index pages),
-    // then lock all of them, then evaluate.
-    let mut stats = AccessStats::default();
-    let docs: Vec<DocId> = match prepared.plan.as_ref() {
-        AccessPlan::FullScan => all_docids(table)?,
-        AccessPlan::Index { terms, combine, .. } => {
-            let sets: Vec<BTreeSet<DocId>> = scan_terms(terms, *combine, &mut stats)?
-                .iter()
-                .map(|es| es.iter().map(|e| e.doc).collect())
-                .collect();
-            combine_sets(sets, *combine).into_iter().collect()
-        }
-    };
-    stats.candidates = docs.len() as u64;
-    for &doc in &docs {
-        txn.lock(
-            &rx_storage::LockName::Document {
-                table: table.def.id,
-                doc,
-            },
-            rx_storage::LockMode::S,
-        )?;
-    }
-    let hits = evaluate_docs(exec, column, dict, &prepared.tree, docs, true, &mut stats)?;
-    Ok((hits, stats))
-}
-
-/// Convenience: plan + execute in one call (serial, uncached).
-pub fn run_query(
-    table: &Arc<BaseTable>,
-    column: &Arc<XmlColumn>,
-    dict: &Arc<NameDict>,
-    path: &Path,
-    prefer_nodeid: bool,
-) -> Result<(Vec<QueryHit>, AccessStats, String)> {
-    run_query_with(None, None, table, column, dict, path, prefer_nodeid)
-}
-
-/// [`run_query`] with a worker pool and plan cache.
-pub fn run_query_with(
-    exec: Option<&QueryExecutor>,
-    cache: Option<&PlanCache>,
-    table: &Arc<BaseTable>,
-    column: &Arc<XmlColumn>,
-    dict: &Arc<NameDict>,
-    path: &Path,
-    prefer_nodeid: bool,
-) -> Result<(Vec<QueryHit>, AccessStats, String)> {
-    let prepared = prepare(cache, table, column, path, prefer_nodeid)?;
-    let explain = prepared.plan.explain();
-    let (hits, stats) = execute_tree(&prepared.plan, table, column, dict, &prepared.tree, exec)?;
-    Ok((hits, stats, explain))
 }
 
 /// All DocIDs of a table, from the DocID index.
@@ -1242,24 +1173,30 @@ mod tests {
             "/Catalog/Categories/Product[Discount > 0.15]",
             "/Catalog/Categories/Product[RegPrice > 100 and Discount > 0.15]",
         ];
+        let txn = db.begin().unwrap();
         for qs in queries {
             let path = q(qs);
             for prefer_nodeid in [false, true] {
                 let p = plan(&path, col, prefer_nodeid);
                 let tree = Arc::new(QueryTree::compile(&path).unwrap());
-                let (serial, sstats) = execute_tree(&p, &t, col, db.dict(), &tree, None).unwrap();
-                let (par, pstats) =
-                    execute_tree(&p, &t, col, db.dict(), &tree, Some(&exec)).unwrap();
-                // Same hits in the same (document) order, same work counters.
-                assert_eq!(par, serial, "query {qs} nodeid={prefer_nodeid}");
-                assert_eq!(pstats, sstats, "query {qs} nodeid={prefer_nodeid}");
+                for txn in [None, Some(&txn)] {
+                    let run = |exec| execute_tree(&p, &t, col, db.dict(), &tree, exec, txn);
+                    let (serial, sstats) = run(None).unwrap();
+                    let (par, pstats) = run(Some(&exec)).unwrap();
+                    // Same hits in the same (document) order, same work
+                    // counters.
+                    let locked = txn.is_some();
+                    assert_eq!(par, serial, "query {qs} nodeid={prefer_nodeid} {locked}");
+                    assert_eq!(pstats, sstats, "query {qs} nodeid={prefer_nodeid} {locked}");
+                }
             }
         }
+        txn.commit().unwrap();
         assert!(exec.parallel_queries() > 0);
     }
 
     #[test]
-    fn parallel_evaluation_skips_deleted_docs_only_when_asked() {
+    fn parallel_evaluation_skips_deleted_docs_only_under_a_transaction() {
         let (db, t) = setup();
         let col = t.xml_column("doc").unwrap();
         let exec = QueryExecutor::new(4);
@@ -1268,38 +1205,34 @@ mod tests {
         let mut docs = all_docids(&t).unwrap();
         let victim = docs[docs.len() / 2];
         assert!(db.delete_row(&t, victim).unwrap());
-        // The stale candidate list still names the deleted doc (the locked
-        // path hits this when a delete commits between gather and lock).
-        let err = evaluate_docs(
-            Some(&exec),
-            col,
-            db.dict(),
-            &tree,
-            docs.clone(),
-            false,
-            &mut AccessStats::default(),
-        )
-        .unwrap_err();
+        // The stale candidate list still names the deleted doc (a locked
+        // read hits this when a delete commits between gather and lock).
+        let evaluate = |txn, docs, stats: &mut AccessStats| {
+            evaluate_docs(Some(&exec), txn, &t, col, db.dict(), &tree, docs, stats)
+        };
+        let err = evaluate(None, docs.clone(), &mut AccessStats::default()).unwrap_err();
         assert!(matches!(err, EngineError::NotFound { .. }));
+        let txn = db.begin().unwrap();
         let mut stats = AccessStats::default();
-        let hits = evaluate_docs(
-            Some(&exec),
-            col,
-            db.dict(),
-            &tree,
-            docs.clone(),
-            true,
-            &mut stats,
-        )
-        .unwrap();
+        let hits = evaluate(Some(&txn), docs.clone(), &mut stats).unwrap();
+        txn.commit().unwrap();
         assert_eq!(hits.len(), 19);
         assert!(hits.iter().all(|h| h.doc != victim));
         assert_eq!(stats.docs_evaluated, 19);
         // Serial agrees.
         docs.retain(|&d| d != victim);
         let mut serial_stats = AccessStats::default();
-        let serial =
-            evaluate_docs(None, col, db.dict(), &tree, docs, false, &mut serial_stats).unwrap();
+        let serial = evaluate_docs(
+            None,
+            None,
+            &t,
+            col,
+            db.dict(),
+            &tree,
+            docs,
+            &mut serial_stats,
+        )
+        .unwrap();
         assert_eq!(hits, serial);
         assert_eq!(stats.docs_evaluated, serial_stats.docs_evaluated);
     }
@@ -1373,18 +1306,22 @@ mod tests {
         );
         assert_eq!(stats.docs_evaluated, 2);
 
-        // The list evaluator skips the deleted candidate on the locked path
-        // and returns the same hits as per-document evaluation.
+        // A locked read skips the deleted candidate and returns the same
+        // hits as per-document evaluation.
+        let txn = db.begin().unwrap();
         let mut stats = AccessStats::default();
-        let listed = evaluate_doc_list(
+        let listed = evaluate_docs(
+            None,
+            Some(&txn),
+            &t,
             col,
             db.dict(),
-            &tree,
-            &[first, deleted, last],
-            true,
+            &Arc::new(tree),
+            vec![first, deleted, last],
             &mut stats,
         )
         .unwrap();
+        txn.commit().unwrap();
         assert_eq!(listed, [first_hits, last_hits].concat());
         assert_eq!(stats.docs_evaluated, 2);
     }

@@ -22,8 +22,18 @@ use rx_xml::nodeid::NodeId;
 
 /// Take the §5.1 reader locks: IS on the table, S on the document.
 pub fn lock_document_shared(txn: &Txn, table: u32, doc: DocId) -> Result<()> {
+    lock_documents_shared(txn, table, &[doc])
+}
+
+/// Take the §5.1 reader locks for a list of documents: IS on the table
+/// once, then S on each document in the order given (DocID order for a
+/// query's candidates). Every read of a document in a transaction takes its
+/// locks here (DESIGN.md §14).
+pub fn lock_documents_shared(txn: &Txn, table: u32, docs: &[DocId]) -> Result<()> {
     txn.lock(&LockName::Table(table), LockMode::IS)?;
-    txn.lock(&LockName::Document { table, doc }, LockMode::S)?;
+    for &doc in docs {
+        txn.lock(&LockName::Document { table, doc }, LockMode::S)?;
+    }
     Ok(())
 }
 

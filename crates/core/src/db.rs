@@ -605,32 +605,10 @@ impl Database {
         &self.plan_cache
     }
 
-    /// Plan + execute an XPath query over `column`, through the plan cache
-    /// and the worker pool. Returns `(hits, stats, explain)`.
-    pub fn query(
-        &self,
-        table: &Arc<BaseTable>,
-        column: &Arc<XmlColumn>,
-        path: &rx_xpath::Path,
-        prefer_nodeid: bool,
-    ) -> Result<(
-        Vec<crate::access::QueryHit>,
-        crate::access::AccessStats,
-        String,
-    )> {
-        crate::access::run_query_with(
-            Some(&self.executor),
-            Some(&self.plan_cache),
-            table,
-            column,
-            &self.dict,
-            path,
-            prefer_nodeid,
-        )
-    }
-
-    /// [`Database::query`] under the §5.1 DocID-locking protocol: all
-    /// candidate S locks are taken in `txn` before evaluation fans out.
+    /// Plan + execute an XPath query over `column` in `txn`: the engine's one
+    /// query entry point. The plan comes from the plan cache; evaluation
+    /// fans out across the worker pool after every candidate document is
+    /// S-locked in `txn` (§5.1, DESIGN.md §14).
     pub fn query_locked(
         &self,
         txn: &Txn,
@@ -639,15 +617,16 @@ impl Database {
         path: &rx_xpath::Path,
         prefer_nodeid: bool,
     ) -> Result<(Vec<crate::access::QueryHit>, crate::access::AccessStats)> {
-        crate::access::run_query_locked_with(
-            Some(&self.executor),
-            Some(&self.plan_cache),
-            txn,
+        let prepared =
+            crate::access::prepare(Some(&self.plan_cache), table, column, path, prefer_nodeid)?;
+        crate::access::execute_tree(
+            &prepared.plan,
             table,
             column,
             &self.dict,
-            path,
-            prefer_nodeid,
+            &prepared.tree,
+            Some(&self.executor),
+            Some(txn),
         )
     }
 
@@ -1053,17 +1032,7 @@ impl Database {
         let doc = self.catalog.bump_counter(&k_doccnt(table.def.id))?;
         // §5.1: X-lock the document (plus table intent) so no reader ever
         // sees a partially inserted document.
-        txn.lock(
-            &rx_storage::LockName::Table(table.def.id),
-            rx_storage::LockMode::IX,
-        )?;
-        txn.lock(
-            &rx_storage::LockName::Document {
-                table: table.def.id,
-                doc,
-            },
-            rx_storage::LockMode::X,
-        )?;
+        crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
         let mut base_values = Vec::with_capacity(values.len());
         for (cv, cd) in values.iter().zip(&table.def.columns) {
             match (cv, cd.kind) {
@@ -1207,17 +1176,7 @@ impl Database {
 
     /// Delete a row (and its XML documents + index entries) within `txn`.
     pub fn delete_row_txn(&self, txn: &Txn, table: &Arc<BaseTable>, doc: DocId) -> Result<bool> {
-        txn.lock(
-            &rx_storage::LockName::Table(table.def.id),
-            rx_storage::LockMode::IX,
-        )?;
-        txn.lock(
-            &rx_storage::LockName::Document {
-                table: table.def.id,
-                doc,
-            },
-            rx_storage::LockMode::X,
-        )?;
+        crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
         let Some(rid) = table.row_rid(doc)? else {
             return Ok(false);
         };
@@ -1416,6 +1375,7 @@ fn decode_dict(sb: &[u8], qb: &[u8]) -> Result<NameDict> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::QueryHit;
 
     fn catalog_table(db: &Arc<Database>) -> Arc<BaseTable> {
         db.create_table(
@@ -1423,6 +1383,16 @@ mod tests {
             &[("sku", ColumnKind::Str), ("doc", ColumnKind::Xml)],
         )
         .unwrap()
+    }
+
+    /// Run `path` over the `doc` column through `query_locked` in a
+    /// transaction of its own.
+    fn query(db: &Database, t: &Arc<BaseTable>, path: &rx_xpath::Path) -> Vec<QueryHit> {
+        let txn = db.begin().unwrap();
+        let col = t.xml_column("doc").unwrap();
+        let (hits, _) = db.query_locked(&txn, t, col, path, false).unwrap();
+        txn.commit().unwrap();
+        hits
     }
 
     const DOC1: &str = r#"<Catalog><Product><ProductName>Widget</ProductName><RegPrice>9.99</RegPrice></Product></Catalog>"#;
@@ -1488,11 +1458,11 @@ mod tests {
         let path = rx_xpath::XPathParser::new()
             .parse("/Catalog/Product[RegPrice > 50]")
             .unwrap();
-        let (hits, _, explain) = db.query(&t, col, &path, false).unwrap();
-        assert_eq!(hits.len(), 1);
+        let explain = crate::access::plan(&path, col, false).explain();
         assert!(explain.contains("list access"), "got plan: {explain}");
-        let (again, _, _) = db.query(&t, col, &path, false).unwrap();
-        assert_eq!(again, hits);
+        let hits = query(&db, &t, &path);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(query(&db, &t, &path), hits);
         let s = db.stats();
         assert_eq!(s.plan_cache_misses, 1);
         assert_eq!(s.plan_cache_hits, 1);
@@ -1504,8 +1474,7 @@ mod tests {
             .unwrap();
         let s = db.stats();
         assert_eq!(s.plan_cache_entries, 0);
-        let (replanned, _, _) = db.query(&t, col, &path, false).unwrap();
-        assert_eq!(replanned, hits);
+        assert_eq!(query(&db, &t, &path), hits);
         assert_eq!(db.stats().plan_cache_misses, 2);
     }
 
@@ -1559,9 +1528,8 @@ mod tests {
             &[ColValue::Str("a".into()), ColValue::Xml(DOC1.to_string())],
         )
         .unwrap();
-        let col = t.xml_column("doc").unwrap();
         let path = rx_xpath::XPathParser::new().parse("/Catalog").unwrap();
-        db.query(&t, col, &path, false).unwrap();
+        query(&db, &t, &path);
         assert_eq!(db.stats().plan_cache_entries, 1);
         db.drop_table("products").unwrap();
         assert_eq!(db.stats().plan_cache_entries, 0);
@@ -1580,10 +1548,7 @@ mod tests {
             KeyType::Double,
         )
         .unwrap();
-        let (hits, _, _) = db
-            .query(&t2, t2.xml_column("doc").unwrap(), &path, false)
-            .unwrap();
-        assert!(hits.is_empty());
+        assert!(query(&db, &t2, &path).is_empty());
     }
 
     #[test]

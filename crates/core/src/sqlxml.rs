@@ -26,10 +26,12 @@
 //! ```
 
 use crate::access::{self, QueryHit};
+use crate::conc;
 use crate::construct::{Constructed, Ctor, CtorAttr, Template, ValueExpr, XmlAgg};
 use crate::db::{BaseTable, ColValue, ColumnKind, Database, Row};
 use crate::error::{EngineError, Result};
 use crate::xmltable::DocId;
+use rx_storage::Txn;
 use rx_xml::value::KeyType;
 use rx_xpath::XPathParser;
 use std::sync::Arc;
@@ -53,20 +55,16 @@ pub enum Output {
     Xml(Vec<String>),
 }
 
-/// A session bound to a database.
+/// A session bound to a database. Each `SELECT` and `XQUERY` statement
+/// reads in one transaction of its own, under the §5.1 locks.
 pub struct Session {
     db: Arc<Database>,
-    /// Prefer NodeID-granularity index plans (the large-document switch).
-    pub prefer_nodeid: bool,
 }
 
 impl Session {
     /// Open a session.
     pub fn new(db: Arc<Database>) -> Session {
-        Session {
-            db,
-            prefer_nodeid: false,
-        }
+        Session { db }
     }
 
     /// The database.
@@ -80,6 +78,42 @@ impl Session {
         let mut p = P { toks, pos: 0 };
         p.statement(self)
     }
+}
+
+/// Run `f` in one transaction: committed when it succeeds, rolled back
+/// when it fails. A transaction that only read writes no WAL record, so the
+/// commit costs no fsync (DESIGN.md §8.4).
+fn in_txn<T>(db: &Database, f: impl FnOnce(&Txn) -> Result<T>) -> Result<T> {
+    let txn = db.begin()?;
+    match f(&txn) {
+        Ok(v) => {
+            txn.commit()?;
+            Ok(v)
+        }
+        Err(e) => {
+            let _ = txn.rollback();
+            Err(e)
+        }
+    }
+}
+
+/// S-lock `docs` (in DocID order) in `txn`, then read each with `read`. A
+/// document that is gone once its lock is granted — its insert rolled back,
+/// or its delete committed, after the list was gathered — is skipped.
+fn read_locked(
+    txn: &Txn,
+    table: &BaseTable,
+    docs: &[DocId],
+    mut read: impl FnMut(DocId) -> Result<()>,
+) -> Result<()> {
+    conc::lock_documents_shared(txn, table.def.id, docs)?;
+    for &doc in docs {
+        match read(doc) {
+            Err(EngineError::NotFound { .. }) => {}
+            r => r?,
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -180,6 +214,26 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
 // ---------------------------------------------------------------------------
 // Parser / executor
 // ---------------------------------------------------------------------------
+
+/// A parsed SELECT projection.
+enum Proj {
+    /// `XMLQUERY('path' [PASSING column])`.
+    Query {
+        xpath: String,
+        passing: Option<String>,
+    },
+    /// `XMLSERIALIZE([column])`.
+    Serialize { col: Option<String> },
+    /// `*`.
+    Star,
+    /// `XMLELEMENT(…)`, one constructed element per row.
+    Construct(Ctor),
+    /// `XMLAGG(XMLELEMENT(…) [ORDER BY column [ASC|DESC]])`.
+    Agg {
+        ctor: Ctor,
+        order: Option<(String, bool)>,
+    },
+}
 
 /// A parsed WHERE clause.
 enum Filter {
@@ -295,7 +349,9 @@ impl P {
                 let table = s.db.table(&tname)?;
                 let col = Arc::clone(Self::xml_column_of(&table, column.as_deref())?);
                 let flwor = crate::xquery::parse_flwor(&text, &rx_xpath::XPathParser::new())?;
-                let out = crate::xquery::execute_flwor(s.db(), &table, &col, &flwor)?;
+                let out = in_txn(&s.db, |txn| {
+                    crate::xquery::execute_flwor(&s.db, txn, &table, &col, &flwor)
+                })?;
                 Ok(Output::Xml(out))
             }
             other => Err(EngineError::Invalid(format!(
@@ -581,21 +637,6 @@ impl P {
 
     fn select(&mut self, s: &Session, explain_only: bool) -> Result<Output> {
         self.kw("SELECT")?;
-        enum Proj {
-            Query {
-                xpath: String,
-                passing: Option<String>,
-            },
-            Serialize {
-                col: Option<String>,
-            },
-            Star,
-            Construct(Ctor),
-            Agg {
-                ctor: Ctor,
-                order: Option<(String, bool)>,
-            },
-        }
         let proj = match self.next()? {
             Tok::Star => Proj::Star,
             Tok::Ident(f) if f.eq_ignore_ascii_case("XMLELEMENT") => {
@@ -705,146 +746,80 @@ impl P {
             }
         }
         self.end()?;
-        let dict = s.db.dict();
-
-        // Helper: run an XPath over the table with access-path selection.
-        let run = |xpath: &str, passing: Option<&str>, explain: bool| -> Result<Output> {
+        if explain_only {
+            // EXPLAIN only plans: it reads no document and takes no lock.
+            let (xpath, passing) = match (&proj, &filter) {
+                (Proj::Query { xpath, passing }, _) => (xpath, passing.as_deref()),
+                (_, Filter::Exists(xp)) => (xp, None),
+                _ => {
+                    return Err(EngineError::Invalid(
+                        "EXPLAIN needs an XMLQUERY or XMLEXISTS path".into(),
+                    ))
+                }
+            };
             let col = Self::xml_column_of(&table, passing)?;
             let path = XPathParser::new().parse(xpath)?;
-            if explain {
-                let p = access::plan(&path, col, s.prefer_nodeid);
-                return Ok(Output::Explain(p.explain()));
-            }
-            let (hits, _, _) = s.db.query(&table, col, &path, s.prefer_nodeid)?;
-            Ok(Output::Sequence(hits))
-        };
+            return Ok(Output::Explain(access::plan(&path, col, false).explain()));
+        }
+        in_txn(&s.db, |txn| {
+            Self::run_select(&s.db, txn, &table, proj, filter)
+        })
+    }
 
-        match (proj, filter) {
-            (Proj::Query { xpath, passing }, Filter::None) => {
-                run(&xpath, passing.as_deref(), explain_only)
-            }
-            (Proj::Query { xpath, passing }, Filter::Doc(doc)) => {
-                if explain_only {
-                    return run(&xpath, passing.as_deref(), true);
-                }
-                let col = Self::xml_column_of(&table, passing.as_deref())?;
+    /// Evaluate a parsed SELECT in `txn`. Every document it reads is
+    /// S-locked in `txn` first: XPath reads through `query_locked`, row
+    /// fetches, serialization and per-document evaluation through
+    /// [`read_locked`].
+    fn run_select(
+        db: &Arc<Database>,
+        txn: &Txn,
+        table: &Arc<BaseTable>,
+        proj: Proj,
+        filter: Filter,
+    ) -> Result<Output> {
+        let dict = db.dict();
+        match proj {
+            Proj::Query { xpath, passing } => {
+                let col = Self::xml_column_of(table, passing.as_deref())?;
                 let path = XPathParser::new().parse(&xpath)?;
-                let tree = rx_xpath::QueryTree::compile(&path)?;
-                let mut hits = Vec::new();
-                access::DocScanner::new(&tree, dict).evaluate(
-                    col,
-                    doc,
-                    &mut access::AccessStats::default(),
-                    &mut hits,
-                )?;
-                Ok(Output::Sequence(hits))
-            }
-            (Proj::Star, Filter::Exists(xp)) => {
-                if explain_only {
-                    return run(&xp, None, true);
-                }
-                let col = Self::xml_column_of(&table, None)?;
-                let path = XPathParser::new().parse(&xp)?;
-                let (hits, _, _) = s.db.query(&table, col, &path, s.prefer_nodeid)?;
-                let mut docs: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
-                docs.sort_unstable();
-                docs.dedup();
-                let mut rows = Vec::new();
-                for d in docs {
-                    if let Some(r) = s.db.fetch_row(&table, d)? {
-                        rows.push(r);
+                let docs = match filter {
+                    Filter::None => {
+                        let (hits, _) = db.query_locked(txn, table, col, &path, false)?;
+                        return Ok(Output::Sequence(hits));
                     }
-                }
-                Ok(Output::Rows(rows))
-            }
-            (Proj::Star, Filter::None) => {
-                let mut rows = Vec::new();
-                for d in access::all_docids(&table)? {
-                    if let Some(r) = s.db.fetch_row(&table, d)? {
-                        rows.push(r);
+                    Filter::Exists(_) => {
+                        return Err(EngineError::Invalid(
+                            "combine the XMLEXISTS predicate into the XMLQUERY path instead".into(),
+                        ))
                     }
-                }
-                Ok(Output::Rows(rows))
-            }
-            (Proj::Star, Filter::Doc(doc)) => {
-                let mut rows = Vec::new();
-                if let Some(r) = s.db.fetch_row(&table, doc)? {
-                    rows.push(r);
-                }
-                Ok(Output::Rows(rows))
-            }
-            (Proj::Star, Filter::Contains(terms)) => {
-                let mut rows = Vec::new();
-                for d in Self::contains_docs(&table, &terms)? {
-                    if let Some(r) = s.db.fetch_row(&table, d)? {
-                        rows.push(r);
+                    // A DocID or full-text candidate list: evaluate the path
+                    // per document.
+                    Filter::Doc(_) | Filter::Contains(_) => {
+                        Self::filter_docs(db, txn, table, &filter)?
                     }
-                }
-                Ok(Output::Rows(rows))
-            }
-            (Proj::Serialize { col }, Filter::Contains(terms)) => {
-                let name = match col {
-                    Some(c) => c,
-                    None => table.xml_columns().first().unwrap().name.clone(),
                 };
-                let mut out = Vec::new();
-                for d in Self::contains_docs(&table, &terms)? {
-                    out.push((d, s.db.serialize_document(&table, &name, d)?));
-                }
-                Ok(Output::Documents(out))
-            }
-            (Proj::Query { xpath, passing }, Filter::Contains(terms)) => {
-                // Full-text prefilter, then evaluate the path per document.
-                let col = Self::xml_column_of(&table, passing.as_deref())?;
-                let path = XPathParser::new().parse(&xpath)?;
                 let tree = rx_xpath::QueryTree::compile(&path)?;
-                let mut stats = access::AccessStats::default();
                 let mut lane = access::DocScanner::new(&tree, dict);
+                let mut stats = access::AccessStats::default();
                 let mut hits = Vec::new();
-                for d in Self::contains_docs(&table, &terms)? {
-                    lane.evaluate(col, d, &mut stats, &mut hits)?;
-                }
+                read_locked(txn, table, &docs, |d| {
+                    lane.evaluate(col, d, &mut stats, &mut hits)
+                })?;
                 Ok(Output::Sequence(hits))
             }
-            (Proj::Serialize { col }, Filter::Doc(doc)) => {
-                let c = Self::xml_column_of(&table, col.as_deref())?;
-                let _ = c;
-                let name = col.unwrap_or_else(|| table.xml_columns().first().unwrap().name.clone());
-                Ok(Output::Documents(vec![(
-                    doc,
-                    s.db.serialize_document(&table, &name, doc)?,
-                )]))
-            }
-            (Proj::Serialize { col }, Filter::None) => {
-                let name = match col {
-                    Some(c) => c,
-                    None => table.xml_columns().first().unwrap().name.clone(),
-                };
-                let mut out = Vec::new();
-                for d in access::all_docids(&table)? {
-                    out.push((d, s.db.serialize_document(&table, &name, d)?));
-                }
+            Proj::Serialize { col } => {
+                let name = Self::xml_column_of(table, col.as_deref())?.name.clone();
+                let docs = Self::filter_docs(db, txn, table, &filter)?;
+                let mut out = Vec::with_capacity(docs.len());
+                read_locked(txn, table, &docs, |d| {
+                    out.push((d, db.serialize_document(table, &name, d)?));
+                    Ok(())
+                })?;
                 Ok(Output::Documents(out))
             }
-            (Proj::Serialize { .. }, Filter::Exists(xp)) => {
-                let col = Self::xml_column_of(&table, None)?;
-                let path = XPathParser::new().parse(&xp)?;
-                let (hits, _, _) = s.db.query(&table, col, &path, s.prefer_nodeid)?;
-                let mut docs: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
-                docs.sort_unstable();
-                docs.dedup();
-                let name = table.xml_columns().first().unwrap().name.clone();
-                let mut out = Vec::new();
-                for d in docs {
-                    out.push((d, s.db.serialize_document(&table, &name, d)?));
-                }
-                Ok(Output::Documents(out))
-            }
-            (Proj::Query { .. }, Filter::Exists(_)) => Err(EngineError::Invalid(
-                "combine the XMLEXISTS predicate into the XMLQUERY path instead".into(),
-            )),
-            (Proj::Construct(ctor), filter) => {
-                let rows = Self::filtered_rows(s, &table, &filter, self.prefer_or(s))?;
+            Proj::Star => Ok(Output::Rows(Self::filtered_rows(db, txn, table, &filter)?)),
+            Proj::Construct(ctor) => {
+                let rows = Self::filtered_rows(db, txn, table, &filter)?;
                 let tpl = Template::compile(&ctor, dict)?;
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
@@ -853,11 +828,11 @@ impl P {
                 }
                 Ok(Output::Xml(out))
             }
-            (Proj::Agg { ctor, order }, filter) => {
-                let rows = Self::filtered_rows(s, &table, &filter, self.prefer_or(s))?;
+            Proj::Agg { ctor, order } => {
+                let rows = Self::filtered_rows(db, txn, table, &filter)?;
                 let tpl = Template::compile(&ctor, dict)?;
                 let order_by = match order {
-                    Some((col, desc)) => Some((Self::column_slot(&table, &col)?, desc)),
+                    Some((col, desc)) => Some((Self::column_slot(table, &col)?, desc)),
                     None => None,
                 };
                 let mut agg = XmlAgg::new(tpl, order_by);
@@ -882,10 +857,6 @@ impl P {
         Err(EngineError::Invalid("missing FROM clause".into()))
     }
 
-    fn prefer_or(&self, s: &Session) -> bool {
-        s.prefer_nodeid
-    }
-
     /// Documents whose full-text index contains all `terms` (AND semantics
     /// across the column's full-text indexes: any index may satisfy).
     fn contains_docs(table: &Arc<BaseTable>, terms: &str) -> Result<Vec<DocId>> {
@@ -906,33 +877,43 @@ impl P {
         Ok(docs)
     }
 
-    /// Rows of `table` surviving the WHERE clause.
-    fn filtered_rows(
-        s: &Session,
+    /// Candidate documents of the WHERE clause, in DocID order. Only the
+    /// `XMLEXISTS` list is locked here (by `query_locked`); callers read
+    /// every list through [`read_locked`].
+    fn filter_docs(
+        db: &Database,
+        txn: &Txn,
         table: &Arc<BaseTable>,
         filter: &Filter,
-        prefer_nodeid: bool,
-    ) -> Result<Vec<Row>> {
-        let docs: Vec<DocId> = match filter {
+    ) -> Result<Vec<DocId>> {
+        Ok(match filter {
             Filter::None => access::all_docids(table)?,
             Filter::Doc(d) => vec![*d],
             Filter::Exists(xp) => {
                 let col = Self::xml_column_of(table, None)?;
                 let path = XPathParser::new().parse(xp)?;
-                let (hits, _, _) = s.db.query(table, col, &path, prefer_nodeid)?;
+                let (hits, _) = db.query_locked(txn, table, col, &path, false)?;
                 let mut docs: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
-                docs.sort_unstable();
                 docs.dedup();
                 docs
             }
             Filter::Contains(terms) => Self::contains_docs(table, terms)?,
-        };
+        })
+    }
+
+    /// Rows of `table` surviving the WHERE clause.
+    fn filtered_rows(
+        db: &Database,
+        txn: &Txn,
+        table: &Arc<BaseTable>,
+        filter: &Filter,
+    ) -> Result<Vec<Row>> {
+        let docs = Self::filter_docs(db, txn, table, filter)?;
         let mut rows = Vec::with_capacity(docs.len());
-        for d in docs {
-            if let Some(r) = s.db.fetch_row(table, d)? {
-                rows.push(r);
-            }
-        }
+        read_locked(txn, table, &docs, |d| {
+            rows.extend(db.fetch_row(table, d)?);
+            Ok(())
+        })?;
         Ok(rows)
     }
 
@@ -1059,6 +1040,28 @@ mod tests {
             Output::Explain(text) => assert!(text.contains("FULL SCAN"), "{text}"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn explain_plans_without_reading() {
+        let s = session();
+        s.execute("CREATE TABLE t (doc XML)").unwrap();
+        let t = s.db().table("t").unwrap();
+        // An open insert holds X on its document: a statement that read it
+        // would wait for the writer, EXPLAIN answers at once.
+        let writer = s.db().begin().unwrap();
+        s.db()
+            .insert_row_txn(&writer, &t, &[ColValue::Xml("<r><v>1</v></r>".into())])
+            .unwrap();
+        match s
+            .execute("EXPLAIN SELECT * FROM t WHERE XMLEXISTS('/r[v = 1]')")
+            .unwrap()
+        {
+            Output::Explain(text) => assert!(text.contains("FULL SCAN"), "{text}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(s.execute("EXPLAIN SELECT * FROM t").is_err(), "no path");
+        writer.rollback().unwrap();
     }
 
     #[test]

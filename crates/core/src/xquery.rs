@@ -18,11 +18,11 @@
 //! bound subtree replay (§4.4 deferred access — only matched subtrees are
 //! fetched).
 
-use crate::access;
 use crate::db::{BaseTable, Database, XmlColumn};
 use crate::error::{EngineError, Result};
 use crate::traverse::Traverser;
 use crate::xmltable::DocId;
+use rx_storage::Txn;
 use rx_xml::event::{Event, EventSink};
 use rx_xml::nodeid::NodeId;
 use rx_xml::value::TypeAnn;
@@ -310,18 +310,20 @@ fn parse_elem(c: &mut Cur<'_>, var: &str, xpath: &XPathParser) -> Result<RetItem
 // Evaluation
 // ---------------------------------------------------------------------------
 
-/// Execute a FLWOR over one XML column, returning one serialized XML string
-/// per binding (in binding order, or `order by` order).
+/// Execute a FLWOR over one XML column in `txn`, returning one serialized
+/// XML string per binding (in binding order, or `order by` order).
 pub fn execute_flwor(
     db: &Arc<Database>,
+    txn: &Txn,
     table: &Arc<BaseTable>,
     column: &Arc<XmlColumn>,
     flwor: &Flwor,
 ) -> Result<Vec<String>> {
     let dict = db.dict();
-    // The for clause goes through access-path selection (§4.3).
-    let plan = access::plan(&flwor.binding, column, false);
-    let (hits, _) = access::execute(&plan, table, column, dict, &flwor.binding)?;
+    // The for clause goes through access-path selection (§4.3) and the
+    // plan cache; it S-locks every document it binds in, so the
+    // projections below read locked documents only.
+    let (hits, _) = db.query_locked(txn, table, column, &flwor.binding, false)?;
 
     // Evaluate order-by keys and sort bindings.
     let mut bindings: Vec<(DocId, NodeId, String)> = Vec::with_capacity(hits.len());
@@ -422,8 +424,17 @@ fn project(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access;
     use crate::db::{ColValue, ColumnKind};
     use rx_xml::value::KeyType;
+
+    /// Run `f` in a transaction of its own.
+    fn run(db: &Arc<Database>, t: &Arc<BaseTable>, col: &Arc<XmlColumn>, f: &Flwor) -> Vec<String> {
+        let txn = db.begin().unwrap();
+        let out = execute_flwor(db, &txn, t, col, f).unwrap();
+        txn.commit().unwrap();
+        out
+    }
 
     fn setup() -> (Arc<Database>, Arc<BaseTable>, Arc<XmlColumn>, XPathParser) {
         let db = Database::create_in_memory().unwrap();
@@ -458,7 +469,7 @@ mod tests {
             &xp,
         )
         .unwrap();
-        let out = execute_flwor(&db, &t, &col, &f).unwrap();
+        let out = run(&db, &t, &col, &f);
         assert_eq!(
             out,
             vec![
@@ -485,7 +496,7 @@ mod tests {
             "{}",
             plan.explain()
         );
-        let out = execute_flwor(&db, &t, &col, &f).unwrap();
+        let out = run(&db, &t, &col, &f);
         assert_eq!(out, vec!["<hit>Gadget</hit>", "<hit>Gizmo</hit>"]);
     }
 
@@ -498,7 +509,7 @@ mod tests {
             &xp,
         )
         .unwrap();
-        let out = execute_flwor(&db, &t, &col, &f).unwrap();
+        let out = run(&db, &t, &col, &f);
         assert_eq!(out, vec!["<n>Gadget</n>", "<n>Gizmo</n>", "<n>Widget</n>"]);
         let f = parse_flwor(
             "for $p in /Catalog/Product order by $p/ProductName descending \
@@ -506,7 +517,7 @@ mod tests {
             &xp,
         )
         .unwrap();
-        let out = execute_flwor(&db, &t, &col, &f).unwrap();
+        let out = run(&db, &t, &col, &f);
         assert_eq!(out[0], "<n>Widget</n>");
     }
 
@@ -520,7 +531,7 @@ mod tests {
             &xp,
         )
         .unwrap();
-        let out = execute_flwor(&db, &t, &col, &f).unwrap();
+        let out = run(&db, &t, &col, &f);
         assert_eq!(
             out,
             vec!["<offer><title>SALE:Gadget</title><was>150</was></offer>"]
@@ -536,7 +547,7 @@ mod tests {
             &xp,
         )
         .unwrap();
-        let out = execute_flwor(&db, &t, &col, &f).unwrap();
+        let out = run(&db, &t, &col, &f);
         assert_eq!(
             out,
             vec![

@@ -462,17 +462,7 @@ fn handle_request(inner: &Inner, session: u64, req: Request) -> Response {
                 let t = db.table(&table)?;
                 // §5.1: S-lock the document so the fetch never observes a
                 // partially written row.
-                txn.lock(
-                    &rx_storage::LockName::Table(t.def.id),
-                    rx_storage::LockMode::IS,
-                )?;
-                txn.lock(
-                    &rx_storage::LockName::Document {
-                        table: t.def.id,
-                        doc,
-                    },
-                    rx_storage::LockMode::S,
-                )?;
+                rx_engine::conc::lock_document_shared(txn, t.def.id, doc)?;
                 db.fetch_row(&t, doc)
             }) {
                 Ok(row) => Response::Row(row),

@@ -110,7 +110,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     txn.commit()?;
     // The price index sees the new price immediately.
     let path = XPathParser::new().parse("/Catalog/Categories/Product[RegPrice > 900]")?;
-    let (hits, _, explain) = access::run_query(&table, col, dict, &path, false)?;
+    let txn = db.begin()?;
+    let (hits, _) = db.query_locked(&txn, &table, col, &path, false)?;
+    txn.commit()?;
+    let explain = access::plan(&path, col, false).explain();
     println!(
         "\nindexed query after update ({}): {} hit(s)",
         explain.lines().next().unwrap_or(""),

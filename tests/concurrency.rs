@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use system_rx::engine::db::{ColValue, ColumnKind, Database};
 use system_rx::engine::mvcc::{pack_for_mvcc, MvccXmlStore};
-use system_rx::engine::{access, conc, update};
+use system_rx::engine::{access, conc, update, Output, Session};
 use system_rx::gen::{order_doc, product_doc, CatalogSpec};
 use system_rx::storage::{BufferPool, MemBackend, TableSpace};
 use system_rx::xml::{NameDict, NodeId};
@@ -248,7 +248,7 @@ fn locked_reader_never_sees_partial_insert_via_index() {
         // reader instead blocks on the doc lock; with the short default
         // timeout it errors rather than returning a partial document.
         let txn = db.begin().unwrap();
-        let locked = access::run_query_locked(&txn, &t, col, db.dict(), &path, false);
+        let locked = db.query_locked(&txn, &t, col, &path, false);
         assert!(
             locked.is_err(),
             "locked reader must not read the uncommitted document"
@@ -258,7 +258,7 @@ fn locked_reader_never_sees_partial_insert_via_index() {
     });
     // After commit, the locked reader sees both documents.
     let txn = db.begin().unwrap();
-    let (hits, _) = access::run_query_locked(&txn, &t, col, db.dict(), &path, false).unwrap();
+    let (hits, _) = db.query_locked(&txn, &t, col, &path, false).unwrap();
     txn.commit().unwrap();
     let mut values: Vec<String> = hits.into_iter().map(|h| h.value).collect();
     values.sort();
@@ -267,7 +267,7 @@ fn locked_reader_never_sees_partial_insert_via_index() {
 
 #[test]
 fn locked_scan_without_indexes() {
-    // run_query_locked falls back to a full scan and still S-locks every
+    // query_locked falls back to a full scan and still S-locks every
     // document it reads.
     let db = Database::create_in_memory().unwrap();
     let t = db.create_table("u", &[("doc", ColumnKind::Xml)]).unwrap();
@@ -278,10 +278,87 @@ fn locked_scan_without_indexes() {
     let col = t.xml_column("doc").unwrap();
     let path = XPathParser::new().parse("/r/v").unwrap();
     let txn = db.begin().unwrap();
-    let (hits, stats) = access::run_query_locked(&txn, &t, col, db.dict(), &path, false).unwrap();
+    let (hits, stats) = db.query_locked(&txn, &t, col, &path, false).unwrap();
     assert_eq!(hits.len(), 5);
     assert_eq!(stats.candidates, 5);
     // All five document locks are held until commit.
     assert!(db.txns().locks().held_count(txn.id()) >= 6); // table IS + 5 docs
     txn.commit().unwrap();
+}
+
+/// SQL/XML and XQuery read under the §5.1 locks: with an insert left
+/// uncommitted, each statement waits for the writer and, once it rolls
+/// back, returns only the committed row — through an index
+/// (`XMLEXISTS`), a full scan (`XMLQUERY`, `XQUERY`) and a row scan
+/// (`SELECT *`).
+#[test]
+fn sql_and_xquery_never_return_an_uncommitted_insert() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+    use std::time::Duration;
+    use system_rx::xml::value::KeyType;
+
+    let db = Database::create_in_memory().unwrap();
+    let session = Session::new(Arc::clone(&db));
+    session
+        .execute("CREATE TABLE t (tag VARCHAR, doc XML)")
+        .unwrap();
+    db.create_value_index("t", "v", "doc", "/r/v", KeyType::Double)
+        .unwrap();
+    session
+        .execute("INSERT INTO t VALUES ('committed', XML('<r><v>1</v></r>'))")
+        .unwrap();
+    let t = db.table("t").unwrap();
+    let statements = [
+        "SELECT * FROM t WHERE XMLEXISTS('/r[v = 2]')",
+        "SELECT * FROM t",
+        "SELECT XMLQUERY('/r/v') FROM t",
+        "XQUERY 'for $i in /r return <x>{ $i/v }</x>' ON t (doc)",
+    ];
+    for sql in statements {
+        let writer = db.begin().unwrap();
+        db.insert_row_txn(
+            &writer,
+            &t,
+            &[
+                ColValue::Str("uncommitted".into()),
+                ColValue::Xml("<r><v>2</v></r>".into()),
+            ],
+        )
+        .unwrap();
+        let rolling_back = AtomicBool::new(false);
+        let started = Barrier::new(2);
+        let (out, waited) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                started.wait();
+                let out = session.execute(sql).unwrap();
+                (out, rolling_back.load(Ordering::SeqCst))
+            });
+            // The reader is running the statement while the writer waits
+            // 100 ms, then rolls back.
+            started.wait();
+            std::thread::sleep(Duration::from_millis(100));
+            rolling_back.store(true, Ordering::SeqCst);
+            writer.rollback().unwrap();
+            reader.join().unwrap()
+        });
+        assert!(waited, "{sql}: returned before the writer rolled back");
+        match out {
+            Output::Rows(rows) => {
+                let tags: Vec<&str> = rows.iter().map(|r| r.values[0].as_str()).collect();
+                let expected: &[&str] = if sql.contains("XMLEXISTS") {
+                    &[]
+                } else {
+                    &["committed"]
+                };
+                assert_eq!(tags, expected, "{sql}");
+            }
+            Output::Sequence(hits) => {
+                let values: Vec<&str> = hits.iter().map(|h| h.value.as_str()).collect();
+                assert_eq!(values, ["1"], "{sql}");
+            }
+            Output::Xml(items) => assert_eq!(items, ["<x>1</x>"], "{sql}"),
+            other => panic!("{sql}: unexpected {other:?}"),
+        }
+    }
 }

@@ -7,10 +7,11 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::{update, BaseTable, DocId};
+use system_rx::engine::{update, BaseTable, DocId, QueryHit};
+use system_rx::storage::Txn;
 use system_rx::xml::value::KeyType;
 use system_rx::xml::{NodeId, RelId};
-use system_rx::xpath::XPathParser;
+use system_rx::xpath::{Path, XPathParser};
 
 fn db_cached(doc_cache_bytes: usize) -> Arc<Database> {
     Database::create_in_memory_with(DbConfig {
@@ -18,6 +19,17 @@ fn db_cached(doc_cache_bytes: usize) -> Arc<Database> {
         ..DbConfig::default()
     })
     .unwrap()
+}
+
+/// Run `path` over the `doc` column through `query_locked` in a transaction
+/// of its own.
+fn query(db: &Database, t: &Arc<BaseTable>, path: &Path, prefer_nodeid: bool) -> Vec<QueryHit> {
+    let txn = db.begin().unwrap();
+    let (hits, _) = db
+        .query_locked(&txn, t, t.xml_column("doc").unwrap(), path, prefer_nodeid)
+        .unwrap();
+    txn.commit().unwrap();
+    hits
 }
 
 /// NodeIds of the fixed `<r><v>N</v><tag>tI</tag></r>` shape.
@@ -102,12 +114,8 @@ proptest! {
         let compare_queries = |label: &str| {
             for (name, path) in [("scan", &scan), ("indexed", &indexed)] {
                 for prefer_nodeid in [false, true] {
-                    let (h_off, _, _) = db_off
-                        .query(&t_off, t_off.xml_column("doc").unwrap(), path, prefer_nodeid)
-                        .unwrap();
-                    let (h_on, _, _) = db_on
-                        .query(&t_on, t_on.xml_column("doc").unwrap(), path, prefer_nodeid)
-                        .unwrap();
+                    let h_off = query(&db_off, &t_off, path, prefer_nodeid);
+                    let h_on = query(&db_on, &t_on, path, prefer_nodeid);
                     assert_eq!(h_on, h_off, "{label}: {name} nodeid={prefer_nodeid}");
                 }
             }
@@ -164,12 +172,18 @@ fn rollback_leaves_no_stale_entry() {
     db.insert_row(&t, &[ColValue::Xml("<r><v>alpha</v></r>".into())])
         .unwrap();
     let path = XPathParser::new().parse("/r/v").unwrap();
-    let query = |label: &str| -> String {
-        let (hits, _, _) = db
-            .query(&t, t.xml_column("doc").unwrap(), &path, false)
+    let query_in = |txn: &Txn, label: &str| -> String {
+        let (hits, _) = db
+            .query_locked(txn, &t, t.xml_column("doc").unwrap(), &path, false)
             .unwrap();
         assert_eq!(hits.len(), 1, "{label}");
         hits[0].value.clone()
+    };
+    let query = |label: &str| -> String {
+        let txn = db.begin().unwrap();
+        let value = query_in(&txn, label);
+        txn.commit().unwrap();
+        value
     };
 
     // Populate through the read path, then take a warm hit.
@@ -177,14 +191,14 @@ fn rollback_leaves_no_stale_entry() {
     assert_eq!(query("warm"), "alpha");
     assert!(db.stats().doc_cache_hits >= 1);
 
-    // An uncommitted update: this single-version store shows the dirty value
-    // to unlocked readers, but the open writer must keep it OUT of the cache.
+    // An uncommitted update: the writer reads its own dirty value through
+    // the same read path, but the open writer must keep it OUT of the cache.
     let txn = db.begin().unwrap();
     db.update_document_txn(&txn, &t, "doc", 1, &v_element(), |txn, xml| {
         update::replace_value(txn, xml, 1, &v_text(), "zzz")
     })
     .unwrap();
-    assert_eq!(query("mid-txn dirty read"), "zzz");
+    assert_eq!(query_in(&txn, "mid-txn read of its own write"), "zzz");
     txn.rollback().unwrap();
 
     // After rollback every read sees the committed value again — had the
@@ -220,7 +234,7 @@ fn readers_and_writers_stress() {
         committed.push(v);
     }
     // One mutex per document serializes writers on that document so "last
-    // committed value" is well-defined; readers run unlocked.
+    // committed value" is well-defined; readers take the §5.1 read locks.
     let doc_locks: Vec<Mutex<()>> = (0..NDOCS).map(|_| Mutex::new(())).collect();
     let last_committed: Mutex<HashMap<DocId, String>> = Mutex::new(HashMap::new());
     let path = XPathParser::new().parse("/r/v").unwrap();
@@ -251,9 +265,7 @@ fn readers_and_writers_stress() {
             let path = &path;
             s.spawn(move || {
                 for _ in 0..ROUNDS * 2 {
-                    let (hits, _, _) = db
-                        .query(t, t.xml_column("doc").unwrap(), path, false)
-                        .unwrap();
+                    let hits = query(db, t, path, false);
                     assert_eq!(hits.len(), NDOCS);
                     for h in &hits {
                         assert!(

@@ -285,10 +285,13 @@ fn indexes_created_on_a_loaded_table_cover_existing_documents() {
     let path = XPathParser::new().parse("/a[p = 3]").unwrap();
     let query = |db: &Database| {
         let t = db.table("t").unwrap();
-        let (hits, _, explain) = db
-            .query(&t, t.xml_column("doc").unwrap(), &path, false)
-            .unwrap();
-        (hits.len(), explain)
+        let col = t.xml_column("doc").unwrap();
+        let txn = db.begin().unwrap();
+        let (hits, _) = db.query_locked(&txn, &t, col, &path, false).unwrap();
+        txn.commit().unwrap();
+        // The plan the query ran: the plan cache's entry for its key.
+        let cached = access::prepare(Some(db.plan_cache()), &t, col, &path, false).unwrap();
+        (hits.len(), cached.plan.explain())
     };
     assert_eq!(query(&db).0, 1, "full scan");
 

@@ -7,10 +7,11 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
+use system_rx::engine::access::{self, AccessStats, QueryHit};
+use system_rx::engine::db::{BaseTable, ColValue, ColumnKind, Database, DbConfig};
 use system_rx::gen::{product_doc, CatalogSpec};
 use system_rx::xml::value::KeyType;
-use system_rx::xpath::XPathParser;
+use system_rx::xpath::{Path, XPathParser};
 
 fn db_with_workers(workers: usize) -> Arc<Database> {
     Database::create_in_memory_with(DbConfig {
@@ -18,6 +19,22 @@ fn db_with_workers(workers: usize) -> Arc<Database> {
         ..DbConfig::default()
     })
     .unwrap()
+}
+
+/// Run `path` over the `doc` column through `query_locked` in a transaction
+/// of its own.
+fn locked_query(
+    db: &Database,
+    t: &Arc<BaseTable>,
+    path: &Path,
+    prefer_nodeid: bool,
+) -> (Vec<QueryHit>, AccessStats) {
+    let txn = db.begin().unwrap();
+    let out = db
+        .query_locked(&txn, t, t.xml_column("doc").unwrap(), path, prefer_nodeid)
+        .unwrap();
+    txn.commit().unwrap();
+    out
 }
 
 /// An arbitrary small XML document over a tiny vocabulary.
@@ -74,12 +91,8 @@ proptest! {
         let ts = serial.table("d").unwrap();
         let tp = par.table("d").unwrap();
         for prefer_nodeid in [false, true] {
-            let (hs, ss, _) = serial
-                .query(&ts, ts.xml_column("doc").unwrap(), &path, prefer_nodeid)
-                .unwrap();
-            let (hp, sp, _) = par
-                .query(&tp, tp.xml_column("doc").unwrap(), &path, prefer_nodeid)
-                .unwrap();
+            let (hs, ss) = locked_query(&serial, &ts, &path, prefer_nodeid);
+            let (hp, sp) = locked_query(&par, &tp, &path, prefer_nodeid);
             prop_assert_eq!(&hp, &hs, "query {} nodeid={}", query, prefer_nodeid);
             prop_assert_eq!(sp, ss, "query {} nodeid={}", query, prefer_nodeid);
         }
@@ -112,12 +125,9 @@ proptest! {
         let ts = serial.table("p").unwrap();
         let tp = par.table("p").unwrap();
         for prefer_nodeid in [false, true] {
-            let (hs, ss, explain) = serial
-                .query(&ts, ts.xml_column("doc").unwrap(), &path, prefer_nodeid)
-                .unwrap();
-            let (hp, sp, _) = par
-                .query(&tp, tp.xml_column("doc").unwrap(), &path, prefer_nodeid)
-                .unwrap();
+            let (hs, ss) = locked_query(&serial, &ts, &path, prefer_nodeid);
+            let (hp, sp) = locked_query(&par, &tp, &path, prefer_nodeid);
+            let explain = access::plan(&path, ts.xml_column("doc").unwrap(), prefer_nodeid).explain();
             prop_assert!(explain.contains("list access"), "expected index plan: {}", explain);
             prop_assert_eq!(&hp, &hs, "threshold {} nodeid={}", threshold, prefer_nodeid);
             prop_assert_eq!(sp, ss, "threshold {} nodeid={}", threshold, prefer_nodeid);
@@ -265,11 +275,10 @@ fn concurrent_clients_share_pool_and_plan_cache() {
             let scan = &scan;
             let indexed = &indexed;
             s.spawn(move || {
-                let col = t.xml_column("doc").unwrap();
                 for round in 0..10 {
-                    let (hits, _, _) = db.query(t, col, scan, false).unwrap();
+                    let (hits, _) = locked_query(db, t, scan, false);
                     assert_eq!(hits.len(), spec.products);
-                    let (hits, _, _) = db.query(t, col, indexed, round % 2 == 0).unwrap();
+                    let (hits, _) = locked_query(db, t, indexed, round % 2 == 0);
                     assert_eq!(hits.len(), expected_indexed);
                 }
             });

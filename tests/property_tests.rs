@@ -238,7 +238,7 @@ proptest! {
         let lanes = QueryExecutor::new(2);
         for exec in [None, Some(&lanes)] {
             let (hits, stats) =
-                execute_tree(&AccessPlan::FullScan, &t, col, dict, &tree, exec).unwrap();
+                execute_tree(&AccessPlan::FullScan, &t, col, dict, &tree, exec, None).unwrap();
             prop_assert_eq!(stats.docs_evaluated, docs.len() as u64);
             for (doc_text, &id) in docs.iter().zip(&ids) {
                 let mine: Vec<_> = hits.iter().filter(|h| h.doc == id).collect();

@@ -76,7 +76,8 @@ fn sorted_docs(hits: &[QueryHit]) -> Vec<DocId> {
         .collect()
 }
 
-/// `query` and `query_locked` for one granularity: (hits, stats) of each.
+/// The unlocked executor and `query_locked` for one granularity: (hits,
+/// stats) of each.
 fn both_paths(
     db: &Database,
     t: &Arc<BaseTable>,
@@ -84,11 +85,23 @@ fn both_paths(
     prefer_nodeid: bool,
 ) -> [(Vec<QueryHit>, AccessStats); 2] {
     let col = t.xml_column("doc").unwrap();
-    let (hits, stats, _) = db.query(t, col, path, prefer_nodeid).unwrap();
+    let plan = access::plan(path, col, prefer_nodeid);
+    let unlocked = access::execute(&plan, t, col, db.dict(), path).unwrap();
+    [unlocked, locked_query(db, t, path, prefer_nodeid)]
+}
+
+/// `query_locked` in a transaction of its own.
+fn locked_query(
+    db: &Database,
+    t: &Arc<BaseTable>,
+    path: &Path,
+    prefer_nodeid: bool,
+) -> (Vec<QueryHit>, AccessStats) {
     let txn = db.begin().unwrap();
-    let locked = db.query_locked(&txn, t, col, path, prefer_nodeid).unwrap();
+    let col = t.xml_column("doc").unwrap();
+    let out = db.query_locked(&txn, t, col, path, prefer_nodeid).unwrap();
     txn.commit().unwrap();
-    [(hits, stats), locked]
+    out
 }
 
 fn full_scan(db: &Database, t: &Arc<BaseTable>, path: &Path) -> Vec<QueryHit> {
@@ -410,9 +423,7 @@ fn writers_flipping_the_flag_never_hide_committed_documents() {
             writers_done.store(true, Ordering::Release);
         });
         assert!(price_index(&t).is_multi_valued());
-        let (hits, _, _) = db
-            .query(&t, t.xml_column("doc").unwrap(), &path, false)
-            .unwrap();
+        let (hits, _) = locked_query(&db, &t, &path, false);
         let expected = 5
             + (0..threads)
                 .flat_map(|w| (0..DOCS_PER_WRITER).map(move |i| writer_prices(w, i)))
@@ -420,4 +431,37 @@ fn writers_flipping_the_flag_never_hide_committed_documents() {
                 .count();
         assert_eq!(hits.len(), expected);
     }
+}
+
+/// `query_locked` honours `prefer_nodeid`: the candidates are anchor nodes,
+/// and only the documents holding one are evaluated. The first document
+/// has an `i` with `a = 1` and an `i` with `b = 1` but none with both, so
+/// NodeID-level ANDing drops it where DocID-level ANDing keeps it.
+#[test]
+fn locked_nodeid_plan_gathers_anchor_nodes() {
+    let db = Database::create_in_memory().unwrap();
+    let t = db.create_table("n", &[("doc", ColumnKind::Xml)]).unwrap();
+    for (name, path) in [("a_idx", "/r/i/a"), ("b_idx", "/r/i/b")] {
+        db.create_value_index("n", name, "doc", path, KeyType::Double)
+            .unwrap();
+    }
+    for xml in [
+        "<r><i><a>1</a><b>2</b></i><i><a>2</a><b>1</b></i></r>",
+        "<r><i><a>1</a><b>1</b></i></r>",
+    ] {
+        db.insert_row(&t, &[ColValue::Xml(xml.into())]).unwrap();
+    }
+    let path = q("/r/i[a = 1 and b = 1]");
+    let [(unlocked, unlocked_stats), (hits, stats)] = both_paths(&db, &t, &path, true);
+    assert_eq!(unlocked_stats.candidates, 1);
+    assert_eq!(unlocked_stats.docs_evaluated, 0, "exact list, no locks");
+    assert_eq!(stats.candidates, 1);
+    assert_eq!(stats.docs_evaluated, 1, "re-verified under its S lock");
+    assert_eq!(hits, unlocked);
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0].doc, 2);
+    let (docid_hits, docid_stats) = locked_query(&db, &t, &path, false);
+    assert_eq!(docid_hits, hits);
+    assert_eq!(docid_stats.candidates, 2);
+    assert_eq!(docid_stats.docs_evaluated, 2);
 }

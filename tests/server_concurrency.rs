@@ -196,9 +196,7 @@ fn shutdown_rolls_back_abandoned_sessions() {
         let t = db.begin().unwrap();
         let col = table.xml_column("doc").unwrap();
         let path = system_rx::xpath::XPathParser::new().parse("/item").unwrap();
-        let (hits, _) =
-            system_rx::engine::access::run_query_locked(&t, &table, col, db.dict(), &path, false)
-                .unwrap();
+        let (hits, _) = db.query_locked(&t, &table, col, &path, false).unwrap();
         t.commit().unwrap();
         hits
     };
