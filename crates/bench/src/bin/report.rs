@@ -1570,6 +1570,96 @@ fn e11_parallel_query() {
     );
     println!("shape check: warm latency well below cold — the parse/compile/plan cost");
     println!("is paid once per distinct query, as a relational statement cache would.");
+
+    e11d_fan_out_threshold();
+}
+
+/// E11d: where fan-out starts to pay. Times one query's candidate
+/// evaluation on the calling thread against the same candidates split over
+/// two lanes, for 1 to 256 cached product documents (the `lookup-hot` shape:
+/// a price-range predicate over small documents). `MIN_DOCS_PER_LANE` is
+/// read off this table.
+fn e11d_fan_out_threshold() {
+    use rx_engine::executor::QueryExecutor;
+
+    let db = mem_db_cached(3500, 2 << 20);
+    let (t, _spec) = load_product_docs(&db, 256);
+    let col = t.xml_column("doc").unwrap();
+    let path = XPathParser::new()
+        .parse("/Catalog/Categories/Product[RegPrice > 100 and RegPrice < 200]")
+        .unwrap();
+    let tree = Arc::new(QueryTree::compile(&path).unwrap());
+    let all = access::all_docids(&t).unwrap();
+    let exec = QueryExecutor::new(2);
+    const CALLS: usize = 801;
+    let mut rows = Vec::new();
+    // Smallest candidate count from which 2 lanes beat serial at every
+    // larger count measured.
+    let mut wins_from = None;
+    for n in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
+        let docs = &all[..n];
+        let run = |lanes: usize| {
+            let t0 = Instant::now();
+            let mut stats = access::AccessStats::default();
+            let hits = access::evaluate_docs(
+                Some(&exec),
+                lanes,
+                None,
+                &t,
+                col,
+                db.dict(),
+                &tree,
+                docs.to_vec(),
+                &mut stats,
+            )
+            .unwrap();
+            std::hint::black_box(hits);
+            t0.elapsed()
+        };
+        // Alternate the two arms call by call so drift hits both alike.
+        let (mut serial, mut two) = (Vec::new(), Vec::new());
+        for _ in 0..CALLS {
+            serial.push(run(1));
+            two.push(run(2));
+        }
+        serial.sort();
+        two.sort();
+        let (s, p) = (serial[CALLS / 2], two[CALLS / 2]);
+        if p >= s || n == 1 {
+            wins_from = None;
+        } else if wins_from.is_none() {
+            wins_from = Some(n);
+        }
+        rows.push(vec![
+            n.to_string(),
+            (n / 2).to_string(),
+            fmt_dur(s),
+            fmt_dur(p),
+            format!("{:.2}x", s.as_secs_f64() / p.as_secs_f64()),
+        ]);
+    }
+    print_table(
+        &format!(
+            "E11d: serial vs 2-lane evaluation of n cached documents (median of {CALLS} calls)"
+        ),
+        &[
+            "candidates",
+            "per lane",
+            "serial",
+            "2 lanes",
+            "2-lane speedup",
+        ],
+        &rows,
+    );
+    match wins_from {
+        Some(n) => println!(
+            "2 lanes beat serial from {n} candidates ({} per lane) on; the query path fans out \
+             from MIN_DOCS_PER_LANE = {} per lane.",
+            n / 2,
+            access::MIN_DOCS_PER_LANE
+        ),
+        None => println!("2 lanes did not beat serial at the largest batch on this host."),
+    }
 }
 
 // ---------------------------------------------------------------------------

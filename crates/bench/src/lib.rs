@@ -1,8 +1,8 @@
 //! # rx-bench — shared harness for the System R/X experiments
 //!
-//! Helpers used by both the Criterion benches (`benches/e*.rs`) and the
-//! `report` binary, which regenerates every table/figure-level claim of the
-//! paper and prints paper-shape vs measured (see `EXPERIMENTS.md`).
+//! Helpers used by the `report` binary, which regenerates every
+//! table/figure-level claim of the paper and prints paper-shape vs measured
+//! (see `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 

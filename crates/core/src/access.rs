@@ -517,25 +517,43 @@ impl<'q, 'd> DocScanner<'q, 'd> {
     }
 }
 
-/// Evaluate `tree` over the candidate documents `docs` (in DocID order),
-/// fanning the work across the executor's lanes. Under a transaction every
-/// candidate is S-locked, in DocID order, before any lane starts, so lanes
-/// only read documents the transaction holds locks on and a lock timeout
-/// aborts the query before fan-out. A candidate gathered before its lock was
-/// granted may since have been deleted by a transaction that committed in
-/// between (the lock guarantees we never see a *partial* document, not that
-/// the document still exists), so under a transaction `NotFound` skips the
-/// document instead of failing.
+/// Fewest candidate documents an executor lane must get before a batch
+/// fans out. Handing a lane to a pool thread costs a wake-up and a merge,
+/// which a few small documents do not repay: E11d (EXPERIMENTS.md) times
+/// serial against 2-lane evaluation of 1 to 256 cached product documents,
+/// and on a 2-vCPU host 2 lanes break even at about 64 candidates.
+pub const MIN_DOCS_PER_LANE: usize = 32;
+
+/// How many lanes a batch of `candidates` documents is evaluated on: the
+/// executor's lanes, capped so every lane gets at least
+/// [`MIN_DOCS_PER_LANE`] documents. One lane means the calling thread
+/// evaluates the whole batch.
+pub fn fan_out_lanes(exec: Option<&QueryExecutor>, candidates: usize) -> usize {
+    exec.map_or(1, |e| {
+        e.workers().min(candidates / MIN_DOCS_PER_LANE).max(1)
+    })
+}
+
+/// Evaluate `tree` over the candidate documents `docs` (in DocID order) on
+/// `lanes` lanes of `exec` (the query path passes [`fan_out_lanes`]). Under
+/// a transaction every candidate is S-locked, in DocID order, before any
+/// lane starts, so lanes only read documents the transaction holds locks on
+/// and a lock timeout aborts the query before fan-out. A candidate gathered
+/// before its lock was granted may since have been deleted by a transaction
+/// that committed in between (the lock guarantees we never see a *partial*
+/// document, not that the document still exists), so under a transaction
+/// `NotFound` skips the document instead of failing.
 ///
-/// Contiguous partitions of the candidate list keep per-partition results in
-/// document order, so concatenating them in partition order reproduces
-/// exactly the serial output; per-partition stats are summed. The first
-/// error in partition (= document) order propagates, matching the serial
-/// loop. Runs serially when no executor is supplied or the batch is too
-/// small to split.
+/// Contiguous, evenly sized partitions of the candidate list keep
+/// per-partition results in document order, so concatenating them in
+/// partition order reproduces exactly the serial output; per-partition
+/// stats are summed. The first error in partition (= document) order
+/// propagates, matching the serial loop. Runs serially when no executor is
+/// supplied or `lanes` is 1.
 #[allow(clippy::too_many_arguments)]
-fn evaluate_docs(
+pub fn evaluate_docs(
     exec: Option<&QueryExecutor>,
+    lanes: usize,
     txn: Option<&Txn>,
     table: &BaseTable,
     column: &Arc<XmlColumn>,
@@ -565,26 +583,26 @@ fn evaluate_docs(
         }
         Ok(hits)
     };
-    let lanes = exec.map_or(1, QueryExecutor::workers);
-    if lanes <= 1 || docs.len() <= 1 {
-        return lane(column, dict, tree, &docs, stats);
-    }
-    let exec = exec.expect("lanes > 1 implies an executor");
-    let chunk = docs.len().div_ceil(lanes.min(docs.len()));
+    let lanes = lanes.min(docs.len());
+    let exec = match exec {
+        Some(exec) if lanes > 1 => exec,
+        _ => return lane(column, dict, tree, &docs, stats),
+    };
     type PartResult = Result<(Vec<QueryHit>, AccessStats)>;
     let mut tasks: Vec<Box<dyn FnOnce() -> PartResult + Send>> = Vec::new();
-    // One shared candidate list; each lane gets a (start, len) window into
-    // it instead of its own copy of the slice.
+    // One shared candidate list; each lane gets a window into it instead of
+    // its own copy of the slice.
+    let n = docs.len();
     let docs: Arc<[DocId]> = docs.into();
-    for start in (0..docs.len()).step_by(chunk) {
-        let len = chunk.min(docs.len() - start);
+    for i in 0..lanes {
+        let window = i * n / lanes..(i + 1) * n / lanes;
         let column = Arc::clone(column);
         let dict = Arc::clone(dict);
         let tree = Arc::clone(tree);
         let docs = Arc::clone(&docs);
         tasks.push(Box::new(move || {
             let mut stats = AccessStats::default();
-            let hits = lane(&column, &dict, &tree, &docs[start..start + len], &mut stats)?;
+            let hits = lane(&column, &dict, &tree, &docs[window], &mut stats)?;
             Ok((hits, stats))
         }));
     }
@@ -768,7 +786,10 @@ pub fn execute_tree(
     if anchors.is_none() {
         stats.candidates = docs.len() as u64;
     }
-    let mut hits = evaluate_docs(exec, txn, table, column, dict, tree, docs, &mut stats)?;
+    let lanes = fan_out_lanes(exec, docs.len());
+    let mut hits = evaluate_docs(
+        exec, lanes, txn, table, column, dict, tree, docs, &mut stats,
+    )?;
     if let Some((anchors, depth)) = anchors {
         hits.retain(|h| match &h.node {
             Some(n) => anchors
@@ -1165,6 +1186,14 @@ mod tests {
     #[test]
     fn parallel_execution_matches_serial() {
         let (db, t) = setup();
+        // Enough documents that a full scan gives two lanes
+        // MIN_DOCS_PER_LANE each.
+        for i in 20..2 * MIN_DOCS_PER_LANE as u32 {
+            let price = 10.0 + f64::from(i) * 20.0;
+            let discount = f64::from(i % 4) * 0.1;
+            db.insert_row(&t, &[ColValue::Xml(catalog_doc(i, price, discount))])
+                .unwrap();
+        }
         let col = t.xml_column("doc").unwrap();
         let exec = QueryExecutor::new(4);
         let queries = [
@@ -1196,6 +1225,48 @@ mod tests {
     }
 
     #[test]
+    fn small_batches_evaluate_on_the_calling_thread() {
+        let db = Database::create_in_memory().unwrap();
+        let t = db
+            .create_table("products", &[("doc", ColumnKind::Xml)])
+            .unwrap();
+        let col = t.xml_column("doc").unwrap();
+        let path = q("/Catalog/Categories/Product/ProductName");
+        let tree = Arc::new(QueryTree::compile(&path).unwrap());
+        let exec = QueryExecutor::new(2);
+        let scan = || {
+            execute_tree(
+                &AccessPlan::FullScan,
+                &t,
+                col,
+                db.dict(),
+                &tree,
+                Some(&exec),
+                None,
+            )
+            .unwrap()
+            .0
+            .len()
+        };
+        let insert = |i: usize| {
+            let xml = catalog_doc(i as u32, 10.0, 0.1);
+            db.insert_row(&t, &[ColValue::Xml(xml)]).unwrap();
+        };
+        // One document short of MIN_DOCS_PER_LANE for each of 2 lanes.
+        for i in 0..2 * MIN_DOCS_PER_LANE - 1 {
+            insert(i);
+        }
+        assert_eq!(fan_out_lanes(Some(&exec), 2 * MIN_DOCS_PER_LANE - 1), 1);
+        assert_eq!(scan(), 2 * MIN_DOCS_PER_LANE - 1);
+        assert_eq!(exec.parallel_queries(), 0, "below the threshold: serial");
+        insert(2 * MIN_DOCS_PER_LANE);
+        assert_eq!(fan_out_lanes(Some(&exec), 2 * MIN_DOCS_PER_LANE), 2);
+        assert_eq!(scan(), 2 * MIN_DOCS_PER_LANE);
+        assert_eq!(exec.parallel_queries(), 1, "at the threshold: 2 lanes");
+        assert_eq!(fan_out_lanes(None, 1000), 1);
+    }
+
+    #[test]
     fn parallel_evaluation_skips_deleted_docs_only_under_a_transaction() {
         let (db, t) = setup();
         let col = t.xml_column("doc").unwrap();
@@ -1208,7 +1279,7 @@ mod tests {
         // The stale candidate list still names the deleted doc (a locked
         // read hits this when a delete commits between gather and lock).
         let evaluate = |txn, docs, stats: &mut AccessStats| {
-            evaluate_docs(Some(&exec), txn, &t, col, db.dict(), &tree, docs, stats)
+            evaluate_docs(Some(&exec), 4, txn, &t, col, db.dict(), &tree, docs, stats)
         };
         let err = evaluate(None, docs.clone(), &mut AccessStats::default()).unwrap_err();
         assert!(matches!(err, EngineError::NotFound { .. }));
@@ -1224,6 +1295,7 @@ mod tests {
         let mut serial_stats = AccessStats::default();
         let serial = evaluate_docs(
             None,
+            1,
             None,
             &t,
             col,
@@ -1312,6 +1384,7 @@ mod tests {
         let mut stats = AccessStats::default();
         let listed = evaluate_docs(
             None,
+            1,
             Some(&txn),
             &t,
             col,

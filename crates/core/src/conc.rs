@@ -37,6 +37,15 @@ pub fn lock_documents_shared(txn: &Txn, table: u32, docs: &[DocId]) -> Result<()
     Ok(())
 }
 
+/// Non-blocking variant of [`lock_document_shared`] for callers that must
+/// never wait (the server's inline point fetch): returns whether IS on the
+/// table and S on the document were both granted at once. A partial grant
+/// (IS alone) is a compatible intent and stays until transaction end.
+pub fn try_lock_document_shared(txn: &Txn, table: u32, doc: DocId) -> Result<bool> {
+    Ok(txn.try_lock(&LockName::Table(table), LockMode::IS)?
+        && txn.try_lock(&LockName::Document { table, doc }, LockMode::S)?)
+}
+
 /// Take the §5.1 writer locks: IX on the table, X on the document.
 pub fn lock_document_exclusive(txn: &Txn, table: u32, doc: DocId) -> Result<()> {
     txn.lock(&LockName::Table(table), LockMode::IX)?;
@@ -145,6 +154,24 @@ mod tests {
         lock_document_shared(&r2, 1, 7).unwrap();
         r.commit().unwrap();
         r2.commit().unwrap();
+    }
+
+    #[test]
+    fn try_shared_never_waits_on_a_writer() {
+        let m = mgr();
+        let w = m.begin().unwrap();
+        lock_document_exclusive(&w, 1, 7).unwrap();
+        let r = m.begin().unwrap();
+        let started = std::time::Instant::now();
+        assert!(!try_lock_document_shared(&r, 1, 7).unwrap());
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "a refused try-lock must not wait for the lock timeout"
+        );
+        assert!(try_lock_document_shared(&r, 1, 8).unwrap());
+        w.commit().unwrap();
+        assert!(try_lock_document_shared(&r, 1, 7).unwrap());
+        r.commit().unwrap();
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //! multiplexes many concurrent [`Session`]s over one byte stream.
 //!
 //! A [`Connection`] owns the socket: a writer mutex serializes request
-//! frames, and a background router thread reads response frames and hands
-//! each to the session whose stream id it carries. [`Session`] handles are
+//! frames, and the sessions waiting for replies take turns reading them
+//! (leader/follower). One waiting session, the leader, reads the socket;
+//! it leaves every other stream's reply in that session's slot and wakes
+//! only that session, and when its own reply arrives it returns and hands
+//! the reader role to one session still waiting. No thread is started for
+//! a connection. [`Session`] handles are
 //! cheap (an `Arc` clone plus a stream id); every session gets independent
 //! transaction state server-side. Responses may complete out of order
 //! across sessions — that is the point — while each session itself stays
@@ -23,9 +27,10 @@ use parking_lot::Mutex;
 use rx_engine::{ColValue, Row};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Arc};
+use std::io::{self, BufReader, Read, Write};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+use std::thread::Thread;
 
 /// What a client call can fail with.
 #[derive(Debug)]
@@ -115,19 +120,56 @@ impl Default for ConnectOptions {
     }
 }
 
-/// One-shot response routes, keyed by stream id, plus the reason the
-/// connection died (set once by the router thread).
-struct Pending {
-    routes: HashMap<u32, mpsc::Sender<Vec<u8>>>,
+/// Where one calling session's reply stands.
+enum Reply {
+    /// The caller is still writing its request.
+    Sending,
+    /// The caller waits as a follower, parked.
+    Waiting,
+    /// The leader read the reply off the socket and left it here.
+    Ready(Vec<u8>),
+}
+
+/// One calling session: its reply and the thread to wake when it lands.
+struct Slot {
+    reply: Reply,
+    waker: Thread,
+}
+
+/// Leader/follower demultiplexing state. At most one calling session, the
+/// leader, reads the socket; it drops the replies of other streams into
+/// their slots and wakes just that caller. A reply for a stream with no
+/// slot (its session is gone) is discarded.
+struct Demux {
+    slots: HashMap<u32, Slot>,
+    leader: bool,
+    /// Set once, when the socket hits EOF or an error.
     dead: bool,
+}
+
+impl Demux {
+    /// Pass the reader role on: wake one parked follower, which finds no
+    /// leader and takes the role. A caller still writing its request is not
+    /// chosen (its write may be what the peer waits on); it finds no leader
+    /// itself once the write returns.
+    fn hand_off(&self) {
+        if let Some(slot) = self
+            .slots
+            .values()
+            .find(|slot| matches!(slot.reply, Reply::Waiting))
+        {
+            slot.waker.unpark();
+        }
+    }
 }
 
 /// Shared state behind a [`Connection`] and all of its [`Session`]s.
 struct ConnInner {
     writer: Mutex<Box<dyn Write + Send>>,
+    /// The buffered read half; only the leader locks it.
+    reader: Mutex<Box<dyn Read + Send>>,
     codec: FrameCodec,
-    pending: Arc<Mutex<Pending>>,
-    closed: Arc<AtomicBool>,
+    demux: Mutex<Demux>,
     closer: Closer,
     next_stream: AtomicU32,
     max_streams: u32,
@@ -135,30 +177,97 @@ struct ConnInner {
 
 impl Drop for ConnInner {
     fn drop(&mut self) {
-        // Hang up so the router thread unparks and exits.
-        self.closed.store(true, Ordering::SeqCst);
         (self.closer)();
+    }
+}
+
+impl ConnInner {
+    /// Wait for the reply on `stream`, whose slot the caller registered
+    /// before writing its request: take it if a leader already delivered
+    /// it, read the socket as the leader if nobody does, or park as a
+    /// follower until one of the two happens.
+    fn wait(&self, stream: u32) -> Result<Vec<u8>, ClientError> {
+        let mut d = self.demux.lock();
+        loop {
+            let ready = matches!(d.slots[&stream].reply, Reply::Ready(_));
+            if ready || d.dead {
+                return match d.slots.remove(&stream).map(|slot| slot.reply) {
+                    Some(Reply::Ready(payload)) => Ok(payload),
+                    _ => Err(ClientError::Closed),
+                };
+            }
+            if !d.leader {
+                d.leader = true;
+                drop(d);
+                return self.lead(stream);
+            }
+            if let Some(slot) = d.slots.get_mut(&stream) {
+                slot.reply = Reply::Waiting;
+            }
+            drop(d);
+            std::thread::park();
+            d = self.demux.lock();
+        }
+    }
+
+    /// Read frames as the leader until `stream`'s own reply arrives, then
+    /// hand the reader role to a remaining caller.
+    fn lead(&self, stream: u32) -> Result<Vec<u8>, ClientError> {
+        let mut reader = self.reader.lock();
+        loop {
+            let frame = self.codec.read(&mut *reader);
+            let mut d = self.demux.lock();
+            match frame {
+                Ok(Some(frame)) if frame.stream == stream => {
+                    // Release the socket before the next leader wants it.
+                    drop(reader);
+                    d.slots.remove(&stream);
+                    d.leader = false;
+                    d.hand_off();
+                    return Ok(frame.payload);
+                }
+                Ok(Some(frame)) => {
+                    if let Some(slot) = d.slots.get_mut(&frame.stream) {
+                        slot.reply = Reply::Ready(frame.payload);
+                        slot.waker.unpark();
+                    }
+                }
+                _ => {
+                    drop(reader);
+                    d.dead = true;
+                    d.leader = false;
+                    d.slots.remove(&stream);
+                    for slot in d.slots.values() {
+                        slot.waker.unpark();
+                    }
+                    return Err(ClientError::Closed);
+                }
+            }
+        }
     }
 }
 
 /// A multiplexed protocol-v2 connection: one socket, many concurrent
 /// [`Session`]s. Cloning is cheap and shares the socket; the socket closes
-/// when the last clone and all sessions are gone.
+/// when the last clone and all sessions are gone. A connection starts no
+/// thread: calling sessions take turns reading the socket.
 #[derive(Clone)]
 pub struct Connection {
     inner: Arc<ConnInner>,
 }
 
 impl Connection {
-    /// Send a [`Hello`] on `stream` and start routing responses once the
-    /// server acknowledges protocol v2. A refusal comes back as the server's
+    /// Send a [`Hello`] and return the connection once the server
+    /// acknowledges protocol v2. A refusal comes back as the server's
     /// error ([`ClientError::Server`] with `UnsupportedVersion`); an
     /// acknowledgement of any other version is a [`ClientError::Protocol`].
     pub fn establish<S: Transport>(
         stream: S,
         opts: ConnectOptions,
     ) -> Result<Connection, ClientError> {
-        let (mut reader, mut writer, closer) = stream.into_split()?;
+        let (reader, mut writer, closer) = stream.into_split()?;
+        // Buffered, so a frame costs one `read` call rather than three.
+        let mut reader = BufReader::new(reader);
         let codec = FrameCodec::new(opts.max_frame_bytes);
         let hello = Hello {
             version: proto::PROTO_VERSION,
@@ -183,64 +292,21 @@ impl Connection {
             )));
         }
         let max_frame = opts.max_frame_bytes.min(ack.max_frame as usize).max(1024);
-        Ok(Connection::from_parts(
-            reader,
-            writer,
-            closer,
-            ack.max_streams,
-            max_frame,
-        ))
-    }
-
-    fn from_parts<R: Read + Send + 'static>(
-        reader: R,
-        writer: impl Write + Send + 'static,
-        closer: Closer,
-        max_streams: u32,
-        max_frame: usize,
-    ) -> Connection {
-        let pending = Arc::new(Mutex::new(Pending {
-            routes: HashMap::new(),
-            dead: false,
-        }));
-        let closed = Arc::new(AtomicBool::new(false));
-        let inner = Arc::new(ConnInner {
-            writer: Mutex::new(Box::new(writer)),
-            codec: FrameCodec::new(max_frame),
-            pending: Arc::clone(&pending),
-            closed: Arc::clone(&closed),
-            closer,
-            next_stream: AtomicU32::new(1),
-            max_streams,
-        });
-        // The router holds only the pending map and the closed flag — not
-        // the inner — so dropping the last user handle hangs up the socket
-        // and lets this thread exit.
-        let codec = FrameCodec::new(max_frame);
-        std::thread::Builder::new()
-            .name("rx-client-router".into())
-            .spawn(move || {
-                let mut reader = reader;
-                loop {
-                    if closed.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match codec.read(&mut reader) {
-                        Ok(Some(frame)) => {
-                            let route = pending.lock().routes.remove(&frame.stream);
-                            if let Some(tx) = route {
-                                let _ = tx.send(frame.payload);
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-                let mut p = pending.lock();
-                p.dead = true;
-                p.routes.clear(); // wakes every parked caller with Closed
-            })
-            .expect("spawn client router");
-        Connection { inner }
+        Ok(Connection {
+            inner: Arc::new(ConnInner {
+                writer: Mutex::new(Box::new(writer)),
+                reader: Mutex::new(Box::new(reader)),
+                codec: FrameCodec::new(max_frame),
+                demux: Mutex::new(Demux {
+                    slots: HashMap::new(),
+                    leader: false,
+                    dead: false,
+                }),
+                closer,
+                next_stream: AtomicU32::new(1),
+                max_streams: ack.max_streams,
+            }),
+        })
     }
 
     /// Open a new session (stream) on this connection. Cheap: no round
@@ -278,13 +344,20 @@ impl Session {
     }
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let (tx, rx) = mpsc::channel();
+        // Register before writing: the reply may be read by another
+        // session's leader before the write call returns.
         {
-            let mut p = self.inner.pending.lock();
-            if p.dead {
+            let mut d = self.inner.demux.lock();
+            if d.dead {
                 return Err(ClientError::Closed);
             }
-            p.routes.insert(self.stream, tx);
+            d.slots.insert(
+                self.stream,
+                Slot {
+                    reply: Reply::Sending,
+                    waker: std::thread::current(),
+                },
+            );
         }
         let frame = Frame::data(self.stream, req.encode());
         if let Err(e) = self
@@ -292,10 +365,10 @@ impl Session {
             .codec
             .write(&mut *self.inner.writer.lock(), &frame)
         {
-            self.inner.pending.lock().routes.remove(&self.stream);
+            self.inner.demux.lock().slots.remove(&self.stream);
             return Err(ClientError::Io(e));
         }
-        let payload = rx.recv().map_err(|_| ClientError::Closed)?;
+        let payload = self.inner.wait(self.stream)?;
         decode_response(&payload)
     }
 
@@ -371,7 +444,6 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        self.inner.pending.lock().routes.remove(&self.stream);
         // Best effort: tell the server to close this stream's session.
         let _ = self.inner.codec.write(
             &mut *self.inner.writer.lock(),
@@ -430,5 +502,135 @@ fn want_pong(resp: Response) -> Result<(), ClientError> {
     match resp {
         Response::Pong => Ok(()),
         other => unexpected(other),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::FLAG_END_STREAM;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    /// A one-connection fake server: acknowledges the handshake, then runs
+    /// `serve` over the socket on a thread of its own.
+    fn fake_server(
+        serve: impl FnOnce(&FrameCodec, &mut BufReader<TcpStream>, &mut TcpStream) + Send + 'static,
+    ) -> Connection {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let codec = FrameCodec::new(proto::MAX_FRAME);
+            let hello = codec.read_handshake(&mut reader).unwrap().unwrap();
+            let hello = Hello::decode(&hello).unwrap();
+            let ack = HelloAck {
+                version: proto::PROTO_VERSION,
+                max_streams: hello.max_streams,
+                max_frame: proto::MAX_FRAME as u64,
+            };
+            codec.write_handshake(&mut writer, &ack.encode()).unwrap();
+            serve(&codec, &mut reader, &mut writer);
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        Connection::establish(stream, ConnectOptions::default()).unwrap()
+    }
+
+    fn pong(codec: &FrameCodec, w: &mut TcpStream, stream: u32) {
+        let frame = Frame::data(stream, Response::Pong.encode());
+        codec.write(w, &frame).unwrap();
+    }
+
+    #[test]
+    fn a_forced_close_releases_every_waiting_session() {
+        const WAITERS: usize = 8;
+        // Read every request, answer none, then hang up.
+        let conn = fake_server(|codec, r, w| {
+            let mut requests = 0;
+            while requests < WAITERS {
+                let frame = codec.read(r).unwrap().unwrap();
+                if frame.flags & FLAG_END_STREAM == 0 {
+                    requests += 1;
+                }
+            }
+            w.shutdown(std::net::Shutdown::Both).unwrap();
+        });
+        let waiters: Vec<_> = (0..WAITERS)
+            .map(|_| {
+                let mut s = conn.session();
+                std::thread::spawn(move || {
+                    let started = Instant::now();
+                    (s.ping(), started.elapsed())
+                })
+            })
+            .collect();
+        for w in waiters {
+            let (r, took) = w.join().unwrap();
+            assert!(matches!(r, Err(ClientError::Closed)), "{r:?}");
+            assert!(took < Duration::from_secs(5), "a waiter took {took:?}");
+        }
+        // The connection stays dead for later calls.
+        assert!(matches!(conn.session().ping(), Err(ClientError::Closed)));
+    }
+
+    #[test]
+    fn a_late_reply_for_a_dropped_session_is_discarded() {
+        let conn = fake_server(|codec, r, w| {
+            // Answer the first ping, and once its session has ended the
+            // stream, answer it a second time.
+            let first = codec.read(r).unwrap().unwrap();
+            pong(codec, w, first.stream);
+            let end = codec.read(r).unwrap().unwrap();
+            assert_eq!(end.stream, first.stream);
+            assert_ne!(end.flags & FLAG_END_STREAM, 0);
+            pong(codec, w, first.stream);
+            while let Ok(Some(frame)) = codec.read(r) {
+                if frame.flags & FLAG_END_STREAM == 0 {
+                    pong(codec, w, frame.stream);
+                }
+            }
+        });
+        let mut a = conn.session();
+        a.ping().unwrap();
+        drop(a);
+        let mut b = conn.session();
+        b.ping().unwrap();
+        b.ping().unwrap();
+    }
+
+    #[test]
+    fn replies_in_reverse_order_reach_their_own_callers() {
+        const CALLERS: usize = 6;
+        // Collect one request per caller, then answer them last to first,
+        // each with its own stream id as the payload's echo.
+        let conn = fake_server(|codec, r, w| {
+            let mut streams = Vec::new();
+            while streams.len() < CALLERS {
+                let frame = codec.read(r).unwrap().unwrap();
+                if frame.flags & FLAG_END_STREAM == 0 {
+                    streams.push(frame.stream);
+                }
+            }
+            for &s in streams.iter().rev() {
+                let doc = Response::Doc(u64::from(s));
+                codec.write(w, &Frame::data(s, doc.encode())).unwrap();
+            }
+            while let Ok(Some(_)) = codec.read(r) {}
+        });
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let mut s = conn.session();
+                std::thread::spawn(move || {
+                    let id = s.stream_id();
+                    (id, s.call(&Request::Ping))
+                })
+            })
+            .collect();
+        for c in callers {
+            let (id, r) = c.join().unwrap();
+            assert_eq!(r.unwrap(), Response::Doc(u64::from(id)));
+        }
     }
 }

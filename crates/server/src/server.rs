@@ -8,14 +8,18 @@
 //! or one asking for an earlier version — gets one `UnsupportedVersion`
 //! error and is disconnected.
 //!
-//! Life of a request: the handler decodes frames off the socket and
-//! dispatches each stream's request as an independent job on the worker
-//! pool — one session per stream, so per-stream transaction state lives in
-//! the [`SessionManager`] like any other session. A writer mutex
+//! Life of a request: the handler decodes frames off a buffered reader —
+//! one session per stream, so per-stream transaction state lives in the
+//! [`SessionManager`] like any other session. A point fetch or a ping runs
+//! inline on the handler thread when it can do so without waiting: the
+//! session mutex and the §5.1 locks are only tried, never waited for.
+//! Everything else, and an inline candidate that would have to wait, is
+//! dispatched as an independent job on the worker pool. A writer mutex
 //! serializes responses back; completions may return out of order, tagged
 //! by stream id. Two backpressure layers answer `Busy` per-stream instead
 //! of stalling the socket: the per-connection `max_streams` in-flight
-//! budget and the global admission queue.
+//! budget (which inline requests occupy too) and the global admission
+//! queue.
 //!
 //! Shutdown: new requests and connections are refused, queued work drains,
 //! every connection is force-closed, handler threads exit (closing their
@@ -34,7 +38,7 @@ use parking_lot::{Condvar, Mutex};
 use rx_engine::{Database, EngineError};
 use rx_xpath::XPathParser;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -149,6 +153,48 @@ impl Inner {
             })?;
         conns.insert(id, ConnEntry { close, handle });
         Ok(())
+    }
+
+    /// Run `req` on the calling connection reader if it is cheap and can be
+    /// answered without waiting. `Ok(None)` hands it to the pool: it is not
+    /// a point request, its session is busy with another request, or a §5.1
+    /// lock it needs is held by a writer. Inline requests count as in
+    /// flight, so a shutdown drain waits for them, and once shutdown has
+    /// begun they are refused like pooled ones.
+    fn run_inline(&self, session: u64, req: &Request) -> Result<Option<Response>, Refused> {
+        if !matches!(req, Request::FetchRow { .. } | Request::Ping) {
+            return Ok(None);
+        }
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        if self.shutting_down.load(Ordering::SeqCst) {
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            return Err(Refused::ShuttingDown);
+        }
+        let resp = match req {
+            Request::FetchRow { table, doc } => {
+                let db = &self.db;
+                self.sessions
+                    .try_with_txn(session, db, |txn| {
+                        let t = db.table(table)?;
+                        if !rx_engine::conc::try_lock_document_shared(txn, t.def.id, *doc)? {
+                            return Ok(None);
+                        }
+                        db.fetch_row(&t, *doc).map(Some)
+                    })
+                    .map(|r| match r {
+                        Ok(row) => Response::Row(row),
+                        Err(e) => session_error_response(e),
+                    })
+            }
+            _ => Some(Response::Pong),
+        };
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if resp.is_some() {
+            self.counters
+                .requests_inline
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(resp)
     }
 
     fn worker_loop(&self) {
@@ -386,6 +432,7 @@ fn snapshot(inner: &Inner) -> StatsSnapshot {
         connections: inner.counters.connections.load(Ordering::Relaxed),
         streams_opened: inner.counters.streams_opened.load(Ordering::Relaxed),
         ooo_completions: inner.counters.ooo_completions.load(Ordering::Relaxed),
+        requests_inline: inner.counters.requests_inline.load(Ordering::Relaxed),
         latency: std::array::from_fn(|i| inner.counters.latency[i].snapshot()),
         db: inner.db.stats(),
     }
@@ -512,9 +559,12 @@ fn handle_request(inner: &Inner, session: u64, req: Request) -> Response {
 /// one `UnsupportedVersion` error in handshake framing, and the connection
 /// is closed.
 fn serve_connection<T: Transport>(inner: &Arc<Inner>, stream: T) {
-    let Ok((mut reader, mut writer, _closer)) = stream.into_split() else {
+    let Ok((reader, mut writer, _closer)) = stream.into_split() else {
         return;
     };
+    // Buffered, so a frame costs one `read` call rather than one per
+    // length prefix, header and payload.
+    let mut reader = BufReader::new(reader);
     let codec = FrameCodec::new(inner.max_frame);
     let hello = match codec.read_handshake(&mut reader) {
         Ok(None) => return,
@@ -601,6 +651,29 @@ impl<W: Write> StreamConn<W> {
         self.codec.write(&mut *self.writer.lock(), &frame).is_ok()
     }
 
+    /// Account for one answered request (error count, latency class,
+    /// ledger retirement) and send its response. Pooled and inline requests
+    /// both end here.
+    fn complete(
+        &self,
+        inner: &Inner,
+        stream: u32,
+        seq: u64,
+        class: ReqClass,
+        started: Instant,
+        resp: &Response,
+    ) -> bool {
+        if matches!(resp, Response::Error(_)) {
+            inner
+                .counters
+                .requests_errored
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        inner.counters.record_latency(class, started.elapsed());
+        self.retire(seq, inner, true);
+        self.respond(stream, resp, inner)
+    }
+
     /// Retire `seq` from the in-flight ledger. A retirement while an
     /// earlier-dispatched request is still in flight is an out-of-order
     /// completion (`count_ooo` is false on the Busy/refusal path, where
@@ -619,9 +692,10 @@ impl<W: Write> StreamConn<W> {
 }
 
 /// The demultiplexer: decode frames off the socket (read under the
-/// server's own bound), dispatch each stream's request as an independent
-/// job on the worker pool, and let the jobs write their own responses (out
-/// of order, tagged by stream id) through the shared writer.
+/// server's own bound), answer point requests that need no wait inline,
+/// dispatch every other request as an independent job on the worker pool,
+/// and let the jobs write their own responses (out of order, tagged by
+/// stream id) through the shared writer.
 fn serve_streams<R: Read, W: Write + Send + 'static>(
     inner: &Arc<Inner>,
     read_codec: FrameCodec,
@@ -723,20 +797,23 @@ fn serve_streams<R: Read, W: Write + Send + 'static>(
             }
             continue;
         };
-        let job_inner = Arc::clone(inner);
-        let job_conn = Arc::clone(&conn);
-        let submit = inner.submit(Box::new(move || {
-            let resp = handle_request(&job_inner, session, req);
-            if matches!(resp, Response::Error(_)) {
-                job_inner
-                    .counters
-                    .requests_errored
-                    .fetch_add(1, Ordering::Relaxed);
+        let submit = match inner.run_inline(session, &req) {
+            Ok(Some(resp)) => {
+                if !conn.complete(inner, stream, seq, class, started, &resp) {
+                    break;
+                }
+                continue;
             }
-            job_inner.counters.record_latency(class, started.elapsed());
-            job_conn.retire(seq, &job_inner, true);
-            job_conn.respond(stream, &resp, &job_inner);
-        }));
+            Ok(None) => {
+                let job_inner = Arc::clone(inner);
+                let job_conn = Arc::clone(&conn);
+                inner.submit(Box::new(move || {
+                    let resp = handle_request(&job_inner, session, req);
+                    job_conn.complete(&job_inner, stream, seq, class, started, &resp);
+                }))
+            }
+            Err(refused) => Err(refused),
+        };
         match submit {
             Ok(()) => {}
             Err(refused) => {
@@ -903,6 +980,71 @@ mod tests {
         t2.join().unwrap().unwrap();
         assert!(server.stats().requests_rejected >= 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn inline_requests_count_like_pooled_ones() {
+        const FETCHES: u64 = 5;
+        const QUERIES: u64 = 3;
+        let server = test_server(2, 16);
+        let mut c = server.connect().unwrap();
+        let doc = c
+            .insert_row("items", row("w", "<item><price>5</price></item>"))
+            .unwrap();
+        let before = server.stats();
+        for _ in 0..FETCHES {
+            assert!(c.fetch_row("items", doc).unwrap().is_some());
+        }
+        // An inline request that fails still counts as errored.
+        assert!(c.fetch_row("nope", doc).is_err());
+        for _ in 0..QUERIES {
+            assert_eq!(c.query("items", "doc", "/item/price").unwrap().len(), 1);
+        }
+        let after = server.stats();
+        let delta = |f: fn(&StatsSnapshot) -> u64| f(&after) - f(&before);
+        let read = |s: &StatsSnapshot| s.latency[ReqClass::Read as usize].count;
+        assert_eq!(delta(|s| s.requests_total), FETCHES + 1 + QUERIES);
+        assert_eq!(delta(|s| s.requests_inline), FETCHES + 1);
+        assert_eq!(delta(read), FETCHES + 1 + QUERIES);
+        assert_eq!(delta(|s| s.requests_errored), 1);
+        assert_eq!(delta(|s| s.requests_rejected), 0);
+        // A worker leaves the gauge just after its reply is sent; nothing
+        // may stay counted once every request is answered.
+        wait_for(&server, |s| s.requests_in_flight == 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn inline_requests_answer_shutting_down_during_the_drain() {
+        let server = test_server(2, 16);
+        let conn = server
+            .connect_multiplexed(ConnectOptions::default())
+            .unwrap();
+        let mut slow = conn.session();
+        let mut probe = conn.session();
+        let doc = probe.insert_row("items", row("w", "<r/>")).unwrap();
+        // Let the insert's worker leave the gauge, so the next 1 is the sleep.
+        wait_for(&server, |s| s.requests_in_flight == 0);
+        let sleeper = std::thread::spawn(move || slow.sleep_ms(500));
+        wait_for(&server, |s| s.requests_in_flight == 1);
+        // The drain waits for the sleep, so the connection stays open while
+        // shutdown refuses new work.
+        let stopper = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.shutdown())
+        };
+        let deadline = Instant::now() + Duration::from_millis(400);
+        let refused = loop {
+            match probe.ping() {
+                Ok(()) => assert!(Instant::now() < deadline, "ping never refused"),
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(refused, ClientError::ShuttingDown), "{refused}");
+        let fetch = probe.fetch_row("items", doc).unwrap_err();
+        assert!(matches!(fetch, ClientError::ShuttingDown), "{fetch}");
+        sleeper.join().unwrap().unwrap();
+        stopper.join().unwrap();
     }
 
     #[test]

@@ -42,6 +42,41 @@ struct SessionState {
     last_active: Instant,
 }
 
+/// Run `f` in the session's open transaction, or in an autocommit one.
+/// `None` when `f` declines with `Ok(None)`; an autocommit transaction is
+/// then rolled back.
+fn run_in_txn<R>(
+    s: &mut SessionState,
+    db: &Database,
+    f: impl FnOnce(&Txn) -> Result<Option<R>, EngineError>,
+) -> Option<Result<R, SessionError>> {
+    s.last_active = Instant::now();
+    let result = if let Some(txn) = &s.txn {
+        f(txn).map_err(SessionError::Engine).transpose()?
+    } else {
+        let txn = match db.begin() {
+            Ok(txn) => txn,
+            Err(e) => return Some(Err(e.into())),
+        };
+        match f(&txn) {
+            Ok(Some(r)) => txn
+                .commit()
+                .map(|()| r)
+                .map_err(|e| SessionError::Engine(e.into())),
+            Ok(None) => {
+                let _ = txn.rollback();
+                return None;
+            }
+            Err(e) => {
+                let _ = txn.rollback();
+                Err(SessionError::Engine(e))
+            }
+        }
+    };
+    s.last_active = Instant::now();
+    Some(result)
+}
+
 /// All live sessions of one server.
 pub struct SessionManager {
     sessions: Mutex<HashMap<u64, Arc<Mutex<SessionState>>>>,
@@ -148,24 +183,27 @@ impl SessionManager {
     ) -> Result<R, SessionError> {
         let entry = self.entry(id)?;
         let mut s = entry.lock();
-        s.last_active = Instant::now();
-        let result = if let Some(txn) = &s.txn {
-            f(txn).map_err(SessionError::Engine)
-        } else {
-            let txn = db.begin()?;
-            match f(&txn) {
-                Ok(r) => {
-                    txn.commit().map_err(EngineError::from)?;
-                    Ok(r)
-                }
-                Err(e) => {
-                    let _ = txn.rollback();
-                    Err(SessionError::Engine(e))
-                }
-            }
+        run_in_txn(&mut s, db, |txn| f(txn).map(Some)).expect("f never declines")
+    }
+
+    /// The never-waiting form of [`SessionManager::with_txn`], for requests
+    /// the connection reader runs inline. `None` means "not now": the
+    /// session is busy with another request, or `f` returned `Ok(None)`
+    /// because a lock was not granted at once (an autocommit transaction is
+    /// then rolled back; it logged nothing). The caller hands the request
+    /// to the worker pool instead.
+    pub fn try_with_txn<R>(
+        &self,
+        id: u64,
+        db: &Database,
+        f: impl FnOnce(&Txn) -> Result<Option<R>, EngineError>,
+    ) -> Option<Result<R, SessionError>> {
+        let entry = match self.entry(id) {
+            Ok(entry) => entry,
+            Err(e) => return Some(Err(e)),
         };
-        s.last_active = Instant::now();
-        result
+        let mut s = entry.try_lock()?;
+        run_in_txn(&mut s, db, f)
     }
 
     /// Reap sessions idle past the timeout, rolling back their open
@@ -231,6 +269,35 @@ mod tests {
         assert_eq!(db.txns().active_count(), 0);
         sm.close(s);
         assert!(matches!(sm.begin(s, &db), Err(SessionError::Expired)));
+    }
+
+    #[test]
+    fn try_with_txn_declines_a_busy_session_and_a_refused_lock() {
+        let db = Database::create_in_memory().unwrap();
+        let sm = SessionManager::new(Duration::from_secs(30));
+        let s = sm.open();
+        // Busy session: the mutex is held by another request.
+        let entry = sm.entry(s).unwrap();
+        let held = entry.lock();
+        assert!(sm.try_with_txn(s, &db, |_| Ok(Some(()))).is_none());
+        drop(held);
+        assert!(matches!(
+            sm.try_with_txn(s, &db, |_| Ok(Some(7))),
+            Some(Ok(7))
+        ));
+        // A refused lock rolls the autocommit transaction back.
+        assert!(sm.try_with_txn(s, &db, |_| Ok(None::<()>)).is_none());
+        assert_eq!(db.txns().active_count(), 0);
+        // An explicit transaction stays open either way.
+        sm.begin(s, &db).unwrap();
+        assert!(sm.try_with_txn(s, &db, |_| Ok(None::<()>)).is_none());
+        assert_eq!(db.txns().active_count(), 1);
+        sm.rollback(s).unwrap();
+        sm.close(s);
+        assert!(matches!(
+            sm.try_with_txn(s, &db, |_| Ok(Some(()))),
+            Some(Err(SessionError::Expired))
+        ));
     }
 
     #[test]

@@ -129,6 +129,9 @@ pub struct ServerCounters {
     /// same connection was still in flight (out-of-order completions — the
     /// win multiplexing exists for).
     pub ooo_completions: AtomicU64,
+    /// Requests the connection reader answered itself, without a worker
+    /// (point fetches and pings whose locks were granted at once).
+    pub requests_inline: AtomicU64,
     /// Latency histograms indexed by [`ReqClass`].
     pub latency: [Histogram; REQ_CLASSES],
 }
@@ -149,7 +152,7 @@ pub struct StatsSnapshot {
     pub requests_rejected: u64,
     /// Requests answered with an error.
     pub requests_errored: u64,
-    /// Requests currently executing on a worker (gauge).
+    /// Requests currently executing, on a worker or inline (gauge).
     pub requests_in_flight: u64,
     /// Requests waiting in the admission queue (gauge).
     pub requests_queued: u64,
@@ -165,6 +168,8 @@ pub struct StatsSnapshot {
     pub streams_opened: u64,
     /// Responses completed out of dispatch order on their connection.
     pub ooo_completions: u64,
+    /// Requests answered inline by the connection reader.
+    pub requests_inline: u64,
     /// Per-class latency histograms (indexed by [`ReqClass`]).
     pub latency: [LatencySnapshot; REQ_CLASSES],
     /// Engine counters (buffer pool, WAL, locks, transactions).
@@ -184,7 +189,8 @@ impl StatsSnapshot {
             .u64(self.sessions_active)
             .u64(self.connections)
             .u64(self.streams_opened)
-            .u64(self.ooo_completions);
+            .u64(self.ooo_completions)
+            .u64(self.requests_inline);
         for l in &self.latency {
             for b in &l.buckets {
                 e.u64(*b);
@@ -236,6 +242,7 @@ impl StatsSnapshot {
             connections: next()?,
             streams_opened: next()?,
             ooo_completions: next()?,
+            requests_inline: next()?,
             ..StatsSnapshot::default()
         };
         for l in &mut s.latency {
@@ -313,6 +320,7 @@ mod tests {
             connections: 4,
             streams_opened: 17,
             ooo_completions: 6,
+            requests_inline: 5,
             ..StatsSnapshot::default()
         };
         s.latency[ReqClass::Read as usize].buckets[4] = 7;

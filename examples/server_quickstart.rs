@@ -69,6 +69,10 @@ fn main() {
     }
     let again = reader.query("orders", "doc", "/order/total").unwrap();
     assert_eq!(again.len(), hits.len());
+    // A point fetch needs no wait here, so the connection's reader thread
+    // answers it itself instead of handing it to a worker.
+    let row = reader.fetch_row("orders", hits[0].doc).unwrap().unwrap();
+    println!("reader: fetched doc {} -> {}", hits[0].doc, row.values[0]);
 
     // The pipelined API: ONE connection, many concurrent sessions. Each
     // session has independent transaction state; requests from different
@@ -102,8 +106,11 @@ fn main() {
     let stats = reader.stats().unwrap();
     println!("\n-- server stats --");
     println!(
-        "requests total/rejected/errored: {}/{}/{}",
-        stats.requests_total, stats.requests_rejected, stats.requests_errored
+        "requests total/rejected/errored: {}/{}/{}, answered inline: {}",
+        stats.requests_total,
+        stats.requests_rejected,
+        stats.requests_errored,
+        stats.requests_inline
     );
     println!(
         "sessions opened/active/expired:  {}/{}/{}",
@@ -113,6 +120,7 @@ fn main() {
         "connections: {}, streams opened {}, out-of-order completions {}",
         stats.connections, stats.streams_opened, stats.ooo_completions
     );
+    assert!(stats.requests_inline >= 1, "the fetch ran inline");
     for class in ReqClass::all() {
         let l = &stats.latency[class as usize];
         println!(

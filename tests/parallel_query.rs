@@ -74,9 +74,11 @@ proptest! {
 
     /// `query_workers = 1` and `query_workers = N` return identical ordered
     /// hits and identical merged stats on arbitrary documents and queries.
+    /// Batches fan out only from `2 * MIN_DOCS_PER_LANE` candidates, so the
+    /// corpora run up to 95 documents.
     #[test]
     fn parallel_equals_serial_on_arbitrary_docs(
-        docs in prop::collection::vec(arb_xml(), 1..10),
+        docs in prop::collection::vec(arb_xml(), 1..96),
         query in arb_query(),
     ) {
         let serial = db_with_workers(1);
@@ -102,7 +104,7 @@ proptest! {
     /// verify filtering) rather than full scans.
     #[test]
     fn parallel_equals_serial_through_indexes(
-        prices in prop::collection::vec(0u32..400, 2..16),
+        prices in prop::collection::vec(0u32..400, 2..120),
         threshold in 0u32..400,
     ) {
         let serial = db_with_workers(1);
@@ -254,7 +256,7 @@ fn concurrent_clients_share_pool_and_plan_cache() {
     )
     .unwrap();
     let spec = CatalogSpec {
-        products: 48,
+        products: 96,
         ..Default::default()
     };
     for i in 0..spec.products {

@@ -325,8 +325,8 @@ fn oversized_response_is_an_error_not_a_hang() {
 #[test]
 fn responses_respect_the_bound_the_client_advertises() {
     // The server could send it, but the client said it reads at most
-    // 1 KiB: the answer is an error on that stream, and the connection's
-    // router (with every sibling session) survives.
+    // 1 KiB: the answer is an error on that stream, and the connection
+    // (with every sibling session) survives.
     let (server, addr) = big_value_server(system_rx::server::proto::MAX_FRAME);
     let conn = connect_tcp_multiplexed(
         addr,

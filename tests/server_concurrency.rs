@@ -4,13 +4,16 @@
 //! shutdown rolling back abandoned sessions.
 
 use std::collections::HashSet;
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use system_rx::engine::{ColValue, ColumnKind, Database};
+use system_rx::engine::{ColValue, ColumnKind, Database, DbConfig};
 use system_rx::server::{
-    connect_tcp, connect_tcp_multiplexed, ClientError, ConnectOptions, ReqClass, Server,
-    ServerConfig, Session,
+    connect_tcp, connect_tcp_multiplexed, ClientError, ConnectOptions, Connection, Frame,
+    FrameCodec, Hello, HelloAck, ReqClass, Request, Response, Server, ServerConfig, Session,
+    StatsSnapshot,
 };
 
 fn start_server(workers: usize, queue_depth: usize) -> (Arc<Server>, std::net::SocketAddr) {
@@ -131,7 +134,7 @@ fn overload_gets_server_busy_not_a_hang() {
     // One worker, queue depth one: with two slow requests in the system a
     // third must be turned away immediately.
     let (server, addr) = start_server(1, 1);
-    let wait_for = |pred: &dyn Fn(&system_rx::server::StatsSnapshot) -> bool| {
+    let wait_for = |pred: &dyn Fn(&StatsSnapshot) -> bool| {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !pred(&server.stats()) {
             assert!(
@@ -385,4 +388,300 @@ fn multiplexing_stress() {
     let hits = verify.query("items", "doc", "/item/seq").unwrap();
     assert_eq!(hits.len(), sessions * 20, "lost inserts under multiplexing");
     server.shutdown();
+}
+
+/// Far longer than any wait these tests expect: an answer that takes half of
+/// it means a request waited on a lock that only the timeout released.
+const LONG_LOCK_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A TCP server whose database waits [`LONG_LOCK_TIMEOUT`] for a lock.
+fn long_lock_server() -> (Arc<Server>, std::net::SocketAddr) {
+    let db = Database::create_in_memory_with(DbConfig {
+        lock_timeout: LONG_LOCK_TIMEOUT,
+        ..DbConfig::default()
+    })
+    .unwrap();
+    db.create_table(
+        "items",
+        &[("sku", ColumnKind::Str), ("doc", ColumnKind::Xml)],
+    )
+    .unwrap();
+    let server = Server::start(
+        db,
+        ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.listen(("127.0.0.1", 0)).unwrap();
+    (server, addr)
+}
+
+fn wait_for_stats(server: &Server, what: &str, pred: impl Fn(&StatsSnapshot) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !pred(&server.stats()) {
+        assert!(Instant::now() < deadline, "server never reached: {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Session A deletes a row in an open transaction, so it holds X on it.
+/// Session B, on the same connection, fetches the row; B's fetch cannot run
+/// inline (its S lock is refused) and waits on a worker. A then ends its
+/// transaction on the same connection. Returns B's answer and how long it
+/// took.
+fn fetch_behind_a_writer(
+    server: &Server,
+    conn: &Connection,
+    commit: bool,
+) -> (
+    Result<Option<system_rx::engine::Row>, ClientError>,
+    Duration,
+) {
+    let mut setup = conn.session();
+    let doc = setup
+        .insert_row(
+            "items",
+            vec![
+                ColValue::Str("held".into()),
+                ColValue::Xml("<item/>".into()),
+            ],
+        )
+        .unwrap();
+    let mut a = conn.session();
+    let mut b = conn.session();
+    a.begin().unwrap();
+    assert!(a.delete_row("items", doc).unwrap());
+    let waits = server.stats().db.lock_waits;
+    let started = Instant::now();
+    let fetch = std::thread::spawn(move || (b.fetch_row("items", doc), started.elapsed()));
+    wait_for_stats(server, "B's fetch waiting for its lock on a worker", |s| {
+        s.db.lock_waits > waits
+    });
+    if commit {
+        a.commit().unwrap();
+    } else {
+        a.rollback().unwrap();
+    }
+    fetch.join().unwrap()
+}
+
+fn assert_fetch_never_waits_on_the_reader(server: &Server, conn: &Connection) {
+    let (row, took) = fetch_behind_a_writer(server, conn, true);
+    assert!(
+        matches!(row, Ok(None)),
+        "the delete committed, so the row is gone: {row:?}"
+    );
+    assert!(took < LONG_LOCK_TIMEOUT / 2, "B waited {took:?}");
+    let (row, took) = fetch_behind_a_writer(server, conn, false);
+    let row = row
+        .unwrap()
+        .expect("the delete rolled back, so the row is back");
+    assert_eq!(row.values[0], "held");
+    assert!(took < LONG_LOCK_TIMEOUT / 2, "B waited {took:?}");
+    assert_eq!(server.stats().db.lock_timeouts, 0);
+}
+
+#[test]
+fn inline_fetch_never_waits_for_a_lock_over_tcp() {
+    let (server, addr) = long_lock_server();
+    let conn = connect_tcp_multiplexed(addr, ConnectOptions::default()).unwrap();
+    assert_fetch_never_waits_on_the_reader(&server, &conn);
+    server.shutdown();
+}
+
+#[test]
+fn inline_fetch_never_waits_for_a_lock_in_process() {
+    let (server, _addr) = long_lock_server();
+    let conn = server
+        .connect_multiplexed(ConnectOptions::default())
+        .unwrap();
+    assert_fetch_never_waits_on_the_reader(&server, &conn);
+    server.shutdown();
+}
+
+/// A raw protocol-v2 client, for pipelining several requests on one
+/// stream (a [`Session`] has at most one in flight).
+struct RawConn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    codec: FrameCodec,
+}
+
+impl RawConn {
+    fn open(addr: std::net::SocketAddr) -> RawConn {
+        let mut writer = TcpStream::connect(addr).unwrap();
+        writer
+            .set_read_timeout(Some(LONG_LOCK_TIMEOUT / 2))
+            .unwrap();
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        let codec = FrameCodec::new(system_rx::server::proto::MAX_FRAME);
+        let hello = Hello {
+            version: system_rx::server::proto::PROTO_VERSION,
+            max_streams: 8,
+            max_frame: system_rx::server::proto::MAX_FRAME as u64,
+        };
+        codec.write_handshake(&mut writer, &hello.encode()).unwrap();
+        let ack = codec.read_handshake(&mut reader).unwrap().unwrap();
+        HelloAck::decode(&ack).unwrap();
+        RawConn {
+            reader,
+            writer,
+            codec,
+        }
+    }
+
+    fn send(&mut self, stream: u32, req: &Request) {
+        self.codec
+            .write(&mut self.writer, &Frame::data(stream, req.encode()))
+            .unwrap();
+    }
+
+    /// The next response; a read that outlives half the lock timeout fails.
+    fn recv(&mut self) -> (u32, Response) {
+        let frame = self
+            .codec
+            .read(&mut self.reader)
+            .expect("no answer within half the lock timeout")
+            .expect("connection closed");
+        (frame.stream, Response::decode(&frame.payload).unwrap())
+    }
+}
+
+#[test]
+fn pipelined_fetches_on_a_busy_stream_never_block_the_reader() {
+    let (server, addr) = long_lock_server();
+    let mut raw = RawConn::open(addr);
+    let (a, b) = (1, 2);
+    let items = || "items".to_string();
+    raw.send(
+        a,
+        &Request::InsertRow {
+            table: items(),
+            values: vec![
+                ColValue::Str("held".into()),
+                ColValue::Xml("<item/>".into()),
+            ],
+        },
+    );
+    let Response::Doc(doc) = raw.recv().1 else {
+        panic!("insert failed")
+    };
+    raw.send(a, &Request::Begin);
+    assert_eq!(raw.recv(), (a, Response::Unit));
+    raw.send(
+        a,
+        &Request::DeleteRow {
+            table: items(),
+            doc,
+        },
+    );
+    assert_eq!(raw.recv(), (a, Response::Deleted(true)));
+    // Two fetches pipelined on stream B: the first waits for the lock on a
+    // worker while holding B's session; the second finds the session busy
+    // and must go to a worker too rather than wait on the reader thread.
+    let fetch = Request::FetchRow {
+        table: items(),
+        doc,
+    };
+    let waits = server.stats().db.lock_waits;
+    raw.send(b, &fetch);
+    raw.send(b, &fetch);
+    wait_for_stats(&server, "both fetches on workers", |s| {
+        s.db.lock_waits > waits && s.requests_in_flight == 2
+    });
+    let started = Instant::now();
+    raw.send(a, &Request::Commit);
+    let mut answers: Vec<(u32, Response)> = (0..3).map(|_| raw.recv()).collect();
+    answers.sort_by_key(|(stream, _)| *stream);
+    assert_eq!(
+        answers,
+        vec![
+            (a, Response::Unit),
+            (b, Response::Row(None)),
+            (b, Response::Row(None)),
+        ]
+    );
+    assert!(started.elapsed() < LONG_LOCK_TIMEOUT / 2);
+    assert_eq!(server.stats().db.lock_timeouts, 0);
+    server.shutdown();
+}
+
+#[test]
+fn sixteen_sessions_on_one_connection_each_get_their_own_answers() {
+    const SESSIONS: usize = 16;
+    let (server, addr) = start_server(4, 256);
+    let conn = connect_tcp_multiplexed(addr, ConnectOptions::default()).unwrap();
+    let handles: Vec<_> = (0..SESSIONS)
+        .map(|owner| {
+            let mut s = conn.session();
+            std::thread::spawn(move || {
+                let sku = format!("own-{owner}");
+                let doc = s
+                    .insert_row(
+                        "items",
+                        vec![
+                            ColValue::Str(sku.clone()),
+                            ColValue::Xml(item_xml(owner, 0)),
+                        ],
+                    )
+                    .unwrap();
+                for round in 0..25 {
+                    match round % 4 {
+                        0 => s.ping().unwrap(),
+                        1 => {
+                            let row = s.fetch_row("items", doc).unwrap().unwrap();
+                            assert_eq!(row.values[0], sku);
+                        }
+                        2 => {
+                            let path = format!("/item[owner = {owner}]/owner");
+                            let hits = s.query("items", "doc", &path).unwrap();
+                            assert_eq!(hits.len(), 1, "{path}");
+                            assert_eq!(hits[0].doc, doc);
+                            assert_eq!(hits[0].value, owner.to_string());
+                        }
+                        _ => s.sleep_ms((owner % 3) as u32).unwrap(),
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(server.stats().connections, 1);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_releases_every_waiting_session() {
+    let (server, addr) = start_server(2, 64);
+    let conn = connect_tcp_multiplexed(addr, ConnectOptions::default()).unwrap();
+    let waiters: Vec<_> = (0..8)
+        .map(|i| {
+            let mut s = conn.session();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let mut outcomes = Vec::new();
+                // Keep calling until the server is gone.
+                loop {
+                    let r = if i % 2 == 0 { s.sleep_ms(20) } else { s.ping() };
+                    match r {
+                        Ok(()) => outcomes.push("ok"),
+                        Err(ClientError::Closed | ClientError::ShuttingDown) => break,
+                        Err(ClientError::Io(_)) => break,
+                        Err(e) => panic!("unexpected {e}"),
+                    }
+                    assert!(started.elapsed() < Duration::from_secs(20));
+                }
+                started.elapsed()
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    server.shutdown();
+    for w in waiters {
+        let took = w.join().unwrap();
+        assert!(took < Duration::from_secs(15), "a waiter took {took:?}");
+    }
 }
