@@ -769,10 +769,10 @@ fn e5d_stored_scan() {
             hits
         };
         let lane_pass = |stats: &mut access::AccessStats| {
-            let mut lane = access::DocScanner::new(&tree, dict);
+            let mut lane = access::DocScanner::new(col, &tree, dict);
             let mut hits = Vec::new();
             for &d in &docs {
-                lane.evaluate(col, d, stats, &mut hits).unwrap();
+                lane.evaluate(d, stats, &mut hits).unwrap();
             }
             hits
         };
@@ -823,6 +823,131 @@ fn e5d_stored_scan() {
             "subtrees skipped/doc",
             "records fetched/doc",
             "speedup",
+        ],
+        &rows,
+    );
+    e5d_root_location(&tree);
+}
+
+/// E5d, second arm: how a lane finds its candidates' root records. The
+/// §3.4 probe descends the NodeID index once per candidate; the range scan
+/// reads the index entries of the lane's DocID window once, candidates or
+/// not. Candidates are every k-th document of 8,000, so the window holds k
+/// documents' entries per candidate; the crossover sets
+/// `access::ROOT_SCAN_SPAN`.
+fn e5d_root_location(tree: &QueryTree) {
+    use rx_engine::xmltable::LocatedRoots;
+
+    const DOCS: usize = 8000;
+    let spec = CatalogSpec {
+        products: DOCS,
+        description_len: 200,
+        ..Default::default()
+    };
+    let mut rows = Vec::new();
+    for (shape, target) in [
+        ("one record per doc", rx_engine::pack::DEFAULT_TARGET_RECORD),
+        ("multi-record (target 128 B)", 128),
+    ] {
+        let db = mem_db(target);
+        let t = db
+            .create_table("products", &[("doc", ColumnKind::Xml)])
+            .unwrap();
+        let txn = db.begin().unwrap();
+        for i in 0..DOCS {
+            db.insert_row_txn(&txn, &t, &[ColValue::Xml(rx_gen::product_doc(&spec, i))])
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        let col = t.xml_column("doc").unwrap();
+        let xml = col.xml_table();
+        let all = access::all_docids(&t).unwrap();
+        let dict = db.dict();
+        for every in [1usize, 8, 64, 1000] {
+            let docs: Vec<_> = all.iter().copied().step_by(every).collect();
+            let n = docs.len() as f64;
+            let (first, last) = (docs[0], *docs.last().unwrap());
+            let mut window_entries = 0u64;
+            xml.nodeid_index()
+                .scan_from(&first.to_be_bytes(), |k, _| {
+                    let in_window = k[..8] <= last.to_be_bytes()[..];
+                    window_entries += u64::from(in_window);
+                    in_window
+                })
+                .unwrap();
+            let probe_locate = median_time(5, || {
+                for &d in &docs {
+                    std::hint::black_box(xml.locate_raw(d, &[]).unwrap());
+                }
+            });
+            let mut roots = LocatedRoots::default();
+            let scan_locate = median_time(5, || {
+                xml.locate_roots(&docs, &mut roots).unwrap();
+                std::hint::black_box(roots.len());
+            });
+            let probed = |stats: &mut access::AccessStats| {
+                let mut lane = access::DocScanner::new(col, tree, dict);
+                let mut hits = Vec::new();
+                for &d in &docs {
+                    lane.evaluate(d, stats, &mut hits).unwrap();
+                }
+                hits
+            };
+            let located = |stats: &mut access::AccessStats| {
+                let mut lane = access::DocScanner::new(col, tree, dict);
+                let mut roots = LocatedRoots::default();
+                xml.locate_roots(&docs, &mut roots).unwrap();
+                let mut hits = Vec::new();
+                for (i, &d) in docs.iter().enumerate() {
+                    lane.evaluate_at(d, roots.get(i), stats, &mut hits).unwrap();
+                }
+                hits
+            };
+            let (mut ps, mut ls) = Default::default();
+            assert_eq!(probed(&mut ps), located(&mut ls));
+            assert_eq!(
+                (ps.docs_evaluated, ps.records_fetched, ps.subtrees_skipped),
+                (ls.docs_evaluated, ls.records_fetched, ls.subtrees_skipped)
+            );
+            let probe_lane = median_time(5, || {
+                std::hint::black_box(probed(&mut Default::default()));
+            });
+            let scan_lane = median_time(5, || {
+                std::hint::black_box(located(&mut Default::default()));
+            });
+            let per = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e6 / n);
+            rows.push(vec![
+                shape.into(),
+                format!("1/{every}"),
+                docs.len().to_string(),
+                format!("{:.1}", window_entries as f64 / n),
+                per(probe_locate),
+                per(scan_locate),
+                per(probe_lane),
+                per(scan_lane),
+                format!("{:.2}x", probe_lane.as_secs_f64() / scan_lane.as_secs_f64()),
+                if access::roots_by_range_scan(&docs) {
+                    "range scan"
+                } else {
+                    "probe"
+                }
+                .into(),
+            ]);
+        }
+    }
+    print_table(
+        "E5d: root records by per-document probe vs one NodeID-index range scan, per candidate",
+        &[
+            "documents",
+            "density",
+            "candidates",
+            "index entries/candidate",
+            "probe locate µs",
+            "range-scan locate µs",
+            "probed lane µs",
+            "range-scan lane µs",
+            "lane speedup",
+            "lane uses",
         ],
         &rows,
     );

@@ -22,8 +22,8 @@ use crate::error::{EngineError, Result};
 use crate::executor::{CachedPlan, PlanCache, PlanKey, QueryExecutor};
 use crate::traverse::Traverser;
 use crate::validx::{IndexEntry, IndexKeys, ValueIndex};
-use crate::xmltable::DocId;
-use rx_storage::Txn;
+use crate::xmltable::{DocId, LocatedRoots};
+use rx_storage::{Rid, Txn};
 use rx_xml::name::NameDict;
 use rx_xml::nodeid::NodeId;
 use rx_xml::value::{encode_key, KeyType};
@@ -470,36 +470,58 @@ pub fn plan(path: &Path, column: &XmlColumn, prefer_nodeid: bool) -> AccessPlan 
 // Execution
 // ---------------------------------------------------------------------------
 
-/// One lane's document evaluator: a single QuickXScan that evaluates every
-/// document of the lane in turn. The scanner is reset between documents —
-/// after a failed or missing one too — so each document's hits, node IDs and
-/// match order are exactly those of a fresh scanner, while instances,
-/// operand buffers and the name memo are reused.
-pub struct DocScanner<'q, 'd> {
+/// One lane's document evaluator: a single QuickXScan and a single
+/// traverser that evaluate every document of the lane in turn. The scanner
+/// is reset between documents — after a failed or missing one too — so each
+/// document's hits, node IDs and match order are exactly those of a fresh
+/// scanner, while instances, operand buffers, the name memo and the
+/// traverser's key buffers are reused.
+pub struct DocScanner<'x, 'q, 'd> {
+    traverser: Traverser<'x>,
     scan: QuickXScan<'q, 'd>,
     items: Vec<ResultItem>,
+    roots: LocatedRoots,
 }
 
-impl<'q, 'd> DocScanner<'q, 'd> {
-    /// A lane evaluator for `tree`.
-    pub fn new(tree: &'q QueryTree, dict: &'d NameDict) -> Self {
+impl<'x, 'q, 'd> DocScanner<'x, 'q, 'd> {
+    /// A lane evaluator for `tree` over documents of `column`.
+    pub fn new(column: &'x XmlColumn, tree: &'q QueryTree, dict: &'d NameDict) -> Self {
         DocScanner {
+            traverser: Traverser::unbound(column.xml_table()),
             scan: QuickXScan::new(tree, dict),
             items: Vec::new(),
+            roots: LocatedRoots::default(),
         }
     }
 
-    /// Evaluate the tree over document `doc` of `column`, appending its hits
-    /// to `hits`. On error nothing is appended and the scanner is ready for
-    /// the next document.
+    /// Evaluate the tree over document `doc`, appending its hits to `hits`.
+    /// The root record is found with the §3.4 NodeID-index probe. On error
+    /// nothing is appended and the scanner is ready for the next document.
     pub fn evaluate(
         &mut self,
-        column: &XmlColumn,
         doc: DocId,
         stats: &mut AccessStats,
         hits: &mut Vec<QueryHit>,
     ) -> Result<()> {
-        let mut t = Traverser::new(column.xml_table(), doc);
+        self.evaluate_at(doc, None, stats, hits)
+    }
+
+    /// [`DocScanner::evaluate`] with the document's root entry `(upper,
+    /// rid)` already located (see
+    /// [`crate::xmltable::XmlTable::locate_roots`]), so the
+    /// traversal does not probe for it.
+    pub fn evaluate_at(
+        &mut self,
+        doc: DocId,
+        root: Option<(&[u8], Rid)>,
+        stats: &mut AccessStats,
+        hits: &mut Vec<QueryHit>,
+    ) -> Result<()> {
+        let t = &mut self.traverser;
+        t.rebind(doc);
+        if let Some((upper, rid)) = root {
+            t.seed_root(upper, rid);
+        }
         if let Err(e) = t.run(&mut self.scan) {
             self.scan.reset();
             return Err(e);
@@ -514,6 +536,57 @@ impl<'q, 'd> DocScanner<'q, 'd> {
             value: i.value,
         }));
         Ok(())
+    }
+
+    /// Evaluate a run of candidates in DocID order, appending their hits. A
+    /// dense run ([`roots_by_range_scan`]) first locates every root record
+    /// with one NodeID-index range scan; a sparse one probes per document.
+    /// With `skip_missing`, a candidate that no longer exists is skipped
+    /// instead of failing the run (see [`evaluate_docs`]).
+    pub fn evaluate_run(
+        &mut self,
+        docs: &[DocId],
+        skip_missing: bool,
+        stats: &mut AccessStats,
+        hits: &mut Vec<QueryHit>,
+    ) -> Result<()> {
+        let mut roots = std::mem::take(&mut self.roots);
+        let located = roots_by_range_scan(docs);
+        if located {
+            self.traverser.xml().locate_roots(docs, &mut roots)?;
+        }
+        let mut run = || -> Result<()> {
+            for (i, &doc) in docs.iter().enumerate() {
+                let root = if located { roots.get(i) } else { None };
+                match self.evaluate_at(doc, root, stats, hits) {
+                    Err(EngineError::NotFound { .. }) if skip_missing => {}
+                    r => r?,
+                }
+            }
+            Ok(())
+        };
+        let r = run();
+        self.roots = roots;
+        r
+    }
+}
+
+/// Largest DocID span per candidate at which a lane locates its root
+/// records with one range scan of the NodeID index instead of one probe per
+/// document. The scan reads every index entry in the lane's DocID window,
+/// candidate or not, so it pays off only while candidates are dense: E5d
+/// (EXPERIMENTS.md) times both at densities 1, 1/8, 1/64 and 1/1000.
+pub const ROOT_SCAN_SPAN: u64 = 64;
+
+/// Whether a lane evaluating `docs` (ascending DocIDs) locates their roots
+/// with one NodeID-index range scan: at least two candidates whose DocID
+/// span is at most [`ROOT_SCAN_SPAN`] per candidate.
+pub fn roots_by_range_scan(docs: &[DocId]) -> bool {
+    match (docs.first(), docs.last()) {
+        (Some(&first), Some(&last)) if docs.len() >= 2 && last >= first => {
+            last - first < ROOT_SCAN_SPAN.saturating_mul(docs.len() as u64)
+        }
+        _ => false,
     }
 }
 
@@ -566,21 +639,18 @@ pub fn evaluate_docs(
         conc::lock_documents_shared(txn, table.def.id, &docs)?;
     }
     let locked = txn.is_some();
-    // One lane: a single scanner over a contiguous run of candidates.
+    // One lane: a single scanner over a contiguous run of candidates. A
+    // dense run's roots are located by a range scan that starts only now,
+    // after every S lock above is granted (§9.2 order), so the entries of
+    // locked documents cannot change under it.
     let lane = move |column: &XmlColumn,
                      dict: &NameDict,
                      tree: &QueryTree,
                      docs: &[DocId],
                      stats: &mut AccessStats|
           -> Result<Vec<QueryHit>> {
-        let mut scanner = DocScanner::new(tree, dict);
         let mut hits = Vec::new();
-        for &doc in docs {
-            match scanner.evaluate(column, doc, stats, &mut hits) {
-                Err(EngineError::NotFound { .. }) if locked => {}
-                r => r?,
-            }
-        }
+        DocScanner::new(column, tree, dict).evaluate_run(docs, locked, stats, &mut hits)?;
         Ok(hits)
     };
     let lanes = lanes.min(docs.len());
@@ -1350,8 +1420,8 @@ mod tests {
         let tree = QueryTree::compile(&path).unwrap();
         let alone = |d: DocId| {
             let mut hits = Vec::new();
-            DocScanner::new(&tree, db.dict())
-                .evaluate(col, d, &mut AccessStats::default(), &mut hits)
+            DocScanner::new(col, &tree, db.dict())
+                .evaluate(d, &mut AccessStats::default(), &mut hits)
                 .unwrap();
             hits
         };
@@ -1360,17 +1430,17 @@ mod tests {
         assert_eq!(last_hits.len(), 1);
         assert!(last_hits[0].node.is_some());
 
-        let mut lane = DocScanner::new(&tree, db.dict());
+        let mut lane = DocScanner::new(col, &tree, db.dict());
         let mut stats = AccessStats::default();
         let mut hits = Vec::new();
-        lane.evaluate(col, first, &mut stats, &mut hits).unwrap();
-        let missing = lane.evaluate(col, deleted, &mut stats, &mut hits);
+        lane.evaluate(first, &mut stats, &mut hits).unwrap();
+        let missing = lane.evaluate(deleted, &mut stats, &mut hits);
         assert!(matches!(missing, Err(EngineError::NotFound { .. })));
-        let broken = lane.evaluate(col, failing, &mut stats, &mut hits);
+        let broken = lane.evaluate(failing, &mut stats, &mut hits);
         assert!(broken.is_err());
         assert!(!matches!(broken, Err(EngineError::NotFound { .. })));
         assert_eq!(hits, first_hits, "failed documents append nothing");
-        lane.evaluate(col, last, &mut stats, &mut hits).unwrap();
+        lane.evaluate(last, &mut stats, &mut hits).unwrap();
         assert_eq!(
             hits[1..],
             last_hits[..],

@@ -28,12 +28,16 @@ pub fn lock_document_shared(txn: &Txn, table: u32, doc: DocId) -> Result<()> {
 /// Take the §5.1 reader locks for a list of documents: IS on the table
 /// once, then S on each document in the order given (DocID order for a
 /// query's candidates). Every read of a document in a transaction takes its
-/// locks here (DESIGN.md §14).
+/// locks here (DESIGN.md §14). The whole list goes to the lock manager as
+/// one request, which grants it in one pass while no lock conflicts
+/// (DESIGN.md §9.2).
 pub fn lock_documents_shared(txn: &Txn, table: u32, docs: &[DocId]) -> Result<()> {
-    txn.lock(&LockName::Table(table), LockMode::IS)?;
-    for &doc in docs {
-        txn.lock(&LockName::Document { table, doc }, LockMode::S)?;
-    }
+    txn.lock_many(
+        std::iter::once((LockName::Table(table), LockMode::IS)).chain(
+            docs.iter()
+                .map(|&doc| (LockName::Document { table, doc }, LockMode::S)),
+        ),
+    )?;
     Ok(())
 }
 

@@ -38,15 +38,18 @@
 //! window fails the publish.
 //!
 //! The cache is memory-bounded (`DbConfig::doc_cache_bytes`) with a sharded
-//! tick-LRU, mirroring the buffer pool's sharding so concurrent query lanes
-//! do not serialize on one mutex.
+//! exact LRU ([`crate::lru::Lru`]: eviction pops the least recently used
+//! entry without scanning the shard), mirroring the buffer pool's sharding
+//! so concurrent query lanes do not serialize on one mutex.
 
 use crate::error::Result;
+use crate::lru::Lru;
 use crate::pack::{read_header, RecordHeader};
 use crate::traverse::TraverseStats;
 use crate::xmltable::{DocId, XmlTable};
 use parking_lot::Mutex;
 use rx_storage::codec::Dec;
+use rx_storage::idhash::{IdBuildHasher, IdHasher};
 use rx_storage::{Rid, Txn, TxnId};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -58,32 +61,11 @@ use std::sync::Arc;
 /// buffer pool's sharding without making the budget check global.
 const SHARDS: usize = 8;
 
-/// Cheap multiplicative hasher for the fixed-width `(space, doc)` keys. A
-/// warm lookup hashes three times (shard pick + two map probes); SipHash is
-/// a measurable fraction of the whole hit path for keys this small.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(26);
-    }
-}
-
-type KeyMap<V> = HashMap<(u32, DocId), V, std::hash::BuildHasherDefault<KeyHasher>>;
+/// Shard maps hash `(space, doc)` with the cheap multiplicative
+/// [`IdHasher`]: a warm lookup hashes three times (shard pick + two map
+/// probes), and SipHash is a measurable fraction of the whole hit path for
+/// keys this small.
+type KeyMap<V> = HashMap<(u32, DocId), V, IdBuildHasher>;
 
 /// One heap row loaded into shareable form: the row image (a single copy out
 /// of the latched page), the byte range of its XMLData payload, and the
@@ -102,6 +84,12 @@ impl LoadedRecord {
         let data = row_data_range(&row)?;
         let header = Arc::new(read_header(&row[data.clone()])?);
         Ok(LoadedRecord { row, data, header })
+    }
+
+    /// The DocID stored in the row.
+    pub fn doc(&self) -> DocId {
+        // `decode` has read the row's fixed-width DocID column.
+        DocId::from_le_bytes(self.row[..8].try_into().expect("8-byte DocID"))
     }
 
     /// The parsed record header.
@@ -207,15 +195,14 @@ struct DocState {
 struct Entry {
     doc: Arc<CachedDoc>,
     epoch: u64,
-    tick: u64,
 }
 
 #[derive(Default)]
 struct Shard {
-    entries: KeyMap<Entry>,
+    /// Snapshots in recency order.
+    entries: Lru<(u32, DocId), Entry, IdBuildHasher>,
     states: KeyMap<DocState>,
     bytes: usize,
-    tick: u64,
     /// Bumped whenever version state is discarded (writer retirement, space
     /// invalidation): outstanding publish tokens from before the bump are
     /// rejected, closing the captured-before-state-GC race.
@@ -271,7 +258,7 @@ impl DocCache {
     }
 
     fn shard(&self, space: u32, doc: DocId) -> &Mutex<Shard> {
-        let mut h = KeyHasher::default();
+        let mut h = IdHasher::default();
         (space, doc).hash(&mut h);
         // Take high bits: the multiplicative mix pushes entropy upward.
         &self.shards[(h.finish() >> 56) as usize % SHARDS]
@@ -284,8 +271,6 @@ impl DocCache {
         }
         let key = (space, doc);
         let mut s = self.shard(space, doc).lock();
-        s.tick += 1;
-        let tick = s.tick;
         // `states` holds entries only while writers are registered; skip the
         // probe entirely in the read-mostly common case.
         let (epoch, writers) = if s.states.is_empty() {
@@ -295,17 +280,19 @@ impl DocCache {
                 .get(&key)
                 .map_or((0, 0), |st| (st.epoch, st.writers))
         };
-        if let Some(e) = s.entries.get_mut(&key) {
-            if e.epoch == epoch && writers == 0 {
-                e.tick = tick;
+        match s.entries.get(&key) {
+            Some(e) if e.epoch == epoch && writers == 0 => {
                 let doc = Arc::clone(&e.doc);
                 drop(s);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(doc);
             }
-            // Stale (a touch raced in): drop it.
-            let e = s.entries.remove(&key).expect("entry just seen");
-            s.bytes -= e.doc.bytes();
+            Some(_) => {
+                // Stale (a touch raced in): drop it.
+                let e = s.entries.remove(&key).expect("entry just seen");
+                s.bytes -= e.doc.bytes();
+            }
+            None => {}
         }
         drop(s);
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -351,37 +338,26 @@ impl DocCache {
         if epoch != token.epoch || writers > 0 {
             return false;
         }
-        s.tick += 1;
-        let tick = s.tick;
         let added = snapshot.bytes();
         if let Some(old) = s.entries.insert(
             key,
             Entry {
                 doc: snapshot,
                 epoch,
-                tick,
             },
         ) {
             s.bytes -= old.doc.bytes();
         }
         s.bytes += added;
         // Enforce the budget: evict least-recently-used entries until under;
-        // the just-inserted entry holds the newest tick, so it is evicted
-        // only if it alone exceeds the shard budget.
+        // the just-inserted entry is the most recent, so it is evicted only
+        // if it alone exceeds the shard budget.
         while s.bytes > self.shard_budget {
-            let victim = s
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    let e = s.entries.remove(&k).expect("victim present");
-                    s.bytes -= e.doc.bytes();
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
+            let Some((_, e)) = s.entries.pop_lru() else {
+                break;
+            };
+            s.bytes -= e.doc.bytes();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
@@ -437,16 +413,13 @@ impl DocCache {
         }
         for shard in &self.shards {
             let mut s = shard.lock();
-            let doomed: Vec<(u32, DocId)> = s
-                .entries
-                .keys()
-                .filter(|(sp, _)| *sp == space)
-                .copied()
-                .collect();
-            for k in doomed {
-                let e = s.entries.remove(&k).expect("key just listed");
-                s.bytes -= e.doc.bytes();
-            }
+            let Shard { entries, bytes, .. } = &mut *s;
+            entries.retain(|(sp, _), e| {
+                if *sp == space {
+                    *bytes -= e.doc.bytes();
+                }
+                *sp != space
+            });
             let had_states = s.states.keys().any(|(sp, _)| *sp == space);
             s.states.retain(|(sp, _), _| *sp != space);
             if had_states {
@@ -612,6 +585,52 @@ mod tests {
         assert!(c.get(1, 1).is_none(), "oversized snapshot not retained");
         assert!(c.evictions() >= 1);
         assert_eq!(c.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn eviction_follows_lru_order_over_hundreds_of_documents() {
+        // Ten 100-byte snapshots fit each shard; a model keeps each shard's
+        // documents from least to most recently used.
+        let c = cache(SHARDS * 1000);
+        let shard_of = |doc: DocId| {
+            let s = c.shard(1, doc);
+            c.shards.iter().position(|m| std::ptr::eq(m, s)).unwrap()
+        };
+        let mut model: Vec<Vec<DocId>> = vec![Vec::new(); SHARDS];
+        let mut evicted = 0;
+        let mut x = 99u64;
+        for _ in 0..4000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let doc = (x >> 33) % 300;
+            let m = &mut model[shard_of(doc)];
+            let had = m.contains(&doc);
+            if (x >> 20) % 3 == 0 {
+                let t = c.begin_publish(1, doc).unwrap();
+                assert!(c.publish(t, snapshot(100)));
+                m.retain(|&d| d != doc);
+                m.push(doc);
+                if m.len() > 10 {
+                    m.remove(0);
+                    evicted += 1;
+                }
+            } else {
+                assert_eq!(c.get(1, doc).is_some(), had, "doc {doc}");
+                if had {
+                    m.retain(|&d| d != doc);
+                    m.push(doc);
+                }
+            }
+            for (i, m) in model.iter().enumerate() {
+                let s = c.shards[i].lock();
+                assert_eq!(s.entries.len(), m.len());
+                assert!(m.iter().all(|d| s.entries.peek(&(1, *d)).is_some()));
+            }
+        }
+        assert!(evicted > 100);
+        assert_eq!(c.evictions(), evicted);
+        assert_eq!(c.len(), model.iter().map(Vec::len).sum::<usize>());
     }
 
     #[test]

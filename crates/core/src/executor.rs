@@ -14,9 +14,10 @@
 //! saturated by other queries (the caller just degrades toward serial).
 
 use crate::access::AccessPlan;
+use crate::lru::Lru;
 use parking_lot::{Condvar, Mutex};
 use rx_xpath::QueryTree;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -217,18 +218,15 @@ pub struct CachedPlan {
     pub plan: Arc<AccessPlan>,
 }
 
-struct PlanCacheInner {
-    map: HashMap<PlanKey, (Arc<CachedPlan>, u64)>,
-    tick: u64,
-}
-
 /// An LRU cache of compiled plans, shared by every query against the
 /// database. Invalidated per table on index DDL and table drop — a cached
 /// plan holds `Arc`s to the index set it was planned against, so it must not
 /// outlive a change to that set.
 pub struct PlanCache {
     capacity: usize,
-    inner: Mutex<PlanCacheInner>,
+    /// Plans in recency order; keys are shared `Arc`s, so neither a hit
+    /// nor an eviction copies a key.
+    inner: Mutex<Lru<Arc<PlanKey>, Arc<CachedPlan>>>,
     /// Serializes builds of keys that hash to the same stripe (see
     /// [`PlanCache::get_or_build`]); `inner` is never held across a build.
     build_latches: [Mutex<()>; BUILD_STRIPES],
@@ -247,10 +245,7 @@ impl PlanCache {
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
             capacity,
-            inner: Mutex::new(PlanCacheInner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            inner: Mutex::new(Lru::new()),
             build_latches: std::array::from_fn(|_| Mutex::new(())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -293,37 +288,23 @@ impl PlanCache {
 
     /// Look up a plan, refreshing its LRU position and counting a hit.
     fn lookup(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (plan, used) = inner.map.get_mut(key)?;
-        *used = tick;
+        let plan = Arc::clone(self.inner.lock().get(key)?);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(plan))
+        Some(plan)
     }
 
     /// Insert a plan, evicting the least-recently-used entry when full.
     pub fn insert(&self, key: PlanKey, plan: Arc<CachedPlan>) {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(key, (plan, tick));
-        while inner.map.len() > self.capacity {
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            inner.map.remove(&victim);
+        inner.insert(Arc::new(key), plan);
+        while inner.len() > self.capacity {
+            inner.pop_lru();
         }
     }
 
     /// Drop every cached plan against `table` (index DDL, table drop).
     pub fn invalidate_table(&self, table: u32) {
-        self.inner.lock().map.retain(|k, _| k.table != table);
+        self.inner.lock().retain(|k, _| k.table != table);
     }
 
     /// Lookups that found a cached plan.
@@ -338,7 +319,7 @@ impl PlanCache {
 
     /// Plans currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -438,6 +419,39 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn eviction_follows_lru_order_over_hundreds_of_plans() {
+        let cache = PlanCache::new(PLAN_CACHE_CAPACITY);
+        let plan = dummy_plan();
+        // Paths from least to most recently used.
+        let mut model: Vec<String> = Vec::new();
+        let mut x = 7u64;
+        for _ in 0..3000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let path = format!("/p{}", (x >> 33) % 400);
+            let had = model.contains(&path);
+            if (x >> 20) % 2 == 0 {
+                cache.insert(key(1, &path), Arc::clone(&plan));
+                model.retain(|p| *p != path);
+                model.push(path);
+                if model.len() > PLAN_CACHE_CAPACITY {
+                    model.remove(0);
+                }
+            } else {
+                assert_eq!(cache.get(&key(1, &path)).is_some(), had, "{path}");
+                if had {
+                    model.retain(|p| *p != path);
+                    model.push(path);
+                }
+            }
+            let inner = cache.inner.lock();
+            assert_eq!(inner.len(), model.len());
+            assert!(model.iter().all(|p| inner.peek(&key(1, p)).is_some()));
+        }
     }
 
     #[test]

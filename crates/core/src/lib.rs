@@ -27,6 +27,7 @@
 //! * [`executor`] — the shared query worker pool and plan cache;
 //! * [`doccache`] — the versioned hot-document record cache above the
 //!   buffer pool;
+//! * [`lru`] — the O(1) least-recently-used map under both caches;
 //! * [`db`] — the database façade (tables, columns, schemas, recovery);
 //! * [`sqlxml`] — the SQL/XML statement layer (§2);
 //! * [`shred`] / [`lob`] — the one-node-per-row and LOB storage **baselines**
@@ -43,6 +44,7 @@ pub mod error;
 pub mod executor;
 pub mod fulltext;
 pub mod lob;
+pub mod lru;
 pub mod mvcc;
 pub mod pack;
 pub mod runtime;

@@ -799,11 +799,11 @@ impl P {
                     }
                 };
                 let tree = rx_xpath::QueryTree::compile(&path)?;
-                let mut lane = access::DocScanner::new(&tree, dict);
+                let mut lane = access::DocScanner::new(col, &tree, dict);
                 let mut stats = access::AccessStats::default();
                 let mut hits = Vec::new();
                 read_locked(txn, table, &docs, |d| {
-                    lane.evaluate(col, d, &mut stats, &mut hits)
+                    lane.evaluate(d, &mut stats, &mut hits)
                 })?;
                 Ok(Output::Sequence(hits))
             }

@@ -100,14 +100,21 @@ pub struct Traverser<'x> {
     xml: &'x XmlTable,
     doc: DocId,
     cached: Option<Arc<CachedDoc>>,
-    /// Ceiling-probe memo for the cold path: `(probe, upper, record)` of the
-    /// last successful locate. For sorted probe sequences (the NodeID
-    /// no-verify path, nested subtree descents) any probe `p` with
-    /// `last_probe <= p <= upper` must resolve to the same record — there is
-    /// no index entry in `[last_probe, upper)` or the previous ceiling probe
-    /// would have returned it — so consecutive anchors sharing a record cost
-    /// one probe + one fetch instead of one each.
-    memo: Option<(Vec<u8>, Vec<u8>, LoadedRecord)>,
+    /// Ceiling-probe memo for the cold path: `(memo_probe, memo_upper,
+    /// memo_rec)` of the last successful locate. For sorted probe sequences
+    /// (the NodeID no-verify path, nested subtree descents) any probe `p`
+    /// with `last_probe <= p <= upper` must resolve to the same record —
+    /// there is no index entry in `[last_probe, upper)` or the previous
+    /// ceiling probe would have returned it — so consecutive anchors sharing
+    /// a record cost one probe + one fetch instead of one each. The two key
+    /// buffers are reused across [`Traverser::rebind`].
+    memo_probe: Vec<u8>,
+    memo_upper: Vec<u8>,
+    memo_rec: Option<LoadedRecord>,
+    /// The document's root record as located by the caller's range scan of
+    /// the NodeID index ([`Traverser::seed_root`]); its interval upper waits
+    /// in `memo_upper`. Consumed by the first `(docid, 00)` locate.
+    root_hint: Option<Rid>,
     /// Absolute ID of the node being replayed; while a region is replayed it
     /// holds the region's context (parent) ID.
     id: Vec<u8>,
@@ -127,18 +134,59 @@ impl<'x> Traverser<'x> {
     /// Bind to a document of an XML table, adopting a cached snapshot when
     /// the table's document cache holds a valid one.
     pub fn new(xml: &'x XmlTable, doc: DocId) -> Self {
-        let cached = xml
-            .doc_cache()
-            .filter(|c| c.enabled())
-            .and_then(|c| c.get(xml.space_id(), doc));
+        let mut t = Self::unbound(xml);
+        t.rebind(doc);
+        t
+    }
+
+    /// A traverser of `xml` bound to no document yet (it looks nothing up
+    /// in the document cache); [`Traverser::rebind`] binds it.
+    pub(crate) fn unbound(xml: &'x XmlTable) -> Self {
         Traverser {
             xml,
-            doc,
-            cached,
-            memo: None,
+            doc: 0,
+            cached: None,
+            memo_probe: Vec::new(),
+            memo_upper: Vec::new(),
+            memo_rec: None,
+            root_hint: None,
             id: Vec::new(),
             stats: TraverseStats::default(),
         }
+    }
+
+    /// Bind to another document of the same table, as [`Traverser::new`]
+    /// would, but keeping the key and ID buffers. Counters restart at zero.
+    pub fn rebind(&mut self, doc: DocId) {
+        let xml = self.xml;
+        self.doc = doc;
+        self.cached = xml
+            .doc_cache()
+            .filter(|c| c.enabled())
+            .and_then(|c| c.get(xml.space_id(), doc));
+        self.memo_rec = None;
+        self.root_hint = None;
+        self.id.clear();
+        self.stats = TraverseStats::default();
+    }
+
+    /// Hand the traverser the document's root record, located by the caller
+    /// as the first NodeID-index entry with this DocID prefix: the entry
+    /// whose interval `upper` is the ceiling of `(docid, 00)`, at `rid`. The
+    /// §3.4 root locate then fetches `rid` instead of probing the index and
+    /// memoizes it exactly as the probe would have. The hint is used only if
+    /// the row at `rid` belongs to this document; otherwise (or when the
+    /// fetch fails) the locate probes as usual.
+    pub fn seed_root(&mut self, upper: &[u8], rid: Rid) {
+        self.memo_rec = None;
+        self.memo_upper.clear();
+        self.memo_upper.extend_from_slice(upper);
+        self.root_hint = Some(rid);
+    }
+
+    /// The XML table this traverser reads.
+    pub fn xml(&self) -> &'x XmlTable {
+        self.xml
     }
 
     /// Fetch + decode one record into shareable form (cold path).
@@ -159,9 +207,22 @@ impl<'x> Traverser<'x> {
         if let Some(c) = &self.cached {
             return Ok(c.locate(probe).cloned());
         }
-        if let Some((lo, hi, rec)) = &self.memo {
-            if probe >= lo.as_slice() && probe <= hi.as_slice() {
+        if let Some(rec) = &self.memo_rec {
+            if probe >= self.memo_probe.as_slice() && probe <= self.memo_upper.as_slice() {
                 return Ok(Some(rec.clone()));
+            }
+        }
+        if probe.is_empty() {
+            if let Some(rid) = self.root_hint.take() {
+                // The row must still be this document's: a stale hint (an
+                // unlocked read racing a delete) falls back to the probe.
+                let seeded = self.load(rid).ok().filter(|rec| rec.doc() == self.doc);
+                if let Some(rec) = seeded {
+                    self.stats.records_fetched += 1;
+                    self.memo_probe.clear();
+                    self.memo_rec = Some(rec.clone());
+                    return Ok(Some(rec));
+                }
             }
         }
         self.stats.index_probes += 1;
@@ -169,7 +230,11 @@ impl<'x> Traverser<'x> {
             Some((upper, rid)) => {
                 self.stats.records_fetched += 1;
                 let rec = self.load(rid)?;
-                self.memo = Some((probe.to_vec(), upper.as_bytes().to_vec(), rec.clone()));
+                self.memo_probe.clear();
+                self.memo_probe.extend_from_slice(probe);
+                self.memo_upper.clear();
+                self.memo_upper.extend_from_slice(upper.as_bytes());
+                self.memo_rec = Some(rec.clone());
                 Ok(Some(rec))
             }
             None => Ok(None),

@@ -100,6 +100,35 @@ pub fn decode_row_data_range(rec: &[u8]) -> Result<std::ops::Range<usize>> {
     crate::doccache::row_data_range(rec)
 }
 
+/// Root records of a candidate list, located by
+/// [`XmlTable::locate_roots`]: per candidate, the interval upper and RID of
+/// its first NodeID-index entry. Reusable across lists.
+#[derive(Default)]
+pub struct LocatedRoots {
+    /// The located entries' interval uppers, concatenated.
+    uppers: Vec<u8>,
+    /// Per candidate, in order: its upper (a range of `uppers`) and RID.
+    roots: Vec<Option<(std::ops::Range<usize>, Rid)>>,
+}
+
+impl LocatedRoots {
+    /// The root entry located for the `i`th candidate: `(upper, rid)`.
+    pub fn get(&self, i: usize) -> Option<(&[u8], Rid)> {
+        let (upper, rid) = self.roots.get(i)?.as_ref()?;
+        Some((&self.uppers[upper.clone()], *rid))
+    }
+
+    /// Number of candidates the last scan answered for.
+    pub fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// True when the last scan answered for no candidate.
+    pub fn is_empty(&self) -> bool {
+        self.roots.is_empty()
+    }
+}
+
 /// The internal XML table: heap of packed records + NodeID index, sharing
 /// one table space.
 pub struct XmlTable {
@@ -289,6 +318,48 @@ impl XmlTable {
             }
             _ => Ok(None),
         }
+    }
+
+    /// Locate the root record of every document of `docs` (ascending
+    /// DocIDs) with one range scan of the NodeID index over the window
+    /// `[docs[0], docs[last]]`, the way a relational scan walks its
+    /// clustered index once. Keys are `(DocID BE, upper)`, so the first entry
+    /// with a document's DocID prefix is the ceiling of `(docid, 00)`: the
+    /// entry the §3.4 root probe of [`XmlTable::locate_raw`] returns.
+    /// Documents without an entry (and any not in ascending order) get
+    /// `None`. The scan only collects; nothing is fetched under the tree
+    /// latch.
+    pub fn locate_roots(&self, docs: &[DocId], out: &mut LocatedRoots) -> Result<()> {
+        out.uppers.clear();
+        out.roots.clear();
+        let Some(&first) = docs.first() else {
+            return Ok(());
+        };
+        let mut next = 0;
+        self.nodeid_index
+            .scan_from(&first.to_be_bytes(), |key, rid| {
+                let Some(doc) = key
+                    .get(..8)
+                    .map(|d| DocId::from_be_bytes(d.try_into().expect("8-byte DocID prefix")))
+                else {
+                    return true;
+                };
+                while next < docs.len() && docs[next] < doc {
+                    out.roots.push(None);
+                    next += 1;
+                }
+                if next < docs.len() && docs[next] == doc {
+                    let upper = out.uppers.len()..out.uppers.len() + key.len() - 8;
+                    out.uppers.extend_from_slice(&key[8..]);
+                    while next < docs.len() && docs[next] == doc {
+                        out.roots.push(Some((upper.clone(), Rid::from_u64(rid))));
+                        next += 1;
+                    }
+                }
+                next < docs.len()
+            })?;
+        out.roots.resize(docs.len(), None);
+        Ok(())
     }
 
     /// All distinct RIDs of a document's records, in (doc, minNodeId) order.

@@ -20,7 +20,8 @@
 //!   subtree locks (§5);
 //! * [`catalog`] — the persistent directory (compiled schemas, object
 //!   definitions, counters);
-//! * [`codec`] — the byte codec shared by record formats.
+//! * [`codec`] — the byte codec shared by record formats;
+//! * [`idhash`] — the fast hasher for maps keyed by internal ids.
 
 #![warn(missing_docs)]
 
@@ -31,6 +32,7 @@ pub mod catalog;
 pub mod codec;
 pub mod error;
 pub mod heap;
+pub mod idhash;
 pub mod lock;
 pub mod page;
 pub mod rid;

@@ -13,8 +13,10 @@
 //! wait would close a cycle is chosen as victim.
 
 use crate::error::{Result, StorageError};
+use crate::idhash::IdBuildHasher;
 use crate::wal::TxnId;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -182,33 +184,26 @@ fn grants_conflict(req_node: &Option<Vec<u8>>, req_mode: LockMode, g: &Grant) ->
 /// One held resource: its group key and, for node locks, the node ID.
 type HeldLock = (GroupKey, Option<Vec<u8>>);
 
+/// The lock table's maps: hashed a few times per granted lock, by keys
+/// the engine chooses.
+type LockMap<K, V> = HashMap<K, V, IdBuildHasher>;
+
+/// Emptied grant lists kept for reuse, so locking a document that nobody
+/// holds does not allocate one (up to this many).
+const SPARE_GRANT_LISTS: usize = 4096;
+
 #[derive(Default)]
 struct LmInner {
-    groups: HashMap<GroupKey, Vec<Grant>>,
+    groups: LockMap<GroupKey, Vec<Grant>>,
     /// txn -> resources it currently waits for (for the waits-for graph).
-    waits_for: HashMap<TxnId, Vec<TxnId>>,
+    waits_for: LockMap<TxnId, Vec<TxnId>>,
     /// All (group, node) pairs held per txn, for bulk release.
-    held: HashMap<TxnId, Vec<HeldLock>>,
+    held: LockMap<TxnId, Vec<HeldLock>>,
+    /// Empty grant lists left by released groups.
+    spare: Vec<Vec<Grant>>,
 }
 
 impl LmInner {
-    fn blockers(
-        &self,
-        key: &GroupKey,
-        node: &Option<Vec<u8>>,
-        mode: LockMode,
-        txn: TxnId,
-    ) -> Vec<TxnId> {
-        let Some(grants) = self.groups.get(key) else {
-            return Vec::new();
-        };
-        grants
-            .iter()
-            .filter(|g| g.txn != txn && grants_conflict(node, mode, g))
-            .map(|g| g.txn)
-            .collect()
-    }
-
     /// Would adding edges `txn -> blockers` close a cycle in the waits-for graph?
     fn creates_cycle(&self, txn: TxnId, blockers: &[TxnId]) -> bool {
         // DFS from each blocker; if we can reach `txn`, adding the edge cycles.
@@ -229,25 +224,71 @@ impl LmInner {
         false
     }
 
-    fn grant(&mut self, txn: TxnId, key: GroupKey, node: Option<Vec<u8>>, mode: LockMode) {
-        let grants = self.groups.entry(key.clone()).or_default();
-        // Same txn, same resource: upgrade or re-entrant count.
-        if let Some(g) = grants.iter_mut().find(|g| g.txn == txn && g.node == node) {
-            if g.mode.covers(mode) {
-                g.count += 1;
-            } else {
+    /// Grant `mode` on `(key, node)` to `txn` if that needs no wait: a
+    /// covering lock it already holds is counted again, and a new or
+    /// upgraded grant is made when no other transaction's grant conflicts.
+    /// Otherwise returns the conflicting transactions. One lookup of the
+    /// group serves the check and the grant.
+    fn try_grant(
+        &mut self,
+        txn: TxnId,
+        key: &GroupKey,
+        node: &Option<Vec<u8>>,
+        mode: LockMode,
+    ) -> std::result::Result<(), Vec<TxnId>> {
+        let LmInner {
+            groups,
+            held,
+            spare,
+            ..
+        } = self;
+        let grants = groups
+            .entry(key.clone())
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        let own = grants.iter().position(|g| g.txn == txn && g.node == *node);
+        if let Some(i) = own {
+            if grants[i].mode.covers(mode) {
+                grants[i].count += 1;
+                return Ok(());
+            }
+        }
+        let blockers: Vec<TxnId> = grants
+            .iter()
+            .filter(|g| g.txn != txn && grants_conflict(node, mode, g))
+            .map(|g| g.txn)
+            .collect();
+        if !blockers.is_empty() {
+            return Err(blockers);
+        }
+        match own {
+            // Upgrade: the weakest mode covering both.
+            Some(i) => {
+                let g = &mut grants[i];
                 g.mode = g.mode.supremum(mode);
                 g.count += 1;
             }
-            return;
+            None => {
+                grants.push(Grant {
+                    txn,
+                    mode,
+                    node: node.clone(),
+                    count: 1,
+                });
+                held.entry(txn)
+                    .or_default()
+                    .push((key.clone(), node.clone()));
+            }
         }
-        grants.push(Grant {
-            txn,
-            mode,
-            node: node.clone(),
-            count: 1,
-        });
-        self.held.entry(txn).or_default().push((key, node));
+        Ok(())
+    }
+
+    /// Drop a group whose grant list is empty, keeping the list for reuse.
+    fn retire(&mut self, key: &GroupKey) {
+        if let Some(list) = self.groups.remove(key) {
+            if self.spare.len() < SPARE_GRANT_LISTS {
+                self.spare.push(list);
+            }
+        }
     }
 }
 
@@ -281,23 +322,58 @@ impl LockManager {
     /// close a waits-for cycle, or [`StorageError::LockTimeout`] on timeout.
     pub fn lock(&self, txn: TxnId, name: &LockName, mode: LockMode) -> Result<()> {
         let (key, node) = group_of(name);
-        let deadline = Instant::now() + self.timeout;
+        let mut inner = self.inner.lock();
+        match inner.try_grant(txn, &key, &node, mode) {
+            Ok(()) => Ok(()),
+            Err(blockers) => self.wait_for_grant(inner, txn, &key, &node, mode, blockers),
+        }
+    }
+
+    /// Acquire a list of locks in order, as [`LockManager::lock`] on each
+    /// would. While every grant is immediate they are all made under one
+    /// hold of the manager mutex; from the first request that conflicts on,
+    /// each remaining request goes through `lock` on its own, so waits,
+    /// deadlock detection and timeouts are exactly those of `lock`. On an
+    /// error the locks granted before it stay held until the transaction
+    /// ends, as with `lock`.
+    pub fn lock_many(
+        &self,
+        txn: TxnId,
+        requests: impl IntoIterator<Item = (LockName, LockMode)>,
+    ) -> Result<()> {
+        let mut requests = requests.into_iter();
         let mut inner = self.inner.lock();
         loop {
-            // Re-entrant fast path: already covered?
-            if let Some(grants) = inner.groups.get_mut(&key) {
-                if let Some(g) = grants.iter_mut().find(|g| g.txn == txn && g.node == node) {
-                    if g.mode.covers(mode) {
-                        g.count += 1;
-                        return Ok(());
-                    }
-                }
-            }
-            let blockers = inner.blockers(&key, &node, mode, txn);
-            if blockers.is_empty() {
-                inner.grant(txn, key, node, mode);
+            let Some((name, mode)) = requests.next() else {
                 return Ok(());
+            };
+            let (key, node) = group_of(&name);
+            if let Err(blockers) = inner.try_grant(txn, &key, &node, mode) {
+                self.wait_for_grant(inner, txn, &key, &node, mode, blockers)?;
+                break;
             }
+        }
+        for (name, mode) in requests {
+            self.lock(txn, &name, mode)?;
+        }
+        Ok(())
+    }
+
+    /// The wait branch of [`LockManager::lock`], entered with the manager
+    /// mutex held after an immediate grant was refused because of
+    /// `blockers`. The deadline is taken here, so a lock granted at once
+    /// never reads the clock.
+    fn wait_for_grant(
+        &self,
+        mut inner: MutexGuard<'_, LmInner>,
+        txn: TxnId,
+        key: &GroupKey,
+        node: &Option<Vec<u8>>,
+        mode: LockMode,
+        mut blockers: Vec<TxnId>,
+    ) -> Result<()> {
+        let deadline = Instant::now() + self.timeout;
+        loop {
             if inner.creates_cycle(txn, &blockers) {
                 self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
                 return Err(StorageError::Deadlock);
@@ -310,27 +386,17 @@ impl LockManager {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 return Err(StorageError::LockTimeout);
             }
+            blockers = match inner.try_grant(txn, key, node, mode) {
+                Ok(()) => return Ok(()),
+                Err(b) => b,
+            };
         }
     }
 
     /// Non-blocking acquire. Returns `Ok(false)` when a conflict exists.
     pub fn try_lock(&self, txn: TxnId, name: &LockName, mode: LockMode) -> Result<bool> {
         let (key, node) = group_of(name);
-        let mut inner = self.inner.lock();
-        if let Some(grants) = inner.groups.get_mut(&key) {
-            if let Some(g) = grants.iter_mut().find(|g| g.txn == txn && g.node == node) {
-                if g.mode.covers(mode) {
-                    g.count += 1;
-                    return Ok(true);
-                }
-            }
-        }
-        if inner.blockers(&key, &node, mode, txn).is_empty() {
-            inner.grant(txn, key, node, mode);
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        Ok(self.inner.lock().try_grant(txn, &key, &node, mode).is_ok())
     }
 
     /// Release one level of `name` for `txn` (locks are re-entrant counted).
@@ -353,7 +419,7 @@ impl LockManager {
             }
         }
         if emptied {
-            inner.groups.remove(&key);
+            inner.retire(&key);
         }
         drop(inner);
         self.cond.notify_all();
@@ -361,20 +427,42 @@ impl LockManager {
 
     /// Release every lock held by `txn` (commit/rollback).
     pub fn unlock_all(&self, txn: TxnId) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         if let Some(resources) = inner.held.remove(&txn) {
             for (key, node) in resources {
-                if let Some(grants) = inner.groups.get_mut(&key) {
-                    grants.retain(|g| !(g.txn == txn && g.node == node));
-                    if grants.is_empty() {
-                        inner.groups.remove(&key);
+                if let Entry::Occupied(mut e) = inner.groups.entry(key) {
+                    e.get_mut().retain(|g| !(g.txn == txn && g.node == node));
+                    if e.get().is_empty() {
+                        let list = e.remove();
+                        if inner.spare.len() < SPARE_GRANT_LISTS {
+                            inner.spare.push(list);
+                        }
                     }
                 }
             }
         }
         inner.waits_for.remove(&txn);
-        drop(inner);
+        drop(guard);
         self.cond.notify_all();
+    }
+
+    /// Every grant `txn` holds, as `(resource, mode, count)` sorted by
+    /// resource (for tests comparing lock tables).
+    #[cfg(test)]
+    fn grants_of(&self, txn: TxnId) -> Vec<(String, LockMode, u32)> {
+        let inner = self.inner.lock();
+        let mut out: Vec<_> = inner
+            .groups
+            .iter()
+            .flat_map(|(k, gs)| {
+                gs.iter()
+                    .filter(|g| g.txn == txn)
+                    .map(move |g| (format!("{k:?}/{:?}", g.node), g.mode, g.count))
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     /// Number of distinct resources locked by `txn` (for tests).
@@ -535,5 +623,110 @@ mod tests {
         assert!(!lm.try_lock(3, &LockName::Table(1), S).unwrap());
         lm.unlock_all(1);
         assert!(lm.try_lock(3, &LockName::Table(1), S).unwrap());
+    }
+
+    fn docs(ids: impl IntoIterator<Item = u64>) -> Vec<(LockName, LockMode)> {
+        ids.into_iter()
+            .map(|doc| (LockName::Document { table: 1, doc }, S))
+            .collect()
+    }
+
+    #[test]
+    fn lock_many_leaves_the_same_grants_as_one_by_one() {
+        // Repeats, an upgrade, an intent on the table and a node lock.
+        let mut reqs = vec![(LockName::Table(1), IS)];
+        reqs.extend(docs([1, 2, 3, 2, 9]));
+        reqs.push((LockName::Document { table: 1, doc: 3 }, X));
+        reqs.push((
+            LockName::Node {
+                table: 1,
+                doc: 4,
+                node: vec![0x02],
+            },
+            S,
+        ));
+        let one_by_one = lm();
+        for (name, mode) in &reqs {
+            one_by_one.lock(7, name, *mode).unwrap();
+        }
+        let many = lm();
+        many.lock_many(7, reqs.clone()).unwrap();
+        assert_eq!(many.grants_of(7), one_by_one.grants_of(7));
+        assert_eq!(many.held_count(7), one_by_one.held_count(7));
+        assert_eq!(many.stats.snapshot(), (0, 0, 0));
+        // Both tables refuse the same conflicting request and release alike.
+        for m in [&many, &one_by_one] {
+            assert!(!m
+                .try_lock(8, &LockName::Document { table: 1, doc: 3 }, S)
+                .unwrap());
+            assert!(m
+                .try_lock(8, &LockName::Document { table: 1, doc: 9 }, S)
+                .unwrap());
+            m.unlock_all(7);
+            assert_eq!(m.held_count(7), 0);
+        }
+    }
+
+    #[test]
+    fn lock_many_waits_at_a_conflict_like_lock() {
+        let lm = LockManager::new(Duration::from_secs(5));
+        lm.lock(1, &LockName::Document { table: 1, doc: 5 }, X)
+            .unwrap();
+        let lm2 = lm.clone();
+        let h = std::thread::spawn(move || lm2.lock_many(2, docs(1..=9)));
+        std::thread::sleep(Duration::from_millis(80));
+        // Granted up to the conflict, waiting on document 5.
+        assert_eq!(lm.held_count(2), 4);
+        assert_eq!(lm.stats.snapshot(), (1, 0, 0));
+        lm.unlock_all(1);
+        h.join().unwrap().unwrap();
+        assert_eq!(lm.held_count(2), 9);
+    }
+
+    #[test]
+    fn lock_many_reports_a_deadlock_like_lock() {
+        let lm = LockManager::new(Duration::from_secs(5));
+        lm.lock(1, &LockName::Document { table: 1, doc: 5 }, X)
+            .unwrap();
+        lm.lock(2, &LockName::Document { table: 1, doc: 2 }, X)
+            .unwrap();
+        let lm2 = lm.clone();
+        let h =
+            std::thread::spawn(move || lm2.lock(1, &LockName::Document { table: 1, doc: 2 }, X));
+        std::thread::sleep(Duration::from_millis(100));
+        // Txn 2 reaching document 5 would close the cycle 1 -> 2 -> 1.
+        let r = lm.lock_many(2, docs([1, 3, 5, 7]));
+        assert!(matches!(r, Err(StorageError::Deadlock)));
+        assert_eq!(lm.stats.deadlocks.load(Ordering::Relaxed), 1);
+        // The grants before the conflict stay; nothing after it was taken.
+        assert_eq!(lm.held_count(2), 3);
+        assert!(lm
+            .try_lock(3, &LockName::Document { table: 1, doc: 7 }, X)
+            .unwrap());
+        lm.unlock_all(2);
+        h.join().unwrap().unwrap();
+        lm.unlock_all(1);
+    }
+
+    #[test]
+    fn lock_many_timeout_keeps_earlier_grants_until_release() {
+        let lm = LockManager::new(Duration::from_millis(50));
+        lm.lock(1, &LockName::Document { table: 1, doc: 3 }, X)
+            .unwrap();
+        let r = lm.lock_many(2, docs(1..=4));
+        assert!(matches!(r, Err(StorageError::LockTimeout)));
+        assert_eq!(lm.stats.snapshot(), (1, 1, 0));
+        assert_eq!(lm.held_count(2), 2);
+        assert!(!lm
+            .try_lock(3, &LockName::Document { table: 1, doc: 1 }, X)
+            .unwrap());
+        assert!(lm
+            .try_lock(3, &LockName::Document { table: 1, doc: 4 }, X)
+            .unwrap());
+        lm.unlock_all(2);
+        assert_eq!(lm.held_count(2), 0);
+        assert!(lm
+            .try_lock(3, &LockName::Document { table: 1, doc: 1 }, X)
+            .unwrap());
     }
 }

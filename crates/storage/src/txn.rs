@@ -206,6 +206,16 @@ impl Txn {
         self.mgr.locks.lock(self.id, name, mode)
     }
 
+    /// Acquire a list of locks in order (see [`LockManager::lock_many`]):
+    /// those granted at once are granted under one hold of the lock
+    /// manager's mutex.
+    pub fn lock_many(
+        &self,
+        requests: impl IntoIterator<Item = (LockName, LockMode)>,
+    ) -> Result<()> {
+        self.mgr.locks.lock_many(self.id, requests)
+    }
+
     /// Try to acquire a lock without blocking.
     pub fn try_lock(&self, name: &LockName, mode: LockMode) -> Result<bool> {
         self.mgr.locks.try_lock(self.id, name, mode)
