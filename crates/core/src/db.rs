@@ -16,7 +16,7 @@ use crate::validx::{IndexKeyGen, IndexKeys, ValueIndex, ValueIndexDef};
 use crate::xmltable::{DocId, XmlTable};
 use parking_lot::RwLock;
 use rx_storage::codec::{Dec, Enc};
-use rx_storage::wal::{FileLogStore, LogRecord, MemLogStore, RecoveryEnv, Wal};
+use rx_storage::wal::{FileLogStore, MemLogStore, RecoveryEnv, Wal};
 use rx_storage::{
     BTree, BufferPool, Catalog, FileBackend, HeapTable, LockManager, MemBackend, Rid,
     StorageBackend, TableSpace, Txn, TxnManager,
@@ -1058,52 +1058,8 @@ impl Database {
         }
         // Base row + DocID index.
         let row = encode_base_row(doc, &base_values);
-        let rid = table.heap.insert(&row)?;
-        txn.log(&LogRecord::HeapInsert {
-            txn: txn.id(),
-            space: table.base_space,
-            rid,
-            data: row.clone(),
-        })?;
-        {
-            let heap = Arc::clone(&table.heap);
-            let space = table.base_space;
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapDelete {
-                    txn: ctx.txn(),
-                    space,
-                    rid,
-                    before: row.clone(),
-                })?;
-                heap.delete(rid)?;
-                Ok(())
-            }));
-        }
-        let dkey = doc.to_be_bytes().to_vec();
-        let prev = table.docid_index.insert(&dkey, rid.to_u64())?;
-        txn.log(&LogRecord::IndexInsert {
-            txn: txn.id(),
-            space: table.base_space,
-            anchor: DOCID_INDEX_ANCHOR as u32,
-            key: dkey.clone(),
-            value: rid.to_u64(),
-            prev,
-        })?;
-        {
-            let index = Arc::clone(&table.docid_index);
-            let space = table.base_space;
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::IndexDelete {
-                    txn: ctx.txn(),
-                    space,
-                    anchor: DOCID_INDEX_ANCHOR as u32,
-                    key: dkey.clone(),
-                    value: rid.to_u64(),
-                })?;
-                index.delete(&dkey)?;
-                Ok(())
-            }));
-        }
+        let rid = txn.heap_insert(&table.heap, row)?;
+        txn.index_insert(&table.docid_index, doc.to_be_bytes().to_vec(), rid.to_u64())?;
         Ok(doc)
     }
 
@@ -1193,52 +1149,8 @@ impl Database {
             col.xml.delete_document(txn, doc)?;
         }
         // Base row + DocID index entry.
-        let before = table.heap.fetch(rid)?;
-        table.heap.delete(rid)?;
-        txn.log(&LogRecord::HeapDelete {
-            txn: txn.id(),
-            space: table.base_space,
-            rid,
-            before: before.clone(),
-        })?;
-        {
-            let heap = Arc::clone(&table.heap);
-            let space = table.base_space;
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapInsert {
-                    txn: ctx.txn(),
-                    space,
-                    rid,
-                    data: before.clone(),
-                })?;
-                heap.insert_at(rid, &before)?;
-                Ok(())
-            }));
-        }
-        let dkey = doc.to_be_bytes().to_vec();
-        if let Some(v) = table.docid_index.delete(&dkey)? {
-            txn.log(&LogRecord::IndexDelete {
-                txn: txn.id(),
-                space: table.base_space,
-                anchor: DOCID_INDEX_ANCHOR as u32,
-                key: dkey.clone(),
-                value: v,
-            })?;
-            let index = Arc::clone(&table.docid_index);
-            let space = table.base_space;
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::IndexInsert {
-                    txn: ctx.txn(),
-                    space,
-                    anchor: DOCID_INDEX_ANCHOR as u32,
-                    key: dkey.clone(),
-                    value: v,
-                    prev: None,
-                })?;
-                index.insert(&dkey, v)?;
-                Ok(())
-            }));
-        }
+        txn.heap_delete(&table.heap, rid)?;
+        txn.index_delete(&table.docid_index, doc.to_be_bytes().to_vec())?;
         Ok(true)
     }
 

@@ -16,13 +16,11 @@ use crate::error::{EngineError, Result};
 use crate::pack::{kind, read_header, read_nodes, NodeView, PackedRecord};
 use crate::xmltable::{nodeid_key, subtree_successor, DocId, XmlTable};
 use rx_storage::codec::Enc;
-use rx_storage::wal::LogRecord;
 use rx_storage::{Rid, Txn};
 use rx_xml::event::{Event, EventSink};
 use rx_xml::name::{NameDict, QNameId, StrId};
 use rx_xml::nodeid::{NodeId, RelId};
 use rx_xml::value::TypeAnn;
-use std::sync::Arc;
 
 /// Where to insert a new child fragment.
 #[derive(Debug, Clone, PartialEq)]
@@ -458,50 +456,9 @@ pub fn delete_node(txn: &Txn, xml: &XmlTable, doc: DocId, target: &NodeId) -> Re
     })?;
     let mut deleted_rids: Vec<Rid> = Vec::new();
     for (key, rid) in doomed {
-        if xml.nodeid_index().delete(&key)?.is_some() {
-            txn.log(&LogRecord::IndexDelete {
-                txn: txn.id(),
-                space: xml.space_id(),
-                anchor: crate::xmltable::NODEID_INDEX_ANCHOR as u32,
-                key: key.clone(),
-                value: rid.to_u64(),
-            })?;
-            let index = Arc::clone(xml.nodeid_index());
-            let space = xml.space_id();
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::IndexInsert {
-                    txn: ctx.txn(),
-                    space,
-                    anchor: crate::xmltable::NODEID_INDEX_ANCHOR as u32,
-                    key: key.clone(),
-                    value: rid.to_u64(),
-                    prev: None,
-                })?;
-                index.insert(&key, rid.to_u64())?;
-                Ok(())
-            }));
-        }
+        txn.index_delete(xml.nodeid_index(), key)?;
         if !deleted_rids.contains(&rid) {
-            let before = xml.heap().fetch(rid)?;
-            xml.heap().delete(rid)?;
-            txn.log(&LogRecord::HeapDelete {
-                txn: txn.id(),
-                space: xml.space_id(),
-                rid,
-                before: before.clone(),
-            })?;
-            let heap = Arc::clone(xml.heap());
-            let space = xml.space_id();
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapInsert {
-                    txn: ctx.txn(),
-                    space,
-                    rid,
-                    data: before.clone(),
-                })?;
-                heap.insert_at(rid, &before)?;
-                Ok(())
-            }));
+            txn.heap_delete(xml.heap(), rid)?;
             deleted_rids.push(rid);
             stats.records_touched += 1;
         }
@@ -928,6 +885,7 @@ mod tests {
     use rx_storage::wal::{MemLogStore, Wal};
     use rx_storage::{BufferPool, LockManager, MemBackend, TableSpace, TxnManager};
     use rx_xml::Serializer;
+    use std::sync::Arc;
 
     fn store(input: &str, target: usize) -> (XmlTable, NameDict, Arc<TxnManager>) {
         let pool = BufferPool::new(1024);

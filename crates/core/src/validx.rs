@@ -28,7 +28,6 @@ use crate::fulltext::tokenize;
 use crate::pack::NodeObserver;
 use crate::traverse::{IdEventSink, Traverser};
 use crate::xmltable::{DocId, XmlTable};
-use rx_storage::wal::LogRecord;
 use rx_storage::{BTree, Rid, TableSpace, Txn};
 use rx_xml::event::{Event, EventSink};
 use rx_xml::name::NameDict;
@@ -295,7 +294,11 @@ impl ValueIndex {
                 )));
             };
             for keyval in keyvals {
-                self.insert_key(txn, encode_entry_key(&keyval, doc, node), rid.to_u64())?;
+                txn.index_insert(
+                    &self.btree,
+                    encode_entry_key(&keyval, doc, node),
+                    rid.to_u64(),
+                )?;
             }
         }
         Ok(total as u64)
@@ -307,83 +310,13 @@ impl ValueIndex {
         for item in items {
             let Some(node) = &item.node else { continue };
             for keyval in self.def.keys.keyvals(&item.value) {
-                if self.delete_key(txn, encode_entry_key(&keyval, doc, node))? {
+                let key = encode_entry_key(&keyval, doc, node);
+                if txn.index_delete(&self.btree, key)?.is_some() {
                     removed += 1;
                 }
             }
         }
         Ok(removed)
-    }
-
-    /// Insert one entry, logged, with its undo.
-    fn insert_key(&self, txn: &Txn, key: Vec<u8>, value: u64) -> Result<()> {
-        let prev = self.btree.insert(&key, value)?;
-        txn.log(&LogRecord::IndexInsert {
-            txn: txn.id(),
-            space: self.def.space_id,
-            anchor: VALUE_INDEX_ANCHOR as u32,
-            key: key.clone(),
-            value,
-            prev,
-        })?;
-        let btree = Arc::clone(&self.btree);
-        let space = self.def.space_id;
-        txn.push_undo(Box::new(move |ctx| {
-            match prev {
-                Some(p) => {
-                    ctx.log(&LogRecord::IndexInsert {
-                        txn: ctx.txn(),
-                        space,
-                        anchor: VALUE_INDEX_ANCHOR as u32,
-                        key: key.clone(),
-                        value: p,
-                        prev: None,
-                    })?;
-                    btree.insert(&key, p)?;
-                }
-                None => {
-                    ctx.log(&LogRecord::IndexDelete {
-                        txn: ctx.txn(),
-                        space,
-                        anchor: VALUE_INDEX_ANCHOR as u32,
-                        key: key.clone(),
-                        value,
-                    })?;
-                    btree.delete(&key)?;
-                }
-            }
-            Ok(())
-        }));
-        Ok(())
-    }
-
-    /// Delete one entry if present, logged, with its undo.
-    fn delete_key(&self, txn: &Txn, key: Vec<u8>) -> Result<bool> {
-        let Some(value) = self.btree.delete(&key)? else {
-            return Ok(false);
-        };
-        txn.log(&LogRecord::IndexDelete {
-            txn: txn.id(),
-            space: self.def.space_id,
-            anchor: VALUE_INDEX_ANCHOR as u32,
-            key: key.clone(),
-            value,
-        })?;
-        let btree = Arc::clone(&self.btree);
-        let space = self.def.space_id;
-        txn.push_undo(Box::new(move |ctx| {
-            ctx.log(&LogRecord::IndexInsert {
-                txn: ctx.txn(),
-                space,
-                anchor: VALUE_INDEX_ANCHOR as u32,
-                key: key.clone(),
-                value,
-                prev: None,
-            })?;
-            btree.insert(&key, value)?;
-            Ok(())
-        }));
-        Ok(true)
     }
 
     /// Exact-value lookup: all entries with the given encoded key value.

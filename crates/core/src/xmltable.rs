@@ -17,7 +17,6 @@ use crate::doccache::DocCache;
 use crate::error::Result;
 use crate::pack::PackedRecord;
 use rx_storage::codec::{Dec, Enc};
-use rx_storage::wal::LogRecord;
 use rx_storage::{BTree, HeapTable, Rid, TableSpace, Txn};
 use rx_xml::nodeid::NodeId;
 use std::sync::{Arc, OnceLock};
@@ -220,71 +219,13 @@ impl XmlTable {
     }
 
     /// Store one packed record of document `doc`, maintaining the NodeID
-    /// index, WAL, and undo chain. Returns the record's RID.
+    /// index. Returns the record's RID.
     pub fn insert_record(&self, txn: &Txn, doc: DocId, rec: &PackedRecord) -> Result<Rid> {
         self.touch_cache(txn, doc);
         let row = encode_row(doc, &rec.min_id, &rec.bytes);
-        let rid = self.heap.insert(&row)?;
-        txn.log(&LogRecord::HeapInsert {
-            txn: txn.id(),
-            space: self.space_id,
-            rid,
-            data: row.clone(),
-        })?;
-        {
-            let heap = Arc::clone(&self.heap);
-            let space = self.space_id;
-            let before = row.clone();
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapDelete {
-                    txn: ctx.txn(),
-                    space,
-                    rid,
-                    before,
-                })?;
-                heap.delete(rid)?;
-                Ok(())
-            }));
-        }
+        let rid = txn.heap_insert(&self.heap, row)?;
         for upper in &rec.interval_uppers {
-            let key = nodeid_key(doc, upper);
-            let prev = self.nodeid_index.insert(&key, rid.to_u64())?;
-            txn.log(&LogRecord::IndexInsert {
-                txn: txn.id(),
-                space: self.space_id,
-                anchor: NODEID_INDEX_ANCHOR as u32,
-                key: key.clone(),
-                value: rid.to_u64(),
-                prev,
-            })?;
-            let index = Arc::clone(&self.nodeid_index);
-            let space = self.space_id;
-            txn.push_undo(Box::new(move |ctx| {
-                match prev {
-                    Some(p) => {
-                        ctx.log(&LogRecord::IndexInsert {
-                            txn: ctx.txn(),
-                            space,
-                            anchor: NODEID_INDEX_ANCHOR as u32,
-                            key: key.clone(),
-                            value: p,
-                            prev: None,
-                        })?;
-                        index.insert(&key, p)?;
-                    }
-                    None => {
-                        ctx.log(&LogRecord::IndexDelete {
-                            txn: ctx.txn(),
-                            space,
-                            anchor: NODEID_INDEX_ANCHOR as u32,
-                            key: key.clone(),
-                            value: rid.to_u64(),
-                        })?;
-                        index.delete(&key)?;
-                    }
-                }
-                Ok(())
-            }));
+            txn.index_insert(&self.nodeid_index, nodeid_key(doc, upper), rid.to_u64())?;
         }
         Ok(rid)
     }
@@ -386,52 +327,9 @@ impl XmlTable {
         })?;
         let mut deleted_rids: Vec<Rid> = Vec::new();
         for (key, rid) in entries {
-            self.nodeid_index.delete(&key)?;
-            txn.log(&LogRecord::IndexDelete {
-                txn: txn.id(),
-                space: self.space_id,
-                anchor: NODEID_INDEX_ANCHOR as u32,
-                key: key.clone(),
-                value: rid.to_u64(),
-            })?;
-            {
-                let index = Arc::clone(&self.nodeid_index);
-                let key = key.clone();
-                let space = self.space_id;
-                txn.push_undo(Box::new(move |ctx| {
-                    ctx.log(&LogRecord::IndexInsert {
-                        txn: ctx.txn(),
-                        space,
-                        anchor: NODEID_INDEX_ANCHOR as u32,
-                        key: key.clone(),
-                        value: rid.to_u64(),
-                        prev: None,
-                    })?;
-                    index.insert(&key, rid.to_u64())?;
-                    Ok(())
-                }));
-            }
+            txn.index_delete(&self.nodeid_index, key)?;
             if !deleted_rids.contains(&rid) {
-                let before = self.heap.fetch(rid)?;
-                self.heap.delete(rid)?;
-                txn.log(&LogRecord::HeapDelete {
-                    txn: txn.id(),
-                    space: self.space_id,
-                    rid,
-                    before: before.clone(),
-                })?;
-                let heap = Arc::clone(&self.heap);
-                let space = self.space_id;
-                txn.push_undo(Box::new(move |ctx| {
-                    ctx.log(&LogRecord::HeapInsert {
-                        txn: ctx.txn(),
-                        space,
-                        rid,
-                        data: before.clone(),
-                    })?;
-                    heap.insert_at(rid, &before)?;
-                    Ok(())
-                }));
+                txn.heap_delete(&self.heap, rid)?;
                 deleted_rids.push(rid);
             }
         }
@@ -443,37 +341,14 @@ impl XmlTable {
     pub fn delete_uppers(&self, txn: &Txn, doc: DocId, uppers: &[NodeId]) -> Result<()> {
         self.touch_cache(txn, doc);
         for upper in uppers {
-            let key = nodeid_key(doc, upper);
-            if let Some(v) = self.nodeid_index.delete(&key)? {
-                txn.log(&LogRecord::IndexDelete {
-                    txn: txn.id(),
-                    space: self.space_id,
-                    anchor: NODEID_INDEX_ANCHOR as u32,
-                    key: key.clone(),
-                    value: v,
-                })?;
-                let index = Arc::clone(&self.nodeid_index);
-                let space = self.space_id;
-                txn.push_undo(Box::new(move |ctx| {
-                    ctx.log(&LogRecord::IndexInsert {
-                        txn: ctx.txn(),
-                        space,
-                        anchor: NODEID_INDEX_ANCHOR as u32,
-                        key: key.clone(),
-                        value: v,
-                        prev: None,
-                    })?;
-                    index.insert(&key, v)?;
-                    Ok(())
-                }));
-            }
+            txn.index_delete(&self.nodeid_index, nodeid_key(doc, upper))?;
         }
         Ok(())
     }
 
-    /// Replace the packed record at `rid` (sub-document update path). The
-    /// record must not move (callers re-pack within size limits); if the heap
-    /// relocates it, the NodeID index entries pointing at it are rewritten.
+    /// Replace the packed record at `rid` (sub-document update path). A
+    /// record that no longer fits its page moves; the NodeID index entries
+    /// are rewritten to its new RID.
     pub fn update_record(
         &self,
         txn: &Txn,
@@ -483,129 +358,12 @@ impl XmlTable {
         old_uppers: &[NodeId],
     ) -> Result<Rid> {
         self.touch_cache(txn, doc);
-        let before = self.heap.fetch(rid)?;
         let row = encode_row(doc, &rec.min_id, &rec.bytes);
-        let new_rid = self.heap.update(rid, &row)?;
-        if new_rid == rid {
-            txn.log(&LogRecord::HeapUpdate {
-                txn: txn.id(),
-                space: self.space_id,
-                rid,
-                before: before.clone(),
-                after: row,
-            })?;
-            let heap = Arc::clone(&self.heap);
-            let space = self.space_id;
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapInsert {
-                    txn: ctx.txn(),
-                    space,
-                    rid,
-                    data: before.clone(),
-                })?;
-                heap.insert_at(rid, &before)?;
-                Ok(())
-            }));
-        } else {
-            txn.log(&LogRecord::HeapDelete {
-                txn: txn.id(),
-                space: self.space_id,
-                rid,
-                before: before.clone(),
-            })?;
-            txn.log(&LogRecord::HeapInsert {
-                txn: txn.id(),
-                space: self.space_id,
-                rid: new_rid,
-                data: row.clone(),
-            })?;
-            let heap = Arc::clone(&self.heap);
-            let space = self.space_id;
-            let row_copy = row.clone();
-            txn.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapDelete {
-                    txn: ctx.txn(),
-                    space,
-                    rid: new_rid,
-                    before: row_copy.clone(),
-                })?;
-                heap.delete(new_rid)?;
-                ctx.log(&LogRecord::HeapInsert {
-                    txn: ctx.txn(),
-                    space,
-                    rid,
-                    data: before.clone(),
-                })?;
-                heap.insert_at(rid, &before)?;
-                Ok(())
-            }));
-        }
+        let new_rid = txn.heap_update(&self.heap, rid, row)?;
         // Refresh index entries: remove stale uppers, install current ones.
-        for upper in old_uppers {
-            let key = nodeid_key(doc, upper);
-            if let Some(v) = self.nodeid_index.delete(&key)? {
-                txn.log(&LogRecord::IndexDelete {
-                    txn: txn.id(),
-                    space: self.space_id,
-                    anchor: NODEID_INDEX_ANCHOR as u32,
-                    key: key.clone(),
-                    value: v,
-                })?;
-                let index = Arc::clone(&self.nodeid_index);
-                let space = self.space_id;
-                txn.push_undo(Box::new(move |ctx| {
-                    ctx.log(&LogRecord::IndexInsert {
-                        txn: ctx.txn(),
-                        space,
-                        anchor: NODEID_INDEX_ANCHOR as u32,
-                        key: key.clone(),
-                        value: v,
-                        prev: None,
-                    })?;
-                    index.insert(&key, v)?;
-                    Ok(())
-                }));
-            }
-        }
+        self.delete_uppers(txn, doc, old_uppers)?;
         for upper in &rec.interval_uppers {
-            let key = nodeid_key(doc, upper);
-            let prev = self.nodeid_index.insert(&key, new_rid.to_u64())?;
-            txn.log(&LogRecord::IndexInsert {
-                txn: txn.id(),
-                space: self.space_id,
-                anchor: NODEID_INDEX_ANCHOR as u32,
-                key: key.clone(),
-                value: new_rid.to_u64(),
-                prev,
-            })?;
-            let index = Arc::clone(&self.nodeid_index);
-            let space = self.space_id;
-            txn.push_undo(Box::new(move |ctx| {
-                match prev {
-                    Some(p) => {
-                        ctx.log(&LogRecord::IndexInsert {
-                            txn: ctx.txn(),
-                            space,
-                            anchor: NODEID_INDEX_ANCHOR as u32,
-                            key: key.clone(),
-                            value: p,
-                            prev: None,
-                        })?;
-                        index.insert(&key, p)?;
-                    }
-                    None => {
-                        ctx.log(&LogRecord::IndexDelete {
-                            txn: ctx.txn(),
-                            space,
-                            anchor: NODEID_INDEX_ANCHOR as u32,
-                            key: key.clone(),
-                            value: new_rid.to_u64(),
-                        })?;
-                        index.delete(&key)?;
-                    }
-                }
-                Ok(())
-            }));
+            txn.index_insert(&self.nodeid_index, nodeid_key(doc, upper), new_rid.to_u64())?;
         }
         Ok(new_rid)
     }

@@ -191,6 +191,16 @@ impl BTree {
         }))
     }
 
+    /// The table space this tree lives in.
+    pub fn space(&self) -> &Arc<TableSpace> {
+        &self.space
+    }
+
+    /// The space anchor slot holding this tree's root page.
+    pub fn anchor(&self) -> usize {
+        self.anchor
+    }
+
     fn root(&self) -> Result<u32> {
         self.space.anchor(self.anchor)
     }

@@ -149,35 +149,61 @@ impl HeapTable {
     /// Update a record. Returns the (possibly new) RID: the record moves to a
     /// different page when the grown body no longer fits in place.
     pub fn update(&self, rid: Rid, data: &[u8]) -> Result<Rid> {
+        if self.update_in_place(rid, data)? {
+            return Ok(rid);
+        }
+        self.delete(rid)?;
+        self.insert(data)
+    }
+
+    /// Replace a record without moving it. Returns `false`, leaving the
+    /// record as it was, when the new body does not fit in its page.
+    pub fn update_in_place(&self, rid: Rid, data: &[u8]) -> Result<bool> {
         if data.len() > MAX_RECORD_SIZE {
             return Err(StorageError::RecordTooLarge {
                 size: data.len(),
                 max: MAX_RECORD_SIZE,
             });
         }
-        {
-            let g = self.space.fetch(rid.page)?;
-            let mut p = g.write();
-            match p.update(rid.slot, data) {
-                Ok(true) => return Ok(rid),
-                Ok(false) => { /* fall through: relocate */ }
-                Err(e) => return Err(e),
-            }
-            p.delete(rid.slot)?;
-        }
-        self.insert(data)
+        let g = self.space.fetch(rid.page)?;
+        let mut p = g.write();
+        p.update(rid.slot, data).map_err(|_| self.not_found(rid))
     }
 
     /// Delete a record.
     pub fn delete(&self, rid: Rid) -> Result<()> {
         let g = self.space.fetch(rid.page)?;
         let mut p = g.write();
-        p.delete(rid.slot)
-            .map_err(|_| StorageError::RecordNotFound {
-                space: self.space.id(),
-                page: rid.page,
-                slot: rid.slot,
-            })
+        p.delete(rid.slot).map_err(|_| self.not_found(rid))
+    }
+
+    /// Delete a record on behalf of an unfinished transaction, returning its
+    /// bytes: the slot is reserved ([`crate::page::Page::reserve`]) until
+    /// [`HeapTable::release`] at commit or [`HeapTable::insert_at`] at
+    /// rollback.
+    pub fn reserve(&self, rid: Rid) -> Result<Vec<u8>> {
+        let g = self.space.fetch(rid.page)?;
+        let mut p = g.write();
+        let before = p.get(rid.slot).ok_or_else(|| self.not_found(rid))?.to_vec();
+        p.reserve(rid.slot).map_err(|_| self.not_found(rid))?;
+        Ok(before)
+    }
+
+    /// Free a slot reserved by [`HeapTable::reserve`] (the delete committed).
+    pub fn release(&self, rid: Rid) -> Result<()> {
+        let g = self.space.fetch(rid.page)?;
+        g.write().release(rid.slot);
+        Ok(())
+    }
+
+    /// `RecordNotFound` naming this heap's `rid` (the page layer knows
+    /// only the slot).
+    fn not_found(&self, rid: Rid) -> StorageError {
+        StorageError::RecordNotFound {
+            space: self.space.id(),
+            page: rid.page,
+            slot: rid.slot,
+        }
     }
 
     /// Full scan in page-chain order. The visitor returns `true` to continue.
@@ -236,6 +262,7 @@ impl HeapTable {
             let g = self.space.fetch(page_no)?;
             let p = g.read();
             s.pages += 1;
+            s.reserved += p.reserved_count() as u64;
             for (_, rec) in p.iter_records() {
                 s.records += 1;
                 s.record_bytes += rec.len() as u64;
@@ -255,6 +282,8 @@ pub struct HeapStats {
     pub records: u64,
     /// Sum of live record body sizes.
     pub record_bytes: u64,
+    /// Slots reserved by unfinished deletes.
+    pub reserved: u64,
 }
 
 #[cfg(test)]

@@ -28,6 +28,10 @@ pub const PAGE_HEADER_SIZE: usize = 20;
 const SLOT_SIZE: usize = 4;
 /// Slot offset value marking a dead (deleted) slot.
 const DEAD_SLOT: u16 = 0xFFFF;
+/// Slot length bit marking a *reserved* slot: a record deleted by a
+/// transaction that has not finished. Readers see no record, but the slot
+/// and its bytes stay put, so a rollback can always reinstall the record.
+const RESERVED: u16 = 0x8000;
 
 /// Maximum record payload that fits in an otherwise-empty page.
 pub const MAX_RECORD_SIZE: usize = PAGE_SIZE - PAGE_HEADER_SIZE - SLOT_SIZE;
@@ -226,13 +230,21 @@ impl Page {
 
     /// Insert a record at a *specific* slot number, growing the directory as
     /// needed. Used by idempotent WAL redo ("install record at RID").
+    /// An occupied slot is overwritten (redo idempotency); a reserved one is
+    /// reinstated with `data` (a rolled-back delete).
     pub fn insert_at(&mut self, slot: u16, data: &[u8]) -> Result<()> {
         let count = self.slot_count();
         if slot < count {
-            let (off, _) = self.slot_at(slot);
+            let (off, len) = self.slot_at(slot);
             if off != DEAD_SLOT {
-                // Slot already occupied: overwrite (redo idempotency).
-                return self.update(slot, data).map(|_| ());
+                self.set_slot(slot, off, len & !RESERVED);
+                if self.update(slot, data)? {
+                    return Ok(());
+                }
+                return Err(StorageError::RecordTooLarge {
+                    size: data.len(),
+                    max: self.free_space(),
+                });
             }
         } else {
             // Grow the directory with dead slots up to `slot`.
@@ -255,6 +267,12 @@ impl Page {
         }
         if self.free_space() < data.len() {
             self.compact();
+            if self.free_space() < data.len() {
+                return Err(StorageError::RecordTooLarge {
+                    size: data.len(),
+                    max: self.free_space(),
+                });
+            }
         }
         let fe = self.get_u16(OFF_FREE_END) as usize;
         let new_fe = fe - data.len();
@@ -264,19 +282,20 @@ impl Page {
         Ok(())
     }
 
-    /// Read a record by slot.
+    /// Read a record by slot (`None` for a dead or reserved slot).
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
         if slot >= self.slot_count() {
             return None;
         }
         let (off, len) = self.slot_at(slot);
-        if off == DEAD_SLOT {
+        if off == DEAD_SLOT || len & RESERVED != 0 {
             return None;
         }
         Some(&self.buf[off as usize..off as usize + len as usize])
     }
 
-    /// Delete a record. The slot becomes dead and may be reused.
+    /// Delete a live or reserved record. The slot becomes dead and may be
+    /// reused.
     pub fn delete(&mut self, slot: u16) -> Result<()> {
         if slot >= self.slot_count() || self.slot_at(slot).0 == DEAD_SLOT {
             return Err(StorageError::RecordNotFound {
@@ -289,11 +308,42 @@ impl Page {
         Ok(())
     }
 
+    /// Reserve a live record's slot for a transaction that deleted it:
+    /// readers no longer see the record, but neither [`Page::insert`] nor
+    /// [`Page::compact`] reclaims its slot or bytes until [`Page::release`]
+    /// (commit) or [`Page::insert_at`] (rollback).
+    pub fn reserve(&mut self, slot: u16) -> Result<()> {
+        if self.get(slot).is_none() {
+            return Err(StorageError::RecordNotFound {
+                space: 0,
+                page: 0,
+                slot,
+            });
+        }
+        let (off, len) = self.slot_at(slot);
+        self.set_slot(slot, off, len | RESERVED);
+        Ok(())
+    }
+
+    /// Free a reserved slot; a slot that is not reserved is left alone.
+    pub fn release(&mut self, slot: u16) {
+        if slot < self.slot_count() && self.slot_at(slot).1 & RESERVED != 0 {
+            self.set_slot(slot, DEAD_SLOT, 0);
+        }
+    }
+
+    /// Number of reserved slots.
+    pub fn reserved_count(&self) -> usize {
+        (0..self.slot_count())
+            .filter(|&s| self.slot_at(s).1 & RESERVED != 0)
+            .count()
+    }
+
     /// Update a record in place. Returns `false` (leaving the old record
     /// intact) if the new data does not fit even after compaction; the caller
     /// then relocates the record to another page.
     pub fn update(&mut self, slot: u16, data: &[u8]) -> Result<bool> {
-        if slot >= self.slot_count() || self.slot_at(slot).0 == DEAD_SLOT {
+        if self.get(slot).is_none() {
             return Err(StorageError::RecordNotFound {
                 space: 0,
                 page: 0,
@@ -310,20 +360,23 @@ impl Page {
         }
         // Grow: tombstone then re-place.
         self.set_slot(slot, DEAD_SLOT, 0);
+        let mut kept = None;
         if self.free_space() < data.len() {
+            // Compaction reuses the tombstoned bytes: keep a copy to put
+            // back if the new body still does not fit (the old one does).
+            let old = self.buf[off as usize..(off + len) as usize].to_vec();
             self.compact();
+            if self.free_space() < data.len() {
+                kept = Some(old);
+            }
         }
-        if self.free_space() < data.len() {
-            // Restore the old slot so the record is not lost.
-            self.set_slot(slot, off, len);
-            return Ok(false);
-        }
+        let body = kept.as_deref().unwrap_or(data);
         let fe = self.get_u16(OFF_FREE_END) as usize;
-        let new_fe = fe - data.len();
-        self.buf[new_fe..fe].copy_from_slice(data);
+        let new_fe = fe - body.len();
+        self.buf[new_fe..fe].copy_from_slice(body);
         self.set_u16(OFF_FREE_END, new_fe as u16);
-        self.set_slot(slot, new_fe as u16, data.len() as u16);
-        Ok(true)
+        self.set_slot(slot, new_fe as u16, body.len() as u16);
+        Ok(kept.is_none())
     }
 
     /// Iterate live (slot, record bytes) pairs in slot order.
@@ -331,27 +384,28 @@ impl Page {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
 
-    /// Slide all live records to the end of the page, squeezing out holes
-    /// left by deletes and updates.
+    /// Slide all live and reserved records to the end of the page,
+    /// squeezing out holes left by deletes and updates.
     pub fn compact(&mut self) {
         let count = self.slot_count();
-        let mut live: Vec<(u16, u16, u16)> = Vec::with_capacity(count as usize);
+        // Copy records out, then re-place from the end.
+        let mut bodies: Vec<(u16, u16, Vec<u8>)> = Vec::with_capacity(count as usize);
         for s in 0..count {
             let (off, len) = self.slot_at(s);
             if off != DEAD_SLOT {
-                live.push((s, off, len));
+                let end = off + (len & !RESERVED);
+                bodies.push((
+                    s,
+                    len & RESERVED,
+                    self.buf[off as usize..end as usize].to_vec(),
+                ));
             }
         }
-        // Copy records out, then re-place from the end.
-        let mut bodies: Vec<(u16, Vec<u8>)> = Vec::with_capacity(live.len());
-        for (s, off, len) in &live {
-            bodies.push((*s, self.buf[*off as usize..(*off + *len) as usize].to_vec()));
-        }
         let mut fe = PAGE_SIZE;
-        for (s, body) in &bodies {
+        for (s, reserved, body) in &bodies {
             fe -= body.len();
             self.buf[fe..fe + body.len()].copy_from_slice(body);
-            self.set_slot(*s, fe as u16, body.len() as u16);
+            self.set_slot(*s, fe as u16, body.len() as u16 | reserved);
         }
         self.set_u16(OFF_FREE_END, fe as u16);
     }
@@ -443,6 +497,47 @@ mod tests {
         let big = vec![0xCDu8; 900];
         let s = p.insert(&big).unwrap();
         assert_eq!(p.get(s), Some(&big[..]));
+    }
+
+    #[test]
+    fn failed_grow_keeps_the_record() {
+        let mut p = Page::new(PageType::Data);
+        let s = p.insert(b"keep me").unwrap();
+        let hole = p.insert(&[1u8; 1500]).unwrap();
+        p.insert(&[2u8; 2000]).unwrap();
+        p.delete(hole).unwrap();
+        // Compaction runs, and the grown body still does not fit.
+        assert!(!p.update(s, &[3u8; 2500]).unwrap());
+        assert_eq!(p.get(s), Some(&b"keep me"[..]));
+    }
+
+    #[test]
+    fn reserved_slot_keeps_slot_and_bytes() {
+        let mut p = Page::new(PageType::Data);
+        let s0 = p.insert(b"deleted").unwrap();
+        let s1 = p.insert(b"live").unwrap();
+        p.reserve(s0).unwrap();
+        assert_eq!(p.get(s0), None, "readers see no record");
+        assert!(p.reserve(s0).is_err());
+        assert!(p.update(s0, b"x").is_err());
+        assert_eq!(p.iter_records().count(), 1);
+        assert_eq!(p.reserved_count(), 1);
+        // Inserts take a new slot, and compaction keeps the reserved bytes.
+        let s2 = p.insert(b"other").unwrap();
+        assert_ne!(s2, s0);
+        p.compact();
+        // Rollback reinstates the record in place.
+        p.insert_at(s0, b"deleted").unwrap();
+        assert_eq!(p.get(s0), Some(&b"deleted"[..]));
+        assert_eq!(p.get(s1), Some(&b"live"[..]));
+        assert_eq!(p.reserved_count(), 0);
+        // Release frees only a reserved slot.
+        p.release(s1);
+        assert_eq!(p.get(s1), Some(&b"live"[..]));
+        p.reserve(s1).unwrap();
+        p.release(s1);
+        assert_eq!(p.reserved_count(), 0);
+        assert_eq!(p.insert(b"reuse").unwrap(), s1);
     }
 
     #[test]

@@ -1,51 +1,31 @@
 //! Transactions.
 //!
 //! Ties together the WAL (durability), the lock manager (isolation) and
-//! runtime undo actions (atomicity). The engine performs heap/index mutations
-//! directly, then registers the corresponding log record and an undo closure
-//! with the transaction; commit forces the log and releases locks, rollback
-//! runs the undo chain in reverse (each undo re-logs its compensation so crash
-//! recovery replays aborted transactions correctly).
+//! rollback (atomicity). Every logged write goes through a write helper on
+//! [`Txn`] — [`Txn::heap_insert`], [`Txn::heap_update`],
+//! [`Txn::heap_delete`], [`Txn::index_insert`], [`Txn::index_delete`] — which
+//! makes the change, logs the record after it, and keeps the record in the
+//! transaction's own list. Commit forces the log, frees the heap slots the
+//! transaction's deletes reserved, and releases locks; rollback hands the
+//! list to `roll_back`, which applies and logs each record's compensation,
+//! newest first — the same routine recovery finishes losers with
+//! (DESIGN.md §15).
 //!
 //! `Begin` is logged lazily, just ahead of the transaction's first record. A
 //! transaction that never logs — every read-only one — writes no `Begin`,
 //! `Commit` or `Abort` and never waits for a group-commit fsync: it only
 //! releases its locks and runs its outcome hooks (DESIGN.md §8.4).
 
+use crate::btree::BTree;
 use crate::error::{Result, StorageError};
+use crate::heap::HeapTable;
 use crate::lock::{LockManager, LockMode, LockName};
-use crate::wal::{LogRecord, Lsn, TxnId, Wal};
+use crate::rid::Rid;
+use crate::wal::{release_deletes, roll_back, LogRecord, Lsn, Target, TxnId, Wal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Context handed to undo actions at rollback time so they can write
-/// **compensation log records** for the reversals they perform. Without
-/// compensations, crash recovery's repeat-history redo would replay an
-/// aborted transaction's forward operations with nothing to cancel them
-/// (and steal-policy page flushes could persist partial effects) — the
-/// classical reason ARIES logs CLRs.
-pub struct UndoCtx<'a> {
-    txn: &'a Txn,
-}
-
-impl UndoCtx<'_> {
-    /// The rolling-back transaction's id.
-    pub fn txn(&self) -> TxnId {
-        self.txn.id
-    }
-
-    /// Append a compensation record (must carry this transaction's id).
-    pub fn log(&self, rec: &LogRecord) -> Result<Lsn> {
-        self.txn.log(rec)
-    }
-}
-
-/// An undo action registered alongside a forward operation. It receives an
-/// [`UndoCtx`] and must log a compensation record for every reversal it
-/// applies.
-pub type UndoAction = Box<dyn FnOnce(&UndoCtx<'_>) -> Result<()> + Send>;
 
 /// An outcome hook registered with [`Txn::push_hook`]: runs exactly once when
 /// the transaction finishes, with `true` on commit (after the commit record
@@ -57,7 +37,6 @@ struct TxnState {
     /// checkpoint must not truncate past while the txn is in flight); `None`
     /// until the transaction logs its first record.
     begin_lsn: Option<Lsn>,
-    undo: Vec<UndoAction>,
     hooks: Vec<TxnHook>,
 }
 
@@ -70,12 +49,14 @@ pub struct TxnManager {
 }
 
 impl TxnManager {
-    /// Create a transaction manager over a WAL and lock manager.
+    /// Create a transaction manager over a WAL and lock manager. Ids resume
+    /// above the highest one in the log, so a new transaction never shares
+    /// an id with a loser recovery rolls back.
     pub fn new(wal: Arc<Wal>, locks: Arc<LockManager>) -> Arc<Self> {
         Arc::new(TxnManager {
+            next: AtomicU64::new(wal.last_txn() + 1),
             wal,
             locks,
-            next: AtomicU64::new(1),
             active: Mutex::new(HashMap::new()),
         })
     }
@@ -98,7 +79,6 @@ impl TxnManager {
             id,
             TxnState {
                 begin_lsn: None,
-                undo: Vec::new(),
                 hooks: Vec::new(),
             },
         );
@@ -106,6 +86,7 @@ impl TxnManager {
             id,
             mgr: Arc::clone(self),
             logged: AtomicBool::new(false),
+            written: Mutex::new(Vec::new()),
             finished: false,
         })
     }
@@ -150,6 +131,9 @@ pub struct Txn {
     /// Set once the `Begin` record is logged (the lock-free fast path of
     /// [`Txn::log`]; `TxnState::begin_lsn` under `active` is authoritative).
     logged: AtomicBool,
+    /// Every data record this transaction logged, in log order, with the
+    /// heap or tree it names: what commit releases and rollback reverses.
+    written: Mutex<Vec<(LogRecord, Target)>>,
     finished: bool,
 }
 
@@ -160,7 +144,8 @@ impl Txn {
     }
 
     /// Append a log record on behalf of this transaction, preceded by its
-    /// `Begin` record if this is the first one.
+    /// `Begin` record if this is the first one. A data record logged here
+    /// is not rolled back; writes go through the write helpers.
     pub fn log(&self, rec: &LogRecord) -> Result<Lsn> {
         debug_assert_eq!(rec.txn(), Some(self.id), "record must carry this txn id");
         if !self.logged.load(Ordering::Acquire) {
@@ -183,12 +168,92 @@ impl Txn {
         Ok(())
     }
 
-    /// Register an undo action to run if the transaction rolls back.
-    pub fn push_undo(&self, action: UndoAction) {
-        let mut active = self.mgr.active.lock();
-        if let Some(st) = active.get_mut(&self.id) {
-            st.undo.push(action);
+    /// Log a data record whose change is already made, and keep it for
+    /// commit and rollback. Logging after the change is what lets a
+    /// checkpoint truncate below its barrier (`Database::checkpoint`).
+    fn wrote(&self, rec: LogRecord, target: Target) -> Result<()> {
+        self.log(&rec)?;
+        self.written.lock().push((rec, target));
+        Ok(())
+    }
+
+    /// Insert a heap record, returning its RID.
+    pub fn heap_insert(&self, heap: &Arc<HeapTable>, data: Vec<u8>) -> Result<Rid> {
+        let rid = heap.insert(&data)?;
+        let rec = LogRecord::HeapInsert {
+            txn: self.id,
+            space: heap.space().id(),
+            rid,
+            data,
+        };
+        self.wrote(rec, Target::Heap(Arc::clone(heap)))?;
+        Ok(rid)
+    }
+
+    /// Replace the heap record at `rid`, returning its (possibly new) RID.
+    /// In place it logs one `HeapUpdate`; a record that no longer fits its
+    /// page moves, logged as a delete of the old RID and an insert.
+    pub fn heap_update(&self, heap: &Arc<HeapTable>, rid: Rid, data: Vec<u8>) -> Result<Rid> {
+        let before = heap.fetch(rid)?;
+        if !heap.update_in_place(rid, &data)? {
+            self.heap_delete(heap, rid)?;
+            return self.heap_insert(heap, data);
         }
+        let rec = LogRecord::HeapUpdate {
+            txn: self.id,
+            space: heap.space().id(),
+            rid,
+            before,
+            after: data,
+        };
+        self.wrote(rec, Target::Heap(Arc::clone(heap)))?;
+        Ok(rid)
+    }
+
+    /// Delete the heap record at `rid`. Its slot stays reserved — no reader
+    /// sees the record, no insert reuses the slot — until commit frees it or
+    /// rollback reinstalls the record.
+    pub fn heap_delete(&self, heap: &Arc<HeapTable>, rid: Rid) -> Result<()> {
+        let before = heap.reserve(rid)?;
+        let rec = LogRecord::HeapDelete {
+            txn: self.id,
+            space: heap.space().id(),
+            rid,
+            before,
+        };
+        self.wrote(rec, Target::Heap(Arc::clone(heap)))
+    }
+
+    /// Insert or replace a B+tree entry, returning the value it replaced.
+    pub fn index_insert(&self, tree: &Arc<BTree>, key: Vec<u8>, value: u64) -> Result<Option<u64>> {
+        let prev = tree.insert(&key, value)?;
+        let rec = LogRecord::IndexInsert {
+            txn: self.id,
+            space: tree.space().id(),
+            anchor: tree.anchor() as u32,
+            key,
+            value,
+            prev,
+        };
+        self.wrote(rec, Target::Index(Arc::clone(tree)))?;
+        Ok(prev)
+    }
+
+    /// Delete a B+tree entry, returning its value; an absent key logs
+    /// nothing.
+    pub fn index_delete(&self, tree: &Arc<BTree>, key: Vec<u8>) -> Result<Option<u64>> {
+        let Some(value) = tree.delete(&key)? else {
+            return Ok(None);
+        };
+        let rec = LogRecord::IndexDelete {
+            txn: self.id,
+            space: tree.space().id(),
+            anchor: tree.anchor() as u32,
+            key,
+            value,
+        };
+        self.wrote(rec, Target::Index(Arc::clone(tree)))?;
+        Ok(Some(value))
     }
 
     /// Register an outcome hook: runs once when the transaction finishes,
@@ -222,26 +287,27 @@ impl Txn {
     }
 
     /// Commit: wait until the commit record is durable (joining the current
-    /// group-commit batch rather than forcing a private fsync), release locks.
-    /// A transaction that logged nothing has nothing to make durable: it
+    /// group-commit batch rather than forcing a private fsync), free the
+    /// slots the transaction's deletes reserved, release locks. A
+    /// transaction that logged nothing has nothing to make durable: it
     /// writes no `Commit` and skips the wait.
     pub fn commit(mut self) -> Result<()> {
-        if !self.finished {
-            if self.logged.load(Ordering::Acquire) {
-                let lsn = self.log(&LogRecord::Commit { txn: self.id })?;
-                self.mgr.wal.wait_durable(lsn)?;
-            }
-            let hooks = self.mgr.finish(self.id);
-            self.finished = true;
-            for h in hooks {
-                h(true);
-            }
+        if self.finished {
+            return Ok(());
         }
-        Ok(())
+        if self.logged.load(Ordering::Acquire) {
+            let lsn = self.log(&LogRecord::Commit { txn: self.id })?;
+            self.mgr.wal.wait_durable(lsn)?;
+        }
+        let written = std::mem::take(self.written.get_mut());
+        let released = release_deletes(written.iter().map(|(r, t)| (r, t)));
+        self.end(true);
+        released
     }
 
-    /// Roll back: run undo actions in reverse, then log the abort (unless
-    /// the transaction, compensations included, never logged anything).
+    /// Roll back through `roll_back`: apply and log each record's
+    /// compensation, newest first, then log the abort (unless the
+    /// transaction never logged anything).
     pub fn rollback(mut self) -> Result<()> {
         self.rollback_inner()
     }
@@ -250,32 +316,22 @@ impl Txn {
         if self.finished {
             return Ok(());
         }
-        let undo = {
-            let mut active = self.mgr.active.lock();
-            match active.get_mut(&self.id) {
-                Some(st) => std::mem::take(&mut st.undo),
-                None => return Err(StorageError::TxnNotActive(self.id)),
-            }
+        let written = std::mem::take(self.written.get_mut());
+        let undone = if self.logged.load(Ordering::Acquire) {
+            roll_back(&self.mgr.wal, self.id, written.iter().map(|(r, t)| (r, t))).map(drop)
+        } else {
+            Ok(())
         };
-        let ctx = UndoCtx { txn: self };
-        let mut first_err = None;
-        for action in undo.into_iter().rev() {
-            if let Err(e) = action(&ctx) {
-                first_err.get_or_insert(e);
-            }
-        }
-        if self.logged.load(Ordering::Acquire) {
-            let lsn = self.log(&LogRecord::Abort { txn: self.id })?;
-            self.mgr.wal.wait_durable(lsn)?;
-        }
+        self.end(false);
+        undone
+    }
+
+    /// Leave the active set, release locks, then run the outcome hooks.
+    fn end(&mut self, committed: bool) {
         let hooks = self.mgr.finish(self.id);
         self.finished = true;
         for h in hooks {
-            h(false);
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+            h(committed);
         }
     }
 }
@@ -291,15 +347,30 @@ impl Drop for Txn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rid::Rid;
+    use crate::backend::MemBackend;
+    use crate::buffer::BufferPool;
+    use crate::space::TableSpace;
     use crate::wal::MemLogStore;
-    use std::sync::atomic::AtomicU32;
 
     fn mgr() -> Arc<TxnManager> {
         TxnManager::new(
             Wal::new(Arc::new(MemLogStore::new())),
             LockManager::with_defaults(),
         )
+    }
+
+    /// A heap (space 1) and a B+tree at anchor 2 of the same space.
+    fn stores() -> (Arc<HeapTable>, Arc<BTree>) {
+        let pool = BufferPool::new(64);
+        let space = TableSpace::create(pool, 1, Arc::new(MemBackend::new())).unwrap();
+        let heap = HeapTable::create(Arc::clone(&space)).unwrap();
+        (heap, BTree::create(space, 2).unwrap())
+    }
+
+    /// Every record the log holds for `txn`, in order.
+    fn records_of(m: &TxnManager, txn: TxnId) -> Vec<LogRecord> {
+        let recs = m.wal().read_records().unwrap();
+        recs.into_iter().filter(|r| r.txn() == Some(txn)).collect()
     }
 
     /// A data record owned by `txn` (its contents never matter here).
@@ -384,47 +455,57 @@ mod tests {
     #[test]
     fn begin_precedes_compensations_on_rollback() {
         let m = mgr();
-        let compensate = |t: &Txn, slot: u16| {
-            let id = t.id();
-            t.push_undo(Box::new(move |ctx| {
-                ctx.log(&LogRecord::HeapDelete {
-                    txn: id,
-                    space: 1,
-                    rid: Rid::new(1, slot),
-                    before: vec![slot as u8],
-                })
-                .map(drop)
-            }));
-        };
-        let delete = |id, slot: u16| LogRecord::HeapDelete {
-            txn: id,
-            space: 1,
-            rid: Rid::new(1, slot),
-            before: vec![slot as u8],
-        };
+        let (heap, _) = stores();
         // A writer: Begin, its record, the compensation, Abort.
         let t = m.begin().unwrap();
         let a = t.id();
-        t.log(&insert(a, 1)).unwrap();
-        compensate(&t, 1);
+        let rid = t.heap_insert(&heap, b"a".to_vec()).unwrap();
         t.rollback().unwrap();
-        // Only the undo action logs: its compensation still follows Begin.
+        // A transaction whose first write is a delete: its compensation
+        // still follows Begin.
+        let t = m.begin().unwrap();
+        let kept = t.heap_insert(&heap, b"kept".to_vec()).unwrap();
+        t.commit().unwrap();
         let t = m.begin().unwrap();
         let b = t.id();
-        compensate(&t, 2);
+        t.heap_delete(&heap, kept).unwrap();
         drop(t);
+        let heap_rec = |txn, rid, data: &[u8], insert: bool| {
+            if insert {
+                LogRecord::HeapInsert {
+                    txn,
+                    space: 1,
+                    rid,
+                    data: data.to_vec(),
+                }
+            } else {
+                LogRecord::HeapDelete {
+                    txn,
+                    space: 1,
+                    rid,
+                    before: data.to_vec(),
+                }
+            }
+        };
         assert_eq!(
-            m.wal().read_records().unwrap(),
+            records_of(&m, a),
             vec![
                 LogRecord::Begin { txn: a },
-                insert(a, 1),
-                delete(a, 1),
+                heap_rec(a, rid, b"a", true),
+                heap_rec(a, rid, b"a", false),
                 LogRecord::Abort { txn: a },
+            ]
+        );
+        assert_eq!(
+            records_of(&m, b),
+            vec![
                 LogRecord::Begin { txn: b },
-                delete(b, 2),
+                heap_rec(b, kept, b"kept", false),
+                heap_rec(b, kept, b"kept", true),
                 LogRecord::Abort { txn: b },
             ]
         );
+        assert_eq!(heap.fetch(kept).unwrap(), b"kept");
     }
 
     #[test]
@@ -483,37 +564,176 @@ mod tests {
     #[test]
     fn rollback_runs_undo_in_reverse() {
         let m = mgr();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let (_, tree) = stores();
         let t = m.begin().unwrap();
-        for i in 0..3 {
-            let order = order.clone();
-            t.push_undo(Box::new(move |_ctx| {
-                order.lock().push(i);
-                Ok(())
-            }));
+        let id = t.id();
+        for i in 0..3u8 {
+            t.index_insert(&tree, vec![i], u64::from(i)).unwrap();
         }
         t.rollback().unwrap();
-        assert_eq!(*order.lock(), vec![2, 1, 0]);
+        let undone: Vec<u8> = records_of(&m, id)
+            .into_iter()
+            .filter_map(|r| match r {
+                LogRecord::IndexDelete { key, .. } => Some(key[0]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(undone, vec![2, 1, 0]);
+        assert!(tree.is_empty().unwrap());
     }
 
     #[test]
     fn drop_rolls_back() {
         let m = mgr();
-        let ran = Arc::new(AtomicU32::new(0));
-        {
+        let (heap, tree) = stores();
+        let rid = {
             let t = m.begin().unwrap();
-            t.log(&insert(t.id(), 1)).unwrap();
-            let ran = ran.clone();
-            t.push_undo(Box::new(move |_ctx| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }));
+            let rid = t.heap_insert(&heap, b"gone".to_vec()).unwrap();
+            t.index_insert(&tree, b"k".to_vec(), rid.to_u64()).unwrap();
+            rid
             // dropped without commit
-        }
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        };
+        assert!(matches!(
+            heap.fetch(rid),
+            Err(StorageError::RecordNotFound { .. })
+        ));
+        assert_eq!(tree.search(b"k").unwrap(), None);
+        assert_eq!(heap.stats().unwrap().reserved, 0);
         assert_eq!(m.active_count(), 0);
         let recs = m.wal().read_records().unwrap();
         assert!(recs.iter().any(|r| matches!(r, LogRecord::Abort { .. })));
+    }
+
+    /// The exact records an insert, an update in place, a relocating
+    /// update, a delete and two index writes log, then their rollback: the
+    /// forward records and, newest first, their compensations.
+    #[test]
+    fn rollback_logs_exactly_these_records() {
+        let m = mgr();
+        let (heap, tree) = stores();
+        let setup = m.begin().unwrap();
+        let small = setup.heap_insert(&heap, b"small".to_vec()).unwrap();
+        let doomed = setup.heap_insert(&heap, b"doomed".to_vec()).unwrap();
+        let grows = setup.heap_insert(&heap, b"grows".to_vec()).unwrap();
+        setup.index_insert(&tree, b"old".to_vec(), 7).unwrap();
+        setup.commit().unwrap();
+        // Fill the page so the growing update must move.
+        let setup = m.begin().unwrap();
+        while heap.insert(&[0u8; 400]).unwrap().page == grows.page {}
+        setup.commit().unwrap();
+
+        let t = m.begin().unwrap();
+        let id = t.id();
+        let fresh = t.heap_insert(&heap, b"fresh".to_vec()).unwrap();
+        assert_eq!(
+            t.heap_update(&heap, small, b"SMALL".to_vec()).unwrap(),
+            small
+        );
+        let big = vec![9u8; 1000];
+        let moved = t.heap_update(&heap, grows, big.clone()).unwrap();
+        assert_ne!(moved, grows);
+        t.heap_delete(&heap, doomed).unwrap();
+        assert_eq!(t.index_insert(&tree, b"old".to_vec(), 8).unwrap(), Some(7));
+        assert_eq!(t.index_insert(&tree, b"new".to_vec(), 9).unwrap(), None);
+        assert_eq!(t.index_delete(&tree, b"absent".to_vec()).unwrap(), None);
+        t.rollback().unwrap();
+
+        let ins = |rid, data: &[u8]| LogRecord::HeapInsert {
+            txn: id,
+            space: 1,
+            rid,
+            data: data.to_vec(),
+        };
+        let del = |rid, before: &[u8]| LogRecord::HeapDelete {
+            txn: id,
+            space: 1,
+            rid,
+            before: before.to_vec(),
+        };
+        let idx = |key: &[u8], value, prev| LogRecord::IndexInsert {
+            txn: id,
+            space: 1,
+            anchor: 2,
+            key: key.to_vec(),
+            value,
+            prev,
+        };
+        assert_eq!(
+            records_of(&m, id),
+            vec![
+                LogRecord::Begin { txn: id },
+                ins(fresh, b"fresh"),
+                LogRecord::HeapUpdate {
+                    txn: id,
+                    space: 1,
+                    rid: small,
+                    before: b"small".to_vec(),
+                    after: b"SMALL".to_vec(),
+                },
+                del(grows, b"grows"),
+                ins(moved, &big),
+                del(doomed, b"doomed"),
+                idx(b"old", 8, Some(7)),
+                idx(b"new", 9, None),
+                // Compensations, newest first.
+                LogRecord::IndexDelete {
+                    txn: id,
+                    space: 1,
+                    anchor: 2,
+                    key: b"new".to_vec(),
+                    value: 9,
+                },
+                idx(b"old", 7, None),
+                ins(doomed, b"doomed"),
+                del(moved, &big),
+                ins(grows, b"grows"),
+                ins(small, b"small"),
+                del(fresh, b"fresh"),
+                LogRecord::Abort { txn: id },
+            ]
+        );
+        for (rid, data) in [
+            (small, &b"small"[..]),
+            (doomed, b"doomed"),
+            (grows, b"grows"),
+        ] {
+            assert_eq!(heap.fetch(rid).unwrap(), data);
+        }
+        assert_eq!(tree.search(b"old").unwrap(), Some(7));
+        assert_eq!(tree.search(b"new").unwrap(), None);
+        assert_eq!(heap.stats().unwrap().reserved, 0);
+    }
+
+    /// A deleted record's slot is not reused before the delete commits, so
+    /// rolling the delete back cannot overwrite another transaction's record.
+    #[test]
+    fn uncommitted_delete_keeps_its_slot() {
+        let m = mgr();
+        let (heap, _) = stores();
+        let setup = m.begin().unwrap();
+        let victim = setup.heap_insert(&heap, b"victim".to_vec()).unwrap();
+        setup.commit().unwrap();
+
+        let deleter = m.begin().unwrap();
+        deleter.heap_delete(&heap, victim).unwrap();
+        assert!(heap.fetch(victim).is_err(), "readers see no record");
+        let other = m.begin().unwrap();
+        let theirs = other.heap_insert(&heap, b"theirs".to_vec()).unwrap();
+        assert_ne!(theirs, victim, "a reserved slot is not reused");
+        other.commit().unwrap();
+        deleter.rollback().unwrap();
+        assert_eq!(heap.fetch(victim).unwrap(), b"victim");
+        assert_eq!(heap.fetch(theirs).unwrap(), b"theirs");
+
+        // Commit frees the slot for the next insert.
+        let deleter = m.begin().unwrap();
+        deleter.heap_delete(&heap, victim).unwrap();
+        assert_eq!(heap.stats().unwrap().reserved, 1);
+        deleter.commit().unwrap();
+        assert_eq!(heap.stats().unwrap().reserved, 0);
+        let next = m.begin().unwrap();
+        assert_eq!(next.heap_insert(&heap, b"next".to_vec()).unwrap(), victim);
+        next.commit().unwrap();
     }
 
     #[test]

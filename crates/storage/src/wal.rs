@@ -6,7 +6,14 @@
 //! operation-based: each record names a heap or index mutation precisely
 //! enough to be redone (idempotently, "install at RID" semantics) and undone
 //! (via before images). Recovery is ARIES-style repeat-history: redo every
-//! operation in LSN order, then undo losers in reverse.
+//! operation in LSN order, then roll losers back.
+//!
+//! How a logged write is undone is decided here, once: a data record's
+//! [`LogRecord::compensation`] is the record that reverses it, and
+//! [`LogRecord::apply`] installs any data record on its heap or B+tree.
+//! Redo applies records; `roll_back` — shared by runtime rollback and by
+//! recovery's loser pass — applies each compensation, newest first, and logs
+//! it (DESIGN.md §15).
 
 use crate::btree::BTree;
 use crate::buffer::SpaceId;
@@ -54,6 +61,15 @@ fn walk_frames(buf: &[u8]) -> impl Iterator<Item = (Lsn, &[u8])> {
         p = start + len;
         Some((lsn, payload))
     })
+}
+
+/// The transaction id a framed record carries (every record but a
+/// checkpoint stores it right after its tag).
+fn frame_txn(payload: &[u8]) -> Option<TxnId> {
+    match payload.first() {
+        Some(1..=8) => Some(TxnId::from_le_bytes(payload.get(1..9)?.try_into().ok()?)),
+        _ => None,
+    }
 }
 
 /// A logical log record.
@@ -109,7 +125,127 @@ pub enum LogRecord {
     Checkpoint,
 }
 
+/// The heap or B+tree a data record names: its space for a heap record,
+/// its space and anchor slot for an index record.
+#[derive(Clone)]
+pub enum Target {
+    /// A heap table.
+    Heap(Arc<HeapTable>),
+    /// A B+tree.
+    Index(Arc<BTree>),
+}
+
 impl LogRecord {
+    /// The record that reverses this data record, carrying the same
+    /// transaction id (`None` for `Begin`, `Commit`, `Abort` and
+    /// `Checkpoint`). Applying a record and then its compensation restores
+    /// the heap or tree exactly.
+    pub fn compensation(&self) -> Option<LogRecord> {
+        Some(match self {
+            LogRecord::HeapInsert {
+                txn,
+                space,
+                rid,
+                data,
+            } => LogRecord::HeapDelete {
+                txn: *txn,
+                space: *space,
+                rid: *rid,
+                before: data.clone(),
+            },
+            LogRecord::HeapUpdate {
+                txn,
+                space,
+                rid,
+                before,
+                ..
+            }
+            | LogRecord::HeapDelete {
+                txn,
+                space,
+                rid,
+                before,
+            } => LogRecord::HeapInsert {
+                txn: *txn,
+                space: *space,
+                rid: *rid,
+                data: before.clone(),
+            },
+            LogRecord::IndexInsert {
+                txn,
+                space,
+                anchor,
+                key,
+                value,
+                prev,
+            } => match prev {
+                Some(p) => LogRecord::IndexInsert {
+                    txn: *txn,
+                    space: *space,
+                    anchor: *anchor,
+                    key: key.clone(),
+                    value: *p,
+                    prev: None,
+                },
+                None => LogRecord::IndexDelete {
+                    txn: *txn,
+                    space: *space,
+                    anchor: *anchor,
+                    key: key.clone(),
+                    value: *value,
+                },
+            },
+            LogRecord::IndexDelete {
+                txn,
+                space,
+                anchor,
+                key,
+                value,
+            } => LogRecord::IndexInsert {
+                txn: *txn,
+                space: *space,
+                anchor: *anchor,
+                key: key.clone(),
+                value: *value,
+                prev: None,
+            },
+            LogRecord::Begin { .. }
+            | LogRecord::Commit { .. }
+            | LogRecord::Abort { .. }
+            | LogRecord::Checkpoint => return None,
+        })
+    }
+
+    /// Install this data record on its heap or tree: a heap record lands at
+    /// its RID ([`HeapTable::insert_at`]), a heap delete reserves its slot
+    /// ([`HeapTable::reserve`]; the slot is freed when the transaction ends,
+    /// see `release_deletes`), an index record sets or removes its key.
+    /// Idempotent, so redo may repeat it; a delete of what is already gone
+    /// succeeds.
+    pub fn apply(&self, target: &Target) -> Result<()> {
+        match (self, target) {
+            (LogRecord::HeapInsert { rid, data, .. }, Target::Heap(h))
+            | (
+                LogRecord::HeapUpdate {
+                    rid, after: data, ..
+                },
+                Target::Heap(h),
+            ) => h.insert_at(*rid, data),
+            (LogRecord::HeapDelete { rid, .. }, Target::Heap(h)) => match h.reserve(*rid) {
+                Err(StorageError::RecordNotFound { .. }) => Ok(()),
+                r => r.map(drop),
+            },
+            (LogRecord::IndexInsert { key, value, .. }, Target::Index(t)) => {
+                t.insert(key, *value).map(drop)
+            }
+            (LogRecord::IndexDelete { key, .. }, Target::Index(t)) => t.delete(key).map(drop),
+            _ => Err(StorageError::WalCorrupt(format!(
+                "record of txn {:?} does not apply to its target",
+                self.txn()
+            ))),
+        }
+    }
+
     /// The owning transaction, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
@@ -475,6 +611,8 @@ pub struct Wal {
     store: Arc<dyn LogStore>,
     state: Mutex<WalState>,
     flushed: Condvar,
+    /// Highest transaction id in the log image found at open.
+    last_txn: TxnId,
     /// Group-commit counters.
     pub stats: WalStats,
 }
@@ -500,18 +638,21 @@ impl Wal {
     /// Wrap a log store, resuming the LSN sequence of a previous
     /// incarnation: frames carry their LSNs, so the highest one in the
     /// existing image seeds the counter, and everything already in the
-    /// store counts as durable. An unreadable store surfaces its error on
-    /// first real use, not here.
+    /// store counts as durable. The highest transaction id is kept too
+    /// ([`Wal::last_txn`]). An unreadable store surfaces its error on first
+    /// real use, not here.
     pub fn new(store: Arc<dyn LogStore>) -> Arc<Self> {
-        let (max_lsn, bytes) = match store.read_all() {
-            Ok(buf) => (
-                walk_frames(&buf).map(|(lsn, _)| lsn).max().unwrap_or(0),
-                buf.len() as u64,
-            ),
-            Err(_) => (0, 0),
-        };
+        let (mut max_lsn, mut last_txn, mut bytes) = (0, 0, 0);
+        if let Ok(buf) = store.read_all() {
+            for (lsn, payload) in walk_frames(&buf) {
+                max_lsn = max_lsn.max(lsn);
+                last_txn = last_txn.max(frame_txn(payload).unwrap_or(0));
+            }
+            bytes = buf.len() as u64;
+        }
         Arc::new(Wal {
             store,
+            last_txn,
             state: Mutex::new(WalState {
                 next_lsn: max_lsn + 1,
                 bytes_written: bytes,
@@ -523,6 +664,13 @@ impl Wal {
             flushed: Condvar::new(),
             stats: WalStats::default(),
         })
+    }
+
+    /// Highest transaction id in the log as it was opened. A transaction
+    /// manager numbers its transactions above it, so no new transaction
+    /// reuses the id of one whose records recovery still reads.
+    pub fn last_txn(&self) -> TxnId {
+        self.last_txn
     }
 
     /// Append a record, returning its LSN. Does not force: the record sits in
@@ -770,12 +918,33 @@ pub struct RecoveryEnv {
     pub indexes: HashMap<(SpaceId, u32), Arc<BTree>>,
 }
 
+impl RecoveryEnv {
+    /// The heap or tree a data record names, if the environment has it
+    /// (records of dropped spaces have none and are skipped).
+    fn target(&self, rec: &LogRecord) -> Option<Target> {
+        match rec {
+            LogRecord::HeapInsert { space, .. }
+            | LogRecord::HeapUpdate { space, .. }
+            | LogRecord::HeapDelete { space, .. } => {
+                self.heaps.get(space).cloned().map(Target::Heap)
+            }
+            LogRecord::IndexInsert { space, anchor, .. }
+            | LogRecord::IndexDelete { space, anchor, .. } => self
+                .indexes
+                .get(&(*space, *anchor))
+                .cloned()
+                .map(Target::Index),
+            _ => None,
+        }
+    }
+}
+
 /// Outcome counters from a recovery pass.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Records replayed in the redo pass.
     pub redone: usize,
-    /// Loser-transaction operations rolled back in the undo pass.
+    /// Compensations applied to roll losers back.
     pub undone: usize,
     /// Transactions that had committed.
     pub winners: usize,
@@ -783,8 +952,69 @@ pub struct RecoveryReport {
     pub losers: usize,
 }
 
+/// Free the slots that a finished transaction's heap deletes reserved. A
+/// transaction's deletes reserve their slots ([`LogRecord::apply`]) so no
+/// other transaction can reuse one before the deleting transaction's
+/// `Commit` or `Abort` is in the log; once it is, they are freed here. A
+/// slot a rollback reinstated is live again and left alone.
+pub(crate) fn release_deletes<'a>(
+    written: impl IntoIterator<Item = (&'a LogRecord, &'a Target)>,
+) -> Result<()> {
+    for (rec, target) in written {
+        if let (LogRecord::HeapDelete { rid, .. }, Target::Heap(h)) = (rec, target) {
+            h.release(*rid)?;
+        }
+    }
+    Ok(())
+}
+
+/// Roll transaction `txn` back: for each of its data records, newest first,
+/// apply the record's compensation, then log it; then log `Abort`, wait
+/// until it is durable, and free the slots the compensations reserved.
+/// Runtime rollback and recovery's loser pass both end a transaction here.
+///
+/// `written` is every data record the transaction logged, in log order,
+/// including compensations an interrupted rollback logged before a crash.
+/// Reversing those too nets out: each compensation sets its slot or key
+/// outright, so the last one applied to a slot or key — the compensation of
+/// the transaction's first record on it — leaves it as it was before the
+/// transaction. No other transaction can have touched it in between: keys
+/// are covered by the transaction's locks and slots by their reservations,
+/// both held until `Abort` is logged.
+///
+/// A compensation that fails to apply is not logged; the others still run,
+/// and the first error is returned. Returns the compensations applied.
+pub(crate) fn roll_back<'a>(
+    wal: &Wal,
+    txn: TxnId,
+    written: impl DoubleEndedIterator<Item = (&'a LogRecord, &'a Target)>,
+) -> Result<usize> {
+    let mut applied = Vec::new();
+    let mut first_err = None;
+    for (rec, target) in written.rev() {
+        let Some(comp) = rec.compensation() else {
+            continue;
+        };
+        match comp.apply(target) {
+            Ok(()) => {
+                wal.log(&comp)?;
+                applied.push((comp, target));
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    let lsn = wal.log(&LogRecord::Abort { txn })?;
+    wal.wait_durable(lsn)?;
+    release_deletes(applied.iter().map(|(r, t)| (r, *t)))?;
+    first_err.map_or(Ok(applied.len()), Err)
+}
+
 /// ARIES-style recovery: repeat history (redo everything after the last
-/// checkpoint in order), then undo loser transactions in reverse order.
+/// checkpoint in order), then roll every loser back through `roll_back`,
+/// which logs its compensations and an `Abort`, so a second crash finds the
+/// loser finished.
 pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
     let all = wal.read_records()?;
     // Start from the last checkpoint.
@@ -794,40 +1024,6 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
         .map(|i| i + 1)
         .unwrap_or(0);
     let recs = &all[start..];
-
-    let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut aborted: HashSet<TxnId> = HashSet::new();
-    let mut started: HashSet<TxnId> = HashSet::new();
-    for r in recs {
-        match r {
-            LogRecord::Begin { txn } => {
-                started.insert(*txn);
-            }
-            LogRecord::Commit { txn } => {
-                committed.insert(*txn);
-            }
-            LogRecord::Abort { txn } => {
-                aborted.insert(*txn);
-                // A Commit followed by an Abort happens when the commit's
-                // group flush failed and the session rolled back after being
-                // told the commit did not take: the abort is authoritative
-                // (its compensation records are replayed in order).
-                committed.remove(txn);
-            }
-            _ => {}
-        }
-    }
-    let losers: HashSet<TxnId> = started
-        .iter()
-        .filter(|t| !committed.contains(t) && !aborted.contains(t))
-        .copied()
-        .collect();
-
-    let mut report = RecoveryReport {
-        winners: committed.len(),
-        losers: losers.len(),
-        ..Default::default()
-    };
 
     // Physical preparation: the log names pages (via RIDs) that the crashed
     // run allocated but whose space headers may not have been flushed. Raise
@@ -852,126 +1048,66 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
         }
     }
 
-    // Redo pass: repeat history for every transaction (idempotent ops).
-    // Aborted transactions already had their undo applied at runtime, and
-    // those undo actions were themselves logged, so replaying in order is
-    // correct for them too.
+    // Redo pass: repeat history for every transaction, aborted ones too
+    // (their compensations are in the log), including the release of a
+    // finished transaction's reserved slots at its `Commit` or `Abort`.
+    let mut report = RecoveryReport::default();
+    let mut started: HashSet<TxnId> = HashSet::new();
+    let mut committed: HashSet<TxnId> = HashSet::new();
+    let mut aborted: HashSet<TxnId> = HashSet::new();
+    let mut written: HashMap<TxnId, Vec<(&LogRecord, Target)>> = HashMap::new();
     for r in recs {
         match r {
-            LogRecord::HeapInsert {
-                space, rid, data, ..
-            } => {
-                if let Some(h) = env.heaps.get(space) {
-                    h.insert_at(*rid, data)?;
+            LogRecord::Begin { txn } => {
+                started.insert(*txn);
+            }
+            LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
+                if matches!(r, LogRecord::Commit { .. }) {
+                    committed.insert(*txn);
+                } else {
+                    // A Commit followed by an Abort happens when the
+                    // commit's group flush failed and the session rolled
+                    // back after being told the commit did not take: the
+                    // abort is authoritative (its compensations follow the
+                    // Commit in the log).
+                    committed.remove(txn);
+                    aborted.insert(*txn);
+                }
+                let done = written.remove(txn).unwrap_or_default();
+                release_deletes(done.iter().map(|(r, t)| (*r, t)))?;
+            }
+            _ => {
+                if let Some(target) = env.target(r) {
+                    r.apply(&target)?;
                     report.redone += 1;
+                    if let Some(txn) = r.txn() {
+                        written.entry(txn).or_default().push((r, target));
+                    }
                 }
             }
-            LogRecord::HeapUpdate {
-                space, rid, after, ..
-            } => {
-                if let Some(h) = env.heaps.get(space) {
-                    h.insert_at(*rid, after)?;
-                    report.redone += 1;
-                }
-            }
-            LogRecord::HeapDelete { space, rid, .. } => {
-                if let Some(h) = env.heaps.get(space) {
-                    let _ = h.delete(*rid); // idempotent: may already be gone
-                    report.redone += 1;
-                }
-            }
-            LogRecord::IndexInsert {
-                space,
-                anchor,
-                key,
-                value,
-                ..
-            } => {
-                if let Some(t) = env.indexes.get(&(*space, *anchor)) {
-                    t.insert(key, *value)?;
-                    report.redone += 1;
-                }
-            }
-            LogRecord::IndexDelete {
-                space, anchor, key, ..
-            } => {
-                if let Some(t) = env.indexes.get(&(*space, *anchor)) {
-                    let _ = t.delete(key)?;
-                    report.redone += 1;
-                }
-            }
-            _ => {}
         }
     }
+    report.winners = committed.len();
 
     // Chain repair: logical redo installed records at their RIDs but cannot
-    // maintain heap page chains; rebuild them before the undo pass reads.
+    // maintain heap page chains; rebuild them before losers roll back.
     for h in env.heaps.values() {
         h.rebuild_chain()?;
     }
 
-    // Undo pass: reverse order, losers only.
-    for r in recs.iter().rev() {
-        let Some(txn) = r.txn() else { continue };
-        if !losers.contains(&txn) {
-            continue;
-        }
-        match r {
-            LogRecord::HeapInsert { space, rid, .. } => {
-                if let Some(h) = env.heaps.get(space) {
-                    let _ = h.delete(*rid);
-                    report.undone += 1;
-                }
-            }
-            LogRecord::HeapUpdate {
-                space, rid, before, ..
-            } => {
-                if let Some(h) = env.heaps.get(space) {
-                    h.insert_at(*rid, before)?;
-                    report.undone += 1;
-                }
-            }
-            LogRecord::HeapDelete {
-                space, rid, before, ..
-            } => {
-                if let Some(h) = env.heaps.get(space) {
-                    h.insert_at(*rid, before)?;
-                    report.undone += 1;
-                }
-            }
-            LogRecord::IndexInsert {
-                space,
-                anchor,
-                key,
-                prev,
-                ..
-            } => {
-                if let Some(t) = env.indexes.get(&(*space, *anchor)) {
-                    match prev {
-                        Some(p) => {
-                            t.insert(key, *p)?;
-                        }
-                        None => {
-                            let _ = t.delete(key)?;
-                        }
-                    }
-                    report.undone += 1;
-                }
-            }
-            LogRecord::IndexDelete {
-                space,
-                anchor,
-                key,
-                value,
-                ..
-            } => {
-                if let Some(t) = env.indexes.get(&(*space, *anchor)) {
-                    t.insert(key, *value)?;
-                    report.undone += 1;
-                }
-            }
-            _ => {}
-        }
+    // Loser pass: each loser rolls back as at runtime. Losers touch disjoint
+    // documents and slots (their locks and reservations were held to the
+    // crash), so their order does not matter; the latest first mirrors a
+    // reverse log scan.
+    let mut losers: Vec<TxnId> = started
+        .into_iter()
+        .filter(|t| !committed.contains(t) && !aborted.contains(t))
+        .collect();
+    losers.sort_unstable_by(|a, b| b.cmp(a));
+    report.losers = losers.len();
+    for txn in losers {
+        let recs = written.remove(&txn).unwrap_or_default();
+        report.undone += roll_back(wal, txn, recs.iter().map(|(r, t)| (*r, t)))?;
     }
     Ok(report)
 }
@@ -979,6 +1115,176 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemBackend;
+    use crate::buffer::BufferPool;
+    use crate::space::TableSpace;
+    use std::collections::BTreeMap;
+
+    /// A heap holding records at slots 0 and 1 of its first page, and a
+    /// tree holding `k = 7`, in one space.
+    fn stores() -> (Arc<HeapTable>, Arc<BTree>) {
+        let pool = BufferPool::new(64);
+        let space = TableSpace::create(pool, 1, Arc::new(MemBackend::new())).unwrap();
+        let heap = HeapTable::create(Arc::clone(&space)).unwrap();
+        heap.insert(b"zero").unwrap();
+        heap.insert(b"one").unwrap();
+        let tree = BTree::create(space, 2).unwrap();
+        tree.insert(b"k", 7).unwrap();
+        (heap, tree)
+    }
+
+    /// Everything a heap and a tree hold: visible records, reserved slots,
+    /// entries.
+    type State = (BTreeMap<Rid, Vec<u8>>, u64, Vec<(Vec<u8>, u64)>);
+
+    fn state(heap: &HeapTable, tree: &BTree) -> State {
+        let mut recs = BTreeMap::new();
+        heap.scan(|rid, rec| {
+            recs.insert(rid, rec.to_vec());
+            true
+        })
+        .unwrap();
+        let mut entries = Vec::new();
+        tree.scan_all(|k, v| {
+            entries.push((k.to_vec(), v));
+            true
+        })
+        .unwrap();
+        (recs, heap.stats().unwrap().reserved, entries)
+    }
+
+    /// Apply `rec`, then its compensation, then end the transaction:
+    /// heap and tree are exactly as before.
+    fn assert_compensation_restores(rec: LogRecord) {
+        let (heap, tree) = stores();
+        let target = match rec {
+            LogRecord::IndexInsert { .. } | LogRecord::IndexDelete { .. } => {
+                Target::Index(Arc::clone(&tree))
+            }
+            _ => Target::Heap(Arc::clone(&heap)),
+        };
+        let before = state(&heap, &tree);
+        rec.apply(&target).unwrap();
+        assert_ne!(state(&heap, &tree), before, "{rec:?} changes nothing");
+        let comp = rec.compensation().unwrap();
+        assert_eq!(comp.txn(), rec.txn());
+        comp.apply(&target).unwrap();
+        release_deletes([(&rec, &target), (&comp, &target)]).unwrap();
+        assert_eq!(state(&heap, &tree), before, "{rec:?} then {comp:?}");
+    }
+
+    #[test]
+    fn heap_insert_then_compensation_restores_the_heap() {
+        assert_compensation_restores(LogRecord::HeapInsert {
+            txn: 1,
+            space: 1,
+            rid: Rid::new(1, 2),
+            data: b"two".to_vec(),
+        });
+    }
+
+    #[test]
+    fn heap_update_then_compensation_restores_the_heap() {
+        assert_compensation_restores(LogRecord::HeapUpdate {
+            txn: 1,
+            space: 1,
+            rid: Rid::new(1, 1),
+            before: b"one".to_vec(),
+            after: b"a longer body for one".to_vec(),
+        });
+    }
+
+    #[test]
+    fn heap_delete_then_compensation_restores_the_heap() {
+        assert_compensation_restores(LogRecord::HeapDelete {
+            txn: 1,
+            space: 1,
+            rid: Rid::new(1, 0),
+            before: b"zero".to_vec(),
+        });
+    }
+
+    #[test]
+    fn fresh_index_insert_then_compensation_restores_the_tree() {
+        assert_compensation_restores(LogRecord::IndexInsert {
+            txn: 1,
+            space: 1,
+            anchor: 2,
+            key: b"new".to_vec(),
+            value: 9,
+            prev: None,
+        });
+    }
+
+    #[test]
+    fn replacing_index_insert_then_compensation_restores_the_tree() {
+        assert_compensation_restores(LogRecord::IndexInsert {
+            txn: 1,
+            space: 1,
+            anchor: 2,
+            key: b"k".to_vec(),
+            value: 8,
+            prev: Some(7),
+        });
+    }
+
+    #[test]
+    fn index_delete_then_compensation_restores_the_tree() {
+        assert_compensation_restores(LogRecord::IndexDelete {
+            txn: 1,
+            space: 1,
+            anchor: 2,
+            key: b"k".to_vec(),
+            value: 7,
+        });
+    }
+
+    #[test]
+    fn control_records_have_no_compensation() {
+        for rec in [
+            LogRecord::Begin { txn: 1 },
+            LogRecord::Commit { txn: 1 },
+            LogRecord::Abort { txn: 1 },
+            LogRecord::Checkpoint,
+        ] {
+            assert_eq!(rec.compensation(), None);
+        }
+    }
+
+    /// Recovery finishes a loser in the log — compensations, then `Abort` —
+    /// so a second recovery finds no loser, and the log's highest
+    /// transaction id survives a reopen.
+    #[test]
+    fn recovery_logs_the_losers_rollback() {
+        let (heap, _) = stores();
+        let store = Arc::new(MemLogStore::new());
+        let wal = Wal::new(store.clone());
+        let insert = LogRecord::HeapInsert {
+            txn: 5,
+            space: 1,
+            rid: Rid::new(1, 2),
+            data: b"two".to_vec(),
+        };
+        wal.log(&LogRecord::Begin { txn: 5 }).unwrap();
+        wal.log(&insert).unwrap();
+        wal.force().unwrap();
+        let env = RecoveryEnv {
+            heaps: HashMap::from([(1, Arc::clone(&heap))]),
+            ..Default::default()
+        };
+        let wal = Wal::new(store.clone());
+        assert_eq!(wal.last_txn(), 5);
+        let report = recover(&wal, &env).unwrap();
+        assert_eq!((report.losers, report.undone), (1, 1));
+        assert_eq!(
+            wal.read_records().unwrap()[2..],
+            [insert.compensation().unwrap(), LogRecord::Abort { txn: 5 }]
+        );
+        assert!(heap.fetch(Rid::new(1, 2)).is_err());
+        assert_eq!(heap.stats().unwrap().reserved, 0);
+        let report = recover(&Wal::new(store), &env).unwrap();
+        assert_eq!(report.losers, 0);
+    }
 
     #[test]
     fn record_roundtrip() {

@@ -527,27 +527,11 @@ fn failed_commit_flush_recovers_as_aborted() {
 
     let data = b"doomed".to_vec();
     let rid;
+    let id;
     {
         let t = txns.begin().unwrap();
-        rid = heap.insert(&data).unwrap();
-        t.log(&LogRecord::HeapInsert {
-            txn: t.id(),
-            space: SPACE,
-            rid,
-            data: data.clone(),
-        })
-        .unwrap();
-        let (heap, id, data) = (Arc::clone(&heap), t.id(), data.clone());
-        t.push_undo(Box::new(move |ctx| {
-            heap.delete(rid)?;
-            ctx.log(&LogRecord::HeapDelete {
-                txn: id,
-                space: SPACE,
-                rid,
-                before: data,
-            })?;
-            Ok(())
-        }));
+        id = t.id();
+        rid = t.heap_insert(&heap, data.clone()).unwrap();
         store.fail_next.store(true, Ordering::Release);
         // The leader's append fails: the committer is told the commit did
         // not take, and the Drop-rollback undoes the insert, logging the
@@ -555,6 +539,36 @@ fn failed_commit_flush_recovers_as_aborted() {
         // restored batch — including the orphaned Commit — with it).
         assert!(t.commit().is_err());
     }
+    assert!(
+        matches!(heap.fetch(rid), Err(StorageError::RecordNotFound { .. })),
+        "the Drop-rollback left the insert in place"
+    );
+    let mine: Vec<LogRecord> = wal
+        .read_records()
+        .unwrap()
+        .into_iter()
+        .filter(|r| r.txn() == Some(id))
+        .collect();
+    assert_eq!(
+        mine,
+        vec![
+            LogRecord::Begin { txn: id },
+            LogRecord::HeapInsert {
+                txn: id,
+                space: SPACE,
+                rid,
+                data: data.clone(),
+            },
+            LogRecord::Commit { txn: id },
+            LogRecord::HeapDelete {
+                txn: id,
+                space: SPACE,
+                rid,
+                before: data,
+            },
+            LogRecord::Abort { txn: id },
+        ]
+    );
 
     // Crash-recover into a fresh heap: the transaction must replay as
     // aborted, leaving no trace of the insert.

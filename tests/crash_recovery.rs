@@ -98,6 +98,95 @@ fn uncommitted_transaction_rolls_back_at_recovery() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Session 1 checkpoints, commits one row of `p`, and crashes with an
+/// in-flight transaction that inserted a second row. Returns that row's
+/// DocID and base-row RID.
+fn crash_with_a_loser(dir: &PathBuf) -> (u64, system_rx::storage::Rid) {
+    let db = Database::create_dir(dir).unwrap();
+    let p = db.create_table("p", &[("doc", ColumnKind::Xml)]).unwrap();
+    db.create_table("q", &[("doc", ColumnKind::Xml)]).unwrap();
+    db.checkpoint().unwrap();
+    db.insert_row(&p, &[ColValue::Xml("<a><v>keep</v></a>".into())])
+        .unwrap();
+    let txn = db.begin().unwrap();
+    let doc = db
+        .insert_row_txn(&txn, &p, &[ColValue::Xml("<a><v>loser</v></a>".into())])
+        .unwrap();
+    let rid = p.row_rid(doc).unwrap().unwrap();
+    db.txns().wal().force().unwrap();
+    std::mem::forget(txn);
+    (doc, rid)
+}
+
+/// The rows of `p`, serialized, in DocID order.
+fn rows_of_p(db: &Database) -> Vec<String> {
+    let p = db.table("p").unwrap();
+    let mut docs = Vec::new();
+    p.docid_index()
+        .scan_all(|k, _| {
+            docs.push(u64::from_be_bytes(k.try_into().unwrap()));
+            true
+        })
+        .unwrap();
+    docs.iter()
+        .map(|&d| db.serialize_document(&p, "doc", d).unwrap())
+        .collect()
+}
+
+/// A loser that recovery rolled back stays rolled back after a second
+/// crash: recovery logs its compensations and an `Abort`, and transactions
+/// of the next session get ids above it, so none of them can commit it.
+#[test]
+fn rolled_back_loser_stays_gone_after_a_second_crash() {
+    let dir = tmpdir("loser2");
+    let (loser, _) = crash_with_a_loser(&dir);
+    {
+        let db = Database::open_dir(&dir).unwrap();
+        assert_eq!(rows_of_p(&db), vec!["<a><v>keep</v></a>"]);
+        let q = db.table("q").unwrap();
+        for i in 0..4 {
+            db.insert_row(&q, &[ColValue::Xml(format!("<b>{i}</b>"))])
+                .unwrap();
+        }
+        // Crash again, without a checkpoint.
+    }
+    let db = Database::open_dir(&dir).unwrap();
+    assert_eq!(rows_of_p(&db), vec!["<a><v>keep</v></a>"]);
+    assert!(db
+        .fetch_row(&db.table("p").unwrap(), loser)
+        .unwrap()
+        .is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A committed insert that reuses the slot of a loser's rolled-back row
+/// survives a second crash: the second recovery must not undo the loser
+/// again over it.
+#[test]
+fn insert_into_a_rolled_back_losers_slot_survives_a_second_crash() {
+    let dir = tmpdir("reuse");
+    let (_, loser_rid) = crash_with_a_loser(&dir);
+    {
+        let db = Database::open_dir(&dir).unwrap();
+        let p = db.table("p").unwrap();
+        let doc = db
+            .insert_row(&p, &[ColValue::Xml("<a><v>reused</v></a>".into())])
+            .unwrap();
+        assert_eq!(
+            p.row_rid(doc).unwrap(),
+            Some(loser_rid),
+            "the committed row takes the loser's freed slot"
+        );
+        // Crash again, without a checkpoint.
+    }
+    let db = Database::open_dir(&dir).unwrap();
+    assert_eq!(
+        rows_of_p(&db),
+        vec!["<a><v>keep</v></a>", "<a><v>reused</v></a>"]
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn updates_survive_crash() {
     let dir = tmpdir("update");

@@ -138,21 +138,18 @@ proptest! {
     }
 }
 
-/// Full scans through `query_locked` run beside writers. A writer's
-/// committed transaction deletes its oldest document and inserts a `live`
-/// one; every third transaction instead inserts a `doomed` document and
-/// rolls back. Writers lock in ascending DocID order (the deleted document
-/// is older than the inserted one), as scans do, so no transaction is ever
-/// a deadlock victim. The lock manager grants S beside S while an X request
-/// waits, so a writer may time out behind a stream of scans; it then rolls
-/// back and goes on. Scans never error, never return a `doomed` document,
-/// return each document at most once, and after the run a scan returns
-/// exactly the surviving documents.
-///
-/// No transaction here rolls back a delete: the heap hands a slot freed by
-/// an uncommitted delete to the next insert, so that rollback can overwrite
-/// another transaction's record (ROADMAP, "Heap slots freed by uncommitted
-/// deletes").
+/// Full scans through `query_locked` run beside writers. Each writer
+/// transaction deletes the writer's oldest document and inserts a new one;
+/// two in three insert a `live` document and commit, every third inserts a
+/// `doomed` one and rolls back, reinstating the deleted document. Writers
+/// lock in ascending DocID order (the deleted document is older than the
+/// inserted one), as scans do, so no transaction is ever a deadlock victim.
+/// The lock manager grants S beside S while an X request waits, so a writer
+/// may time out behind a stream of scans; it then rolls back and goes on.
+/// Scans never error, never return a `doomed` document, return each
+/// document at most once, and after the run a scan returns exactly the
+/// surviving documents, each with the text it was inserted with — a rolled
+/// back delete never overwrites a record another writer put in its slot.
 #[test]
 fn full_scans_beside_inserts_and_deletes() {
     let threads: usize = std::env::var("RX_STRESS_THREADS")
@@ -177,13 +174,14 @@ fn full_scans_beside_inserts_and_deletes() {
             "x".repeat(150 + n % 200)
         )
     };
-    let mut owned: Vec<Vec<DocId>> = Vec::new();
+    let mut owned: Vec<Vec<(DocId, String)>> = Vec::new();
     for w in 0..writers {
         owned.push(
             (0..PER_WRITER)
                 .map(|i| {
-                    db.insert_row(&t, &[ColValue::Xml(doc("live", w * 1000 + i))])
-                        .unwrap()
+                    let text = doc("live", w * 1000 + i);
+                    let d = db.insert_row(&t, &[ColValue::Xml(text.clone())]).unwrap();
+                    (d, text)
                 })
                 .collect(),
         );
@@ -192,29 +190,25 @@ fn full_scans_beside_inserts_and_deletes() {
     let path = XPathParser::new().parse("/r/state").unwrap();
     let col = t.xml_column("doc").unwrap();
 
-    let survivors: Vec<Vec<DocId>> = std::thread::scope(|s| {
+    let survivors: Vec<Vec<(DocId, String)>> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (w, mut mine) in owned.into_iter().enumerate() {
             let (db, t) = (&db, &t);
             handles.push(s.spawn(move || {
                 for i in 0..TXNS {
                     let commit = i % 3 != 2;
+                    let state = if commit { "live" } else { "doomed" };
+                    let text = doc(state, w * 1000 + 100 + i);
                     let txn = db.begin().unwrap();
-                    let written = if commit {
-                        db.delete_row_txn(&txn, t, mine[0]).and_then(|found| {
-                            assert!(found, "a writer's own document is live");
-                            let text = doc("live", w * 1000 + 100 + i);
-                            db.insert_row_txn(&txn, t, &[ColValue::Xml(text)])
-                        })
-                    } else {
-                        let text = doc("doomed", w * 1000 + 100 + i);
-                        db.insert_row_txn(&txn, t, &[ColValue::Xml(text)])
-                    };
+                    let written = db.delete_row_txn(&txn, t, mine[0].0).and_then(|found| {
+                        assert!(found, "a writer's own document is live");
+                        db.insert_row_txn(&txn, t, &[ColValue::Xml(text.clone())])
+                    });
                     match written {
                         Ok(fresh) if commit => {
                             txn.commit().unwrap();
                             mine.remove(0);
-                            mine.push(fresh);
+                            mine.push((fresh, text));
                         }
                         Ok(_) => {
                             std::thread::yield_now();
@@ -254,11 +248,17 @@ fn full_scans_beside_inserts_and_deletes() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let mut expected: Vec<DocId> = survivors.into_iter().flatten().collect();
+    let mut expected: Vec<(DocId, String)> = survivors.into_iter().flatten().collect();
     expected.sort_unstable();
     let txn = db.begin().unwrap();
     let (hits, _) = db.query_locked(&txn, &t, col, &path, false).unwrap();
     txn.commit().unwrap();
-    assert_eq!(hits.iter().map(|h| h.doc).collect::<Vec<_>>(), expected);
+    assert_eq!(
+        hits.iter().map(|h| h.doc).collect::<Vec<_>>(),
+        expected.iter().map(|(d, _)| *d).collect::<Vec<_>>()
+    );
+    for (d, text) in &expected {
+        assert_eq!(&db.serialize_document(&t, "doc", *d).unwrap(), text);
+    }
     assert_eq!(db.stats().lock_deadlocks, 0);
 }
