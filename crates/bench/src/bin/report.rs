@@ -769,7 +769,7 @@ fn e5d_stored_scan() {
             hits
         };
         let lane_pass = |stats: &mut access::AccessStats| {
-            let mut lane = access::DocScanner::new(col, &tree, dict);
+            let mut lane = access::DocScanner::new(col, &tree, dict, false);
             let mut hits = Vec::new();
             for &d in &docs {
                 lane.evaluate(d, stats, &mut hits).unwrap();
@@ -886,7 +886,7 @@ fn e5d_root_location(tree: &QueryTree) {
                 std::hint::black_box(roots.len());
             });
             let probed = |stats: &mut access::AccessStats| {
-                let mut lane = access::DocScanner::new(col, tree, dict);
+                let mut lane = access::DocScanner::new(col, tree, dict, false);
                 let mut hits = Vec::new();
                 for &d in &docs {
                     lane.evaluate(d, stats, &mut hits).unwrap();
@@ -894,7 +894,7 @@ fn e5d_root_location(tree: &QueryTree) {
                 hits
             };
             let located = |stats: &mut access::AccessStats| {
-                let mut lane = access::DocScanner::new(col, tree, dict);
+                let mut lane = access::DocScanner::new(col, tree, dict, false);
                 let mut roots = LocatedRoots::default();
                 xml.locate_roots(&docs, &mut roots).unwrap();
                 let mut hits = Vec::new();
@@ -1937,13 +1937,34 @@ fn e13_doc_cache() {
     println!("\n## E13 — hot-document record cache: warm vs cold repeated reads");
     println!("Every traversal of a stored document pays a NodeID-index probe plus a");
     println!("buffer-pool fetch per record, even when the pages are resident. The");
-    println!("document cache keeps a versioned snapshot of a hot document's packed");
-    println!("records above the pool: a warm traversal resolves every locate with an");
-    println!("in-memory binary search and re-fetches nothing. Writers bump the");
-    println!("document's epoch before mutating and again at commit, so readers never");
-    println!("see uncommitted or torn documents and rollback leaves no stale entry.");
+    println!("document cache keeps a snapshot of a hot document's packed records");
+    println!("above the pool: a warm traversal resolves every locate with an in-memory");
+    println!("binary search and re-fetches nothing. The §5.1 locks guard it: only a");
+    println!("query holding the document's S lock in a read-only transaction publishes");
+    println!("a snapshot, and every writer evicts the entry before its first write, so");
+    println!("no entry ever holds uncommitted bytes. Each part below fills the cache");
+    println!("that way, with full-scan queries through `query_locked`, then reads it.");
 
     const BUDGET: usize = 8 << 20;
+
+    /// Fill the cache the only way it fills: a full-scan query through
+    /// `query_locked` in a read-only transaction, which S-locks every
+    /// document of the table and publishes a snapshot of each.
+    fn populate(
+        db: &Database,
+        table: &Arc<rx_engine::BaseTable>,
+        col: &Arc<rx_engine::XmlColumn>,
+        path: &rx_xpath::Path,
+    ) {
+        assert!(matches!(
+            access::plan(path, col, false),
+            access::AccessPlan::FullScan
+        ));
+        let txn = db.begin().unwrap();
+        db.query_locked(&txn, table, col, path, false).unwrap();
+        txn.commit().unwrap();
+    }
+    let populate_path = XPathParser::new().parse("/*/id").unwrap();
 
     /// Sink that only counts events — isolates locate/fetch cost from
     /// serialization cost.
@@ -2021,15 +2042,19 @@ fn e13_doc_cache() {
         (events, stats)
     };
     let mut rows = Vec::new();
-    for (label, c_off, c_on) in [
-        ("tiny docs (~5 events)", ct_off, ct_on),
-        ("order docs (~13 events)", co_off, co_on),
-        ("product docs (~24 events)", col_off, col_on),
+    for (label, c_off, t_on, c_on) in [
+        ("tiny docs (~5 events)", ct_off, &tt_on, ct_on),
+        ("order docs (~13 events)", co_off, &to_on, co_on),
+        ("product docs (~24 events)", col_off, &t_on, col_on),
     ] {
         let (n_cold, s_cold) = traverse_all(c_off);
-        let (n_pop, _) = traverse_all(c_on); // read-through populate
+        // Unlocked traversals read the cache but never fill it.
+        let resident = db_on.doc_cache().len();
+        let (n_unlocked, _) = traverse_all(c_on);
+        assert_eq!(n_cold, n_unlocked);
+        assert_eq!(db_on.doc_cache().len(), resident);
+        populate(&db_on, t_on, c_on, &populate_path);
         let (n_warm, s_warm) = traverse_all(c_on);
-        assert_eq!(n_cold, n_pop);
         assert_eq!(n_cold, n_warm);
         assert_eq!(
             (s_warm.records_fetched, s_warm.index_probes),
@@ -2087,6 +2112,7 @@ fn e13_doc_cache() {
     let scan_path = XPathParser::new().parse(scan_q).unwrap();
     let scan_tree = Arc::new(QueryTree::compile(&scan_path).unwrap());
 
+    populate(&db_on, &t_on, col_on, &populate_path);
     let mut rows = Vec::new();
     for (label, plan_off, plan_on, tree) in [
         (
@@ -2164,19 +2190,14 @@ fn e13_doc_cache() {
     let cs = ts.xml_column("doc").unwrap();
     let mut max_resident = 0u64;
     for _ in 0..3 {
-        let _ = access::execute_tree(
-            &access::AccessPlan::FullScan,
-            &ts,
-            cs,
-            dbs.dict(),
-            &scan_tree,
-            None,
-            None,
-        )
-        .unwrap();
+        populate(&dbs, &ts, cs, &populate_path);
         max_resident = max_resident.max(dbs.doc_cache().resident_bytes());
     }
     let small_cache = dbs.doc_cache();
+    assert!(
+        small_cache.evictions() > 0,
+        "the scans must overflow the budget"
+    );
     assert!(
         max_resident <= SMALL as u64,
         "resident bytes {max_resident} exceeded budget {SMALL}"

@@ -484,10 +484,18 @@ pub struct DocScanner<'x, 'q, 'd> {
 }
 
 impl<'x, 'q, 'd> DocScanner<'x, 'q, 'd> {
-    /// A lane evaluator for `tree` over documents of `column`.
-    pub fn new(column: &'x XmlColumn, tree: &'q QueryTree, dict: &'d NameDict) -> Self {
+    /// A lane evaluator for `tree` over documents of `column`. With
+    /// `publish`, the caller's transaction holds the S lock of every
+    /// document the lane evaluates and has logged nothing, so its full
+    /// traversals may publish document-cache snapshots (DESIGN.md §11.2).
+    pub fn new(
+        column: &'x XmlColumn,
+        tree: &'q QueryTree,
+        dict: &'d NameDict,
+        publish: bool,
+    ) -> Self {
         DocScanner {
-            traverser: Traverser::unbound(column.xml_table()),
+            traverser: Traverser::unbound(column.xml_table(), publish),
             scan: QuickXScan::new(tree, dict),
             items: Vec::new(),
             roots: LocatedRoots::default(),
@@ -639,6 +647,9 @@ pub fn evaluate_docs(
         conc::lock_documents_shared(txn, table.def.id, &docs)?;
     }
     let locked = txn.is_some();
+    // Lanes of a locked, read-only transaction read committed documents
+    // only, so they may publish cache snapshots.
+    let publish = txn.is_some_and(|t| !t.has_logged());
     // One lane: a single scanner over a contiguous run of candidates. A
     // dense run's roots are located by a range scan that starts only now,
     // after every S lock above is granted (§9.2 order), so the entries of
@@ -650,7 +661,8 @@ pub fn evaluate_docs(
                      stats: &mut AccessStats|
           -> Result<Vec<QueryHit>> {
         let mut hits = Vec::new();
-        DocScanner::new(column, tree, dict).evaluate_run(docs, locked, stats, &mut hits)?;
+        DocScanner::new(column, tree, dict, publish)
+            .evaluate_run(docs, locked, stats, &mut hits)?;
         Ok(hits)
     };
     let lanes = lanes.min(docs.len());
@@ -1420,7 +1432,7 @@ mod tests {
         let tree = QueryTree::compile(&path).unwrap();
         let alone = |d: DocId| {
             let mut hits = Vec::new();
-            DocScanner::new(col, &tree, db.dict())
+            DocScanner::new(col, &tree, db.dict(), false)
                 .evaluate(d, &mut AccessStats::default(), &mut hits)
                 .unwrap();
             hits
@@ -1430,7 +1442,7 @@ mod tests {
         assert_eq!(last_hits.len(), 1);
         assert!(last_hits[0].node.is_some());
 
-        let mut lane = DocScanner::new(col, &tree, db.dict());
+        let mut lane = DocScanner::new(col, &tree, db.dict(), false);
         let mut stats = AccessStats::default();
         let mut hits = Vec::new();
         lane.evaluate(first, &mut stats, &mut hits).unwrap();

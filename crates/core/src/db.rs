@@ -327,8 +327,19 @@ fn decode_base_row(rec: &[u8]) -> Result<Row> {
 // Catalog key prefixes.
 const K_NEXT_SPACE: &[u8] = b"meta/next_space";
 const K_NEXT_TABLE: &[u8] = b"meta/next_table";
-const K_DICT_STRINGS: &[u8] = b"meta/dict_strings";
-const K_DICT_QNAMES: &[u8] = b"meta/dict_qnames";
+/// The name dictionary: one entry per string under `dict/s/` and one per
+/// qname under `dict/q/`, each keyed by its big-endian id so a prefix scan
+/// returns them in id order.
+const K_DICT_STRING: &[u8] = b"dict/s/";
+const K_DICT_QNAME: &[u8] = b"dict/q/";
+/// The dictionary as two whole-value blobs, as older database directories
+/// store it: read at open, then migrated to per-name entries.
+const K_LEGACY_DICT_STRINGS: &[u8] = b"meta/dict_strings";
+const K_LEGACY_DICT_QNAMES: &[u8] = b"meta/dict_qnames";
+
+fn k_dict(kind: &[u8], id: usize) -> Vec<u8> {
+    [kind, &(id as u32).to_be_bytes()].concat()
+}
 
 fn k_table(name: &str) -> Vec<u8> {
     [b"tbl/", name.as_bytes()].concat()
@@ -481,10 +492,13 @@ impl Database {
         let pool = BufferPool::new(config.buffer_pages);
         let cat_space = TableSpace::open(pool.clone(), 0, Self::make_backend(&storage, 0)?)?;
         let catalog = Catalog::open(cat_space)?;
-        // Rebuild the name dictionary.
-        let dict = match (catalog.get(K_DICT_STRINGS), catalog.get(K_DICT_QNAMES)) {
-            (Some(sb), Some(qb)) => Arc::new(decode_dict(&sb, &qb)?),
-            _ => Arc::new(NameDict::new()),
+        let (dict, legacy) = load_dict(&catalog)?;
+        // Entries already in the catalog need no rewrite; names read from
+        // the legacy blobs are all rewritten as entries below.
+        let persisted = if legacy {
+            (1, 0)
+        } else {
+            (dict.string_count(), dict.qname_count())
         };
         let wal = Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log"))?));
         let locks = LockManager::new(config.lock_timeout);
@@ -497,15 +511,21 @@ impl Database {
             storage,
             pool,
             catalog,
-            dict,
+            dict: Arc::new(dict),
             txns,
             tables: RwLock::new(HashMap::new()),
             schemas: RwLock::new(HashMap::new()),
-            dict_persisted: parking_lot::Mutex::new((0, 0)),
+            dict_persisted: parking_lot::Mutex::new(persisted),
             executor,
             plan_cache,
             doc_cache,
         });
+        if legacy {
+            db.persist_dict_if_grown()?;
+            db.catalog.delete(K_LEGACY_DICT_STRINGS)?;
+            db.catalog.delete(K_LEGACY_DICT_QNAMES)?;
+            db.pool.flush_space(0)?;
+        }
         // Load all tables so recovery can reach every space.
         let mut env = RecoveryEnv::default();
         let table_keys: Vec<Vec<u8>> = db
@@ -871,8 +891,8 @@ impl Database {
         self.catalog.delete(&k_doccnt(t.def.id))?;
         self.tables.write().remove(name);
         self.plan_cache.invalidate_table(t.def.id);
-        // A recreated table may reuse the dropped table's document IDs, so
-        // cached snapshots (and writer epoch state) for its spaces must go.
+        // Snapshots of the dropped table's spaces can never be read again;
+        // free their bytes.
         for col in t.xml_columns() {
             self.doc_cache.invalidate_space(col.xml.space_id());
         }
@@ -1207,21 +1227,29 @@ impl Database {
         Ok(ser.finish())
     }
 
-    /// Persist the name dictionary if it has grown since the last persist,
-    /// flushing the catalog space so the names are durable *before* the
-    /// commit record of any document that uses them (packed records store
-    /// integer name IDs, so the dictionary must never lag the data).
+    /// Persist the names interned since the last persist, one catalog
+    /// entry each, flushing the catalog space so the names are durable
+    /// *before* the commit record of any document that uses them (packed
+    /// records store integer name IDs, so the dictionary must never lag the
+    /// data). Each entry is small, so the dictionary can outgrow a page.
     fn persist_dict_if_grown(&self) -> Result<()> {
-        let mut last = self.dict_persisted.lock();
-        let now = (self.dict.string_count(), self.dict.qname_count());
-        if now == *last {
+        let mut persisted = self.dict_persisted.lock();
+        let (strings_from, qnames_from) = *persisted;
+        let (strings, qnames) = self.dict.export_from(strings_from, qnames_from);
+        if strings.is_empty() && qnames.is_empty() {
             return Ok(());
         }
-        let (sb, qb) = encode_dict(&self.dict);
-        self.catalog.put(K_DICT_STRINGS, &sb)?;
-        self.catalog.put(K_DICT_QNAMES, &qb)?;
+        for (id, s) in (strings_from..).zip(&strings) {
+            self.catalog.put(&k_dict(K_DICT_STRING, id), s.as_bytes())?;
+        }
+        for (id, q) in (qnames_from..).zip(&qnames) {
+            let mut e = Enc::new();
+            e.u32(q.uri).u32(q.prefix).u32(q.local);
+            self.catalog
+                .put(&k_dict(K_DICT_QNAME, id), &e.into_bytes())?;
+        }
         self.pool.flush_space(0)?;
-        *last = now;
+        *persisted = (strings_from + strings.len(), qnames_from + qnames.len());
         Ok(())
     }
 
@@ -1240,48 +1268,77 @@ impl Database {
             .txns
             .oldest_active_lsn()
             .map_or(barrier, |lsn| lsn.min(barrier));
-        let (sb, qb) = encode_dict(&self.dict);
-        self.catalog.put(K_DICT_STRINGS, &sb)?;
-        self.catalog.put(K_DICT_QNAMES, &qb)?;
+        self.persist_dict_if_grown()?;
         self.pool.flush_all()?;
         self.txns.wal().checkpoint(keep_from)?;
         Ok(())
     }
 }
 
-fn encode_dict(dict: &NameDict) -> (Vec<u8>, Vec<u8>) {
-    let (strings, qnames) = dict.export();
-    let mut es = Enc::new();
-    es.varint(strings.len() as u64);
-    for s in &strings {
-        es.str(s);
+/// Rebuild the name dictionary from the catalog: the legacy blobs first,
+/// when an older directory has them, then the per-name entries in id order.
+/// An entry whose id the blobs already cover (a migration interrupted
+/// before the blobs were deleted) is skipped. Returns the dictionary and
+/// whether the legacy blobs were found.
+fn load_dict(catalog: &Catalog) -> Result<(NameDict, bool)> {
+    let corrupt = |what: String| EngineError::Record(format!("name dictionary: {what}"));
+    let mut strings: Vec<String> = Vec::new();
+    let mut qnames: Vec<rx_xml::QName> = Vec::new();
+    let legacy = match (
+        catalog.get(K_LEGACY_DICT_STRINGS),
+        catalog.get(K_LEGACY_DICT_QNAMES),
+    ) {
+        (Some(sb), Some(qb)) => {
+            let mut d = Dec::new(&sb);
+            for _ in 0..d.varint()? {
+                strings.push(d.str()?.to_string());
+            }
+            let mut d = Dec::new(&qb);
+            for _ in 0..d.varint()? {
+                qnames.push(decode_qname(&mut d)?);
+            }
+            true
+        }
+        _ => false,
+    };
+    if strings.is_empty() {
+        strings.push(String::new());
     }
-    let mut eq = Enc::new();
-    eq.varint(qnames.len() as u64);
-    for q in &qnames {
-        eq.u32(q.uri).u32(q.prefix).u32(q.local);
+    for (key, value) in catalog.list_prefix(K_DICT_STRING) {
+        let id =
+            dict_id(&key[K_DICT_STRING.len()..]).ok_or_else(|| corrupt("bad string key".into()))?;
+        if id > strings.len() {
+            return Err(corrupt(format!("string {id} follows a gap")));
+        }
+        if id == strings.len() {
+            let s = String::from_utf8(value)
+                .map_err(|_| corrupt(format!("string {id} is not UTF-8")))?;
+            strings.push(s);
+        }
     }
-    (es.into_bytes(), eq.into_bytes())
+    for (key, value) in catalog.list_prefix(K_DICT_QNAME) {
+        let id =
+            dict_id(&key[K_DICT_QNAME.len()..]).ok_or_else(|| corrupt("bad qname key".into()))?;
+        if id > qnames.len() {
+            return Err(corrupt(format!("qname {id} follows a gap")));
+        }
+        if id == qnames.len() {
+            qnames.push(decode_qname(&mut Dec::new(&value))?);
+        }
+    }
+    Ok((NameDict::import(&strings, &qnames), legacy))
 }
 
-fn decode_dict(sb: &[u8], qb: &[u8]) -> Result<NameDict> {
-    let mut d = Dec::new(sb);
-    let n = d.varint()? as usize;
-    let mut strings = Vec::with_capacity(n);
-    for _ in 0..n {
-        strings.push(d.str()?.to_string());
-    }
-    let mut d = Dec::new(qb);
-    let n = d.varint()? as usize;
-    let mut qnames = Vec::with_capacity(n);
-    for _ in 0..n {
-        qnames.push(rx_xml::QName {
-            uri: d.u32()?,
-            prefix: d.u32()?,
-            local: d.u32()?,
-        });
-    }
-    Ok(NameDict::import(&strings, &qnames))
+fn dict_id(be: &[u8]) -> Option<usize> {
+    Some(u32::from_be_bytes(be.try_into().ok()?) as usize)
+}
+
+fn decode_qname(d: &mut Dec<'_>) -> Result<rx_xml::QName> {
+    Ok(rx_xml::QName {
+        uri: d.u32()?,
+        prefix: d.u32()?,
+        local: d.u32()?,
+    })
 }
 
 #[cfg(test)]
@@ -1663,6 +1720,60 @@ mod tests {
             DOC1,
             "committed document must survive crash recovery"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A directory that stores the dictionary as the two legacy blobs opens
+    /// with every name, and is migrated to per-name entries.
+    #[test]
+    fn legacy_dictionary_blobs_are_read_and_migrated() {
+        let dir = std::env::temp_dir().join(format!("rxdb-dict-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (d1, d2);
+        {
+            let db = Database::create_dir(&dir).unwrap();
+            let t = catalog_table(&db);
+            let row = |doc: &str| [ColValue::Str("a".into()), ColValue::Xml(doc.to_string())];
+            d1 = db.insert_row(&t, &row(DOC1)).unwrap();
+            d2 = db.insert_row(&t, &row(DOC2)).unwrap();
+            db.checkpoint().unwrap();
+            // Rewrite the dictionary the way older directories hold it.
+            let (strings, qnames) = db.dict.export_from(0, 0);
+            let mut es = Enc::new();
+            es.varint(strings.len() as u64);
+            for s in &strings {
+                es.str(s);
+            }
+            let mut eq = Enc::new();
+            eq.varint(qnames.len() as u64);
+            for q in &qnames {
+                eq.u32(q.uri).u32(q.prefix).u32(q.local);
+            }
+            for kind in [K_DICT_STRING, K_DICT_QNAME] {
+                for (key, _) in db.catalog.list_prefix(kind) {
+                    db.catalog.delete(&key).unwrap();
+                }
+            }
+            db.catalog
+                .put(K_LEGACY_DICT_STRINGS, &es.into_bytes())
+                .unwrap();
+            db.catalog
+                .put(K_LEGACY_DICT_QNAMES, &eq.into_bytes())
+                .unwrap();
+            db.pool.flush_all().unwrap();
+        }
+        for _ in 0..2 {
+            let db = Database::open_dir(&dir).unwrap();
+            let t = db.table("products").unwrap();
+            assert_eq!(db.serialize_document(&t, "doc", d1).unwrap(), DOC1);
+            assert_eq!(db.serialize_document(&t, "doc", d2).unwrap(), DOC2);
+            assert!(!db.catalog.contains(K_LEGACY_DICT_STRINGS));
+            assert!(!db.catalog.contains(K_LEGACY_DICT_QNAMES));
+            assert_eq!(
+                db.catalog.list_prefix(K_DICT_STRING).len() + 1,
+                db.dict.string_count()
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

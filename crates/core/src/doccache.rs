@@ -1,5 +1,5 @@
-//! The hot-document record cache: versioned read-through caching above the
-//! buffer pool.
+//! The hot-document record cache: read-through caching above the buffer
+//! pool, guarded by the §5.1 document locks.
 //!
 //! The paper's analytic evaluation (§3.4) prices query cost in *records
 //! fetched* and *NodeID-index probes*; both are paid again on every query
@@ -9,33 +9,21 @@
 //! so a cached traversal does **zero** heap fetches and **zero** NodeID
 //! probes: `locate` becomes an in-memory binary search over the uppers.
 //!
-//! ## Invalidation protocol
+//! ## The §5.1 locks guard the cache
 //!
-//! Every committed mutation of a document bumps that document's *epoch*;
-//! cache entries remember the epoch they were built against and are
-//! validated at lookup. The full protocol (see DESIGN.md §11):
+//! The cache keeps no version state of its own. Two rules keep every entry
+//! equal to the document's committed state (DESIGN.md §11.2):
 //!
-//! * **touch** (first mutation of `(txn, space, doc)`): evict the entry and
-//!   bump the epoch *immediately*, under the shard lock. The writer itself
-//!   must not be served the pre-image (its own index re-derivation needs to
-//!   see its uncommitted writes), and any reader snapshot captured before
-//!   the touch must fail to publish afterwards.
-//! * **commit** (txn outcome hook, after the commit record is durable and
-//!   locks are released): bump the epoch again and retire the writer
-//!   registration. Rollback only retires the registration — epochs are left
-//!   as the touch set them, and since the touch already evicted the entry,
-//!   no stale pre-image can survive either outcome.
-//! * **publish** (read-through): a reader captures a token *before* building
-//!   a snapshot and the insert succeeds only if the shard generation and the
-//!   document's `(epoch, writers)` state are unchanged — so a snapshot that
-//!   might interleave with a writer is silently discarded, and uncommitted
-//!   data never enters the cache.
+//! * **publish**: only a traversal whose transaction holds the document's S
+//!   lock and has logged nothing inserts a snapshot. No transaction holds X
+//!   or IX on a document while another holds S on it, so such a traversal
+//!   reads exactly the committed bytes.
+//! * **evict**: every XML-table mutator drops the document's entry before it
+//!   changes a byte. The writer holds X or IX from then until it ends, so no
+//!   snapshot can be published again before its outcome is final.
 //!
-//! Under the §5.1 locking protocol readers hold S locks on every candidate
-//! document while evaluating, so a successful publish there always caches
-//! exactly the committed state. The unlocked read path gets the same
-//! guarantee from the token check alone: any writer active during the build
-//! window fails the publish.
+//! Every other traversal — unlocked reads, a writer reading its own dirty
+//! document, index key derivation — reads the cache but never publishes.
 //!
 //! The cache is memory-bounded (`DbConfig::doc_cache_bytes`) with a sharded
 //! exact LRU ([`crate::lru::Lru`]: eviction pops the least recently used
@@ -50,22 +38,17 @@ use crate::xmltable::{DocId, XmlTable};
 use parking_lot::Mutex;
 use rx_storage::codec::Dec;
 use rx_storage::idhash::{IdBuildHasher, IdHasher};
-use rx_storage::{Rid, Txn, TxnId};
-use std::collections::{HashMap, HashSet};
+use rx_storage::Rid;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Lock stripes. Keyed by `(space, doc)` hash; matches the spirit of the
-/// buffer pool's sharding without making the budget check global.
+/// Lock stripes. Keyed by `(space, doc)` hash with the cheap multiplicative
+/// [`IdHasher`]; matches the spirit of the buffer pool's sharding without
+/// making the budget check global.
 const SHARDS: usize = 8;
-
-/// Shard maps hash `(space, doc)` with the cheap multiplicative
-/// [`IdHasher`]: a warm lookup hashes three times (shard pick + two map
-/// probes), and SipHash is a measurable fraction of the whole hit path for
-/// keys this small.
-type KeyMap<V> = HashMap<(u32, DocId), V, IdBuildHasher>;
 
 /// One heap row loaded into shareable form: the row image (a single copy out
 /// of the latched page), the byte range of its XMLData payload, and the
@@ -183,39 +166,11 @@ impl CachedDoc {
     }
 }
 
-/// Per-document version state, present only while writers are registered.
-/// Absent state reads as `(epoch 0, writers 0)`; the shard generation guards
-/// tokens across state removal (see [`DocCache::publish`]).
-#[derive(Default)]
-struct DocState {
-    epoch: u64,
-    writers: u32,
-}
-
-struct Entry {
-    doc: Arc<CachedDoc>,
-    epoch: u64,
-}
-
 #[derive(Default)]
 struct Shard {
     /// Snapshots in recency order.
-    entries: Lru<(u32, DocId), Entry, IdBuildHasher>,
-    states: KeyMap<DocState>,
+    entries: Lru<(u32, DocId), Arc<CachedDoc>, IdBuildHasher>,
     bytes: usize,
-    /// Bumped whenever version state is discarded (writer retirement, space
-    /// invalidation): outstanding publish tokens from before the bump are
-    /// rejected, closing the captured-before-state-GC race.
-    gen: u64,
-}
-
-/// A capture token: publish succeeds only if the shard generation and the
-/// document's `(epoch, writers = 0)` state still match.
-pub struct PublishToken {
-    space: u32,
-    doc: DocId,
-    gen: u64,
-    epoch: u64,
 }
 
 /// The sharded, memory-bounded document record cache. One instance per
@@ -225,9 +180,6 @@ pub struct DocCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total budget / shard count); 0 disables.
     shard_budget: usize,
-    /// In-flight `(txn, space, doc)` touch registrations, deduplicating the
-    /// epoch bump so one transaction's many record edits count once.
-    pending: Mutex<HashSet<(TxnId, u32, DocId)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -245,7 +197,6 @@ impl DocCache {
         Arc::new(DocCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget,
-            pending: Mutex::new(HashSet::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -264,177 +215,85 @@ impl DocCache {
         &self.shards[(h.finish() >> 56) as usize % SHARDS]
     }
 
-    /// Look up a document snapshot, validating it against the current epoch.
+    /// Look up a document snapshot.
     pub fn get(&self, space: u32, doc: DocId) -> Option<Arc<CachedDoc>> {
         if !self.enabled() {
             return None;
         }
-        let key = (space, doc);
-        let mut s = self.shard(space, doc).lock();
-        // `states` holds entries only while writers are registered; skip the
-        // probe entirely in the read-mostly common case.
-        let (epoch, writers) = if s.states.is_empty() {
-            (0, 0)
-        } else {
-            s.states
-                .get(&key)
-                .map_or((0, 0), |st| (st.epoch, st.writers))
-        };
-        match s.entries.get(&key) {
-            Some(e) if e.epoch == epoch && writers == 0 => {
-                let doc = Arc::clone(&e.doc);
-                drop(s);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(doc);
-            }
-            Some(_) => {
-                // Stale (a touch raced in): drop it.
-                let e = s.entries.remove(&key).expect("entry just seen");
-                s.bytes -= e.doc.bytes();
-            }
-            None => {}
-        }
-        drop(s);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Capture a publish token *before* building a snapshot. `None` when a
-    /// writer is registered on the document (an uncommitted mutation may be
-    /// visible to the build) or the cache is disabled.
-    pub fn begin_publish(&self, space: u32, doc: DocId) -> Option<PublishToken> {
-        if !self.enabled() {
-            return None;
-        }
-        let s = self.shard(space, doc).lock();
-        let (epoch, writers) = s
-            .states
+        let found = self
+            .shard(space, doc)
+            .lock()
+            .entries
             .get(&(space, doc))
-            .map_or((0, 0), |st| (st.epoch, st.writers));
-        if writers > 0 {
-            return None;
-        }
-        Some(PublishToken {
-            space,
-            doc,
-            gen: s.gen,
-            epoch,
-        })
+            .map(|d| Arc::clone(d));
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Install a snapshot built under `token`. Fails (returning `false` and
-    /// discarding the snapshot) if any writer touched the document — or any
-    /// state was discarded in the shard — since the capture.
-    pub fn publish(&self, token: PublishToken, snapshot: Arc<CachedDoc>) -> bool {
-        let key = (token.space, token.doc);
-        let mut s = self.shard(token.space, token.doc).lock();
-        if s.gen != token.gen {
-            return false;
+    /// Install a snapshot of `doc`, built by a traversal whose transaction
+    /// holds the document's S lock and has logged nothing (the publish rule,
+    /// DESIGN.md §11.2). Least recently used entries of the shard are
+    /// evicted until it is back under budget; the new entry is the most
+    /// recent, so it goes only if it alone exceeds the shard budget.
+    pub fn insert(&self, space: u32, doc: DocId, snapshot: Arc<CachedDoc>) {
+        if !self.enabled() {
+            return;
         }
-        let (epoch, writers) = s
-            .states
-            .get(&key)
-            .map_or((0, 0), |st| (st.epoch, st.writers));
-        if epoch != token.epoch || writers > 0 {
-            return false;
-        }
+        let mut s = self.shard(space, doc).lock();
         let added = snapshot.bytes();
-        if let Some(old) = s.entries.insert(
-            key,
-            Entry {
-                doc: snapshot,
-                epoch,
-            },
-        ) {
-            s.bytes -= old.doc.bytes();
+        if let Some(old) = s.entries.insert((space, doc), snapshot) {
+            s.bytes -= old.bytes();
         }
         s.bytes += added;
-        // Enforce the budget: evict least-recently-used entries until under;
-        // the just-inserted entry is the most recent, so it is evicted only
-        // if it alone exceeds the shard budget.
         while s.bytes > self.shard_budget {
             let Some((_, e)) = s.entries.pop_lru() else {
                 break;
             };
-            s.bytes -= e.doc.bytes();
+            s.bytes -= e.bytes();
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        true
     }
 
-    /// Register a mutation of `doc` by `txn`: evict the entry, bump the
-    /// epoch, count a writer, and arm a transaction outcome hook that bumps
-    /// the epoch again on commit (rollback leaves it as touched). Idempotent
-    /// per `(txn, space, doc)`.
-    pub fn touch(self: &Arc<Self>, txn: &Txn, space: u32, doc: DocId) {
+    /// Drop the entry of `doc`, if any. Every XML-table mutator calls this
+    /// before it changes a byte of the document.
+    pub fn evict(&self, space: u32, doc: DocId) {
         if !self.enabled() {
             return;
         }
-        if !self.pending.lock().insert((txn.id(), space, doc)) {
-            return; // this transaction already touched this document
-        }
-        {
-            let mut s = self.shard(space, doc).lock();
-            if let Some(e) = s.entries.remove(&(space, doc)) {
-                s.bytes -= e.doc.bytes();
-            }
-            let st = s.states.entry((space, doc)).or_default();
-            st.epoch += 1;
-            st.writers += 1;
-        }
-        let cache = Arc::clone(self);
-        let id = txn.id();
-        txn.push_hook(Box::new(move |committed| {
-            cache.finish_touch(id, space, doc, committed);
-        }));
-    }
-
-    fn finish_touch(&self, txn: TxnId, space: u32, doc: DocId, committed: bool) {
-        self.pending.lock().remove(&(txn, space, doc));
         let mut s = self.shard(space, doc).lock();
-        if let Some(st) = s.states.get_mut(&(space, doc)) {
-            if committed {
-                st.epoch += 1;
-            }
-            st.writers = st.writers.saturating_sub(1);
-            if st.writers == 0 {
-                // Retire the state; the generation bump invalidates any
-                // token captured while it existed.
-                s.states.remove(&(space, doc));
-                s.gen += 1;
-            }
+        if let Some(e) = s.entries.remove(&(space, doc)) {
+            s.bytes -= e.bytes();
         }
     }
 
-    /// Drop every entry and state of one table space (`drop_table`).
+    /// Drop every entry of one table space (`drop_table`).
     pub fn invalidate_space(&self, space: u32) {
         if !self.enabled() {
             return;
         }
         for shard in &self.shards {
             let mut s = shard.lock();
-            let Shard { entries, bytes, .. } = &mut *s;
+            let Shard { entries, bytes } = &mut *s;
             entries.retain(|(sp, _), e| {
                 if *sp == space {
-                    *bytes -= e.doc.bytes();
+                    *bytes -= e.bytes();
                 }
                 *sp != space
             });
-            let had_states = s.states.keys().any(|(sp, _)| *sp == space);
-            s.states.retain(|(sp, _), _| *sp != space);
-            if had_states {
-                s.gen += 1;
-            }
         }
-        self.pending.lock().retain(|(_, sp, _)| *sp != space);
     }
 
-    /// Snapshot lookups that found a valid entry.
+    /// Snapshot lookups that found an entry.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Snapshot lookups that found nothing (or a stale entry).
+    /// Snapshot lookups that found nothing.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -479,8 +338,6 @@ pub(crate) fn row_data_range(rec: &[u8]) -> Result<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rx_storage::wal::{MemLogStore, Wal};
-    use rx_storage::{LockManager, TxnManager};
 
     fn cache(budget: usize) -> Arc<DocCache> {
         DocCache::new(budget)
@@ -494,28 +351,21 @@ mod tests {
         })
     }
 
-    fn txns() -> Arc<TxnManager> {
-        TxnManager::new(
-            Wal::new(Arc::new(MemLogStore::new())),
-            LockManager::with_defaults(),
-        )
-    }
-
     #[test]
     fn disabled_cache_is_inert() {
         let c = cache(0);
         assert!(!c.enabled());
-        assert!(c.begin_publish(1, 1).is_none());
+        c.insert(1, 1, snapshot(10));
         assert!(c.get(1, 1).is_none());
         assert_eq!(c.hits() + c.misses(), 0);
+        assert!(c.is_empty());
     }
 
     #[test]
-    fn publish_then_get_hits() {
+    fn insert_then_get_hits() {
         let c = cache(1 << 20);
         assert!(c.get(1, 7).is_none());
-        let t = c.begin_publish(1, 7).unwrap();
-        assert!(c.publish(t, snapshot(100)));
+        c.insert(1, 7, snapshot(100));
         assert!(c.get(1, 7).is_some());
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
@@ -523,65 +373,25 @@ mod tests {
     }
 
     #[test]
-    fn touch_evicts_and_blocks_publish() {
+    fn evict_drops_the_entry() {
         let c = cache(1 << 20);
-        let mgr = txns();
-        let t = c.begin_publish(1, 7).unwrap();
-        assert!(c.publish(t, snapshot(100)));
-        // A token captured before the touch must fail after it.
-        let stale = c.begin_publish(1, 7).unwrap();
-        let txn = mgr.begin().unwrap();
-        c.touch(&txn, 1, 7);
-        assert!(c.get(1, 7).is_none(), "touch evicts immediately");
-        assert!(!c.publish(stale, snapshot(50)), "stale token rejected");
-        // While the writer is open, no capture is possible.
-        assert!(c.begin_publish(1, 7).is_none());
-        txn.commit().unwrap();
-        // After commit the document is publishable again.
-        let t2 = c.begin_publish(1, 7).unwrap();
-        assert!(c.publish(t2, snapshot(60)));
-        assert!(c.get(1, 7).is_some());
-    }
-
-    #[test]
-    fn token_across_whole_writer_lifetime_is_rejected() {
-        // Capture, then a writer starts AND finishes, then publish: the
-        // generation bump at writer retirement must reject the token even
-        // though the epoch state was garbage-collected back to "absent".
-        let c = cache(1 << 20);
-        let mgr = txns();
-        let stale = c.begin_publish(1, 7).unwrap();
-        let txn = mgr.begin().unwrap();
-        c.touch(&txn, 1, 7);
-        txn.commit().unwrap();
-        assert!(!c.publish(stale, snapshot(50)));
-    }
-
-    #[test]
-    fn rollback_retires_writer_without_commit_bump() {
-        let c = cache(1 << 20);
-        let mgr = txns();
-        let txn = mgr.begin().unwrap();
-        c.touch(&txn, 1, 7);
-        assert!(c.begin_publish(1, 7).is_none());
-        txn.rollback().unwrap();
-        // Writer retired: publishing works again.
-        let t = c.begin_publish(1, 7).unwrap();
-        assert!(c.publish(t, snapshot(10)));
-        assert!(c.get(1, 7).is_some());
+        c.insert(1, 7, snapshot(100));
+        c.insert(1, 8, snapshot(30));
+        c.evict(1, 7);
+        c.evict(1, 9); // absent: nothing happens
+        assert!(c.get(1, 7).is_none(), "evicted");
+        assert!(c.get(1, 8).is_some());
+        assert_eq!(c.resident_bytes(), 30);
+        assert_eq!(c.evictions(), 0, "only the budget counts evictions");
     }
 
     #[test]
     fn budget_evicts_lru() {
         let c = cache(SHARDS * 100); // 100 bytes per shard
-                                     // Fill one (space, doc) slot after another; all may land in
-                                     // different shards, so drive a single key's shard over budget.
-        let t = c.begin_publish(1, 1).unwrap();
-        assert!(c.publish(t, snapshot(80)));
-        // Same key republished larger: old entry replaced, then the 120-byte
-        // snapshot alone exceeds the shard budget and is evicted too.
-        let t = c.begin_publish(1, 1).unwrap();
-        assert!(c.publish(t, snapshot(120)));
+        c.insert(1, 1, snapshot(80));
+        // Same key re-inserted larger: the old entry is replaced, then the
+        // 120-byte snapshot alone exceeds the shard budget and goes too.
+        c.insert(1, 1, snapshot(120));
         assert!(c.get(1, 1).is_none(), "oversized snapshot not retained");
         assert!(c.evictions() >= 1);
         assert_eq!(c.resident_bytes(), 0);
@@ -606,9 +416,8 @@ mod tests {
             let doc = (x >> 33) % 300;
             let m = &mut model[shard_of(doc)];
             let had = m.contains(&doc);
-            if (x >> 20) % 3 == 0 {
-                let t = c.begin_publish(1, doc).unwrap();
-                assert!(c.publish(t, snapshot(100)));
+            if (x >> 20).is_multiple_of(3) {
+                c.insert(1, doc, snapshot(100));
                 m.retain(|&d| d != doc);
                 m.push(doc);
                 if m.len() > 10 {
@@ -636,26 +445,11 @@ mod tests {
     #[test]
     fn invalidate_space_clears_entries() {
         let c = cache(1 << 20);
-        let t = c.begin_publish(3, 1).unwrap();
-        assert!(c.publish(t, snapshot(10)));
-        let t = c.begin_publish(4, 1).unwrap();
-        assert!(c.publish(t, snapshot(10)));
+        c.insert(3, 1, snapshot(10));
+        c.insert(4, 1, snapshot(10));
         c.invalidate_space(3);
         assert!(c.get(3, 1).is_none());
         assert!(c.get(4, 1).is_some());
-    }
-
-    #[test]
-    fn touch_is_idempotent_per_txn() {
-        let c = cache(1 << 20);
-        let mgr = txns();
-        let txn = mgr.begin().unwrap();
-        c.touch(&txn, 1, 7);
-        c.touch(&txn, 1, 7);
-        c.touch(&txn, 1, 7);
-        txn.commit().unwrap();
-        // A single writer registration was retired: capture works.
-        assert!(c.begin_publish(1, 7).is_some());
-        assert!(c.pending.lock().is_empty());
+        assert_eq!(c.resident_bytes(), 10);
     }
 }

@@ -434,7 +434,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let path = format!("/p{}", (x >> 33) % 400);
             let had = model.contains(&path);
-            if (x >> 20) % 2 == 0 {
+            if (x >> 20).is_multiple_of(2) {
                 cache.insert(key(1, &path), Arc::clone(&plan));
                 model.retain(|p| *p != path);
                 model.push(path);

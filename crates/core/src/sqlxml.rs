@@ -799,7 +799,9 @@ impl P {
                     }
                 };
                 let tree = rx_xpath::QueryTree::compile(&path)?;
-                let mut lane = access::DocScanner::new(col, &tree, dict);
+                // `read_locked` S-locks every document before the lane
+                // reads it: a read-only statement may publish snapshots.
+                let mut lane = access::DocScanner::new(col, &tree, dict, !txn.has_logged());
                 let mut stats = access::AccessStats::default();
                 let mut hits = Vec::new();
                 read_locked(txn, table, &docs, |d| {

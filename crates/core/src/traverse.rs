@@ -91,15 +91,20 @@ pub struct TraverseStats {
 
 /// Depth-first, document-order traversal of one stored document.
 ///
-/// When the XML table carries a document cache and the document has a valid
+/// When the XML table carries a document cache and the document has a
 /// snapshot, every locate resolves with an in-memory binary search and every
-/// record is an `Arc` clone — zero index probes, zero heap fetches. A full
-/// [`Traverser::run`] over an uncached document builds and publishes a
-/// snapshot read-through (discarded if a writer raced the build).
+/// record is an `Arc` clone — zero index probes, zero heap fetches. A
+/// *publishing* traverser (see [`Traverser::unbound`]) also builds and
+/// publishes a snapshot when a full [`Traverser::run`] finds none; every
+/// other traverser only reads the cache.
 pub struct Traverser<'x> {
     xml: &'x XmlTable,
     doc: DocId,
     cached: Option<Arc<CachedDoc>>,
+    /// Whether a full run over an uncached document publishes a snapshot:
+    /// set only when the caller's transaction holds the document's S lock
+    /// and has logged nothing (DESIGN.md §11.2).
+    publish: bool,
     /// Ceiling-probe memo for the cold path: `(memo_probe, memo_upper,
     /// memo_rec)` of the last successful locate. For sorted probe sequences
     /// (the NodeID no-verify path, nested subtree descents) any probe `p`
@@ -132,20 +137,23 @@ fn child_id(ctx: &NodeId, rel: &[u8]) -> NodeId {
 
 impl<'x> Traverser<'x> {
     /// Bind to a document of an XML table, adopting a cached snapshot when
-    /// the table's document cache holds a valid one.
+    /// the table's document cache holds one. It never publishes.
     pub fn new(xml: &'x XmlTable, doc: DocId) -> Self {
-        let mut t = Self::unbound(xml);
+        let mut t = Self::unbound(xml, false);
         t.rebind(doc);
         t
     }
 
     /// A traverser of `xml` bound to no document yet (it looks nothing up
-    /// in the document cache); [`Traverser::rebind`] binds it.
-    pub(crate) fn unbound(xml: &'x XmlTable) -> Self {
+    /// in the document cache); [`Traverser::rebind`] binds it. With
+    /// `publish`, the caller vouches that its transaction holds the S lock
+    /// of every document it binds and has logged nothing.
+    pub(crate) fn unbound(xml: &'x XmlTable, publish: bool) -> Self {
         Traverser {
             xml,
             doc: 0,
             cached: None,
+            publish,
             memo_probe: Vec::new(),
             memo_upper: Vec::new(),
             memo_rec: None,
@@ -241,24 +249,19 @@ impl<'x> Traverser<'x> {
         }
     }
 
-    /// Attempt a read-through populate: capture a publish token, build a
-    /// snapshot, publish it. A failed publish (a writer raced the build)
-    /// discards the snapshot and leaves the traverser cold.
+    /// Read-through populate of a publishing traverser: build the
+    /// document's snapshot and install it in the cache.
     fn try_populate(&mut self) -> Result<()> {
-        if self.cached.is_some() {
+        if !self.publish || self.cached.is_some() {
             return Ok(());
         }
         let Some(cache) = self.xml.doc_cache().filter(|c| c.enabled()) else {
             return Ok(());
         };
-        let Some(token) = cache.begin_publish(self.xml.space_id(), self.doc) else {
-            return Ok(());
-        };
         if let Some(built) = CachedDoc::build(self.xml, self.doc, &mut self.stats)? {
             let built = Arc::new(built);
-            if cache.publish(token, Arc::clone(&built)) {
-                self.cached = Some(built);
-            }
+            cache.insert(self.xml.space_id(), self.doc, Arc::clone(&built));
+            self.cached = Some(built);
         }
         Ok(())
     }

@@ -143,8 +143,9 @@ pub struct XmlTable {
     edit_latch: parking_lot::Mutex<()>,
     /// The database's document record cache, when this table belongs to a
     /// [`crate::db::Database`] with `doc_cache_bytes > 0`. Every mutator
-    /// notifies it (`touch`) so cached snapshots are invalidated before any
-    /// uncommitted byte lands in the heap.
+    /// evicts the document's snapshot before any uncommitted byte lands in
+    /// the heap; the writer's X or IX lock keeps it out until the writer
+    /// ends (DESIGN.md §11.2).
     doc_cache: OnceLock<Arc<DocCache>>,
 }
 
@@ -209,19 +210,20 @@ impl XmlTable {
         self.doc_cache.get()
     }
 
-    /// Notify the cache that `txn` is mutating `doc`: evicts any cached
-    /// snapshot and bumps the document's epoch *before* the mutation's bytes
-    /// reach the heap, so no reader can publish a snapshot spanning them.
-    fn touch_cache(&self, txn: &Txn, doc: DocId) {
+    /// Evict `doc`'s cached snapshot *before* a mutation's bytes reach the
+    /// heap. No snapshot can be published again while the mutating
+    /// transaction holds its X or IX lock on the document, since publishing
+    /// needs an S lock.
+    fn touch_cache(&self, doc: DocId) {
         if let Some(cache) = self.doc_cache.get() {
-            cache.touch(txn, self.space_id, doc);
+            cache.evict(self.space_id, doc);
         }
     }
 
     /// Store one packed record of document `doc`, maintaining the NodeID
     /// index. Returns the record's RID.
     pub fn insert_record(&self, txn: &Txn, doc: DocId, rec: &PackedRecord) -> Result<Rid> {
-        self.touch_cache(txn, doc);
+        self.touch_cache(doc);
         let row = encode_row(doc, &rec.min_id, &rec.bytes);
         let rid = txn.heap_insert(&self.heap, row)?;
         for upper in &rec.interval_uppers {
@@ -318,7 +320,7 @@ impl XmlTable {
 
     /// Delete every record and NodeID-index entry of document `doc`.
     pub fn delete_document(&self, txn: &Txn, doc: DocId) -> Result<()> {
-        self.touch_cache(txn, doc);
+        self.touch_cache(doc);
         // Collect entries first (scan holds the tree latch).
         let mut entries: Vec<(Vec<u8>, Rid)> = Vec::new();
         self.nodeid_index.scan_prefix(&doc.to_be_bytes(), |k, v| {
@@ -339,7 +341,7 @@ impl XmlTable {
     /// Remove a set of NodeID-index entries (stale interval uppers of a
     /// record about to be rewritten). Logged and undoable.
     pub fn delete_uppers(&self, txn: &Txn, doc: DocId, uppers: &[NodeId]) -> Result<()> {
-        self.touch_cache(txn, doc);
+        self.touch_cache(doc);
         for upper in uppers {
             txn.index_delete(&self.nodeid_index, nodeid_key(doc, upper))?;
         }
@@ -357,7 +359,7 @@ impl XmlTable {
         rec: &PackedRecord,
         old_uppers: &[NodeId],
     ) -> Result<Rid> {
-        self.touch_cache(txn, doc);
+        self.touch_cache(doc);
         let row = encode_row(doc, &rec.min_id, &rec.bytes);
         let new_rid = txn.heap_update(&self.heap, rid, row)?;
         // Refresh index entries: remove stale uppers, install current ones.

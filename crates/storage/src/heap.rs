@@ -89,7 +89,9 @@ impl HeapTable {
         Ok(Rid::new(fresh_no, slot))
     }
 
-    /// Install a record at a specific RID (idempotent; used by WAL redo).
+    /// Install a record at a specific RID (idempotent; used by WAL redo and
+    /// compensations). Over a live record it is an in-place update whose
+    /// shrink keeps its freed bytes reserved until [`HeapTable::release`].
     pub fn insert_at(&self, rid: Rid, data: &[u8]) -> Result<()> {
         let _g = self.append.lock();
         // Make sure the page exists in the chain; redo may hit pages that the
@@ -146,19 +148,27 @@ impl HeapTable {
         Ok(f(rec))
     }
 
-    /// Update a record. Returns the (possibly new) RID: the record moves to a
-    /// different page when the grown body no longer fits in place.
+    /// Update a record outside any transaction. Returns the (possibly new)
+    /// RID: the record moves to a different page when the grown body no
+    /// longer fits in place.
     pub fn update(&self, rid: Rid, data: &[u8]) -> Result<Rid> {
-        if self.update_in_place(rid, data)? {
+        if self.rewrite(rid, data, false)? {
             return Ok(rid);
         }
         self.delete(rid)?;
         self.insert(data)
     }
 
-    /// Replace a record without moving it. Returns `false`, leaving the
-    /// record as it was, when the new body does not fit in its page.
+    /// Replace a record without moving it, on behalf of an unfinished
+    /// transaction: a shrink keeps its freed bytes reserved
+    /// ([`crate::page::Page::update_keeping`]) until [`HeapTable::release`]
+    /// when the transaction ends. Returns `false`, leaving the record as it
+    /// was, when the new body does not fit in its page.
     pub fn update_in_place(&self, rid: Rid, data: &[u8]) -> Result<bool> {
+        self.rewrite(rid, data, true)
+    }
+
+    fn rewrite(&self, rid: Rid, data: &[u8], keep: bool) -> Result<bool> {
         if data.len() > MAX_RECORD_SIZE {
             return Err(StorageError::RecordTooLarge {
                 size: data.len(),
@@ -167,7 +177,12 @@ impl HeapTable {
         }
         let g = self.space.fetch(rid.page)?;
         let mut p = g.write();
-        p.update(rid.slot, data).map_err(|_| self.not_found(rid))
+        let r = if keep {
+            p.update_keeping(rid.slot, data)
+        } else {
+            p.update(rid.slot, data)
+        };
+        r.map_err(|_| self.not_found(rid))
     }
 
     /// Delete a record.
@@ -189,7 +204,9 @@ impl HeapTable {
         Ok(before)
     }
 
-    /// Free a slot reserved by [`HeapTable::reserve`] (the delete committed).
+    /// End a finished transaction's hold on `rid`: free a slot reserved by
+    /// [`HeapTable::reserve`] (the delete committed), or give back the bytes
+    /// an in-place shrink kept ([`HeapTable::update_in_place`]).
     pub fn release(&self, rid: Rid) -> Result<()> {
         let g = self.space.fetch(rid.page)?;
         g.write().release(rid.slot);
@@ -282,7 +299,8 @@ pub struct HeapStats {
     pub records: u64,
     /// Sum of live record body sizes.
     pub record_bytes: u64,
-    /// Slots reserved by unfinished deletes.
+    /// Slots holding bytes for unfinished transactions: deleted records and
+    /// records shrunk in place.
     pub reserved: u64,
 }
 

@@ -50,5 +50,5 @@ pub use lock::{LockManager, LockMode, LockName};
 pub use page::{Page, PageType, MAX_RECORD_SIZE, PAGE_SIZE};
 pub use rid::Rid;
 pub use space::TableSpace;
-pub use txn::{Txn, TxnHook, TxnManager};
+pub use txn::{Txn, TxnManager};
 pub use wal::{recover, LogRecord, RecoveryEnv, Target, TxnId, Wal};

@@ -32,6 +32,15 @@ const DEAD_SLOT: u16 = 0xFFFF;
 /// transaction that has not finished. Readers see no record, but the slot
 /// and its bytes stay put, so a rollback can always reinstall the record.
 const RESERVED: u16 = 0x8000;
+/// Slot length bits marking a record shrunk in place by a transaction that
+/// has not finished: the slot's *extent* keeps the record's former size, so
+/// the bytes the shrink freed stay put and a rollback can always grow the
+/// record back. With `SHRUNK` the extent is longer than the record by the
+/// `u16` stored right after the record; with `SHRUNK_BY_ONE`, by one byte.
+const SHRUNK: u16 = 0x4000;
+const SHRUNK_BY_ONE: u16 = 0x2000;
+/// The record-length bits of a slot's length field.
+const LEN_MASK: u16 = 0x1FFF;
 
 /// Maximum record payload that fits in an otherwise-empty page.
 pub const MAX_RECORD_SIZE: usize = PAGE_SIZE - PAGE_HEADER_SIZE - SLOT_SIZE;
@@ -181,6 +190,35 @@ impl Page {
         self.set_u16(base + 2, len);
     }
 
+    /// A non-dead slot's `(offset, record length, extent length)`: the
+    /// extent is the record plus the bytes a shrink keeps reserved.
+    fn extent(&self, slot: u16) -> (usize, usize, usize) {
+        let (off, raw) = self.slot_at(slot);
+        let (off, len) = (off as usize, (raw & LEN_MASK) as usize);
+        let cap = if raw & SHRUNK != 0 {
+            len + self.get_u16(off + len) as usize
+        } else if raw & SHRUNK_BY_ONE != 0 {
+            len + 1
+        } else {
+            len
+        };
+        (off, len, cap)
+    }
+
+    /// Point a live slot at a `len`-byte record at `off` whose extent is
+    /// `cap` bytes, marking the gap as [`SHRUNK`] or [`SHRUNK_BY_ONE`].
+    fn set_extent(&mut self, slot: u16, off: usize, len: usize, cap: usize) {
+        let flag = match cap - len {
+            0 => 0,
+            1 => SHRUNK_BY_ONE,
+            gap => {
+                self.set_u16(off + len, gap as u16);
+                SHRUNK
+            }
+        };
+        self.set_slot(slot, off as u16, len as u16 | flag);
+    }
+
     /// Insert a record, returning its slot number. Compacts the page if
     /// fragmentation is hiding enough space.
     pub fn insert(&mut self, data: &[u8]) -> Result<u16> {
@@ -229,16 +267,17 @@ impl Page {
     }
 
     /// Insert a record at a *specific* slot number, growing the directory as
-    /// needed. Used by idempotent WAL redo ("install record at RID").
-    /// An occupied slot is overwritten (redo idempotency); a reserved one is
-    /// reinstated with `data` (a rolled-back delete).
+    /// needed. Used by idempotent WAL redo ("install record at RID") and by
+    /// compensations. An occupied slot is overwritten in place as by
+    /// [`Page::update_keeping`] (redo idempotency, a rolled-back update); a
+    /// reserved one is reinstated with `data` (a rolled-back delete).
     pub fn insert_at(&mut self, slot: u16, data: &[u8]) -> Result<()> {
         let count = self.slot_count();
         if slot < count {
-            let (off, len) = self.slot_at(slot);
+            let (off, raw) = self.slot_at(slot);
             if off != DEAD_SLOT {
-                self.set_slot(slot, off, len & !RESERVED);
-                if self.update(slot, data)? {
+                self.set_slot(slot, off, raw & !RESERVED);
+                if self.update_keeping(slot, data)? {
                     return Ok(());
                 }
                 return Err(StorageError::RecordTooLarge {
@@ -287,11 +326,12 @@ impl Page {
         if slot >= self.slot_count() {
             return None;
         }
-        let (off, len) = self.slot_at(slot);
-        if off == DEAD_SLOT || len & RESERVED != 0 {
+        let (off, raw) = self.slot_at(slot);
+        if off == DEAD_SLOT || raw & RESERVED != 0 {
             return None;
         }
-        Some(&self.buf[off as usize..off as usize + len as usize])
+        let len = (raw & LEN_MASK) as usize;
+        Some(&self.buf[off as usize..off as usize + len])
     }
 
     /// Delete a live or reserved record. The slot becomes dead and may be
@@ -310,7 +350,7 @@ impl Page {
 
     /// Reserve a live record's slot for a transaction that deleted it:
     /// readers no longer see the record, but neither [`Page::insert`] nor
-    /// [`Page::compact`] reclaims its slot or bytes until [`Page::release`]
+    /// [`Page::compact`] reclaims its slot or extent until [`Page::release`]
     /// (commit) or [`Page::insert_at`] (rollback).
     pub fn reserve(&mut self, slot: u16) -> Result<()> {
         if self.get(slot).is_none() {
@@ -325,24 +365,54 @@ impl Page {
         Ok(())
     }
 
-    /// Free a reserved slot; a slot that is not reserved is left alone.
+    /// End a finished transaction's hold on a slot: a reserved slot is
+    /// freed (the delete committed), and the bytes an in-place shrink kept
+    /// in a live record's extent are given back. Any other slot is left
+    /// alone.
     pub fn release(&mut self, slot: u16) {
-        if slot < self.slot_count() && self.slot_at(slot).1 & RESERVED != 0 {
+        if slot >= self.slot_count() {
+            return;
+        }
+        let (off, raw) = self.slot_at(slot);
+        if off == DEAD_SLOT {
+            return;
+        }
+        if raw & RESERVED != 0 {
             self.set_slot(slot, DEAD_SLOT, 0);
+        } else if raw & (SHRUNK | SHRUNK_BY_ONE) != 0 {
+            self.set_slot(slot, off, raw & LEN_MASK);
         }
     }
 
-    /// Number of reserved slots.
+    /// Number of slots holding bytes for an unfinished transaction: deleted
+    /// records and records shrunk in place.
     pub fn reserved_count(&self) -> usize {
         (0..self.slot_count())
-            .filter(|&s| self.slot_at(s).1 & RESERVED != 0)
+            .filter(|&s| {
+                let (off, raw) = self.slot_at(s);
+                off != DEAD_SLOT && raw & (RESERVED | SHRUNK | SHRUNK_BY_ONE) != 0
+            })
             .count()
     }
 
     /// Update a record in place. Returns `false` (leaving the old record
     /// intact) if the new data does not fit even after compaction; the caller
-    /// then relocates the record to another page.
+    /// then relocates the record to another page. A shrink frees the bytes
+    /// it no longer needs, unless an earlier [`Page::update_keeping`] still
+    /// holds them.
     pub fn update(&mut self, slot: u16, data: &[u8]) -> Result<bool> {
+        self.rewrite(slot, data, false)
+    }
+
+    /// [`Page::update`] on behalf of a transaction: a shrink keeps the bytes
+    /// it freed in the record's extent, where no insert, grow or compaction
+    /// can take them, until [`Page::release`] at the transaction's end — so
+    /// rolling the shrink back always fits.
+    pub fn update_keeping(&mut self, slot: u16, data: &[u8]) -> Result<bool> {
+        self.rewrite(slot, data, true)
+    }
+
+    fn rewrite(&mut self, slot: u16, data: &[u8], keep: bool) -> Result<bool> {
         if self.get(slot).is_none() {
             return Err(StorageError::RecordNotFound {
                 space: 0,
@@ -350,21 +420,22 @@ impl Page {
                 slot,
             });
         }
-        let (off, len) = self.slot_at(slot);
-        if data.len() <= len as usize {
-            // Shrink or same-size: overwrite at the same offset.
-            let off = off as usize;
+        let (off, len, cap) = self.extent(slot);
+        if data.len() <= cap {
+            // Within the extent: overwrite at the same offset. A held
+            // extent stays whole.
+            let cap = if keep || cap > len { cap } else { data.len() };
             self.buf[off..off + data.len()].copy_from_slice(data);
-            self.set_slot(slot, off as u16, data.len() as u16);
+            self.set_extent(slot, off, data.len(), cap);
             return Ok(true);
         }
-        // Grow: tombstone then re-place.
+        // Grow past the extent: tombstone then re-place.
         self.set_slot(slot, DEAD_SLOT, 0);
         let mut kept = None;
         if self.free_space() < data.len() {
-            // Compaction reuses the tombstoned bytes: keep a copy to put
+            // Compaction reuses the tombstoned extent: keep a copy to put
             // back if the new body still does not fit (the old one does).
-            let old = self.buf[off as usize..(off + len) as usize].to_vec();
+            let old = self.buf[off..off + cap].to_vec();
             self.compact();
             if self.free_space() < data.len() {
                 kept = Some(old);
@@ -375,7 +446,10 @@ impl Page {
         let new_fe = fe - body.len();
         self.buf[new_fe..fe].copy_from_slice(body);
         self.set_u16(OFF_FREE_END, new_fe as u16);
-        self.set_slot(slot, new_fe as u16, body.len() as u16);
+        match kept {
+            Some(_) => self.set_extent(slot, new_fe, len, cap),
+            None => self.set_slot(slot, new_fe as u16, data.len() as u16),
+        }
         Ok(kept.is_none())
     }
 
@@ -384,28 +458,25 @@ impl Page {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
 
-    /// Slide all live and reserved records to the end of the page,
-    /// squeezing out holes left by deletes and updates.
+    /// Slide the extents of all live and reserved records to the end of the
+    /// page, squeezing out holes left by deletes and updates.
     pub fn compact(&mut self) {
         let count = self.slot_count();
-        // Copy records out, then re-place from the end.
+        // Copy extents out, then re-place from the end; the length field
+        // (flags and gap marker included) moves unchanged.
         let mut bodies: Vec<(u16, u16, Vec<u8>)> = Vec::with_capacity(count as usize);
         for s in 0..count {
-            let (off, len) = self.slot_at(s);
+            let (off, raw) = self.slot_at(s);
             if off != DEAD_SLOT {
-                let end = off + (len & !RESERVED);
-                bodies.push((
-                    s,
-                    len & RESERVED,
-                    self.buf[off as usize..end as usize].to_vec(),
-                ));
+                let (off, _, cap) = self.extent(s);
+                bodies.push((s, raw, self.buf[off..off + cap].to_vec()));
             }
         }
         let mut fe = PAGE_SIZE;
-        for (s, reserved, body) in &bodies {
+        for (s, raw, body) in &bodies {
             fe -= body.len();
             self.buf[fe..fe + body.len()].copy_from_slice(body);
-            self.set_slot(*s, fe as u16, body.len() as u16 | reserved);
+            self.set_slot(*s, fe as u16, *raw);
         }
         self.set_u16(OFF_FREE_END, fe as u16);
     }
@@ -538,6 +609,44 @@ mod tests {
         p.release(s1);
         assert_eq!(p.reserved_count(), 0);
         assert_eq!(p.insert(b"reuse").unwrap(), s1);
+    }
+
+    #[test]
+    fn kept_shrink_holds_its_extent_until_release() {
+        for gap in [1usize, 2, 900] {
+            let mut p = Page::new(PageType::Data);
+            let a = p.insert(&[1u8; 1000]).unwrap();
+            let b = p.insert(b"live").unwrap();
+            let small = vec![3u8; 1000 - gap];
+            assert!(p.update_keeping(a, &small).unwrap());
+            assert_eq!(p.get(a), Some(&small[..]));
+            assert_eq!(p.reserved_count(), 1);
+            // Neither compaction nor an insert takes the kept bytes.
+            let free = p.free_space();
+            p.compact();
+            assert_eq!(p.free_space(), free, "gap {gap}");
+            assert!(p.insert(&vec![4u8; free + 1]).is_err());
+            assert_eq!(p.get(a), Some(&small[..]));
+            // A plain rewrite within the extent keeps the hold too; the
+            // grow back fills it exactly and ends it.
+            assert!(p.update(a, b"x").unwrap());
+            assert_eq!(p.reserved_count(), 1);
+            assert!(p.update_keeping(a, &[1u8; 1000]).unwrap());
+            assert_eq!(p.reserved_count(), 0);
+            // Release gives the bytes back; a reserved delete keeps them.
+            assert!(p.update_keeping(a, &small).unwrap());
+            p.reserve(a).unwrap();
+            p.compact();
+            assert_eq!(p.free_space(), free);
+            p.insert_at(a, &small).unwrap();
+            assert_eq!(p.get(a), Some(&small[..]));
+            p.release(a);
+            assert_eq!(p.reserved_count(), 0);
+            p.compact();
+            assert_eq!(p.free_space(), free + gap, "gap {gap}");
+            assert_eq!(p.get(a), Some(&small[..]));
+            assert_eq!(p.get(b), Some(&b"live"[..]));
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! [`Txn`] — [`Txn::heap_insert`], [`Txn::heap_update`],
 //! [`Txn::heap_delete`], [`Txn::index_insert`], [`Txn::index_delete`] — which
 //! makes the change, logs the record after it, and keeps the record in the
-//! transaction's own list. Commit forces the log, frees the heap slots the
-//! transaction's deletes reserved, and releases locks; rollback hands the
+//! transaction's own list. Commit forces the log, releases the heap space
+//! the transaction's deletes and in-place shrinks reserved, and releases
+//! locks; rollback hands the
 //! list to `roll_back`, which applies and logs each record's compensation,
 //! newest first — the same routine recovery finishes losers with
 //! (DESIGN.md §15).
@@ -14,30 +15,24 @@
 //! `Begin` is logged lazily, just ahead of the transaction's first record. A
 //! transaction that never logs — every read-only one — writes no `Begin`,
 //! `Commit` or `Abort` and never waits for a group-commit fsync: it only
-//! releases its locks and runs its outcome hooks (DESIGN.md §8.4).
+//! releases its locks (DESIGN.md §8.4).
 
 use crate::btree::BTree;
 use crate::error::{Result, StorageError};
 use crate::heap::HeapTable;
 use crate::lock::{LockManager, LockMode, LockName};
 use crate::rid::Rid;
-use crate::wal::{release_deletes, roll_back, LogRecord, Lsn, Target, TxnId, Wal};
+use crate::wal::{release_reservations, roll_back, LogRecord, Lsn, Target, TxnId, Wal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// An outcome hook registered with [`Txn::push_hook`]: runs exactly once when
-/// the transaction finishes, with `true` on commit (after the commit record
-/// is durable and locks are released) and `false` on rollback or drop.
-pub type TxnHook = Box<dyn FnOnce(bool) + Send>;
 
 struct TxnState {
     /// LSN of the transaction's Begin record (the undo keep-floor a
     /// checkpoint must not truncate past while the txn is in flight); `None`
     /// until the transaction logs its first record.
     begin_lsn: Option<Lsn>,
-    hooks: Vec<TxnHook>,
 }
 
 /// Allocates transaction ids and tracks active transactions.
@@ -75,13 +70,7 @@ impl TxnManager {
     /// is written just ahead of the transaction's first record.
     pub fn begin(self: &Arc<Self>) -> Result<Txn> {
         let id = self.next.fetch_add(1, Ordering::AcqRel);
-        self.active.lock().insert(
-            id,
-            TxnState {
-                begin_lsn: None,
-                hooks: Vec::new(),
-            },
-        );
+        self.active.lock().insert(id, TxnState { begin_lsn: None });
         Ok(Txn {
             id,
             mgr: Arc::clone(self),
@@ -109,18 +98,10 @@ impl TxnManager {
             .min()
     }
 
-    /// Remove the transaction and release its locks; the caller runs the
-    /// returned outcome hooks *after* locks are released, so a hook (e.g. a
-    /// cache epoch bump) observes the post-transaction lock state.
-    fn finish(&self, id: TxnId) -> Vec<TxnHook> {
-        let hooks = self
-            .active
-            .lock()
-            .remove(&id)
-            .map(|st| st.hooks)
-            .unwrap_or_default();
+    /// Remove the transaction and release its locks.
+    fn finish(&self, id: TxnId) {
+        self.active.lock().remove(&id);
         self.locks.unlock_all(id);
-        hooks
     }
 }
 
@@ -143,12 +124,18 @@ impl Txn {
         self.id
     }
 
+    /// Whether this transaction has logged anything (its `Begin` is in the
+    /// log): false for every read-only transaction.
+    pub fn has_logged(&self) -> bool {
+        self.logged.load(Ordering::Acquire)
+    }
+
     /// Append a log record on behalf of this transaction, preceded by its
     /// `Begin` record if this is the first one. A data record logged here
     /// is not rolled back; writes go through the write helpers.
     pub fn log(&self, rec: &LogRecord) -> Result<Lsn> {
         debug_assert_eq!(rec.txn(), Some(self.id), "record must carry this txn id");
-        if !self.logged.load(Ordering::Acquire) {
+        if !self.has_logged() {
             self.log_begin()?;
         }
         self.mgr.wal.log(rec)
@@ -191,8 +178,10 @@ impl Txn {
     }
 
     /// Replace the heap record at `rid`, returning its (possibly new) RID.
-    /// In place it logs one `HeapUpdate`; a record that no longer fits its
-    /// page moves, logged as a delete of the old RID and an insert.
+    /// In place it logs one `HeapUpdate`, and a shrink keeps the bytes it
+    /// freed reserved until the transaction ends, so its rollback always
+    /// fits; a record that no longer fits its page moves, logged as a delete
+    /// of the old RID and an insert.
     pub fn heap_update(&self, heap: &Arc<HeapTable>, rid: Rid, data: Vec<u8>) -> Result<Rid> {
         let before = heap.fetch(rid)?;
         if !heap.update_in_place(rid, &data)? {
@@ -256,16 +245,6 @@ impl Txn {
         Ok(Some(value))
     }
 
-    /// Register an outcome hook: runs once when the transaction finishes,
-    /// with `committed = true` only after the commit record is durable and
-    /// locks are released.
-    pub fn push_hook(&self, hook: TxnHook) {
-        let mut active = self.mgr.active.lock();
-        if let Some(st) = active.get_mut(&self.id) {
-            st.hooks.push(hook);
-        }
-    }
-
     /// Acquire a lock for this transaction (blocking).
     pub fn lock(&self, name: &LockName, mode: LockMode) -> Result<()> {
         self.mgr.locks.lock(self.id, name, mode)
@@ -287,21 +266,22 @@ impl Txn {
     }
 
     /// Commit: wait until the commit record is durable (joining the current
-    /// group-commit batch rather than forcing a private fsync), free the
-    /// slots the transaction's deletes reserved, release locks. A
+    /// group-commit batch rather than forcing a private fsync), release the
+    /// heap space the transaction's deletes and in-place shrinks reserved,
+    /// release locks. A
     /// transaction that logged nothing has nothing to make durable: it
     /// writes no `Commit` and skips the wait.
     pub fn commit(mut self) -> Result<()> {
         if self.finished {
             return Ok(());
         }
-        if self.logged.load(Ordering::Acquire) {
+        if self.has_logged() {
             let lsn = self.log(&LogRecord::Commit { txn: self.id })?;
             self.mgr.wal.wait_durable(lsn)?;
         }
         let written = std::mem::take(self.written.get_mut());
-        let released = release_deletes(written.iter().map(|(r, t)| (r, t)));
-        self.end(true);
+        let released = release_reservations(written.iter().map(|(r, t)| (r, t)));
+        self.end();
         released
     }
 
@@ -317,22 +297,19 @@ impl Txn {
             return Ok(());
         }
         let written = std::mem::take(self.written.get_mut());
-        let undone = if self.logged.load(Ordering::Acquire) {
+        let undone = if self.has_logged() {
             roll_back(&self.mgr.wal, self.id, written.iter().map(|(r, t)| (r, t))).map(drop)
         } else {
             Ok(())
         };
-        self.end(false);
+        self.end();
         undone
     }
 
-    /// Leave the active set, release locks, then run the outcome hooks.
-    fn end(&mut self, committed: bool) {
-        let hooks = self.mgr.finish(self.id);
+    /// Leave the active set and release locks.
+    fn end(&mut self) {
+        self.mgr.finish(self.id);
         self.finished = true;
-        for h in hooks {
-            h(committed);
-        }
     }
 }
 
@@ -404,27 +381,24 @@ mod tests {
     #[test]
     fn read_only_finish_skips_the_wal() {
         let m = mgr();
-        let outcome = Arc::new(Mutex::new(Vec::new()));
-        let watch = |t: &Txn| {
-            let outcome = outcome.clone();
-            t.push_hook(Box::new(move |committed| outcome.lock().push(committed)));
+        let read = |t: &Txn| {
             t.lock(&LockName::Table(1), LockMode::S).unwrap();
+            assert!(!t.has_logged());
         };
         let before = wal_counters(&m);
         let t = m.begin().unwrap();
-        watch(&t);
+        read(&t);
         t.commit().unwrap();
         let t = m.begin().unwrap();
-        watch(&t);
+        read(&t);
         t.rollback().unwrap();
         let id = {
             let t = m.begin().unwrap();
-            watch(&t);
+            read(&t);
             t.id()
             // dropped without commit
         };
         assert_eq!(wal_counters(&m), before);
-        assert_eq!(*outcome.lock(), vec![true, false, false]);
         assert_eq!(m.locks().held_count(id), 0);
         assert_eq!(m.active_count(), 0);
     }
@@ -437,6 +411,7 @@ mod tests {
         let t = m.begin().unwrap();
         let id = t.id();
         t.log(&insert(id, 1)).unwrap();
+        assert!(t.has_logged() && !reader.has_logged());
         t.log(&insert(id, 2)).unwrap();
         t.commit().unwrap();
         reader.commit().unwrap();
@@ -736,40 +711,46 @@ mod tests {
         next.commit().unwrap();
     }
 
+    /// A record shrunk in place by an unfinished transaction keeps its freed
+    /// bytes: another transaction's grow on the same page cannot take them,
+    /// so rolling the shrink back fits. Committing the shrink gives them
+    /// back.
     #[test]
-    fn hooks_run_with_outcome() {
+    fn rolled_back_shrink_grows_back_beside_a_committed_grow() {
         let m = mgr();
-        let outcome = Arc::new(Mutex::new(Vec::new()));
-        // Commit path: hook sees true, after locks are released.
+        let (heap, _) = stores();
+        let setup = m.begin().unwrap();
+        let a = setup.heap_insert(&heap, vec![1; 2000]).unwrap();
+        let b = setup.heap_insert(&heap, vec![2; 1000]).unwrap();
+        setup.commit().unwrap();
+        assert_eq!(a.page, b.page);
+
         let t = m.begin().unwrap();
-        t.lock(&LockName::Table(1), LockMode::X).unwrap();
-        let id = t.id();
-        {
-            let outcome = outcome.clone();
-            let locks = Arc::clone(m.locks());
-            t.push_hook(Box::new(move |committed| {
-                outcome.lock().push((committed, locks.held_count(id)));
-            }));
-        }
-        t.commit().unwrap();
-        // Rollback path: hook sees false.
-        let t = m.begin().unwrap();
-        {
-            let outcome = outcome.clone();
-            t.push_hook(Box::new(move |committed| {
-                outcome.lock().push((committed, 0));
-            }));
-        }
+        assert_eq!(t.heap_update(&heap, a, vec![3; 10]).unwrap(), a);
+        assert_eq!(heap.stats().unwrap().reserved, 1);
+        let u = m.begin().unwrap();
+        let grown = u.heap_update(&heap, b, vec![4; 3000]).unwrap();
+        assert_ne!(grown, b, "the shrink's bytes are not free: b moves");
+        u.commit().unwrap();
         t.rollback().unwrap();
-        // Drop path: hook sees false.
-        {
-            let t = m.begin().unwrap();
-            let outcome = outcome.clone();
-            t.push_hook(Box::new(move |committed| {
-                outcome.lock().push((committed, 0));
-            }));
-        }
-        assert_eq!(*outcome.lock(), vec![(true, 0), (false, 0), (false, 0)]);
+        assert_eq!(heap.fetch(a).unwrap(), vec![1; 2000]);
+        assert_eq!(heap.fetch(grown).unwrap(), vec![4; 3000]);
+        assert_eq!(heap.stats().unwrap().reserved, 0);
+
+        // A committed shrink releases its bytes: the grow then fits in place.
+        let (heap, _) = stores();
+        let setup = m.begin().unwrap();
+        let a = setup.heap_insert(&heap, vec![1; 2000]).unwrap();
+        let b = setup.heap_insert(&heap, vec![2; 1000]).unwrap();
+        setup.commit().unwrap();
+        let t = m.begin().unwrap();
+        t.heap_update(&heap, a, vec![5; 10]).unwrap();
+        t.commit().unwrap();
+        assert_eq!(heap.stats().unwrap().reserved, 0);
+        let u = m.begin().unwrap();
+        assert_eq!(u.heap_update(&heap, b, vec![6; 3000]).unwrap(), b);
+        u.commit().unwrap();
+        assert_eq!(heap.fetch(a).unwrap(), vec![5; 10]);
     }
 
     #[test]

@@ -217,9 +217,11 @@ impl LogRecord {
     }
 
     /// Install this data record on its heap or tree: a heap record lands at
-    /// its RID ([`HeapTable::insert_at`]), a heap delete reserves its slot
-    /// ([`HeapTable::reserve`]; the slot is freed when the transaction ends,
-    /// see `release_deletes`), an index record sets or removes its key.
+    /// its RID ([`HeapTable::insert_at`]; over a live record, a shrink keeps
+    /// its freed bytes reserved), a heap delete reserves its slot
+    /// ([`HeapTable::reserve`]), and an index record sets or removes its
+    /// key. Reservations end when the transaction does, see
+    /// `release_reservations`.
     /// Idempotent, so redo may repeat it; a delete of what is already gone
     /// succeeds.
     pub fn apply(&self, target: &Target) -> Result<()> {
@@ -952,16 +954,25 @@ pub struct RecoveryReport {
     pub losers: usize,
 }
 
-/// Free the slots that a finished transaction's heap deletes reserved. A
-/// transaction's deletes reserve their slots ([`LogRecord::apply`]) so no
-/// other transaction can reuse one before the deleting transaction's
-/// `Commit` or `Abort` is in the log; once it is, they are freed here. A
-/// slot a rollback reinstated is live again and left alone.
-pub(crate) fn release_deletes<'a>(
+/// Give back the heap space a finished transaction held. A transaction's
+/// deletes reserve their slots, and its in-place shrinks — forward updates
+/// and compensations alike — keep the bytes they freed
+/// ([`LogRecord::apply`]), so no other transaction can take either before
+/// the transaction's `Commit` or `Abort` is in the log, and reversing any of
+/// its records (a rollback, or recovery finishing a rollback a crash cut
+/// short) always fits; once it is, they are released here. A slot a
+/// rollback reinstated is live again and left alone.
+pub(crate) fn release_reservations<'a>(
     written: impl IntoIterator<Item = (&'a LogRecord, &'a Target)>,
 ) -> Result<()> {
     for (rec, target) in written {
-        if let (LogRecord::HeapDelete { rid, .. }, Target::Heap(h)) = (rec, target) {
+        if let (
+            LogRecord::HeapInsert { rid, .. }
+            | LogRecord::HeapUpdate { rid, .. }
+            | LogRecord::HeapDelete { rid, .. },
+            Target::Heap(h),
+        ) = (rec, target)
+        {
             h.release(*rid)?;
         }
     }
@@ -970,7 +981,8 @@ pub(crate) fn release_deletes<'a>(
 
 /// Roll transaction `txn` back: for each of its data records, newest first,
 /// apply the record's compensation, then log it; then log `Abort`, wait
-/// until it is durable, and free the slots the compensations reserved.
+/// until it is durable, and release the heap space the compensations
+/// reserved.
 /// Runtime rollback and recovery's loser pass both end a transaction here.
 ///
 /// `written` is every data record the transaction logged, in log order,
@@ -1007,7 +1019,7 @@ pub(crate) fn roll_back<'a>(
     }
     let lsn = wal.log(&LogRecord::Abort { txn })?;
     wal.wait_durable(lsn)?;
-    release_deletes(applied.iter().map(|(r, t)| (r, *t)))?;
+    release_reservations(applied.iter().map(|(r, t)| (r, *t)))?;
     first_err.map_or(Ok(applied.len()), Err)
 }
 
@@ -1049,8 +1061,8 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
     }
 
     // Redo pass: repeat history for every transaction, aborted ones too
-    // (their compensations are in the log), including the release of a
-    // finished transaction's reserved slots at its `Commit` or `Abort`.
+    // (their compensations are in the log), including the release of the
+    // heap space a finished transaction reserved at its `Commit` or `Abort`.
     let mut report = RecoveryReport::default();
     let mut started: HashSet<TxnId> = HashSet::new();
     let mut committed: HashSet<TxnId> = HashSet::new();
@@ -1074,7 +1086,7 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
                     aborted.insert(*txn);
                 }
                 let done = written.remove(txn).unwrap_or_default();
-                release_deletes(done.iter().map(|(r, t)| (*r, t)))?;
+                release_reservations(done.iter().map(|(r, t)| (*r, t)))?;
             }
             _ => {
                 if let Some(target) = env.target(r) {
@@ -1169,7 +1181,7 @@ mod tests {
         let comp = rec.compensation().unwrap();
         assert_eq!(comp.txn(), rec.txn());
         comp.apply(&target).unwrap();
-        release_deletes([(&rec, &target), (&comp, &target)]).unwrap();
+        release_reservations([(&rec, &target), (&comp, &target)]).unwrap();
         assert_eq!(state(&heap, &tree), before, "{rec:?} then {comp:?}");
     }
 

@@ -175,11 +175,23 @@ impl NameDict {
         self.inner.read().qnames.len()
     }
 
-    /// Export the dictionary contents for persistence: all strings in id
-    /// order, then all qnames in id order.
-    pub fn export(&self) -> (Vec<Arc<str>>, Vec<QName>) {
+    /// Export the dictionary contents for persistence: the strings from id
+    /// `strings_from` on and the qnames from id `qnames_from` on, each in id
+    /// order (`(0, 0)` exports everything).
+    pub fn export_from(
+        &self,
+        strings_from: usize,
+        qnames_from: usize,
+    ) -> (Vec<Arc<str>>, Vec<QName>) {
         let inner = self.inner.read();
-        (inner.strings.clone(), inner.qnames.clone())
+        (
+            inner
+                .strings
+                .get(strings_from..)
+                .unwrap_or_default()
+                .to_vec(),
+            inner.qnames.get(qnames_from..).unwrap_or_default().to_vec(),
+        )
     }
 
     /// Rebuild a dictionary from exported contents (ids are preserved).
@@ -248,12 +260,17 @@ mod tests {
         let d = NameDict::new();
         let q1 = d.intern("urn:x", "", "a");
         let q2 = d.intern("", "", "b");
-        let (strings, qnames) = d.export();
+        let (strings, qnames) = d.export_from(0, 0);
         let strings: Vec<String> = strings.iter().map(|s| s.to_string()).collect();
         let d2 = NameDict::import(&strings, &qnames);
         assert_eq!(d2.qname(q1), d.qname(q1));
         assert_eq!(d2.qname(q2), d.qname(q2));
         assert_eq!(d2.intern("urn:x", "", "a"), q1);
+        // A tail export holds exactly the entries past the given ids.
+        let (tail, qtail) = d.export_from(d.string_count() - 1, 1);
+        assert_eq!(tail.len(), 1);
+        assert_eq!(qtail, vec![d.qname(q2)]);
+        assert_eq!(d.export_from(99, 99), (Vec::new(), Vec::new()));
     }
 
     #[test]

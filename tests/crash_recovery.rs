@@ -317,3 +317,54 @@ fn fulltext_postings_survive_recovery() {
     assert_eq!(docs, vec![1], "postings replayed from the WAL");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A name dictionary far larger than one page: each name is its own catalog
+/// entry, so inserts and checkpoints keep working, and a reopened database
+/// serializes documents whose names come from both ends of the dictionary.
+#[test]
+fn dictionary_larger_than_a_page_survives_checkpoint_and_reopen() {
+    const DOCS: usize = 300;
+    const NAMES_PER_DOC: usize = 10;
+    let dir = tmpdir("bigdict");
+    let doc = |i: usize| {
+        let body: String = (0..NAMES_PER_DOC)
+            .map(|k| {
+                let n = i * NAMES_PER_DOC + k;
+                format!("<element_name_{n}>x</element_name_{n}>")
+            })
+            .collect();
+        format!("<root>{body}</root>")
+    };
+    {
+        let db = Database::create_dir(&dir).unwrap();
+        let t = db.create_table("d", &[("doc", ColumnKind::Xml)]).unwrap();
+        for i in 0..DOCS {
+            db.insert_row(&t, &[ColValue::Xml(doc(i))]).unwrap();
+        }
+        assert!(db.dict().string_count() > DOCS * NAMES_PER_DOC);
+        db.checkpoint().unwrap();
+        // Names interned after the checkpoint, then a crash.
+        db.insert_row(&t, &[ColValue::Xml(doc(DOCS))]).unwrap();
+    }
+    {
+        let db = Database::open_dir(&dir).unwrap();
+        let t = db.table("d").unwrap();
+        for i in [0, 1, DOCS - 1, DOCS] {
+            let got = db.serialize_document(&t, "doc", i as u64 + 1).unwrap();
+            assert_eq!(got, doc(i), "doc {}", i + 1);
+        }
+        // The reopened database persists only what it interns anew.
+        db.insert_row(&t, &[ColValue::Xml(doc(DOCS + 1))]).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let db = Database::open_dir(&dir).unwrap();
+    let t = db.table("d").unwrap();
+    for i in [0, DOCS, DOCS + 1] {
+        assert_eq!(
+            db.serialize_document(&t, "doc", i as u64 + 1).unwrap(),
+            doc(i)
+        );
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

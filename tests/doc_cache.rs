@@ -1,13 +1,13 @@
 //! The hot-document record cache, end to end: byte-identical results with
 //! the cache on vs off across interleaved updates, deletes, and rollbacks;
-//! rollback leaving no stale entry; and a reader/writer stress run sized by
-//! `RX_STRESS_THREADS`.
+//! rollback leaving no stale entry; only locked, read-only queries
+//! publishing; and a reader/writer stress run sized by `RX_STRESS_THREADS`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::{update, BaseTable, DocId, QueryHit};
+use system_rx::engine::{access, traverse, update, BaseTable, DocId, QueryHit};
 use system_rx::storage::Txn;
 use system_rx::xml::value::KeyType;
 use system_rx::xml::{NodeId, RelId};
@@ -162,9 +162,11 @@ proptest! {
     }
 }
 
-/// A rolled-back update leaves no stale cache entry: the touch evicts the
-/// pre-image, the open writer blocks any publish of the dirty heap state,
-/// and the first read after rollback re-populates from committed bytes.
+/// A rolled-back update leaves no stale cache entry: the writer's first
+/// write evicts the pre-image, its own read of the dirty document publishes
+/// nothing (it has logged), its lock keeps every other reader from
+/// publishing, and the first read after rollback re-populates from committed
+/// bytes.
 #[test]
 fn rollback_leaves_no_stale_entry() {
     let db = db_cached(1 << 20);
@@ -192,7 +194,7 @@ fn rollback_leaves_no_stale_entry() {
     assert!(db.stats().doc_cache_hits >= 1);
 
     // An uncommitted update: the writer reads its own dirty value through
-    // the same read path, but the open writer must keep it OUT of the cache.
+    // the same read path, which must keep it OUT of the cache.
     let txn = db.begin().unwrap();
     db.update_document_txn(&txn, &t, "doc", 1, &v_element(), |txn, xml| {
         update::replace_value(txn, xml, 1, &v_text(), "zzz")
@@ -211,10 +213,62 @@ fn rollback_leaves_no_stale_entry() {
     );
 }
 
+/// Traversals outside a locked, read-only transaction read the cache but
+/// never publish: the unlocked reference executor, serialization, and
+/// string values leave it empty, and only `query_locked` in a read-only
+/// transaction fills it — one entry per document, which those traversals
+/// then hit.
+#[test]
+fn unlocked_traversals_publish_nothing() {
+    const NDOCS: usize = 6;
+    let db = db_cached(1 << 20);
+    let t = load_docs(&db, NDOCS);
+    let col = t.xml_column("doc").unwrap();
+    let cache = db.doc_cache();
+    let scan = XPathParser::new().parse("/r/tag").unwrap();
+    let indexed = XPathParser::new().parse("/r[v > 100]/tag").unwrap();
+    let unlocked_reads = || {
+        for path in [&scan, &indexed] {
+            for prefer_nodeid in [false, true] {
+                let plan = access::plan(path, col, prefer_nodeid);
+                access::execute(&plan, &t, col, db.dict(), path).unwrap();
+            }
+        }
+        for doc in 1..=NDOCS as DocId {
+            db.serialize_document(&t, "doc", doc).unwrap();
+            traverse::string_value(col.xml_table(), doc, &v_text()).unwrap();
+        }
+    };
+    unlocked_reads();
+    assert_eq!(cache.len(), 0, "an unlocked traversal published a snapshot");
+    assert_eq!(cache.hits(), 0);
+
+    // A writer's read of its own dirty document publishes nothing either.
+    let txn = db.begin().unwrap();
+    db.update_document_txn(&txn, &t, "doc", 1, &v_element(), |txn, xml| {
+        update::replace_value(txn, xml, 1, &v_text(), "7")
+    })
+    .unwrap();
+    let (hits, _) = db.query_locked(&txn, &t, col, &scan, false).unwrap();
+    assert_eq!(hits.len(), NDOCS);
+    assert_eq!(cache.len(), 0, "a writer's query published a snapshot");
+    txn.rollback().unwrap();
+
+    // A locked, read-only query publishes every document it evaluates.
+    assert_eq!(query(&db, &t, &scan, false).len(), NDOCS);
+    assert_eq!(cache.len(), NDOCS);
+    let hits_before = cache.hits();
+    unlocked_reads();
+    assert_eq!(cache.len(), NDOCS);
+    assert!(cache.hits() > hits_before, "unlocked reads hit the cache");
+}
+
 /// Readers hammer warm traversals while writers update and roll back the
-/// same documents. Afterwards every document reads back exactly its last
-/// committed value and the cache is still within budget. Sized by
-/// `RX_STRESS_THREADS` (CI runs 16).
+/// same documents, and other writers insert and delete rows, committing or
+/// rolling back, so every eviction path runs beside locked readers.
+/// Afterwards every document reads back exactly its last committed value,
+/// the surviving inserted rows are exactly the committed ones, and the cache
+/// is still within budget. Sized by `RX_STRESS_THREADS` (CI runs 16).
 #[test]
 fn readers_and_writers_stress() {
     let threads: usize = std::env::var("RX_STRESS_THREADS")
@@ -239,7 +293,38 @@ fn readers_and_writers_stress() {
     let last_committed: Mutex<HashMap<DocId, String>> = Mutex::new(HashMap::new());
     let path = XPathParser::new().parse("/r/v").unwrap();
 
+    // Rows inserted by the row writers that are committed and not deleted.
+    let extra_rows: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let extra = XPathParser::new().parse("/x/v").unwrap();
+
     std::thread::scope(|s| {
+        for w in 0..threads {
+            let db = &db;
+            let t = &t;
+            let extra_rows = &extra_rows;
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    let value = format!("{}", w * 10_000 + round);
+                    let txn = db.begin().unwrap();
+                    let doc = db
+                        .insert_row_txn(&txn, t, &[ColValue::Xml(format!("<x><v>{value}</v></x>"))])
+                        .unwrap();
+                    if (w + round) % 4 == 0 {
+                        txn.rollback().unwrap();
+                        continue;
+                    }
+                    txn.commit().unwrap();
+                    let txn = db.begin().unwrap();
+                    assert!(db.delete_row_txn(&txn, t, doc).unwrap());
+                    if round % 3 == 0 {
+                        txn.rollback().unwrap();
+                        extra_rows.lock().unwrap().push(value);
+                    } else {
+                        txn.commit().unwrap();
+                    }
+                }
+            });
+        }
         for w in 0..threads {
             let db = &db;
             let t = &t;
@@ -294,6 +379,19 @@ fn readers_and_writers_stress() {
         )
         .unwrap();
         assert_eq!(got, expected, "doc {doc} lost its last committed value");
+    }
+    // The surviving inserted rows, read warm and then cold.
+    let mut want = extra_rows.into_inner().unwrap();
+    want.sort();
+    for pass in ["warm", "cold"] {
+        let mut got: Vec<String> = query(&db, &t, &extra, false)
+            .into_iter()
+            .map(|h| h.value)
+            .collect();
+        got.sort();
+        assert_eq!(got, want, "{pass} read of the inserted rows");
+        db.doc_cache()
+            .invalidate_space(t.xml_column("doc").unwrap().xml_table().space_id());
     }
     let stats = db.stats();
     assert!(stats.doc_cache_bytes <= BUDGET as u64, "stats: {stats:?}");

@@ -1,7 +1,9 @@
 //! Property-based crash-recovery testing at the storage layer: random
 //! interleavings of committed, aborted, in-flight (crashed) transactions and
 //! transactions that crash part-way through their rollback, over a heap and
-//! a B+tree written through the `Txn` write helpers. After losing every
+//! a B+tree written through the `Txn` write helpers — among them updates
+//! that shrink a record in place beside updates that grow a neighbour on
+//! the same page. After losing every
 //! unflushed page and recovering from the WAL alone, the state must equal a
 //! model that applied only the committed transactions. A second run on the
 //! recovered state, a second crash and a second recovery must again equal
@@ -56,6 +58,10 @@ fn arb_txn() -> impl Strategy<Value = TxnSpec> {
         prop::collection::vec(1u8..16, 1..5).prop_map(Op::Delete),
         body().prop_map(Op::HeapInsert),
         (any::<usize>(), body()).prop_map(|(n, b)| Op::HeapUpdate(n, b)),
+        // Shrinks and grows: a grow wants the bytes a neighbour's shrink
+        // freed, which stay reserved until the shrinking transaction ends.
+        (any::<usize>(), 1usize..8).prop_map(|(n, len)| Op::HeapUpdate(n, vec![n as u8; len])),
+        (any::<usize>(), 600usize..3000).prop_map(|(n, len)| Op::HeapUpdate(n, vec![n as u8; len])),
         any::<usize>().prop_map(Op::HeapDelete),
     ];
     (
@@ -271,4 +277,86 @@ proptest! {
             }
         }
     }
+}
+
+/// One heap page holds committed records A and B. T shrinks A in place and
+/// is in flight at the crash; U grows B and commits. Recovery must grow A
+/// back: U's grow never took the bytes T's shrink freed.
+#[test]
+fn crash_with_an_unfinished_shrink_beside_a_committed_grow() {
+    let backend = Arc::new(MemBackend::new());
+    let log = Arc::new(MemLogStore::new());
+    {
+        let pool = BufferPool::new(256);
+        let space = TableSpace::create(pool.clone(), SPACE, backend.clone()).unwrap();
+        HeapTable::create(space.clone()).unwrap();
+        BTree::create(space, ANCHOR as usize).unwrap();
+        pool.flush_all().unwrap();
+    }
+    let stores = Stores::open(&backend);
+    let wal = Wal::new(log.clone());
+    let txm = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
+    let setup = txm.begin().unwrap();
+    let a = setup.heap_insert(&stores.heap, vec![1; 2000]).unwrap();
+    let b = setup.heap_insert(&stores.heap, vec![2; 1000]).unwrap();
+    setup.commit().unwrap();
+    assert_eq!(a.page, b.page);
+    let t = txm.begin().unwrap();
+    t.heap_update(&stores.heap, a, vec![3; 10]).unwrap();
+    let u = txm.begin().unwrap();
+    let grown = u.heap_update(&stores.heap, b, vec![4; 3000]).unwrap();
+    u.commit().unwrap();
+    wal.force().unwrap();
+    std::mem::forget(t);
+    drop(stores);
+
+    let stores = Stores::open(&backend);
+    stores.recover(&log);
+    let (_, heap, reserved) = stores.state();
+    assert_eq!(
+        heap,
+        BTreeMap::from([(a, vec![1; 2000]), (grown, vec![4; 3000])])
+    );
+    assert_eq!(reserved, 0, "recovery leaves no reserved bytes");
+}
+
+/// T inserts a record, grows it, shrinks it, and crashes part-way through
+/// its rollback, after the compensation that undid the grow shrank the
+/// record again. U then grows a neighbour on the same page and commits.
+/// Finishing T's rollback reverses those compensations too and passes back
+/// through the grown image, which must still fit: the compensating shrink
+/// kept its bytes.
+#[test]
+fn crash_mid_rollback_of_a_grow_beside_a_committed_grow() {
+    let backend = Arc::new(MemBackend::new());
+    let log = Arc::new(MemLogStore::new());
+    {
+        let pool = BufferPool::new(256);
+        let space = TableSpace::create(pool.clone(), SPACE, backend.clone()).unwrap();
+        HeapTable::create(space.clone()).unwrap();
+        BTree::create(space, ANCHOR as usize).unwrap();
+        pool.flush_all().unwrap();
+    }
+    let stores = Stores::open(&backend);
+    let wal = Wal::new(log.clone());
+    let txm = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
+    let t = txm.begin().unwrap();
+    let a = t.heap_insert(&stores.heap, vec![1; 185]).unwrap();
+    assert_eq!(t.heap_update(&stores.heap, a, vec![2; 2072]).unwrap(), a);
+    t.heap_update(&stores.heap, a, vec![3; 7]).unwrap();
+    roll_back_partly(&t, &wal, &stores, 3);
+    let u = txm.begin().unwrap();
+    let b = u.heap_insert(&stores.heap, vec![4; 100]).unwrap();
+    assert_eq!(b.page, a.page);
+    let grown = u.heap_update(&stores.heap, b, vec![5; 3000]).unwrap();
+    u.commit().unwrap();
+    wal.force().unwrap();
+    std::mem::forget(t);
+    drop(stores);
+
+    let stores = Stores::open(&backend);
+    stores.recover(&log);
+    let (_, heap, reserved) = stores.state();
+    assert_eq!(heap, BTreeMap::from([(grown, vec![5; 3000])]));
+    assert_eq!(reserved, 0, "recovery leaves no reserved bytes");
 }

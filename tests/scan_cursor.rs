@@ -86,14 +86,14 @@ proptest! {
         // The reference: one §3.4 root probe per document.
         let mut want_stats = AccessStats::default();
         let mut want: Vec<QueryHit> = Vec::new();
-        let mut probed = DocScanner::new(col, &tree, dict);
+        let mut probed = DocScanner::new(col, &tree, dict, false);
         for &d in &survivors {
             probed.evaluate(d, &mut want_stats, &mut want).unwrap();
         }
 
         // One lane, roots located by the range scan.
         prop_assert_eq!(roots_by_range_scan(&survivors), survivors.len() >= 2);
-        let mut lane = DocScanner::new(col, &tree, dict);
+        let mut lane = DocScanner::new(col, &tree, dict, false);
         let (mut stats, mut hits) = (AccessStats::default(), Vec::new());
         lane.evaluate_run(&survivors, false, &mut stats, &mut hits).unwrap();
         prop_assert_eq!(&hits, &want, "query {}", query);
