@@ -1186,7 +1186,8 @@ impl Database {
     /// index maintenance: old index entries derived from the pre-image are
     /// removed, the mutation runs, and entries are re-derived from the
     /// post-image — each image in one traversal for every index, all in
-    /// `txn`.
+    /// `txn`. Names a fragment interned are persisted before this returns,
+    /// so they are durable before the commit record.
     pub fn update_document_txn(
         &self,
         txn: &Txn,
@@ -1199,17 +1200,20 @@ impl Database {
         let col = table.xml_column(column)?;
         crate::conc::lock_subtree_exclusive(txn, table.def.id, doc, subtree)?;
         let indexes = col.indexes();
-        if indexes.is_empty() {
-            return mutate(txn, &col.xml);
-        }
-        let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
-        for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
-            vi.delete_entries(txn, doc, items)?;
-        }
-        let stats = mutate(txn, &col.xml)?;
-        for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
-            vi.insert_entries(txn, doc, &col.xml, items)?;
-        }
+        let stats = if indexes.is_empty() {
+            mutate(txn, &col.xml)?
+        } else {
+            let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
+            for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
+                vi.delete_entries(txn, doc, items)?;
+            }
+            let stats = mutate(txn, &col.xml)?;
+            for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
+                vi.insert_entries(txn, doc, &col.xml, items)?;
+            }
+            stats
+        };
+        self.persist_dict_if_grown()?;
         Ok(stats)
     }
 

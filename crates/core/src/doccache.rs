@@ -159,11 +159,6 @@ impl CachedDoc {
     pub fn bytes(&self) -> usize {
         self.bytes
     }
-
-    /// Number of distinct records held.
-    pub fn record_count(&self) -> usize {
-        self.records.len()
-    }
 }
 
 #[derive(Default)]

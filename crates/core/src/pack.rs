@@ -27,6 +27,10 @@
 //! * **interval index entries**: per record, one NodeID-index entry per
 //!   contiguous run of node IDs, keyed by the run's *upper endpoint* (§3.4) —
 //!   reproducing Fig. 3's `(02,rid1) (020206,rid2) (020602,rid1)` exactly.
+//! * **one writer**: a sub-document edit resumes the packer at a stored
+//!   record's context ([`Packer::resume`]) and replays the record's nodes
+//!   with their own IDs, so edited records are encoded, grouped and indexed
+//!   by the same code as inserted ones (DESIGN.md §16).
 
 use crate::error::{EngineError, Result};
 use rx_storage::codec::{Dec, Enc};
@@ -115,13 +119,6 @@ fn enc_rel(e: &mut Enc, rel: &RelId) {
     e.bytes(rel.as_bytes());
 }
 
-/// A contiguous run of node IDs present in a segment.
-#[derive(Debug, Clone, PartialEq)]
-struct Run {
-    first: NodeId,
-    last: NodeId,
-}
-
 /// An encoded child entry of an open element: either an inline subtree or a
 /// range proxy for subtrees spilled to other records.
 struct Segment {
@@ -131,8 +128,9 @@ struct Segment {
     last_rel: RelId,
     /// Number of sibling subtrees covered.
     sibling_count: u64,
-    /// Node-ID runs physically present in `bytes` (absolute IDs).
-    runs: Vec<Run>,
+    /// Upper endpoints of the node-ID runs physically present in `bytes`
+    /// (absolute IDs).
+    uppers: Vec<NodeId>,
     is_proxy: bool,
     /// True when the segment's ID coverage ends with packed-out IDs (its
     /// last entry, recursively, is a proxy) — the next sibling's IDs are then
@@ -152,28 +150,25 @@ impl Segment {
             first_rel,
             last_rel,
             sibling_count,
-            runs: Vec::new(),
+            uppers: Vec::new(),
             is_proxy: true,
             ends_with_gap: true,
         }
     }
 }
 
-/// Merge a segment's runs onto the tail of `runs`, coalescing when the
+/// Merge a segment's runs onto the tail of `uppers`, coalescing when the
 /// previous coverage is physically adjacent (no packed-out IDs in between —
-/// i.e. the previous segment neither was a proxy nor ended with one).
-fn append_runs(runs: &mut Vec<Run>, seg_runs: &[Run], prev_gap: bool) {
-    let mut iter = seg_runs.iter();
+/// i.e. the previous segment neither was a proxy nor ended with one): the
+/// segment's first run then extends the previous one.
+fn append_runs(uppers: &mut Vec<NodeId>, seg_uppers: Vec<NodeId>, prev_gap: bool) {
+    let mut iter = seg_uppers.into_iter();
     if let Some(first) = iter.next() {
-        match runs.last_mut() {
-            Some(last) if !prev_gap => {
-                last.last = first.last.clone();
-            }
-            _ => runs.push(first.clone()),
+        match uppers.last_mut() {
+            Some(last) if !prev_gap => *last = first,
+            _ => uppers.push(first),
         }
-        for r in iter {
-            runs.push(r.clone());
-        }
+        uppers.extend(iter);
     }
 }
 
@@ -188,13 +183,41 @@ struct OpenElem {
 }
 
 impl OpenElem {
-    fn alloc_child(&mut self) -> RelId {
-        let rel = match &self.next_child {
+    fn new(name: QNameId, rel: RelId, abs: NodeId) -> OpenElem {
+        OpenElem {
+            name,
+            rel,
+            abs,
+            nsdecls: Vec::new(),
+            next_child: None,
+            segments: Vec::new(),
+            inline_bytes: 0,
+        }
+    }
+
+    /// The next child's relative ID: `fixed` when the caller supplies one,
+    /// else the sibling after the previous child.
+    fn alloc_child(&mut self, fixed: Option<RelId>) -> RelId {
+        let rel = fixed.unwrap_or_else(|| match &self.next_child {
             None => RelId::first(),
             Some(prev) => prev.next_sibling(),
-        };
+        });
         self.next_child = Some(rel.clone());
         rel
+    }
+}
+
+/// Append a proxy, merging it into a directly preceding one (range proxies).
+fn push_proxy(kept: &mut Vec<Segment>, seg: Segment) {
+    match kept.last_mut() {
+        Some(prev) if prev.is_proxy => {
+            *prev = Segment::proxy(
+                prev.first_rel.clone(),
+                seg.last_rel,
+                prev.sibling_count + seg.sibling_count,
+            );
+        }
+        _ => kept.push(seg),
     }
 }
 
@@ -217,9 +240,15 @@ pub struct Packer<'s, 'o> {
     target: usize,
     sink: &'s mut dyn RecordSink,
     observer: &'o mut dyn NodeObserver,
-    /// Pseudo element for the document node (children of the document).
+    /// Pseudo element for the context node: the document node, or the
+    /// context of a resumed record.
     doc: OpenElem,
+    /// Name path and in-scope namespaces of the context node.
+    ctx_path: Vec<QNameId>,
+    ctx_ns: Vec<(StrId, StrId)>,
     stack: Vec<OpenElem>,
+    /// Relative ID for the next node, set by [`Packer::set_rel`].
+    fixed_rel: Option<RelId>,
     /// Statistics.
     pub stats: PackStats,
     done: bool,
@@ -242,19 +271,51 @@ impl<'s, 'o> Packer<'s, 'o> {
             target: target.min(rx_storage::MAX_RECORD_SIZE - 64),
             sink,
             observer,
-            doc: OpenElem {
-                name: 0,
-                rel: RelId::first(),
-                abs: NodeId::root(),
-                nsdecls: Vec::new(),
-                next_child: None,
-                segments: Vec::new(),
-                inline_bytes: 0,
-            },
+            doc: OpenElem::new(0, RelId::first(), NodeId::root()),
+            ctx_path: Vec::new(),
+            ctx_ns: Vec::new(),
             stack: Vec::new(),
+            fixed_rel: None,
             stats: PackStats::default(),
             done: false,
         }
+    }
+
+    /// Resume packing inside a stored record (a sub-document edit). The
+    /// packer stands at the record's context, whose ID, name path and
+    /// in-scope namespaces come from `header`, and its target is the edit
+    /// limit, `MAX_RECORD_SIZE - 64`. The caller replays the record's nodes
+    /// with their own IDs ([`Packer::set_rel`], [`Packer::proxy`]);
+    /// [`Packer::finish`] emits any spilled records first and the re-packed
+    /// context record last.
+    pub fn resume(
+        header: &RecordHeader,
+        sink: &'s mut dyn RecordSink,
+        observer: &'o mut dyn NodeObserver,
+    ) -> Self {
+        let mut p = Self::with_target(usize::MAX, sink, observer);
+        p.doc.abs = header.context.clone();
+        p.ctx_path = header.path.clone();
+        p.ctx_ns = header.namespaces.clone();
+        p.done = true;
+        p
+    }
+
+    /// Give the next node added under the open element the relative ID
+    /// `rel` instead of allocating one; later siblings without one follow it.
+    pub fn set_rel(&mut self, rel: RelId) {
+        self.fixed_rel = Some(rel);
+    }
+
+    /// Add an existing range proxy under the open element, unchanged:
+    /// `count` sibling subtrees from `first` to `last`, stored in other
+    /// records.
+    pub fn proxy(&mut self, first: RelId, last: RelId, count: u64) {
+        let seg = Segment::proxy(first, last.clone(), count);
+        let parent = self.top();
+        parent.next_child = Some(last);
+        parent.inline_bytes += seg.bytes.len();
+        parent.segments.push(seg);
     }
 
     fn top(&mut self) -> &mut OpenElem {
@@ -265,170 +326,95 @@ impl<'s, 'o> Packer<'s, 'o> {
         self.stack.last().map_or(&self.doc.abs, |e| &e.abs)
     }
 
-    /// Path of element name IDs from the root down to (and including) `abs`'s
-    /// element — i.e. the names of all open elements.
+    /// Allocate (or take from [`Packer::set_rel`]) the next child ID under
+    /// the open element: `(relative, absolute)`.
+    fn next_child(&mut self) -> (RelId, NodeId) {
+        let fixed = self.fixed_rel.take();
+        let rel = self.top().alloc_child(fixed);
+        let abs = self.top_abs().child(&rel);
+        (rel, abs)
+    }
+
+    /// Path of element name IDs from the root down to the open element at
+    /// stack depth `upto` (exclusive).
     fn path_names(&self, upto: usize) -> Vec<QNameId> {
-        self.stack[..upto].iter().map(|e| e.name).collect()
+        let open = self.stack[..upto].iter().map(|e| e.name);
+        self.ctx_path.iter().copied().chain(open).collect()
     }
 
     /// All in-scope namespace declarations for the element at stack depth
     /// `upto` (outermost first; later re-declarations win at decode time).
     fn inscope_ns(&self, upto: usize) -> Vec<(StrId, StrId)> {
-        let mut out = Vec::new();
+        let mut out = self.ctx_ns.clone();
         for e in &self.stack[..upto] {
             out.extend_from_slice(&e.nsdecls);
         }
         out
     }
 
-    /// Add a leaf node segment to the current parent.
-    fn push_leaf(&mut self, encode: impl FnOnce(&mut Enc, &RelId)) -> Result<(RelId, NodeId)> {
-        let parent_abs = self.top_abs().clone();
-        let parent = self.top();
-        let rel = parent.alloc_child();
-        let abs = parent_abs.child(&rel);
+    /// Show the leaf node of `ev` to the observer and add its segment to
+    /// the current parent.
+    fn push_leaf(&mut self, ev: &Event<'_>, encode: impl FnOnce(&mut Enc, &RelId)) -> Result<()> {
+        let (rel, abs) = self.next_child();
+        self.observer.node(abs.as_bytes(), ev)?;
         let mut e = Enc::with_capacity(32);
         encode(&mut e, &rel);
         let bytes = e.into_bytes();
-        let len = bytes.len();
+        let parent = self.top();
+        parent.inline_bytes += bytes.len();
         parent.segments.push(Segment {
             bytes,
             first_rel: rel.clone(),
-            last_rel: rel.clone(),
+            last_rel: rel,
             sibling_count: 1,
-            runs: vec![Run {
-                first: abs.clone(),
-                last: abs.clone(),
-            }],
+            uppers: vec![abs],
             is_proxy: false,
             ends_with_gap: false,
         });
-        parent.inline_bytes += len;
         self.stats.nodes += 1;
-        Ok((rel, abs))
+        Ok(())
     }
 
     /// Spill child segments of `elem` into records (context = `elem`) and
-    /// replace them with merged range proxies.
+    /// replace them with merged range proxies. A proxy already among the
+    /// children stays in `elem`, merged with its neighbours, so a spilled
+    /// record never holds a proxy at its top level.
     fn spill_children(&mut self, elem: &mut OpenElem, stack_depth: usize) -> Result<()> {
         // Header for all spilled records: context = elem.
-        let path: Vec<QNameId> = {
-            let mut p = self.path_names(stack_depth);
-            p.push(elem.name);
-            p
-        };
-        let ns = {
-            let mut n = self.inscope_ns(stack_depth);
-            n.extend_from_slice(&elem.nsdecls);
-            n
-        };
+        let mut path = self.path_names(stack_depth);
+        path.push(elem.name);
+        let mut ns = self.inscope_ns(stack_depth);
+        ns.extend_from_slice(&elem.nsdecls);
         let header = encode_header(&elem.abs, &path, &ns);
 
-        let segments = std::mem::take(&mut elem.segments);
-        let mut new_segments: Vec<Segment> = Vec::new();
+        let mut kept: Vec<Segment> = Vec::new();
         let mut group: Vec<Segment> = Vec::new();
         let mut group_bytes = 0usize;
-
-        let flush_group = |group: &mut Vec<Segment>,
-                           group_bytes: &mut usize,
-                           new_segments: &mut Vec<Segment>,
-                           sink: &mut dyn RecordSink,
-                           stats: &mut PackStats,
-                           header: &[u8],
-                           elem_abs: &NodeId|
-         -> Result<()> {
-            if group.is_empty() {
-                return Ok(());
+        for seg in std::mem::take(&mut elem.segments) {
+            if seg.is_proxy {
+                self.spill_group(&header, &elem.abs, &mut group, &mut kept)?;
+                group_bytes = 0;
+                push_proxy(&mut kept, seg);
+                continue;
             }
-            // Emit one record holding this sequence of sibling subtrees.
-            let mut body = Enc::with_capacity(header.len() + *group_bytes + 8);
-            body.raw(header);
-            body.varint(group.len() as u64);
-            let mut runs: Vec<Run> = Vec::new();
-            let mut prev_gap = true; // first segment starts a new run
-            for seg in group.iter() {
-                body.raw(&seg.bytes);
-                append_runs(&mut runs, &seg.runs, prev_gap);
-                prev_gap = seg.is_proxy || seg.ends_with_gap;
-            }
-            let min_id = runs
-                .first()
-                .map(|r| r.first.clone())
-                .unwrap_or_else(|| elem_abs.child(&group[0].first_rel));
-            let uppers: Vec<NodeId> = runs.iter().map(|r| r.last.clone()).collect();
-            let bytes = body.into_bytes();
-            stats.records += 1;
-            stats.bytes += bytes.len() as u64;
-            stats.index_entries += uppers.len() as u64;
-            sink.record(PackedRecord {
-                bytes,
-                min_id,
-                interval_uppers: uppers,
-            })?;
-            // Replace the group with one range proxy (merging with a
-            // preceding proxy when adjacent).
-            let first_rel = group.first().unwrap().first_rel.clone();
-            let last_rel = group.last().unwrap().last_rel.clone();
-            let count: u64 = group.iter().map(|s| s.sibling_count).sum();
-            match new_segments.last_mut() {
-                Some(prev) if prev.is_proxy => {
-                    let merged = Segment::proxy(
-                        prev.first_rel.clone(),
-                        last_rel,
-                        prev.sibling_count + count,
-                    );
-                    *prev = merged;
-                }
-                _ => new_segments.push(Segment::proxy(first_rel, last_rel, count)),
-            }
-            group.clear();
-            *group_bytes = 0;
-            Ok(())
-        };
-
-        for seg in segments {
-            if seg.bytes.len() + header.len() + 16 > self.target && !seg.is_proxy {
+            if seg.bytes.len() + header.len() + 16 > self.target {
                 // A single subtree larger than the target: it must go to its
                 // own record (its own children were already spilled when it
                 // closed, so this only happens for wide heads / long values).
-                flush_group(
-                    &mut group,
-                    &mut group_bytes,
-                    &mut new_segments,
-                    &mut *self.sink,
-                    &mut self.stats,
-                    &header,
-                    &elem.abs,
-                )?;
+                self.spill_group(&header, &elem.abs, &mut group, &mut kept)?;
+                group_bytes = 0;
                 if seg.bytes.len() + header.len() + 16 > rx_storage::MAX_RECORD_SIZE {
                     return Err(EngineError::Record(format!(
                         "a single node of {} bytes exceeds the maximum record size",
                         seg.bytes.len()
                     )));
                 }
-                group_bytes = seg.bytes.len();
-                group.push(seg);
-                flush_group(
-                    &mut group,
-                    &mut group_bytes,
-                    &mut new_segments,
-                    &mut *self.sink,
-                    &mut self.stats,
-                    &header,
-                    &elem.abs,
-                )?;
+                self.spill_group(&header, &elem.abs, &mut vec![seg], &mut kept)?;
                 continue;
             }
             if group_bytes + seg.bytes.len() + header.len() + 16 > self.target {
-                flush_group(
-                    &mut group,
-                    &mut group_bytes,
-                    &mut new_segments,
-                    &mut *self.sink,
-                    &mut self.stats,
-                    &header,
-                    &elem.abs,
-                )?;
+                self.spill_group(&header, &elem.abs, &mut group, &mut kept)?;
+                group_bytes = 0;
             }
             group_bytes += seg.bytes.len();
             group.push(seg);
@@ -437,22 +423,69 @@ impl<'s, 'o> Packer<'s, 'o> {
         // element head and the accumulated proxies — this is what yields the
         // exact Fig. 3 layout (trailing siblings Node6/Node7/Node8 stay in
         // the parent record while Node2's subtree moves out).
-        let proxies_bytes: usize = new_segments.iter().map(|s| s.bytes.len()).sum();
+        let proxies_bytes: usize = kept.iter().map(|s| s.bytes.len()).sum();
         if !group.is_empty() && proxies_bytes + group_bytes + 64 > self.target {
-            flush_group(
-                &mut group,
-                &mut group_bytes,
-                &mut new_segments,
-                &mut *self.sink,
-                &mut self.stats,
-                &header,
-                &elem.abs,
-            )?;
+            self.spill_group(&header, &elem.abs, &mut group, &mut kept)?;
         }
-        new_segments.extend(group);
-        elem.inline_bytes = new_segments.iter().map(|s| s.bytes.len()).sum();
-        elem.segments = new_segments;
+        kept.extend(group);
+        elem.inline_bytes = kept.iter().map(|s| s.bytes.len()).sum();
+        elem.segments = kept;
         Ok(())
+    }
+
+    /// Emit `group`, consecutive sibling subtrees of `ctx`, as one record and
+    /// stand a range proxy in for it at the end of `kept`.
+    fn spill_group(
+        &mut self,
+        header: &[u8],
+        ctx: &NodeId,
+        group: &mut Vec<Segment>,
+        kept: &mut Vec<Segment>,
+    ) -> Result<()> {
+        let (Some(first), Some(last)) = (group.first(), group.last()) else {
+            return Ok(());
+        };
+        let count = group.iter().map(|s| s.sibling_count).sum();
+        let proxy = Segment::proxy(first.first_rel.clone(), last.last_rel.clone(), count);
+        self.emit(header, ctx, std::mem::take(group))?;
+        push_proxy(kept, proxy);
+        Ok(())
+    }
+
+    /// Emit one record: `header`, the entry count and `segs`, with one
+    /// NodeID-index entry per contiguous run of node IDs.
+    fn emit(&mut self, header: &[u8], ctx: &NodeId, segs: Vec<Segment>) -> Result<()> {
+        let content: usize = segs.iter().map(|s| s.bytes.len()).sum();
+        let mut body = Enc::with_capacity(header.len() + content + 8);
+        body.raw(header);
+        body.varint(segs.len() as u64);
+        // The smallest node is the head of the first entry that is no proxy.
+        let min_id = segs
+            .iter()
+            .find(|s| !s.is_proxy)
+            .map_or_else(|| ctx.clone(), |s| ctx.child(&s.first_rel));
+        let mut uppers: Vec<NodeId> = Vec::new();
+        let mut prev_gap = true; // the first entry starts a new run
+        for seg in segs {
+            body.raw(&seg.bytes);
+            let was_gap = std::mem::replace(&mut prev_gap, seg.is_proxy || seg.ends_with_gap);
+            append_runs(&mut uppers, seg.uppers, was_gap);
+        }
+        let bytes = body.into_bytes();
+        if bytes.len() > rx_storage::MAX_RECORD_SIZE {
+            return Err(EngineError::Record(format!(
+                "record of {} bytes exceeds the maximum record size",
+                bytes.len()
+            )));
+        }
+        self.stats.records += 1;
+        self.stats.bytes += bytes.len() as u64;
+        self.stats.index_entries += uppers.len() as u64;
+        self.sink.record(PackedRecord {
+            bytes,
+            min_id,
+            interval_uppers: uppers,
+        })
     }
 
     /// Encode a closed element into a single segment for its parent.
@@ -469,78 +502,56 @@ impl<'s, 'o> Packer<'s, 'o> {
         e.varint(elem.segments.len() as u64);
         let content_len: usize = elem.segments.iter().map(|s| s.bytes.len()).sum();
         e.varint(content_len as u64);
-        let mut runs = vec![Run {
-            first: elem.abs.clone(),
-            last: elem.abs.clone(),
-        }];
+        let mut uppers = vec![elem.abs];
         let mut prev_gap = false; // element head is adjacent to its first child
-        for seg in &elem.segments {
+        for seg in elem.segments {
             e.raw(&seg.bytes);
-            append_runs(&mut runs, &seg.runs, prev_gap);
-            prev_gap = seg.is_proxy || seg.ends_with_gap;
+            let was_gap = std::mem::replace(&mut prev_gap, seg.is_proxy || seg.ends_with_gap);
+            append_runs(&mut uppers, seg.uppers, was_gap);
         }
         Segment {
             bytes: e.into_bytes(),
             first_rel: elem.rel.clone(),
             last_rel: elem.rel,
             sibling_count: 1,
-            runs,
+            uppers,
             is_proxy: false,
             ends_with_gap: prev_gap,
         }
     }
 
-    /// Finish after `EndDocument`; returns packing statistics.
+    /// Finish after `EndDocument` (or a replayed record); returns packing
+    /// statistics. The context record is emitted last.
     pub fn finish(mut self) -> Result<PackStats> {
         if !self.done {
             return Err(EngineError::Record(
                 "packer finished before EndDocument".into(),
             ));
         }
-        // Emit the final (root) record: context = document node.
         let doc = std::mem::replace(
             &mut self.doc,
-            OpenElem {
-                name: 0,
-                rel: RelId::first(),
-                abs: NodeId::root(),
-                nsdecls: Vec::new(),
-                next_child: None,
-                segments: Vec::new(),
-                inline_bytes: 0,
-            },
+            OpenElem::new(0, RelId::first(), NodeId::root()),
         );
-        let header = encode_header(&NodeId::root(), &[], &[]);
-        let mut body = Enc::with_capacity(header.len() + doc.inline_bytes + 8);
-        body.raw(&header);
-        body.varint(doc.segments.len() as u64);
-        let mut runs: Vec<Run> = Vec::new();
-        let mut prev_gap = true;
-        for seg in &doc.segments {
-            body.raw(&seg.bytes);
-            append_runs(&mut runs, &seg.runs, prev_gap);
-            prev_gap = seg.is_proxy || seg.ends_with_gap;
+        let header = encode_header(&doc.abs, &self.ctx_path, &self.ctx_ns);
+        // The document node's record stays one record. A resumed spilled
+        // record that outgrew the target splits into sibling records of its
+        // context, grouped as spilled children are; the covering proxy still
+        // counts the same subtrees.
+        let split = !doc.abs.is_root();
+        let mut group: Vec<Segment> = Vec::new();
+        let mut group_bytes = 0usize;
+        for seg in doc.segments {
+            if split
+                && !group.is_empty()
+                && group_bytes + seg.bytes.len() + header.len() + 16 > self.target
+            {
+                self.emit(&header, &doc.abs, std::mem::take(&mut group))?;
+                group_bytes = 0;
+            }
+            group_bytes += seg.bytes.len();
+            group.push(seg);
         }
-        let min_id = runs
-            .first()
-            .map(|r| r.first.clone())
-            .unwrap_or_else(NodeId::root);
-        let uppers: Vec<NodeId> = runs.iter().map(|r| r.last.clone()).collect();
-        let bytes = body.into_bytes();
-        if bytes.len() > rx_storage::MAX_RECORD_SIZE {
-            return Err(EngineError::Record(format!(
-                "root record of {} bytes exceeds the maximum record size",
-                bytes.len()
-            )));
-        }
-        self.stats.records += 1;
-        self.stats.bytes += bytes.len() as u64;
-        self.stats.index_entries += uppers.len() as u64;
-        self.sink.record(PackedRecord {
-            bytes,
-            min_id,
-            interval_uppers: uppers,
-        })?;
+        self.emit(&header, &doc.abs, group)?;
         Ok(self.stats)
     }
 }
@@ -553,7 +564,8 @@ impl EventSink for Packer<'_, '_> {
 }
 
 impl Packer<'_, '_> {
-    fn handle(&mut self, ev: Event<'_>) -> Result<()> {
+    /// Pack one event (the [`EventSink`] entry point, with engine errors).
+    pub fn handle(&mut self, ev: Event<'_>) -> Result<()> {
         match ev {
             Event::StartDocument => Ok(()),
             Event::EndDocument => {
@@ -561,21 +573,10 @@ impl Packer<'_, '_> {
                 Ok(())
             }
             Event::StartElement { name } => {
-                let parent_abs = self.top_abs().clone();
-                let parent = self.top();
-                let rel = parent.alloc_child();
-                let abs = parent_abs.child(&rel);
+                let (rel, abs) = self.next_child();
                 self.observer.node(abs.as_bytes(), &ev)?;
                 self.stats.nodes += 1;
-                self.stack.push(OpenElem {
-                    name,
-                    rel,
-                    abs,
-                    nsdecls: Vec::new(),
-                    next_child: None,
-                    segments: Vec::new(),
-                    inline_bytes: 0,
-                });
+                self.stack.push(OpenElem::new(name, rel, abs));
                 Ok(())
             }
             Event::NamespaceDecl { prefix, uri } => {
@@ -584,48 +585,35 @@ impl Packer<'_, '_> {
                 }
                 Ok(())
             }
-            Event::Attribute { name, value, ann } => {
-                let (_, abs) = self.push_leaf(|e, rel| {
-                    e.u8(kind::ATTRIBUTE);
-                    enc_rel(e, rel);
-                    e.varint(u64::from(name));
-                    e.u8(ann as u8);
-                    e.bytes(value.as_bytes());
-                })?;
-                self.observer.node(abs.as_bytes(), &ev)
-            }
-            Event::Text { value, ann } => {
-                let (_, abs) = self.push_leaf(|e, rel| {
-                    e.u8(kind::TEXT);
-                    enc_rel(e, rel);
-                    e.u8(ann as u8);
-                    e.bytes(value.as_bytes());
-                })?;
-                self.observer.node(abs.as_bytes(), &ev)
-            }
-            Event::Comment { value } => {
-                let (_, abs) = self.push_leaf(|e, rel| {
-                    e.u8(kind::COMMENT);
-                    enc_rel(e, rel);
-                    e.bytes(value.as_bytes());
-                })?;
-                self.observer.node(abs.as_bytes(), &ev)
-            }
-            Event::Pi { target, data } => {
-                let (_, abs) = self.push_leaf(|e, rel| {
-                    e.u8(kind::PI);
-                    enc_rel(e, rel);
-                    e.varint(u64::from(target));
-                    e.bytes(data.as_bytes());
-                })?;
-                self.observer.node(abs.as_bytes(), &ev)
-            }
+            Event::Attribute { name, value, ann } => self.push_leaf(&ev, |e, rel| {
+                e.u8(kind::ATTRIBUTE);
+                enc_rel(e, rel);
+                e.varint(u64::from(name));
+                e.u8(ann as u8);
+                e.bytes(value.as_bytes());
+            }),
+            Event::Text { value, ann } => self.push_leaf(&ev, |e, rel| {
+                e.u8(kind::TEXT);
+                enc_rel(e, rel);
+                e.u8(ann as u8);
+                e.bytes(value.as_bytes());
+            }),
+            Event::Comment { value } => self.push_leaf(&ev, |e, rel| {
+                e.u8(kind::COMMENT);
+                enc_rel(e, rel);
+                e.bytes(value.as_bytes());
+            }),
+            Event::Pi { target, data } => self.push_leaf(&ev, |e, rel| {
+                e.u8(kind::PI);
+                enc_rel(e, rel);
+                e.varint(u64::from(target));
+                e.bytes(data.as_bytes());
+            }),
             Event::EndElement => {
                 let mut elem = self.stack.pop().ok_or_else(|| {
                     EngineError::Record("unbalanced end element during packing".into())
                 })?;
-                let end_abs = elem.abs.clone();
-                self.observer.node(end_abs.as_bytes(), &ev)?;
+                self.observer.node(elem.abs.as_bytes(), &ev)?;
                 // Size-based grouping: spill the children when the sealed
                 // element would overflow the target.
                 let head_estimate = 24 + elem.nsdecls.len() * 8;

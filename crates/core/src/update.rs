@@ -7,20 +7,26 @@
 //! Dewey relative IDs always have room in the middle ([`RelId::between`]).
 //!
 //! Operations: replace a text/attribute value, delete a subtree, insert a
-//! parsed fragment (first/last/before/after a position). Records that
-//! overflow after growth spill children into fresh records exactly like the
-//! packer; records orphaned by subtree deletion are reclaimed through the
-//! NodeID index.
+//! parsed fragment (first/last/before/after a position). An edit replays the
+//! record that holds its target into a [`Packer`] resumed at the record's
+//! context, with the change applied, so the packer is the only writer of
+//! packed records: a record that outgrows the edit limit spills exactly as
+//! at insert time. An edit that adds or removes a top-level subtree of a
+//! spilled record also rewrites the range proxy that covers it in the
+//! parent's record, which keeps every proxy's range and count exact. Records
+//! orphaned by subtree deletion are reclaimed through the NodeID index.
 
 use crate::error::{EngineError, Result};
-use crate::pack::{kind, read_header, read_nodes, NodeView, PackedRecord};
+use crate::pack::{
+    read_header, read_nodes, NoObserver, NodeView, PackedRecord, Packer, RecordHeader,
+};
+use crate::traverse::{IdEventSink, Traverser};
 use crate::xmltable::{nodeid_key, subtree_successor, DocId, XmlTable};
-use rx_storage::codec::Enc;
 use rx_storage::{Rid, Txn};
 use rx_xml::event::{Event, EventSink};
-use rx_xml::name::{NameDict, QNameId, StrId};
+use rx_xml::name::NameDict;
 use rx_xml::nodeid::{NodeId, RelId};
-use rx_xml::value::TypeAnn;
+use rx_xml::token::{TokenStream, TokenWriter};
 
 /// Where to insert a new child fragment.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,348 +41,6 @@ pub enum InsertPos {
     After(NodeId),
 }
 
-/// An editable in-memory node (decoded from one packed record).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ENode {
-    /// Element.
-    Elem {
-        /// Relative ID.
-        rel: RelId,
-        /// Name.
-        name: QNameId,
-        /// Namespace declarations.
-        ns: Vec<(StrId, StrId)>,
-        /// Children (attributes first, then content).
-        children: Vec<ENode>,
-    },
-    /// Attribute.
-    Attr {
-        /// Relative ID.
-        rel: RelId,
-        /// Name.
-        name: QNameId,
-        /// Annotation.
-        ann: TypeAnn,
-        /// Value.
-        value: String,
-    },
-    /// Text.
-    Text {
-        /// Relative ID.
-        rel: RelId,
-        /// Annotation.
-        ann: TypeAnn,
-        /// Value.
-        value: String,
-    },
-    /// Comment.
-    Comment {
-        /// Relative ID.
-        rel: RelId,
-        /// Value.
-        value: String,
-    },
-    /// Processing instruction.
-    Pi {
-        /// Relative ID.
-        rel: RelId,
-        /// Target.
-        target: QNameId,
-        /// Data.
-        value: String,
-    },
-    /// Range proxy (subtrees in other records).
-    Proxy {
-        /// First covered sibling.
-        first: RelId,
-        /// Last covered sibling.
-        last: RelId,
-        /// Covered subtree count.
-        count: u64,
-    },
-}
-
-impl ENode {
-    /// The node's relative ID (proxies: the first covered sibling's).
-    pub fn rel(&self) -> &RelId {
-        match self {
-            ENode::Elem { rel, .. }
-            | ENode::Attr { rel, .. }
-            | ENode::Text { rel, .. }
-            | ENode::Comment { rel, .. }
-            | ENode::Pi { rel, .. } => rel,
-            ENode::Proxy { first, .. } => first,
-        }
-    }
-
-    /// The last relative ID covered (proxies span a range).
-    pub fn last_rel(&self) -> &RelId {
-        match self {
-            ENode::Proxy { last, .. } => last,
-            other => other.rel(),
-        }
-    }
-}
-
-/// Decode a record body region into editable nodes.
-pub fn decode_region(region: &[u8]) -> Result<Vec<ENode>> {
-    let mut out = Vec::new();
-    for view in read_nodes(region) {
-        out.push(decode_entry(&view?)?);
-    }
-    Ok(out)
-}
-
-fn decode_entry(view: &NodeView<'_>) -> Result<ENode> {
-    Ok(match view {
-        NodeView::Element {
-            rel,
-            name,
-            nsdecls,
-            content,
-            ..
-        } => ENode::Elem {
-            rel: RelId::from_bytes(rel)?,
-            name: *name,
-            ns: nsdecls.clone(),
-            children: decode_region(content)?,
-        },
-        NodeView::Attribute {
-            rel,
-            name,
-            ann,
-            value,
-        } => ENode::Attr {
-            rel: RelId::from_bytes(rel)?,
-            name: *name,
-            ann: *ann,
-            value: (*value).to_string(),
-        },
-        NodeView::Text { rel, ann, value } => ENode::Text {
-            rel: RelId::from_bytes(rel)?,
-            ann: *ann,
-            value: (*value).to_string(),
-        },
-        NodeView::Comment { rel, value } => ENode::Comment {
-            rel: RelId::from_bytes(rel)?,
-            value: (*value).to_string(),
-        },
-        NodeView::Pi { rel, target, value } => ENode::Pi {
-            rel: RelId::from_bytes(rel)?,
-            target: *target,
-            value: (*value).to_string(),
-        },
-        NodeView::Proxy { first, last, count } => ENode::Proxy {
-            first: RelId::from_bytes(first)?,
-            last: RelId::from_bytes(last)?,
-            count: *count,
-        },
-    })
-}
-
-/// Encode one node (matching the packer's format byte-for-byte).
-pub fn encode_entry(node: &ENode, out: &mut Enc) {
-    match node {
-        ENode::Elem {
-            rel,
-            name,
-            ns,
-            children,
-        } => {
-            out.u8(kind::ELEMENT);
-            out.bytes(rel.as_bytes());
-            out.varint(u64::from(*name));
-            out.varint(ns.len() as u64);
-            for (p, u) in ns {
-                out.varint(u64::from(*p));
-                out.varint(u64::from(*u));
-            }
-            out.varint(children.len() as u64);
-            let mut inner = Enc::new();
-            for c in children {
-                encode_entry(c, &mut inner);
-            }
-            let body = inner.into_bytes();
-            out.varint(body.len() as u64);
-            out.raw(&body);
-        }
-        ENode::Attr {
-            rel,
-            name,
-            ann,
-            value,
-        } => {
-            out.u8(kind::ATTRIBUTE);
-            out.bytes(rel.as_bytes());
-            out.varint(u64::from(*name));
-            out.u8(*ann as u8);
-            out.bytes(value.as_bytes());
-        }
-        ENode::Text { rel, ann, value } => {
-            out.u8(kind::TEXT);
-            out.bytes(rel.as_bytes());
-            out.u8(*ann as u8);
-            out.bytes(value.as_bytes());
-        }
-        ENode::Comment { rel, value } => {
-            out.u8(kind::COMMENT);
-            out.bytes(rel.as_bytes());
-            out.bytes(value.as_bytes());
-        }
-        ENode::Pi { rel, target, value } => {
-            out.u8(kind::PI);
-            out.bytes(rel.as_bytes());
-            out.varint(u64::from(*target));
-            out.bytes(value.as_bytes());
-        }
-        ENode::Proxy { first, last, count } => {
-            out.u8(kind::PROXY);
-            out.bytes(first.as_bytes());
-            out.bytes(last.as_bytes());
-            out.varint(*count);
-        }
-    }
-}
-
-/// Compute the interval upper endpoints and minimum ID of a node sequence
-/// under context `ctx` (mirrors the packer's run tracking).
-fn compute_runs(entries: &[ENode], ctx: &NodeId) -> (Option<NodeId>, Vec<NodeId>) {
-    fn walk(
-        entries: &[ENode],
-        ctx: &NodeId,
-        min: &mut Option<NodeId>,
-        runs: &mut Vec<(NodeId, NodeId)>,
-        open: &mut bool,
-    ) {
-        for e in entries {
-            match e {
-                ENode::Proxy { .. } => {
-                    *open = false;
-                }
-                ENode::Elem { rel, children, .. } => {
-                    let abs = ctx.child(rel);
-                    note(&abs, min, runs, open);
-                    walk(children, &abs, min, runs, open);
-                }
-                other => {
-                    let abs = ctx.child(other.rel());
-                    note(&abs, min, runs, open);
-                }
-            }
-        }
-    }
-    fn note(
-        abs: &NodeId,
-        min: &mut Option<NodeId>,
-        runs: &mut Vec<(NodeId, NodeId)>,
-        open: &mut bool,
-    ) {
-        if min.is_none() {
-            *min = Some(abs.clone());
-        }
-        if *open {
-            runs.last_mut().expect("open run exists").1 = abs.clone();
-        } else {
-            runs.push((abs.clone(), abs.clone()));
-            *open = true;
-        }
-    }
-    let mut min = None;
-    let mut runs = Vec::new();
-    let mut open = false;
-    walk(entries, ctx, &mut min, &mut runs, &mut open);
-    (min, runs.into_iter().map(|(_, last)| last).collect())
-}
-
-/// Re-encode a record (header preserved) from edited entries.
-fn encode_record(header: &[u8], entries: &[ENode], ctx: &NodeId) -> Result<PackedRecord> {
-    let mut e = Enc::with_capacity(header.len() + 256);
-    e.raw(header);
-    e.varint(entries.len() as u64);
-    for n in entries {
-        encode_entry(n, &mut e);
-    }
-    let (min, uppers) = compute_runs(entries, ctx);
-    Ok(PackedRecord {
-        bytes: e.into_bytes(),
-        min_id: min.ok_or_else(|| EngineError::Record("record would become empty".into()))?,
-        interval_uppers: uppers,
-    })
-}
-
-/// The record-local edit context: decoded entries + original header bytes.
-struct EditCtx {
-    rid: Rid,
-    header_bytes: Vec<u8>,
-    ctx: NodeId,
-    entries: Vec<ENode>,
-    old_uppers: Vec<NodeId>,
-}
-
-fn load_edit(xml: &XmlTable, doc: DocId, target: &NodeId) -> Result<EditCtx> {
-    let rid = xml
-        .locate(doc, target)?
-        .ok_or_else(|| EngineError::NotFound {
-            kind: "node",
-            name: format!("docid {doc} node {target}"),
-        })?;
-    let row = xml.fetch(rid)?;
-    let hdr = read_header(&row.data)?;
-    let entries = decode_region(&row.data[hdr.body_offset..])?;
-    // Header bytes = everything before the subtree count varint. Re-encode
-    // them verbatim (context/path/ns unchanged by node edits).
-    let header_bytes = {
-        // The header is everything up to body_offset minus the trailing
-        // subtree-count varint, so rebuild it from the decoded header.
-        let mut e = Enc::new();
-        e.bytes(hdr.context.as_bytes());
-        e.varint(hdr.path.len() as u64);
-        for q in &hdr.path {
-            e.varint(u64::from(*q));
-        }
-        e.varint(hdr.namespaces.len() as u64);
-        for (p, u) in &hdr.namespaces {
-            e.varint(u64::from(*p));
-            e.varint(u64::from(*u));
-        }
-        e.into_bytes()
-    };
-    let (_, old_uppers) = compute_runs(&entries, &hdr.context);
-    Ok(EditCtx {
-        rid,
-        header_bytes,
-        ctx: hdr.context,
-        entries,
-        old_uppers,
-    })
-}
-
-/// Walk to the entry holding `target`, applying `f` to (parent children vec,
-/// index of the entry, absolute id of the entry). Returns `f`'s output.
-fn with_target<T>(
-    entries: &mut Vec<ENode>,
-    ctx: &NodeId,
-    target: &NodeId,
-    f: &mut impl FnMut(&mut Vec<ENode>, usize, &NodeId) -> Result<T>,
-) -> Result<Option<T>> {
-    for i in 0..entries.len() {
-        let abs = ctx.child(entries[i].rel());
-        if matches!(entries[i], ENode::Proxy { .. }) {
-            continue;
-        }
-        if &abs == target {
-            return f(entries, i, &abs).map(Some);
-        }
-        if abs.is_ancestor(target) {
-            if let ENode::Elem { children, .. } = &mut entries[i] {
-                return with_target(children, &abs, target, f);
-            }
-            return Ok(None);
-        }
-    }
-    Ok(None)
-}
-
 /// Counters for the E3 update experiment.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateStats {
@@ -384,6 +48,476 @@ pub struct UpdateStats {
     pub bytes_written: u64,
     /// Records rewritten or created.
     pub records_touched: u64,
+}
+
+impl std::ops::AddAssign for UpdateStats {
+    fn add_assign(&mut self, other: UpdateStats) {
+        self.bytes_written += other.bytes_written;
+        self.records_touched += other.records_touched;
+    }
+}
+
+/// How a range proxy's `(first, last, count)` is rewritten; `None` drops it.
+type ProxyRewrite<'a> = &'a dyn Fn(RelId, RelId, u64) -> Option<(RelId, RelId, u64)>;
+
+/// One change, applied while a record is replayed into the packer.
+enum Change<'a> {
+    /// Give this text or attribute node a new value.
+    Value(&'a NodeId, &'a str),
+    /// Leave out the subtree rooted at this node.
+    Delete(&'a NodeId),
+    /// Splice `fragment` in as a child of `parent` with relative ID `rel`,
+    /// before the child entry whose relative ID is `before` (last when
+    /// `None`).
+    Insert {
+        parent: &'a NodeId,
+        before: Option<RelId>,
+        rel: RelId,
+        fragment: &'a TokenStream,
+    },
+    /// Rewrite the range proxy of `parent` that covers its child `covering`.
+    Proxy {
+        parent: &'a NodeId,
+        covering: &'a RelId,
+        rewrite: ProxyRewrite<'a>,
+    },
+}
+
+impl Change<'_> {
+    /// The error for a change that found nothing to apply to.
+    fn missing(&self, doc: DocId) -> EngineError {
+        match self {
+            Change::Value(node, _) | Change::Delete(node) | Change::Insert { parent: node, .. } => {
+                not_found(doc, node)
+            }
+            Change::Proxy {
+                parent, covering, ..
+            } => EngineError::Record(format!(
+                "no range proxy under {parent} covers {covering:?} in doc {doc}"
+            )),
+        }
+    }
+
+    /// Does an insertion go under the node `ctx`, before the entry `at`?
+    fn splices_at(&self, ctx: &[u8], at: Option<&RelId>) -> bool {
+        matches!(self, Change::Insert { parent, before, .. } if parent.as_bytes() == ctx && before.as_ref() == at)
+    }
+}
+
+fn not_found(doc: DocId, node: &NodeId) -> EngineError {
+    EngineError::NotFound {
+        kind: "node",
+        name: format!("docid {doc} node {node}"),
+    }
+}
+
+/// A stored record, fetched for an edit.
+struct Stored {
+    rid: Rid,
+    min_node: NodeId,
+    data: Vec<u8>,
+    header: RecordHeader,
+}
+
+impl Stored {
+    /// Fetch the record that holds `node`: §3.4's ceiling probe.
+    fn holding(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Stored> {
+        let rid = xml.locate(doc, node)?.ok_or_else(|| not_found(doc, node))?;
+        let row = xml.fetch(rid)?;
+        let header = read_header(&row.data)?;
+        Ok(Stored {
+            rid,
+            min_node: row.min_node,
+            data: row.data,
+            header,
+        })
+    }
+
+    fn body(&self) -> &[u8] {
+        &self.data[self.header.body_offset..]
+    }
+
+    /// The NodeID-index entries that name this record: its interval uppers,
+    /// found between its smallest node and the end of its last top-level
+    /// subtree.
+    fn uppers(&self, xml: &XmlTable, doc: DocId) -> Result<Vec<NodeId>> {
+        let mut last = None;
+        for entry in read_nodes(self.body()) {
+            last = Some(span(&entry?)?.1);
+        }
+        let Some(last) = last else {
+            return Ok(Vec::new());
+        };
+        let end = subtree_successor(&self.header.context.child(&last));
+        let mut hi = doc.to_be_bytes().to_vec();
+        hi.extend_from_slice(&end);
+        let mut uppers = Vec::new();
+        xml.nodeid_index()
+            .scan_from(&nodeid_key(doc, &self.min_node), |key, rid| {
+                if key >= hi.as_slice() {
+                    return false;
+                }
+                if Rid::from_u64(rid) == self.rid {
+                    uppers.push(NodeId::from_bytes_unchecked(key[8..].to_vec()));
+                }
+                true
+            })?;
+        Ok(uppers)
+    }
+
+    /// Replay the record into a packer resumed at its context, with `change`
+    /// applied. Returns the records the packer emits, the context record
+    /// last, and whether the change applied.
+    fn repack(&self, change: &Change<'_>) -> Result<(Vec<PackedRecord>, bool)> {
+        let mut records = Vec::new();
+        let mut obs = NoObserver;
+        let mut packer = Packer::resume(&self.header, &mut records, &mut obs);
+        let mut replay = Replay {
+            packer: &mut packer,
+            change,
+            applied: false,
+            id: self.header.context.as_bytes().to_vec(),
+        };
+        replay.region(self.body())?;
+        let applied = replay.applied;
+        packer.finish()?;
+        Ok((records, applied))
+    }
+}
+
+/// Replays a record's nodes, with their own IDs, into a resumed packer.
+struct Replay<'c, 'p, 's, 'o> {
+    packer: &'p mut Packer<'s, 'o>,
+    change: &'c Change<'c>,
+    applied: bool,
+    /// Absolute ID of the parent of the entries being replayed.
+    id: Vec<u8>,
+}
+
+impl Replay<'_, '_, '_, '_> {
+    /// Replay the sibling entries of `region`, children of the node in `id`.
+    fn region(&mut self, region: &[u8]) -> Result<()> {
+        for entry in read_nodes(region) {
+            let entry = entry?;
+            let rel = RelId::from_bytes(entry.rel())?;
+            self.splice(Some(&rel))?;
+            self.entry(&entry, rel)?;
+        }
+        self.splice(None)
+    }
+
+    /// Splice the fragment in here, if the change inserts here.
+    fn splice(&mut self, at: Option<&RelId>) -> Result<()> {
+        if let change @ Change::Insert { rel, fragment, .. } = self.change {
+            if change.splices_at(&self.id, at) {
+                self.packer.set_rel(rel.clone());
+                fragment.replay(self.packer)?;
+                self.applied = true;
+            }
+        }
+        Ok(())
+    }
+
+    fn entry(&mut self, entry: &NodeView<'_>, rel: RelId) -> Result<()> {
+        if let NodeView::Proxy { last, count, .. } = *entry {
+            let last = RelId::from_bytes(last)?;
+            if let Change::Proxy {
+                parent,
+                covering,
+                rewrite,
+            } = self.change
+            {
+                if parent.as_bytes() == self.id && rel <= **covering && **covering <= last {
+                    self.applied = true;
+                    if let Some((first, last, count)) = rewrite(rel, last, count) {
+                        self.packer.proxy(first, last, count);
+                    }
+                    return Ok(());
+                }
+            }
+            self.packer.proxy(rel, last, count);
+            return Ok(());
+        }
+        let ctx_len = self.id.len();
+        self.id.extend_from_slice(rel.as_bytes());
+        let mut value = None;
+        match self.change {
+            Change::Delete(target) if target.as_bytes() == self.id => {
+                self.applied = true;
+                self.id.truncate(ctx_len);
+                return Ok(());
+            }
+            Change::Value(target, v) if target.as_bytes() == self.id => {
+                if !matches!(entry, NodeView::Text { .. } | NodeView::Attribute { .. }) {
+                    return Err(EngineError::Invalid(format!(
+                        "replace_value target must be a text or attribute node, found {entry:?}"
+                    )));
+                }
+                self.applied = true;
+                value = Some(*v);
+            }
+            _ => {}
+        }
+        self.packer.set_rel(rel);
+        let ev = match *entry {
+            NodeView::Element {
+                name,
+                ref nsdecls,
+                content,
+                ..
+            } => {
+                self.packer.handle(Event::StartElement { name })?;
+                for &(prefix, uri) in nsdecls {
+                    self.packer.handle(Event::NamespaceDecl { prefix, uri })?;
+                }
+                self.region(content)?;
+                Event::EndElement
+            }
+            NodeView::Attribute {
+                name,
+                ann,
+                value: v,
+                ..
+            } => Event::Attribute {
+                name,
+                value: value.unwrap_or(v),
+                ann,
+            },
+            NodeView::Text { ann, value: v, .. } => Event::Text {
+                value: value.unwrap_or(v),
+                ann,
+            },
+            NodeView::Comment { value, .. } => Event::Comment { value },
+            NodeView::Pi { target, value, .. } => Event::Pi {
+                target,
+                data: value,
+            },
+            NodeView::Proxy { .. } => unreachable!("handled above"),
+        };
+        self.id.truncate(ctx_len);
+        self.packer.handle(ev)
+    }
+}
+
+/// Apply `change` to `rec` and write the result: spilled records are
+/// inserted, the context record overwrites `rec` in place, and a spilled
+/// record the change emptied is deleted with its NodeID-index entries.
+fn edit(
+    txn: &Txn,
+    xml: &XmlTable,
+    doc: DocId,
+    rec: &Stored,
+    change: &Change<'_>,
+) -> Result<UpdateStats> {
+    let (mut records, applied) = rec.repack(change)?;
+    if !applied {
+        return Err(change.missing(doc));
+    }
+    let ctx_rec = records.pop().expect("the packer emits the context record");
+    let old_uppers = rec.uppers(xml, doc)?;
+    let mut stats = UpdateStats::default();
+    if ctx_rec.interval_uppers.is_empty() {
+        if rec.header.context.is_root() {
+            return Err(EngineError::Invalid(
+                "deleting the document root is not supported; delete the row instead".into(),
+            ));
+        }
+        xml.delete_uppers(txn, doc, &old_uppers)?;
+        txn.heap_delete(xml.heap(), rec.rid)?;
+        stats.records_touched = 1;
+        return Ok(stats);
+    }
+    let spills = !records.is_empty();
+    if spills {
+        // Remove the stale interval entries FIRST: a spilled record's new
+        // entry may reuse exactly the same (doc, upper) key.
+        xml.delete_uppers(txn, doc, &old_uppers)?;
+    }
+    for spilled in &records {
+        xml.insert_record(txn, doc, spilled)?;
+    }
+    for written in records.iter().chain([&ctx_rec]) {
+        stats.bytes_written += written.bytes.len() as u64;
+        stats.records_touched += 1;
+    }
+    xml.update_record(txn, doc, rec.rid, &ctx_rec, &[])?;
+    if !spills {
+        // Without a spill the record's surviving interval entries were
+        // overwritten in place above, and only the stale ones go, after.
+        // Deleting a live key and re-inserting it would leave a window in
+        // which an unlocked reader's NodeID probe finds no record at all.
+        let stale: Vec<NodeId> = old_uppers
+            .into_iter()
+            .filter(|u| !ctx_rec.interval_uppers.contains(u))
+            .collect();
+        xml.delete_uppers(txn, doc, &stale)?;
+    }
+    Ok(stats)
+}
+
+/// Rewrite the range proxy under `parent` that covers its child `covering`,
+/// in the record that holds `parent` (a proxy lives beside its element's
+/// head).
+fn adjust_proxy(
+    txn: &Txn,
+    xml: &XmlTable,
+    doc: DocId,
+    parent: &NodeId,
+    covering: &RelId,
+    rewrite: ProxyRewrite<'_>,
+) -> Result<UpdateStats> {
+    let rec = Stored::holding(xml, doc, parent)?;
+    let change = Change::Proxy {
+        parent,
+        covering,
+        rewrite,
+    };
+    edit(txn, xml, doc, &rec, &change)
+}
+
+/// An entry's span of sibling IDs: `(first, last)`, equal unless it is a
+/// range proxy.
+fn span(entry: &NodeView<'_>) -> Result<(RelId, RelId)> {
+    let first = RelId::from_bytes(entry.rel())?;
+    let last = match entry {
+        NodeView::Proxy { last, .. } => RelId::from_bytes(last)?,
+        _ => first.clone(),
+    };
+    Ok((first, last))
+}
+
+/// Where a node sits in the record that holds it.
+struct Place<'d> {
+    /// Spans of the entries of the region that holds the node.
+    siblings: Vec<(RelId, RelId)>,
+    /// The node's index among them.
+    index: usize,
+    /// The node's own entry.
+    entry: NodeView<'d>,
+    /// The region is the top level of a spilled record, so the node's
+    /// siblings continue in other records, behind a proxy in the parent's.
+    spilled_top: bool,
+}
+
+impl<'d> Place<'d> {
+    fn of(rec: &'d Stored, doc: DocId, node: &NodeId) -> Result<Place<'d>> {
+        let ctx = &rec.header.context;
+        let mut place = find(rec.body(), ctx, node)?.ok_or_else(|| not_found(doc, node))?;
+        place.spilled_top = !ctx.is_root() && node.parent().as_ref() == Some(ctx);
+        Ok(place)
+    }
+
+    /// The last sibling ID before the node and the first after it. At the
+    /// edges of a spilled record's top level they come from the NodeID
+    /// index and the record that holds the next node in document order.
+    fn neighbours(
+        &self,
+        xml: &XmlTable,
+        doc: DocId,
+        node: &NodeId,
+    ) -> Result<(Option<RelId>, Option<RelId>)> {
+        let before = match self.index.checked_sub(1) {
+            Some(i) => Some(self.siblings[i].1.clone()),
+            None if self.spilled_top => preceding_sibling(xml, doc, node)?,
+            None => None,
+        };
+        let after = match self.siblings.get(self.index + 1) {
+            Some(next) => Some(next.0.clone()),
+            None if self.spilled_top => following_sibling(xml, doc, node)?,
+            None => None,
+        };
+        Ok((before, after))
+    }
+}
+
+/// Find `node` under `ctx` in `region`.
+fn find<'d>(region: &'d [u8], ctx: &NodeId, node: &NodeId) -> Result<Option<Place<'d>>> {
+    let mut siblings = Vec::new();
+    let mut hit = None;
+    for entry in read_nodes(region) {
+        let entry = entry?;
+        let span = span(&entry)?;
+        if !matches!(entry, NodeView::Proxy { .. }) {
+            let abs = ctx.child(&span.0);
+            if abs == *node {
+                hit = Some((siblings.len(), entry.clone()));
+            } else if abs.is_ancestor(node) {
+                return match entry {
+                    NodeView::Element { content, .. } => find(content, &abs, node),
+                    _ => Ok(None),
+                };
+            }
+        }
+        siblings.push(span);
+    }
+    Ok(hit.map(|(index, entry)| Place {
+        siblings,
+        index,
+        entry,
+        spilled_top: false,
+    }))
+}
+
+/// The sibling before `node`, the first entry of its record: the greatest
+/// NodeID-index key below `node` under its parent, truncated to child depth.
+/// Runs end where records do, so that key is the last node of the preceding
+/// sibling's subtree.
+fn preceding_sibling(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Option<RelId>> {
+    let parent = node.parent().unwrap_or_default();
+    let lo = nodeid_key(doc, &parent);
+    let hi = nodeid_key(doc, node);
+    let mut last: Option<Vec<u8>> = None;
+    xml.nodeid_index().scan_from(&lo, |key, _| {
+        if key >= hi.as_slice() {
+            return false;
+        }
+        last = Some(key.to_vec());
+        true
+    })?;
+    let Some(key) = last else {
+        return Ok(None);
+    };
+    let tail = &key[lo.len()..];
+    Ok(match tail.iter().position(|b| b % 2 == 0) {
+        Some(end) => Some(RelId::from_bytes(&tail[..=end])?),
+        None => None,
+    })
+}
+
+/// The sibling after `node`, the last entry of its record: the first node
+/// stored after `node`'s subtree, when that node is a sibling.
+fn following_sibling(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Option<RelId>> {
+    let succ = subtree_successor(node);
+    let Some((_, rid)) = xml.locate_raw(doc, &succ)? else {
+        return Ok(None);
+    };
+    let data = xml.fetch(rid)?.data;
+    let header = read_header(&data)?;
+    let next = first_at_or_after(&data[header.body_offset..], &header.context, &succ)?;
+    Ok(next
+        .filter(|n| n.parent() == node.parent())
+        .and_then(|n| n.last_level()))
+}
+
+/// The first node stored in `region` (children of `ctx`) at or after
+/// `probe` in document order.
+fn first_at_or_after(region: &[u8], ctx: &NodeId, probe: &[u8]) -> Result<Option<NodeId>> {
+    for entry in read_nodes(region) {
+        let entry = entry?;
+        if matches!(entry, NodeView::Proxy { .. }) {
+            continue;
+        }
+        let abs = ctx.child(&RelId::from_bytes(entry.rel())?);
+        if abs.as_bytes() >= probe {
+            return Ok(Some(abs));
+        }
+        if let NodeView::Element { content, .. } = entry {
+            if let Some(found) = first_at_or_after(content, &abs, probe)? {
+                return Ok(Some(found));
+            }
+        }
+    }
+    Ok(None)
 }
 
 /// Replace the value of a text or attribute node.
@@ -395,51 +529,41 @@ pub fn replace_value(
     new_value: &str,
 ) -> Result<UpdateStats> {
     let _latch = xml.edit_guard();
-    let mut edit = load_edit(xml, doc, target)?;
-    let found = with_target(
-        &mut edit.entries,
-        &edit.ctx,
-        target,
-        &mut |list, i, _| match &mut list[i] {
-            ENode::Text { value, .. } | ENode::Attr { value, .. } => {
-                *value = new_value.to_string();
-                Ok(())
-            }
-            other => Err(EngineError::Invalid(format!(
-                "replace_value target must be a text or attribute node, found {other:?}"
-            ))),
-        },
-    )?;
-    if found.is_none() {
-        return Err(EngineError::NotFound {
-            kind: "node",
-            name: format!("docid {doc} node {target}"),
-        });
-    }
-    commit_edit(txn, xml, doc, edit)
+    let rec = Stored::holding(xml, doc, target)?;
+    edit(txn, xml, doc, &rec, &Change::Value(target, new_value))
 }
 
 /// Delete the subtree rooted at `target` (records fully inside the subtree
 /// are reclaimed through the NodeID index).
 pub fn delete_node(txn: &Txn, xml: &XmlTable, doc: DocId, target: &NodeId) -> Result<UpdateStats> {
     let _latch = xml.edit_guard();
-    let mut edit = load_edit(xml, doc, target)?;
-    let found = with_target(&mut edit.entries, &edit.ctx, target, &mut |list, i, _| {
-        list.remove(i);
-        Ok(())
-    })?;
-    if found.is_none() {
-        return Err(EngineError::NotFound {
-            kind: "node",
-            name: format!("docid {doc} node {target}"),
-        });
+    let rec = Stored::holding(xml, doc, target)?;
+    let place = Place::of(&rec, doc, target)?;
+    let neighbours = if place.spilled_top {
+        Some(place.neighbours(xml, doc, target)?)
+    } else {
+        None
+    };
+    let mut stats = edit(txn, xml, doc, &rec, &Change::Delete(target))?;
+    if let Some((before, after)) = neighbours {
+        // The covering proxy counts one subtree less; an end that named
+        // the deleted node moves to its neighbour.
+        let rel = &place.siblings[place.index].0;
+        let rewrite = |first: RelId, last: RelId, count: u64| {
+            (count > 1).then(|| {
+                let first = match (&first == rel, &after) {
+                    (true, Some(next)) => next.clone(),
+                    _ => first,
+                };
+                let last = match (&last == rel, &before) {
+                    (true, Some(prev)) => prev.clone(),
+                    _ => last,
+                };
+                (first, last, count - 1)
+            })
+        };
+        stats += adjust_proxy(txn, xml, doc, &rec.header.context, rel, &rewrite)?;
     }
-    if edit.entries.is_empty() {
-        return Err(EngineError::Invalid(
-            "deleting the document root is not supported; delete the row instead".into(),
-        ));
-    }
-    let mut stats = commit_edit(txn, xml, doc, edit)?;
     // Reclaim records that lived entirely inside the deleted subtree.
     let succ = subtree_successor(target);
     let lo = nodeid_key(doc, target);
@@ -466,9 +590,9 @@ pub fn delete_node(txn: &Txn, xml: &XmlTable, doc: DocId, target: &NodeId) -> Re
     Ok(stats)
 }
 
-/// Insert a parsed XML fragment relative to `target`. For `First`/`Last` the
-/// target is the parent element; for `Before`/`After` the position carries
-/// the sibling and `target` is the parent element.
+/// Insert a parsed XML fragment as a child of the element `parent`: first
+/// (after its attributes), last, or beside the child a `Before`/`After`
+/// position names.
 pub fn insert_fragment(
     txn: &Txn,
     xml: &XmlTable,
@@ -479,409 +603,170 @@ pub fn insert_fragment(
     fragment_xml: &str,
 ) -> Result<UpdateStats> {
     let _latch = xml.edit_guard();
-    let mut edit = load_edit(xml, doc, parent)?;
-    let dict = dict.clone_ref();
-    let frag_events = FragmentBuilder::parse(fragment_xml, dict)?;
-    let mut result: Result<()> = Ok(());
-    let found = with_target(&mut edit.entries, &edit.ctx, parent, &mut |list, i, abs| {
-        let ENode::Elem { children, .. } = &mut list[i] else {
-            result = Err(EngineError::Invalid(
-                "insertion parent must be an element".into(),
-            ));
-            return Ok(());
-        };
-        // Choose the new child's relative ID using the §3.1 midpoint rules.
-        let idx_and_rel: Result<(usize, RelId)> = (|| {
-            // Content children (skip attributes: fragments insert after them).
-            let first_content = children
-                .iter()
-                .position(|c| !matches!(c, ENode::Attr { .. }))
-                .unwrap_or(children.len());
-            Ok(match &pos {
-                InsertPos::First => {
-                    let rel = match children.get(first_content) {
-                        Some(c) => c.rel().before(),
-                        None => match children.last() {
-                            Some(last_attr) => last_attr.rel().next_sibling(),
-                            None => RelId::first(),
-                        },
-                    };
-                    (first_content, rel)
-                }
-                InsertPos::Last => {
-                    let rel = match children.last() {
-                        Some(c) => c.last_rel().next_sibling(),
-                        None => RelId::first(),
-                    };
-                    (children.len(), rel)
-                }
-                InsertPos::Before(sib) => {
-                    let sib_rel = sibling_rel(abs, sib)?;
-                    let idx = children
-                        .iter()
-                        .position(|c| c.rel() >= &sib_rel)
-                        .unwrap_or(children.len());
-                    let rel = if idx == 0 || idx == first_content {
-                        sib_rel.before()
-                    } else {
-                        RelId::between(children[idx - 1].last_rel(), &sib_rel)
-                            .map_err(EngineError::from)?
-                    };
-                    (idx, rel)
-                }
-                InsertPos::After(sib) => {
-                    let sib_rel = sibling_rel(abs, sib)?;
-                    let idx = children
-                        .iter()
-                        .position(|c| c.rel() > &sib_rel)
-                        .unwrap_or(children.len());
-                    let rel = match children.get(idx) {
-                        Some(next) => {
-                            RelId::between(&sib_rel, next.rel()).map_err(EngineError::from)?
-                        }
-                        None => sib_rel.next_sibling(),
-                    };
-                    (idx, rel)
-                }
-            })
-        })();
-        match idx_and_rel {
-            Ok((idx, rel)) => {
-                let node = frag_events.instantiate(rel);
-                children.insert(idx, node);
-            }
-            Err(e) => result = Err(e),
-        }
-        Ok(())
-    })?;
-    result?;
-    if found.is_none() {
-        return Err(EngineError::NotFound {
-            kind: "node",
-            name: format!("docid {doc} node {parent}"),
-        });
+    if parent.is_root() {
+        return Err(EngineError::Invalid(
+            "insertion parent must be an element".into(),
+        ));
     }
-    commit_edit(txn, xml, doc, edit)
-}
-
-fn sibling_rel(parent_abs: &NodeId, sib: &NodeId) -> Result<RelId> {
-    if !parent_abs.is_ancestor(sib) {
+    let fragment = parse_fragment(fragment_xml, dict)?;
+    let (sibling, before) = match pos {
+        InsertPos::First => match first_content_child(xml, doc, parent)? {
+            Some(child) => (child, true),
+            None => return append_child(txn, xml, doc, parent, &fragment),
+        },
+        InsertPos::Last => return append_child(txn, xml, doc, parent, &fragment),
+        InsertPos::Before(sibling) => (sibling, true),
+        InsertPos::After(sibling) => (sibling, false),
+    };
+    if sibling.parent().as_ref() != Some(parent) {
         return Err(EngineError::Invalid(format!(
-            "{sib} is not a child of {parent_abs}"
+            "{sibling} is not a child of {parent}"
         )));
     }
-    let tail = &sib.as_bytes()[parent_abs.as_bytes().len()..];
-    RelId::from_bytes(tail).map_err(EngineError::from)
-}
-
-/// Re-encode the edited record; spill children when it no longer fits.
-fn commit_edit(txn: &Txn, xml: &XmlTable, doc: DocId, edit: EditCtx) -> Result<UpdateStats> {
-    let mut stats = UpdateStats::default();
-    let limit = rx_storage::MAX_RECORD_SIZE - 64;
-    let mut rec = encode_record(&edit.header_bytes, &edit.entries, &edit.ctx)?;
-    let spills = rec.bytes.len() > limit;
-    if spills {
-        // Remove the stale interval entries FIRST: a spilled record's new
-        // entry may reuse exactly the same (doc, upper) key.
-        xml.delete_uppers(txn, doc, &edit.old_uppers)?;
-    }
-    let mut entries = edit.entries;
-    while rec.bytes.len() > limit {
-        // Spill the largest element's children block into fresh records.
-        spill_largest(txn, xml, doc, &mut entries, &edit.ctx, limit, &mut stats)?;
-        rec = encode_record(&edit.header_bytes, &entries, &edit.ctx)?;
-    }
-    stats.bytes_written += rec.bytes.len() as u64;
-    stats.records_touched += 1;
-    xml.update_record(txn, doc, edit.rid, &rec, &[])?;
-    if !spills {
-        // Without a spill the record's surviving interval entries were
-        // overwritten in place above, and only the stale ones go, after.
-        // Deleting a live key and re-inserting it would leave a window in
-        // which an unlocked reader's NodeID probe finds no record at all.
-        let stale: Vec<NodeId> = edit
-            .old_uppers
-            .into_iter()
-            .filter(|u| !rec.interval_uppers.contains(u))
-            .collect();
-        xml.delete_uppers(txn, doc, &stale)?;
+    // The new child goes into the record that holds its sibling, with an ID
+    // between the sibling and its neighbour on that side (§3.1 midpoints).
+    let rec = Stored::holding(xml, doc, &sibling)?;
+    let place = Place::of(&rec, doc, &sibling)?;
+    let (prev, next) = place.neighbours(xml, doc, &sibling)?;
+    let sib = place.siblings[place.index].0.clone();
+    let (lo, hi, at) = if before {
+        (prev, Some(sib.clone()), Some(sib.clone()))
+    } else {
+        let at = place.siblings.get(place.index + 1).map(|s| s.0.clone());
+        (Some(sib.clone()), next, at)
+    };
+    let rel = match (lo, hi) {
+        (Some(a), Some(b)) => RelId::between(&a, &b)?,
+        (Some(a), None) => a.next_sibling(),
+        (None, Some(b)) => b.before(),
+        (None, None) => RelId::first(),
+    };
+    let change = Change::Insert {
+        parent,
+        before: at,
+        rel: rel.clone(),
+        fragment: &fragment,
+    };
+    let mut stats = edit(txn, xml, doc, &rec, &change)?;
+    if place.spilled_top {
+        // The covering proxy counts one subtree more, and its range takes
+        // in the new child.
+        let rewrite = |first: RelId, last: RelId, count: u64| {
+            Some((first.min(rel.clone()), last.max(rel.clone()), count + 1))
+        };
+        stats += adjust_proxy(txn, xml, doc, parent, &sib, &rewrite)?;
     }
     Ok(stats)
 }
 
-/// Find the element with the largest encoded children and move those
-/// children into fresh records (context = that element), replacing them with
-/// a range proxy. Children are grouped into records of at most `limit` bytes;
-/// an oversized element child is spilled recursively first.
-fn spill_largest(
+/// Insert `fragment` as the last child of `parent`, after its last entry in
+/// the record that holds it.
+fn append_child(
     txn: &Txn,
     xml: &XmlTable,
     doc: DocId,
-    entries: &mut [ENode],
-    ctx: &NodeId,
-    limit: usize,
-    stats: &mut UpdateStats,
-) -> Result<()> {
-    // Locate the largest element by encoded size (top level only; recursion
-    // happens across loop iterations in commit_edit and within
-    // spill_children_of for oversized children).
-    let mut best: Option<(usize, usize)> = None; // (index, size)
-    for (i, e) in entries.iter().enumerate() {
-        if let ENode::Elem { .. } = e {
-            let mut enc = Enc::new();
-            encode_entry(e, &mut enc);
-            let size = enc.len();
-            if best.is_none_or(|(_, s)| size > s) {
-                best = Some((i, size));
-            }
-        }
-    }
-    let Some((i, _)) = best else {
-        return Err(EngineError::Record(
-            "record overflows but holds no spillable element".into(),
+    parent: &NodeId,
+    fragment: &TokenStream,
+) -> Result<UpdateStats> {
+    let rec = Stored::holding(xml, doc, parent)?;
+    let NodeView::Element { content, .. } = Place::of(&rec, doc, parent)?.entry else {
+        return Err(EngineError::Invalid(
+            "insertion parent must be an element".into(),
         ));
     };
-    let abs = ctx.child(entries[i].rel());
-    let ENode::Elem { children, .. } = &mut entries[i] else {
-        unreachable!()
+    let mut last = None;
+    for entry in read_nodes(content) {
+        last = Some(span(&entry?)?.1);
+    }
+    let change = Change::Insert {
+        parent,
+        before: None,
+        rel: last.map_or_else(RelId::first, |l| l.next_sibling()),
+        fragment,
     };
-    spill_children_of(txn, xml, doc, &abs, children, limit, stats)
+    edit(txn, xml, doc, &rec, &change)
 }
 
-/// Move the non-attribute children of the element at `abs` into new records
-/// (grouped to `limit` bytes each) and replace them with one range proxy.
-fn spill_children_of(
-    txn: &Txn,
-    xml: &XmlTable,
-    doc: DocId,
-    abs: &NodeId,
-    children: &mut Vec<ENode>,
-    limit: usize,
-    stats: &mut UpdateStats,
-) -> Result<()> {
-    let keep: Vec<ENode> = children
-        .iter()
-        .filter(|c| matches!(c, ENode::Attr { .. }))
-        .cloned()
-        .collect();
-    let mut spill: Vec<ENode> = children
-        .iter()
-        .filter(|c| !matches!(c, ENode::Attr { .. }))
-        .cloned()
-        .collect();
-    if spill.is_empty() {
-        return Err(EngineError::Record(format!(
-            "record overflows with an unsplittable node of doc {doc}"
-        )));
+/// The first child of `parent` that is not an attribute, from a traversal
+/// of `parent` that stops there.
+fn first_content_child(xml: &XmlTable, doc: DocId, parent: &NodeId) -> Result<Option<NodeId>> {
+    struct FirstChild {
+        depth: usize,
+        found: Option<NodeId>,
     }
-    // Shrink oversized element children recursively before grouping.
-    for child in spill.iter_mut() {
-        let mut enc = Enc::new();
-        encode_entry(child, &mut enc);
-        if enc.len() > limit {
-            let child_abs = abs.child(child.rel());
-            match child {
-                ENode::Elem { children: gk, .. } => {
-                    spill_children_of(txn, xml, doc, &child_abs, gk, limit, stats)?;
+    impl IdEventSink for FirstChild {
+        fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> Result<()> {
+            match ev {
+                Event::Attribute { .. } | Event::NamespaceDecl { .. } => {}
+                Event::EndElement => self.depth -= 1,
+                _ if self.depth == 1 => {
+                    self.found = Some(NodeId::from_bytes_unchecked(id.to_vec()));
+                    // Stop the traversal: nothing after this child matters.
+                    return Err(EngineError::Invalid("first child found".into()));
                 }
-                other => {
-                    return Err(EngineError::Record(format!(
-                        "single node of {} bytes exceeds the record limit: {other:?}",
-                        enc.len()
-                    )))
-                }
+                Event::StartElement { .. } => self.depth += 1,
+                _ => {}
             }
+            Ok(())
+        }
+
+        fn wants_content(&self) -> bool {
+            self.depth == 1
         }
     }
-    let first = spill.first().unwrap().rel().clone();
-    let last = spill.last().unwrap().last_rel().clone();
-    let count: u64 = spill
-        .iter()
-        .map(|e| match e {
-            ENode::Proxy { count, .. } => *count,
-            _ => 1,
-        })
-        .sum();
-    // Header for the spilled records: context = this element (path/ns lists
-    // left empty; they are advisory context for index-driven evaluation).
-    let spilled_header = {
-        let mut e = Enc::new();
-        e.bytes(abs.as_bytes());
-        e.varint(0).varint(0);
-        e.into_bytes()
+    let mut sink = FirstChild {
+        depth: 0,
+        found: None,
     };
-    // Group consecutive children into records of <= limit bytes.
-    let mut group: Vec<ENode> = Vec::new();
-    let mut group_bytes = 0usize;
-    let emit = |group: &mut Vec<ENode>, stats: &mut UpdateStats| -> Result<()> {
-        if group.is_empty() {
-            return Ok(());
+    let run = Traverser::new(xml, doc).run_subtree(parent, &mut sink);
+    match sink.found {
+        Some(child) => Ok(Some(child)),
+        None => run.map(|()| None),
+    }
+}
+
+/// Parse a fragment into a token stream: exactly one top-level node, an
+/// element.
+fn parse_fragment(text: &str, dict: &NameDict) -> Result<TokenStream> {
+    struct Roots {
+        tokens: TokenWriter,
+        depth: usize,
+        roots: usize,
+    }
+    impl EventSink for Roots {
+        fn event(&mut self, ev: Event<'_>) -> rx_xml::Result<()> {
+            match ev {
+                Event::StartElement { .. } => {
+                    self.roots += usize::from(self.depth == 0);
+                    self.depth += 1;
+                }
+                Event::EndElement => self.depth -= 1,
+                Event::Text { .. } | Event::Comment { .. } | Event::Pi { .. } => {
+                    self.roots += usize::from(self.depth == 0);
+                }
+                _ => {}
+            }
+            self.tokens.event(ev)
         }
-        let rec = encode_record(&spilled_header, group, abs)?;
-        stats.bytes_written += rec.bytes.len() as u64;
-        stats.records_touched += 1;
-        xml.insert_record(txn, doc, &rec)?;
-        group.clear();
-        Ok(())
+    }
+    let mut roots = Roots {
+        tokens: TokenWriter::new(),
+        depth: 0,
+        roots: 0,
     };
-    for child in spill {
-        let mut enc = Enc::new();
-        encode_entry(&child, &mut enc);
-        let size = enc.len();
-        if group_bytes + size + spilled_header.len() + 16 > limit {
-            emit(&mut group, stats)?;
-            group_bytes = 0;
-        }
-        group_bytes += size;
-        group.push(child);
+    rx_xml::Parser::new(dict).parse(text, &mut roots)?;
+    if roots.roots != 1 {
+        return Err(EngineError::Invalid(
+            "fragment must contain one root element".into(),
+        ));
     }
-    emit(&mut group, stats)?;
-    let mut new_children = keep;
-    new_children.push(ENode::Proxy { first, last, count });
-    *children = new_children;
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Fragment parsing
-// ---------------------------------------------------------------------------
-
-/// A parsed single-root fragment, instantiable with a chosen root relative ID.
-struct FragmentBuilder {
-    root: ENode,
-}
-
-impl FragmentBuilder {
-    fn parse(text: &str, dict: &NameDict) -> Result<FragmentBuilder> {
-        struct B {
-            stack: Vec<ENode>,
-            root: Option<ENode>,
-        }
-        impl B {
-            fn alloc_rel(&mut self) -> RelId {
-                match self.stack.last() {
-                    Some(ENode::Elem { children, .. }) => match children.last() {
-                        Some(c) => c.last_rel().next_sibling(),
-                        None => RelId::first(),
-                    },
-                    _ => RelId::first(),
-                }
-            }
-            fn push_node(&mut self, n: ENode) {
-                match self.stack.last_mut() {
-                    Some(ENode::Elem { children, .. }) => children.push(n),
-                    _ => self.root = Some(n),
-                }
-            }
-        }
-        impl EventSink for B {
-            fn event(&mut self, ev: Event<'_>) -> rx_xml::Result<()> {
-                match ev {
-                    Event::StartDocument | Event::EndDocument => {}
-                    Event::StartElement { name } => {
-                        let rel = self.alloc_rel();
-                        self.stack.push(ENode::Elem {
-                            rel,
-                            name,
-                            ns: Vec::new(),
-                            children: Vec::new(),
-                        });
-                    }
-                    Event::NamespaceDecl { prefix, uri } => {
-                        if let Some(ENode::Elem { ns, .. }) = self.stack.last_mut() {
-                            ns.push((prefix, uri));
-                        }
-                    }
-                    Event::Attribute { name, value, ann } => {
-                        let rel = match self.stack.last() {
-                            Some(ENode::Elem { children, .. }) => match children.last() {
-                                Some(c) => c.last_rel().next_sibling(),
-                                None => RelId::first(),
-                            },
-                            _ => RelId::first(),
-                        };
-                        if let Some(ENode::Elem { children, .. }) = self.stack.last_mut() {
-                            children.push(ENode::Attr {
-                                rel,
-                                name,
-                                ann,
-                                value: value.to_string(),
-                            });
-                        }
-                    }
-                    Event::Text { value, ann } => {
-                        let rel = self.alloc_rel();
-                        self.push_node(ENode::Text {
-                            rel,
-                            ann,
-                            value: value.to_string(),
-                        });
-                    }
-                    Event::Comment { value } => {
-                        let rel = self.alloc_rel();
-                        self.push_node(ENode::Comment {
-                            rel,
-                            value: value.to_string(),
-                        });
-                    }
-                    Event::Pi { target, data } => {
-                        let rel = self.alloc_rel();
-                        self.push_node(ENode::Pi {
-                            rel,
-                            target,
-                            value: data.to_string(),
-                        });
-                    }
-                    Event::EndElement => {
-                        let done = self.stack.pop().expect("balanced");
-                        self.push_node(done);
-                    }
-                }
-                Ok(())
-            }
-        }
-        let mut b = B {
-            stack: Vec::new(),
-            root: None,
-        };
-        rx_xml::Parser::new(dict).parse(text, &mut b)?;
-        let root = b
-            .root
-            .ok_or_else(|| EngineError::Invalid("fragment must contain one root element".into()))?;
-        Ok(FragmentBuilder { root })
-    }
-
-    /// Clone the fragment with its root's relative ID replaced.
-    fn instantiate(&self, rel: RelId) -> ENode {
-        let mut node = self.root.clone();
-        match &mut node {
-            ENode::Elem { rel: r, .. }
-            | ENode::Attr { rel: r, .. }
-            | ENode::Text { rel: r, .. }
-            | ENode::Comment { rel: r, .. }
-            | ENode::Pi { rel: r, .. } => *r = rel,
-            ENode::Proxy { .. } => unreachable!("fragments have no proxies"),
-        }
-        node
-    }
-}
-
-/// Internal helper so [`insert_fragment`] can hold the dict beyond the parse.
-trait CloneRef {
-    fn clone_ref(&self) -> &Self;
-}
-
-impl CloneRef for NameDict {
-    fn clone_ref(&self) -> &Self {
-        self
-    }
+    Ok(roots.tokens.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pack::{NoObserver, Packer};
-    use crate::traverse::{DropIds, Traverser};
+    use crate::traverse::DropIds;
     use rx_storage::wal::{MemLogStore, Wal};
     use rx_storage::{BufferPool, LockManager, MemBackend, TableSpace, TxnManager};
     use rx_xml::Serializer;
@@ -921,17 +806,175 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_decode_encode_identical() {
-        let (xt, _, _) = store("<a x=\"1\"><b>hi</b><c/><!--n--></a>", 3500);
-        let rid = xt.locate(1, &nid(&[0x02])).unwrap().unwrap();
-        let row = xt.fetch(rid).unwrap();
-        let hdr = read_header(&row.data).unwrap();
-        let entries = decode_region(&row.data[hdr.body_offset..]).unwrap();
-        let mut e = Enc::new();
-        for n in &entries {
-            encode_entry(n, &mut e);
+    fn repack_of_an_unedited_record_reproduces_it() {
+        // Every record the packer wrote at insert time, replayed unchanged
+        // into a resumed packer, comes back byte for byte with the same
+        // minimum ID and interval uppers.
+        let filler = "r".repeat(300);
+        let items: String = (0..12)
+            .map(|i| format!("<p:i n=\"{i}\"><v>{filler}</v><w/></p:i>"))
+            .collect();
+        let doc = format!(r#"<a x="1" xmlns:p="urn:p"><b>hi</b>{items}<c/><!--n--><?pi d?></a>"#);
+        for target in [160, 600, 3500] {
+            let dict = NameDict::new();
+            let mut records = Vec::new();
+            let mut obs = NoObserver;
+            let mut p = Packer::with_target(target, &mut records, &mut obs);
+            rx_xml::Parser::new(&dict).parse(&doc, &mut p).unwrap();
+            p.finish().unwrap();
+            assert!(target == 3500 || records.len() > 2);
+            for packed in &records {
+                let rec = Stored {
+                    rid: Rid::from_u64(0),
+                    min_node: packed.min_id.clone(),
+                    data: packed.bytes.clone(),
+                    header: read_header(&packed.bytes).unwrap(),
+                };
+                // A change whose target no record holds.
+                let (out, applied) = rec.repack(&Change::Delete(&nid(&[0x7E]))).unwrap();
+                assert!(!applied);
+                assert_eq!(out, vec![packed.clone()], "target {target}");
+            }
         }
-        assert_eq!(e.into_bytes(), row.data[hdr.body_offset..].to_vec());
+    }
+
+    /// `<r><p>` + 20 `<c>` + `</p><tail>t</tail></r>` at target 160:
+    /// p's children sit behind a range proxy.
+    fn proxied() -> (XmlTable, NameDict, Arc<TxnManager>, Vec<String>) {
+        let cs: Vec<String> = (1..=20)
+            .map(|i| format!("<c>value-number-{i:03}-padding</c>"))
+            .collect();
+        let (xt, dict, txns) = store(&proxied_doc(&cs), 160);
+        assert!(xt.heap().stats().unwrap().records > 3);
+        (xt, dict, txns, cs)
+    }
+
+    fn proxied_doc(cs: &[String]) -> String {
+        format!("<r><p>{}</p><tail>t</tail></r>", cs.concat())
+    }
+
+    /// The `i`th `c` child of `p` in [`proxied`], counting from 1.
+    fn c(i: u8) -> NodeId {
+        nid(&[0x02, 0x02, 2 * i])
+    }
+
+    /// Every record names one path entry per level of its context, every
+    /// NodeID-index entry names the record that holds its node, and every
+    /// element is reachable through the NodeID index.
+    fn assert_consistent(xt: &XmlTable) {
+        for rid in xt.document_rids(1).unwrap() {
+            let hdr = read_header(&xt.fetch(rid).unwrap().data).unwrap();
+            assert_eq!(hdr.path.len(), hdr.context.depth(), "record {rid:?}");
+        }
+        let mut entries = Vec::new();
+        xt.nodeid_index()
+            .scan_all(|k, v| {
+                entries.push((NodeId::from_bytes(&k[8..]).unwrap(), Rid::from_u64(v)));
+                true
+            })
+            .unwrap();
+        for (upper, rid) in entries {
+            let data = xt.fetch(rid).unwrap().data;
+            let hdr = read_header(&data).unwrap();
+            let body = &data[hdr.body_offset..];
+            assert!(
+                find(body, &hdr.context, &upper).unwrap().is_some(),
+                "stale entry {upper}"
+            );
+        }
+        let mut ids = Vec::new();
+        struct Ids<'v>(&'v mut Vec<Vec<u8>>);
+        impl IdEventSink for Ids<'_> {
+            fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> Result<()> {
+                if let Event::StartElement { .. } = ev {
+                    self.0.push(id.to_vec());
+                }
+                Ok(())
+            }
+        }
+        Traverser::new(xt, 1).run(&mut Ids(&mut ids)).unwrap();
+        let distinct: std::collections::BTreeSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), ids.len(), "element IDs must be distinct");
+        for id in ids {
+            let id = NodeId::from_bytes(&id).unwrap();
+            crate::traverse::string_value(xt, 1, &id).unwrap();
+        }
+    }
+
+    #[test]
+    fn delete_behind_a_range_proxy() {
+        let (xt, dict, txns, mut cs) = proxied();
+        let txn = txns.begin().unwrap();
+        delete_node(&txn, &xt, 1, &c(3)).unwrap();
+        txn.commit().unwrap();
+        cs.remove(2);
+        assert_eq!(serialize(&xt, &dict), proxied_doc(&cs));
+        assert_consistent(&xt);
+        // Deleting every child drops the proxy and the emptied records.
+        let before = xt.heap().stats().unwrap().records;
+        let txn = txns.begin().unwrap();
+        for i in (1..=20).filter(|&i| i != 3) {
+            delete_node(&txn, &xt, 1, &c(i)).unwrap();
+        }
+        txn.commit().unwrap();
+        assert_eq!(serialize(&xt, &dict), "<r><p/><tail>t</tail></r>");
+        assert_eq!(xt.heap().stats().unwrap().records, 1, "from {before}");
+        assert_consistent(&xt);
+    }
+
+    #[test]
+    fn insert_beside_a_sibling_behind_a_range_proxy() {
+        let (xt, dict, txns, mut cs) = proxied();
+        let p = nid(&[0x02, 0x02]);
+        let txn = txns.begin().unwrap();
+        insert_fragment(
+            &txn,
+            &xt,
+            1,
+            &dict,
+            &p,
+            InsertPos::Before(c(6)),
+            "<new>b</new>",
+        )
+        .unwrap();
+        insert_fragment(
+            &txn,
+            &xt,
+            1,
+            &dict,
+            &p,
+            InsertPos::After(c(6)),
+            "<new>a</new>",
+        )
+        .unwrap();
+        insert_fragment(&txn, &xt, 1, &dict, &p, InsertPos::First, "<new>f</new>").unwrap();
+        insert_fragment(
+            &txn,
+            &xt,
+            1,
+            &dict,
+            &p,
+            InsertPos::After(c(20)),
+            "<new>z</new>",
+        )
+        .unwrap();
+        txn.commit().unwrap();
+        cs.insert(6, "<new>a</new>".into());
+        cs.insert(5, "<new>b</new>".into());
+        cs.insert(0, "<new>f</new>".into());
+        cs.push("<new>z</new>".into());
+        assert_eq!(serialize(&xt, &dict), proxied_doc(&cs));
+        assert_consistent(&xt);
+        // Insert before every original child, each the first entry of its
+        // record or not: IDs come from the record or the NodeID index.
+        let txn = txns.begin().unwrap();
+        for i in 1..=20 {
+            insert_fragment(&txn, &xt, 1, &dict, &p, InsertPos::Before(c(i)), "<m/>").unwrap();
+        }
+        txn.commit().unwrap();
+        let out = serialize(&xt, &dict);
+        assert_eq!(out.matches("<m/><c>").count(), 20, "{out}");
+        assert_consistent(&xt);
     }
 
     #[test]

@@ -92,13 +92,6 @@ pub fn decode_row(rec: &[u8]) -> Result<XmlRow> {
     })
 }
 
-/// The byte range of the XMLData payload within an encoded row — the
-/// zero-copy complement of [`decode_row`] used by the document cache and
-/// the traverser's shared-record path.
-pub fn decode_row_data_range(rec: &[u8]) -> Result<std::ops::Range<usize>> {
-    crate::doccache::row_data_range(rec)
-}
-
 /// Root records of a candidate list, located by
 /// [`XmlTable::locate_roots`]: per candidate, the interval upper and RID of
 /// its first NodeID-index entry. Reusable across lists.

@@ -102,11 +102,6 @@ impl MemBackend {
             pages: RwLock::new(Vec::new()),
         }
     }
-
-    /// Total bytes currently materialized (used by storage-size experiments).
-    pub fn size_bytes(&self) -> usize {
-        self.pages.read().len() * PAGE_SIZE
-    }
 }
 
 impl Default for MemBackend {

@@ -57,11 +57,6 @@ impl HeapTable {
         &self.space
     }
 
-    /// Largest record this heap accepts.
-    pub fn max_record_size(&self) -> usize {
-        MAX_RECORD_SIZE
-    }
-
     /// Insert a record, returning its RID.
     pub fn insert(&self, data: &[u8]) -> Result<Rid> {
         if data.len() > MAX_RECORD_SIZE {
@@ -134,18 +129,6 @@ impl HeapTable {
                 page: rid.page,
                 slot: rid.slot,
             })
-    }
-
-    /// Apply `f` to a record without copying it out of the page.
-    pub fn with_record<T>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> T) -> Result<T> {
-        let g = self.space.fetch(rid.page)?;
-        let p = g.read();
-        let rec = p.get(rid.slot).ok_or(StorageError::RecordNotFound {
-            space: self.space.id(),
-            page: rid.page,
-            slot: rid.slot,
-        })?;
-        Ok(f(rec))
     }
 
     /// Update a record outside any transaction. Returns the (possibly new)

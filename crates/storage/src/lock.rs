@@ -281,15 +281,6 @@ impl LmInner {
         }
         Ok(())
     }
-
-    /// Drop a group whose grant list is empty, keeping the list for reuse.
-    fn retire(&mut self, key: &GroupKey) {
-        if let Some(list) = self.groups.remove(key) {
-            if self.spare.len() < SPARE_GRANT_LISTS {
-                self.spare.push(list);
-            }
-        }
-    }
 }
 
 /// The lock manager. One instance per database.
@@ -397,32 +388,6 @@ impl LockManager {
     pub fn try_lock(&self, txn: TxnId, name: &LockName, mode: LockMode) -> Result<bool> {
         let (key, node) = group_of(name);
         Ok(self.inner.lock().try_grant(txn, &key, &node, mode).is_ok())
-    }
-
-    /// Release one level of `name` for `txn` (locks are re-entrant counted).
-    pub fn unlock(&self, txn: TxnId, name: &LockName) {
-        let (key, node) = group_of(name);
-        let mut inner = self.inner.lock();
-        let mut emptied = false;
-        if let Some(grants) = inner.groups.get_mut(&key) {
-            if let Some(i) = grants.iter().position(|g| g.txn == txn && g.node == node) {
-                grants[i].count -= 1;
-                if grants[i].count == 0 {
-                    grants.swap_remove(i);
-                    emptied = grants.is_empty();
-                    if let Some(h) = inner.held.get_mut(&txn) {
-                        if let Some(j) = h.iter().position(|(k, n)| *k == key && *n == node) {
-                            h.swap_remove(j);
-                        }
-                    }
-                }
-            }
-        }
-        if emptied {
-            inner.retire(&key);
-        }
-        drop(inner);
-        self.cond.notify_all();
     }
 
     /// Release every lock held by `txn` (commit/rollback).

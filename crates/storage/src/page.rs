@@ -135,11 +135,6 @@ impl Page {
         PageType::from_u8(self.buf[OFF_TYPE]).expect("validated at construction")
     }
 
-    /// Set the page type.
-    pub fn set_page_type(&mut self, t: PageType) {
-        self.buf[OFF_TYPE] = t as u8;
-    }
-
     /// LSN of the last WAL record that touched this page.
     pub fn lsn(&self) -> u64 {
         self.get_u64(OFF_LSN)

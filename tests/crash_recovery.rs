@@ -226,6 +226,42 @@ fn updates_survive_crash() {
 }
 
 #[test]
+fn names_a_fragment_adds_survive_crash() {
+    let dir = tmpdir("fragment-names");
+    {
+        let db = Database::create_dir(&dir).unwrap();
+        let t = db.create_table("p", &[("doc", ColumnKind::Xml)]).unwrap();
+        db.insert_row(&t, &[ColValue::Xml("<r><a>x</a></r>".into())])
+            .unwrap();
+        db.checkpoint().unwrap();
+        // The fragment interns an element and an attribute name the
+        // dictionary has not seen; commit, then crash without a checkpoint.
+        let root = NodeId::from_bytes(&[0x02]).unwrap();
+        let txn = db.begin().unwrap();
+        db.update_document_txn(&txn, &t, "doc", 1, &root, |txn, xml| {
+            update::insert_fragment(
+                txn,
+                xml,
+                1,
+                db.dict(),
+                &root,
+                update::InsertPos::Last,
+                r#"<brandnew attrname="v">y</brandnew>"#,
+            )
+        })
+        .unwrap();
+        txn.commit().unwrap();
+    }
+    let db = Database::open_dir(&dir).unwrap();
+    let t = db.table("p").unwrap();
+    assert_eq!(
+        db.serialize_document(&t, "doc", 1).unwrap(),
+        r#"<r><a>x</a><brandnew attrname="v">y</brandnew></r>"#
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn repeated_crash_recover_cycles_are_stable() {
     let dir = tmpdir("cycles");
     let mut expected: Vec<u64> = Vec::new();

@@ -1,12 +1,14 @@
 //! Differential testing of sub-document updates: the same random edit
 //! sequence applied to two databases with very different packing targets
 //! (hence different record/proxy layouts) must produce byte-identical
-//! documents, and the NodeID index must stay consistent (every node
-//! locatable, no stale entries) throughout.
+//! documents, and after every edit the NodeID index must stay consistent
+//! (every node locatable, no stale entries) and every record's header must
+//! name one path entry per level of its context.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
+use system_rx::engine::pack::read_header;
 use system_rx::engine::update::{self, InsertPos};
 use system_rx::engine::{access, AccessPlan, BaseTable};
 use system_rx::xml::NodeId;
@@ -18,7 +20,8 @@ enum Edit {
     ReplaceText(usize, String),
     /// Delete the i-th non-root element.
     DeleteElement(usize),
-    /// Insert a fragment at a position relative to the i-th element.
+    /// Insert a fragment under the i-th element: first, last, or before or
+    /// after one of its element children (`pos % 4`).
     Insert(usize, u8, String),
 }
 
@@ -26,11 +29,12 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
     prop_oneof![
         (any::<usize>(), "[a-z]{1,20}").prop_map(|(i, s)| Edit::ReplaceText(i, s)),
         any::<usize>().prop_map(Edit::DeleteElement),
-        (any::<usize>(), 0u8..4, "[a-z]{1,6}").prop_map(|(i, p, n)| Edit::Insert(
-            i,
-            p,
-            format!("<{n}>{n}</{n}>")
-        )),
+        // Fragments up to ~1.5 KB, so edits push records past the edit
+        // limit and spill.
+        (any::<usize>(), 0u8..4, "[a-z]{1,6}", 0usize..1500).prop_map(|(i, p, n, len)| {
+            let body: String = n.chars().cycle().take(len.max(1)).collect();
+            Edit::Insert(i, p, format!("<{n}>{body}</{n}>"))
+        }),
     ]
 }
 
@@ -110,8 +114,15 @@ impl Db {
                     return false;
                 }
                 let node = &elems[i % elems.len()];
-                let pos = match pos % 2 {
+                let kids: Vec<&NodeId> = elems
+                    .iter()
+                    .filter(|e| e.parent().as_ref() == Some(node))
+                    .collect();
+                let kid = || kids[(i / elems.len()) % kids.len()].clone();
+                let pos = match pos % 4 {
                     0 => InsertPos::First,
+                    2 if !kids.is_empty() => InsertPos::Before(kid()),
+                    3 if !kids.is_empty() => InsertPos::After(kid()),
                     _ => InsertPos::Last,
                 };
                 let txn = self.db.begin().unwrap();
@@ -123,7 +134,8 @@ impl Db {
     }
 
     /// Every node reported by a full scan must be locatable through the
-    /// NodeID index, and its string value must be readable.
+    /// NodeID index, and its string value must be readable; every
+    /// NodeID-index entry must lead to its own node.
     fn check_index_consistency(&self) {
         let col = self.table.xml_column("doc").unwrap();
         let xml = col.xml_table();
@@ -134,21 +146,57 @@ impl Db {
             );
             let _ = system_rx::engine::traverse::string_value(xml, 1, &node).unwrap();
         }
+        let mut uppers = Vec::new();
+        xml.nodeid_index()
+            .scan_prefix(&1u64.to_be_bytes(), |k, _| {
+                uppers.push(NodeId::from_bytes(&k[8..]).unwrap());
+                true
+            })
+            .unwrap();
+        for upper in uppers {
+            let node = system_rx::engine::traverse::fetch_node(xml, 1, &upper).unwrap();
+            assert!(node.is_some(), "stale NodeID-index entry {upper}");
+        }
+    }
+
+    /// Every record of the document is self-contained (§3.1): its header
+    /// names one path entry per level of its context.
+    fn check_headers(&self) {
+        let xml = self.table.xml_column("doc").unwrap().xml_table();
+        for rid in xml.document_rids(1).unwrap() {
+            let hdr = read_header(&xml.fetch(rid).unwrap().data).unwrap();
+            assert_eq!(
+                hdr.path.len(),
+                hdr.context.depth(),
+                "record with context {}",
+                hdr.context
+            );
+        }
     }
 }
 
 const SEED_DOC: &str = "<root><a><x>one</x><y>two</y></a><b>three</b>\
                         <c><d><e>four</e></d></c></root>";
 
+/// At target 160, p's twenty children sit behind a range proxy.
+fn proxied_doc() -> String {
+    let cs: String = (1..=20)
+        .map(|i| format!("<c>value-number-{i:03}-padding</c>"))
+        .collect();
+    format!("<r><p>{cs}</p><tail>t</tail></r>")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn random_edits_agree_across_packing_targets(
+        proxied in any::<bool>(),
         edits in prop::collection::vec(arb_edit(), 1..15)
     ) {
-        let small = Db::new(160, SEED_DOC);
-        let large = Db::new(3500, SEED_DOC);
+        let doc = if proxied { proxied_doc() } else { SEED_DOC.to_string() };
+        let small = Db::new(160, &doc);
+        let large = Db::new(3500, &doc);
         prop_assert_eq!(small.serialize(), large.serialize());
         for edit in &edits {
             let a = small.apply(edit);
@@ -160,9 +208,11 @@ proptest! {
                 "divergence after {:?}",
                 edit
             );
+            for db in [&small, &large] {
+                db.check_index_consistency();
+                db.check_headers();
+            }
         }
-        small.check_index_consistency();
-        large.check_index_consistency();
     }
 }
 
@@ -184,6 +234,8 @@ fn targeted_edit_sequence() {
         assert_eq!(small.apply(e), large.apply(e));
         assert_eq!(small.serialize(), large.serialize(), "after {e:?}");
     }
-    small.check_index_consistency();
-    large.check_index_consistency();
+    for db in [&small, &large] {
+        db.check_index_consistency();
+        db.check_headers();
+    }
 }
