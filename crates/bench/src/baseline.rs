@@ -14,13 +14,13 @@
 //! Both produce the same results as QuickXScan (differential tests rely on
 //! this); only their cost profiles differ.
 
-use crate::ast::{CmpOp, NodeTest};
-use crate::error::{Result, XPathError};
-use crate::query_tree::{PExpr, POp, QAxis, QueryTree, Route};
-use crate::quickxscan::ResultItem;
 use rx_xml::dom::{DomId, DomKind, DomTree};
 use rx_xml::event::{Event, EventSink};
 use rx_xml::name::{NameDict, QNameId};
+use rx_xpath::ast::{CmpOp, NodeTest};
+use rx_xpath::error::{Result, XPathError};
+use rx_xpath::query_tree::{PExpr, POp, QAxis, QueryTree, Route};
+use rx_xpath::quickxscan::ResultItem;
 
 // ---------------------------------------------------------------------------
 // DOM-based evaluation
@@ -440,9 +440,9 @@ impl EventSink for NaiveStreamMatcher<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::XPathParser;
-    use crate::query_tree::QueryTree;
-    use crate::quickxscan::scan_str;
+    use rx_xpath::parser::XPathParser;
+    use rx_xpath::query_tree::QueryTree;
+    use rx_xpath::quickxscan::scan_str;
 
     fn dom_eval(query: &str, doc: &str) -> Vec<String> {
         let path = XPathParser::new().parse(query).unwrap();

@@ -7,13 +7,14 @@
 //! Pass experiment ids (e.g. `e1 e5`) to run a subset; an unknown id exits
 //! with status 2 and the list of valid ids.
 
+use rx_bench::baseline::{DomXPath, NaiveStreamMatcher};
+use rx_bench::construct::{external_sort_rows, naive_construct_string};
+use rx_bench::sax::{parse_sax, SaxAttribute, SaxHandler};
 use rx_bench::{
     fmt_dur, load_product_docs, load_single_catalog, lob_store, median_time, mem_db, mem_db_cached,
-    print_table, shredded_store,
+    print_table, run_plan, shredded_store,
 };
-use rx_engine::construct::{
-    external_sort_rows, fig5_emp_ctor, naive_construct_string, Constructed, Template, XmlAgg,
-};
+use rx_engine::construct::{fig5_emp_ctor, Constructed, Template, XmlAgg};
 use rx_engine::db::{ColValue, ColumnKind, Database, DbConfig};
 use rx_engine::mvcc::{pack_for_mvcc, MvccXmlStore};
 use rx_engine::traverse::{DropIds, Traverser};
@@ -21,10 +22,8 @@ use rx_engine::{access, conc, update};
 use rx_gen::{catalog_xml, order_doc, recursive_doc, sized_tree, CatalogSpec};
 use rx_storage::{BufferPool, MemBackend, StorageBackend, TableSpace};
 use rx_xml::dom::DomTree;
-use rx_xml::sax::{parse_sax, SaxHandler};
 use rx_xml::schema::{compile as compile_schema, parse_xsd, SchemaProgram};
 use rx_xml::{NameDict, NodeId, Parser, Serializer};
-use rx_xpath::baseline::{DomXPath, NaiveStreamMatcher};
 use rx_xpath::quickxscan::scan_str;
 use rx_xpath::{QueryTree, XPathParser};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,7 +117,7 @@ fn a1_target_size_ablation() {
             .unwrap();
         let plan = access::plan(&path, col, true);
         let point_d = median_time(5, || {
-            let _ = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
+            let _ = run_plan(&db, &plan, &t, col, &path);
         });
         // Full traversal.
         let trav_d = median_time(5, || {
@@ -335,8 +334,7 @@ fn e3_update() {
     let path = XPathParser::new()
         .parse("/Catalog/Categories/Product/ProductName/text()")
         .unwrap();
-    let (hits, _) =
-        access::execute(&access::AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(&db, &access::AccessPlan::FullScan, &t, col, &path);
     assert!(hits.len() >= updates);
     let targets: Vec<NodeId> = hits
         .iter()
@@ -432,8 +430,7 @@ fn e3_update() {
         let path = XPathParser::new()
             .parse("/Catalog/Categories/Product/ProductName/text()")
             .unwrap();
-        let (hits, _) =
-            access::execute(&access::AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+        let (hits, _) = run_plan(&db, &access::AccessPlan::FullScan, &t, col, &path);
         let node = hits[hits.len() / 2].node.clone().unwrap();
         let mut i = 0u64;
         let packed_d = median_time(5, || {
@@ -485,7 +482,7 @@ impl SaxHandler for CountingSax {
         _uri: &str,
         _local: &str,
         _qname: &str,
-        attrs: &[rx_xml::sax::SaxAttribute],
+        attrs: &[SaxAttribute],
     ) -> rx_xml::Result<()> {
         self.events += 1 + attrs.len() as u64;
         Ok(())
@@ -967,7 +964,6 @@ fn e6_access_methods() {
     let db = mem_db(3500);
     let (t, spec) = load_product_docs(&db, 5000);
     let col = t.xml_column("doc").unwrap();
-    let dict = db.dict();
     let queries = [
         (
             "scan baseline",
@@ -1006,7 +1002,7 @@ fn e6_access_methods() {
         let mut hits = 0;
         let mut stats = access::AccessStats::default();
         let d = median_time(3, || {
-            let (h, s) = access::execute(&plan, &t, col, dict, &path).unwrap();
+            let (h, s) = run_plan(&db, &plan, &t, col, &path);
             hits = h.len();
             stats = s;
         });
@@ -1036,10 +1032,7 @@ fn e6_access_methods() {
     let entries_of = |q: &str| {
         let path = XPathParser::new().parse(q).unwrap();
         let plan = access::plan(&path, col, false);
-        access::execute(&plan, &t, col, dict, &path)
-            .unwrap()
-            .1
-            .index_entries
+        run_plan(&db, &plan, &t, col, &path).1.index_entries
     };
     let half_open = entries_of(&format!("/Catalog/Categories/Product[RegPrice > {lo}]"))
         + entries_of(&format!("/Catalog/Categories/Product[RegPrice < {hi}]"));
@@ -1051,7 +1044,7 @@ fn e6_access_methods() {
         let mut hits = 0;
         let mut stats = access::AccessStats::default();
         let d = median_time(5, || {
-            let (h, s) = access::execute(&plan, &t, col, dict, &path).unwrap();
+            let (h, s) = run_plan(&db, &plan, &t, col, &path);
             hits = h.len();
             stats = s;
         });
@@ -1079,38 +1072,50 @@ fn e6_access_methods() {
     let db = mem_db(3500);
     let (t, spec, _) = load_single_catalog(&db, 20_000);
     let col = t.xml_column("doc").unwrap();
-    let dict = db.dict();
     let q = "/Catalog/Categories/Product[RegPrice > 495]";
     let path = XPathParser::new().parse(q).unwrap();
     let mut rows = Vec::new();
+    let mut answers = Vec::new();
     for (label, plan) in [
         ("scan (QuickXScan whole doc)", access::AccessPlan::FullScan),
+        (
+            "DocID list (re-evaluates the doc)",
+            access::plan(&path, col, false),
+        ),
         (
             "NodeID list, exact (no re-eval)",
             access::plan(&path, col, true),
         ),
     ] {
-        let mut hits = 0;
+        let mut hits = Vec::new();
         let mut stats = access::AccessStats::default();
-        let d = median_time(3, || {
-            let (h, s) = access::execute(&plan, &t, col, dict, &path).unwrap();
-            hits = h.len();
-            stats = s;
-        });
+        let d = median_time(3, || (hits, stats) = run_plan(&db, &plan, &t, col, &path));
         rows.push(vec![
             label.to_string(),
             fmt_dur(d),
-            hits.to_string(),
+            hits.len().to_string(),
+            stats.docs_evaluated.to_string(),
             stats.records_fetched.to_string(),
         ]);
+        answers.push(hits);
     }
+    assert!(
+        answers.iter().all(|h| *h == answers[0]),
+        "E6b: every access method returns the same hits"
+    );
     print_table(
         &format!(
-            "E6b: one {}-product document ({} qualifying)",
+            "E6b: one {}-product document ({} qualifying), each read in a transaction",
             spec.products,
             spec.expected_above(495.0)
         ),
-        &["access method", "elapsed", "hits", "records fetched"],
+        &[
+            "access method",
+            "elapsed",
+            "hits",
+            "docs evaluated",
+            "records fetched",
+        ],
         &rows,
     );
     println!("shape check: index access wins by orders of magnitude at high selectivity;");
@@ -1120,7 +1125,6 @@ fn e6_access_methods() {
     let db = mem_db(3500);
     let (t, spec) = load_product_docs(&db, 3000);
     let col = t.xml_column("doc").unwrap();
-    let dict = db.dict();
     let mut rows = Vec::new();
     for frac in [0.001f64, 0.01, 0.1, 0.5, 0.9, 1.0] {
         // Price uniform over [lo, hi): threshold for the top `frac` share.
@@ -1130,11 +1134,11 @@ fn e6_access_methods() {
         let plan = access::plan(&path, col, false);
         let mut hits = 0usize;
         let idx_d = median_time(3, || {
-            let (h, _) = access::execute(&plan, &t, col, dict, &path).unwrap();
+            let (h, _) = run_plan(&db, &plan, &t, col, &path);
             hits = h.len();
         });
         let scan_d = median_time(3, || {
-            let _ = access::execute(&access::AccessPlan::FullScan, &t, col, dict, &path).unwrap();
+            let _ = run_plan(&db, &access::AccessPlan::FullScan, &t, col, &path);
         });
         rows.push(vec![
             format!("{:.1}%", frac * 100.0),
@@ -1585,6 +1589,7 @@ fn e11_parallel_query() {
         let exec = QueryExecutor::new(workers);
         let mut hits = 0usize;
         let d = median_time(5, || {
+            let txn = db.begin().unwrap();
             let (h, _) = access::execute_tree(
                 &access::AccessPlan::FullScan,
                 &t,
@@ -1592,9 +1597,10 @@ fn e11_parallel_query() {
                 dict,
                 &scan_tree,
                 Some(&exec),
-                None,
+                &txn,
             )
             .unwrap();
+            txn.commit().unwrap();
             hits = h.len();
         });
         let per_query = d.as_secs_f64();
@@ -1638,9 +1644,11 @@ fn e11_parallel_query() {
         let mut hits = 0usize;
         let mut stats = access::AccessStats::default();
         let d = median_time(5, || {
+            let txn = db.begin().unwrap();
             let (h, s) =
-                access::execute_tree(&idx_plan, &t, col, dict, &idx_tree, Some(&exec), None)
+                access::execute_tree(&idx_plan, &t, col, dict, &idx_tree, Some(&exec), &txn)
                     .unwrap();
+            txn.commit().unwrap();
             hits = h.len();
             stats = s;
         });
@@ -1724,12 +1732,13 @@ fn e11d_fan_out_threshold() {
     for n in [1usize, 2, 4, 8, 16, 32, 64, 128, 256] {
         let docs = &all[..n];
         let run = |lanes: usize| {
+            let txn = db.begin().unwrap();
             let t0 = Instant::now();
             let mut stats = access::AccessStats::default();
             let hits = access::evaluate_docs(
                 Some(&exec),
                 lanes,
-                None,
+                &txn,
                 &t,
                 col,
                 db.dict(),
@@ -1738,8 +1747,10 @@ fn e11d_fan_out_threshold() {
                 &mut stats,
             )
             .unwrap();
+            let elapsed = t0.elapsed();
+            txn.commit().unwrap();
             std::hint::black_box(hits);
-            t0.elapsed()
+            elapsed
         };
         // Alternate the two arms call by call so drift hits both alike.
         let (mut serial, mut two) = (Vec::new(), Vec::new());
@@ -2128,11 +2139,14 @@ fn e13_doc_cache() {
             &scan_tree,
         ),
     ] {
-        let (hits_off, sq_off) =
-            access::execute_tree(plan_off, &t_off, col_off, db_off.dict(), tree, None, None)
-                .unwrap();
-        let (hits_warm, sq_warm) =
-            access::execute_tree(plan_on, &t_on, col_on, db_on.dict(), tree, None, None).unwrap();
+        let run = |db: &Database, plan, t, col| {
+            let txn = db.begin().unwrap();
+            let out = access::execute_tree(plan, t, col, db.dict(), tree, None, &txn).unwrap();
+            txn.commit().unwrap();
+            out
+        };
+        let (hits_off, sq_off) = run(&db_off, plan_off, &t_off, col_off);
+        let (hits_warm, sq_warm) = run(&db_on, plan_on, &t_on, col_on);
         assert_eq!(
             hits_off, hits_warm,
             "{label}: cache-on results must be byte-identical to the cache-off baseline"
@@ -2142,16 +2156,10 @@ fn e13_doc_cache() {
             "{label}: warm query must fetch no heap records"
         );
         let dq_cold = median_time(5, || {
-            let (h, _) =
-                access::execute_tree(plan_off, &t_off, col_off, db_off.dict(), tree, None, None)
-                    .unwrap();
-            std::hint::black_box(h.len());
+            std::hint::black_box(run(&db_off, plan_off, &t_off, col_off).0.len());
         });
         let dq_warm = median_time(5, || {
-            let (h, _) =
-                access::execute_tree(plan_on, &t_on, col_on, db_on.dict(), tree, None, None)
-                    .unwrap();
-            std::hint::black_box(h.len());
+            std::hint::black_box(run(&db_on, plan_on, &t_on, col_on).0.len());
         });
         rows.push(vec![
             format!("{label}, cache off"),

@@ -2,16 +2,34 @@
 //!
 //! Helpers used by the `report` binary, which regenerates every
 //! table/figure-level claim of the paper and prints paper-shape vs measured
-//! (see `EXPERIMENTS.md`).
+//! (see `EXPERIMENTS.md`), and the baselines the paper argues against,
+//! which only the experiments and the differential tests use:
+//!
+//! * [`shred`] — one-node-per-row relational shredding (§3.1, E1–E3);
+//! * [`lob`] — LOB storage, where every update rewrites the document (E3);
+//! * [`sax`] — the per-event-callback SAX interface (§3.2, E4);
+//! * [`baseline`] — DOM-based and naive per-instance streaming XPath
+//!   evaluators (§4.2, Fig. 7, E5), `DomXPath` also being the reference the
+//!   XPath tests compare stored evaluation with;
+//! * [`construct`] — nested constructor evaluation and the external
+//!   XMLAGG ORDER BY sort (§4.1, E7).
 
 #![warn(missing_docs)]
 
-use rx_engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use rx_engine::shred::ShreddedStore;
+pub mod baseline;
+pub mod construct;
+pub mod lob;
+pub mod sax;
+pub mod shred;
+
+use rx_engine::access::{self, AccessPlan, AccessStats, QueryHit};
+use rx_engine::db::{ColValue, ColumnKind, Database, DbConfig, XmlColumn};
 use rx_engine::{BaseTable, DocId};
 use rx_gen::CatalogSpec;
 use rx_storage::{BufferPool, MemBackend, TableSpace};
 use rx_xml::NameDict;
+use rx_xpath::{Path, QueryTree};
+use shred::ShreddedStore;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -109,10 +127,27 @@ pub fn shredded_store() -> (ShreddedStore, NameDict) {
 }
 
 /// A fresh LOB store.
-pub fn lob_store() -> rx_engine::lob::LobStore {
+pub fn lob_store() -> lob::LobStore {
     let pool = BufferPool::new(16_384);
     let space = TableSpace::create(pool, 1, Arc::new(MemBackend::new())).expect("space");
-    rx_engine::lob::LobStore::create(space).expect("store")
+    lob::LobStore::create(space).expect("store")
+}
+
+/// Run `plan` for `path` over `column` of `table` serially, in a read-only
+/// transaction of its own: the §5.1 S locks, no log record, no commit fsync.
+pub fn run_plan(
+    db: &Database,
+    plan: &AccessPlan,
+    table: &Arc<BaseTable>,
+    column: &Arc<XmlColumn>,
+    path: &Path,
+) -> (Vec<QueryHit>, AccessStats) {
+    let tree = Arc::new(QueryTree::compile(path).expect("compile"));
+    let txn = db.begin().expect("begin");
+    let out =
+        access::execute_tree(plan, table, column, db.dict(), &tree, None, &txn).expect("execute");
+    txn.commit().expect("commit");
+    out
 }
 
 /// Median wall time of `runs` executions of `f` (plus one discarded warm-up).

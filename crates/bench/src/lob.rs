@@ -7,8 +7,8 @@
 //! re-serializes and rewrites the entire document — the cost E3 measures
 //! against the native packed format.
 
-use crate::error::{EngineError, Result};
-use crate::xmltable::DocId;
+use rx_engine::error::{EngineError, Result};
+use rx_engine::xmltable::DocId;
 use rx_storage::{BTree, HeapTable, Rid, TableSpace};
 use std::sync::Arc;
 

@@ -12,10 +12,10 @@
 //! DOM/SAX application interfaces the paper measured against behave. The
 //! engine's own path (parser → buffered token stream) avoids all of it.
 
-use crate::error::Result;
-use crate::event::{Event, EventSink};
-use crate::name::NameDict;
-use crate::parser::Parser;
+use rx_xml::error::Result;
+use rx_xml::event::{Event, EventSink};
+use rx_xml::name::NameDict;
+use rx_xml::parser::Parser;
 
 /// A materialized SAX attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +91,7 @@ impl SaxAdapter<'_, '_> {
         Ok(())
     }
 
-    fn materialize(&self, name: crate::name::QNameId) -> (String, String, String) {
+    fn materialize(&self, name: rx_xml::name::QNameId) -> (String, String, String) {
         // Per-event string materialization: this allocation cost is the point.
         let q = self.dict.qname(name);
         let uri = self.dict.str(q.uri).to_string();

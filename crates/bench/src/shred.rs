@@ -12,8 +12,8 @@
 //! `(DocID, NodeID) → RID` index entry. Node IDs are the same Dewey IDs the
 //! native engine assigns, so results are directly comparable.
 
-use crate::error::{EngineError, Result};
-use crate::xmltable::{nodeid_key, DocId};
+use rx_engine::error::{EngineError, Result};
+use rx_engine::xmltable::{nodeid_key, DocId};
 use rx_storage::codec::{Dec, Enc};
 use rx_storage::{BTree, HeapTable, Rid, TableSpace};
 use rx_xml::event::{Event, EventSink};

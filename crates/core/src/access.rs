@@ -241,7 +241,8 @@ impl AccessPlan {
 /// Execution counters for the E6 experiment.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AccessStats {
-    /// Index entries scanned.
+    /// Index entries scanned (an exact NodeID list scans its terms twice:
+    /// before and after its S locks).
     pub index_entries: u64,
     /// Candidate documents / nodes after combining.
     pub candidates: u64,
@@ -549,12 +550,10 @@ impl<'x, 'q, 'd> DocScanner<'x, 'q, 'd> {
     /// Evaluate a run of candidates in DocID order, appending their hits. A
     /// dense run ([`roots_by_range_scan`]) first locates every root record
     /// with one NodeID-index range scan; a sparse one probes per document.
-    /// With `skip_missing`, a candidate that no longer exists is skipped
-    /// instead of failing the run (see [`evaluate_docs`]).
+    /// A candidate that no longer exists is skipped (see [`evaluate_docs`]).
     pub fn evaluate_run(
         &mut self,
         docs: &[DocId],
-        skip_missing: bool,
         stats: &mut AccessStats,
         hits: &mut Vec<QueryHit>,
     ) -> Result<()> {
@@ -567,7 +566,7 @@ impl<'x, 'q, 'd> DocScanner<'x, 'q, 'd> {
             for (i, &doc) in docs.iter().enumerate() {
                 let root = if located { roots.get(i) } else { None };
                 match self.evaluate_at(doc, root, stats, hits) {
-                    Err(EngineError::NotFound { .. }) if skip_missing => {}
+                    Err(EngineError::NotFound { .. }) => {}
                     r => r?,
                 }
             }
@@ -616,14 +615,14 @@ pub fn fan_out_lanes(exec: Option<&QueryExecutor>, candidates: usize) -> usize {
 }
 
 /// Evaluate `tree` over the candidate documents `docs` (in DocID order) on
-/// `lanes` lanes of `exec` (the query path passes [`fan_out_lanes`]). Under
-/// a transaction every candidate is S-locked, in DocID order, before any
-/// lane starts, so lanes only read documents the transaction holds locks on
-/// and a lock timeout aborts the query before fan-out. A candidate gathered
-/// before its lock was granted may since have been deleted by a transaction
-/// that committed in between (the lock guarantees we never see a *partial*
-/// document, not that the document still exists), so under a transaction
-/// `NotFound` skips the document instead of failing.
+/// `lanes` lanes of `exec` (the query path passes [`fan_out_lanes`]). Every
+/// candidate is S-locked in `txn`, in DocID order, before any lane starts,
+/// so lanes only read documents the transaction holds locks on and a lock
+/// timeout aborts the query before fan-out. A candidate gathered before its
+/// lock was granted may since have been deleted by a transaction that
+/// committed in between (the lock guarantees we never see a *partial*
+/// document, not that the document still exists), so `NotFound` skips the
+/// document instead of failing.
 ///
 /// Contiguous, evenly sized partitions of the candidate list keep
 /// per-partition results in document order, so concatenating them in
@@ -635,7 +634,7 @@ pub fn fan_out_lanes(exec: Option<&QueryExecutor>, candidates: usize) -> usize {
 pub fn evaluate_docs(
     exec: Option<&QueryExecutor>,
     lanes: usize,
-    txn: Option<&Txn>,
+    txn: &Txn,
     table: &BaseTable,
     column: &Arc<XmlColumn>,
     dict: &Arc<NameDict>,
@@ -643,13 +642,10 @@ pub fn evaluate_docs(
     docs: Vec<DocId>,
     stats: &mut AccessStats,
 ) -> Result<Vec<QueryHit>> {
-    if let Some(txn) = txn {
-        conc::lock_documents_shared(txn, table.def.id, &docs)?;
-    }
-    let locked = txn.is_some();
-    // Lanes of a locked, read-only transaction read committed documents
-    // only, so they may publish cache snapshots.
-    let publish = txn.is_some_and(|t| !t.has_logged());
+    conc::lock_documents_shared(txn, table.def.id, &docs)?;
+    // Lanes of a read-only transaction read committed documents only, so
+    // they may publish cache snapshots.
+    let publish = !txn.has_logged();
     // One lane: a single scanner over a contiguous run of candidates. A
     // dense run's roots are located by a range scan that starts only now,
     // after every S lock above is granted (§9.2 order), so the entries of
@@ -661,8 +657,7 @@ pub fn evaluate_docs(
                      stats: &mut AccessStats|
           -> Result<Vec<QueryHit>> {
         let mut hits = Vec::new();
-        DocScanner::new(column, tree, dict, publish)
-            .evaluate_run(docs, locked, stats, &mut hits)?;
+        DocScanner::new(column, tree, dict, publish).evaluate_run(docs, stats, &mut hits)?;
         Ok(hits)
     };
     let lanes = lanes.min(docs.len());
@@ -770,31 +765,38 @@ fn scan_terms(
     Ok(out)
 }
 
-/// Execute a plan without locks. `table` supplies the document population
-/// for scans. Compiles the tree once; use [`execute_tree`] to reuse a
-/// compiled tree (e.g. from the plan cache), to run in parallel, or to read
-/// under a transaction.
-pub fn execute(
-    plan: &AccessPlan,
-    table: &Arc<BaseTable>,
-    column: &Arc<XmlColumn>,
-    dict: &Arc<NameDict>,
-    path: &Path,
-) -> Result<(Vec<QueryHit>, AccessStats)> {
-    let tree = Arc::new(QueryTree::compile(path)?);
-    execute_tree(plan, table, column, dict, &tree, None, None)
+/// Scan the terms of a NodeID plan, map each entry of a document that
+/// passes `keep` to its ancestor at `anchor_depth` (a Dewey prefix
+/// truncation), and combine the per-scan lists.
+fn anchor_nodes(
+    terms: &[IndexTerm],
+    combine: Combine,
+    anchor_depth: usize,
+    keep: impl Fn(DocId) -> bool,
+    stats: &mut AccessStats,
+) -> Result<BTreeSet<(DocId, NodeId)>> {
+    let sets = scan_terms(terms, combine, stats)?
+        .iter()
+        .map(|es| {
+            es.iter()
+                .filter(|e| keep(e.doc))
+                .filter_map(|e| ancestor_at_depth(&e.node, anchor_depth).map(|a| (e.doc, a)))
+                .collect()
+        })
+        .collect();
+    Ok(combine_sets(sets, combine))
 }
 
-/// Execute a plan with an already-compiled tree, optionally fanning
-/// candidate-document evaluation across `exec`'s worker lanes.
+/// Execute a plan with an already-compiled tree in `txn`, optionally
+/// fanning candidate-document evaluation across `exec`'s worker lanes.
 ///
-/// With a transaction the read follows the §5.1 DocID-locking protocol:
-/// "care must be taken also to prevent reading a partially inserted document
-/// by using a lock". Candidates are gathered from index pages, then the
-/// table is IS-locked and every candidate document S-locked in DocID order
-/// before any document is read, so a reader waits for (or aborts against) a
-/// transaction that is inserting, deleting or updating a candidate instead
-/// of reading it half-written. Without a transaction nothing is locked.
+/// The read follows the §5.1 DocID-locking protocol: "care must be taken
+/// also to prevent reading a partially inserted document by using a lock".
+/// Candidates are gathered from index pages, then the table is IS-locked and
+/// every candidate document S-locked in DocID order before any document is
+/// read, so a reader waits for (or aborts against) a transaction that is
+/// inserting, deleting or updating a candidate instead of reading it
+/// half-written.
 pub fn execute_tree(
     plan: &AccessPlan,
     table: &Arc<BaseTable>,
@@ -802,7 +804,7 @@ pub fn execute_tree(
     dict: &Arc<NameDict>,
     tree: &Arc<QueryTree>,
     exec: Option<&QueryExecutor>,
-    txn: Option<&Txn>,
+    txn: &Txn,
 ) -> Result<(Vec<QueryHit>, AccessStats)> {
     let mut stats = AccessStats::default();
     let (docs, anchors) = match plan {
@@ -827,26 +829,22 @@ pub fn execute_tree(
             verify,
             ..
         } => {
-            // Map each entry's node to its ancestor at the anchor depth (a
-            // Dewey prefix truncation), then combine.
-            let sets: Vec<BTreeSet<(DocId, NodeId)>> = scan_terms(terms, *combine, &mut stats)?
-                .iter()
-                .map(|es| {
-                    es.iter()
-                        .filter_map(|e| {
-                            ancestor_at_depth(&e.node, *anchor_depth).map(|a| (e.doc, a))
-                        })
-                        .collect()
-                })
-                .collect();
-            let nodes = combine_sets(sets, *combine);
+            let nodes = anchor_nodes(terms, *combine, *anchor_depth, |_| true, &mut stats)?;
             stats.candidates = nodes.len() as u64;
+            let mut docs: Vec<DocId> = nodes.iter().map(|(d, _)| *d).collect();
+            docs.dedup();
             // An exact list whose result is the anchor nodes needs no
-            // re-evaluation, but only without locks: an index entry read
-            // before the S lock may belong to a value that a committed
-            // update has since replaced, so under a transaction the locked
-            // documents are evaluated and the entry only nominates them.
-            if !verify && txn.is_none() {
+            // re-evaluation. The entries above were read before any lock,
+            // so one may belong to a value that an uncommitted or since
+            // committed update has replaced. While a document's S lock is
+            // held no writer can change its entries, so the terms are
+            // scanned again under the locks and only that second list,
+            // restricted to the locked documents, is answered (DESIGN.md
+            // §14.3).
+            if !verify {
+                conc::lock_documents_shared(txn, table.def.id, &docs)?;
+                let locked = |d: DocId| docs.binary_search(&d).is_ok();
+                let nodes = anchor_nodes(terms, *combine, *anchor_depth, locked, &mut stats)?;
                 return emit_anchors(column, nodes, stats);
             }
             // Evaluate per candidate *document*, then keep only hits under a
@@ -855,11 +853,7 @@ pub fn execute_tree(
             // filter is a binary search instead of a rescan of the whole
             // candidate list per hit.
             let mut anchors: HashMap<DocId, Vec<NodeId>> = HashMap::new();
-            let mut docs: Vec<DocId> = Vec::new();
             for (d, n) in nodes {
-                if docs.last() != Some(&d) {
-                    docs.push(d);
-                }
                 anchors.entry(d).or_default().push(n);
             }
             (docs, Some((anchors, *anchor_depth)))
@@ -1038,6 +1032,21 @@ mod tests {
         XPathParser::new().parse(s).unwrap()
     }
 
+    /// Execute `plan` serially in a read-only transaction of its own.
+    fn execute(
+        db: &Database,
+        plan: &AccessPlan,
+        t: &Arc<BaseTable>,
+        path: &Path,
+    ) -> (Vec<QueryHit>, AccessStats) {
+        let col = t.xml_column("doc").unwrap();
+        let tree = Arc::new(QueryTree::compile(path).unwrap());
+        let txn = db.begin().unwrap();
+        let out = execute_tree(plan, t, col, db.dict(), &tree, None, &txn).unwrap();
+        txn.commit().unwrap();
+        out
+    }
+
     #[test]
     fn table2_case1_docid_list() {
         // Query: /Catalog/Categories/Product[RegPrice > 100]
@@ -1049,7 +1058,7 @@ mod tests {
         let explain = plan.explain();
         assert!(explain.contains("DocID list access"), "{explain}");
         assert!(explain.contains("Exact"), "{explain}");
-        let (hits, stats) = execute(&plan, &t, col, db.dict(), &path).unwrap();
+        let (hits, stats) = execute(&db, &plan, &t, &path);
         // Prices 110..390 → 15 products.
         assert_eq!(hits.len(), 15);
         assert_eq!(stats.candidates, 15);
@@ -1067,7 +1076,7 @@ mod tests {
         let plan = plan(&path, col, false);
         let explain = plan.explain();
         assert!(explain.contains("Filtering"), "{explain}");
-        let (hits, _) = execute(&plan, &t, col, db.dict(), &path).unwrap();
+        let (hits, _) = execute(&db, &plan, &t, &path);
         // Discount 0.2 or 0.3 → i%4 in {2,3} → 10 products.
         assert_eq!(hits.len(), 10);
     }
@@ -1080,9 +1089,9 @@ mod tests {
         let plan = plan(&path, col, false);
         let explain = plan.explain();
         assert!(explain.contains("ANDing"), "{explain}");
-        let (hits, stats) = execute(&plan, &t, col, db.dict(), &path).unwrap();
+        let (hits, stats) = execute(&db, &plan, &t, &path);
         let scan_hits = {
-            let (h, _) = execute(&AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+            let (h, _) = execute(&db, &AccessPlan::FullScan, &t, &path);
             h
         };
         assert_eq!(hits.len(), scan_hits.len());
@@ -1097,8 +1106,8 @@ mod tests {
         let path = q("/Catalog/Categories/Product[RegPrice < 50 or Discount > 0.25]");
         let plan = plan(&path, col, false);
         assert!(plan.explain().contains("ORing"), "{}", plan.explain());
-        let (hits, _) = execute(&plan, &t, col, db.dict(), &path).unwrap();
-        let (scan_hits, _) = execute(&AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+        let (hits, _) = execute(&db, &plan, &t, &path);
+        let (scan_hits, _) = execute(&db, &AccessPlan::FullScan, &t, &path);
         assert_eq!(hits.len(), scan_hits.len());
     }
 
@@ -1121,9 +1130,10 @@ mod tests {
             }
             AccessPlan::FullScan => panic!("expected index plan"),
         }
-        let (hits, stats) = execute(&plan, &t, col, db.dict(), &path).unwrap();
+        let (hits, stats) = execute(&db, &plan, &t, &path);
         assert_eq!(hits.len(), 1);
         assert_eq!(stats.docs_evaluated, 0, "no document re-evaluation");
+        assert_eq!(stats.index_entries, 2, "scanned again under the S lock");
         assert!(hits[0].value.contains("P5"));
     }
 
@@ -1155,9 +1165,8 @@ mod tests {
             let path = q(qs);
             for prefer_nodeid in [false, true] {
                 let p = plan(&path, col, prefer_nodeid);
-                let (mut hits, _) = execute(&p, &t, col, db.dict(), &path).unwrap();
-                let (mut scan_hits, _) =
-                    execute(&AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+                let (mut hits, _) = execute(&db, &p, &t, &path);
+                let (mut scan_hits, _) = execute(&db, &AccessPlan::FullScan, &t, &path);
                 let key = |h: &QueryHit| (h.doc, h.node.clone().map(|n| n.as_bytes().to_vec()));
                 hits.sort_by_key(key);
                 scan_hits.sort_by_key(key);
@@ -1290,16 +1299,13 @@ mod tests {
             for prefer_nodeid in [false, true] {
                 let p = plan(&path, col, prefer_nodeid);
                 let tree = Arc::new(QueryTree::compile(&path).unwrap());
-                for txn in [None, Some(&txn)] {
-                    let run = |exec| execute_tree(&p, &t, col, db.dict(), &tree, exec, txn);
-                    let (serial, sstats) = run(None).unwrap();
-                    let (par, pstats) = run(Some(&exec)).unwrap();
-                    // Same hits in the same (document) order, same work
-                    // counters.
-                    let locked = txn.is_some();
-                    assert_eq!(par, serial, "query {qs} nodeid={prefer_nodeid} {locked}");
-                    assert_eq!(pstats, sstats, "query {qs} nodeid={prefer_nodeid} {locked}");
-                }
+                let run = |exec| execute_tree(&p, &t, col, db.dict(), &tree, exec, &txn);
+                let (serial, sstats) = run(None).unwrap();
+                let (par, pstats) = run(Some(&exec)).unwrap();
+                // Same hits in the same (document) order, same work
+                // counters.
+                assert_eq!(par, serial, "query {qs} nodeid={prefer_nodeid}");
+                assert_eq!(pstats, sstats, "query {qs} nodeid={prefer_nodeid}");
             }
         }
         txn.commit().unwrap();
@@ -1317,18 +1323,19 @@ mod tests {
         let tree = Arc::new(QueryTree::compile(&path).unwrap());
         let exec = QueryExecutor::new(2);
         let scan = || {
-            execute_tree(
+            let txn = db.begin().unwrap();
+            let (hits, _) = execute_tree(
                 &AccessPlan::FullScan,
                 &t,
                 col,
                 db.dict(),
                 &tree,
                 Some(&exec),
-                None,
+                &txn,
             )
-            .unwrap()
-            .0
-            .len()
+            .unwrap();
+            txn.commit().unwrap();
+            hits.len()
         };
         let insert = |i: usize| {
             let xml = catalog_doc(i as u32, 10.0, 0.1);
@@ -1349,7 +1356,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_skips_deleted_docs_only_under_a_transaction() {
+    fn parallel_evaluation_skips_deleted_docs() {
         let (db, t) = setup();
         let col = t.xml_column("doc").unwrap();
         let exec = QueryExecutor::new(4);
@@ -1360,33 +1367,21 @@ mod tests {
         assert!(db.delete_row(&t, victim).unwrap());
         // The stale candidate list still names the deleted doc (a locked
         // read hits this when a delete commits between gather and lock).
-        let evaluate = |txn, docs, stats: &mut AccessStats| {
-            evaluate_docs(Some(&exec), 4, txn, &t, col, db.dict(), &tree, docs, stats)
+        let evaluate = |exec, lanes, docs, stats: &mut AccessStats| {
+            let txn = db.begin().unwrap();
+            let hits = evaluate_docs(exec, lanes, &txn, &t, col, db.dict(), &tree, docs, stats);
+            txn.commit().unwrap();
+            hits.unwrap()
         };
-        let err = evaluate(None, docs.clone(), &mut AccessStats::default()).unwrap_err();
-        assert!(matches!(err, EngineError::NotFound { .. }));
-        let txn = db.begin().unwrap();
         let mut stats = AccessStats::default();
-        let hits = evaluate(Some(&txn), docs.clone(), &mut stats).unwrap();
-        txn.commit().unwrap();
+        let hits = evaluate(Some(&exec), 4, docs.clone(), &mut stats);
         assert_eq!(hits.len(), 19);
         assert!(hits.iter().all(|h| h.doc != victim));
         assert_eq!(stats.docs_evaluated, 19);
-        // Serial agrees.
+        // Serial over the survivors agrees.
         docs.retain(|&d| d != victim);
         let mut serial_stats = AccessStats::default();
-        let serial = evaluate_docs(
-            None,
-            1,
-            None,
-            &t,
-            col,
-            db.dict(),
-            &tree,
-            docs,
-            &mut serial_stats,
-        )
-        .unwrap();
+        let serial = evaluate(None, 1, docs, &mut serial_stats);
         assert_eq!(hits, serial);
         assert_eq!(stats.docs_evaluated, serial_stats.docs_evaluated);
     }
@@ -1467,7 +1462,7 @@ mod tests {
         let listed = evaluate_docs(
             None,
             1,
-            Some(&txn),
+            &txn,
             &t,
             col,
             db.dict(),

@@ -646,7 +646,7 @@ impl Database {
             &self.dict,
             &prepared.tree,
             Some(&self.executor),
-            Some(txn),
+            txn,
         )
     }
 

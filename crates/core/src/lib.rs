@@ -29,9 +29,11 @@
 //!   buffer pool;
 //! * [`lru`] — the O(1) least-recently-used map under both caches;
 //! * [`db`] — the database façade (tables, columns, schemas, recovery);
-//! * [`sqlxml`] — the SQL/XML statement layer (§2);
-//! * [`shred`] / [`lob`] — the one-node-per-row and LOB storage **baselines**
-//!   the paper's §3.1 analysis compares against.
+//! * [`sqlxml`] — the SQL/XML statement layer (§2).
+//!
+//! The one-node-per-row and LOB storage **baselines** the paper's §3.1
+//! analysis compares against live in `rx-bench`, beside the experiments
+//! that measure them.
 
 #![warn(missing_docs)]
 
@@ -43,12 +45,10 @@ pub mod doccache;
 pub mod error;
 pub mod executor;
 pub mod fulltext;
-pub mod lob;
 pub mod lru;
 pub mod mvcc;
 pub mod pack;
 pub mod runtime;
-pub mod shred;
 pub mod sqlxml;
 pub mod traverse;
 pub mod update;

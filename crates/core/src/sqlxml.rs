@@ -767,9 +767,9 @@ impl P {
     }
 
     /// Evaluate a parsed SELECT in `txn`. Every document it reads is
-    /// S-locked in `txn` first: XPath reads through `query_locked`, row
-    /// fetches, serialization and per-document evaluation through
-    /// [`read_locked`].
+    /// S-locked in `txn` first: XPath reads through `query_locked` or, over
+    /// a candidate list, `access::evaluate_docs`; row fetches and
+    /// serialization through [`read_locked`].
     fn run_select(
         db: &Arc<Database>,
         txn: &Txn,
@@ -798,15 +798,21 @@ impl P {
                         Self::filter_docs(db, txn, table, &filter)?
                     }
                 };
-                let tree = rx_xpath::QueryTree::compile(&path)?;
-                // `read_locked` S-locks every document before the lane
-                // reads it: a read-only statement may publish snapshots.
-                let mut lane = access::DocScanner::new(col, &tree, dict, !txn.has_logged());
+                let tree = Arc::new(rx_xpath::QueryTree::compile(&path)?);
+                let exec = db.executor();
+                let lanes = access::fan_out_lanes(Some(exec), docs.len());
                 let mut stats = access::AccessStats::default();
-                let mut hits = Vec::new();
-                read_locked(txn, table, &docs, |d| {
-                    lane.evaluate(d, &mut stats, &mut hits)
-                })?;
+                let hits = access::evaluate_docs(
+                    Some(exec),
+                    lanes,
+                    txn,
+                    table,
+                    col,
+                    dict,
+                    &tree,
+                    docs,
+                    &mut stats,
+                )?;
                 Ok(Output::Sequence(hits))
             }
             Proj::Serialize { col } => {
@@ -881,7 +887,7 @@ impl P {
 
     /// Candidate documents of the WHERE clause, in DocID order. Only the
     /// `XMLEXISTS` list is locked here (by `query_locked`); callers read
-    /// every list through [`read_locked`].
+    /// every list through [`read_locked`] or `access::evaluate_docs`.
     fn filter_docs(
         db: &Database,
         txn: &Txn,

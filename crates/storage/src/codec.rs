@@ -1,4 +1,5 @@
-//! Little byte codec used by the catalog and the engine's record formats.
+//! Little byte codec used by the catalog, the log records and the engine's
+//! record formats.
 //!
 //! Fixed-width little-endian integers, LEB128 varints, and length-prefixed
 //! byte strings over a growable buffer / cursor pair.

@@ -17,6 +17,7 @@
 
 use crate::btree::BTree;
 use crate::buffer::SpaceId;
+use crate::codec::{Dec, Enc};
 use crate::error::{Result, StorageError};
 use crate::heap::HeapTable;
 use crate::rid::Rid;
@@ -263,27 +264,25 @@ impl LogRecord {
         }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
+    /// The record's log bytes: a type tag, then its fields as
+    /// little-endian integers, each byte string behind a u32 length.
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(64);
+        fn head(e: &mut Enc, tag: u8, txn: TxnId, space: SpaceId) -> &mut Enc {
+            e.u8(tag).u64(txn).u32(space)
         }
-        fn put_rid(out: &mut Vec<u8>, r: Rid) {
-            out.extend_from_slice(&r.page.to_le_bytes());
-            out.extend_from_slice(&r.slot.to_le_bytes());
+        fn bytes<'e>(e: &'e mut Enc, b: &[u8]) -> &'e mut Enc {
+            e.u32(b.len() as u32).raw(b)
         }
         match self {
             LogRecord::Begin { txn } => {
-                out.push(1);
-                out.extend_from_slice(&txn.to_le_bytes());
+                e.u8(1).u64(*txn);
             }
             LogRecord::Commit { txn } => {
-                out.push(2);
-                out.extend_from_slice(&txn.to_le_bytes());
+                e.u8(2).u64(*txn);
             }
             LogRecord::Abort { txn } => {
-                out.push(3);
-                out.extend_from_slice(&txn.to_le_bytes());
+                e.u8(3).u64(*txn);
             }
             LogRecord::HeapInsert {
                 txn,
@@ -291,11 +290,8 @@ impl LogRecord {
                 rid,
                 data,
             } => {
-                out.push(4);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&space.to_le_bytes());
-                put_rid(out, *rid);
-                put_bytes(out, data);
+                head(&mut e, 4, *txn, *space).u32(rid.page).u16(rid.slot);
+                bytes(&mut e, data);
             }
             LogRecord::HeapUpdate {
                 txn,
@@ -304,12 +300,9 @@ impl LogRecord {
                 before,
                 after,
             } => {
-                out.push(5);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&space.to_le_bytes());
-                put_rid(out, *rid);
-                put_bytes(out, before);
-                put_bytes(out, after);
+                head(&mut e, 5, *txn, *space).u32(rid.page).u16(rid.slot);
+                bytes(&mut e, before);
+                bytes(&mut e, after);
             }
             LogRecord::HeapDelete {
                 txn,
@@ -317,11 +310,8 @@ impl LogRecord {
                 rid,
                 before,
             } => {
-                out.push(6);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&space.to_le_bytes());
-                put_rid(out, *rid);
-                put_bytes(out, before);
+                head(&mut e, 6, *txn, *space).u32(rid.page).u16(rid.slot);
+                bytes(&mut e, before);
             }
             LogRecord::IndexInsert {
                 txn,
@@ -331,19 +321,12 @@ impl LogRecord {
                 value,
                 prev,
             } => {
-                out.push(7);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&space.to_le_bytes());
-                out.extend_from_slice(&anchor.to_le_bytes());
-                put_bytes(out, key);
-                out.extend_from_slice(&value.to_le_bytes());
+                head(&mut e, 7, *txn, *space).u32(*anchor);
+                bytes(&mut e, key).u64(*value);
                 match prev {
-                    Some(p) => {
-                        out.push(1);
-                        out.extend_from_slice(&p.to_le_bytes());
-                    }
-                    None => out.push(0),
-                }
+                    Some(p) => e.u8(1).u64(*p),
+                    None => e.u8(0),
+                };
             }
             LogRecord::IndexDelete {
                 txn,
@@ -352,117 +335,72 @@ impl LogRecord {
                 key,
                 value,
             } => {
-                out.push(8);
-                out.extend_from_slice(&txn.to_le_bytes());
-                out.extend_from_slice(&space.to_le_bytes());
-                out.extend_from_slice(&anchor.to_le_bytes());
-                put_bytes(out, key);
-                out.extend_from_slice(&value.to_le_bytes());
+                head(&mut e, 8, *txn, *space).u32(*anchor);
+                bytes(&mut e, key).u64(*value);
             }
-            LogRecord::Checkpoint => out.push(CHECKPOINT_TAG),
+            LogRecord::Checkpoint => {
+                e.u8(CHECKPOINT_TAG);
+            }
         }
+        e.into_bytes()
     }
 
+    /// Decode [`LogRecord::encode`]'s bytes; a short or unknown record is
+    /// [`StorageError::WalCorrupt`].
     fn decode(buf: &[u8]) -> Result<Self> {
-        struct Cur<'a> {
-            b: &'a [u8],
-            p: usize,
-        }
-        impl<'a> Cur<'a> {
-            fn u8(&mut self) -> Result<u8> {
-                let v = *self
-                    .b
-                    .get(self.p)
-                    .ok_or_else(|| StorageError::WalCorrupt("truncated".into()))?;
-                self.p += 1;
-                Ok(v)
-            }
-            fn u16(&mut self) -> Result<u16> {
-                let s = self
-                    .b
-                    .get(self.p..self.p + 2)
-                    .ok_or_else(|| StorageError::WalCorrupt("truncated".into()))?;
-                self.p += 2;
-                Ok(u16::from_le_bytes(s.try_into().unwrap()))
-            }
-            fn u32(&mut self) -> Result<u32> {
-                let s = self
-                    .b
-                    .get(self.p..self.p + 4)
-                    .ok_or_else(|| StorageError::WalCorrupt("truncated".into()))?;
-                self.p += 4;
-                Ok(u32::from_le_bytes(s.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64> {
-                let s = self
-                    .b
-                    .get(self.p..self.p + 8)
-                    .ok_or_else(|| StorageError::WalCorrupt("truncated".into()))?;
-                self.p += 8;
-                Ok(u64::from_le_bytes(s.try_into().unwrap()))
-            }
-            fn bytes(&mut self) -> Result<Vec<u8>> {
-                let n = self.u32()? as usize;
-                let s = self
-                    .b
-                    .get(self.p..self.p + n)
-                    .ok_or_else(|| StorageError::WalCorrupt("truncated bytes".into()))?;
-                self.p += n;
-                Ok(s.to_vec())
-            }
-            fn rid(&mut self) -> Result<Rid> {
-                Ok(Rid::new(self.u32()?, self.u16()?))
-            }
-        }
-        let mut c = Cur { b: buf, p: 0 };
-        Ok(match c.u8()? {
-            1 => LogRecord::Begin { txn: c.u64()? },
-            2 => LogRecord::Commit { txn: c.u64()? },
-            3 => LogRecord::Abort { txn: c.u64()? },
-            4 => LogRecord::HeapInsert {
-                txn: c.u64()?,
-                space: c.u32()?,
-                rid: c.rid()?,
-                data: c.bytes()?,
-            },
-            5 => LogRecord::HeapUpdate {
-                txn: c.u64()?,
-                space: c.u32()?,
-                rid: c.rid()?,
-                before: c.bytes()?,
-                after: c.bytes()?,
-            },
-            6 => LogRecord::HeapDelete {
-                txn: c.u64()?,
-                space: c.u32()?,
-                rid: c.rid()?,
-                before: c.bytes()?,
-            },
-            7 => {
-                let txn = c.u64()?;
-                let space = c.u32()?;
-                let anchor = c.u32()?;
-                let key = c.bytes()?;
-                let value = c.u64()?;
-                let prev = if c.u8()? == 1 { Some(c.u64()?) } else { None };
-                LogRecord::IndexInsert {
-                    txn,
-                    space,
-                    anchor,
-                    key,
-                    value,
-                    prev,
-                }
-            }
-            8 => LogRecord::IndexDelete {
-                txn: c.u64()?,
-                space: c.u32()?,
-                anchor: c.u32()?,
-                key: c.bytes()?,
-                value: c.u64()?,
-            },
-            CHECKPOINT_TAG => LogRecord::Checkpoint,
-            t => return Err(StorageError::WalCorrupt(format!("unknown record type {t}"))),
+        let mut d = Dec::new(buf);
+        let d = &mut d;
+        let bytes = |d: &mut Dec| -> Result<Vec<u8>> {
+            let n = d.u32()? as usize;
+            Ok(d.raw(n)?.to_vec())
+        };
+        let rid = |d: &mut Dec| -> Result<Rid> { Ok(Rid::new(d.u32()?, d.u16()?)) };
+        let rec = (|| {
+            Ok(match d.u8()? {
+                1 => LogRecord::Begin { txn: d.u64()? },
+                2 => LogRecord::Commit { txn: d.u64()? },
+                3 => LogRecord::Abort { txn: d.u64()? },
+                4 => LogRecord::HeapInsert {
+                    txn: d.u64()?,
+                    space: d.u32()?,
+                    rid: rid(d)?,
+                    data: bytes(d)?,
+                },
+                5 => LogRecord::HeapUpdate {
+                    txn: d.u64()?,
+                    space: d.u32()?,
+                    rid: rid(d)?,
+                    before: bytes(d)?,
+                    after: bytes(d)?,
+                },
+                6 => LogRecord::HeapDelete {
+                    txn: d.u64()?,
+                    space: d.u32()?,
+                    rid: rid(d)?,
+                    before: bytes(d)?,
+                },
+                7 => LogRecord::IndexInsert {
+                    txn: d.u64()?,
+                    space: d.u32()?,
+                    anchor: d.u32()?,
+                    key: bytes(d)?,
+                    value: d.u64()?,
+                    prev: if d.u8()? == 1 { Some(d.u64()?) } else { None },
+                },
+                8 => LogRecord::IndexDelete {
+                    txn: d.u64()?,
+                    space: d.u32()?,
+                    anchor: d.u32()?,
+                    key: bytes(d)?,
+                    value: d.u64()?,
+                },
+                CHECKPOINT_TAG => LogRecord::Checkpoint,
+                t => return Err(StorageError::WalCorrupt(format!("unknown record type {t}"))),
+            })
+        })();
+        rec.map_err(|e| match e {
+            StorageError::WalCorrupt(_) => e,
+            e => StorageError::WalCorrupt(e.to_string()),
         })
     }
 }
@@ -679,8 +617,7 @@ impl Wal {
     /// the staging buffer until a group-commit flush (or [`Wal::read_records`])
     /// hands it to the backend.
     pub fn log(&self, rec: &LogRecord) -> Result<Lsn> {
-        let mut payload = Vec::with_capacity(64);
-        rec.encode(&mut payload);
+        let payload = rec.encode();
         let mut st = self.state.lock();
         let lsn = st.next_lsn;
         st.next_lsn += 1;
@@ -857,8 +794,7 @@ impl Wal {
         }
         let staged = std::mem::take(&mut st.staging);
         let staged_recs = std::mem::take(&mut st.staged_records);
-        let mut payload = Vec::new();
-        LogRecord::Checkpoint.encode(&mut payload);
+        let payload = LogRecord::Checkpoint.encode();
         let ckpt_lsn = st.next_lsn;
         st.next_lsn += 1;
         st.bytes_written += payload.len() as u64 + FRAME_HDR as u64;
@@ -1341,9 +1277,96 @@ mod tests {
             LogRecord::Checkpoint,
         ];
         for r in recs {
-            let mut buf = Vec::new();
-            r.encode(&mut buf);
-            assert_eq!(LogRecord::decode(&buf).unwrap(), r);
+            assert_eq!(LogRecord::decode(&r.encode()).unwrap(), r);
+        }
+    }
+
+    /// The log bytes of one record of each variant (and both `prev` forms
+    /// of an index insert), as the format has always written them.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let txn = 0x0102_0304_0506_0708;
+        let space = 0x0A0B_0C0D;
+        let rid = Rid::new(0x1112_1314, 0x1516);
+        let (anchor, value) = (0x2122_2324, 0x3132_3334_3536_3738);
+        let pins = [
+            (LogRecord::Begin { txn }, "010807060504030201"),
+            (LogRecord::Commit { txn }, "020807060504030201"),
+            (LogRecord::Abort { txn }, "030807060504030201"),
+            (
+                LogRecord::HeapInsert {
+                    txn,
+                    space,
+                    rid,
+                    data: b"ab".to_vec(),
+                },
+                "0408070605040302010d0c0b0a141312111615020000006162",
+            ),
+            (
+                LogRecord::HeapUpdate {
+                    txn,
+                    space,
+                    rid,
+                    before: b"ab".to_vec(),
+                    after: b"xyz".to_vec(),
+                },
+                "0508070605040302010d0c0b0a1413121116150200000061620300000078797a",
+            ),
+            (
+                LogRecord::HeapDelete {
+                    txn,
+                    space,
+                    rid,
+                    before: b"q".to_vec(),
+                },
+                "0608070605040302010d0c0b0a1413121116150100000071",
+            ),
+            (
+                LogRecord::IndexInsert {
+                    txn,
+                    space,
+                    anchor,
+                    key: b"k".to_vec(),
+                    value,
+                    prev: Some(0x4142_4344_4546_4748),
+                },
+                "0708070605040302010d0c0b0a24232221010000006b3837363534333231014847464544434241",
+            ),
+            (
+                LogRecord::IndexInsert {
+                    txn,
+                    space,
+                    anchor,
+                    key: Vec::new(),
+                    value,
+                    prev: None,
+                },
+                "0708070605040302010d0c0b0a2423222100000000383736353433323100",
+            ),
+            (
+                LogRecord::IndexDelete {
+                    txn,
+                    space,
+                    anchor,
+                    key: b"k".to_vec(),
+                    value,
+                },
+                "0808070605040302010d0c0b0a24232221010000006b3837363534333231",
+            ),
+            (LogRecord::Checkpoint, "09"),
+        ];
+        for (rec, hex) in pins {
+            let bytes = rec.encode();
+            let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{rec:?}");
+            assert_eq!(LogRecord::decode(&bytes).unwrap(), rec);
+            // Every proper prefix is a corrupt record, never a panic.
+            for n in 0..bytes.len() {
+                assert!(matches!(
+                    LogRecord::decode(&bytes[..n]),
+                    Err(StorageError::WalCorrupt(_))
+                ));
+            }
         }
     }
 

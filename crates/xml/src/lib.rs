@@ -16,8 +16,10 @@
 //! * [`serialize`] — the shared serializer;
 //! * [`value`] — XDM atomic values, IEEE-754r-style decimals, and
 //!   order-preserving index-key encodings (§3.3, §4.3);
-//! * [`dom`] / [`sax`] — the DOM and per-event-callback SAX **baselines** the
-//!   paper compares against.
+//! * [`dom`] — the in-memory DOM tree: the materializing **baseline** the
+//!   paper compares against, and the tree `schema::parse_xsd` reads.
+//!
+//! The per-event-callback SAX baseline lives in `rx-bench`.
 
 #![warn(missing_docs)]
 
@@ -27,7 +29,6 @@ pub mod event;
 pub mod name;
 pub mod nodeid;
 pub mod parser;
-pub mod sax;
 pub mod schema;
 pub mod serialize;
 pub mod token;

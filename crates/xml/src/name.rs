@@ -132,12 +132,6 @@ impl NameDict {
         self.str(q.local)
     }
 
-    /// The namespace URI of a qname as a string.
-    pub fn uri_of(&self, id: QNameId) -> Arc<str> {
-        let q = self.qname(id);
-        self.str(q.uri)
-    }
-
     /// Do two qname ids denote the same *expanded* name (uri + local),
     /// regardless of prefix? This is XPath/XQuery name equality.
     pub fn same_name(&self, a: QNameId, b: QNameId) -> bool {

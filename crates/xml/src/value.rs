@@ -100,17 +100,6 @@ impl Decimal {
         exp: 0,
     };
 
-    /// Build from an integer.
-    pub fn from_i64(v: i64) -> Self {
-        let neg = v < 0;
-        Decimal {
-            neg,
-            coeff: v.unsigned_abs() as u128,
-            exp: 0,
-        }
-        .normalized()
-    }
-
     /// Parse decimal syntax: optional sign, digits, optional fraction,
     /// optional exponent (`-12.50e3`).
     pub fn parse(s: &str) -> Result<Self> {
@@ -499,18 +488,6 @@ impl AtomicValue {
             AtomicValue::Boolean(b) => Some(if *b { 1.0 } else { 0.0 }),
             AtomicValue::Date(_) => None,
             AtomicValue::Integer(i) => Some(*i as f64),
-        }
-    }
-
-    /// Effective boolean value.
-    pub fn to_boolean(&self) -> bool {
-        match self {
-            AtomicValue::String(s) => !s.is_empty(),
-            AtomicValue::Double(d) => *d != 0.0 && !d.is_nan(),
-            AtomicValue::Decimal(d) => !d.is_zero(),
-            AtomicValue::Boolean(b) => *b,
-            AtomicValue::Date(_) => true,
-            AtomicValue::Integer(i) => *i != 0,
         }
     }
 

@@ -10,14 +10,14 @@
 //!   with per-query-node matching stacks, upward links, and the duplicate-free
 //!   Table 1 propagation rules; O(|Q|·r) live state, O(|Q|·r·|D|) time;
 //! * [`containment`] — index-path vs query-path containment (exact vs
-//!   filtering index use, Table 2);
-//! * [`baseline`] — the DOM-based and naive per-instance streaming baselines
-//!   of the paper's comparison (Fig. 7).
+//!   filtering index use, Table 2).
+//!
+//! The DOM-based and naive per-instance streaming baselines of the paper's
+//! comparison (Fig. 7) live in `rx-bench`.
 
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod baseline;
 pub mod containment;
 pub mod error;
 pub mod parser;

@@ -73,7 +73,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let path = XPathParser::new().parse(q)?;
         let plan = access::plan(&path, col, false);
         let t = Instant::now();
-        let (hits, stats) = access::execute(&plan, &table, col, dict, &path)?;
+        // Every read takes the §5.1 locks; a read-only transaction logs
+        // nothing and skips the commit fsync.
+        let txn = db.begin()?;
+        let (hits, stats) = db.query_locked(&txn, &table, col, &path, false)?;
+        txn.commit()?;
         println!(
             "\nquery: {q}\n  plan: {}\n  hits={} candidates={} docs-evaluated={} elapsed={:.2?}",
             plan.explain().lines().next().unwrap_or(""),

@@ -5,11 +5,11 @@
 //!
 //! Run with: `cargo run --release --example streaming_xpath`
 
+use rx_bench::baseline::{DomXPath, NaiveStreamMatcher};
 use std::time::Instant;
 use system_rx::gen::{bom_doc, recursive_doc, sized_tree};
 use system_rx::xml::dom::DomTree;
 use system_rx::xml::NameDict;
-use system_rx::xpath::baseline::{DomXPath, NaiveStreamMatcher};
 use system_rx::xpath::quickxscan::scan_str;
 use system_rx::xpath::{QueryTree, XPathParser};
 

@@ -2,6 +2,7 @@
 //! document shape than the catalog, with a query set checked index-vs-scan
 //! and against the DOM reference.
 
+use rx_bench::run_plan;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
 use system_rx::engine::{access, AccessPlan};
 use system_rx::gen::auction_doc;
@@ -57,9 +58,8 @@ fn auction_queries_agree_and_use_indexes() {
         let path = XPathParser::new().parse(q).unwrap();
         for nodeid in [false, true] {
             let plan = access::plan(&path, col, nodeid);
-            let (mut hits, _) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
-            let (mut scan, _) =
-                access::execute(&AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+            let (mut hits, _) = run_plan(&db, &plan, &t, col, &path);
+            let (mut scan, _) = run_plan(&db, &AccessPlan::FullScan, &t, col, &path);
             let key = |h: &access::QueryHit| (h.doc, h.node.clone().map(|n| n.as_bytes().to_vec()));
             hits.sort_by_key(key);
             scan.sort_by_key(key);

@@ -2,6 +2,7 @@
 //! loaders, reader/writer isolation at document granularity, disjoint
 //! subtree writers, and snapshot readers over MVCC under write pressure.
 
+use rx_bench::run_plan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use system_rx::engine::db::{ColValue, ColumnKind, Database};
@@ -52,7 +53,7 @@ fn parallel_loaders_do_not_corrupt() {
         .parse("/Catalog/Categories/Product[RegPrice > 250]")
         .unwrap();
     let plan = access::plan(&path, col, false);
-    let (hits, _) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(&db, &plan, &t, col, &path);
     assert_eq!(hits.len(), spec.expected_above(250.0));
 }
 

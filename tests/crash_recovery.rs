@@ -2,6 +2,7 @@
 //! a checkpoint; uncommitted work disappears; indexes stay consistent with
 //! the data after recovery.
 
+use rx_bench::run_plan;
 use std::path::PathBuf;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
 use system_rx::engine::{access, update};
@@ -54,7 +55,7 @@ fn committed_inserts_survive_without_checkpoint() {
         .unwrap();
     let plan = access::plan(&path, col, false);
     assert!(plan.explain().contains("DocID"), "{}", plan.explain());
-    let (hits, _) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(&db, &plan, &t, col, &path);
     assert_eq!(hits.len(), spec.expected_above(250.0));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::{access, traverse, update, BaseTable, DocId, QueryHit};
+use system_rx::engine::{access, traverse, update, AccessStats, BaseTable, DocId, QueryHit};
 use system_rx::storage::Txn;
 use system_rx::xml::value::KeyType;
 use system_rx::xml::{NodeId, RelId};
-use system_rx::xpath::{Path, XPathParser};
+use system_rx::xpath::{Path, QueryTree, XPathParser};
 
 fn db_cached(doc_cache_bytes: usize) -> Arc<Database> {
     Database::create_in_memory_with(DbConfig {
@@ -214,10 +214,10 @@ fn rollback_leaves_no_stale_entry() {
 }
 
 /// Traversals outside a locked, read-only transaction read the cache but
-/// never publish: the unlocked reference executor, serialization, and
-/// string values leave it empty, and only `query_locked` in a read-only
-/// transaction fills it — one entry per document, which those traversals
-/// then hit.
+/// never publish: a lane scanner whose caller holds no locks,
+/// serialization, and string values leave it empty, and only
+/// `query_locked` in a read-only transaction fills it — one entry per
+/// document, which those traversals then hit.
 #[test]
 fn unlocked_traversals_publish_nothing() {
     const NDOCS: usize = 6;
@@ -227,12 +227,14 @@ fn unlocked_traversals_publish_nothing() {
     let cache = db.doc_cache();
     let scan = XPathParser::new().parse("/r/tag").unwrap();
     let indexed = XPathParser::new().parse("/r[v > 100]/tag").unwrap();
+    let docs: Vec<DocId> = (1..=NDOCS as DocId).collect();
     let unlocked_reads = || {
         for path in [&scan, &indexed] {
-            for prefer_nodeid in [false, true] {
-                let plan = access::plan(path, col, prefer_nodeid);
-                access::execute(&plan, &t, col, db.dict(), path).unwrap();
-            }
+            let tree = QueryTree::compile(path).unwrap();
+            let mut lane = access::DocScanner::new(col, &tree, db.dict(), false);
+            let mut hits = Vec::new();
+            lane.evaluate_run(&docs, &mut AccessStats::default(), &mut hits)
+                .unwrap();
         }
         for doc in 1..=NDOCS as DocId {
             db.serialize_document(&t, "doc", doc).unwrap();

@@ -2,6 +2,7 @@
 //! engine, storage fidelity across packing configurations, and index/scan
 //! agreement on generated workloads.
 
+use rx_bench::run_plan;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
 use system_rx::engine::{access, Output, Session};
 use system_rx::gen::{catalog_xml, product_doc, sized_tree, CatalogSpec};
@@ -133,9 +134,8 @@ fn index_and_scan_agree_on_generated_catalog() {
         let path = XPathParser::new().parse(q).unwrap();
         for nodeid in [false, true] {
             let plan = access::plan(&path, col, nodeid);
-            let (mut hits, _) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
-            let (mut scan, _) =
-                access::execute(&access::AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+            let (mut hits, _) = run_plan(&db, &plan, &t, col, &path);
+            let (mut scan, _) = run_plan(&db, &access::AccessPlan::FullScan, &t, col, &path);
             let key = |h: &access::QueryHit| (h.doc, h.node.clone().map(|n| n.as_bytes().to_vec()));
             hits.sort_by_key(key);
             scan.sort_by_key(key);
@@ -170,14 +170,24 @@ fn large_single_document_queries() {
         .parse("/Catalog/Categories/Product[RegPrice > 490]")
         .unwrap();
     let plan = access::plan(&path, col, true);
-    assert!(plan.explain().contains("NodeID"), "{}", plan.explain());
-    let (hits, stats) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
+    let explain = plan.explain();
+    assert!(
+        explain.contains("NodeID list access (exact, no re-evaluation)"),
+        "{explain}"
+    );
+    let (hits, stats) = run_plan(&db, &plan, &t, col, &path);
     assert_eq!(hits.len(), spec.expected_above(490.0));
     assert!(hits.iter().all(|h| h.doc == doc));
+    // The exact list answers under its S lock without evaluating the
+    // document, and returns exactly what the DocID plan's evaluation does.
+    assert_eq!(stats.docs_evaluated, 0);
+    let docid_plan = access::plan(&path, col, false);
+    let (docid_hits, docid_stats) = run_plan(&db, &docid_plan, &t, col, &path);
+    assert_eq!(docid_stats.docs_evaluated, 1);
+    assert_eq!(hits, docid_hits);
     // Node-granularity: far fewer records touched than a whole-doc scan.
-    let (scan_hits, scan_stats) =
-        access::execute(&access::AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
-    assert_eq!(hits.len(), scan_hits.len());
+    let (scan_hits, scan_stats) = run_plan(&db, &access::AccessPlan::FullScan, &t, col, &path);
+    assert_eq!(hits, scan_hits);
     assert!(
         stats.records_fetched < scan_stats.records_fetched,
         "index {} vs scan {}",
@@ -266,7 +276,7 @@ fn small_buffer_pool_forces_eviction_through_the_stack() {
         .parse("/Catalog/Categories/Product[RegPrice > 495]")
         .unwrap();
     let plan = access::plan(&path, col, true);
-    let (hits, _) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(&db, &plan, &t, col, &path);
     assert_eq!(hits.len(), spec.expected_above(495.0));
     assert_eq!(db.serialize_document(&t, "doc", id).unwrap(), doc);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -350,7 +360,7 @@ fn sub_document_update_maintains_value_indexes() {
     let q = |text: &str| {
         let path = XPathParser::new().parse(text).unwrap();
         let plan = access::plan(&path, col, false);
-        let (hits, _) = access::execute(&plan, &t, col, db.dict(), &path).unwrap();
+        let (hits, _) = run_plan(&db, &plan, &t, col, &path);
         hits.len()
     };
     assert_eq!(q("/Product[RegPrice > 150]"), 0);

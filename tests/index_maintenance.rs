@@ -7,6 +7,7 @@
 //! creation.
 
 use proptest::prelude::*;
+use rx_bench::run_plan;
 use std::collections::HashMap;
 use std::sync::Arc;
 use system_rx::engine::db::{ColValue, ColumnKind, Database};
@@ -100,7 +101,7 @@ fn create_indexes(db: &Database) {
 fn nodes(db: &Database, t: &Arc<BaseTable>, doc: DocId, query: &str) -> Vec<NodeId> {
     let col = t.xml_column("doc").unwrap();
     let path = XPathParser::new().parse(query).unwrap();
-    let (hits, _) = access::execute(&AccessPlan::FullScan, t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(db, &AccessPlan::FullScan, t, col, &path);
     hits.into_iter()
         .filter(|h| h.doc == doc)
         .filter_map(|h| h.node)

@@ -11,6 +11,7 @@
 //!   equal to a fresh scanner that replays every subtree.
 
 use proptest::prelude::*;
+use rx_bench::baseline::DomXPath;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use system_rx::engine::access::{all_docids, execute_tree, AccessPlan};
@@ -22,7 +23,6 @@ use system_rx::xml::event::Event;
 use system_rx::xml::nodeid::RelId;
 use system_rx::xml::value::Decimal;
 use system_rx::xml::NameDict;
-use system_rx::xpath::baseline::DomXPath;
 use system_rx::xpath::{quickxscan::scan_str, QueryTree, QuickXScan, XPathParser};
 
 // ---------------------------------------------------------------------------
@@ -237,8 +237,10 @@ proptest! {
         prop_assert_eq!(ids.len(), docs.len());
         let lanes = QueryExecutor::new(2);
         for exec in [None, Some(&lanes)] {
+            let txn = db.begin().unwrap();
             let (hits, stats) =
-                execute_tree(&AccessPlan::FullScan, &t, col, dict, &tree, exec, None).unwrap();
+                execute_tree(&AccessPlan::FullScan, &t, col, dict, &tree, exec, &txn).unwrap();
+            txn.commit().unwrap();
             prop_assert_eq!(stats.docs_evaluated, docs.len() as u64);
             for (doc_text, &id) in docs.iter().zip(&ids) {
                 let mine: Vec<_> = hits.iter().filter(|h| h.doc == id).collect();

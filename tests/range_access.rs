@@ -6,15 +6,20 @@
 //! and a reader/writer stress run sized by `RX_STRESS_THREADS`.
 
 use proptest::prelude::*;
+use rx_bench::run_plan;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use system_rx::engine::access::{self, AccessPlan, AccessStats, QueryHit};
+use std::time::{Duration, Instant};
+use system_rx::engine::access::{AccessPlan, AccessStats, QueryHit};
 use system_rx::engine::db::{BaseTable, ColValue, ColumnKind, Database, DbConfig};
+use system_rx::engine::update;
 use system_rx::engine::validx::ValueIndex;
 use system_rx::engine::xmltable::DocId;
+use system_rx::storage::Txn;
 use system_rx::xml::value::KeyType;
+use system_rx::xml::NodeId;
 use system_rx::xpath::{Path, XPathParser};
 
 const WINDOW: &str = "/Catalog/Categories/Product[RegPrice > 100 and RegPrice < 200]";
@@ -76,20 +81,6 @@ fn sorted_docs(hits: &[QueryHit]) -> Vec<DocId> {
         .collect()
 }
 
-/// The unlocked executor and `query_locked` for one granularity: (hits,
-/// stats) of each.
-fn both_paths(
-    db: &Database,
-    t: &Arc<BaseTable>,
-    path: &Path,
-    prefer_nodeid: bool,
-) -> [(Vec<QueryHit>, AccessStats); 2] {
-    let col = t.xml_column("doc").unwrap();
-    let plan = access::plan(path, col, prefer_nodeid);
-    let unlocked = access::execute(&plan, t, col, db.dict(), path).unwrap();
-    [unlocked, locked_query(db, t, path, prefer_nodeid)]
-}
-
 /// `query_locked` in a transaction of its own.
 fn locked_query(
     db: &Database,
@@ -106,9 +97,17 @@ fn locked_query(
 
 fn full_scan(db: &Database, t: &Arc<BaseTable>, path: &Path) -> Vec<QueryHit> {
     let col = t.xml_column("doc").unwrap();
-    access::execute(&AccessPlan::FullScan, t, col, db.dict(), path)
-        .unwrap()
-        .0
+    run_plan(db, &AccessPlan::FullScan, t, col, path).0
+}
+
+/// How often a query's index terms are scanned: an exact NodeID list scans
+/// them again once its S locks are held (DESIGN.md §14.3).
+fn scans(prefer_nodeid: bool) -> u64 {
+    if prefer_nodeid {
+        2
+    } else {
+        1
+    }
 }
 
 /// One bound of a window: a comparison of `RegPrice` with a literal,
@@ -169,12 +168,12 @@ proptest! {
         let path = q(&format!("/Catalog/Categories/Product{pred}"));
         let expected = sorted_docs(&full_scan(&db, &t, &path));
         for prefer_nodeid in [false, true] {
-            for (hits, stats) in both_paths(&db, &t, &path, prefer_nodeid) {
-                prop_assert_eq!(sorted_docs(&hits), expected.clone(), "{} nodeid={}", pred, prefer_nodeid);
-                if !multi {
-                    // One scan of the intersection: one entry per candidate.
-                    prop_assert_eq!(stats.index_entries, stats.candidates, "{}", pred);
-                }
+            let (hits, stats) = locked_query(&db, &t, &path, prefer_nodeid);
+            prop_assert_eq!(sorted_docs(&hits), expected.clone(), "{} nodeid={}", pred, prefer_nodeid);
+            if !multi {
+                // One scan of the intersection (per pass): one entry per
+                // candidate.
+                prop_assert_eq!(stats.index_entries, scans(prefer_nodeid) * stats.candidates, "{}", pred);
             }
         }
     }
@@ -192,11 +191,14 @@ fn two_bound_scan_reads_exactly_the_hits() {
         "/Catalog/Categories/Product[200 > RegPrice and 100 < RegPrice]",
     ] {
         for prefer_nodeid in [false, true] {
-            for (hits, stats) in both_paths(&db, &t, &q(qs), prefer_nodeid) {
-                // Prices 110, 130, 150, 170, 190.
-                assert_eq!(hits.len(), 5, "{qs}");
-                assert_eq!(stats.index_entries, 5, "{qs} nodeid={prefer_nodeid}");
-            }
+            let (hits, stats) = locked_query(&db, &t, &q(qs), prefer_nodeid);
+            // Prices 110, 130, 150, 170, 190.
+            assert_eq!(hits.len(), 5, "{qs}");
+            assert_eq!(
+                stats.index_entries,
+                5 * scans(prefer_nodeid),
+                "{qs} nodeid={prefer_nodeid}"
+            );
         }
     }
 }
@@ -210,10 +212,9 @@ fn inverted_window_scans_nothing() {
         "/Catalog/Categories/Product[RegPrice > 150 and RegPrice <= 150]",
     ] {
         for prefer_nodeid in [false, true] {
-            for (hits, stats) in both_paths(&db, &t, &q(qs), prefer_nodeid) {
-                assert!(hits.is_empty(), "{qs}");
-                assert_eq!(stats.index_entries, 0, "{qs}");
-            }
+            let (hits, stats) = locked_query(&db, &t, &q(qs), prefer_nodeid);
+            assert!(hits.is_empty(), "{qs}");
+            assert_eq!(stats.index_entries, 0, "{qs}");
         }
     }
 }
@@ -238,11 +239,10 @@ fn multi_valued_document_falls_back_to_two_scans() {
     txn.rollback().unwrap();
     assert!(idx.is_multi_valued(), "a rollback never clears the flag");
     for prefer_nodeid in [false, true] {
-        for (hits, stats) in both_paths(&db, &t, &path, prefer_nodeid) {
-            assert_eq!(hits.len(), 5);
-            // (100, +inf) holds 15 entries, (-inf, 200) holds 10.
-            assert_eq!(stats.index_entries, 25);
-        }
+        let (hits, stats) = locked_query(&db, &t, &path, prefer_nodeid);
+        assert_eq!(hits.len(), 5);
+        // (100, +inf) holds 15 entries, (-inf, 200) holds 10.
+        assert_eq!(stats.index_entries, 25 * scans(prefer_nodeid));
     }
 
     let doc = insert(&db, &t, &[5, 500]);
@@ -250,10 +250,9 @@ fn multi_valued_document_falls_back_to_two_scans() {
     assert_eq!(expected.len(), 6);
     assert!(expected.contains(&doc));
     for prefer_nodeid in [false, true] {
-        for (hits, stats) in both_paths(&db, &t, &path, prefer_nodeid) {
-            assert_eq!(sorted_docs(&hits), expected);
-            assert_eq!(stats.index_entries, 27);
-        }
+        let (hits, stats) = locked_query(&db, &t, &path, prefer_nodeid);
+        assert_eq!(sorted_docs(&hits), expected);
+        assert_eq!(stats.index_entries, 27 * scans(prefer_nodeid));
     }
 }
 
@@ -300,11 +299,10 @@ fn reopen_recomputes_the_flag() {
             );
             let path = q(WINDOW);
             for prefer_nodeid in [false, true] {
-                for (hits, stats) in both_paths(&db, &t, &path, prefer_nodeid) {
-                    assert_eq!(hits.len(), 5 + usize::from(commit));
-                    if !commit {
-                        assert_eq!(stats.index_entries, 5);
-                    }
+                let (hits, stats) = locked_query(&db, &t, &path, prefer_nodeid);
+                assert_eq!(hits.len(), 5 + usize::from(commit));
+                if !commit {
+                    assert_eq!(stats.index_entries, 5 * scans(prefer_nodeid));
                 }
             }
             drop(db);
@@ -434,9 +432,10 @@ fn writers_flipping_the_flag_never_hide_committed_documents() {
 }
 
 /// `query_locked` honours `prefer_nodeid`: the candidates are anchor nodes,
-/// and only the documents holding one are evaluated. The first document
-/// has an `i` with `a = 1` and an `i` with `b = 1` but none with both, so
-/// NodeID-level ANDing drops it where DocID-level ANDing keeps it.
+/// and the exact list answers them without evaluating a document. The
+/// first document has an `i` with `a = 1` and an `i` with `b = 1` but none
+/// with both, so NodeID-level ANDing drops it where DocID-level ANDing keeps
+/// it.
 #[test]
 fn locked_nodeid_plan_gathers_anchor_nodes() {
     let db = Database::create_in_memory().unwrap();
@@ -452,16 +451,116 @@ fn locked_nodeid_plan_gathers_anchor_nodes() {
         db.insert_row(&t, &[ColValue::Xml(xml.into())]).unwrap();
     }
     let path = q("/r/i[a = 1 and b = 1]");
-    let [(unlocked, unlocked_stats), (hits, stats)] = both_paths(&db, &t, &path, true);
-    assert_eq!(unlocked_stats.candidates, 1);
-    assert_eq!(unlocked_stats.docs_evaluated, 0, "exact list, no locks");
+    let (hits, stats) = locked_query(&db, &t, &path, true);
     assert_eq!(stats.candidates, 1);
-    assert_eq!(stats.docs_evaluated, 1, "re-verified under its S lock");
-    assert_eq!(hits, unlocked);
+    assert_eq!(
+        stats.docs_evaluated, 0,
+        "exact list, answered under its S lock"
+    );
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].doc, 2);
     let (docid_hits, docid_stats) = locked_query(&db, &t, &path, false);
     assert_eq!(docid_hits, hits);
     assert_eq!(docid_stats.candidates, 2);
     assert_eq!(docid_stats.docs_evaluated, 2);
+}
+
+/// Two products priced out of the window of `/…/Product[RegPrice > 100]`
+/// (document 1) and one inside it (document 2).
+fn stale_anchor_db() -> (Arc<Database>, Arc<BaseTable>) {
+    let db = Database::create_in_memory().unwrap();
+    let t = create_schema(&db);
+    let products = |ps: &[(&str, u32)]| {
+        let body: String = ps
+            .iter()
+            .map(|(n, p)| {
+                format!("<Product><ProductName>{n}</ProductName><RegPrice>{p}</RegPrice></Product>")
+            })
+            .collect();
+        format!("<Catalog><Categories>{body}</Categories></Catalog>")
+    };
+    for xml in [products(&[("a", 50), ("b", 60)]), products(&[("c", 150)])] {
+        db.insert_row(&t, &[ColValue::Xml(xml)]).unwrap();
+    }
+    (db, t)
+}
+
+/// A writer's uncommitted update moves document 1's first price into the
+/// window of an exact NodeID query; a reader runs the query while the
+/// writer holds its locks, so its first index scan sees the uncommitted
+/// entry and it then waits for its S lock. Once the reader is seen waiting
+/// (`DbStats::lock_waits` rises), a committing writer also moves the second
+/// price into the window, then commits; otherwise it rolls back. Returns
+/// the reader's answer.
+fn reader_beside_writer(commit: bool) -> (Vec<QueryHit>, AccessStats) {
+    let (db, t) = stale_anchor_db();
+    let col = t.xml_column("doc").unwrap();
+    let path = q("/Catalog/Categories/Product[RegPrice > 100]");
+    let prices: Vec<NodeId> = run_plan(
+        &db,
+        &AccessPlan::FullScan,
+        &t,
+        col,
+        &q("/Catalog/Categories/Product/RegPrice/text()"),
+    )
+    .0
+    .into_iter()
+    .filter(|h| h.doc == 1)
+    .map(|h| h.node.unwrap())
+    .collect();
+    let set_price = |txn: &Txn, node: &NodeId, value: &str| {
+        db.update_document_txn(txn, &t, "doc", 1, node, |txn, xml| {
+            update::replace_value(txn, xml, 1, node, value)
+        })
+        .unwrap();
+    };
+    let writer = db.begin().unwrap();
+    set_price(&writer, &prices[0], "150");
+    let waits = db.stats().lock_waits;
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| locked_query(&db, &t, &path, true));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while db.stats().lock_waits == waits {
+            assert!(
+                Instant::now() < deadline,
+                "the reader never waited for the writer's lock"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if commit {
+            set_price(&writer, &prices[1], "160");
+            writer.commit().unwrap();
+        } else {
+            writer.rollback().unwrap();
+        }
+        reader.join().unwrap()
+    })
+}
+
+/// An index entry of an uncommitted value that rolls back while the reader
+/// waits is not answered: the exact list is read again under the S lock.
+#[test]
+fn exact_nodeid_list_drops_an_entry_its_writer_rolls_back() {
+    let (hits, stats) = reader_beside_writer(false);
+    assert_eq!(
+        stats.candidates, 2,
+        "the first scan saw the uncommitted entry"
+    );
+    assert_eq!(stats.docs_evaluated, 0);
+    let values: Vec<(DocId, &str)> = hits.iter().map(|h| (h.doc, h.value.as_str())).collect();
+    assert_eq!(values, [(2, "c150")]);
+}
+
+/// What the writer commits while the reader waits is what the reader
+/// answers, including an entry the first scan could not have seen.
+#[test]
+fn exact_nodeid_list_answers_what_its_writer_commits() {
+    let (hits, stats) = reader_beside_writer(true);
+    assert_eq!(
+        stats.candidates, 2,
+        "the first scan saw the uncommitted entry"
+    );
+    assert_eq!(stats.docs_evaluated, 0);
+    let values: Vec<(DocId, &str)> = hits.iter().map(|h| (h.doc, h.value.as_str())).collect();
+    assert_eq!(values, [(1, "a150"), (1, "b160"), (2, "c150")]);
 }

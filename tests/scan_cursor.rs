@@ -3,8 +3,9 @@
 //!
 //! * range-located evaluation returns exactly the hits, node IDs and access
 //!   counters of per-document probing, over multi-record documents, DocID
-//!   gaps left by deletes, one and two lanes, and locked and unlocked reads;
-//!   a root hint naming another document's record falls back to the probe;
+//!   gaps left by deletes, one and two lanes, and candidate lists that name
+//!   deleted documents; a root hint naming another document's record falls
+//!   back to the probe;
 //! * full scans under `query_locked` beside insert/delete transactions never
 //!   fail, never return an uncommitted document and skip deleted candidates
 //!   (sized by `RX_STRESS_THREADS`).
@@ -95,7 +96,7 @@ proptest! {
         prop_assert_eq!(roots_by_range_scan(&survivors), survivors.len() >= 2);
         let mut lane = DocScanner::new(col, &tree, dict, false);
         let (mut stats, mut hits) = (AccessStats::default(), Vec::new());
-        lane.evaluate_run(&survivors, false, &mut stats, &mut hits).unwrap();
+        lane.evaluate_run(&survivors, &mut stats, &mut hits).unwrap();
         prop_assert_eq!(&hits, &want, "query {}", query);
         prop_assert_eq!(counters(&stats), counters(&want_stats));
 
@@ -114,26 +115,21 @@ proptest! {
             prop_assert_eq!(counters(&stats), counters(&want_stats));
         }
 
-        // Through the executor: one and two lanes, unlocked over the
-        // survivors and locked over every DocID ever inserted (the deleted
-        // candidates are skipped).
+        // Through the executor: one and two lanes, over the survivors and
+        // over every DocID ever inserted (the deleted candidates are
+        // skipped).
         let exec = QueryExecutor::new(2);
         for lanes in [1, 2] {
-            let mut stats = AccessStats::default();
-            let hits = evaluate_docs(
-                Some(&exec), lanes, None, &t, col, dict, &tree, survivors.clone(), &mut stats,
-            ).unwrap();
-            prop_assert_eq!(&hits, &want, "{} lanes, unlocked", lanes);
-            prop_assert_eq!(counters(&stats), counters(&want_stats));
-
-            let txn = db.begin().unwrap();
-            let mut stats = AccessStats::default();
-            let hits = evaluate_docs(
-                Some(&exec), lanes, Some(&txn), &t, col, dict, &tree, inserted.clone(), &mut stats,
-            ).unwrap();
-            txn.commit().unwrap();
-            prop_assert_eq!(&hits, &want, "{} lanes, locked", lanes);
-            prop_assert_eq!(counters(&stats), counters(&want_stats));
+            for docs in [&survivors, &inserted] {
+                let txn = db.begin().unwrap();
+                let mut stats = AccessStats::default();
+                let hits = evaluate_docs(
+                    Some(&exec), lanes, &txn, &t, col, dict, &tree, docs.clone(), &mut stats,
+                ).unwrap();
+                txn.commit().unwrap();
+                prop_assert_eq!(&hits, &want, "{} lanes, {} candidates", lanes, docs.len());
+                prop_assert_eq!(counters(&stats), counters(&want_stats));
+            }
         }
     }
 }

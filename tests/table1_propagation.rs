@@ -4,8 +4,9 @@
 //! Each scenario checks completeness (every expected node appears) and the
 //! duplicate-freedom the upward/sideways rules guarantee.
 
+use rx_bench::run_plan;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::{access, AccessPlan};
+use system_rx::engine::AccessPlan;
 use system_rx::xpath::XPathParser;
 
 fn run_stored(doc: &str, query: &str) -> Vec<String> {
@@ -21,7 +22,7 @@ fn run_stored(doc: &str, query: &str) -> Vec<String> {
         .unwrap();
     let col = t.xml_column("doc").unwrap();
     let path = XPathParser::new().parse(query).unwrap();
-    let (hits, _) = access::execute(&AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(&db, &AccessPlan::FullScan, &t, col, &path);
     hits.into_iter().map(|h| h.value).collect()
 }
 

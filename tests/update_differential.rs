@@ -6,11 +6,12 @@
 //! name one path entry per level of its context.
 
 use proptest::prelude::*;
+use rx_bench::run_plan;
 use std::sync::Arc;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
 use system_rx::engine::pack::read_header;
 use system_rx::engine::update::{self, InsertPos};
-use system_rx::engine::{access, AccessPlan, BaseTable};
+use system_rx::engine::{AccessPlan, BaseTable};
 use system_rx::xml::NodeId;
 use system_rx::xpath::XPathParser;
 
@@ -59,14 +60,7 @@ impl Db {
     fn nodes(&self, query: &str) -> Vec<NodeId> {
         let col = self.table.xml_column("doc").unwrap();
         let path = XPathParser::new().parse(query).unwrap();
-        let (hits, _) = access::execute(
-            &AccessPlan::FullScan,
-            &self.table,
-            col,
-            self.db.dict(),
-            &path,
-        )
-        .unwrap();
+        let (hits, _) = run_plan(&self.db, &AccessPlan::FullScan, &self.table, col, &path);
         hits.into_iter().filter_map(|h| h.node).collect()
     }
 

@@ -2,11 +2,12 @@
 //! kind tests, operand-chain predicates, and stress shapes — each checked
 //! against the DOM reference evaluator.
 
+use rx_bench::baseline::DomXPath;
+use rx_bench::run_plan;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::{access, AccessPlan};
+use system_rx::engine::AccessPlan;
 use system_rx::xml::dom::DomTree;
 use system_rx::xml::NameDict;
-use system_rx::xpath::baseline::DomXPath;
 use system_rx::xpath::{QueryTree, XPathParser};
 
 /// Evaluate `query` over `doc` through the full storage path AND through the
@@ -23,7 +24,7 @@ fn check(doc: &str, query: &str, parser: &XPathParser) -> Vec<String> {
     db.insert_row(&t, &[ColValue::Xml(doc.to_string())])
         .unwrap();
     let col = t.xml_column("doc").unwrap();
-    let (hits, _) = access::execute(&AccessPlan::FullScan, &t, col, db.dict(), &path).unwrap();
+    let (hits, _) = run_plan(&db, &AccessPlan::FullScan, &t, col, &path);
     let stored: Vec<String> = hits.into_iter().map(|h| h.value).collect();
     // DOM reference.
     let dict = NameDict::new();
