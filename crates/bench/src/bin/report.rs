@@ -865,16 +865,14 @@ fn e5d_root_location(tree: &QueryTree) {
             let n = docs.len() as f64;
             let (first, last) = (docs[0], *docs.last().unwrap());
             let mut window_entries = 0u64;
-            xml.nodeid_index()
-                .scan_from(&first.to_be_bytes(), |k, _| {
-                    let in_window = k[..8] <= last.to_be_bytes()[..];
-                    window_entries += u64::from(in_window);
-                    in_window
-                })
-                .unwrap();
+            xml.scan((first, &[]), (last, None), |_, _, _| {
+                window_entries += 1;
+                true
+            })
+            .unwrap();
             let probe_locate = median_time(5, || {
                 for &d in &docs {
-                    std::hint::black_box(xml.locate_raw(d, &[]).unwrap());
+                    std::hint::black_box(xml.locate(d, &[]).unwrap());
                 }
             });
             let mut roots = LocatedRoots::default();
@@ -2110,14 +2108,30 @@ fn e13_doc_cache() {
 
     // Part b: the query path, on the same two databases. Two workloads:
     // an indexed NodeID-granularity query whose exact result list needs no
-    // re-evaluation (every hit is one point lookup — the fetch-dominated
-    // extreme), and a full scan re-running QuickXScan over every document.
-    // Results must be byte-identical to the cache-off baseline and the warm
-    // runs must report zero heap fetches in their AccessStats.
-    let idx_q = "/Catalog/Categories/Product/RegPrice";
+    // re-evaluation (every hit is one NodeID-index point lookup and a
+    // `string_value` of the anchor — the fetch-dominated extreme), and a
+    // full scan re-running QuickXScan over every document. Results must be
+    // byte-identical to the cache-off baseline and the warm runs must
+    // report zero heap fetches in their AccessStats.
+    let idx_q = "/Catalog/Categories/Product[RegPrice > 0]";
     let idx_path = XPathParser::new().parse(idx_q).unwrap();
     let idx_plan_off = access::plan(&idx_path, col_off, true);
     let idx_plan_on = access::plan(&idx_path, col_on, true);
+    for plan in [&idx_plan_off, &idx_plan_on] {
+        assert!(
+            matches!(
+                plan,
+                access::AccessPlan::Index {
+                    granularity: access::Granularity::NodeId,
+                    exact: true,
+                    verify: false,
+                    ..
+                }
+            ),
+            "the point-lookup row needs an exact NodeID list: {}",
+            plan.explain()
+        );
+    }
     let idx_tree = Arc::new(QueryTree::compile(&idx_path).unwrap());
     let scan_q = "/Catalog/Categories/Product[Description]/ProductName";
     let scan_path = XPathParser::new().parse(scan_q).unwrap();
@@ -2155,6 +2169,13 @@ fn e13_doc_cache() {
             sq_warm.records_fetched, 0,
             "{label}: warm query must fetch no heap records"
         );
+        if matches!(plan_off, access::AccessPlan::Index { .. }) {
+            assert_eq!(
+                (sq_off.docs_evaluated, sq_warm.docs_evaluated),
+                (0, 0),
+                "{label}: an exact NodeID list evaluates no document"
+            );
+        }
         let dq_cold = median_time(5, || {
             std::hint::black_box(run(&db_off, plan_off, &t_off, col_off).0.len());
         });

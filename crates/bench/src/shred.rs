@@ -13,7 +13,7 @@
 //! native engine assigns, so results are directly comparable.
 
 use rx_engine::error::{EngineError, Result};
-use rx_engine::xmltable::{nodeid_key, DocId};
+use rx_engine::xmltable::DocId;
 use rx_storage::codec::{Dec, Enc};
 use rx_storage::{BTree, HeapTable, Rid, TableSpace};
 use rx_xml::event::{Event, EventSink};
@@ -24,6 +24,12 @@ use std::sync::Arc;
 
 /// Anchor of the per-node index within the shredded table's space.
 pub const SHRED_INDEX_ANCHOR: usize = 2;
+
+/// The per-node index key: `(DocID BE, NodeID bytes)`, the same order as
+/// the native NodeID index.
+fn node_key(doc: DocId, node: &NodeId) -> Vec<u8> {
+    [&doc.to_be_bytes()[..], node.as_bytes()].concat()
+}
 
 /// Node kinds stored in shredded rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +145,7 @@ impl ShreddedStore {
                     let rid = self.store.heap.insert(&row)?;
                     self.store
                         .index
-                        .insert(&nodeid_key(self.doc, &id), rid.to_u64())?;
+                        .insert(&node_key(self.doc, &id), rid.to_u64())?;
                     Ok(())
                 })();
                 if let Err(e) = r {
@@ -252,7 +258,7 @@ impl ShreddedStore {
     /// (`n` bytes), the shredded scheme's strength in the §3.1 analysis.
     /// Returns the bytes written.
     pub fn update_value(&self, doc: DocId, node: &NodeId, value: &str) -> Result<u64> {
-        let key = nodeid_key(doc, node);
+        let key = node_key(doc, node);
         let Some(rid) = self.index.search(&key)? else {
             return Err(EngineError::NotFound {
                 kind: "node",

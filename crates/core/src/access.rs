@@ -1417,9 +1417,9 @@ mod tests {
         // string value accumulating.
         let col = t.xml_column("doc").unwrap();
         let xml = col.xml_table();
-        let root_rid = xml.locate(failing, &NodeId::root()).unwrap().unwrap();
-        let name_text = NodeId::from_bytes(&[0x02, 0x02, 0x02, 0x04, 0x02]).unwrap();
-        let broken_rid = xml.locate(failing, &name_text).unwrap().unwrap();
+        let root_rid = xml.locate(failing, &[]).unwrap().unwrap().rid;
+        let name_text = [0x02, 0x02, 0x02, 0x04, 0x02];
+        let broken_rid = xml.locate(failing, &name_text).unwrap().unwrap().rid;
         assert_ne!(broken_rid, root_rid, "the failing document spans records");
         xml.heap().delete(broken_rid).unwrap();
 

@@ -1654,8 +1654,8 @@ mod tests {
         assert!(bad.is_err());
         // The failed insert must leave nothing behind.
         let col = t.xml_column("doc").unwrap();
-        let rids = col.xml_table().document_rids(2).unwrap();
-        assert!(rids.is_empty(), "aborted insert left records: {rids:?}");
+        let root = col.xml_table().locate(2, &[]).unwrap();
+        assert!(root.is_none(), "aborted insert left records");
     }
 
     #[test]

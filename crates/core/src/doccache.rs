@@ -4,10 +4,11 @@
 //! The paper's analytic evaluation (§3.4) prices query cost in *records
 //! fetched* and *NodeID-index probes*; both are paid again on every query
 //! even when back-to-back queries evaluate the same documents. This cache
-//! keeps a document's packed records — shareable `Arc<[u8]>` row images
-//! plus their parsed [`RecordHeader`]s and the sorted interval-upper table —
-//! so a cached traversal does **zero** heap fetches and **zero** NodeID
-//! probes: `locate` becomes an in-memory binary search over the uppers.
+//! keeps a document's packed records — [`LoadedRecord`]s, shareable
+//! `Arc<[u8]>` row images with their parsed headers — and the sorted
+//! interval-upper table, so a cached traversal does **zero** heap fetches
+//! and **zero** NodeID probes: `locate` becomes an in-memory binary search
+//! over the uppers.
 //!
 //! ## The §5.1 locks guard the cache
 //!
@@ -32,16 +33,13 @@
 
 use crate::error::Result;
 use crate::lru::Lru;
-use crate::pack::{read_header, RecordHeader};
 use crate::traverse::TraverseStats;
-use crate::xmltable::{DocId, XmlTable};
+use crate::xmltable::{DocId, LoadedRecord, XmlTable};
 use parking_lot::Mutex;
-use rx_storage::codec::Dec;
 use rx_storage::idhash::{IdBuildHasher, IdHasher};
 use rx_storage::Rid;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,47 +47,6 @@ use std::sync::Arc;
 /// [`IdHasher`]; matches the spirit of the buffer pool's sharding without
 /// making the budget check global.
 const SHARDS: usize = 8;
-
-/// One heap row loaded into shareable form: the row image (a single copy out
-/// of the latched page), the byte range of its XMLData payload, and the
-/// parsed record header. Cloning is three pointer copies — cached and cold
-/// traversals share this representation.
-#[derive(Clone)]
-pub struct LoadedRecord {
-    row: Arc<[u8]>,
-    data: Range<usize>,
-    header: Arc<RecordHeader>,
-}
-
-impl LoadedRecord {
-    /// Decode a fetched XML-table row image.
-    pub fn decode(row: Arc<[u8]>) -> Result<LoadedRecord> {
-        let data = row_data_range(&row)?;
-        let header = Arc::new(read_header(&row[data.clone()])?);
-        Ok(LoadedRecord { row, data, header })
-    }
-
-    /// The DocID stored in the row.
-    pub fn doc(&self) -> DocId {
-        // `decode` has read the row's fixed-width DocID column.
-        DocId::from_le_bytes(self.row[..8].try_into().expect("8-byte DocID"))
-    }
-
-    /// The parsed record header.
-    pub fn header(&self) -> &RecordHeader {
-        &self.header
-    }
-
-    /// The packed node region (XMLData past the header).
-    pub fn region(&self) -> &[u8] {
-        &self.row[self.data.start + self.header.body_offset..self.data.end]
-    }
-
-    /// Resident size of the shared row image.
-    fn cost(&self) -> usize {
-        self.row.len() + std::mem::size_of::<RecordHeader>() + 64
-    }
-}
 
 /// An immutable snapshot of one document's stored form: its records plus the
 /// NodeID-index interval table, both loaded once. `locate` replaces a B+tree
@@ -103,15 +60,16 @@ pub struct CachedDoc {
 }
 
 impl CachedDoc {
-    /// Build a snapshot of `doc` from the XML table: one prefix scan of the
-    /// NodeID index plus one `fetch_arc` per distinct record. Returns `None`
-    /// for a document with no records. The caller accounts the scan and the
-    /// fetches in `stats` exactly as a cold traversal would.
+    /// Build a snapshot of `doc` from the XML table: one scan of the
+    /// document's NodeID-index entries plus one read per distinct record.
+    /// Returns `None` for a document with no records. The caller accounts
+    /// the scan and the fetches in `stats` exactly as a cold traversal
+    /// would.
     pub fn build(xml: &XmlTable, doc: DocId, stats: &mut TraverseStats) -> Result<Option<Self>> {
         let mut pairs: Vec<(Box<[u8]>, Rid)> = Vec::new();
         stats.index_probes += 1;
-        xml.nodeid_index().scan_prefix(&doc.to_be_bytes(), |k, v| {
-            pairs.push((k[8..].to_vec().into_boxed_slice(), Rid::from_u64(v)));
+        xml.scan((doc, &[]), (doc, None), |_, upper, rid| {
+            pairs.push((upper.into(), rid));
             true
         })?;
         if pairs.is_empty() {
@@ -126,7 +84,7 @@ impl CachedDoc {
                 Some(i) => *i,
                 None => {
                     stats.records_fetched += 1;
-                    let rec = LoadedRecord::decode(xml.heap().fetch_arc(rid)?)?;
+                    let rec = xml.read(rid)?;
                     bytes += rec.cost() + 32;
                     let i = records.len() as u32;
                     records.push(rec);
@@ -312,22 +270,6 @@ impl DocCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Decode just the XMLData byte range of an encoded XML-table row (the
-/// zero-copy complement of [`crate::xmltable::decode_row`]).
-pub(crate) fn row_data_range(rec: &[u8]) -> Result<Range<usize>> {
-    let mut d = Dec::new(rec);
-    d.u64()?; // doc
-    d.bytes()?; // min_node
-    let len = d.varint()? as usize;
-    let start = d.pos();
-    if start + len > rec.len() {
-        return Err(crate::error::EngineError::Record(
-            "row data range past end of record".into(),
-        ));
-    }
-    Ok(start..start + len)
 }
 
 #[cfg(test)]

@@ -214,8 +214,7 @@ mod tests {
         let p = &fti.search_term("needle").unwrap()[0];
         // The entry's node resolves through the NodeID index and the RID
         // leads to a record of the right document.
-        let row = xt.fetch(p.rid).unwrap();
-        assert_eq!(row.doc, 9);
+        assert_eq!(xt.read(p.rid).unwrap().doc(), 9);
         let sv = crate::traverse::string_value(&xt, 9, &p.node).unwrap();
         assert!(sv.contains("needle"));
     }

@@ -60,8 +60,8 @@ pub use access::{AccessPlan, AccessStats, QueryHit};
 pub use db::{
     BaseTable, ColValue, ColumnKind, Database, DbConfig, DbStats, Row, Storage, XmlColumn,
 };
-pub use doccache::{CachedDoc, DocCache, LoadedRecord};
+pub use doccache::{CachedDoc, DocCache};
 pub use error::{EngineError, Result};
 pub use executor::{PlanCache, QueryExecutor};
 pub use sqlxml::{Output, Session};
-pub use xmltable::{DocId, XmlTable};
+pub use xmltable::{DocId, LoadedRecord, XmlTable};

@@ -777,6 +777,15 @@ impl<'a> NodeView<'a> {
             NodeView::Proxy { first, .. } => first,
         }
     }
+
+    /// The relative ID of the last sibling the entry covers: a range
+    /// proxy's `last`, else the node's own.
+    pub(crate) fn last(&self) -> &'a [u8] {
+        match self {
+            NodeView::Proxy { last, .. } => last,
+            other => other.rel(),
+        }
+    }
 }
 
 /// Decode one node starting at `pos`; returns the view and the offset just
@@ -898,6 +907,57 @@ impl<'a> Iterator for NodeIter<'a> {
             }
         }
     }
+}
+
+/// Where a node sits in the record that holds it, found by [`find`].
+#[derive(Debug)]
+pub(crate) struct Place<'a> {
+    /// The node's own entry.
+    pub entry: NodeView<'a>,
+    /// The last sibling ID the entry before it covers, in the region that
+    /// holds it.
+    pub before: Option<&'a [u8]>,
+    /// The first sibling ID the entry after it covers, in that region.
+    pub after: Option<&'a [u8]>,
+}
+
+/// The one in-record finder: find node `node` among `region`, the entries
+/// under node `ctx` of a record. It descends only through the element heads
+/// of `node`'s ancestors, comparing relative-ID bytes (relative IDs are
+/// prefix-free), and skips every other subtree by its packed length (§3.1).
+/// Range proxies are stepped over: the NodeID index's ceiling probe for
+/// `node` lands on the record that holds it inline, so a proxy covering it
+/// means that no record holds it.
+pub(crate) fn find<'a>(region: &'a [u8], ctx: &[u8], node: &[u8]) -> Result<Option<Place<'a>>> {
+    let Some(rest) = node.strip_prefix(ctx) else {
+        return Ok(None);
+    };
+    let mut before = None;
+    let mut entries = read_nodes(region);
+    while let Some(entry) = entries.next() {
+        let entry = entry?;
+        if !matches!(entry, NodeView::Proxy { .. }) {
+            let rel = entry.rel();
+            if rest == rel {
+                let after = entries.next().transpose()?.map(|next| next.rel());
+                return Ok(Some(Place {
+                    entry,
+                    before,
+                    after,
+                }));
+            }
+            if rest.starts_with(rel) {
+                return match entry {
+                    NodeView::Element { content, .. } => {
+                        find(content, &node[..ctx.len() + rel.len()], node)
+                    }
+                    _ => Ok(None),
+                };
+            }
+        }
+        before = Some(entry.last());
+    }
+    Ok(None)
 }
 
 #[cfg(test)]

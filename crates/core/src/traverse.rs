@@ -24,10 +24,10 @@
 //! (§3.1) — nothing inside is decoded, and proxy records inside it are never
 //! fetched — and sends the element's end next.
 
-use crate::doccache::{CachedDoc, LoadedRecord};
+use crate::doccache::CachedDoc;
 use crate::error::{EngineError, Result};
-use crate::pack::{read_nodes, NodeView};
-use crate::xmltable::{subtree_successor, DocId, XmlTable};
+use crate::pack::{find, read_nodes, NodeView};
+use crate::xmltable::{DocId, LoadedRecord, XmlTable};
 use rx_storage::Rid;
 use rx_xml::event::{Event, EventSink};
 use rx_xml::nodeid::NodeId;
@@ -94,8 +94,10 @@ pub struct TraverseStats {
 /// When the XML table carries a document cache and the document has a
 /// snapshot, every locate resolves with an in-memory binary search and every
 /// record is an `Arc` clone — zero index probes, zero heap fetches. A
-/// *publishing* traverser (see [`Traverser::unbound`]) also builds and
-/// publishes a snapshot when a full [`Traverser::run`] finds none; every
+/// *publishing* traverser, whose caller vouches that its transaction holds
+/// the document's S lock and has logged nothing (as a
+/// [`crate::access::DocScanner`] built with `publish` does), also builds
+/// and publishes a snapshot when a full [`Traverser::run`] finds none; every
 /// other traverser only reads the cache.
 pub struct Traverser<'x> {
     xml: &'x XmlTable,
@@ -125,14 +127,6 @@ pub struct Traverser<'x> {
     id: Vec<u8>,
     /// Counters.
     pub stats: TraverseStats,
-}
-
-/// `ctx` extended by one relative ID.
-fn child_id(ctx: &NodeId, rel: &[u8]) -> NodeId {
-    let mut v = Vec::with_capacity(ctx.as_bytes().len() + rel.len());
-    v.extend_from_slice(ctx.as_bytes());
-    v.extend_from_slice(rel);
-    NodeId::from_bytes_unchecked(v)
 }
 
 impl<'x> Traverser<'x> {
@@ -197,20 +191,10 @@ impl<'x> Traverser<'x> {
         self.xml
     }
 
-    /// Fetch + decode one record into shareable form (cold path).
-    fn load(&self, rid: Rid) -> Result<LoadedRecord> {
-        LoadedRecord::decode(self.xml.heap().fetch_arc(rid)?)
-    }
-
-    /// Resolve the record containing `node`: warm from the snapshot, cold
-    /// through the memoized NodeID ceiling probe.
-    fn locate_node(&mut self, node: &NodeId) -> Result<Option<LoadedRecord>> {
-        self.locate_ceil(node.as_bytes())
-    }
-
-    /// Resolve the record owning the first interval upper at-or-above raw
-    /// key bytes (which, for subtree successors, may not be a well-formed
-    /// node ID).
+    /// Resolve the record owning the first interval upper at-or-above
+    /// `probe` (which, for subtree successors, may not be a well-formed node
+    /// ID): warm from the snapshot, cold through the memoized NodeID ceiling
+    /// probe.
     fn locate_ceil(&mut self, probe: &[u8]) -> Result<Option<LoadedRecord>> {
         if let Some(c) = &self.cached {
             return Ok(c.locate(probe).cloned());
@@ -224,7 +208,7 @@ impl<'x> Traverser<'x> {
             if let Some(rid) = self.root_hint.take() {
                 // The row must still be this document's: a stale hint (an
                 // unlocked read racing a delete) falls back to the probe.
-                let seeded = self.load(rid).ok().filter(|rec| rec.doc() == self.doc);
+                let seeded = self.xml.read(rid).ok().filter(|rec| rec.doc() == self.doc);
                 if let Some(rec) = seeded {
                     self.stats.records_fetched += 1;
                     self.memo_probe.clear();
@@ -234,17 +218,32 @@ impl<'x> Traverser<'x> {
             }
         }
         self.stats.index_probes += 1;
-        match self.xml.locate_raw(self.doc, probe)? {
-            Some((upper, rid)) => {
-                self.stats.records_fetched += 1;
-                let rec = self.load(rid)?;
-                self.memo_probe.clear();
-                self.memo_probe.extend_from_slice(probe);
-                self.memo_upper.clear();
-                self.memo_upper.extend_from_slice(upper.as_bytes());
-                self.memo_rec = Some(rec.clone());
-                Ok(Some(rec))
-            }
+        let Some(found) = self.xml.locate(self.doc, probe)? else {
+            return Ok(None);
+        };
+        self.stats.records_fetched += 1;
+        let rec = self.xml.read(found.rid)?;
+        self.memo_probe.clear();
+        self.memo_probe.extend_from_slice(probe);
+        self.memo_upper.clear();
+        self.memo_upper.extend_from_slice(found.upper());
+        self.memo_rec = Some(rec.clone());
+        Ok(Some(rec))
+    }
+
+    /// Find `node`'s entry in the record that holds it and hand it to `f`;
+    /// `None` when no record holds the node.
+    fn at_node<T>(
+        &mut self,
+        node: &NodeId,
+        f: impl FnOnce(&mut Self, &NodeView<'_>) -> Result<T>,
+    ) -> Result<Option<T>> {
+        let Some(rec) = self.locate_ceil(node.as_bytes())? else {
+            return Ok(None);
+        };
+        let ctx = rec.header().context.as_bytes();
+        match find(rec.region(), ctx, node.as_bytes())? {
+            Some(place) => f(self, &place.entry).map(Some),
             None => Ok(None),
         }
     }
@@ -289,13 +288,16 @@ impl<'x> Traverser<'x> {
     /// Traverse only the subtree rooted at `node` (used to serialize query
     /// results fetched through value indexes).
     pub fn run_subtree(&mut self, node: &NodeId, sink: &mut dyn IdEventSink) -> Result<()> {
-        let Some(rec) = self.locate_node(node)? else {
-            return Err(EngineError::NotFound {
-                kind: "node",
-                name: format!("docid {} node {}", self.doc, node),
-            });
-        };
-        self.replay_find(rec.region(), &rec.header().context.clone(), node, sink)
+        let replayed = self.at_node(node, |t, entry| {
+            let parent = &node.as_bytes()[..node.as_bytes().len() - entry.rel().len()];
+            t.id.clear();
+            t.id.extend_from_slice(parent);
+            t.replay_entry(entry, sink)
+        })?;
+        replayed.ok_or_else(|| EngineError::NotFound {
+            kind: "node",
+            name: format!("docid {} node {}", self.doc, node),
+        })
     }
 
     /// The string value of the subtree rooted at `node` (see the module-level
@@ -332,10 +334,30 @@ impl<'x> Traverser<'x> {
     /// Look up a single node's kind/value (see the module-level
     /// [`fetch_node`]), sharing the snapshot and probe memo.
     pub fn fetch_node(&mut self, node: &NodeId) -> Result<Option<StoredNode>> {
-        let Some(rec) = self.locate_node(node)? else {
-            return Ok(None);
-        };
-        self.find_in_region(rec.region(), &rec.header().context.clone(), node)
+        self.at_node(node, |_, entry| {
+            Ok(match *entry {
+                NodeView::Element { name, .. } => StoredNode::Element { name },
+                NodeView::Attribute {
+                    name, ann, value, ..
+                } => StoredNode::Attribute {
+                    name,
+                    value: value.to_string(),
+                    ann,
+                },
+                NodeView::Text { ann, value, .. } => StoredNode::Text {
+                    value: value.to_string(),
+                    ann,
+                },
+                NodeView::Comment { value, .. } => StoredNode::Comment {
+                    value: value.to_string(),
+                },
+                NodeView::Pi { target, value, .. } => StoredNode::Pi {
+                    target,
+                    value: value.to_string(),
+                },
+                NodeView::Proxy { .. } => unreachable!("the finder returns no proxy"),
+            })
+        })
     }
 
     /// Replay all sibling entries of a region whose parent is the node in
@@ -430,20 +452,14 @@ impl<'x> Traverser<'x> {
                 if remaining == 0 {
                     break;
                 }
-                let last = match &entry {
-                    NodeView::Proxy { count: c, last, .. } => {
-                        remaining = remaining.saturating_sub(*c);
-                        last
-                    }
-                    other => {
-                        remaining -= 1;
-                        other.rel()
-                    }
+                remaining = match entry {
+                    NodeView::Proxy { count, .. } => remaining.saturating_sub(count),
+                    _ => remaining - 1,
                 };
                 // The next probe is the successor of the subtree just
                 // covered.
                 probe.truncate(ctx_len);
-                probe.extend_from_slice(last);
+                probe.extend_from_slice(entry.last());
                 *probe.last_mut().expect("relative IDs are non-empty") += 1;
                 progressed = true;
                 self.replay_entry(&entry, sink)?;
@@ -455,134 +471,6 @@ impl<'x> Traverser<'x> {
             }
         }
         Ok(())
-    }
-
-    /// Locate `target` within a region (descending through subtree-length
-    /// skips and proxies) and replay just its subtree.
-    fn replay_find(
-        &mut self,
-        region: &[u8],
-        ctx: &NodeId,
-        target: &NodeId,
-        sink: &mut dyn IdEventSink,
-    ) -> Result<()> {
-        for entry in read_nodes(region) {
-            let entry = entry?;
-            match &entry {
-                NodeView::Proxy { first, last, .. } => {
-                    let first_abs = child_id(ctx, first);
-                    let last_abs = child_id(ctx, last);
-                    // Does the target fall inside the proxied range?
-                    let in_range = target >= &first_abs
-                        && target.as_bytes() < subtree_successor(&last_abs).as_slice();
-                    if in_range {
-                        let Some(rec) = self.locate_node(target)? else {
-                            return Err(EngineError::NotFound {
-                                kind: "node",
-                                name: format!("docid {} node {target}", self.doc),
-                            });
-                        };
-                        return self.replay_find(
-                            rec.region(),
-                            &rec.header().context.clone(),
-                            target,
-                            sink,
-                        );
-                    }
-                }
-                other => {
-                    let abs = child_id(ctx, other.rel());
-                    if &abs == target {
-                        self.id.clear();
-                        self.id.extend_from_slice(ctx.as_bytes());
-                        return self.replay_entry(&entry, sink);
-                    }
-                    if abs.is_ancestor(target) {
-                        if let NodeView::Element { content, .. } = &entry {
-                            return self.replay_find(content, &abs, target, sink);
-                        }
-                        return Err(EngineError::NotFound {
-                            kind: "node",
-                            name: format!("docid {} node {target}", self.doc),
-                        });
-                    }
-                    // Otherwise: skip the whole subtree (the §3.1/§3.4
-                    // subtree-length skip — zero decoding of its interior).
-                }
-            }
-        }
-        Err(EngineError::NotFound {
-            kind: "node",
-            name: format!("docid {} node {target}", self.doc),
-        })
-    }
-
-    /// Locate `target` within a region and decode just that node.
-    fn find_in_region(
-        &mut self,
-        region: &[u8],
-        ctx: &NodeId,
-        target: &NodeId,
-    ) -> Result<Option<StoredNode>> {
-        for entry in read_nodes(region) {
-            let entry = entry?;
-            match &entry {
-                NodeView::Proxy { first, last, .. } => {
-                    let first_abs = child_id(ctx, first);
-                    let last_abs = child_id(ctx, last);
-                    if target >= &first_abs
-                        && target.as_bytes() < subtree_successor(&last_abs).as_slice()
-                    {
-                        // The target lives in another record; locate from
-                        // the top again (the ceiling probe is exact).
-                        let Some(rec) = self.locate_node(target)? else {
-                            return Ok(None);
-                        };
-                        return self.find_in_region(
-                            rec.region(),
-                            &rec.header().context.clone(),
-                            target,
-                        );
-                    }
-                }
-                other => {
-                    let abs = child_id(ctx, other.rel());
-                    if &abs == target {
-                        return Ok(Some(match other {
-                            NodeView::Element { name, .. } => StoredNode::Element { name: *name },
-                            NodeView::Attribute {
-                                name, ann, value, ..
-                            } => StoredNode::Attribute {
-                                name: *name,
-                                value: (*value).to_string(),
-                                ann: *ann,
-                            },
-                            NodeView::Text { ann, value, .. } => StoredNode::Text {
-                                value: (*value).to_string(),
-                                ann: *ann,
-                            },
-                            NodeView::Comment { value, .. } => StoredNode::Comment {
-                                value: (*value).to_string(),
-                            },
-                            NodeView::Pi {
-                                target: t, value, ..
-                            } => StoredNode::Pi {
-                                target: *t,
-                                value: (*value).to_string(),
-                            },
-                            NodeView::Proxy { .. } => unreachable!(),
-                        }));
-                    }
-                    if abs.is_ancestor(target) {
-                        if let NodeView::Element { content, .. } = &entry {
-                            return self.find_in_region(content, &abs, target);
-                        }
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -761,6 +649,25 @@ mod tests {
         // Missing node.
         let nowhere = NodeId::from_bytes(&[0x7F, 0x02]).unwrap();
         assert!(fetch_node(&xt, 1, &nowhere).unwrap().is_none());
+    }
+
+    #[test]
+    fn missing_node_inside_a_proxy_range_is_not_found() {
+        // p's children sit behind range proxies in the root record. The
+        // ceiling probe for a missing child of the last child a proxy covers
+        // lands back on the root record, where that proxy covers the ID.
+        let cs: String = (1..=20)
+            .map(|i| format!("<c>value-number-{i:03}-padding</c>"))
+            .collect();
+        let (xt, _) = store(&format!("<r><p>{cs}</p><tail>t</tail></r>"), 160);
+        for i in 1..=20u8 {
+            let missing = NodeId::from_bytes(&[0x02, 0x02, 2 * i, 0x04]).unwrap();
+            assert!(fetch_node(&xt, 1, &missing).unwrap().is_none(), "c{i}");
+            assert!(matches!(
+                string_value(&xt, 1, &missing),
+                Err(EngineError::NotFound { .. })
+            ));
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@
 
 use crate::error::{EngineError, Result};
 use crate::pack::{
-    read_header, read_nodes, NoObserver, NodeView, PackedRecord, Packer, RecordHeader,
+    find, read_nodes, NoObserver, NodeView, PackedRecord, Packer, Place, RecordHeader,
 };
 use crate::traverse::{IdEventSink, Traverser};
-use crate::xmltable::{nodeid_key, subtree_successor, DocId, XmlTable};
-use rx_storage::{Rid, Txn};
+use crate::xmltable::{subtree_successor, DocId, LoadedRecord, XmlTable};
+use rx_storage::Txn;
 use rx_xml::event::{Event, EventSink};
 use rx_xml::name::NameDict;
 use rx_xml::nodeid::{NodeId, RelId};
@@ -111,78 +111,50 @@ fn not_found(doc: DocId, node: &NodeId) -> EngineError {
     }
 }
 
-/// A stored record, fetched for an edit.
-struct Stored {
-    rid: Rid,
-    min_node: NodeId,
-    data: Vec<u8>,
-    header: RecordHeader,
+/// The record that holds `node`: §3.4's ceiling probe, then one read.
+fn holding(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<LoadedRecord> {
+    let found = xml.locate(doc, node.as_bytes())?;
+    xml.read(found.ok_or_else(|| not_found(doc, node))?.rid)
 }
 
-impl Stored {
-    /// Fetch the record that holds `node`: §3.4's ceiling probe.
-    fn holding(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Stored> {
-        let rid = xml.locate(doc, node)?.ok_or_else(|| not_found(doc, node))?;
-        let row = xml.fetch(rid)?;
-        let header = read_header(&row.data)?;
-        Ok(Stored {
-            rid,
-            min_node: row.min_node,
-            data: row.data,
-            header,
-        })
-    }
-
-    fn body(&self) -> &[u8] {
-        &self.data[self.header.body_offset..]
-    }
-
-    /// The NodeID-index entries that name this record: its interval uppers,
-    /// found between its smallest node and the end of its last top-level
-    /// subtree.
-    fn uppers(&self, xml: &XmlTable, doc: DocId) -> Result<Vec<NodeId>> {
-        let mut last = None;
-        for entry in read_nodes(self.body()) {
-            last = Some(span(&entry?)?.1);
+/// The NodeID-index entries that name `rec`: its interval uppers, found
+/// between its smallest node and the end of its last top-level subtree.
+fn uppers(xml: &XmlTable, doc: DocId, rec: &LoadedRecord) -> Result<Vec<NodeId>> {
+    let Some(tail) = read_nodes(rec.region()).last().transpose()? else {
+        return Ok(Vec::new());
+    };
+    let end = subtree_successor(&[rec.header().context.as_bytes(), tail.last()].concat());
+    let mut uppers = Vec::new();
+    xml.scan((doc, rec.min_node()), (doc, Some(&end)), |_, upper, rid| {
+        if rid == rec.rid() {
+            uppers.push(NodeId::from_bytes_unchecked(upper.to_vec()));
         }
-        let Some(last) = last else {
-            return Ok(Vec::new());
-        };
-        let end = subtree_successor(&self.header.context.child(&last));
-        let mut hi = doc.to_be_bytes().to_vec();
-        hi.extend_from_slice(&end);
-        let mut uppers = Vec::new();
-        xml.nodeid_index()
-            .scan_from(&nodeid_key(doc, &self.min_node), |key, rid| {
-                if key >= hi.as_slice() {
-                    return false;
-                }
-                if Rid::from_u64(rid) == self.rid {
-                    uppers.push(NodeId::from_bytes_unchecked(key[8..].to_vec()));
-                }
-                true
-            })?;
-        Ok(uppers)
-    }
+        true
+    })?;
+    Ok(uppers)
+}
 
-    /// Replay the record into a packer resumed at its context, with `change`
-    /// applied. Returns the records the packer emits, the context record
-    /// last, and whether the change applied.
-    fn repack(&self, change: &Change<'_>) -> Result<(Vec<PackedRecord>, bool)> {
-        let mut records = Vec::new();
-        let mut obs = NoObserver;
-        let mut packer = Packer::resume(&self.header, &mut records, &mut obs);
-        let mut replay = Replay {
-            packer: &mut packer,
-            change,
-            applied: false,
-            id: self.header.context.as_bytes().to_vec(),
-        };
-        replay.region(self.body())?;
-        let applied = replay.applied;
-        packer.finish()?;
-        Ok((records, applied))
-    }
+/// Replay a record's `body` into a packer resumed at its context, with
+/// `change` applied. Returns the records the packer emits, the context
+/// record last, and whether the change applied.
+fn repack(
+    header: &RecordHeader,
+    body: &[u8],
+    change: &Change<'_>,
+) -> Result<(Vec<PackedRecord>, bool)> {
+    let mut records = Vec::new();
+    let mut obs = NoObserver;
+    let mut packer = Packer::resume(header, &mut records, &mut obs);
+    let mut replay = Replay {
+        packer: &mut packer,
+        change,
+        applied: false,
+        id: header.context.as_bytes().to_vec(),
+    };
+    replay.region(body)?;
+    let applied = replay.applied;
+    packer.finish()?;
+    Ok((records, applied))
 }
 
 /// Replays a record's nodes, with their own IDs, into a resumed packer.
@@ -306,24 +278,23 @@ fn edit(
     txn: &Txn,
     xml: &XmlTable,
     doc: DocId,
-    rec: &Stored,
+    rec: &LoadedRecord,
     change: &Change<'_>,
 ) -> Result<UpdateStats> {
-    let (mut records, applied) = rec.repack(change)?;
+    let (mut records, applied) = repack(rec.header(), rec.region(), change)?;
     if !applied {
         return Err(change.missing(doc));
     }
     let ctx_rec = records.pop().expect("the packer emits the context record");
-    let old_uppers = rec.uppers(xml, doc)?;
+    let old_uppers = uppers(xml, doc, rec)?;
     let mut stats = UpdateStats::default();
     if ctx_rec.interval_uppers.is_empty() {
-        if rec.header.context.is_root() {
+        if rec.header().context.is_root() {
             return Err(EngineError::Invalid(
                 "deleting the document root is not supported; delete the row instead".into(),
             ));
         }
-        xml.delete_uppers(txn, doc, &old_uppers)?;
-        txn.heap_delete(xml.heap(), rec.rid)?;
+        xml.delete_record(txn, doc, rec.rid(), &old_uppers)?;
         stats.records_touched = 1;
         return Ok(stats);
     }
@@ -340,7 +311,7 @@ fn edit(
         stats.bytes_written += written.bytes.len() as u64;
         stats.records_touched += 1;
     }
-    xml.update_record(txn, doc, rec.rid, &ctx_rec, &[])?;
+    xml.update_record(txn, doc, rec.rid(), &ctx_rec)?;
     if !spills {
         // Without a spill the record's surviving interval entries were
         // overwritten in place above, and only the stale ones go, after.
@@ -366,7 +337,7 @@ fn adjust_proxy(
     covering: &RelId,
     rewrite: ProxyRewrite<'_>,
 ) -> Result<UpdateStats> {
-    let rec = Stored::holding(xml, doc, parent)?;
+    let rec = holding(xml, doc, parent)?;
     let change = Change::Proxy {
         parent,
         covering,
@@ -375,87 +346,42 @@ fn adjust_proxy(
     edit(txn, xml, doc, &rec, &change)
 }
 
-/// An entry's span of sibling IDs: `(first, last)`, equal unless it is a
-/// range proxy.
-fn span(entry: &NodeView<'_>) -> Result<(RelId, RelId)> {
-    let first = RelId::from_bytes(entry.rel())?;
-    let last = match entry {
-        NodeView::Proxy { last, .. } => RelId::from_bytes(last)?,
-        _ => first.clone(),
+/// Find `node` in `rec`, the record that holds it.
+fn place<'r>(rec: &'r LoadedRecord, doc: DocId, node: &NodeId) -> Result<Place<'r>> {
+    let ctx = rec.header().context.as_bytes();
+    find(rec.region(), ctx, node.as_bytes())?.ok_or_else(|| not_found(doc, node))
+}
+
+/// Whether `node` sits at the top level of `rec`, a spilled record: its
+/// siblings then continue in other records, behind a proxy in the parent's.
+fn spilled_top(rec: &LoadedRecord, node: &NodeId) -> bool {
+    let ctx = &rec.header().context;
+    !ctx.is_root() && node.parent().as_ref() == Some(ctx)
+}
+
+/// The last sibling ID before `node`, at `place` in `rec`, and the first
+/// after it. At the edges of a spilled record's top level they come from
+/// the NodeID index and the record that holds the next node in document
+/// order.
+fn neighbours(
+    xml: &XmlTable,
+    doc: DocId,
+    node: &NodeId,
+    rec: &LoadedRecord,
+    place: &Place<'_>,
+) -> Result<(Option<RelId>, Option<RelId>)> {
+    let spilled = spilled_top(rec, node);
+    let before = match place.before {
+        Some(rel) => Some(RelId::from_bytes(rel)?),
+        None if spilled => preceding_sibling(xml, doc, node)?,
+        None => None,
     };
-    Ok((first, last))
-}
-
-/// Where a node sits in the record that holds it.
-struct Place<'d> {
-    /// Spans of the entries of the region that holds the node.
-    siblings: Vec<(RelId, RelId)>,
-    /// The node's index among them.
-    index: usize,
-    /// The node's own entry.
-    entry: NodeView<'d>,
-    /// The region is the top level of a spilled record, so the node's
-    /// siblings continue in other records, behind a proxy in the parent's.
-    spilled_top: bool,
-}
-
-impl<'d> Place<'d> {
-    fn of(rec: &'d Stored, doc: DocId, node: &NodeId) -> Result<Place<'d>> {
-        let ctx = &rec.header.context;
-        let mut place = find(rec.body(), ctx, node)?.ok_or_else(|| not_found(doc, node))?;
-        place.spilled_top = !ctx.is_root() && node.parent().as_ref() == Some(ctx);
-        Ok(place)
-    }
-
-    /// The last sibling ID before the node and the first after it. At the
-    /// edges of a spilled record's top level they come from the NodeID
-    /// index and the record that holds the next node in document order.
-    fn neighbours(
-        &self,
-        xml: &XmlTable,
-        doc: DocId,
-        node: &NodeId,
-    ) -> Result<(Option<RelId>, Option<RelId>)> {
-        let before = match self.index.checked_sub(1) {
-            Some(i) => Some(self.siblings[i].1.clone()),
-            None if self.spilled_top => preceding_sibling(xml, doc, node)?,
-            None => None,
-        };
-        let after = match self.siblings.get(self.index + 1) {
-            Some(next) => Some(next.0.clone()),
-            None if self.spilled_top => following_sibling(xml, doc, node)?,
-            None => None,
-        };
-        Ok((before, after))
-    }
-}
-
-/// Find `node` under `ctx` in `region`.
-fn find<'d>(region: &'d [u8], ctx: &NodeId, node: &NodeId) -> Result<Option<Place<'d>>> {
-    let mut siblings = Vec::new();
-    let mut hit = None;
-    for entry in read_nodes(region) {
-        let entry = entry?;
-        let span = span(&entry)?;
-        if !matches!(entry, NodeView::Proxy { .. }) {
-            let abs = ctx.child(&span.0);
-            if abs == *node {
-                hit = Some((siblings.len(), entry.clone()));
-            } else if abs.is_ancestor(node) {
-                return match entry {
-                    NodeView::Element { content, .. } => find(content, &abs, node),
-                    _ => Ok(None),
-                };
-            }
-        }
-        siblings.push(span);
-    }
-    Ok(hit.map(|(index, entry)| Place {
-        siblings,
-        index,
-        entry,
-        spilled_top: false,
-    }))
+    let after = match place.after {
+        Some(rel) => Some(RelId::from_bytes(rel)?),
+        None if spilled => following_sibling(xml, doc, node)?,
+        None => None,
+    };
+    Ok((before, after))
 }
 
 /// The sibling before `node`, the first entry of its record: the greatest
@@ -464,20 +390,19 @@ fn find<'d>(region: &'d [u8], ctx: &NodeId, node: &NodeId) -> Result<Option<Plac
 /// sibling's subtree.
 fn preceding_sibling(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Option<RelId>> {
     let parent = node.parent().unwrap_or_default();
-    let lo = nodeid_key(doc, &parent);
-    let hi = nodeid_key(doc, node);
     let mut last: Option<Vec<u8>> = None;
-    xml.nodeid_index().scan_from(&lo, |key, _| {
-        if key >= hi.as_slice() {
-            return false;
-        }
-        last = Some(key.to_vec());
-        true
-    })?;
-    let Some(key) = last else {
+    xml.scan(
+        (doc, parent.as_bytes()),
+        (doc, Some(node.as_bytes())),
+        |_, upper, _| {
+            last = Some(upper.to_vec());
+            true
+        },
+    )?;
+    let Some(upper) = last else {
         return Ok(None);
     };
-    let tail = &key[lo.len()..];
+    let tail = &upper[parent.as_bytes().len()..];
     Ok(match tail.iter().position(|b| b % 2 == 0) {
         Some(end) => Some(RelId::from_bytes(&tail[..=end])?),
         None => None,
@@ -487,13 +412,12 @@ fn preceding_sibling(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Option
 /// The sibling after `node`, the last entry of its record: the first node
 /// stored after `node`'s subtree, when that node is a sibling.
 fn following_sibling(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Option<RelId>> {
-    let succ = subtree_successor(node);
-    let Some((_, rid)) = xml.locate_raw(doc, &succ)? else {
+    let succ = subtree_successor(node.as_bytes());
+    let Some(found) = xml.locate(doc, &succ)? else {
         return Ok(None);
     };
-    let data = xml.fetch(rid)?.data;
-    let header = read_header(&data)?;
-    let next = first_at_or_after(&data[header.body_offset..], &header.context, &succ)?;
+    let rec = xml.read(found.rid)?;
+    let next = first_at_or_after(rec.region(), &rec.header().context, &succ)?;
     Ok(next
         .filter(|n| n.parent() == node.parent())
         .and_then(|n| n.last_level()))
@@ -529,7 +453,7 @@ pub fn replace_value(
     new_value: &str,
 ) -> Result<UpdateStats> {
     let _latch = xml.edit_guard();
-    let rec = Stored::holding(xml, doc, target)?;
+    let rec = holding(xml, doc, target)?;
     edit(txn, xml, doc, &rec, &Change::Value(target, new_value))
 }
 
@@ -537,18 +461,16 @@ pub fn replace_value(
 /// are reclaimed through the NodeID index).
 pub fn delete_node(txn: &Txn, xml: &XmlTable, doc: DocId, target: &NodeId) -> Result<UpdateStats> {
     let _latch = xml.edit_guard();
-    let rec = Stored::holding(xml, doc, target)?;
-    let place = Place::of(&rec, doc, target)?;
-    let neighbours = if place.spilled_top {
-        Some(place.neighbours(xml, doc, target)?)
-    } else {
-        None
-    };
+    let rec = holding(xml, doc, target)?;
+    let place = place(&rec, doc, target)?;
+    let neighbours = spilled_top(&rec, target)
+        .then(|| neighbours(xml, doc, target, &rec, &place))
+        .transpose()?;
     let mut stats = edit(txn, xml, doc, &rec, &Change::Delete(target))?;
     if let Some((before, after)) = neighbours {
         // The covering proxy counts one subtree less; an end that named
         // the deleted node moves to its neighbour.
-        let rel = &place.siblings[place.index].0;
+        let rel = &RelId::from_bytes(place.entry.rel())?;
         let rewrite = |first: RelId, last: RelId, count: u64| {
             (count > 1).then(|| {
                 let first = match (&first == rel, &after) {
@@ -562,31 +484,11 @@ pub fn delete_node(txn: &Txn, xml: &XmlTable, doc: DocId, target: &NodeId) -> Re
                 (first, last, count - 1)
             })
         };
-        stats += adjust_proxy(txn, xml, doc, &rec.header.context, rel, &rewrite)?;
+        stats += adjust_proxy(txn, xml, doc, &rec.header().context, rel, &rewrite)?;
     }
     // Reclaim records that lived entirely inside the deleted subtree.
-    let succ = subtree_successor(target);
-    let lo = nodeid_key(doc, target);
-    let mut hi = Vec::with_capacity(8 + succ.len());
-    hi.extend_from_slice(&doc.to_be_bytes());
-    hi.extend_from_slice(&succ);
-    let mut doomed: Vec<(Vec<u8>, Rid)> = Vec::new();
-    xml.nodeid_index().scan_from(&lo, |k, v| {
-        if k >= hi.as_slice() {
-            return false;
-        }
-        doomed.push((k.to_vec(), Rid::from_u64(v)));
-        true
-    })?;
-    let mut deleted_rids: Vec<Rid> = Vec::new();
-    for (key, rid) in doomed {
-        txn.index_delete(xml.nodeid_index(), key)?;
-        if !deleted_rids.contains(&rid) {
-            txn.heap_delete(xml.heap(), rid)?;
-            deleted_rids.push(rid);
-            stats.records_touched += 1;
-        }
-    }
+    let succ = subtree_successor(target.as_bytes());
+    stats.records_touched += xml.delete_span(txn, doc, target.as_bytes(), Some(&succ))?;
     Ok(stats)
 }
 
@@ -625,14 +527,14 @@ pub fn insert_fragment(
     }
     // The new child goes into the record that holds its sibling, with an ID
     // between the sibling and its neighbour on that side (§3.1 midpoints).
-    let rec = Stored::holding(xml, doc, &sibling)?;
-    let place = Place::of(&rec, doc, &sibling)?;
-    let (prev, next) = place.neighbours(xml, doc, &sibling)?;
-    let sib = place.siblings[place.index].0.clone();
+    let rec = holding(xml, doc, &sibling)?;
+    let place = place(&rec, doc, &sibling)?;
+    let (prev, next) = neighbours(xml, doc, &sibling, &rec, &place)?;
+    let sib = RelId::from_bytes(place.entry.rel())?;
     let (lo, hi, at) = if before {
         (prev, Some(sib.clone()), Some(sib.clone()))
     } else {
-        let at = place.siblings.get(place.index + 1).map(|s| s.0.clone());
+        let at = place.after.map(RelId::from_bytes).transpose()?;
         (Some(sib.clone()), next, at)
     };
     let rel = match (lo, hi) {
@@ -648,7 +550,7 @@ pub fn insert_fragment(
         fragment: &fragment,
     };
     let mut stats = edit(txn, xml, doc, &rec, &change)?;
-    if place.spilled_top {
+    if spilled_top(&rec, &sibling) {
         // The covering proxy counts one subtree more, and its range takes
         // in the new child.
         let rewrite = |first: RelId, last: RelId, count: u64| {
@@ -668,20 +570,20 @@ fn append_child(
     parent: &NodeId,
     fragment: &TokenStream,
 ) -> Result<UpdateStats> {
-    let rec = Stored::holding(xml, doc, parent)?;
-    let NodeView::Element { content, .. } = Place::of(&rec, doc, parent)?.entry else {
+    let rec = holding(xml, doc, parent)?;
+    let NodeView::Element { content, .. } = place(&rec, doc, parent)?.entry else {
         return Err(EngineError::Invalid(
             "insertion parent must be an element".into(),
         ));
     };
-    let mut last = None;
-    for entry in read_nodes(content) {
-        last = Some(span(&entry?)?.1);
-    }
+    let rel = match read_nodes(content).last().transpose()? {
+        Some(tail) => RelId::from_bytes(tail.last())?.next_sibling(),
+        None => RelId::first(),
+    };
     let change = Change::Insert {
         parent,
         before: None,
-        rel: last.map_or_else(RelId::first, |l| l.next_sibling()),
+        rel,
         fragment,
     };
     edit(txn, xml, doc, &rec, &change)
@@ -766,6 +668,7 @@ fn parse_fragment(text: &str, dict: &NameDict) -> Result<TokenStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::read_header;
     use crate::traverse::DropIds;
     use rx_storage::wal::{MemLogStore, Wal};
     use rx_storage::{BufferPool, LockManager, MemBackend, TableSpace, TxnManager};
@@ -824,14 +727,10 @@ mod tests {
             p.finish().unwrap();
             assert!(target == 3500 || records.len() > 2);
             for packed in &records {
-                let rec = Stored {
-                    rid: Rid::from_u64(0),
-                    min_node: packed.min_id.clone(),
-                    data: packed.bytes.clone(),
-                    header: read_header(&packed.bytes).unwrap(),
-                };
+                let header = read_header(&packed.bytes).unwrap();
+                let body = &packed.bytes[header.body_offset..];
                 // A change whose target no record holds.
-                let (out, applied) = rec.repack(&Change::Delete(&nid(&[0x7E]))).unwrap();
+                let (out, applied) = repack(&header, body, &Change::Delete(&nid(&[0x7E]))).unwrap();
                 assert!(!applied);
                 assert_eq!(out, vec![packed.clone()], "target {target}");
             }
@@ -862,23 +761,20 @@ mod tests {
     /// NodeID-index entry names the record that holds its node, and every
     /// element is reachable through the NodeID index.
     fn assert_consistent(xt: &XmlTable) {
-        for rid in xt.document_rids(1).unwrap() {
-            let hdr = read_header(&xt.fetch(rid).unwrap().data).unwrap();
-            assert_eq!(hdr.path.len(), hdr.context.depth(), "record {rid:?}");
-        }
         let mut entries = Vec::new();
-        xt.nodeid_index()
-            .scan_all(|k, v| {
-                entries.push((NodeId::from_bytes(&k[8..]).unwrap(), Rid::from_u64(v)));
-                true
-            })
-            .unwrap();
+        xt.scan((1, &[]), (1, None), |_, upper, rid| {
+            entries.push((NodeId::from_bytes(upper).unwrap(), rid));
+            true
+        })
+        .unwrap();
         for (upper, rid) in entries {
-            let data = xt.fetch(rid).unwrap().data;
-            let hdr = read_header(&data).unwrap();
-            let body = &data[hdr.body_offset..];
+            let rec = xt.read(rid).unwrap();
+            let hdr = rec.header();
+            assert_eq!(hdr.path.len(), hdr.context.depth(), "record {rid:?}");
             assert!(
-                find(body, &hdr.context, &upper).unwrap().is_some(),
+                find(rec.region(), hdr.context.as_bytes(), upper.as_bytes())
+                    .unwrap()
+                    .is_some(),
                 "stale entry {upper}"
             );
         }
@@ -1087,7 +983,7 @@ mod tests {
         assert!(out.starts_with("<a><x>L</x><m>19</m>"));
         assert!(out.ends_with("<m>0</m><x>R</x></a>"));
         // The original nodes kept their IDs.
-        assert!(xt.locate(1, &left).unwrap().is_some());
+        assert!(xt.locate(1, left.as_bytes()).unwrap().is_some());
         assert_eq!(crate::traverse::string_value(&xt, 1, &left).unwrap(), "L");
     }
 

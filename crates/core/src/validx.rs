@@ -288,7 +288,7 @@ impl ValueIndex {
             self.multi_valued.store(true, Ordering::Release);
         }
         for (node, keyvals) in keyed {
-            let Some(rid) = xml.locate(doc, node)? else {
+            let Some(found) = xml.locate(doc, node.as_bytes())? else {
                 return Err(EngineError::Record(format!(
                     "indexed node {node} of doc {doc} has no record"
                 )));
@@ -297,7 +297,7 @@ impl ValueIndex {
                 txn.index_insert(
                     &self.btree,
                     encode_entry_key(&keyval, doc, node),
-                    rid.to_u64(),
+                    found.rid.to_u64(),
                 )?;
             }
         }
@@ -530,8 +530,7 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].doc, 1);
         // The RID leads to a real record containing the node.
-        let row = xt.fetch(hits[0].rid).unwrap();
-        assert_eq!(row.doc, 1);
+        assert_eq!(xt.read(hits[0].rid).unwrap().doc(), 1);
         // Fetching the node by its logical ID works too (§3.4's access from
         // a value index).
         let sn = crate::traverse::fetch_node(&xt, 1, &hits[0].node)

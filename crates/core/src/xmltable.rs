@@ -12,13 +12,20 @@
 //! XMLData)`; the NodeID index is an ordinary B+tree with keys
 //! `(DocID big-endian, NodeID bytes)` — both live entirely on the relational
 //! infrastructure, which is the paper's point.
+//!
+//! [`XmlTable`] owns both formats, the way a relational access method owns
+//! its index: every other module locates, scans, reads and deletes records
+//! through it, speaks of entries as `(DocID, interval upper, RID)`, and reads
+//! rows as [`LoadedRecord`]s (DESIGN.md §17).
 
 use crate::doccache::DocCache;
-use crate::error::Result;
-use crate::pack::PackedRecord;
+use crate::error::{EngineError, Result};
+use crate::pack::{read_header, PackedRecord, RecordHeader};
 use rx_storage::codec::{Dec, Enc};
 use rx_storage::{BTree, HeapTable, Rid, TableSpace, Txn};
 use rx_xml::nodeid::NodeId;
+use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Document identifier (the implicit DocID column of §3.1).
@@ -29,28 +36,26 @@ pub type DocId = u64;
 pub const NODEID_INDEX_ANCHOR: usize = 2;
 
 /// Encode a NodeID-index key: `(DocID BE, NodeID bytes)`. Big-endian DocID
-/// keeps keys of one document contiguous and ordered.
-pub fn nodeid_key(doc: DocId, node: &NodeId) -> Vec<u8> {
-    let mut k = Vec::with_capacity(8 + node.as_bytes().len());
+/// keeps keys of one document contiguous and ordered. `node` may be any
+/// probe, not only a well-formed node ID.
+fn nodeid_key(doc: DocId, node: &[u8]) -> Vec<u8> {
+    let mut k = Vec::with_capacity(8 + node.len());
     k.extend_from_slice(&doc.to_be_bytes());
-    k.extend_from_slice(node.as_bytes());
+    k.extend_from_slice(node);
     k
 }
 
-/// Decode a NodeID-index key.
-pub fn decode_nodeid_key(key: &[u8]) -> Option<(DocId, NodeId)> {
-    if key.len() < 8 {
-        return None;
-    }
-    let doc = DocId::from_be_bytes(key[..8].try_into().ok()?);
-    Some((doc, NodeId::from_bytes_unchecked(key[8..].to_vec())))
+/// Split a NodeID-index key into its DocID and interval upper.
+fn decode_nodeid_key(key: &[u8]) -> Option<(DocId, &[u8])> {
+    let (doc, upper) = key.split_first_chunk::<8>()?;
+    Some((DocId::from_be_bytes(*doc), upper))
 }
 
 /// The smallest node ID strictly after the whole subtree rooted at `id`
 /// (used to continue range-proxy resolution past a consumed subtree, and for
 /// next-sibling skipping across records, §3.4).
-pub fn subtree_successor(id: &NodeId) -> Vec<u8> {
-    let mut b = id.as_bytes().to_vec();
+pub fn subtree_successor(id: &[u8]) -> Vec<u8> {
+    let mut b = id.to_vec();
     if let Some(last) = b.last_mut() {
         *last += 1; // node IDs end on an even byte <= 0xFE
     } else {
@@ -58,17 +63,6 @@ pub fn subtree_successor(id: &NodeId) -> Vec<u8> {
         b.push(0xFF);
     }
     b
-}
-
-/// A stored row of the internal XML table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct XmlRow {
-    /// Owning document.
-    pub doc: DocId,
-    /// Clustering minor key.
-    pub min_node: NodeId,
-    /// The packed record image.
-    pub data: Vec<u8>,
 }
 
 fn encode_row(doc: DocId, min_node: &NodeId, data: &[u8]) -> Vec<u8> {
@@ -79,17 +73,92 @@ fn encode_row(doc: DocId, min_node: &NodeId, data: &[u8]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decode an XML-table row.
-pub fn decode_row(rec: &[u8]) -> Result<XmlRow> {
+/// The byte range of an encoded row's XMLData column.
+fn row_data_range(rec: &[u8]) -> Result<Range<usize>> {
     let mut d = Dec::new(rec);
-    let doc = d.u64()?;
-    let min_node = NodeId::from_bytes_unchecked(d.bytes()?.to_vec());
-    let data = d.bytes()?.to_vec();
-    Ok(XmlRow {
-        doc,
-        min_node,
-        data,
-    })
+    d.u64()?; // doc
+    d.bytes()?; // min_node
+    let len = d.varint()? as usize;
+    let start = d.pos();
+    if start + len > rec.len() {
+        return Err(EngineError::Record(
+            "row data range past end of record".into(),
+        ));
+    }
+    Ok(start..start + len)
+}
+
+/// One row of the internal table, read into shareable form: its RID, the
+/// row image (a single copy out of the latched page), the byte range of its
+/// XMLData payload, and the parsed record header. Cloning is three pointer
+/// copies. Cached and cold traversals and sub-document updates all read
+/// records as this one type.
+#[derive(Clone)]
+pub struct LoadedRecord {
+    rid: Rid,
+    row: Arc<[u8]>,
+    data: Range<usize>,
+    header: Arc<RecordHeader>,
+}
+
+impl LoadedRecord {
+    fn decode(rid: Rid, row: Arc<[u8]>) -> Result<LoadedRecord> {
+        let data = row_data_range(&row)?;
+        let header = Arc::new(read_header(&row[data.clone()])?);
+        Ok(LoadedRecord {
+            rid,
+            row,
+            data,
+            header,
+        })
+    }
+
+    /// Where the row lives.
+    pub fn rid(&self) -> Rid {
+        self.rid
+    }
+
+    /// The DocID column.
+    pub fn doc(&self) -> DocId {
+        // `decode` has read the row's fixed-width DocID column.
+        DocId::from_le_bytes(self.row[..8].try_into().expect("8-byte DocID"))
+    }
+
+    /// The minNodeID column: the smallest node ID stored in the record.
+    pub(crate) fn min_node(&self) -> &[u8] {
+        Dec::new(&self.row[8..])
+            .bytes()
+            .expect("`decode` has read the minNodeID column")
+    }
+
+    /// The parsed record header.
+    pub fn header(&self) -> &RecordHeader {
+        &self.header
+    }
+
+    /// The packed node region (XMLData past the header).
+    pub fn region(&self) -> &[u8] {
+        &self.row[self.data.start + self.header.body_offset..self.data.end]
+    }
+
+    /// Resident size of the shared row image.
+    pub(crate) fn cost(&self) -> usize {
+        self.row.len() + std::mem::size_of::<RecordHeader>() + 64
+    }
+}
+
+/// A NodeID-index entry found by [`XmlTable::locate`].
+pub struct Located {
+    key: Vec<u8>,
+    /// The record the entry names.
+    pub rid: Rid,
+}
+
+impl Located {
+    /// The upper end of the entry's node-ID interval.
+    pub fn upper(&self) -> &[u8] {
+        decode_nodeid_key(&self.key).map_or(&[], |(_, upper)| upper)
+    }
 }
 
 /// Root records of a candidate list, located by
@@ -100,7 +169,7 @@ pub struct LocatedRoots {
     /// The located entries' interval uppers, concatenated.
     uppers: Vec<u8>,
     /// Per candidate, in order: its upper (a range of `uppers`) and RID.
-    roots: Vec<Option<(std::ops::Range<usize>, Rid)>>,
+    roots: Vec<Option<(Range<usize>, Rid)>>,
 }
 
 impl LocatedRoots {
@@ -220,114 +289,133 @@ impl XmlTable {
         let row = encode_row(doc, &rec.min_id, &rec.bytes);
         let rid = txn.heap_insert(&self.heap, row)?;
         for upper in &rec.interval_uppers {
-            txn.index_insert(&self.nodeid_index, nodeid_key(doc, upper), rid.to_u64())?;
+            let key = nodeid_key(doc, upper.as_bytes());
+            txn.index_insert(&self.nodeid_index, key, rid.to_u64())?;
         }
         Ok(rid)
     }
 
-    /// Fetch and decode the record at `rid`.
-    pub fn fetch(&self, rid: Rid) -> Result<XmlRow> {
-        let rec = self.heap.fetch(rid)?;
-        decode_row(&rec)
+    /// Read the record at `rid`.
+    pub fn read(&self, rid: Rid) -> Result<LoadedRecord> {
+        LoadedRecord::decode(rid, self.heap.fetch_arc(rid)?)
     }
 
-    /// Find the RID of the record containing `node` of `doc`: a ceiling probe
-    /// for the first interval upper endpoint at-or-above the node ID (§3.4).
-    pub fn locate(&self, doc: DocId, node: &NodeId) -> Result<Option<Rid>> {
-        let probe = nodeid_key(doc, node);
-        match self.nodeid_index.search_ceil(&probe)? {
-            Some((key, rid)) if key.starts_with(&doc.to_be_bytes()) => Ok(Some(Rid::from_u64(rid))),
+    /// The §3.4 ceiling probe: the first NodeID-index entry of `doc` whose
+    /// interval upper is at or above `probe`, which names the record holding
+    /// node `probe` when that node exists. `probe` need not be a well-formed
+    /// node ID (a subtree successor, say); the empty probe `(docid, 00)`
+    /// finds the root record.
+    pub fn locate(&self, doc: DocId, probe: &[u8]) -> Result<Option<Located>> {
+        match self.nodeid_index.search_ceil(&nodeid_key(doc, probe))? {
+            Some((key, rid)) if key.starts_with(&doc.to_be_bytes()) => Ok(Some(Located {
+                key,
+                rid: Rid::from_u64(rid),
+            })),
             _ => Ok(None),
         }
     }
 
-    /// Like [`XmlTable::locate`] but probing with raw key bytes at-or-above a
-    /// subtree successor (which may not itself be a well-formed node ID).
-    pub fn locate_raw(&self, doc: DocId, node_bytes: &[u8]) -> Result<Option<(NodeId, Rid)>> {
-        let mut probe = Vec::with_capacity(8 + node_bytes.len());
-        probe.extend_from_slice(&doc.to_be_bytes());
-        probe.extend_from_slice(node_bytes);
-        match self.nodeid_index.search_ceil(&probe)? {
-            Some((key, rid)) if key.starts_with(&doc.to_be_bytes()) => {
-                let (_, upper) = decode_nodeid_key(&key).expect("well-formed index key");
-                Ok(Some((upper, Rid::from_u64(rid))))
-            }
-            _ => Ok(None),
-        }
+    /// The one bounded interval scan of the NodeID index: visit, in key
+    /// order, the entries `(doc, upper, rid)` from `from` (inclusive) up to
+    /// `to` (exclusive) until `visit` returns `false`. `to = (doc, None)`
+    /// runs through the end of document `doc`. The scan holds the tree
+    /// latch, so `visit` only collects.
+    pub fn scan(
+        &self,
+        from: (DocId, &[u8]),
+        to: (DocId, Option<&[u8]>),
+        mut visit: impl FnMut(DocId, &[u8], Rid) -> bool,
+    ) -> Result<()> {
+        let start = nodeid_key(from.0, from.1);
+        Ok(self.nodeid_index.scan_from(&start, |key, rid| {
+            let Some((doc, upper)) = decode_nodeid_key(key) else {
+                return true;
+            };
+            let past = match to {
+                (end, Some(hi)) => (doc, upper) >= (end, hi),
+                (end, None) => doc > end,
+            };
+            !past && visit(doc, upper, Rid::from_u64(rid))
+        })?)
     }
 
     /// Locate the root record of every document of `docs` (ascending
-    /// DocIDs) with one range scan of the NodeID index over the window
+    /// DocIDs) with one scan of the NodeID index over the window
     /// `[docs[0], docs[last]]`, the way a relational scan walks its
-    /// clustered index once. Keys are `(DocID BE, upper)`, so the first entry
-    /// with a document's DocID prefix is the ceiling of `(docid, 00)`: the
-    /// entry the §3.4 root probe of [`XmlTable::locate_raw`] returns.
-    /// Documents without an entry (and any not in ascending order) get
-    /// `None`. The scan only collects; nothing is fetched under the tree
-    /// latch.
+    /// clustered index once. The first entry with a document's DocID is the
+    /// ceiling of `(docid, 00)`: the entry the §3.4 root probe
+    /// `locate(docid, &[])` returns. Documents without an entry (and any not
+    /// in ascending order) get `None`. The scan only collects; nothing is
+    /// fetched under the tree latch.
     pub fn locate_roots(&self, docs: &[DocId], out: &mut LocatedRoots) -> Result<()> {
         out.uppers.clear();
         out.roots.clear();
-        let Some(&first) = docs.first() else {
+        let (Some(&first), Some(&last)) = (docs.first(), docs.iter().max()) else {
             return Ok(());
         };
         let mut next = 0;
-        self.nodeid_index
-            .scan_from(&first.to_be_bytes(), |key, rid| {
-                let Some(doc) = key
-                    .get(..8)
-                    .map(|d| DocId::from_be_bytes(d.try_into().expect("8-byte DocID prefix")))
-                else {
-                    return true;
-                };
-                while next < docs.len() && docs[next] < doc {
-                    out.roots.push(None);
+        self.scan((first, &[]), (last, None), |doc, upper, rid| {
+            while next < docs.len() && docs[next] < doc {
+                out.roots.push(None);
+                next += 1;
+            }
+            if next < docs.len() && docs[next] == doc {
+                let range = out.uppers.len()..out.uppers.len() + upper.len();
+                out.uppers.extend_from_slice(upper);
+                while next < docs.len() && docs[next] == doc {
+                    out.roots.push(Some((range.clone(), rid)));
                     next += 1;
                 }
-                if next < docs.len() && docs[next] == doc {
-                    let upper = out.uppers.len()..out.uppers.len() + key.len() - 8;
-                    out.uppers.extend_from_slice(&key[8..]);
-                    while next < docs.len() && docs[next] == doc {
-                        out.roots.push(Some((upper.clone(), Rid::from_u64(rid))));
-                        next += 1;
-                    }
-                }
-                next < docs.len()
-            })?;
+            }
+            next < docs.len()
+        })?;
         out.roots.resize(docs.len(), None);
         Ok(())
     }
 
-    /// All distinct RIDs of a document's records, in (doc, minNodeId) order.
-    pub fn document_rids(&self, doc: DocId) -> Result<Vec<Rid>> {
-        let mut rids = Vec::new();
-        self.nodeid_index.scan_prefix(&doc.to_be_bytes(), |_, v| {
-            let rid = Rid::from_u64(v);
-            if !rids.contains(&rid) {
-                rids.push(rid);
-            }
+    /// Delete the NodeID-index entries of `doc` whose upper lies in `[lo,
+    /// hi)` (`None`: through the document's end), and each record they
+    /// name, once. The caller vouches that no entry outside the span names
+    /// those records. Returns the number of records deleted.
+    pub(crate) fn delete_span(
+        &self,
+        txn: &Txn,
+        doc: DocId,
+        lo: &[u8],
+        hi: Option<&[u8]>,
+    ) -> Result<u64> {
+        self.touch_cache(doc);
+        // Collect first: the scan holds the tree latch.
+        let mut doomed: Vec<(Vec<u8>, Rid)> = Vec::new();
+        self.scan((doc, lo), (doc, hi), |_, upper, rid| {
+            doomed.push((nodeid_key(doc, upper), rid));
             true
         })?;
-        Ok(rids)
+        let mut deleted = HashSet::with_capacity(doomed.len());
+        for (key, rid) in doomed {
+            txn.index_delete(&self.nodeid_index, key)?;
+            if deleted.insert(rid) {
+                txn.heap_delete(&self.heap, rid)?;
+            }
+        }
+        Ok(deleted.len() as u64)
     }
 
     /// Delete every record and NodeID-index entry of document `doc`.
     pub fn delete_document(&self, txn: &Txn, doc: DocId) -> Result<()> {
-        self.touch_cache(doc);
-        // Collect entries first (scan holds the tree latch).
-        let mut entries: Vec<(Vec<u8>, Rid)> = Vec::new();
-        self.nodeid_index.scan_prefix(&doc.to_be_bytes(), |k, v| {
-            entries.push((k.to_vec(), Rid::from_u64(v)));
-            true
-        })?;
-        let mut deleted_rids: Vec<Rid> = Vec::new();
-        for (key, rid) in entries {
-            txn.index_delete(&self.nodeid_index, key)?;
-            if !deleted_rids.contains(&rid) {
-                txn.heap_delete(&self.heap, rid)?;
-                deleted_rids.push(rid);
-            }
-        }
+        self.delete_span(txn, doc, &[], None).map(drop)
+    }
+
+    /// Delete the record at `rid`, whose NodeID-index entries are `uppers`.
+    pub(crate) fn delete_record(
+        &self,
+        txn: &Txn,
+        doc: DocId,
+        rid: Rid,
+        uppers: &[NodeId],
+    ) -> Result<()> {
+        self.delete_uppers(txn, doc, uppers)?;
+        txn.heap_delete(&self.heap, rid)?;
         Ok(())
     }
 
@@ -336,29 +424,28 @@ impl XmlTable {
     pub fn delete_uppers(&self, txn: &Txn, doc: DocId, uppers: &[NodeId]) -> Result<()> {
         self.touch_cache(doc);
         for upper in uppers {
-            txn.index_delete(&self.nodeid_index, nodeid_key(doc, upper))?;
+            txn.index_delete(&self.nodeid_index, nodeid_key(doc, upper.as_bytes()))?;
         }
         Ok(())
     }
 
     /// Replace the packed record at `rid` (sub-document update path). A
-    /// record that no longer fits its page moves; the NodeID index entries
-    /// are rewritten to its new RID.
+    /// record that no longer fits its page moves; its current NodeID-index
+    /// entries are written with its new RID. Entries that no longer name it
+    /// are the caller's to delete.
     pub fn update_record(
         &self,
         txn: &Txn,
         doc: DocId,
         rid: Rid,
         rec: &PackedRecord,
-        old_uppers: &[NodeId],
     ) -> Result<Rid> {
         self.touch_cache(doc);
         let row = encode_row(doc, &rec.min_id, &rec.bytes);
         let new_rid = txn.heap_update(&self.heap, rid, row)?;
-        // Refresh index entries: remove stale uppers, install current ones.
-        self.delete_uppers(txn, doc, old_uppers)?;
         for upper in &rec.interval_uppers {
-            txn.index_insert(&self.nodeid_index, nodeid_key(doc, upper), new_rid.to_u64())?;
+            let key = nodeid_key(doc, upper.as_bytes());
+            txn.index_insert(&self.nodeid_index, key, new_rid.to_u64())?;
         }
         Ok(new_rid)
     }
@@ -418,13 +505,23 @@ mod tests {
 
         // The root element (02) must be locatable.
         let root = NodeId::from_bytes(&[0x02]).unwrap();
-        let rid = xt.locate(7, &root).unwrap().unwrap();
-        let row = xt.fetch(rid).unwrap();
-        assert_eq!(row.doc, 7);
+        let found = xt.locate(7, root.as_bytes()).unwrap().unwrap();
+        assert_eq!(
+            found.upper(),
+            records.last().unwrap().interval_uppers[0].as_bytes()
+        );
+        let rec = xt.read(found.rid).unwrap();
+        assert_eq!((rec.doc(), rec.rid()), (7, found.rid));
         // An unknown document yields nothing.
-        assert!(xt.locate(99, &root).unwrap().is_none());
-        // Document rid listing covers all records.
-        assert_eq!(xt.document_rids(7).unwrap().len(), records.len());
+        assert!(xt.locate(99, root.as_bytes()).unwrap().is_none());
+        // A scan of the document's entries names every record.
+        let mut rids = HashSet::new();
+        xt.scan((7, &[]), (7, None), |_, _, rid| {
+            rids.insert(rid);
+            true
+        })
+        .unwrap();
+        assert_eq!(rids.len(), records.len());
     }
 
     #[test]
@@ -438,7 +535,7 @@ mod tests {
         }
         txn.rollback().unwrap();
         let root = NodeId::from_bytes(&[0x02]).unwrap();
-        assert!(xt.locate(1, &root).unwrap().is_none());
+        assert!(xt.locate(1, root.as_bytes()).unwrap().is_none());
         assert_eq!(xt.nodeid_index.len().unwrap(), 0);
         assert_eq!(xt.heap.stats().unwrap().records, 0);
     }
@@ -461,9 +558,9 @@ mod tests {
         xt.delete_document(&txn, 2).unwrap();
         txn.commit().unwrap();
         let root = NodeId::from_bytes(&[0x02]).unwrap();
-        assert!(xt.locate(2, &root).unwrap().is_none());
-        assert!(xt.locate(1, &root).unwrap().is_some());
-        assert!(xt.locate(3, &root).unwrap().is_some());
+        assert!(xt.locate(2, root.as_bytes()).unwrap().is_none());
+        assert!(xt.locate(1, root.as_bytes()).unwrap().is_some());
+        assert!(xt.locate(3, root.as_bytes()).unwrap().is_some());
         assert_eq!(xt.nodeid_index.len().unwrap(), before_entries / 3 * 2);
     }
 
@@ -481,15 +578,15 @@ mod tests {
         txn.commit().unwrap();
         for docid in [5u64, 6, 7] {
             let root = NodeId::from_bytes(&[0x02]).unwrap();
-            let rid = xt.locate(docid, &root).unwrap().unwrap();
-            assert_eq!(xt.fetch(rid).unwrap().doc, docid);
+            let rid = xt.locate(docid, root.as_bytes()).unwrap().unwrap().rid;
+            assert_eq!(xt.read(rid).unwrap().doc(), docid);
         }
     }
 
     #[test]
     fn subtree_successor_skips_descendants() {
         let id = NodeId::from_bytes(&[0x02, 0x04]).unwrap();
-        let succ = subtree_successor(&id);
+        let succ = subtree_successor(id.as_bytes());
         assert_eq!(succ, vec![0x02, 0x05]);
         // Every descendant of 0204 starts with [02, 04] < [02, 05].
         let deep = NodeId::from_bytes(&[0x02, 0x04, 0xFF, 0xFE]).unwrap();

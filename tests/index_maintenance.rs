@@ -210,7 +210,8 @@ fn entries(db: &Database) -> Vec<(String, Vec<u8>, usize, usize)> {
     for vi in col.indexes() {
         for e in vi.range(None, None).unwrap() {
             let (doc_rank, nodes) = &ranks[&e.doc];
-            assert_eq!(xml.locate(e.doc, &e.node).unwrap(), Some(e.rid));
+            let found = xml.locate(e.doc, e.node.as_bytes()).unwrap();
+            assert_eq!(found.map(|f| f.rid), Some(e.rid));
             let node_rank = nodes[e.node.as_bytes()];
             out.push((vi.def.name.clone(), e.keyval, *doc_rank, node_rank));
         }

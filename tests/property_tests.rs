@@ -4,7 +4,9 @@
 //! * decimal sort keys: byte order ≡ numeric order for arbitrary decimals;
 //! * B+tree ≡ `BTreeMap` under arbitrary operation sequences;
 //! * parse → pack → store → traverse → serialize is the identity on
-//!   arbitrary generated documents at arbitrary packing targets;
+//!   arbitrary generated documents at arbitrary packing targets, and every
+//!   node a full traversal emits reads back the same through `fetch_node`,
+//!   `string_value` and `run_subtree`, with the document cache off and warm;
 //! * QuickXScan ≡ DOM evaluation on arbitrary documents and queries;
 //! * the engine's full-scan path over stored documents (one reused scanner
 //!   per lane, virtual-SAX subtree skipping) ≡ DOM evaluation, with node IDs
@@ -16,11 +18,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use system_rx::engine::access::{all_docids, execute_tree, AccessPlan};
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::traverse::{IdEventSink, Traverser};
+use system_rx::engine::traverse::{fetch_node, IdEventSink, StoredNode, Traverser};
 use system_rx::engine::QueryExecutor;
+use system_rx::engine::XmlTable;
 use system_rx::storage::{BTree, BufferPool, MemBackend, TableSpace};
 use system_rx::xml::event::Event;
-use system_rx::xml::nodeid::RelId;
+use system_rx::xml::nodeid::{NodeId, RelId};
 use system_rx::xml::value::Decimal;
 use system_rx::xml::NameDict;
 use system_rx::xpath::{quickxscan::scan_str, QueryTree, QuickXScan, XPathParser};
@@ -28,6 +31,76 @@ use system_rx::xpath::{quickxscan::scan_str, QueryTree, QuickXScan, XPathParser}
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------
+
+/// A traversal's output: every `(node id, the node it starts, event)`.
+#[derive(Default)]
+struct Recorded(Vec<(Vec<u8>, Option<StoredNode>, String)>);
+
+impl IdEventSink for Recorded {
+    fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> system_rx::engine::Result<()> {
+        let node = match ev {
+            Event::StartElement { name } => Some(StoredNode::Element { name }),
+            Event::Attribute { name, value, ann } => Some(StoredNode::Attribute {
+                name,
+                value: value.to_string(),
+                ann,
+            }),
+            Event::Text { value, ann } => Some(StoredNode::Text {
+                value: value.to_string(),
+                ann,
+            }),
+            Event::Comment { value } => Some(StoredNode::Comment {
+                value: value.to_string(),
+            }),
+            Event::Pi { target, data } => Some(StoredNode::Pi {
+                target,
+                value: data.to_string(),
+            }),
+            _ => None,
+        };
+        self.0.push((id.to_vec(), node, format!("{ev:?}")));
+        Ok(())
+    }
+}
+
+/// For every node a full traversal of `doc` emits, `fetch_node`,
+/// `string_value` and `run_subtree` (through a fresh traverser and through
+/// one shared across the nodes, in document order) read what the traversal
+/// did.
+fn check_node_reads(xml: &XmlTable, doc: u64) -> Result<(), TestCaseError> {
+    let mut full = Recorded::default();
+    Traverser::new(xml, doc).run(&mut full).unwrap();
+    let events = &full.0;
+    let mut shared = Traverser::new(xml, doc);
+    for (start, (id, node, _)) in events.iter().enumerate() {
+        let Some(node) = node else { continue };
+        // The node's events: an element's run to its own end.
+        let len = match node {
+            StoredNode::Element { .. } => events[start..]
+                .iter()
+                .position(|(i, _, ev)| i == id && ev == "EndElement")
+                .unwrap(),
+            _ => 0,
+        };
+        let span = &events[start..=start + len];
+        let mut value = String::new();
+        for (i, n, _) in span {
+            match n {
+                Some(StoredNode::Text { value: v, .. }) => value.push_str(v),
+                Some(StoredNode::Attribute { value: v, .. }) if i == id => value.push_str(v),
+                _ => {}
+            }
+        }
+        let nid = NodeId::from_bytes(id).unwrap();
+        prop_assert_eq!(&fetch_node(xml, doc, &nid).unwrap(), &Some(node.clone()));
+        prop_assert_eq!(&shared.fetch_node(&nid).unwrap(), &Some(node.clone()));
+        prop_assert_eq!(&shared.string_value(&nid).unwrap(), &value);
+        let mut sub = Recorded::default();
+        shared.run_subtree(&nid, &mut sub).unwrap();
+        prop_assert_eq!(sub.0.as_slice(), span);
+    }
+    Ok(())
+}
 
 /// An arbitrary small XML document: recursive elements over a tiny name
 /// vocabulary, with attributes and text.
@@ -184,21 +257,36 @@ proptest! {
 
     #[test]
     fn store_roundtrip_identity(doc in arb_xml(), target in 128usize..2048) {
-        let db = Database::create_in_memory_with(DbConfig {
-            target_record_size: target,
-            buffer_pages: 512,
-            ..Default::default()
-        }).unwrap();
-        let t = db.create_table("t", &[("doc", ColumnKind::Xml)]).unwrap();
-        let id = db.insert_row(&t, &[ColValue::Xml(doc.clone())]).unwrap();
-        // Canonicalize through the parser+serializer (whitespace handling),
-        // then compare with the stored round trip.
-        let dict = NameDict::new();
-        let canon = system_rx::xml::serialize::serialize_stream(
-            &system_rx::xml::Parser::new(&dict).parse_to_tokens(&doc).unwrap(),
-            &dict,
-        ).unwrap();
-        prop_assert_eq!(db.serialize_document(&t, "doc", id).unwrap(), canon);
+        // Small targets spill subtrees into proxied records, so node
+        // locates cross records and range proxies.
+        for doc_cache_bytes in [0, 1 << 20] {
+            let db = Database::create_in_memory_with(DbConfig {
+                target_record_size: target,
+                buffer_pages: 512,
+                doc_cache_bytes,
+                ..Default::default()
+            }).unwrap();
+            let t = db.create_table("t", &[("doc", ColumnKind::Xml)]).unwrap();
+            let id = db.insert_row(&t, &[ColValue::Xml(doc.clone())]).unwrap();
+            // Canonicalize through the parser+serializer (whitespace
+            // handling), then compare with the stored round trip.
+            let dict = NameDict::new();
+            let canon = system_rx::xml::serialize::serialize_stream(
+                &system_rx::xml::Parser::new(&dict).parse_to_tokens(&doc).unwrap(),
+                &dict,
+            ).unwrap();
+            prop_assert_eq!(db.serialize_document(&t, "doc", id).unwrap(), canon);
+            let col = t.xml_column("doc").unwrap();
+            if doc_cache_bytes > 0 {
+                // A locked full scan publishes the document's snapshot.
+                let path = XPathParser::new().parse("/*").unwrap();
+                let txn = db.begin().unwrap();
+                db.query_locked(&txn, &t, col, &path, false).unwrap();
+                txn.commit().unwrap();
+                prop_assert_eq!(db.doc_cache().len(), 1);
+            }
+            check_node_reads(col.xml_table(), id)?;
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use rx_bench::run_plan;
 use std::sync::Arc;
 use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
-use system_rx::engine::pack::read_header;
 use system_rx::engine::update::{self, InsertPos};
 use system_rx::engine::{AccessPlan, BaseTable};
 use system_rx::xml::NodeId;
@@ -135,18 +134,17 @@ impl Db {
         let xml = col.xml_table();
         for node in self.nodes("//*") {
             assert!(
-                xml.locate(1, &node).unwrap().is_some(),
+                xml.locate(1, node.as_bytes()).unwrap().is_some(),
                 "element {node} not locatable"
             );
             let _ = system_rx::engine::traverse::string_value(xml, 1, &node).unwrap();
         }
         let mut uppers = Vec::new();
-        xml.nodeid_index()
-            .scan_prefix(&1u64.to_be_bytes(), |k, _| {
-                uppers.push(NodeId::from_bytes(&k[8..]).unwrap());
-                true
-            })
-            .unwrap();
+        xml.scan((1, &[]), (1, None), |_, upper, _| {
+            uppers.push(NodeId::from_bytes(upper).unwrap());
+            true
+        })
+        .unwrap();
         for upper in uppers {
             let node = system_rx::engine::traverse::fetch_node(xml, 1, &upper).unwrap();
             assert!(node.is_some(), "stale NodeID-index entry {upper}");
@@ -157,8 +155,15 @@ impl Db {
     /// names one path entry per level of its context.
     fn check_headers(&self) {
         let xml = self.table.xml_column("doc").unwrap().xml_table();
-        for rid in xml.document_rids(1).unwrap() {
-            let hdr = read_header(&xml.fetch(rid).unwrap().data).unwrap();
+        let mut rids = std::collections::BTreeSet::new();
+        xml.scan((1, &[]), (1, None), |_, _, rid| {
+            rids.insert(rid);
+            true
+        })
+        .unwrap();
+        for rid in rids {
+            let rec = xml.read(rid).unwrap();
+            let hdr = rec.header();
             assert_eq!(
                 hdr.path.len(),
                 hdr.context.depth(),
