@@ -6,19 +6,16 @@
 //! S(document), writers IX(table) + X(document), so no reader ever sees a
 //! partially inserted document.
 //!
-//! §5.2 sub-document: "a multiple granularity locking is needed given the
-//! hierarchical nature of XML data. Since we use prefix-encoded node IDs,
-//! locking using node IDs can support the protocol efficiently because
-//! ancestor-descendant relationship can be checked by testing if one is a
-//! prefix of the other." Writers of a subtree take IX(table) + IX(document) +
-//! X(node); readers IS + IS + S(node); the storage lock manager resolves node
-//! conflicts by Dewey prefix ancestry, so disjoint subtrees of one document
-//! update concurrently.
+//! The document is also the only write unit: insert, delete and every
+//! sub-document update take the same IX(table) + X(document). §5.2's node-ID
+//! prefix locks would let writers of disjoint subtrees share a document, but
+//! a packed record holds nodes of many subtrees and rollback puts back a
+//! whole record's before-image, so one writer's rollback would undo another
+//! writer's committed edit of the same record (DESIGN.md §5).
 
 use crate::error::Result;
 use crate::xmltable::DocId;
 use rx_storage::{LockMode, LockName, Txn};
-use rx_xml::nodeid::NodeId;
 
 /// Take the §5.1 reader locks: IS on the table, S on the document.
 pub fn lock_document_shared(txn: &Txn, table: u32, doc: DocId) -> Result<()> {
@@ -50,66 +47,13 @@ pub fn try_lock_document_shared(txn: &Txn, table: u32, doc: DocId) -> Result<boo
         && txn.try_lock(&LockName::Document { table, doc }, LockMode::S)?)
 }
 
-/// Take the §5.1 writer locks: IX on the table, X on the document.
+/// Take the §5.1 writer locks: IX on the table, X on the document. Every
+/// write of a document takes them here: insert, delete and sub-document
+/// update.
 pub fn lock_document_exclusive(txn: &Txn, table: u32, doc: DocId) -> Result<()> {
     txn.lock(&LockName::Table(table), LockMode::IX)?;
     txn.lock(&LockName::Document { table, doc }, LockMode::X)?;
     Ok(())
-}
-
-/// Take the §5.2 subtree reader locks: IS table, IS document, S subtree.
-pub fn lock_subtree_shared(txn: &Txn, table: u32, doc: DocId, node: &NodeId) -> Result<()> {
-    txn.lock(&LockName::Table(table), LockMode::IS)?;
-    txn.lock(&LockName::Document { table, doc }, LockMode::IS)?;
-    txn.lock(
-        &LockName::Node {
-            table,
-            doc,
-            node: node.as_bytes().to_vec(),
-        },
-        LockMode::S,
-    )?;
-    Ok(())
-}
-
-/// Take the §5.2 subtree writer locks: IX table, IX document, X subtree.
-pub fn lock_subtree_exclusive(txn: &Txn, table: u32, doc: DocId, node: &NodeId) -> Result<()> {
-    txn.lock(&LockName::Table(table), LockMode::IX)?;
-    txn.lock(&LockName::Document { table, doc }, LockMode::IX)?;
-    txn.lock(
-        &LockName::Node {
-            table,
-            doc,
-            node: node.as_bytes().to_vec(),
-        },
-        LockMode::X,
-    )?;
-    Ok(())
-}
-
-/// Non-blocking variant of [`lock_subtree_exclusive`]; returns whether all
-/// three levels were granted (partial grants are left in place — they are
-/// compatible intents — and released at transaction end).
-pub fn try_lock_subtree_exclusive(
-    txn: &Txn,
-    table: u32,
-    doc: DocId,
-    node: &NodeId,
-) -> Result<bool> {
-    if !txn.try_lock(&LockName::Table(table), LockMode::IX)? {
-        return Ok(false);
-    }
-    if !txn.try_lock(&LockName::Document { table, doc }, LockMode::IX)? {
-        return Ok(false);
-    }
-    Ok(txn.try_lock(
-        &LockName::Node {
-            table,
-            doc,
-            node: node.as_bytes().to_vec(),
-        },
-        LockMode::X,
-    )?)
 }
 
 #[cfg(test)]
@@ -125,10 +69,6 @@ mod tests {
             Wal::new(Arc::new(MemLogStore::new())),
             LockManager::new(Duration::from_millis(100)),
         )
-    }
-
-    fn nid(bytes: &[u8]) -> NodeId {
-        NodeId::from_bytes(bytes).unwrap()
     }
 
     #[test]
@@ -198,69 +138,5 @@ mod tests {
             .try_lock(&LockName::Document { table: 1, doc: 42 }, LockMode::S)
             .unwrap());
         reader.commit().unwrap();
-    }
-
-    #[test]
-    fn disjoint_subtrees_update_concurrently() {
-        let m = mgr();
-        let w1 = m.begin().unwrap();
-        let w2 = m.begin().unwrap();
-        // Two products of the same catalog document.
-        lock_subtree_exclusive(&w1, 1, 5, &nid(&[0x02, 0x02])).unwrap();
-        lock_subtree_exclusive(&w2, 1, 5, &nid(&[0x02, 0x04])).unwrap();
-        w1.commit().unwrap();
-        w2.commit().unwrap();
-    }
-
-    #[test]
-    fn ancestor_descendant_subtrees_conflict() {
-        let m = mgr();
-        let w1 = m.begin().unwrap();
-        lock_subtree_exclusive(&w1, 1, 5, &nid(&[0x02, 0x02])).unwrap();
-        let w2 = m.begin().unwrap();
-        // Descendant of the locked subtree.
-        assert!(!try_lock_subtree_exclusive(&w2, 1, 5, &nid(&[0x02, 0x02, 0x04])).unwrap());
-        // Ancestor (the root element).
-        assert!(!try_lock_subtree_exclusive(&w2, 1, 5, &nid(&[0x02])).unwrap());
-        // Same IDs in another document are unrelated.
-        assert!(try_lock_subtree_exclusive(&w2, 1, 6, &nid(&[0x02, 0x02])).unwrap());
-        w1.commit().unwrap();
-        w2.commit().unwrap();
-    }
-
-    #[test]
-    fn subtree_writer_compatible_with_other_doc_reader() {
-        let m = mgr();
-        let w = m.begin().unwrap();
-        lock_subtree_exclusive(&w, 1, 5, &nid(&[0x02, 0x02])).unwrap();
-        let r = m.begin().unwrap();
-        // Reading a *different* subtree of the same document is allowed
-        // (IS document lock is compatible with IX).
-        lock_subtree_shared(&r, 1, 5, &nid(&[0x02, 0x04])).unwrap();
-        // Reading the locked subtree is not.
-        let r2 = m.begin().unwrap();
-        r2.lock(&LockName::Table(1), LockMode::IS).unwrap();
-        r2.lock(&LockName::Document { table: 1, doc: 5 }, LockMode::IS)
-            .unwrap();
-        assert!(!r2
-            .try_lock(
-                &LockName::Node {
-                    table: 1,
-                    doc: 5,
-                    node: vec![0x02, 0x02]
-                },
-                LockMode::S
-            )
-            .unwrap());
-        // A whole-document S lock is also blocked by the IX intent.
-        let r3 = m.begin().unwrap();
-        r3.lock(&LockName::Table(1), LockMode::IS).unwrap();
-        assert!(!r3
-            .try_lock(&LockName::Document { table: 1, doc: 5 }, LockMode::S)
-            .unwrap());
-        w.commit().unwrap();
-        r.commit().unwrap();
-        r2.commit().unwrap();
-        r3.commit().unwrap();
     }
 }

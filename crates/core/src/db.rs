@@ -583,8 +583,8 @@ impl Database {
                 true
             })?;
             let key = k_doccnt(table.def.id);
-            while db.catalog.counter(&key) < max_doc {
-                db.catalog.bump_counter(&key)?;
+            if db.catalog.counter(&key) < max_doc {
+                db.catalog.put(&key, &max_doc.to_le_bytes())?;
             }
         }
         Ok(db)
@@ -1182,23 +1182,25 @@ impl Database {
         Ok(ok)
     }
 
-    /// Run a sub-document mutation under the §5.2 locking protocol with
+    /// Run a sub-document mutation of `doc` under the §5.1 writer locks
+    /// (IX on the table, X on the document, as insert and delete take) with
     /// index maintenance: old index entries derived from the pre-image are
     /// removed, the mutation runs, and entries are re-derived from the
     /// post-image — each image in one traversal for every index, all in
-    /// `txn`. Names a fragment interned are persisted before this returns,
-    /// so they are durable before the commit record.
+    /// `txn`. The X lock makes the whole-document re-derivation exact: no
+    /// other transaction changes the document until `txn` ends. Names a
+    /// fragment interned are persisted before this returns, so they are
+    /// durable before the commit record.
     pub fn update_document_txn(
         &self,
         txn: &Txn,
         table: &Arc<BaseTable>,
         column: &str,
         doc: DocId,
-        subtree: &rx_xml::NodeId,
         mutate: impl FnOnce(&Txn, &XmlTable) -> Result<crate::update::UpdateStats>,
     ) -> Result<crate::update::UpdateStats> {
         let col = table.xml_column(column)?;
-        crate::conc::lock_subtree_exclusive(txn, table.def.id, doc, subtree)?;
+        crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
         let indexes = col.indexes();
         let stats = if indexes.is_empty() {
             mutate(txn, &col.xml)?

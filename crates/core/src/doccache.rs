@@ -17,11 +17,12 @@
 //!
 //! * **publish**: only a traversal whose transaction holds the document's S
 //!   lock and has logged nothing inserts a snapshot. No transaction holds X
-//!   or IX on a document while another holds S on it, so such a traversal
-//!   reads exactly the committed bytes.
+//!   on a document while another holds S on it, so such a traversal reads
+//!   exactly the committed bytes.
 //! * **evict**: every XML-table mutator drops the document's entry before it
-//!   changes a byte. The writer holds X or IX from then until it ends, so no
-//!   snapshot can be published again before its outcome is final.
+//!   changes a byte. Every writer, sub-document updates included, holds X
+//!   on the document from then until it ends, so no snapshot can be
+//!   published again before its outcome is final.
 //!
 //! Every other traversal — unlocked reads, a writer reading its own dirty
 //! document, index key derivation — reads the cache but never publishes.

@@ -22,8 +22,8 @@
 //! * [`construct`] — constructor functions with tagging templates and XMLAGG
 //!   linked-list quicksort (§4.1, Fig. 5);
 //! * [`runtime`] — virtual-SAX runtime, XML handles, sequences (§4.4, Fig. 8);
-//! * [`conc`] / [`mvcc`] — DocID locking, node-prefix multi-granularity
-//!   locking, and document multiversioning (§5);
+//! * [`conc`] / [`mvcc`] — DocID locking (the document is the one write
+//!   unit) and document multiversioning (§5);
 //! * [`executor`] — the shared query worker pool and plan cache;
 //! * [`doccache`] — the versioned hot-document record cache above the
 //!   buffer pool;

@@ -1,4 +1,4 @@
-//! Sub-document update (§3.1, §5.1–5.2).
+//! Sub-document update (§3.1).
 //!
 //! LOB storage "imposes significant restrictions on XML subdocument update"
 //! — the native format removes them: a single node is updated by rewriting
@@ -15,6 +15,10 @@
 //! spilled record also rewrites the range proxy that covers it in the
 //! parent's record, which keeps every proxy's range and count exact. Records
 //! orphaned by subtree deletion are reclaimed through the NodeID index.
+//!
+//! An edit takes no latch: its caller holds the document's X lock
+//! ([`crate::db::Database::update_document_txn`]), so no other transaction
+//! reads or writes the records it rewrites.
 
 use crate::error::{EngineError, Result};
 use crate::pack::{
@@ -452,7 +456,6 @@ pub fn replace_value(
     target: &NodeId,
     new_value: &str,
 ) -> Result<UpdateStats> {
-    let _latch = xml.edit_guard();
     let rec = holding(xml, doc, target)?;
     edit(txn, xml, doc, &rec, &Change::Value(target, new_value))
 }
@@ -460,7 +463,6 @@ pub fn replace_value(
 /// Delete the subtree rooted at `target` (records fully inside the subtree
 /// are reclaimed through the NodeID index).
 pub fn delete_node(txn: &Txn, xml: &XmlTable, doc: DocId, target: &NodeId) -> Result<UpdateStats> {
-    let _latch = xml.edit_guard();
     let rec = holding(xml, doc, target)?;
     let place = place(&rec, doc, target)?;
     let neighbours = spilled_top(&rec, target)
@@ -504,7 +506,6 @@ pub fn insert_fragment(
     pos: InsertPos,
     fragment_xml: &str,
 ) -> Result<UpdateStats> {
-    let _latch = xml.edit_guard();
     if parent.is_root() {
         return Err(EngineError::Invalid(
             "insertion parent must be an element".into(),

@@ -196,18 +196,13 @@ pub struct XmlTable {
     heap: Arc<HeapTable>,
     nodeid_index: Arc<BTree>,
     space_id: u32,
-    /// Record-edit latch: §5.2 notes that "a group of nodes form a record",
-    /// so two transactions holding X locks on *disjoint subtrees* may still
-    /// need to rewrite the *same* packed record. This short latch makes each
-    /// read-modify-write of a record atomic ("record level consistency");
-    /// it is held only for the duration of one edit, unlike the subtree
-    /// locks, which are held to commit.
-    edit_latch: parking_lot::Mutex<()>,
     /// The database's document record cache, when this table belongs to a
     /// [`crate::db::Database`] with `doc_cache_bytes > 0`. Every mutator
     /// evicts the document's snapshot before any uncommitted byte lands in
-    /// the heap; the writer's X or IX lock keeps it out until the writer
-    /// ends (DESIGN.md §11.2).
+    /// the heap; the writer's document X lock keeps it out until the writer
+    /// ends (DESIGN.md §11.2). The same lock is why edits need no latch of
+    /// their own: no two transactions write records of one document, and
+    /// no record holds nodes of two documents.
     doc_cache: OnceLock<Arc<DocCache>>,
 }
 
@@ -221,7 +216,6 @@ impl XmlTable {
             heap,
             nodeid_index,
             space_id,
-            edit_latch: parking_lot::Mutex::new(()),
             doc_cache: OnceLock::new(),
         })
     }
@@ -235,7 +229,6 @@ impl XmlTable {
             heap,
             nodeid_index,
             space_id,
-            edit_latch: parking_lot::Mutex::new(()),
             doc_cache: OnceLock::new(),
         })
     }
@@ -255,11 +248,6 @@ impl XmlTable {
         &self.nodeid_index
     }
 
-    /// Acquire the record-edit latch for one read-modify-write cycle.
-    pub fn edit_guard(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.edit_latch.lock()
-    }
-
     /// Attach the database's document record cache. First attachment wins;
     /// tables constructed outside a [`crate::db::Database`] never have one
     /// and always take the cold read path.
@@ -274,8 +262,8 @@ impl XmlTable {
 
     /// Evict `doc`'s cached snapshot *before* a mutation's bytes reach the
     /// heap. No snapshot can be published again while the mutating
-    /// transaction holds its X or IX lock on the document, since publishing
-    /// needs an S lock.
+    /// transaction holds its X lock on the document, since publishing needs
+    /// an S lock.
     fn touch_cache(&self, doc: DocId) {
         if let Some(cache) = self.doc_cache.get() {
             cache.evict(self.space_id, doc);

@@ -16,8 +16,8 @@
 //!   and XPath value indexes;
 //! * [`wal`] / [`txn`] — write-ahead logging, ARIES-style recovery, and
 //!   transactions;
-//! * [`lock`] — the multi-granularity lock manager with node-ID-prefix
-//!   subtree locks (§5);
+//! * [`lock`] — the multi-granularity lock manager over tables and
+//!   documents (§5);
 //! * [`catalog`] — the persistent directory (compiled schemas, object
 //!   definitions, counters);
 //! * [`codec`] — the byte codec shared by record formats;

@@ -1,13 +1,12 @@
 //! Multi-granularity lock manager.
 //!
 //! §5 of the paper argues that XML concurrency needs "multiple granularity
-//! locking \[4\] given the hierarchical nature of XML data", and that prefix-
-//! encoded node IDs make the protocol efficient "because ancestor-descendant
-//! relationship can be checked by testing if one is a prefix of the other".
-//! This lock manager supports exactly that: the classical intent modes
-//! (IS/IX/S/SIX/U/X) on database, table, and document resources, plus
-//! *node-subtree* locks within a document whose conflicts are decided by node
-//! ID prefix ancestry — a lock on a node implicitly covers its whole subtree.
+//! locking \[4\] given the hierarchical nature of XML data". This lock
+//! manager has the classical intent modes (IS/IX/S/SIX/U/X) over a
+//! two-level hierarchy: tables and their documents. The §5.2 node-ID prefix
+//! locks are deliberately absent: a packed record holds nodes of many
+//! subtrees, and rollback puts back a whole record's before-image, so the
+//! document is the smallest unit a writer can own (DESIGN.md §5).
 //!
 //! Deadlocks are detected eagerly with a waits-for graph; the requester whose
 //! wait would close a cycle is chosen as victim.
@@ -114,13 +113,11 @@ impl LockMode {
     }
 }
 
-/// A lockable resource. `Node` locks cover the subtree rooted at the node:
-/// two node locks in the same document conflict when one node ID is a byte
-/// prefix of the other.
-#[derive(Clone, PartialEq, Eq, Debug, Hash)]
+/// A lockable resource: a table, or one document of a table. The document
+/// is the smallest unit: a packed record holds nodes of many subtrees, so
+/// no writer can own less of a document than all of it (DESIGN.md §5).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum LockName {
-    /// The whole database.
-    Database,
     /// A base table (or its XML side tables, locked together).
     Table(u32),
     /// One document (a DocID lock, §5.1).
@@ -130,59 +127,14 @@ pub enum LockName {
         /// Document id.
         doc: u64,
     },
-    /// A subtree within a document, named by its absolute node ID (§5.2).
-    Node {
-        /// Owning table.
-        table: u32,
-        /// Document id.
-        doc: u64,
-        /// Absolute (Dewey) node ID of the subtree root.
-        node: Vec<u8>,
-    },
-}
-
-/// Internal grouping key: node locks of one document share a group so prefix
-/// conflicts can be checked by scanning the group.
-#[derive(Clone, PartialEq, Eq, Debug, Hash)]
-enum GroupKey {
-    Plain(LockName),
-    NodeGroup { table: u32, doc: u64 },
-}
-
-fn group_of(name: &LockName) -> (GroupKey, Option<Vec<u8>>) {
-    match name {
-        LockName::Node { table, doc, node } => (
-            GroupKey::NodeGroup {
-                table: *table,
-                doc: *doc,
-            },
-            Some(node.clone()),
-        ),
-        other => (GroupKey::Plain(other.clone()), None),
-    }
 }
 
 #[derive(Clone, Debug)]
 struct Grant {
     txn: TxnId,
     mode: LockMode,
-    /// Node ID for node-group grants; `None` for plain resources.
-    node: Option<Vec<u8>>,
     count: u32,
 }
-
-fn grants_conflict(req_node: &Option<Vec<u8>>, req_mode: LockMode, g: &Grant) -> bool {
-    if g.mode.compatible(req_mode) {
-        return false;
-    }
-    match (req_node, &g.node) {
-        (Some(a), Some(b)) => a.starts_with(b.as_slice()) || b.starts_with(a.as_slice()),
-        _ => true,
-    }
-}
-
-/// One held resource: its group key and, for node locks, the node ID.
-type HeldLock = (GroupKey, Option<Vec<u8>>);
 
 /// The lock table's maps: hashed a few times per granted lock, by keys
 /// the engine chooses.
@@ -194,12 +146,13 @@ const SPARE_GRANT_LISTS: usize = 4096;
 
 #[derive(Default)]
 struct LmInner {
-    groups: LockMap<GroupKey, Vec<Grant>>,
+    /// resource -> the grants on it.
+    resources: LockMap<LockName, Vec<Grant>>,
     /// txn -> resources it currently waits for (for the waits-for graph).
     waits_for: LockMap<TxnId, Vec<TxnId>>,
-    /// All (group, node) pairs held per txn, for bulk release.
-    held: LockMap<TxnId, Vec<HeldLock>>,
-    /// Empty grant lists left by released groups.
+    /// All resources held per txn, for bulk release.
+    held: LockMap<TxnId, Vec<LockName>>,
+    /// Empty grant lists left by released resources.
     spare: Vec<Vec<Grant>>,
 }
 
@@ -224,28 +177,27 @@ impl LmInner {
         false
     }
 
-    /// Grant `mode` on `(key, node)` to `txn` if that needs no wait: a
-    /// covering lock it already holds is counted again, and a new or
-    /// upgraded grant is made when no other transaction's grant conflicts.
-    /// Otherwise returns the conflicting transactions. One lookup of the
-    /// group serves the check and the grant.
+    /// Grant `mode` on `name` to `txn` if that needs no wait: a covering
+    /// lock it already holds is counted again, and a new or upgraded grant
+    /// is made when no other transaction's grant conflicts. Otherwise
+    /// returns the conflicting transactions. One lookup of the resource
+    /// serves the check and the grant.
     fn try_grant(
         &mut self,
         txn: TxnId,
-        key: &GroupKey,
-        node: &Option<Vec<u8>>,
+        name: LockName,
         mode: LockMode,
     ) -> std::result::Result<(), Vec<TxnId>> {
         let LmInner {
-            groups,
+            resources,
             held,
             spare,
             ..
         } = self;
-        let grants = groups
-            .entry(key.clone())
+        let grants = resources
+            .entry(name)
             .or_insert_with(|| spare.pop().unwrap_or_default());
-        let own = grants.iter().position(|g| g.txn == txn && g.node == *node);
+        let own = grants.iter().position(|g| g.txn == txn);
         if let Some(i) = own {
             if grants[i].mode.covers(mode) {
                 grants[i].count += 1;
@@ -254,7 +206,7 @@ impl LmInner {
         }
         let blockers: Vec<TxnId> = grants
             .iter()
-            .filter(|g| g.txn != txn && grants_conflict(node, mode, g))
+            .filter(|g| g.txn != txn && !g.mode.compatible(mode))
             .map(|g| g.txn)
             .collect();
         if !blockers.is_empty() {
@@ -271,12 +223,9 @@ impl LmInner {
                 grants.push(Grant {
                     txn,
                     mode,
-                    node: node.clone(),
                     count: 1,
                 });
-                held.entry(txn)
-                    .or_default()
-                    .push((key.clone(), node.clone()));
+                held.entry(txn).or_default().push(name);
             }
         }
         Ok(())
@@ -312,11 +261,10 @@ impl LockManager {
     /// are held. Fails with [`StorageError::Deadlock`] when waiting would
     /// close a waits-for cycle, or [`StorageError::LockTimeout`] on timeout.
     pub fn lock(&self, txn: TxnId, name: &LockName, mode: LockMode) -> Result<()> {
-        let (key, node) = group_of(name);
         let mut inner = self.inner.lock();
-        match inner.try_grant(txn, &key, &node, mode) {
+        match inner.try_grant(txn, *name, mode) {
             Ok(()) => Ok(()),
-            Err(blockers) => self.wait_for_grant(inner, txn, &key, &node, mode, blockers),
+            Err(blockers) => self.wait_for_grant(inner, txn, *name, mode, blockers),
         }
     }
 
@@ -338,9 +286,8 @@ impl LockManager {
             let Some((name, mode)) = requests.next() else {
                 return Ok(());
             };
-            let (key, node) = group_of(&name);
-            if let Err(blockers) = inner.try_grant(txn, &key, &node, mode) {
-                self.wait_for_grant(inner, txn, &key, &node, mode, blockers)?;
+            if let Err(blockers) = inner.try_grant(txn, name, mode) {
+                self.wait_for_grant(inner, txn, name, mode, blockers)?;
                 break;
             }
         }
@@ -358,8 +305,7 @@ impl LockManager {
         &self,
         mut inner: MutexGuard<'_, LmInner>,
         txn: TxnId,
-        key: &GroupKey,
-        node: &Option<Vec<u8>>,
+        name: LockName,
         mode: LockMode,
         mut blockers: Vec<TxnId>,
     ) -> Result<()> {
@@ -377,7 +323,7 @@ impl LockManager {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 return Err(StorageError::LockTimeout);
             }
-            blockers = match inner.try_grant(txn, key, node, mode) {
+            blockers = match inner.try_grant(txn, name, mode) {
                 Ok(()) => return Ok(()),
                 Err(b) => b,
             };
@@ -386,18 +332,17 @@ impl LockManager {
 
     /// Non-blocking acquire. Returns `Ok(false)` when a conflict exists.
     pub fn try_lock(&self, txn: TxnId, name: &LockName, mode: LockMode) -> Result<bool> {
-        let (key, node) = group_of(name);
-        Ok(self.inner.lock().try_grant(txn, &key, &node, mode).is_ok())
+        Ok(self.inner.lock().try_grant(txn, *name, mode).is_ok())
     }
 
     /// Release every lock held by `txn` (commit/rollback).
     pub fn unlock_all(&self, txn: TxnId) {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if let Some(resources) = inner.held.remove(&txn) {
-            for (key, node) in resources {
-                if let Entry::Occupied(mut e) = inner.groups.entry(key) {
-                    e.get_mut().retain(|g| !(g.txn == txn && g.node == node));
+        if let Some(names) = inner.held.remove(&txn) {
+            for name in names {
+                if let Entry::Occupied(mut e) = inner.resources.entry(name) {
+                    e.get_mut().retain(|g| g.txn != txn);
                     if e.get().is_empty() {
                         let list = e.remove();
                         if inner.spare.len() < SPARE_GRANT_LISTS {
@@ -418,12 +363,12 @@ impl LockManager {
     fn grants_of(&self, txn: TxnId) -> Vec<(String, LockMode, u32)> {
         let inner = self.inner.lock();
         let mut out: Vec<_> = inner
-            .groups
+            .resources
             .iter()
             .flat_map(|(k, gs)| {
                 gs.iter()
                     .filter(|g| g.txn == txn)
-                    .map(move |g| (format!("{k:?}/{:?}", g.node), g.mode, g.count))
+                    .map(move |g| (format!("{k:?}"), g.mode, g.count))
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -487,45 +432,6 @@ mod tests {
         assert!(!lm.try_lock(2, &t, IS).unwrap());
         lm.unlock_all(1);
         assert!(lm.try_lock(2, &t, IS).unwrap());
-    }
-
-    #[test]
-    fn node_prefix_conflicts() {
-        let lm = lm();
-        let parent = LockName::Node {
-            table: 1,
-            doc: 1,
-            node: vec![0x02, 0x04],
-        };
-        let child = LockName::Node {
-            table: 1,
-            doc: 1,
-            node: vec![0x02, 0x04, 0x06],
-        };
-        let sibling = LockName::Node {
-            table: 1,
-            doc: 1,
-            node: vec![0x02, 0x06],
-        };
-        let other_doc = LockName::Node {
-            table: 1,
-            doc: 2,
-            node: vec![0x02, 0x04],
-        };
-        lm.lock(1, &parent, X).unwrap();
-        // Descendant of a locked subtree conflicts.
-        assert!(!lm.try_lock(2, &child, S).unwrap());
-        // Ancestor conflicts too.
-        let root = LockName::Node {
-            table: 1,
-            doc: 1,
-            node: vec![0x02],
-        };
-        assert!(!lm.try_lock(2, &root, S).unwrap());
-        // Disjoint sibling subtree is fine.
-        assert!(lm.try_lock(2, &sibling, X).unwrap());
-        // Same node id in a different document is unrelated.
-        assert!(lm.try_lock(3, &other_doc, X).unwrap());
     }
 
     #[test]
@@ -598,18 +504,10 @@ mod tests {
 
     #[test]
     fn lock_many_leaves_the_same_grants_as_one_by_one() {
-        // Repeats, an upgrade, an intent on the table and a node lock.
+        // Repeats, an upgrade and an intent on the table.
         let mut reqs = vec![(LockName::Table(1), IS)];
         reqs.extend(docs([1, 2, 3, 2, 9]));
         reqs.push((LockName::Document { table: 1, doc: 3 }, X));
-        reqs.push((
-            LockName::Node {
-                table: 1,
-                doc: 4,
-                node: vec![0x02],
-            },
-            S,
-        ));
         let one_by_one = lm();
         for (name, mode) in &reqs {
             one_by_one.lock(7, name, *mode).unwrap();

@@ -14,8 +14,9 @@
 //!
 //! * relative IDs are **self-delimiting** (odd byte ⇒ continue, even ⇒ stop),
 //!   so no sibling's relative ID is a byte prefix of another's;
-//! * therefore **byte-prefix testing on absolute IDs is the ancestor test**,
-//!   which §5.2 exploits for subtree locking;
+//! * therefore **byte-prefix testing on absolute IDs is the ancestor test**
+//!   (§5.2 proposes it for subtree locking; here it keeps NodeID-list
+//!   results under their anchors);
 //! * plain byte comparison of absolute IDs is **document order**;
 //! * between any two sibling IDs a fresh sibling ID can be generated without
 //!   renumbering ([`RelId::between`]), which makes sub-document insertion
@@ -273,7 +274,7 @@ impl NodeId {
     }
 
     /// Is `self` a (strict or equal) ancestor-or-self of `other`? Pure byte
-    /// prefix test — the property §5.2's subtree locks rely on.
+    /// prefix test.
     pub fn is_ancestor_or_self(&self, other: &NodeId) -> bool {
         other.0.starts_with(&self.0)
     }

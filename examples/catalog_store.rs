@@ -90,14 +90,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sub-document update: raise one product's price in place (§3.1 — only
     // the containing record is touched, and Dewey IDs keep every other node
-    // stable). update_document_txn takes the §5.2 subtree locks and keeps
-    // the value indexes in step with the new price.
+    // stable). update_document_txn takes the document's X lock, as insert
+    // and delete do, and keeps the value indexes in step with the new price.
     let txn = db.begin()?;
     // /Catalog(02)/Categories(02)/Product(02)/RegPrice/text
     // (the @id attribute takes rel 02, so ProductName=04, RegPrice=06)
     let product = NodeId::from_bytes(&[0x02, 0x02, 0x02])?;
     let price_text = NodeId::from_bytes(&[0x02, 0x02, 0x02, 0x06, 0x02])?;
-    let stats = db.update_document_txn(&txn, &table, "doc", 1, &product, |txn, xml| {
+    let stats = db.update_document_txn(&txn, &table, "doc", 1, |txn, xml| {
         let stats = update::replace_value(txn, xml, 1, &price_text, "999.99")?;
         // And append a tag element to the same product.
         update::insert_fragment(

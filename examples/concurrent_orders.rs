@@ -1,6 +1,7 @@
-//! Concurrency (§5): document-level DocID locking, sub-document node-prefix
-//! locking with concurrent writers on disjoint subtrees of one document, and
-//! lock-free snapshot readers over the multiversioned store.
+//! Concurrency (§5): document-level DocID locking — every writer of a
+//! document, sub-document updates included, holds its X lock to the end, so
+//! writers of one document take turns — and lock-free snapshot readers over
+//! the multiversioned store.
 //!
 //! Run with: `cargo run --release --example concurrent_orders`
 
@@ -13,51 +14,39 @@ use system_rx::engine::mvcc::{pack_for_mvcc, MvccXmlStore};
 use system_rx::engine::update;
 use system_rx::gen::order_doc;
 use system_rx::storage::{BufferPool, MemBackend, TableSpace};
-use system_rx::xml::{NameDict, NodeId, RelId};
+use system_rx::xml::{NameDict, NodeId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // ---- Part 1: disjoint-subtree writers on one order document ----------
+    // ---- Part 1: four writers of one order document ----------------------
     let db = Database::create_in_memory()?;
     let table = db.create_table("orders", &[("doc", ColumnKind::Xml)])?;
     let doc = db.insert_row(&table, &[ColValue::Xml(order_doc(1, 8))])?;
     let table_id = table.def.id;
-    let col = table.xml_column("doc")?;
 
-    // Each item's <Status> text: Order(02)/Item(i)/Status(06)/text(02).
-    // Order's children: @id attribute (02), <Customer> (04), items from 06.
-    let item_rel = |i: usize| -> NodeId {
-        let mut rel = RelId::first().next_sibling().next_sibling(); // 06 = first Item
-        for _ in 0..i {
-            rel = rel.next_sibling();
-        }
-        NodeId::root()
-            .child(&RelId::first()) // Order
-            .child(&rel)
-    };
+    // Item i's <Status> text: Order(02) / Item(06 + 2i), after @id (02) and
+    // <Customer> (04) / Status(06), after Sku (02) and Qty (04) / text(02).
+    let status_text =
+        |i: usize| NodeId::from_bytes(&[0x02, 0x06 + 2 * i as u8, 0x06, 0x02]).unwrap();
 
     let updated = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         for w in 0..4usize {
-            let db = &db;
-            let updated = &updated;
-            let item_rel = &item_rel;
+            let (db, table, updated, status_text) = (&db, &table, &updated, &status_text);
             s.spawn(move || {
-                // Each writer owns two disjoint items of the SAME document.
+                // Each writer updates two items of the SAME document, one
+                // transaction per item. update_document_txn takes IX on the
+                // table and X on the document, so the writers take turns.
                 for i in [w * 2, w * 2 + 1] {
-                    let item = item_rel(i);
                     let txn = db.begin().unwrap();
-                    // §5.2 protocol: IX table, IX doc, X subtree.
-                    conc::lock_subtree_exclusive(&txn, table_id, doc, &item).unwrap();
-                    // Status text = Item/Status(3rd child: Sku=02,Qty=04,Status=06)/text.
-                    let status_text =
-                        NodeId::from_bytes(&[item.as_bytes(), &[0x06, 0x02]].concat()).unwrap();
-                    update::replace_value(
-                        &txn,
-                        col.xml_table(),
-                        doc,
-                        &status_text,
-                        &format!("shipped-by-{w}"),
-                    )
+                    db.update_document_txn(&txn, table, "doc", doc, |txn, xml| {
+                        update::replace_value(
+                            txn,
+                            xml,
+                            doc,
+                            &status_text(i),
+                            &format!("shipped-by-{w}"),
+                        )
+                    })
                     .unwrap();
                     txn.commit().unwrap();
                     updated.fetch_add(1, Ordering::Relaxed);
@@ -68,23 +57,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = db.serialize_document(&table, "doc", doc)?;
     assert_eq!(out.matches("shipped-by-").count(), 8);
     println!(
-        "4 writers updated {} disjoint items of one document concurrently",
-        updated.load(Ordering::Relaxed)
+        "4 writers updated {} items of one document, serialized on its X lock ({} lock waits)",
+        updated.load(Ordering::Relaxed),
+        db.stats().lock_waits
     );
 
-    // A whole-document reader conflicts while a subtree writer is active:
+    // A reader of the document conflicts while a writer is active:
     let w = db.begin()?;
-    conc::lock_subtree_exclusive(&w, table_id, doc, &item_rel(0))?;
+    db.update_document_txn(&w, &table, "doc", doc, |txn, xml| {
+        update::replace_value(txn, xml, doc, &status_text(0), "held")
+    })?;
     let r = db.begin()?;
-    let blocked = !r.try_lock(
-        &system_rx::storage::LockName::Document {
-            table: table_id,
-            doc,
-        },
-        system_rx::storage::LockMode::S,
-    )?;
-    println!("whole-document S lock blocked by an item writer: {blocked}");
-    w.commit()?;
+    let blocked = !conc::try_lock_document_shared(&r, table_id, doc)?;
+    assert!(blocked);
+    println!("document S lock blocked by an item writer's X lock: {blocked}");
+    w.rollback()?;
+    assert!(conc::try_lock_document_shared(&r, table_id, doc)?);
     r.commit()?;
 
     // ---- Part 2: MVCC — readers never block under a write storm ----------

@@ -1,15 +1,19 @@
 //! Concurrency integration tests over the full engine (§5): parallel
-//! loaders, reader/writer isolation at document granularity, disjoint
-//! subtree writers, and snapshot readers over MVCC under write pressure.
+//! loaders, reader/writer isolation at document granularity, writers of
+//! one document serialized on its X lock, and snapshot readers over MVCC
+//! under write pressure.
 
 use rx_bench::run_plan;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use system_rx::engine::db::{ColValue, ColumnKind, Database};
 use system_rx::engine::mvcc::{pack_for_mvcc, MvccXmlStore};
-use system_rx::engine::{access, conc, update, Output, Session};
+use system_rx::engine::validx::IndexKeyGen;
+use system_rx::engine::{access, conc, update, BaseTable, DocId, Output, Session};
 use system_rx::gen::{order_doc, product_doc, CatalogSpec};
-use system_rx::storage::{BufferPool, MemBackend, TableSpace};
+use system_rx::storage::{BufferPool, MemBackend, TableSpace, Txn};
+use system_rx::xml::value::KeyType;
 use system_rx::xml::{NameDict, NodeId};
 use system_rx::xpath::XPathParser;
 
@@ -78,43 +82,134 @@ fn document_lock_serializes_reader_and_writer() {
     r.commit().unwrap();
 }
 
-#[test]
-fn disjoint_subtree_writers_produce_all_updates() {
-    let db = Database::create_in_memory().unwrap();
+/// The text node of item `i`'s `<Qty>` in an `order_doc`: Order(02) /
+/// Item(06 + 2i) — @id is 02 and Customer 04 — / Qty(04) / text(02).
+fn qty_text(i: usize) -> NodeId {
+    NodeId::from_bytes(&[0x02, 0x06 + 2 * i as u8, 0x04, 0x02]).unwrap()
+}
+
+/// A table `o` holding one `order_doc(1, items)`, with a Double value index
+/// on `/Order/Item/Qty`. Returns the table and the document.
+fn order_with_qty_index(db: &Database, items: usize) -> (Arc<BaseTable>, DocId) {
     let t = db.create_table("o", &[("doc", ColumnKind::Xml)]).unwrap();
-    let items = 16usize;
+    db.create_value_index("o", "qty", "doc", "/Order/Item/Qty", KeyType::Double)
+        .unwrap();
     let doc = db
         .insert_row(&t, &[ColValue::Xml(order_doc(1, items))])
         .unwrap();
-    let table_id = t.def.id;
-    let col = t.xml_column("doc").unwrap();
+    (t, doc)
+}
 
-    // Item i's node id: Order(02) / child (06 + 2i) — @id:02, Customer:04.
-    let item_node =
-        |i: usize| -> NodeId { NodeId::from_bytes(&[0x02, 0x06 + 2 * i as u8]).unwrap() };
+/// Set item `i`'s quantity through the index-maintaining update path.
+fn set_qty(db: &Database, txn: &Txn, t: &Arc<BaseTable>, doc: DocId, i: usize, qty: &str) {
+    db.update_document_txn(txn, t, "doc", doc, |txn, xml| {
+        update::replace_value(txn, xml, doc, &qty_text(i), qty)
+    })
+    .unwrap();
+}
+
+/// Every `(keyval, node)` entry of the column's one value index.
+fn qty_entries(t: &Arc<BaseTable>) -> Vec<(Vec<u8>, NodeId)> {
+    let col = t.xml_column("doc").unwrap();
+    let mut out: Vec<_> = col.indexes()[0]
+        .range(None, None)
+        .unwrap()
+        .into_iter()
+        .map(|e| (e.keyval, e.node))
+        .collect();
+    out.sort();
+    out
+}
+
+/// A packed record holds nodes of many items, and rollback puts back a
+/// whole record's before-image, so two writers of different items of one
+/// document must not overlap: T2's update of item 1 waits for T1, which
+/// updated item 0, and T1's rollback then cannot take T2's committed value
+/// with it. The main thread waits at most 500 ms to see T2 blocked, so
+/// writers that do not serialize fail the assertions instead of hanging.
+#[test]
+fn rollback_of_one_item_keeps_another_writers_commit() {
+    let db = Database::create_in_memory().unwrap();
+    let (t, doc) = order_with_qty_index(&db, 4);
+    let t1 = db.begin().unwrap();
+    set_qty(&db, &t1, &t, doc, 0, "11");
+    let waits = db.stats().lock_waits;
+    std::thread::scope(|s| {
+        let t2 = s.spawn(|| {
+            let txn = db.begin().unwrap();
+            set_qty(&db, &txn, &t, doc, 1, "22");
+            txn.commit().unwrap();
+        });
+        let deadline = Instant::now() + Duration::from_millis(500);
+        while db.stats().lock_waits == waits && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        t1.rollback().unwrap();
+        t2.join().unwrap();
+    });
+    let xml = db.serialize_document(&t, "doc", doc).unwrap();
+    assert!(xml.contains("<Qty>22</Qty>"), "T2's commit was lost: {xml}");
+    assert!(!xml.contains("<Qty>11</Qty>"), "T1's rollback kept: {xml}");
+    let entries = qty_entries(&t);
+    let col = t.xml_column("doc").unwrap();
+    let k22 = col.indexes()[0].def.keys.keyvals("22").remove(0);
+    assert_eq!(entries.len(), 4, "one entry per Qty: {entries:?}");
+    assert_eq!(entries.iter().filter(|(k, _)| *k == k22).count(), 1);
+}
+
+/// Four writers update 16 items of one document, each item in its own
+/// transaction, and roll back every other update. The writers serialize on
+/// the document's X lock; afterwards exactly the committed items read 99,
+/// and the value index equals a fresh derivation over the final document.
+#[test]
+fn same_document_writers_with_rollbacks_keep_exactly_the_commits() {
+    let db = Database::create_in_memory().unwrap();
+    let items = 16usize;
+    let (t, doc) = order_with_qty_index(&db, items);
+    // Writer w updates items w, w + 4, w + 8, w + 12 and commits every
+    // other one, starting with the first.
+    let committed = |i: usize| (i / 4).is_multiple_of(2);
     std::thread::scope(|s| {
         for w in 0..4usize {
-            let db = &db;
-            let item_node = &item_node;
+            let (db, t) = (&db, &t);
             s.spawn(move || {
-                for i in (w..16).step_by(4) {
-                    let item = item_node(i);
+                for i in (w..items).step_by(4) {
                     let txn = db.begin().unwrap();
-                    conc::lock_subtree_exclusive(&txn, table_id, doc, &item).unwrap();
-                    let qty_text =
-                        NodeId::from_bytes(&[item.as_bytes(), &[0x04, 0x02]].concat()).unwrap();
-                    update::replace_value(&txn, col.xml_table(), doc, &qty_text, "99").unwrap();
-                    txn.commit().unwrap();
+                    set_qty(db, &txn, t, doc, i, "99");
+                    if committed(i) {
+                        txn.commit().unwrap();
+                    } else {
+                        txn.rollback().unwrap();
+                    }
                 }
             });
         }
     });
     let xml = db.serialize_document(&t, "doc", doc).unwrap();
-    assert_eq!(
-        xml.matches("<Qty>99</Qty>").count(),
-        items,
-        "every item updated exactly once: {xml}"
-    );
+    for i in 0..items {
+        // order_doc's own quantities are 1..=9, never 99.
+        let qty = if committed(i) { 99 } else { (i % 9) + 1 };
+        let item = format!("<Sku>sku-{i}</Sku><Qty>{qty}</Qty>");
+        assert!(xml.contains(&item), "item {i} should read {qty}: {xml}");
+    }
+    let col = t.xml_column("doc").unwrap();
+    let vi = &col.indexes()[0];
+    let derived = IndexKeyGen::new([&vi.tree], db.dict())
+        .derive(col.xml_table(), doc)
+        .unwrap();
+    let mut want: Vec<(Vec<u8>, NodeId)> = derived[0]
+        .iter()
+        .flat_map(|item| {
+            let node = item.node.clone().unwrap();
+            vi.def
+                .keys
+                .keyvals(&item.value)
+                .into_iter()
+                .map(move |k| (k, node.clone()))
+        })
+        .collect();
+    want.sort();
+    assert_eq!(qty_entries(&t), want);
 }
 
 #[test]
@@ -201,7 +296,6 @@ fn deadlock_victim_lets_other_proceed() {
 #[test]
 fn locked_reader_never_sees_partial_insert_via_index() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use system_rx::xml::value::KeyType;
 
     let db = Database::create_in_memory().unwrap();
     let t = db.create_table("p", &[("doc", ColumnKind::Xml)]).unwrap();
@@ -296,8 +390,6 @@ fn locked_scan_without_indexes() {
 fn sql_and_xquery_never_return_an_uncommitted_insert() {
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
-    use std::time::Duration;
-    use system_rx::xml::value::KeyType;
 
     let db = Database::create_in_memory().unwrap();
     let session = Session::new(Arc::clone(&db));

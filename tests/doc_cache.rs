@@ -32,13 +32,10 @@ fn query(db: &Database, t: &Arc<BaseTable>, path: &Path, prefer_nodeid: bool) ->
     hits
 }
 
-/// NodeIds of the fixed `<r><v>N</v><tag>tI</tag></r>` shape.
-fn v_element() -> NodeId {
-    NodeId::root().child(&RelId::first()).child(&RelId::first())
-}
-
+/// The NodeId of `N` in the fixed `<r><v>N</v><tag>tI</tag></r>` shape.
 fn v_text() -> NodeId {
-    v_element().child(&RelId::first())
+    let first = RelId::first();
+    NodeId::root().child(&first).child(&first).child(&first)
 }
 
 fn load_docs(db: &Arc<Database>, n: usize) -> Arc<BaseTable> {
@@ -60,7 +57,7 @@ fn load_docs(db: &Arc<Database>, n: usize) -> Arc<BaseTable> {
 
 fn replace_v(db: &Arc<Database>, t: &Arc<BaseTable>, doc: DocId, value: &str, commit: bool) {
     let txn = db.begin().unwrap();
-    db.update_document_txn(&txn, t, "doc", doc, &v_element(), |txn, xml| {
+    db.update_document_txn(&txn, t, "doc", doc, |txn, xml| {
         update::replace_value(txn, xml, doc, &v_text(), value)
     })
     .unwrap();
@@ -196,7 +193,7 @@ fn rollback_leaves_no_stale_entry() {
     // An uncommitted update: the writer reads its own dirty value through
     // the same read path, which must keep it OUT of the cache.
     let txn = db.begin().unwrap();
-    db.update_document_txn(&txn, &t, "doc", 1, &v_element(), |txn, xml| {
+    db.update_document_txn(&txn, &t, "doc", 1, |txn, xml| {
         update::replace_value(txn, xml, 1, &v_text(), "zzz")
     })
     .unwrap();
@@ -247,7 +244,7 @@ fn unlocked_traversals_publish_nothing() {
 
     // A writer's read of its own dirty document publishes nothing either.
     let txn = db.begin().unwrap();
-    db.update_document_txn(&txn, &t, "doc", 1, &v_element(), |txn, xml| {
+    db.update_document_txn(&txn, &t, "doc", 1, |txn, xml| {
         update::replace_value(txn, xml, 1, &v_text(), "7")
     })
     .unwrap();

@@ -369,7 +369,7 @@ fn sub_document_update_maintains_value_indexes() {
     // Update the price through the maintained path.
     let price_text = NodeId::from_bytes(&[0x02, 0x02, 0x02]).unwrap();
     let txn = db.begin().unwrap();
-    db.update_document_txn(&txn, &t, "doc", 1, &price_text, |txn, xml| {
+    db.update_document_txn(&txn, &t, "doc", 1, |txn, xml| {
         update::replace_value(txn, xml, 1, &price_text, "200")
     })
     .unwrap();
@@ -384,7 +384,7 @@ fn sub_document_update_maintains_value_indexes() {
     assert!(ftis[0].search_all_terms("old words").unwrap().len() == 1);
     let desc = NodeId::from_bytes(&[0x02, 0x04]).unwrap();
     let txn = db.begin().unwrap();
-    db.update_document_txn(&txn, &t, "doc", 1, &desc, |txn, xml| {
+    db.update_document_txn(&txn, &t, "doc", 1, |txn, xml| {
         let stats = update::delete_node(txn, xml, 1, &desc)?;
         update::insert_fragment(
             txn,

@@ -127,10 +127,8 @@ fn edit(
         return;
     };
     let txn = db.begin().unwrap();
-    db.update_document_txn(&txn, t, "doc", doc, &node, |txn, xml| {
-        mutate(txn, xml, doc, &node)
-    })
-    .unwrap();
+    db.update_document_txn(&txn, t, "doc", doc, |txn, xml| mutate(txn, xml, doc, &node))
+        .unwrap();
     txn.commit().unwrap();
 }
 

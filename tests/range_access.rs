@@ -509,7 +509,7 @@ fn reader_beside_writer(commit: bool) -> (Vec<QueryHit>, AccessStats) {
     .map(|h| h.node.unwrap())
     .collect();
     let set_price = |txn: &Txn, node: &NodeId, value: &str| {
-        db.update_document_txn(txn, &t, "doc", 1, node, |txn, xml| {
+        db.update_document_txn(txn, &t, "doc", 1, |txn, xml| {
             update::replace_value(txn, xml, 1, node, value)
         })
         .unwrap();
