@@ -738,6 +738,7 @@ fn e5d_stored_scan() {
         .unwrap();
     let tree = QueryTree::compile(&path).unwrap();
     let mut rows = Vec::new();
+    let mut split = Vec::new();
     for (shape, target) in [
         ("one record per doc", rx_engine::pack::DEFAULT_TARGET_RECORD),
         ("multi-record (target 128 B)", 128),
@@ -773,6 +774,9 @@ fn e5d_stored_scan() {
             }
             hits
         };
+        if target == rx_engine::pack::DEFAULT_TARGET_RECORD {
+            split = e5d_split(col, &tree, dict, &docs);
+        }
         let mut full = (0u64, 0u64);
         let before_hits = fresh_pass(&mut full);
         let mut lane_stats = access::AccessStats::default();
@@ -823,7 +827,214 @@ fn e5d_stored_scan() {
         ],
         &rows,
     );
+    print_table(
+        "E5d: one lane's time per document by layer (one record per doc, µs)",
+        &[
+            "events/doc",
+            "lane",
+            "fetch + header",
+            "decode",
+            "scan",
+            "other",
+        ],
+        &[split],
+    );
     e5d_root_location(&tree);
+}
+
+/// E5d, per-document split: where one lane's time per document goes, layer
+/// by layer, over documents stored one record each. Each layer is timed on
+/// its own over the same documents:
+///
+/// * fetch and header: the §3.4 root probe, the heap fetch and the record
+///   header parse;
+/// * decode: the traversal of what the lane's scanner reads (the same
+///   subtrees skipped) into a sink that does nothing, minus fetch and
+///   header;
+/// * scan: QuickXScan alone, replaying the events the lane's scanner saw
+///   and asked its skip question at the same points;
+/// * other: the rest of the lane (dispatch between the layers, hit output).
+fn e5d_split(
+    col: &rx_engine::db::XmlColumn,
+    tree: &QueryTree,
+    dict: &NameDict,
+    docs: &[u64],
+) -> Vec<String> {
+    use rx_engine::traverse::IdEventSink;
+    use rx_xml::event::Event;
+    use rx_xpath::QuickXScan;
+    use std::cell::RefCell;
+    use std::ops::Range;
+
+    /// One captured step of a lane's scan: an event whose ID and string
+    /// payload are spans of the capture's buffers, or the skip question
+    /// with the scanner's answer.
+    enum Step {
+        Event(Range<usize>, Event<'static>, Range<usize>),
+        Ask(bool),
+    }
+    /// Records what a lane's scanner sees and how it answers the skip
+    /// question.
+    struct Capture<'a, 'q, 'd> {
+        scan: &'a mut QuickXScan<'q, 'd>,
+        ids: Vec<u8>,
+        text: String,
+        steps: RefCell<Vec<Step>>,
+    }
+    impl IdEventSink for Capture<'_, '_, '_> {
+        fn id_event(&mut self, id: &[u8], ev: Event<'_>) -> rx_engine::Result<()> {
+            let at = self.ids.len();
+            self.ids.extend_from_slice(id);
+            let start = self.text.len();
+            let owned = match ev {
+                Event::Attribute { name, value, ann } => {
+                    self.text.push_str(value);
+                    Event::Attribute {
+                        name,
+                        value: "",
+                        ann,
+                    }
+                }
+                Event::Text { value, ann } => {
+                    self.text.push_str(value);
+                    Event::Text { value: "", ann }
+                }
+                Event::Comment { value } => {
+                    self.text.push_str(value);
+                    Event::Comment { value: "" }
+                }
+                Event::Pi { target, data } => {
+                    self.text.push_str(data);
+                    Event::Pi { target, data: "" }
+                }
+                Event::StartDocument => Event::StartDocument,
+                Event::EndDocument => Event::EndDocument,
+                Event::StartElement { name } => Event::StartElement { name },
+                Event::EndElement => Event::EndElement,
+                Event::NamespaceDecl { prefix, uri } => Event::NamespaceDecl { prefix, uri },
+            };
+            let step = Step::Event(at..self.ids.len(), owned, start..self.text.len());
+            self.steps.get_mut().push(step);
+            self.scan.id_event(id, ev)
+        }
+
+        fn wants_content(&self) -> bool {
+            let wants = self.scan.wants_content();
+            self.steps.borrow_mut().push(Step::Ask(wants));
+            wants
+        }
+    }
+    /// Answers the skip question as the lane's scanner did, and does
+    /// nothing else.
+    struct Replay<'a> {
+        answers: &'a [bool],
+        next: std::cell::Cell<usize>,
+    }
+    impl IdEventSink for Replay<'_> {
+        fn id_event(&mut self, _id: &[u8], _ev: Event<'_>) -> rx_engine::Result<()> {
+            Ok(())
+        }
+
+        fn wants_content(&self) -> bool {
+            let i = self.next.get();
+            self.next.set(i + 1);
+            self.answers[i]
+        }
+    }
+
+    let xml = col.xml_table();
+    let n = docs.len() as f64;
+    let mut scan = QuickXScan::new(tree, dict);
+    let mut cap = Capture {
+        scan: &mut scan,
+        ids: Vec::new(),
+        text: String::new(),
+        steps: RefCell::new(Vec::new()),
+    };
+    let mut tr = Traverser::new(xml, docs[0]);
+    let mut records = 0u64;
+    for &d in docs {
+        tr.rebind(d);
+        tr.run(&mut cap).unwrap();
+        records += tr.stats.records_fetched;
+        cap.scan.reset();
+    }
+    assert_eq!(records, docs.len() as u64, "one record per document");
+    let (ids, text) = (cap.ids, cap.text);
+    let steps = cap.steps.into_inner();
+    let answers: Vec<bool> = steps
+        .iter()
+        .filter_map(|s| match s {
+            Step::Ask(wants) => Some(*wants),
+            Step::Event(..) => None,
+        })
+        .collect();
+    let events = steps.len() - answers.len();
+
+    let total = median_time(9, || {
+        let mut lane = access::DocScanner::new(col, tree, dict, false);
+        let mut hits = Vec::new();
+        let mut stats = access::AccessStats::default();
+        for &d in docs {
+            lane.evaluate(d, &mut stats, &mut hits).unwrap();
+        }
+        std::hint::black_box(hits);
+    });
+    let fetch = median_time(9, || {
+        for &d in docs {
+            let root = xml.locate(d, &[]).unwrap().unwrap();
+            std::hint::black_box(xml.read(root.rid).unwrap());
+        }
+    });
+    let traverse = median_time(9, || {
+        let mut tr = Traverser::new(xml, docs[0]);
+        let mut sink = Replay {
+            answers: &answers,
+            next: Default::default(),
+        };
+        for &d in docs {
+            tr.rebind(d);
+            tr.run(&mut sink).unwrap();
+        }
+        assert_eq!(sink.next.get(), answers.len());
+    });
+    let scan_only = median_time(9, || {
+        let mut scan = QuickXScan::new(tree, dict);
+        let mut hits = Vec::new();
+        for step in &steps {
+            let Step::Event(id, ev, span) = step else {
+                std::hint::black_box(scan.wants_content());
+                continue;
+            };
+            let value = &text[span.clone()];
+            let ev = match *ev {
+                Event::Attribute { name, ann, .. } => Event::Attribute { name, value, ann },
+                Event::Text { ann, .. } => Event::Text { value, ann },
+                Event::Comment { .. } => Event::Comment { value },
+                Event::Pi { target, .. } => Event::Pi {
+                    target,
+                    data: value,
+                },
+                other => other,
+            };
+            scan.id_event(&ids[id.clone()], ev).unwrap();
+            if matches!(ev, Event::EndDocument) {
+                scan.finish_into(&mut hits).unwrap();
+            }
+        }
+        std::hint::black_box(hits);
+    });
+    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6 / n;
+    let decode = us(traverse) - us(fetch);
+    let other = us(total) - us(traverse) - us(scan_only);
+    vec![
+        format!("{:.1}", events as f64 / n),
+        format!("{:.2}", us(total)),
+        format!("{:.2}", us(fetch)),
+        format!("{decode:.2}"),
+        format!("{:.2}", us(scan_only)),
+        format!("{other:.2}"),
+    ]
 }
 
 /// E5d, second arm: how a lane finds its candidates' root records. The

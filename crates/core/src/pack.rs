@@ -33,7 +33,7 @@
 //!   by the same code as inserted ones (DESIGN.md §16).
 
 use crate::error::{EngineError, Result};
-use rx_storage::codec::{Dec, Enc};
+use rx_storage::codec::Enc;
 use rx_xml::event::{Event, EventSink};
 use rx_xml::name::{QNameId, StrId};
 use rx_xml::nodeid::{NodeId, RelId};
@@ -668,36 +668,192 @@ pub struct RecordHeader {
 
 /// Parse a record's header.
 pub fn read_header(bytes: &[u8]) -> Result<RecordHeader> {
-    let mut d = Dec::new(bytes);
-    let ctx = d
-        .bytes()
-        .map_err(|e| EngineError::Record(e.to_string()))?
-        .to_vec();
-    let context = NodeId::from_bytes_unchecked(ctx);
-    let plen = d.varint().map_err(dec_err)? as usize;
+    let mut c = Cursor::new(bytes, 0);
+    let context = NodeId::from_bytes_unchecked(c.bytes()?.to_vec());
+    // Every entry takes at least one byte, so no count can ask for more
+    // room than the record has left.
+    let plen = c.count()?;
     let mut path = Vec::with_capacity(plen);
     for _ in 0..plen {
-        path.push(d.varint().map_err(dec_err)? as QNameId);
+        path.push(c.varint()? as QNameId);
     }
-    let nslen = d.varint().map_err(dec_err)? as usize;
+    let nslen = c.count()?;
     let mut namespaces = Vec::with_capacity(nslen);
     for _ in 0..nslen {
-        let p = d.varint().map_err(dec_err)? as StrId;
-        let u = d.varint().map_err(dec_err)? as StrId;
+        let p = c.varint()? as StrId;
+        let u = c.varint()? as StrId;
         namespaces.push((p, u));
     }
-    let subtree_count = d.varint().map_err(dec_err)?;
+    let subtree_count = c.varint()?;
     Ok(RecordHeader {
         context,
         path,
         namespaces,
         subtree_count,
-        body_offset: d.pos(),
+        body_offset: c.pos,
     })
 }
 
-fn dec_err(e: rx_storage::StorageError) -> EngineError {
-    EngineError::Record(e.to_string())
+/// The one checked cursor the record reader decodes with: every read is
+/// bounds-checked, a one-byte varint takes a single branch, and errors are
+/// built only on the cold path.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8], pos: usize) -> Self {
+        Cursor { buf, pos }
+    }
+
+    #[inline]
+    fn u8(&mut self) -> Result<u8> {
+        let b = *self.buf.get(self.pos).ok_or_else(truncated)?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// An LEB128 varint (the encoding of [`Enc::varint`]).
+    #[inline]
+    fn varint(&mut self) -> Result<u64> {
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.varint_long(),
+        }
+    }
+
+    #[cold]
+    fn varint_long(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+            if shift >= 64 {
+                return Err(corrupt("varint overflow"));
+            }
+        }
+    }
+
+    /// A varint count of entries that each take at least one byte: larger
+    /// than what is left of the record means the record is corrupt.
+    fn count(&mut self) -> Result<usize> {
+        let n = self.varint()?;
+        match usize::try_from(n) {
+            Ok(n) if n <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(truncated()),
+        }
+    }
+
+    /// `n` raw bytes.
+    #[inline]
+    fn take(&mut self, n: u64) -> Result<&'a [u8]> {
+        let rest = &self.buf[self.pos..];
+        match usize::try_from(n) {
+            Ok(n) if n <= rest.len() => {
+                self.pos += n;
+                Ok(&rest[..n])
+            }
+            _ => Err(truncated()),
+        }
+    }
+
+    /// Varint-length-prefixed bytes.
+    #[inline]
+    fn bytes(&mut self) -> Result<&'a [u8]> {
+        let n = self.varint()?;
+        self.take(n)
+    }
+
+    /// A relative node ID, checked against [`RelId::validate`]'s rules:
+    /// non-empty, interior bytes odd, last byte even and not 0x00.
+    #[inline]
+    fn rel(&mut self) -> Result<&'a [u8]> {
+        let b = self.bytes()?;
+        match b.split_last() {
+            Some((&last, init))
+                if last != 0 && last % 2 == 0 && init.iter().all(|x| x % 2 == 1) =>
+            {
+                Ok(b)
+            }
+            _ => Err(bad_rel(b)),
+        }
+    }
+
+    /// A varint-length-prefixed UTF-8 string.
+    #[inline]
+    fn str(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| corrupt("invalid UTF-8 in record"))
+    }
+
+    #[inline]
+    fn ann(&mut self) -> Result<TypeAnn> {
+        let b = self.u8()?;
+        TypeAnn::from_u8(b).map_err(|e| EngineError::Record(e.to_string()))
+    }
+}
+
+#[cold]
+fn corrupt(what: &str) -> EngineError {
+    EngineError::Record(what.into())
+}
+
+#[cold]
+fn truncated() -> EngineError {
+    corrupt("record truncated: decode past its end")
+}
+
+#[cold]
+fn bad_rel(b: &[u8]) -> EngineError {
+    match RelId::validate(b) {
+        Err(e) => EngineError::Record(e.to_string()),
+        Ok(()) => corrupt("malformed relative node ID"),
+    }
+}
+
+/// An element's namespace declarations, left undecoded in the record: the
+/// reader has checked that they are `count` well-formed `(prefix, uri)`
+/// varint pairs, and [`NsDecls::iter`] decodes them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct NsDecls<'a> {
+    raw: &'a [u8],
+    count: usize,
+}
+
+impl<'a> NsDecls<'a> {
+    /// Number of declarations.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True when the element declares no namespace.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The `(prefix, uri)` pairs, in declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = (StrId, StrId)> + 'a {
+        let mut c = Cursor::new(self.raw, 0);
+        (0..self.count).map_while(move |_| {
+            let p = c.varint().ok()? as StrId;
+            let u = c.varint().ok()? as StrId;
+            Some((p, u))
+        })
+    }
+}
+
+impl std::fmt::Debug for NsDecls<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// A decoded view of one node within a record.
@@ -711,7 +867,7 @@ pub enum NodeView<'a> {
         /// Name.
         name: QNameId,
         /// Namespace declarations on this element.
-        nsdecls: Vec<(StrId, StrId)>,
+        nsdecls: NsDecls<'a>,
         /// Number of child entries (inline nodes + proxies).
         entries: u64,
         /// Raw encoded children.
@@ -791,48 +947,40 @@ impl<'a> NodeView<'a> {
 /// Decode one node starting at `pos`; returns the view and the offset just
 /// past the node (for elements: past the whole subtree — the "subtree
 /// length" skip of §3.1).
-pub fn read_node<'a>(bytes: &'a [u8], pos: usize) -> Result<(NodeView<'a>, usize)> {
-    let mut d = Dec::new(&bytes[pos..]);
-    let k = d.u8().map_err(dec_err)?;
-    let rel_of = |d: &mut Dec<'a>| -> Result<&'a [u8]> {
-        let b = d.bytes().map_err(dec_err)?;
-        RelId::validate(b).map_err(|e| EngineError::Record(e.to_string()))?;
-        Ok(b)
-    };
-    let view = match k {
+pub fn read_node(bytes: &[u8], pos: usize) -> Result<(NodeView<'_>, usize)> {
+    let mut c = Cursor::new(bytes, pos);
+    let view = match c.u8()? {
         kind::ELEMENT => {
-            let rel = rel_of(&mut d)?;
-            let name = d.varint().map_err(dec_err)? as QNameId;
-            let nslen = d.varint().map_err(dec_err)? as usize;
-            let mut nsdecls = Vec::with_capacity(nslen);
-            for _ in 0..nslen {
-                let p = d.varint().map_err(dec_err)? as StrId;
-                let u = d.varint().map_err(dec_err)? as StrId;
-                nsdecls.push((p, u));
+            let rel = c.rel()?;
+            let name = c.varint()? as QNameId;
+            let count = c.count()?;
+            let ns_start = c.pos;
+            for _ in 0..count {
+                c.varint()?;
+                c.varint()?;
             }
-            let entries = d.varint().map_err(dec_err)?;
-            let content_len = d.varint().map_err(dec_err)? as usize;
-            let content_start = pos + d.pos();
-            let content = bytes
-                .get(content_start..content_start + content_len)
-                .ok_or_else(|| EngineError::Record("element content truncated".into()))?;
-            return Ok((
-                NodeView::Element {
-                    rel,
-                    name,
-                    nsdecls,
-                    entries,
-                    content,
-                },
-                content_start + content_len,
-            ));
+            let nsdecls = NsDecls {
+                raw: &bytes[ns_start..c.pos],
+                count,
+            };
+            let entries = c.varint()?;
+            let content_len = c.varint()?;
+            let content = c
+                .take(content_len)
+                .map_err(|_| corrupt("element content truncated"))?;
+            NodeView::Element {
+                rel,
+                name,
+                nsdecls,
+                entries,
+                content,
+            }
         }
         kind::ATTRIBUTE => {
-            let rel = rel_of(&mut d)?;
-            let name = d.varint().map_err(dec_err)? as QNameId;
-            let ann = TypeAnn::from_u8(d.u8().map_err(dec_err)?)
-                .map_err(|e| EngineError::Record(e.to_string()))?;
-            let value = str_of(d.bytes().map_err(dec_err)?)?;
+            let rel = c.rel()?;
+            let name = c.varint()? as QNameId;
+            let ann = c.ann()?;
+            let value = c.str()?;
             NodeView::Attribute {
                 rel,
                 name,
@@ -841,40 +989,36 @@ pub fn read_node<'a>(bytes: &'a [u8], pos: usize) -> Result<(NodeView<'a>, usize
             }
         }
         kind::TEXT => {
-            let rel = rel_of(&mut d)?;
-            let ann = TypeAnn::from_u8(d.u8().map_err(dec_err)?)
-                .map_err(|e| EngineError::Record(e.to_string()))?;
-            let value = str_of(d.bytes().map_err(dec_err)?)?;
+            let rel = c.rel()?;
+            let ann = c.ann()?;
+            let value = c.str()?;
             NodeView::Text { rel, ann, value }
         }
         kind::COMMENT => {
-            let rel = rel_of(&mut d)?;
-            let value = str_of(d.bytes().map_err(dec_err)?)?;
+            let rel = c.rel()?;
+            let value = c.str()?;
             NodeView::Comment { rel, value }
         }
         kind::PI => {
-            let rel = rel_of(&mut d)?;
-            let target = d.varint().map_err(dec_err)? as QNameId;
-            let value = str_of(d.bytes().map_err(dec_err)?)?;
+            let rel = c.rel()?;
+            let target = c.varint()? as QNameId;
+            let value = c.str()?;
             NodeView::Pi { rel, target, value }
         }
         kind::PROXY => {
-            let first = rel_of(&mut d)?;
-            let last = rel_of(&mut d)?;
-            let count = d.varint().map_err(dec_err)?;
+            let first = c.rel()?;
+            let last = c.rel()?;
+            let count = c.varint()?;
             NodeView::Proxy { first, last, count }
         }
-        other => {
-            return Err(EngineError::Record(format!(
-                "unknown node kind byte {other}"
-            )))
-        }
+        other => return Err(unknown_kind(other)),
     };
-    Ok((view, pos + d.pos()))
+    Ok((view, c.pos))
 }
 
-fn str_of(b: &[u8]) -> Result<&str> {
-    std::str::from_utf8(b).map_err(|_| EngineError::Record("invalid UTF-8 in record".into()))
+#[cold]
+fn unknown_kind(k: u8) -> EngineError {
+    EngineError::Record(format!("unknown node kind byte {k}"))
 }
 
 /// Iterate the sibling entries of a node region (a record body or an
@@ -1238,5 +1382,174 @@ mod tests {
         assert!(dict.matches_local(hdr.path[0], "a"));
         assert_eq!(hdr.namespaces.len(), 1);
         assert_eq!(dict.str(hdr.namespaces[0].1).as_ref(), "urn:p");
+    }
+
+    // -----------------------------------------------------------------
+    // Corrupt records fail cleanly
+    // -----------------------------------------------------------------
+
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Every node, in packing order: `(absolute ID, what the node is)`.
+    type Nodes = Vec<(Vec<u8>, String)>;
+
+    /// Records each node the packer assigns an ID to.
+    struct Log(Rc<RefCell<Nodes>>);
+
+    impl NodeObserver for Log {
+        fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()> {
+            let what = match *ev {
+                Event::StartElement { name } => format!("E{name}"),
+                Event::Attribute { name, value, ann } => format!("A{name} {ann:?} {value}"),
+                Event::Text { value, ann } => format!("T {ann:?} {value}"),
+                Event::Comment { value } => format!("C {value}"),
+                Event::Pi { target, data } => format!("P{target} {data}"),
+                _ => return Ok(()),
+            };
+            self.0.borrow_mut().push((id.to_vec(), what));
+            Ok(())
+        }
+    }
+
+    /// Forwards parser events to the packer, adding each namespace
+    /// declaration to its element's entry in the log.
+    struct Tee<'p, 's, 'o>(&'p mut Packer<'s, 'o>, Rc<RefCell<Nodes>>);
+
+    impl EventSink for Tee<'_, '_, '_> {
+        fn event(&mut self, ev: Event<'_>) -> rx_xml::Result<()> {
+            if let Event::NamespaceDecl { prefix, uri } = ev {
+                let mut log = self.1.borrow_mut();
+                let element = log.iter_mut().rev().find(|(_, w)| w.starts_with('E'));
+                element.expect("a declaration follows its element").1 +=
+                    &format!(" ns{prefix}={uri}");
+            }
+            self.0.event(ev)
+        }
+    }
+
+    /// Read a whole record as the engine's readers do: the header, then
+    /// every entry, descending into every element's content and reading its
+    /// namespace declarations. Non-proxy nodes are appended to `out`.
+    fn read_record(bytes: &[u8], out: &mut Nodes) -> Result<()> {
+        fn walk(region: &[u8], ctx: &[u8], out: &mut Nodes) -> Result<()> {
+            for entry in read_nodes(region) {
+                let entry = entry?;
+                let mut id = ctx.to_vec();
+                id.extend_from_slice(entry.rel());
+                let what = match entry {
+                    NodeView::Element {
+                        name,
+                        nsdecls,
+                        content,
+                        ..
+                    } => {
+                        let mut what = format!("E{name}");
+                        for (p, u) in nsdecls.iter() {
+                            what += &format!(" ns{p}={u}");
+                        }
+                        out.push((id.clone(), what));
+                        walk(content, &id, out)?;
+                        continue;
+                    }
+                    NodeView::Attribute {
+                        name, ann, value, ..
+                    } => format!("A{name} {ann:?} {value}"),
+                    NodeView::Text { ann, value, .. } => format!("T {ann:?} {value}"),
+                    NodeView::Comment { value, .. } => format!("C {value}"),
+                    NodeView::Pi { target, value, .. } => format!("P{target} {value}"),
+                    NodeView::Proxy { .. } => continue,
+                };
+                out.push((id, what));
+            }
+            Ok(())
+        }
+        let header = read_header(bytes)?;
+        walk(&bytes[header.body_offset..], header.context.as_bytes(), out)
+    }
+
+    /// A document with attributes, namespace declarations, prefixed names,
+    /// comments, processing instructions and enough text to spill into
+    /// range proxies at small targets.
+    fn arb_doc() -> impl Strategy<Value = String> {
+        fn node(depth: u32) -> BoxedStrategy<String> {
+            let leaf = prop_oneof![
+                3 => "[a-z ]{1,40}",
+                1 => "[a-z]{0,8}".prop_map(|c| format!("<!--{c}-->")),
+                1 => "[a-z]{0,8}".prop_map(|d| format!("<?pi {d}?>")),
+            ];
+            if depth == 0 {
+                return leaf.boxed();
+            }
+            let name = prop_oneof![Just("a"), Just("b"), Just("p:c"), Just("q:d")];
+            let attr =
+                proptest::option::of((prop_oneof![Just("k"), Just("p:k")], "[a-z0-9]{0,10}"));
+            let elem = (
+                name,
+                attr,
+                proptest::option::of(Just(" xmlns:q=\"urn:q\"")),
+                prop::collection::vec(node(depth - 1), 0..6),
+            )
+                .prop_map(|(n, attr, ns, kids)| {
+                    // `q:` names get their declaration on the element.
+                    let ns = if n.starts_with("q:") {
+                        Some(" xmlns:q=\"urn:q\"")
+                    } else {
+                        ns
+                    };
+                    let attr = attr.map_or(String::new(), |(k, v)| format!(" {k}=\"{v}\""));
+                    format!("<{n}{}{attr}>{}</{n}>", ns.unwrap_or(""), kids.concat())
+                });
+            prop_oneof![1 => leaf, 3 => elem].boxed()
+        }
+        prop::collection::vec(node(3), 1..8)
+            .prop_map(|kids| format!("<r xmlns:p=\"urn:p\">{}</r>", kids.concat()))
+    }
+
+    proptest! {
+        // Every case decodes each record once per prefix and 255 times per
+        // byte: few cases in debug builds, more in release.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 48 }))]
+
+        #[test]
+        fn corrupt_records_fail_cleanly(doc in arb_doc(), target in 128usize..600) {
+            let dict = NameDict::new();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut records: Vec<PackedRecord> = Vec::new();
+            let mut obs = Log(Rc::clone(&log));
+            let mut packer = Packer::with_target(target, &mut records, &mut obs);
+            Parser::new(&dict).parse(&doc, &mut Tee(&mut packer, Rc::clone(&log))).unwrap();
+            packer.finish().unwrap();
+            // Unmodified records hold exactly the packed nodes.
+            let mut decoded = Vec::new();
+            for rec in &records {
+                read_record(&rec.bytes, &mut decoded).unwrap();
+            }
+            decoded.sort();
+            let mut packed = log.borrow().clone();
+            packed.sort();
+            prop_assert_eq!(decoded, packed, "doc {} at target {}", doc, target);
+            // Every truncation and every single-byte change reads as `Ok`
+            // or a record error.
+            let clean = |bytes: &[u8]| match read_record(bytes, &mut Vec::new()) {
+                Ok(()) | Err(EngineError::Record(_)) => Ok(()),
+                Err(e) => Err(TestCaseError::fail(format!("{e:?} for {bytes:02x?}"))),
+            };
+            for rec in &records {
+                let bytes = &rec.bytes;
+                for len in 0..bytes.len() {
+                    clean(&bytes[..len])?;
+                }
+                let mut changed = bytes.clone();
+                for at in 0..bytes.len() {
+                    for delta in 1..=255u8 {
+                        changed[at] = bytes[at].wrapping_add(delta);
+                        clean(&changed)?;
+                    }
+                    changed[at] = bytes[at];
+                }
+            }
+        }
     }
 }

@@ -386,7 +386,7 @@ impl<'x> Traverser<'x> {
                 ..
             } => {
                 sink.id_event(&self.id, Event::StartElement { name: *name })?;
-                for &(prefix, uri) in nsdecls {
+                for (prefix, uri) in nsdecls.iter() {
                     sink.id_event(&self.id, Event::NamespaceDecl { prefix, uri })?;
                 }
                 if sink.wants_content() {

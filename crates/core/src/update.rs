@@ -243,7 +243,7 @@ impl Replay<'_, '_, '_, '_> {
                 ..
             } => {
                 self.packer.handle(Event::StartElement { name })?;
-                for &(prefix, uri) in nsdecls {
+                for (prefix, uri) in nsdecls.iter() {
                     self.packer.handle(Event::NamespaceDecl { prefix, uri })?;
                 }
                 self.region(content)?;

@@ -16,7 +16,7 @@
 
 use crate::backend::StorageBackend;
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PageType, PAGE_SIZE};
+use crate::page::{Page, PageType};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -270,9 +270,7 @@ impl BufferPool {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // Read outside the shard lock.
         let backend = self.backend(pid.space)?;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        backend.read_page(pid.page, &mut buf)?;
-        let page = Page::from_bytes(&buf)?;
+        let page = Page::read_with(|buf| backend.read_page(pid.page, buf))?;
 
         let mut inner = self.lock_shard(shard);
         // Re-check: another thread may have loaded it while we read.
@@ -458,6 +456,7 @@ impl Drop for PageGuard {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::page::PAGE_SIZE;
 
     fn pool_with_space(cap: usize) -> Arc<BufferPool> {
         let pool = BufferPool::new(cap);
@@ -491,6 +490,26 @@ mod tests {
         assert_eq!(g.read().lsn(), 99);
         let (hits, misses, _, _) = pool.stats.snapshot();
         assert_eq!((hits, misses), (1, 1));
+    }
+
+    #[test]
+    fn a_miss_on_a_bad_page_image_fails_as_corrupt() {
+        let backend = Arc::new(MemBackend::new());
+        let pool = BufferPool::new(8);
+        pool.register_space(1, backend.clone());
+        // Every byte of the stored image, the page-type byte included, is
+        // 0xEE, which names no page type.
+        backend.write_page(3, &vec![0xEE; PAGE_SIZE]).unwrap();
+        assert!(matches!(
+            pool.fetch(PageId::new(1, 3)),
+            Err(StorageError::Corrupt(_))
+        ));
+        assert_eq!(pool.resident(), 0);
+        // A good image next to it still reads, in place, byte for byte.
+        let good = Page::new(PageType::Data);
+        backend.write_page(4, good.bytes()).unwrap();
+        let g = pool.fetch(PageId::new(1, 4)).unwrap();
+        assert_eq!(g.read().bytes(), good.bytes());
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //! subtrees, and rollback puts back a whole record's before-image, so the
 //! document is the smallest unit a writer can own (DESIGN.md §5).
 //!
-//! Deadlocks are detected eagerly with a waits-for graph; the requester whose
-//! wait would close a cycle is chosen as victim.
+//! Waiting requests queue per resource in arrival order. A new request that
+//! conflicts with one queued ahead of it waits behind it, unless its
+//! transaction already holds a grant on the resource (re-entry, upgrade), so
+//! a stream of readers cannot keep a waiting writer out.
+//!
+//! Deadlocks are detected eagerly with a waits-for graph, in which waiting
+//! behind a queued request counts as waiting for that request's
+//! transaction; the requester whose wait would close a cycle is chosen as
+//! victim.
 
 use crate::error::{Result, StorageError};
 use crate::idhash::IdBuildHasher;
@@ -148,7 +155,12 @@ const SPARE_GRANT_LISTS: usize = 4096;
 struct LmInner {
     /// resource -> the grants on it.
     resources: LockMap<LockName, Vec<Grant>>,
-    /// txn -> resources it currently waits for (for the waits-for graph).
+    /// resource -> the requests waiting for it, oldest first. Only
+    /// resources with waiters have an entry, so with nobody waiting the
+    /// map is empty. A transaction waits for one request at a time, so it
+    /// is queued at most once.
+    queues: LockMap<LockName, Vec<(TxnId, LockMode)>>,
+    /// txn -> the transactions it currently waits for (the waits-for graph).
     waits_for: LockMap<TxnId, Vec<TxnId>>,
     /// All resources held per txn, for bulk release.
     held: LockMap<TxnId, Vec<LockName>>,
@@ -179,9 +191,13 @@ impl LmInner {
 
     /// Grant `mode` on `name` to `txn` if that needs no wait: a covering
     /// lock it already holds is counted again, and a new or upgraded grant
-    /// is made when no other transaction's grant conflicts. Otherwise
-    /// returns the conflicting transactions. One lookup of the resource
-    /// serves the check and the grant.
+    /// is made when no other transaction's grant conflicts and, for a
+    /// transaction holding no grant on `name`, no request queued ahead of
+    /// its own (all of the queue for a request not queued yet) conflicts.
+    /// A granted request leaves the queue. Otherwise returns the
+    /// transactions it waits for. One lookup of the resource serves the
+    /// check and the grant; with nobody waiting anywhere, the queues cost
+    /// one emptiness check.
     fn try_grant(
         &mut self,
         txn: TxnId,
@@ -190,6 +206,7 @@ impl LmInner {
     ) -> std::result::Result<(), Vec<TxnId>> {
         let LmInner {
             resources,
+            queues,
             held,
             spare,
             ..
@@ -204,11 +221,27 @@ impl LmInner {
                 return Ok(());
             }
         }
-        let blockers: Vec<TxnId> = grants
+        let mut blockers: Vec<TxnId> = grants
             .iter()
             .filter(|g| g.txn != txn && !g.mode.compatible(mode))
             .map(|g| g.txn)
             .collect();
+        if !queues.is_empty() {
+            if let Entry::Occupied(mut queue) = queues.entry(name) {
+                let at = queue.get().iter().position(|&(t, _)| t == txn);
+                if own.is_none() {
+                    let ahead = &queue.get()[..at.unwrap_or(queue.get().len())];
+                    let queued = ahead.iter().filter(|(_, m)| !m.compatible(mode));
+                    blockers.extend(queued.map(|&(t, _)| t));
+                }
+                if let (Some(at), true) = (at, blockers.is_empty()) {
+                    queue.get_mut().remove(at);
+                    if queue.get().is_empty() {
+                        queue.remove();
+                    }
+                }
+            }
+        }
         if !blockers.is_empty() {
             return Err(blockers);
         }
@@ -229,6 +262,31 @@ impl LmInner {
             }
         }
         Ok(())
+    }
+
+    /// Put `txn`'s request for `name` at the back of the resource's queue.
+    fn enqueue(&mut self, txn: TxnId, name: LockName, mode: LockMode) {
+        self.queues.entry(name).or_default().push((txn, mode));
+    }
+
+    /// Take `txn`'s request for `name` out of the queue without granting
+    /// it. A request refused only because of the queue left an empty grant
+    /// list behind, which goes too.
+    fn dequeue(&mut self, txn: TxnId, name: LockName) {
+        if let Entry::Occupied(mut queue) = self.queues.entry(name) {
+            queue.get_mut().retain(|&(t, _)| t != txn);
+            if queue.get().is_empty() {
+                queue.remove();
+            }
+        }
+        if let Entry::Occupied(grants) = self.resources.entry(name) {
+            if grants.get().is_empty() {
+                let list = grants.remove();
+                if self.spare.len() < SPARE_GRANT_LISTS {
+                    self.spare.push(list);
+                }
+            }
+        }
     }
 }
 
@@ -299,8 +357,9 @@ impl LockManager {
 
     /// The wait branch of [`LockManager::lock`], entered with the manager
     /// mutex held after an immediate grant was refused because of
-    /// `blockers`. The deadline is taken here, so a lock granted at once
-    /// never reads the clock.
+    /// `blockers`. The request joins the back of the resource's queue for
+    /// as long as it waits. The deadline is taken here, so a lock granted
+    /// at once never reads the clock.
     fn wait_for_grant(
         &self,
         mut inner: MutexGuard<'_, LmInner>,
@@ -310,10 +369,19 @@ impl LockManager {
         mut blockers: Vec<TxnId>,
     ) -> Result<()> {
         let deadline = Instant::now() + self.timeout;
+        inner.enqueue(txn, name, mode);
+        // A request that leaves the queue ungranted may unblock the ones
+        // behind it.
+        let give_up = |mut inner: MutexGuard<'_, LmInner>, err: StorageError| {
+            inner.dequeue(txn, name);
+            drop(inner);
+            self.cond.notify_all();
+            Err(err)
+        };
         loop {
             if inner.creates_cycle(txn, &blockers) {
                 self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
-                return Err(StorageError::Deadlock);
+                return give_up(inner, StorageError::Deadlock);
             }
             self.stats.waits.fetch_add(1, Ordering::Relaxed);
             inner.waits_for.insert(txn, blockers);
@@ -321,7 +389,7 @@ impl LockManager {
             inner.waits_for.remove(&txn);
             if timed_out {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(StorageError::LockTimeout);
+                return give_up(inner, StorageError::LockTimeout);
             }
             blockers = match inner.try_grant(txn, name, mode) {
                 Ok(()) => return Ok(()),
@@ -591,5 +659,95 @@ mod tests {
         assert!(lm
             .try_lock(3, &LockName::Document { table: 1, doc: 1 }, X)
             .unwrap());
+    }
+
+    /// Wait until `txn` has a request queued (it is in the waits-for graph).
+    fn until_waiting(lm: &LockManager, txn: TxnId) {
+        let start = Instant::now();
+        while !lm.inner.lock().waits_for.contains_key(&txn) {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "txn {txn} never waited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn new_reader_waits_behind_a_queued_writer() {
+        let lm = LockManager::new(Duration::from_secs(5));
+        let d = LockName::Document { table: 1, doc: 4 };
+        lm.lock(1, &d, S).unwrap();
+        let lm2 = lm.clone();
+        let writer = std::thread::spawn(move || lm2.lock(2, &d, X));
+        until_waiting(&lm, 2);
+        // A new S is compatible with the granted S but not with the queued
+        // X ahead of it: it is refused now and waits behind the writer.
+        assert!(!lm.try_lock(3, &d, S).unwrap());
+        let lm3 = lm.clone();
+        let reader = std::thread::spawn(move || lm3.lock(3, &d, S));
+        until_waiting(&lm, 3);
+        // The holder re-entering S is still granted.
+        lm.lock(1, &d, S).unwrap();
+        // Once the reader releases, the queued X is granted first.
+        lm.unlock_all(1);
+        writer.join().unwrap().unwrap();
+        assert_eq!(lm.grants_of(2), vec![(format!("{d:?}"), X, 1)]);
+        assert_eq!(lm.held_count(3), 0);
+        lm.unlock_all(2);
+        reader.join().unwrap().unwrap();
+        assert_eq!(lm.held_count(3), 1);
+        lm.unlock_all(3);
+        let inner = lm.inner.lock();
+        assert!(inner.resources.is_empty() && inner.queues.is_empty());
+    }
+
+    #[test]
+    fn a_request_leaving_the_queue_unblocks_those_behind_it() {
+        let lm = LockManager::new(Duration::from_millis(300));
+        let d = LockName::Document { table: 1, doc: 6 };
+        lm.lock(1, &d, S).unwrap();
+        let lm2 = lm.clone();
+        let writer = std::thread::spawn(move || lm2.lock(2, &d, X));
+        until_waiting(&lm, 2);
+        std::thread::sleep(Duration::from_millis(150));
+        // The writer times out while reader 1 still holds S; the reader
+        // queued behind it is then granted without waiting for reader 1.
+        let lm3 = lm.clone();
+        let reader = std::thread::spawn(move || lm3.lock(3, &d, S));
+        assert!(matches!(
+            writer.join().unwrap(),
+            Err(StorageError::LockTimeout)
+        ));
+        reader.join().unwrap().unwrap();
+        assert_eq!(lm.held_count(3), 1);
+        lm.unlock_all(1);
+        lm.unlock_all(3);
+        let inner = lm.inner.lock();
+        assert!(inner.resources.is_empty() && inner.queues.is_empty());
+    }
+
+    #[test]
+    fn a_cycle_through_a_queued_request_is_a_deadlock() {
+        let lm = LockManager::new(Duration::from_secs(5));
+        let a = LockName::Document { table: 1, doc: 1 };
+        let b = LockName::Document { table: 1, doc: 2 };
+        lm.lock(1, &a, S).unwrap();
+        lm.lock(3, &b, X).unwrap();
+        // 2 waits for 1 on a; 3 waits behind 2's queued X on a.
+        let lm2 = lm.clone();
+        let writer = std::thread::spawn(move || lm2.lock(2, &a, X));
+        until_waiting(&lm, 2);
+        let lm3 = lm.clone();
+        let reader = std::thread::spawn(move || lm3.lock(3, &a, S));
+        until_waiting(&lm, 3);
+        // 1 waiting for 3 on b closes 1 -> 3 -> 2 -> 1.
+        assert!(matches!(lm.lock(1, &b, S), Err(StorageError::Deadlock)));
+        assert_eq!(lm.stats.deadlocks.load(Ordering::Relaxed), 1);
+        lm.unlock_all(1);
+        writer.join().unwrap().unwrap();
+        lm.unlock_all(2);
+        reader.join().unwrap().unwrap();
+        lm.unlock_all(3);
     }
 }

@@ -103,9 +103,20 @@ impl Page {
                 bytes.len()
             )));
         }
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        buf.copy_from_slice(bytes);
-        let p = Page { buf };
+        Self::read_with(|buf| {
+            buf.copy_from_slice(bytes);
+            Ok(())
+        })
+    }
+
+    /// A page filled in place by `read` (a backend read of the stored
+    /// image), then checked for a known page type: one allocation and no
+    /// copy beyond the read itself.
+    pub fn read_with(read: impl FnOnce(&mut [u8]) -> Result<()>) -> Result<Self> {
+        let mut p = Page {
+            buf: Box::new([0u8; PAGE_SIZE]),
+        };
+        read(&mut p.buf[..])?;
         PageType::from_u8(p.buf[OFF_TYPE])?;
         Ok(p)
     }

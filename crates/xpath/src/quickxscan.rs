@@ -33,10 +33,13 @@
 //! One scanner evaluates any number of documents in turn: feed a document's
 //! events, call [`QuickXScan::finish_into`] (which also readies the scanner
 //! for the next document), or [`QuickXScan::reset`] to abandon a document
-//! half way. Instances, operand sequences and string buffers are recycled
-//! across documents, and the element-name memo is shared by all query nodes
-//! and kept for the scanner's lifetime, so a warm scanner allocates only for
-//! the values and node IDs of its results.
+//! half way. Each query node's matching instances live in slots that are
+//! reused where they sit: a push fills the first free slot, a pop empties
+//! the top one in place, and no instance is ever moved. With the operand
+//! sequences and string buffers recycled across documents, and the
+//! element-name memo shared by all query nodes and kept for the scanner's
+//! lifetime, a warm scanner allocates only for the values and node IDs of
+//! its results.
 
 use crate::ast::{CmpOp, NodeTest};
 use crate::error::{Result as XResult, XPathError};
@@ -120,6 +123,59 @@ struct Instance {
     operands: Vec<Vec<Item>>,
 }
 
+impl Instance {
+    fn new(operand_slots: usize) -> Instance {
+        Instance {
+            id: 0,
+            depth: 0,
+            parent_inst: 0,
+            upward: None,
+            held: Vec::new(),
+            transit: Vec::new(),
+            text: String::new(),
+            operands: (0..operand_slots).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Empty every buffer, keeping its capacity, and hand the value strings
+    /// to `spare_text`: the slot is ready for the next push.
+    fn clear(&mut self, spare_text: &mut Vec<String>) {
+        let slots = self.operands.iter_mut();
+        for list in slots.chain([&mut self.held, &mut self.transit]) {
+            for item in list.drain(..) {
+                if spare_text.len() < SPARE_TEXT_MAX {
+                    let mut s = item.value;
+                    s.clear();
+                    spare_text.push(s);
+                }
+            }
+        }
+        self.text.clear();
+    }
+}
+
+/// One query node's matching instances: the live stack is `slots[..len]`,
+/// and the slots above it are emptied instances kept for the next pushes.
+#[derive(Default)]
+struct Stack {
+    slots: Vec<Instance>,
+    len: usize,
+}
+
+impl Stack {
+    fn live(&self) -> &[Instance] {
+        &self.slots[..self.len]
+    }
+
+    fn top(&self) -> Option<&Instance> {
+        self.live().last()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Spent string buffers kept for reuse, at most this many.
 const SPARE_TEXT_MAX: usize = 256;
 
@@ -127,9 +183,7 @@ const SPARE_TEXT_MAX: usize = 256;
 pub struct QuickXScan<'q, 'd> {
     tree: &'q QueryTree,
     dict: &'d NameDict,
-    stacks: Vec<Vec<Instance>>,
-    /// Popped instances per query node, buffers emptied but not freed.
-    spare: Vec<Vec<Instance>>,
+    stacks: Vec<Stack>,
     /// Emptied value strings, handed to the next accumulator or leaf match.
     spare_text: Vec<String>,
     /// Query nodes that pushed an instance, in push order, for all open
@@ -221,8 +275,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         let mut scan = QuickXScan {
             tree,
             dict,
-            stacks: (0..n).map(|_| Vec::new()).collect(),
-            spare: (0..n).map(|_| Vec::new()).collect(),
+            stacks: (0..n).map(|_| Stack::default()).collect(),
             spare_text: Vec::new(),
             matched: Vec::new(),
             opened: Vec::new(),
@@ -263,10 +316,11 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
     /// next one: every instance, operand and pending value is dropped and
     /// match numbering restarts. Buffers, the name memo and `stats` are kept.
     pub fn reset(&mut self) {
-        for q in 0..self.stacks.len() {
-            while let Some(inst) = self.stacks[q].pop() {
-                self.recycle(q, inst);
+        for stack in &mut self.stacks {
+            for inst in &mut stack.slots[..stack.len] {
+                inst.clear(&mut self.spare_text);
             }
+            stack.len = 0;
         }
         self.matched.clear();
         self.opened.clear();
@@ -297,10 +351,12 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
     }
 
     fn take_results(&mut self, out: &mut Vec<ResultItem>) -> XResult<()> {
-        let mut root = self.stacks[0].pop().ok_or_else(|| XPathError::Eval {
+        let stack = &mut self.stacks[0];
+        stack.len = stack.len.checked_sub(1).ok_or_else(|| XPathError::Eval {
             message: "unbalanced document (root instance missing)".into(),
         })?;
         self.live -= 1;
+        let root = &mut stack.slots[stack.len];
         // Root-level predicates (rare: `/.[…]/…`).
         let pass = self.tree.nodes[0]
             .predicates
@@ -320,7 +376,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         }));
         // Orders are unique, so an unstable sort gives the same sequence.
         out[start..].sort_unstable_by_key(|i| i.order);
-        self.recycle(0, root);
+        root.clear(&mut self.spare_text);
         Ok(())
     }
 
@@ -355,23 +411,6 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
                 .any(|&p| !self.stacks[p].is_empty())
     }
 
-    /// Return a popped instance's buffers to the spare pools.
-    fn recycle(&mut self, q: usize, mut inst: Instance) {
-        let spare_text = &mut self.spare_text;
-        let slots = inst.operands.iter_mut();
-        for list in slots.chain([&mut inst.held, &mut inst.transit]) {
-            for item in list.drain(..) {
-                if spare_text.len() < SPARE_TEXT_MAX {
-                    let mut s = item.value;
-                    s.clear();
-                    spare_text.push(s);
-                }
-            }
-        }
-        inst.text.clear();
-        self.spare[q].push(inst);
-    }
-
     /// A value string to fill, reused when one is spare.
     fn text_buf(&mut self) -> String {
         self.spare_text.pop().unwrap_or_default()
@@ -396,36 +435,33 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
     ) -> usize {
         let tree = self.tree;
         let node = &tree.nodes[q];
-        let mut inst = self.spare[q].pop().unwrap_or_else(|| Instance {
-            id: 0,
-            depth: 0,
-            parent_inst: 0,
-            upward: None,
-            held: Vec::new(),
-            transit: Vec::new(),
-            text: String::new(),
-            operands: (0..node.operand_slots).map(|_| Vec::new()).collect(),
-        });
+        let own = if node.produces_value {
+            self.next_order += 1;
+            Some(Item {
+                value: String::new(),
+                id: self.current_id(node.route),
+                order: self.next_order,
+            })
+        } else {
+            None
+        };
+        let accumulates = node.produces_value || !node.self_value_operands.is_empty();
+        let stack = &mut self.stacks[q];
+        if stack.len == stack.slots.len() {
+            stack.slots.push(Instance::new(node.operand_slots));
+        }
+        let pos = stack.len;
+        stack.len += 1;
+        let inst = &mut stack.slots[pos];
         inst.id = self.next_inst;
         inst.depth = depth;
         inst.parent_inst = parent_inst;
         inst.upward = upward;
-        if node.produces_value {
-            self.next_order += 1;
-            let id = self.current_id(node.route);
-            inst.held.push(Item {
-                value: String::new(),
-                id,
-                order: self.next_order,
-            });
-        }
-        let accumulates = node.produces_value || !node.self_value_operands.is_empty();
+        inst.held.extend(own);
         if accumulates && inst.text.capacity() == 0 {
-            inst.text = self.text_buf();
+            inst.text = self.spare_text.pop().unwrap_or_default();
         }
         self.next_inst += 1;
-        self.stacks[q].push(inst);
-        let pos = self.stacks[q].len() - 1;
         if accumulates {
             self.accumulators.push((q, pos));
         }
@@ -471,7 +507,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
     /// step down suffices).
     fn licensed(&self, q: usize, node_depth: u32) -> Option<usize> {
         let parent = self.tree.nodes[q].parent?;
-        let stack = &self.stacks[parent];
+        let stack = self.stacks[parent].live();
         let mut pos = stack.len().checked_sub(1)?;
         let axis = self.tree.nodes[q].axis;
         let want = |inst: &Instance| match axis {
@@ -505,10 +541,10 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
                 continue;
             };
             let parent = self.tree.nodes[q].parent.expect("non-root");
-            let ptop_id = self.stacks[parent][ptop_pos].id;
+            let ptop_id = self.stacks[parent].slots[ptop_pos].id;
             // Upward link unless this instance shares its previous-step
             // matching with the instance below it in the same stack.
-            let upward = match self.stacks[q].last() {
+            let upward = match self.stacks[q].top() {
                 Some(below) if below.parent_inst == ptop_id => None,
                 _ => Some((parent, ptop_pos)),
             };
@@ -531,13 +567,18 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
     }
 
     fn pop_instance(&mut self, q: usize) {
-        let mut inst = self.stacks[q].pop().expect("matched list is accurate");
-        self.live -= 1;
         let tree = self.tree;
         let node = &tree.nodes[q];
+        let stack = &mut self.stacks[q];
+        stack.len = stack.len.checked_sub(1).expect("matched list is accurate");
+        let pos = stack.len;
+        self.live -= 1;
+        // The popped instance stays in its slot; `lower` is the live stack
+        // beneath it.
+        let (lower, popped) = stack.slots.split_at_mut(pos);
+        let inst = &mut popped[0];
         if node.produces_value || !node.self_value_operands.is_empty() {
             // Remove the accumulator registration (it is at the tail region).
-            let pos = self.stacks[q].len();
             if let Some(i) = self
                 .accumulators
                 .iter()
@@ -548,7 +589,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
             // `.` operands: the node's own string value feeds the slot.
             for &idx in &node.self_value_operands {
                 self.next_order += 1;
-                let mut value = self.text_buf();
+                let mut value = self.spare_text.pop().unwrap_or_default();
                 value.push_str(&inst.text);
                 inst.operands[idx].push(Item {
                     value,
@@ -571,7 +612,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         // when the operand chain uses the descendant axis — propagate
         // sideways regardless of this instance's own predicate outcome.
         if node.operand_slots > 0 {
-            if let Some(below) = self.stacks[q].last_mut() {
+            if let Some(below) = lower.last_mut() {
                 for idx in 0..node.operand_slots {
                     if self.operand_sideways[q][idx] && !inst.operands[idx].is_empty() {
                         self.stats.propagations += 1;
@@ -587,26 +628,40 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         let own_leaves = pass && !inst.held.is_empty();
         if own_leaves || !inst.transit.is_empty() {
             self.stats.propagations += 1;
-            let target = match inst.upward {
+            match inst.upward {
                 // Sideways: merge into the nested instance below (it shares
                 // the previous-step matching — first transitivity property).
                 // Already-filtered values transit; they are not re-filtered
                 // by the receiving binding's predicates.
-                None => &mut self.stacks[q].last_mut().expect("shared matching").transit,
+                None => {
+                    let target = &mut lower.last_mut().expect("shared matching").transit;
+                    if own_leaves {
+                        target.append(&mut inst.held);
+                    }
+                    target.append(&mut inst.transit);
+                }
+                // Upward: the licensing instance sits in the parent node's
+                // stack. The two lists are lent out of the slot meanwhile
+                // and put back empty, keeping their capacity.
                 Some((pq, ppos)) => {
-                    let target = &mut self.stacks[pq][ppos];
-                    match node.route {
+                    let mut held = std::mem::take(&mut inst.held);
+                    let mut transit = std::mem::take(&mut inst.transit);
+                    let target = &mut self.stacks[pq].slots[ppos];
+                    let target = match node.route {
                         Route::Operand { owner, idx } if owner == pq => &mut target.operands[idx],
                         _ => &mut target.held,
+                    };
+                    if own_leaves {
+                        target.append(&mut held);
                     }
+                    target.append(&mut transit);
+                    let inst = &mut self.stacks[q].slots[pos];
+                    inst.held = held;
+                    inst.transit = transit;
                 }
-            };
-            if own_leaves {
-                target.append(&mut inst.held);
             }
-            target.append(&mut inst.transit);
         }
-        self.recycle(q, inst);
+        self.stacks[q].slots[pos].clear(&mut self.spare_text);
     }
 
     /// Instantaneous match of a leaf node (attribute / text / comment):
@@ -633,7 +688,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         };
         self.stats.matchings += 1;
         self.stats.propagations += 1;
-        let target = &mut self.stacks[parent][ptop_pos];
+        let target = &mut self.stacks[parent].slots[ptop_pos];
         match node.route {
             Route::Operand { owner, idx } if owner == parent => {
                 target.operands[idx].push(item);
@@ -659,7 +714,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
         // Feed every open string-value accumulator (string value = all
         // descendant text).
         for &(q, pos) in &self.accumulators {
-            self.stacks[q][pos].text.push_str(value);
+            self.stacks[q].slots[pos].text.push_str(value);
         }
         for i in 0..self.text_nodes.len() {
             self.instantaneous(self.text_nodes[i], value, self.doc_depth + 1);
@@ -674,7 +729,7 @@ impl<'q, 'd> QuickXScan<'q, 'd> {
 
     /// Debug view of a stack's depths (used by the Fig. 7 test).
     pub fn stack_depths(&self, q: usize) -> Vec<u32> {
-        self.stacks[q].iter().map(|i| i.depth).collect()
+        self.stacks[q].live().iter().map(|i| i.depth).collect()
     }
 }
 

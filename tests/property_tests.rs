@@ -8,6 +8,8 @@
 //!   node a full traversal emits reads back the same through `fetch_node`,
 //!   `string_value` and `run_subtree`, with the document cache off and warm;
 //! * QuickXScan ≡ DOM evaluation on arbitrary documents and queries;
+//! * one QuickXScan reused across documents, some abandoned half way,
+//!   answers every document exactly as a fresh scanner does;
 //! * the engine's full-scan path over stored documents (one reused scanner
 //!   per lane, virtual-SAX subtree skipping) ≡ DOM evaluation, with node IDs
 //!   equal to a fresh scanner that replays every subtree.
@@ -22,10 +24,10 @@ use system_rx::engine::traverse::{fetch_node, IdEventSink, StoredNode, Traverser
 use system_rx::engine::QueryExecutor;
 use system_rx::engine::XmlTable;
 use system_rx::storage::{BTree, BufferPool, MemBackend, TableSpace};
-use system_rx::xml::event::Event;
+use system_rx::xml::event::{Event, EventSink};
 use system_rx::xml::nodeid::{NodeId, RelId};
 use system_rx::xml::value::Decimal;
-use system_rx::xml::NameDict;
+use system_rx::xml::{NameDict, XmlError};
 use system_rx::xpath::{quickxscan::scan_str, QueryTree, QuickXScan, XPathParser};
 
 // ---------------------------------------------------------------------------
@@ -191,6 +193,42 @@ impl IdEventSink for NoSkip<'_, '_, '_> {
     }
 }
 
+/// Feeds a scanner a document's events, each with a synthetic node ID (its
+/// event number), and logs the scanner's skip answer after every element
+/// start. After `limit` events it refuses the rest, abandoning the document.
+struct Feed<'s, 'q, 'd> {
+    scan: &'s mut QuickXScan<'q, 'd>,
+    events: u16,
+    limit: usize,
+    answers: Vec<bool>,
+}
+
+impl<'s, 'q, 'd> Feed<'s, 'q, 'd> {
+    fn new(scan: &'s mut QuickXScan<'q, 'd>, limit: usize) -> Self {
+        Feed {
+            scan,
+            events: 0,
+            limit,
+            answers: Vec::new(),
+        }
+    }
+}
+
+impl EventSink for Feed<'_, '_, '_> {
+    fn event(&mut self, ev: Event<'_>) -> system_rx::xml::Result<()> {
+        if usize::from(self.events) == self.limit {
+            return Err(XmlError::stream("abandoned"));
+        }
+        self.events += 1;
+        self.scan.set_current_node(&self.events.to_be_bytes());
+        self.scan.event(ev)?;
+        if matches!(ev, Event::StartElement { .. }) {
+            self.answers.push(self.scan.wants_content());
+        }
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -348,6 +386,49 @@ proptest! {
                     prop_assert_eq!(&h.node, &r.node, "query {} over {}", query, doc_text);
                     prop_assert_eq!(&h.value, &r.value);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scanner_equals_fresh_scanners(
+        docs in prop::collection::vec((arb_xml(), proptest::option::of(0usize..48)), 1..8),
+        queries in prop::collection::vec(arb_query(), 1..4),
+    ) {
+        // One scanner per query, reused across every document in turn. A
+        // document with an abandon point is fed only that many events and
+        // then reset; every other document must answer, skip decisions
+        // included, exactly as a fresh scanner answers it. Stale instance
+        // state (held, transit, operand or text buffers, match numbers)
+        // left by an earlier document would show in the hits.
+        let dict = NameDict::new();
+        let parser = system_rx::xml::Parser::new(&dict);
+        let streams: Vec<_> = docs.iter().map(|(d, _)| parser.parse_to_tokens(d).unwrap()).collect();
+        let trees: Vec<QueryTree> = queries
+            .iter()
+            .map(|q| QueryTree::compile(&XPathParser::new().parse(q).unwrap()).unwrap())
+            .collect();
+        let mut reused: Vec<_> = trees.iter().map(|t| QuickXScan::new(t, &dict)).collect();
+        for ((doc, abandon), stream) in docs.iter().zip(&streams) {
+            for ((tree, scan), query) in trees.iter().zip(&mut reused).zip(&queries) {
+                if let Some(at) = *abandon {
+                    // A prefix shorter than the document ends in the feed's
+                    // refusal; a longer one leaves the document unfinished.
+                    let _ = stream.replay(&mut Feed::new(scan, at));
+                    scan.reset();
+                    continue;
+                }
+                let mut feed = Feed::new(scan, usize::MAX);
+                stream.replay(&mut feed).unwrap();
+                let answers = feed.answers;
+                let mut hits = Vec::new();
+                scan.finish_into(&mut hits).unwrap();
+                let mut fresh = QuickXScan::new(tree, &dict);
+                let mut feed = Feed::new(&mut fresh, usize::MAX);
+                stream.replay(&mut feed).unwrap();
+                let fresh_answers = feed.answers;
+                prop_assert_eq!(hits, fresh.finish().unwrap(), "query {} over {}", query, doc);
+                prop_assert_eq!(answers, fresh_answers, "query {} over {}", query, doc);
             }
         }
     }
