@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Every experiment, by id, in report order.
-const EXPERIMENTS: [(&str, fn()); 14] = [
+const EXPERIMENTS: [(&str, fn()); 15] = [
     ("e1", e1_storage),
     ("e2", e2_traversal),
     ("e3", e3_update),
@@ -45,6 +45,7 @@ const EXPERIMENTS: [(&str, fn()); 14] = [
     ("e11", e11_parallel_query),
     ("e12", e12_pipelining),
     ("e13", e13_doc_cache),
+    ("e19", e19_btree),
     ("a1", a1_target_size_ablation),
 ];
 
@@ -2454,4 +2455,218 @@ fn e13_doc_cache() {
     );
     println!("shape check: the cache sheds least-recently-used documents instead of");
     println!("growing with the scan — memory stays bounded while hot documents stay warm.");
+}
+
+// ---------------------------------------------------------------------------
+// E19 — the B+tree under every index: per-operation cost and node fill
+// ---------------------------------------------------------------------------
+
+fn e19_btree() {
+    use rx_storage::BTree;
+
+    println!("\n## E19 — B+tree operations and node fill (§3.1, §3.3 index infrastructure)");
+    println!("The NodeID index, the DocID index and every XPath value index are one");
+    println!("B+tree, so each stored document pays several index writes and every");
+    println!("locate pays a ceiling search. Nodes are searched and edited in place in");
+    println!("their latched page; a node that overflows on an append splits at its end.");
+
+    /// A fresh in-memory tree whose pool holds all of its pages.
+    fn fresh_tree(keys: usize) -> Arc<BTree> {
+        let pool = BufferPool::new(keys / 40 + 256);
+        let space = TableSpace::create(pool, 1, Arc::new(MemBackend::new())).unwrap();
+        BTree::create(space, 2).unwrap()
+    }
+    /// Key `i` of the tree: even big-endian integers, so `2i + 1` probes
+    /// fall between two keys.
+    fn key(i: u64) -> [u8; 8] {
+        (2 * i).to_be_bytes()
+    }
+    /// A fixed permutation of `0..n` (a multiplicative hash with a large odd
+    /// multiplier, reduced into range by rejection over the next power of 2).
+    fn scrambled(n: u64) -> Vec<u64> {
+        let m = n.next_power_of_two();
+        (0..m)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & (m - 1))
+            .filter(|&i| i < n)
+            .collect()
+    }
+    fn per_op_us(t: Instant, ops: usize) -> f64 {
+        t.elapsed().as_secs_f64() * 1e6 / ops as f64
+    }
+
+    let mut rows = Vec::new();
+    for n in [10_000u64, 100_000, 1_000_000] {
+        let reps = if n >= 1_000_000 { 1 } else { 3 };
+        let order = scrambled(n);
+        let probes = &order[..order.len().min(200_000)];
+        // Best of `reps` for every column.
+        let mut best = [f64::INFINITY; 6];
+        let mut size = (0, 0, 0);
+        for _ in 0..reps {
+            let asc = fresh_tree(n as usize);
+            let t = Instant::now();
+            for i in 0..n {
+                asc.insert(&key(i), i).unwrap();
+            }
+            let asc_us = per_op_us(t, n as usize);
+            let rnd = fresh_tree(n as usize);
+            let t = Instant::now();
+            for &i in &order {
+                rnd.insert(&key(i), i).unwrap();
+            }
+            let rnd_us = per_op_us(t, n as usize);
+            let t = Instant::now();
+            for &i in probes {
+                assert_eq!(rnd.search(&key(i)).unwrap(), Some(i));
+            }
+            let search_us = per_op_us(t, probes.len());
+            let t = Instant::now();
+            for &i in probes {
+                let hit = rnd.search_ceil(&(2 * i + 1).to_be_bytes()).unwrap();
+                assert_eq!(hit.map(|(_, v)| v), (i + 1 < n).then_some(i + 1));
+            }
+            let ceil_us = per_op_us(t, probes.len());
+            let t = Instant::now();
+            for &i in probes {
+                let mut got = 0;
+                rnd.scan_from(&key(i), |_, _| {
+                    got += 1;
+                    got < 3
+                })
+                .unwrap();
+                assert!(got >= 1);
+            }
+            let scan_us = per_op_us(t, probes.len());
+            size = (
+                asc.page_count().unwrap(),
+                rnd.page_count().unwrap(),
+                rnd.height().unwrap(),
+            );
+            let t = Instant::now();
+            for &i in probes {
+                assert_eq!(rnd.delete(&key(i)).unwrap(), Some(i));
+            }
+            let delete_us = per_op_us(t, probes.len());
+            for (b, v) in best
+                .iter_mut()
+                .zip([asc_us, rnd_us, search_us, ceil_us, scan_us, delete_us])
+            {
+                *b = b.min(v);
+            }
+        }
+        let mut row = vec![n.to_string()];
+        row.extend(best.iter().map(|v| format!("{v:.3}")));
+        row.push(size.0.to_string());
+        row.push(size.1.to_string());
+        row.push(size.2.to_string());
+        rows.push(row);
+    }
+    print_table(
+        "E19a: µs per operation on an in-memory tree of 8-byte keys (best of 3; 1M: 1 run)",
+        &[
+            "keys",
+            "asc insert",
+            "random insert",
+            "search",
+            "search_ceil",
+            "scan 3",
+            "delete",
+            "pages (asc)",
+            "pages (random)",
+            "levels",
+        ],
+        &rows,
+    );
+
+    // Part b: the lookup-hot corpus shape (20,000 one-product documents with
+    // a 64-byte description, a relational key column, two value indexes),
+    // loaded on disk in 500-document transactions.
+    const DOCS: usize = 20_000;
+    const BATCH: usize = 500;
+    let spec = CatalogSpec {
+        products: DOCS,
+        description_len: 64,
+        seed: 1,
+        ..Default::default()
+    };
+    let texts: Vec<String> = (0..DOCS).map(|i| rx_gen::product_doc(&spec, i)).collect();
+    let dir = std::env::temp_dir().join(format!("rx-e19-{}", std::process::id()));
+    let mut load_times = Vec::new();
+    let mut tree_rows = Vec::new();
+    for run in 0..3 {
+        let _ = std::fs::remove_dir_all(&dir);
+        let t0 = Instant::now();
+        let db = Database::create_with(
+            rx_engine::db::Storage::Dir(dir.clone()),
+            DbConfig {
+                doc_cache_bytes: 2 << 20,
+                ..DbConfig::default()
+            },
+        )
+        .unwrap();
+        let t = db
+            .create_table(
+                "products",
+                &[("key", ColumnKind::Str), ("doc", ColumnKind::Xml)],
+            )
+            .unwrap();
+        for (name, path) in [
+            ("price_idx", "/Catalog/Categories/Product/RegPrice"),
+            ("disc_idx", "//Discount"),
+        ] {
+            db.create_value_index(
+                "products",
+                name,
+                "doc",
+                path,
+                rx_xml::value::KeyType::Double,
+            )
+            .unwrap();
+        }
+        for (b, batch) in texts.chunks(BATCH).enumerate() {
+            let txn = db.begin().unwrap();
+            for (k, text) in batch.iter().enumerate() {
+                let values = [
+                    ColValue::Str(format!("Product-{:06}", b * BATCH + k)),
+                    ColValue::Xml(text.clone()),
+                ];
+                db.insert_row_txn(&txn, &t, &values).unwrap();
+            }
+            txn.commit().unwrap();
+        }
+        load_times.push(t0.elapsed());
+        if run == 0 {
+            let col = t.xml_column("doc").unwrap();
+            let mut trees: Vec<(String, Arc<BTree>)> = vec![
+                ("NodeID".into(), Arc::clone(col.xml_table().nodeid_index())),
+                ("DocID".into(), Arc::clone(t.docid_index())),
+            ];
+            for vi in col.indexes() {
+                trees.push((vi.def.name.clone(), vi.btree_arc()));
+            }
+            for (name, tree) in trees {
+                let entries = tree.len().unwrap();
+                let pages = tree.page_count().unwrap();
+                tree_rows.push(vec![
+                    name,
+                    entries.to_string(),
+                    pages.to_string(),
+                    format!("{:.1}", entries as f64 / pages as f64),
+                ]);
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    load_times.sort();
+    println!(
+        "\nE19b: lookup-hot-shaped load ({DOCS} documents, {BATCH} per transaction, on disk): \
+         best {}, median {} of 3",
+        fmt_dur(load_times[0]),
+        fmt_dur(load_times[1])
+    );
+    print_table(
+        "E19b: the loaded database's indexes",
+        &["index", "entries", "pages", "entries per page"],
+        &tree_rows,
+    );
 }

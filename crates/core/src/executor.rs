@@ -181,7 +181,13 @@ impl QueryExecutor {
 
 impl Drop for QueryExecutor {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before it waits, so it either sees the flag or is already
+        // waiting when the notification comes.
+        {
+            let _queue = self.shared.queue.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.available.notify_all();
         for h in self.handles.lock().drain(..) {
             let _ = h.join();
@@ -404,6 +410,27 @@ mod tests {
             }
         });
         assert_eq!(exec.parallel_queries(), 8);
+    }
+
+    #[test]
+    fn dropping_an_executor_after_its_first_batch_joins_the_workers() {
+        // The caller often drains a small batch before a fresh worker first
+        // looks at the queue, so the drop's shutdown signal races the
+        // worker's first wait. A lost signal hangs the drop in `join`; the
+        // loop runs on its own thread so that a hang fails the test.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..50_000 {
+                let exec = QueryExecutor::new(2);
+                let tasks: Vec<Box<dyn FnOnce() -> u8 + Send>> =
+                    vec![Box::new(|| 1), Box::new(|| 2)];
+                assert_eq!(exec.run_batch(tasks), vec![1, 2]);
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("dropping an executor hung joining its worker");
     }
 
     #[test]

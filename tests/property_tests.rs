@@ -2,7 +2,9 @@
 //!
 //! * Dewey node IDs: order/ancestry/levels under arbitrary midpoint insertion;
 //! * decimal sort keys: byte order ≡ numeric order for arbitrary decimals;
-//! * B+tree ≡ `BTreeMap` under arbitrary operation sequences;
+//! * B+tree ≡ `BTreeMap` under arbitrary operation sequences, also on trees
+//!   of three levels built from ascending, descending and random runs of
+//!   keys up to `MAX_KEY_SIZE`, across a flush and reopen;
 //! * parse → pack → store → traverse → serialize is the identity on
 //!   arbitrary generated documents at arbitrary packing targets, and every
 //!   node a full traversal emits reads back the same through `fetch_node`,
@@ -15,6 +17,8 @@
 //!   equal to a fresh scanner that replays every subtree.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rx_bench::baseline::DomXPath;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,6 +27,7 @@ use system_rx::engine::db::{ColValue, ColumnKind, Database, DbConfig};
 use system_rx::engine::traverse::{fetch_node, IdEventSink, StoredNode, Traverser};
 use system_rx::engine::QueryExecutor;
 use system_rx::engine::XmlTable;
+use system_rx::storage::btree::MAX_KEY_SIZE;
 use system_rx::storage::{BTree, BufferPool, MemBackend, TableSpace};
 use system_rx::xml::event::{Event, EventSink};
 use system_rx::xml::nodeid::{NodeId, RelId};
@@ -441,5 +446,106 @@ proptest! {
         let twice = system_rx::xml::serialize::serialize_stream(
             &system_rx::xml::Parser::new(&dict).parse_to_tokens(&once).unwrap(), &dict).unwrap();
         prop_assert_eq!(once, twice);
+    }
+}
+
+proptest! {
+    // Thousands of operations per case: few cases in debug builds, more in
+    // release.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 32 }))]
+
+    #[test]
+    fn btree_with_splits_behaves_like_btreemap(
+        runs in prop::collection::vec(
+            (0u8..3, 50usize..400, prop_oneof![Just(16usize), Just(200), Just(MAX_KEY_SIZE - 5)], any::<u64>()),
+            6..12
+        )
+    ) {
+        // Runs of ascending keys (right-edge appends: append splits),
+        // descending keys (inserts at the left edge) and random keys mixed
+        // with deletes and lookups, of every size up to MAX_KEY_SIZE. The
+        // tree is flushed and reopened halfway through, and range windows
+        // are checked against `BTreeMap::range` after every run.
+        let pool = BufferPool::new(512);
+        let backend = Arc::new(MemBackend::new());
+        let space = TableSpace::create(pool.clone(), 1, backend.clone()).unwrap();
+        let mut tree = BTree::create(space, 2).unwrap();
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let (mut up, mut down) = (0u32, u32::MAX);
+        // Key: [class][n u32 BE][pad]; ascending runs use class 2 with a
+        // rising n, descending runs class 0 with a falling n.
+        let key = |class: u8, n: u32, pad: usize| {
+            let mut k = vec![class];
+            k.extend_from_slice(&n.to_be_bytes());
+            k.resize(5 + pad, (n % 251) as u8);
+            k
+        };
+        for (r, &(kind, len, max_pad, seed)) in runs.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..len {
+                let pad = rng.gen_range(0..=max_pad);
+                let op = rng.gen_range(0..10u8);
+                let k = match kind {
+                    0 => { up += 1; key(2, up, pad) }
+                    1 => { down -= 1; key(0, down, pad) }
+                    _ if op >= 6 && !model.is_empty() => {
+                        // Delete or look up a key the tree holds.
+                        let i = rng.gen_range(0..model.len());
+                        let k = model.keys().nth(i).unwrap().clone();
+                        if op >= 8 {
+                            prop_assert_eq!(tree.delete(&k).unwrap(), model.remove(&k));
+                        } else {
+                            prop_assert_eq!(tree.search(&k).unwrap(), model.get(&k).copied());
+                        }
+                        continue;
+                    }
+                    _ => key(1, rng.next_u64() as u32, pad),
+                };
+                let v = rng.next_u64();
+                prop_assert_eq!(tree.insert(&k, v).unwrap(), model.insert(k, v));
+            }
+            if r == runs.len() / 2 {
+                pool.flush_all().unwrap();
+                pool.forget_space(1);
+                let space = TableSpace::open(pool.clone(), 1, backend.clone()).unwrap();
+                tree = BTree::open(space, 2).unwrap();
+            }
+            // Ceiling probes and scan windows from keys held, keys between
+            // them and keys past the ends.
+            for _ in 0..20 {
+                let mut probe = key(rng.gen_range(0..4), rng.next_u64() as u32, rng.gen_range(0..8));
+                if rng.gen_bool(0.5) && !model.is_empty() {
+                    let i = rng.gen_range(0..model.len());
+                    probe = model.keys().nth(i).unwrap().clone();
+                    if rng.gen_bool(0.5) {
+                        probe.push(0);
+                    }
+                }
+                let expect = model.range(probe.clone()..).next().map(|(k, v)| (k.clone(), *v));
+                prop_assert_eq!(tree.search_ceil(&probe).unwrap(), expect);
+                let want = rng.gen_range(1..300);
+                let mut window = Vec::new();
+                tree.scan_from(&probe, |k, v| {
+                    window.push((k.to_vec(), v));
+                    window.len() < want
+                }).unwrap();
+                let expect: Vec<(Vec<u8>, u64)> = model
+                    .range(probe.clone()..)
+                    .take(want)
+                    .map(|(k, v)| (k.clone(), *v))
+                    .collect();
+                prop_assert_eq!(window, expect);
+            }
+        }
+        // Append keys of the largest size until the tree has three levels.
+        while tree.height().unwrap() < 3 {
+            up += 1;
+            let k = key(2, up, MAX_KEY_SIZE - 5);
+            prop_assert_eq!(tree.insert(&k, u64::from(up)).unwrap(), model.insert(k, u64::from(up)));
+        }
+        let mut scanned = Vec::new();
+        tree.scan_all(|k, v| { scanned.push((k.to_vec(), v)); true }).unwrap();
+        let expect: Vec<(Vec<u8>, u64)> = model.into_iter().collect();
+        prop_assert_eq!(scanned, expect);
     }
 }
