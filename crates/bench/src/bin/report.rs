@@ -1756,7 +1756,7 @@ fn e10_commit_throughput() {
             format!("{threads}"),
             format!("{}", pool.shard_count()),
             format!("{:.0}", per_sec(fetched.load(Ordering::Relaxed))),
-            format!("{}", pool.stats.contention.load(Ordering::Relaxed)),
+            format!("{}", pool.stats().contention),
         ]);
     }
     print_table(

@@ -27,6 +27,7 @@ use rx_xml::schema::{compile as compile_schema, parse_xsd, SchemaProgram};
 use rx_xml::value::KeyType;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -251,6 +252,9 @@ pub struct BaseTable {
     docid_index: Arc<BTree>,
     xml_columns: Vec<Arc<XmlColumn>>,
     base_space: u32,
+    /// The highest DocID allocated. Inserts take the next one with
+    /// `fetch_add`; checkpoints persist it under `doccnt/<id>`.
+    doc_high: AtomicU64,
 }
 
 /// Anchor of the DocID index within the base table's space.
@@ -332,10 +336,6 @@ const K_NEXT_TABLE: &[u8] = b"meta/next_table";
 /// returns them in id order.
 const K_DICT_STRING: &[u8] = b"dict/s/";
 const K_DICT_QNAME: &[u8] = b"dict/q/";
-/// The dictionary as two whole-value blobs, as older database directories
-/// store it: read at open, then migrated to per-name entries.
-const K_LEGACY_DICT_STRINGS: &[u8] = b"meta/dict_strings";
-const K_LEGACY_DICT_QNAMES: &[u8] = b"meta/dict_qnames";
 
 fn k_dict(kind: &[u8], id: usize) -> Vec<u8> {
     [kind, &(id as u32).to_be_bytes()].concat()
@@ -443,40 +443,19 @@ impl Database {
         })
     }
 
-    /// Create a new database with explicit storage and config.
+    /// Create a new database with explicit storage and config: format the
+    /// catalog space, then open it as [`Database::open_with`] does.
     pub fn create_with(storage: Storage, config: DbConfig) -> Result<Arc<Database>> {
-        config.validate()?;
-        if let Storage::Dir(dir) = &storage {
-            std::fs::create_dir_all(dir).map_err(rx_storage::StorageError::from)?;
-        }
-        let pool = BufferPool::new(config.buffer_pages);
-        // Space 0: the catalog.
-        let cat_space = TableSpace::create(pool.clone(), 0, Self::make_backend(&storage, 0)?)?;
-        let catalog = Catalog::create(cat_space)?;
-        catalog.put(K_NEXT_SPACE, &1u64.to_le_bytes())?;
-        let wal: Arc<Wal> = match &storage {
-            Storage::Memory => Wal::new(Arc::new(MemLogStore::new())),
-            Storage::Dir(dir) => Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log"))?)),
-        };
-        let locks = LockManager::new(config.lock_timeout);
-        let txns = TxnManager::new(wal, locks);
-        let executor = crate::executor::QueryExecutor::new(config.query_workers);
-        let plan_cache = crate::executor::PlanCache::new(crate::executor::PLAN_CACHE_CAPACITY);
-        let doc_cache = crate::doccache::DocCache::new(config.doc_cache_bytes);
-        Ok(Arc::new(Database {
-            config,
-            storage,
-            pool,
-            catalog,
-            dict: Arc::new(NameDict::new()),
-            txns,
-            tables: RwLock::new(HashMap::new()),
-            schemas: RwLock::new(HashMap::new()),
-            dict_persisted: parking_lot::Mutex::new((1, 0)),
-            executor,
-            plan_cache,
-            doc_cache,
-        }))
+        Self::start(storage, config, |storage, pool| {
+            if let Storage::Dir(dir) = storage {
+                std::fs::create_dir_all(dir).map_err(rx_storage::StorageError::from)?;
+            }
+            let space = TableSpace::create(pool.clone(), 0, Self::make_backend(storage, 0)?)?;
+            let catalog = Catalog::create(space)?;
+            catalog.put(K_NEXT_SPACE, &1u64.to_le_bytes())?;
+            pool.flush_space(0)?;
+            Ok(catalog)
+        })
     }
 
     /// Reopen a file-backed database, running crash recovery.
@@ -486,57 +465,47 @@ impl Database {
 
     /// Reopen with explicit config.
     pub fn open_with(dir: impl Into<PathBuf>, config: DbConfig) -> Result<Arc<Database>> {
+        Self::start(Storage::Dir(dir.into()), config, |storage, pool| {
+            let space = TableSpace::open(pool.clone(), 0, Self::make_backend(storage, 0)?)?;
+            Ok(Catalog::open(space)?)
+        })
+    }
+
+    /// The one open path of every database: bring it up on the catalog that
+    /// `catalog` creates or opens in space 0. Loads the name dictionary and
+    /// every table, runs recovery (a no-op on an empty log), and seeds each
+    /// table's DocID counter.
+    fn start(
+        storage: Storage,
+        config: DbConfig,
+        catalog: impl FnOnce(&Storage, &Arc<BufferPool>) -> Result<Arc<Catalog>>,
+    ) -> Result<Arc<Database>> {
         config.validate()?;
-        let dir: PathBuf = dir.into();
-        let storage = Storage::Dir(dir.clone());
         let pool = BufferPool::new(config.buffer_pages);
-        let cat_space = TableSpace::open(pool.clone(), 0, Self::make_backend(&storage, 0)?)?;
-        let catalog = Catalog::open(cat_space)?;
-        let (dict, legacy) = load_dict(&catalog)?;
-        // Entries already in the catalog need no rewrite; names read from
-        // the legacy blobs are all rewritten as entries below.
-        let persisted = if legacy {
-            (1, 0)
-        } else {
-            (dict.string_count(), dict.qname_count())
+        let catalog = catalog(&storage, &pool)?;
+        let dict = load_dict(&catalog)?;
+        let wal = match &storage {
+            Storage::Memory => Wal::new(Arc::new(MemLogStore::new())),
+            Storage::Dir(dir) => Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log"))?)),
         };
-        let wal = Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log"))?));
-        let locks = LockManager::new(config.lock_timeout);
-        let txns = TxnManager::new(wal, locks);
-        let executor = crate::executor::QueryExecutor::new(config.query_workers);
-        let plan_cache = crate::executor::PlanCache::new(crate::executor::PLAN_CACHE_CAPACITY);
-        let doc_cache = crate::doccache::DocCache::new(config.doc_cache_bytes);
         let db = Arc::new(Database {
+            txns: TxnManager::new(wal, LockManager::new(config.lock_timeout)),
+            executor: crate::executor::QueryExecutor::new(config.query_workers),
+            plan_cache: crate::executor::PlanCache::new(crate::executor::PLAN_CACHE_CAPACITY),
+            doc_cache: crate::doccache::DocCache::new(config.doc_cache_bytes),
+            dict_persisted: parking_lot::Mutex::new((dict.string_count(), dict.qname_count())),
+            dict: Arc::new(dict),
             config,
             storage,
             pool,
             catalog,
-            dict: Arc::new(dict),
-            txns,
             tables: RwLock::new(HashMap::new()),
             schemas: RwLock::new(HashMap::new()),
-            dict_persisted: parking_lot::Mutex::new(persisted),
-            executor,
-            plan_cache,
-            doc_cache,
         });
-        if legacy {
-            db.persist_dict_if_grown()?;
-            db.catalog.delete(K_LEGACY_DICT_STRINGS)?;
-            db.catalog.delete(K_LEGACY_DICT_QNAMES)?;
-            db.pool.flush_space(0)?;
-        }
         // Load all tables so recovery can reach every space.
         let mut env = RecoveryEnv::default();
-        let table_keys: Vec<Vec<u8>> = db
-            .catalog
-            .list_prefix(b"tbl/")
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        for key in table_keys {
-            let name = String::from_utf8_lossy(&key[4..]).to_string();
-            let table = db.load_table(&name)?;
+        for (key, _) in db.catalog.list_prefix(b"tbl/") {
+            let table = db.load_table(&String::from_utf8_lossy(&key[4..]))?;
             env.heaps.insert(table.base_space, Arc::clone(&table.heap));
             env.indexes.insert(
                 (table.base_space, DOCID_INDEX_ANCHOR as u32),
@@ -561,11 +530,7 @@ impl Database {
             }
         }
         let report = rx_storage::recover(db.txns.wal(), &env)?;
-        // Doc counters may lag the recovered data (they live in catalog
-        // pages that might not have been flushed): raise each to the max
-        // recovered DocID.
-        let tables: Vec<Arc<BaseTable>> = db.tables.read().values().cloned().collect();
-        for table in tables {
+        for table in db.tables.read().values() {
             // Value indexes derived their multi-valued flag from the pages as
             // found at open; redo and undo may have changed the entries since.
             if report.redone + report.undone > 0 {
@@ -575,17 +540,18 @@ impl Database {
                     }
                 }
             }
-            let mut max_doc = 0u64;
-            table.docid_index.scan_all(|k, _| {
-                if let Ok(b) = <[u8; 8]>::try_from(k) {
-                    max_doc = max_doc.max(u64::from_be_bytes(b));
-                }
-                true
-            })?;
-            let key = k_doccnt(table.def.id);
-            if db.catalog.counter(&key) < max_doc {
-                db.catalog.put(&key, &max_doc.to_le_bytes())?;
-            }
+            // The counter starts at the high-water of the last checkpoint;
+            // DocIDs committed since then are the entries past it.
+            let mut high = table.doc_high.load(Ordering::Relaxed);
+            table
+                .docid_index
+                .scan_from(&(high + 1).to_be_bytes(), |k, _| {
+                    if let Ok(b) = <[u8; 8]>::try_from(k) {
+                        high = high.max(u64::from_be_bytes(b));
+                    }
+                    true
+                })?;
+            table.doc_high.store(high, Ordering::Relaxed);
         }
         Ok(db)
     }
@@ -654,23 +620,18 @@ impl Database {
     /// and two short mutex holds) — safe to call from a stats endpoint on
     /// every request.
     pub fn stats(&self) -> DbStats {
-        let (buffer_hits, buffer_misses, buffer_evictions, buffer_writebacks) =
-            self.pool.stats.snapshot();
+        let buffer = self.pool.stats();
         let (lock_waits, lock_timeouts, lock_deadlocks) = self.txns.locks().stats.snapshot();
         let wal = self.txns.wal();
         let wal_stats = wal.stats.snapshot();
         DbStats {
-            buffer_hits,
-            buffer_misses,
-            buffer_evictions,
-            buffer_writebacks,
+            buffer_hits: buffer.hits,
+            buffer_misses: buffer.misses,
+            buffer_evictions: buffer.evictions,
+            buffer_writebacks: buffer.writebacks,
             buffer_resident: self.pool.resident() as u64,
             buffer_shards: self.pool.shard_count() as u64,
-            buffer_contention: self
-                .pool
-                .stats
-                .contention
-                .load(std::sync::atomic::Ordering::Relaxed),
+            buffer_contention: buffer.contention,
             wal_bytes: wal.bytes_written(),
             wal_records: wal.records_written(),
             wal_fsyncs: wal_stats.fsyncs,
@@ -783,6 +744,7 @@ impl Database {
             docid_index,
             xml_columns,
             base_space: base_space_id,
+            doc_high: AtomicU64::new(0),
         });
         self.tables
             .write()
@@ -857,6 +819,7 @@ impl Database {
             docid_index,
             xml_columns,
             base_space: base_space_id,
+            doc_high: AtomicU64::new(self.catalog.counter(&k_doccnt(id))),
         });
         self.tables
             .write()
@@ -888,8 +851,10 @@ impl Database {
             self.catalog.delete(&key)?;
         }
         self.catalog.delete(&k_table(name))?;
-        self.catalog.delete(&k_doccnt(t.def.id))?;
+        // Out of the table map first, so no checkpoint writes the counter
+        // back after it is deleted.
         self.tables.write().remove(name);
+        self.catalog.delete(&k_doccnt(t.def.id))?;
         self.plan_cache.invalidate_table(t.def.id);
         // Snapshots of the dropped table's spaces can never be read again;
         // free their bytes.
@@ -1049,7 +1014,7 @@ impl Database {
                 values.len()
             )));
         }
-        let doc = self.catalog.bump_counter(&k_doccnt(table.def.id))?;
+        let doc = table.doc_high.fetch_add(1, Ordering::Relaxed) + 1;
         // §5.1: X-lock the document (plus table intent) so no reader ever
         // sees a partially inserted document.
         crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
@@ -1259,8 +1224,8 @@ impl Database {
         Ok(())
     }
 
-    /// Flush all dirty pages, persist the name dictionary, and truncate the
-    /// WAL (a checkpoint).
+    /// Flush all dirty pages, persist the name dictionary and every table's
+    /// DocID high-water, and truncate the WAL (a checkpoint).
     pub fn checkpoint(&self) -> Result<()> {
         // Safe truncation floor: the engine mutates pages before logging, so
         // every record assigned up to here has its page effect in the pool
@@ -1275,64 +1240,44 @@ impl Database {
             .oldest_active_lsn()
             .map_or(barrier, |lsn| lsn.min(barrier));
         self.persist_dict_if_grown()?;
+        for table in self.tables.read().values() {
+            let key = k_doccnt(table.def.id);
+            let high = table.doc_high.load(Ordering::Relaxed);
+            if self.catalog.counter(&key) != high {
+                self.catalog.put(&key, &high.to_le_bytes())?;
+            }
+        }
         self.pool.flush_all()?;
         self.txns.wal().checkpoint(keep_from)?;
         Ok(())
     }
 }
 
-/// Rebuild the name dictionary from the catalog: the legacy blobs first,
-/// when an older directory has them, then the per-name entries in id order.
-/// An entry whose id the blobs already cover (a migration interrupted
-/// before the blobs were deleted) is skipped. Returns the dictionary and
-/// whether the legacy blobs were found.
-fn load_dict(catalog: &Catalog) -> Result<(NameDict, bool)> {
+/// Rebuild the name dictionary from the catalog's per-name entries, in id
+/// order.
+fn load_dict(catalog: &Catalog) -> Result<NameDict> {
     let corrupt = |what: String| EngineError::Record(format!("name dictionary: {what}"));
-    let mut strings: Vec<String> = Vec::new();
+    let mut strings = vec![String::new()];
     let mut qnames: Vec<rx_xml::QName> = Vec::new();
-    let legacy = match (
-        catalog.get(K_LEGACY_DICT_STRINGS),
-        catalog.get(K_LEGACY_DICT_QNAMES),
-    ) {
-        (Some(sb), Some(qb)) => {
-            let mut d = Dec::new(&sb);
-            for _ in 0..d.varint()? {
-                strings.push(d.str()?.to_string());
-            }
-            let mut d = Dec::new(&qb);
-            for _ in 0..d.varint()? {
-                qnames.push(decode_qname(&mut d)?);
-            }
-            true
-        }
-        _ => false,
-    };
-    if strings.is_empty() {
-        strings.push(String::new());
-    }
     for (key, value) in catalog.list_prefix(K_DICT_STRING) {
         let id =
             dict_id(&key[K_DICT_STRING.len()..]).ok_or_else(|| corrupt("bad string key".into()))?;
-        if id > strings.len() {
-            return Err(corrupt(format!("string {id} follows a gap")));
+        if id != strings.len() {
+            return Err(corrupt(format!("string {id} out of order")));
         }
-        if id == strings.len() {
-            let s = String::from_utf8(value)
-                .map_err(|_| corrupt(format!("string {id} is not UTF-8")))?;
-            strings.push(s);
-        }
+        let s =
+            String::from_utf8(value).map_err(|_| corrupt(format!("string {id} is not UTF-8")))?;
+        strings.push(s);
     }
     for (key, value) in catalog.list_prefix(K_DICT_QNAME) {
         let id =
             dict_id(&key[K_DICT_QNAME.len()..]).ok_or_else(|| corrupt("bad qname key".into()))?;
-        if id > qnames.len() {
-            return Err(corrupt(format!("qname {id} follows a gap")));
+        if id != qnames.len() {
+            return Err(corrupt(format!("qname {id} out of order")));
         }
-        if id == qnames.len() {
-            qnames.push(decode_qname(&mut Dec::new(&value))?);
-        }
+        qnames.push(decode_qname(&mut Dec::new(&value))?);
     }
-    Ok((NameDict::import(&strings, &qnames), legacy))
+    Ok(NameDict::import(&strings, &qnames))
 }
 
 fn dict_id(be: &[u8]) -> Option<usize> {
@@ -1729,57 +1674,121 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A directory that stores the dictionary as the two legacy blobs opens
-    /// with every name, and is migrated to per-name entries.
-    #[test]
-    fn legacy_dictionary_blobs_are_read_and_migrated() {
-        let dir = std::env::temp_dir().join(format!("rxdb-dict-{}", std::process::id()));
+    fn insert_doc(db: &Database, t: &Arc<BaseTable>, i: usize) -> DocId {
+        let row = [ColValue::Str(format!("s{i}")), ColValue::Xml(DOC1.into())];
+        db.insert_row(t, &row).unwrap()
+    }
+
+    /// A fresh directory name under the system temp directory.
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rxdb-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (d1, d2);
+        dir
+    }
+
+    /// A checkpoint persists the DocID high-water, so the DocID of a
+    /// deleted last row is not handed out again after a clean reopen.
+    #[test]
+    fn deleted_last_docid_is_not_reused_after_checkpoint_and_reopen() {
+        let dir = tmpdir("docid-del");
+        let last;
         {
             let db = Database::create_dir(&dir).unwrap();
             let t = catalog_table(&db);
-            let row = |doc: &str| [ColValue::Str("a".into()), ColValue::Xml(doc.to_string())];
-            d1 = db.insert_row(&t, &row(DOC1)).unwrap();
-            d2 = db.insert_row(&t, &row(DOC2)).unwrap();
+            for i in 0..3 {
+                insert_doc(&db, &t, i);
+            }
+            last = insert_doc(&db, &t, 3);
+            assert!(db.delete_row(&t, last).unwrap());
             db.checkpoint().unwrap();
-            // Rewrite the dictionary the way older directories hold it.
-            let (strings, qnames) = db.dict.export_from(0, 0);
-            let mut es = Enc::new();
-            es.varint(strings.len() as u64);
-            for s in &strings {
-                es.str(s);
-            }
-            let mut eq = Enc::new();
-            eq.varint(qnames.len() as u64);
-            for q in &qnames {
-                eq.u32(q.uri).u32(q.prefix).u32(q.local);
-            }
-            for kind in [K_DICT_STRING, K_DICT_QNAME] {
-                for (key, _) in db.catalog.list_prefix(kind) {
-                    db.catalog.delete(&key).unwrap();
-                }
-            }
-            db.catalog
-                .put(K_LEGACY_DICT_STRINGS, &es.into_bytes())
-                .unwrap();
-            db.catalog
-                .put(K_LEGACY_DICT_QNAMES, &eq.into_bytes())
-                .unwrap();
-            db.pool.flush_all().unwrap();
         }
-        for _ in 0..2 {
-            let db = Database::open_dir(&dir).unwrap();
-            let t = db.table("products").unwrap();
-            assert_eq!(db.serialize_document(&t, "doc", d1).unwrap(), DOC1);
-            assert_eq!(db.serialize_document(&t, "doc", d2).unwrap(), DOC2);
-            assert!(!db.catalog.contains(K_LEGACY_DICT_STRINGS));
-            assert!(!db.catalog.contains(K_LEGACY_DICT_QNAMES));
-            assert_eq!(
-                db.catalog.list_prefix(K_DICT_STRING).len() + 1,
-                db.dict.string_count()
-            );
-        }
+        let db = Database::open_dir(&dir).unwrap();
+        let t = db.table("products").unwrap();
+        assert!(insert_doc(&db, &t, 4) > last);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Inserts leave the catalog alone; a checkpoint writes the high-water.
+    #[test]
+    fn docid_high_water_reaches_the_catalog_only_at_checkpoints() {
+        let db = Database::create_in_memory().unwrap();
+        let t = catalog_table(&db);
+        let key = k_doccnt(t.def.id);
+        let before = db.catalog.get(&key);
+        let n = 25;
+        let docs: Vec<DocId> = (0..n).map(|i| insert_doc(&db, &t, i)).collect();
+        assert_eq!(db.catalog.get(&key), before);
+        db.checkpoint().unwrap();
+        assert_eq!(db.catalog.counter(&key), *docs.iter().max().unwrap());
+        assert_eq!(db.catalog.counter(&key), n as u64);
+    }
+
+    /// A database opens through one path whether it was just created or
+    /// reopened: a reopen right after `create_dir` sees the same tables and
+    /// name dictionary, with no checkpoint in between.
+    #[test]
+    fn open_right_after_create_sees_the_same_tables_and_dictionary() {
+        let dir = tmpdir("create-open");
+        drop(Database::create_dir(&dir).unwrap());
+        let (tables, names);
+        {
+            let db = Database::open_dir(&dir).unwrap();
+            assert!(db.tables.read().is_empty());
+            let t = catalog_table(&db);
+            db.create_table("orders", &[("doc", ColumnKind::Xml)])
+                .unwrap();
+            insert_doc(&db, &t, 0);
+            tables = db.catalog.list_prefix(b"tbl/");
+            names = db.dict.export_from(0, 0);
+        }
+        let db = Database::open_dir(&dir).unwrap();
+        assert_eq!(db.catalog.list_prefix(b"tbl/"), tables);
+        let mut open: Vec<String> = db.tables.read().keys().cloned().collect();
+        open.sort();
+        assert_eq!(open, ["orders", "products"]);
+        assert_eq!(db.dict.export_from(0, 0), names);
+        let t = db.table("products").unwrap();
+        assert_eq!(db.serialize_document(&t, "doc", 1).unwrap(), DOC1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Concurrent inserts into two tables get distinct DocIDs per table,
+    /// and with no rollback every DocID from 1 up is taken once.
+    #[test]
+    fn concurrent_inserts_get_distinct_docids_per_table() {
+        let db = Database::create_in_memory().unwrap();
+        let a = catalog_table(&db);
+        let b = db
+            .create_table(
+                "others",
+                &[("sku", ColumnKind::Str), ("doc", ColumnKind::Xml)],
+            )
+            .unwrap();
+        let (threads, per_thread) = (4, 40);
+        let docs: Vec<(Vec<DocId>, Vec<DocId>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (mut da, mut dbs) = (Vec::new(), Vec::new());
+                        for i in 0..per_thread {
+                            da.push(insert_doc(&db, &a, i));
+                            dbs.push(insert_doc(&db, &b, i));
+                        }
+                        (da, dbs)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let expected: Vec<DocId> = (1..=(threads * per_thread) as u64).collect();
+        for pick in [0, 1] {
+            let mut all: Vec<DocId> = docs
+                .iter()
+                .flat_map(|(x, y)| if pick == 0 { x } else { y })
+                .copied()
+                .collect();
+            all.sort_unstable();
+            assert_eq!(all, expected, "table {pick}");
+        }
     }
 }

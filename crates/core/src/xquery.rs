@@ -13,10 +13,12 @@
 //! Everything reuses the machinery the paper describes: the `for` clause is
 //! an XPath evaluated through the §4.3 access-path selection (so an indexed
 //! predicate in the binding path uses DocID/NodeID lists), `where` folds into
-//! the binding path as a predicate, `return` compiles to a §4.1 tagging
-//! template per binding, and `$v/...` projections run QuickXScan over the
-//! bound subtree replay (§4.4 deferred access — only matched subtrees are
-//! fetched).
+//! the binding path as a predicate, and `return` writes each binding's
+//! result straight into a `Serializer`: constructors and literals as events,
+//! `{ $v }` as a replay of the bound subtree, and `$v/...` projections as
+//! the string values QuickXScan finds in that replay (§4.4 deferred access:
+//! only matched subtrees are fetched). Each distinct projection path is
+//! compiled once per FLWOR.
 
 use crate::db::{BaseTable, Database, XmlColumn};
 use crate::error::{EngineError, Result};
@@ -324,13 +326,14 @@ pub fn execute_flwor(
     // plan cache; it S-locks every document it binds in, so the
     // projections below read locked documents only.
     let (hits, _) = db.query_locked(txn, table, column, &flwor.binding, false)?;
+    let projections = Projections::compile(flwor)?;
 
     // Evaluate order-by keys and sort bindings.
     let mut bindings: Vec<(DocId, NodeId, String)> = Vec::with_capacity(hits.len());
     for h in hits {
         let Some(node) = h.node else { continue };
         let key = match &flwor.order_by {
-            Some((rel, _)) => project(column, dict, h.doc, &node, rel)?.join(""),
+            Some((rel, _)) => projections.run(column, dict, h.doc, &node, rel)?.join(""),
             None => String::new(),
         };
         bindings.push((h.doc, node, key));
@@ -344,7 +347,7 @@ pub fn execute_flwor(
     for (doc, node, _) in &bindings {
         let mut ser = rx_xml::Serializer::new(dict);
         for item in &flwor.ret {
-            render(column, dict, *doc, node, item, &mut ser)?;
+            render(&projections, column, dict, *doc, node, item, &mut ser)?;
         }
         out.push(ser.finish());
     }
@@ -352,6 +355,7 @@ pub fn execute_flwor(
 }
 
 fn render(
+    projections: &Projections<'_>,
     column: &Arc<XmlColumn>,
     dict: &NameDict,
     doc: DocId,
@@ -368,7 +372,7 @@ fn render(
             let qn = dict.intern("", "", name);
             sink.event(Event::StartElement { name: qn })?;
             for c in content {
-                render(column, dict, doc, node, c, sink)?;
+                render(projections, column, dict, doc, node, c, sink)?;
             }
             sink.event(Event::EndElement)?;
         }
@@ -379,7 +383,7 @@ fn render(
                 let mut adapter = crate::traverse::DropIds(sink);
                 t.run_subtree(node, &mut adapter)?;
             } else {
-                for v in project(column, dict, doc, node, rel)? {
+                for v in projections.run(column, dict, doc, node, rel)? {
                     sink.event(Event::Text {
                         value: &v,
                         ann: TypeAnn::Untyped,
@@ -391,34 +395,69 @@ fn render(
     Ok(())
 }
 
-/// Evaluate a relative path against the subtree rooted at `node`: replay the
-/// subtree as if its root were the document root and run QuickXScan with the
-/// path re-anchored under `/*`.
-fn project(
-    column: &Arc<XmlColumn>,
-    dict: &NameDict,
-    doc: DocId,
-    node: &NodeId,
-    rel: &Path,
-) -> Result<Vec<String>> {
-    // Build `/*/rel...`: the subtree root is the single top-level element.
-    let mut steps = vec![Step {
-        axis: rx_xpath::Axis::Child,
-        test: rx_xpath::NodeTest::AnyName,
-        predicates: Vec::new(),
-    }];
-    steps.extend(rel.steps.iter().cloned());
-    let abs = Path {
-        absolute: true,
-        steps,
-    };
-    let tree = QueryTree::compile(&abs)?;
-    let mut scan = QuickXScan::new(&tree, dict);
-    scan.event(Event::StartDocument)?;
-    Traverser::new(column.xml_table(), doc).run_subtree(node, &mut scan)?;
-    scan.event(Event::EndDocument)?;
-    let items = scan.finish()?;
-    Ok(items.into_iter().map(|i| i.value).collect())
+/// The compiled relative paths of one FLWOR: one query tree per distinct
+/// `order by` or `{ $v/path }` path, each re-anchored under `/*` (the bound
+/// subtree's root is the single top-level element of its replay).
+struct Projections<'f> {
+    trees: Vec<(&'f Path, QueryTree)>,
+}
+
+impl<'f> Projections<'f> {
+    fn compile(flwor: &'f Flwor) -> Result<Self> {
+        fn collect<'f>(items: &'f [RetItem], paths: &mut Vec<&'f Path>) {
+            for item in items {
+                match item {
+                    RetItem::VarPath(rel) if !rel.steps.is_empty() => paths.push(rel),
+                    RetItem::Element { content, .. } => collect(content, paths),
+                    _ => {}
+                }
+            }
+        }
+        let mut paths: Vec<&Path> = flwor.order_by.iter().map(|(rel, _)| rel).collect();
+        collect(&flwor.ret, &mut paths);
+        let mut trees: Vec<(&Path, QueryTree)> = Vec::new();
+        for rel in paths {
+            if trees.iter().any(|(p, _)| *p == rel) {
+                continue;
+            }
+            let mut steps = vec![Step {
+                axis: rx_xpath::Axis::Child,
+                test: rx_xpath::NodeTest::AnyName,
+                predicates: Vec::new(),
+            }];
+            steps.extend(rel.steps.iter().cloned());
+            let abs = Path {
+                absolute: true,
+                steps,
+            };
+            trees.push((rel, QueryTree::compile(&abs)?));
+        }
+        Ok(Projections { trees })
+    }
+
+    /// Evaluate `rel` against the subtree rooted at `node`: replay the
+    /// subtree as if its root were the document root and run QuickXScan
+    /// with `rel`'s compiled tree.
+    fn run(
+        &self,
+        column: &Arc<XmlColumn>,
+        dict: &NameDict,
+        doc: DocId,
+        node: &NodeId,
+        rel: &Path,
+    ) -> Result<Vec<String>> {
+        let (_, tree) = self
+            .trees
+            .iter()
+            .find(|(p, _)| *p == rel)
+            .expect("every projection path is compiled up front");
+        let mut scan = QuickXScan::new(tree, dict);
+        scan.event(Event::StartDocument)?;
+        Traverser::new(column.xml_table(), doc).run_subtree(node, &mut scan)?;
+        scan.event(Event::EndDocument)?;
+        let items = scan.finish()?;
+        Ok(items.into_iter().map(|i| i.value).collect())
+    }
 }
 
 #[cfg(test)]
@@ -519,6 +558,28 @@ mod tests {
         .unwrap();
         let out = run(&db, &t, &col, &f);
         assert_eq!(out[0], "<n>Widget</n>");
+    }
+
+    /// `order by` and `return` share one compiled tree per distinct path.
+    #[test]
+    fn each_distinct_projection_path_compiles_once() {
+        let (db, t, col, xp) = setup();
+        let f = parse_flwor(
+            "for $p in /Catalog/Product order by $p/ProductName \
+             return <p><n>{ $p/ProductName }</n>{ $p/RegPrice }{ $p }\
+             <again>{ $p/ProductName }</again></p>",
+            &xp,
+        )
+        .unwrap();
+        assert_eq!(Projections::compile(&f).unwrap().trees.len(), 2);
+        let out = run(&db, &t, &col, &f);
+        assert_eq!(out.len(), 3);
+        assert!(
+            out[0].starts_with("<p><n>Gadget</n>150<Product>"),
+            "{}",
+            out[0]
+        );
+        assert!(out[0].ends_with("</Product><again>Gadget</again></p>"));
     }
 
     #[test]

@@ -49,43 +49,22 @@ struct Frame {
     referenced: AtomicBool,
 }
 
-/// Counters exposed for experiments (buffer behaviour is part of the paper's
-/// I/O-unit argument in §3.1). Aggregated across shards; per-shard breakdowns
-/// come from [`BufferPool::shard_stats`].
-#[derive(Default)]
+/// Pool-wide counter totals, for experiments (buffer behaviour is part of
+/// the paper's I/O-unit argument in §3.1). Hits, misses and contention are
+/// counted once, per shard, and summed here; per-shard breakdowns come from
+/// [`BufferPool::shard_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferStats {
     /// Page requests satisfied from the pool.
-    pub hits: AtomicU64,
+    pub hits: u64,
     /// Page requests that had to read from the backend.
-    pub misses: AtomicU64,
+    pub misses: u64,
     /// Frames evicted to make room.
-    pub evictions: AtomicU64,
+    pub evictions: u64,
     /// Dirty pages written back to a backend.
-    pub writebacks: AtomicU64,
+    pub writebacks: u64,
     /// Shard-mutex acquisitions that found the mutex already held.
-    pub contention: AtomicU64,
-}
-
-impl BufferStats {
-    /// Snapshot the main counters as plain integers
-    /// (hits, misses, evictions, writebacks).
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-            self.writebacks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.writebacks.store(0, Ordering::Relaxed);
-        self.contention.store(0, Ordering::Relaxed);
-    }
+    pub contention: u64,
 }
 
 /// Live per-shard counters.
@@ -127,8 +106,8 @@ struct Shard {
 pub struct BufferPool {
     shards: Vec<Shard>,
     backends: RwLock<HashMap<SpaceId, Arc<dyn StorageBackend>>>,
-    /// Access counters (aggregated across shards).
-    pub stats: BufferStats,
+    evictions: AtomicU64,
+    writebacks: AtomicU64,
 }
 
 /// Smallest legal pool: the clock sweep needs headroom to find an
@@ -189,7 +168,8 @@ impl BufferPool {
         Arc::new(BufferPool {
             shards,
             backends: RwLock::new(HashMap::new()),
-            stats: BufferStats::default(),
+            evictions: AtomicU64::new(0),
+            writebacks: AtomicU64::new(0),
         })
     }
 
@@ -217,7 +197,6 @@ impl BufferPool {
             Some(g) => g,
             None => {
                 shard.stats.contention.fetch_add(1, Ordering::Relaxed);
-                self.stats.contention.fetch_add(1, Ordering::Relaxed);
                 shard.inner.lock()
             }
         }
@@ -260,14 +239,12 @@ impl BufferPool {
                 f.pin.fetch_add(1, Ordering::AcqRel);
                 f.referenced.store(true, Ordering::Relaxed);
                 shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(PageGuard {
                     frame: Arc::clone(f),
                 });
             }
         }
         shard.stats.misses.fetch_add(1, Ordering::Relaxed);
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // Read outside the shard lock.
         let backend = self.backend(pid.space)?;
         let page = Page::read_with(|buf| backend.read_page(pid.page, buf))?;
@@ -338,7 +315,7 @@ impl BufferPool {
                 len => i % len,
             };
             inner.table.remove(&f.pid);
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         Err(StorageError::BufferPoolExhausted)
@@ -348,7 +325,7 @@ impl BufferPool {
         let backend = self.backend(f.pid.space)?;
         let page = f.page.read();
         backend.write_page(f.pid.page, page.bytes().as_slice())?;
-        self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+        self.writebacks.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -405,6 +382,24 @@ impl BufferPool {
     /// so stats polling never inflates the contention counters it reports.
     pub fn resident(&self) -> usize {
         self.shards.iter().map(|s| s.inner.lock().clock.len()).sum()
+    }
+
+    /// Pool-wide counter totals: the per-shard counters summed, plus
+    /// evictions and write-backs. Reads no shard lock.
+    pub fn stats(&self) -> BufferStats {
+        let sum = |c: fn(&ShardStats) -> &AtomicU64| -> u64 {
+            self.shards
+                .iter()
+                .map(|s| c(&s.stats).load(Ordering::Relaxed))
+                .sum()
+        };
+        BufferStats {
+            hits: sum(|s| &s.hits),
+            misses: sum(|s| &s.misses),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            writebacks: self.writebacks.load(Ordering::Relaxed),
+            contention: sum(|s| &s.contention),
+        }
     }
 
     /// Per-shard counter snapshot (hits, misses, contention, resident).
@@ -488,8 +483,8 @@ mod tests {
         }
         let g = pool.fetch(pid).unwrap();
         assert_eq!(g.read().lsn(), 99);
-        let (hits, misses, _, _) = pool.stats.snapshot();
-        assert_eq!((hits, misses), (1, 1));
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -568,6 +563,41 @@ mod tests {
         });
     }
 
+    /// The pool-wide totals, summed from the shard counters, read what
+    /// one pool-wide counter per event would: one hit or miss per fetch
+    /// call and one contention per contended shard lock.
+    #[test]
+    fn summed_totals_count_each_fetch_and_contended_lock_once() {
+        let pool = pool_with_space(128);
+        for i in 0..40u32 {
+            pool.fetch(PageId::new(1, i)).unwrap();
+        }
+        for _ in 0..2 {
+            for i in 0..40u32 {
+                pool.fetch(PageId::new(1, i)).unwrap();
+            }
+        }
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.contention), (80, 40, 0));
+        // Hold page 0's shard lock while another thread fetches page 0.
+        let pid = PageId::new(1, 0);
+        std::thread::scope(|scope| {
+            let held = pool.shard_of(pid).inner.lock();
+            let fetcher = scope.spawn(|| drop(pool.fetch(pid).unwrap()));
+            while pool.shard_of(pid).stats.contention.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            fetcher.join().unwrap();
+        });
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.contention), (81, 40, 1));
+        let shards = pool.shard_stats();
+        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), s.hits);
+        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), s.misses);
+        assert_eq!(shards.iter().map(|s| s.contention).sum::<u64>(), 1);
+    }
+
     #[test]
     fn pages_spread_across_shards() {
         let pool = pool_with_space(128);
@@ -579,7 +609,7 @@ mod tests {
         let used = per_shard.iter().filter(|s| s.misses > 0).count();
         assert!(used > 4, "64 pages landed on only {used} shards");
         let total_misses: u64 = per_shard.iter().map(|s| s.misses).sum();
-        assert_eq!(total_misses, pool.stats.misses.load(Ordering::Relaxed));
+        assert_eq!(total_misses, pool.stats().misses);
         let resident: u64 = per_shard.iter().map(|s| s.resident).sum();
         assert_eq!(resident as usize, pool.resident());
     }
@@ -668,8 +698,7 @@ mod tests {
             g.write().set_lsn(u64::from(i) + 1);
         }
         assert!(pool.resident() <= 8);
-        let (_, _, evictions, _) = pool.stats.snapshot();
-        assert!(evictions >= 24);
+        assert!(pool.stats().evictions >= 24);
         // All pages still readable with correct contents after heavy churn.
         for i in 0..32u32 {
             let g = pool.fetch(PageId::new(1, i)).unwrap();

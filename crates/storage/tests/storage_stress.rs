@@ -3,6 +3,7 @@
 //! Thread count scales with `RX_STRESS_THREADS` (default 8) so CI can turn
 //! the pressure up without editing the test.
 
+use rx_storage::buffer::BufferStats;
 use rx_storage::wal::MemLogStore;
 use rx_storage::{
     BufferPool, HeapTable, LockManager, LogRecord, MemBackend, PageId, StorageBackend, TableSpace,
@@ -90,7 +91,12 @@ fn sharded_fetches_keep_counters_consistent() {
         }
     });
 
-    let (hits, misses, evictions, _writebacks) = pool.stats.snapshot();
+    let BufferStats {
+        hits,
+        misses,
+        evictions,
+        ..
+    } = pool.stats();
     let total = fetches.load(Ordering::Relaxed);
     assert_eq!(total, threads * FETCHES_PER_THREAD);
     assert_eq!(hits + misses, total, "every fetch is a hit or a miss");
@@ -192,7 +198,7 @@ fn concurrent_commits_batch_and_stay_consistent() {
     }
 
     // The pool's shard counters stayed coherent under the same storm.
-    let (hits, misses, ..) = pool.stats.snapshot();
+    let BufferStats { hits, misses, .. } = pool.stats();
     let shards = pool.shard_stats();
     assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), hits);
     assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), misses);

@@ -262,9 +262,9 @@ fn names_a_fragment_adds_survive_crash() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The DocID counter lives in a catalog page that is flushed only when new
-/// names are, so a crash leaves it one DocID behind per insert since. Each
-/// reopen raises it to the largest recovered DocID, and the next insert
+/// The DocID counter is persisted only at checkpoints, so a crash leaves the
+/// catalog one DocID behind per insert since the last one. Each reopen
+/// raises the counter to the largest recovered DocID, and the next insert
 /// takes the DocID after that.
 #[test]
 fn lagging_docid_counter_is_raised_at_reopen() {

@@ -267,7 +267,8 @@ fn small_buffer_pool_forces_eviction_through_the_stack() {
     let id = db.insert_row(&t, &[ColValue::Xml(doc.clone())]).unwrap();
     // The pool is far smaller than the document.
     assert!(db.pool().resident() <= 64);
-    let (_, _, evictions, writebacks) = db.pool().stats.snapshot();
+    let s = db.pool().stats();
+    let (evictions, writebacks) = (s.evictions, s.writebacks);
     assert!(evictions > 100, "evictions: {evictions}");
     assert!(writebacks > 50, "writebacks: {writebacks}");
     // Query through the index, then verify a full round trip.
