@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Every experiment, by id, in report order.
-const EXPERIMENTS: [(&str, fn()); 15] = [
+const EXPERIMENTS: [(&str, fn()); 16] = [
     ("e1", e1_storage),
     ("e2", e2_traversal),
     ("e3", e3_update),
@@ -46,6 +46,7 @@ const EXPERIMENTS: [(&str, fn()); 15] = [
     ("e12", e12_pipelining),
     ("e13", e13_doc_cache),
     ("e19", e19_btree),
+    ("e20", e20_synopses),
     ("a1", a1_target_size_ablation),
 ];
 
@@ -2460,6 +2461,158 @@ fn e13_doc_cache() {
 // ---------------------------------------------------------------------------
 // E19 — the B+tree under every index: per-operation cost and node fill
 // ---------------------------------------------------------------------------
+
+fn e20_synopses() {
+    use rx_engine::synopsis;
+    use rx_engine::validx::IndexKeyGen;
+
+    println!("\n## E20 — per-document synopses: skip documents that cannot match");
+    println!("Each base row holds a Bloom filter per XML column over (name, string value)");
+    println!("of every attribute and leaf element plus (name, NON_LEAF) for names with");
+    println!("element children, sized at 6.5 bits per distinct entry. A full scan reads");
+    println!("each candidate's filter under its S lock and evaluates only the documents");
+    println!("it admits. The equality below has no value index, so without synopses it");
+    println!("scans every document (the `DocScanner` column).");
+
+    struct Corpus {
+        name: &'static str,
+        docs: usize,
+        config: DbConfig,
+        text: Box<dyn Fn(usize) -> String>,
+        query: fn(&str) -> String,
+        present: fn(usize) -> String,
+    }
+    let products = |docs: usize, description_len: usize| {
+        let spec = CatalogSpec {
+            products: docs,
+            description_len,
+            ..Default::default()
+        };
+        Box::new(move |i| rx_gen::product_doc(&spec, i)) as Box<dyn Fn(usize) -> String>
+    };
+    let product_query =
+        |v: &str| format!("/Catalog/Categories/Product[ProductName = \"{v}\"]/RegPrice");
+    let corpora = [
+        Corpus {
+            name: "scan-cold products (1k, 200-char descriptions, 64-page pool)",
+            docs: 1_000,
+            config: DbConfig {
+                buffer_pages: 64,
+                ..DbConfig::default()
+            },
+            text: products(1_000, 200),
+            query: product_query,
+            present: |i| format!("Product-{i:06}"),
+        },
+        Corpus {
+            name: "lookup-hot products (20k, 64-char descriptions)",
+            docs: 20_000,
+            config: DbConfig::default(),
+            text: products(20_000, 64),
+            query: product_query,
+            present: |i| format!("Product-{i:06}"),
+        },
+        Corpus {
+            name: "ingest-mixed orders (5k, 8 items)",
+            docs: 5_000,
+            config: DbConfig::default(),
+            text: Box::new(|i| order_doc(i, 8)),
+            query: |v| format!("/Order[Customer = \"{v}\"]/Item/Sku"),
+            present: |i| format!("cust-{i}"),
+        },
+    ];
+    const QUERIES: usize = 50;
+    let mut rows = Vec::new();
+    for c in &corpora {
+        let db = Database::create_in_memory_with(c.config.clone()).unwrap();
+        let t = db.create_table("t", &[("doc", ColumnKind::Xml)]).unwrap();
+        for i in 0..c.docs {
+            db.insert_row(&t, &[ColValue::Xml((c.text)(i))]).unwrap();
+        }
+        let col = t.xml_column("doc").unwrap();
+        let dict = db.dict();
+        let docs = access::all_docids(&t).unwrap();
+        // Synopsis size, re-derived the way insert builds it.
+        let mut keygen = IndexKeyGen::new([], dict).with_synopsis();
+        let (mut entries, mut bytes) = (0, 0);
+        for &d in &docs {
+            keygen.derive(col.xml_table(), d).unwrap();
+            let n = keygen.take_synopsis().entries.len();
+            entries += n;
+            bytes += synopsis::words_for(n) * 8;
+        }
+        // One read-only transaction per query, as the server runs it.
+        let run = |value: &str| {
+            let path = XPathParser::new().parse(&(c.query)(value)).unwrap();
+            let txn = db.begin().unwrap();
+            let t0 = Instant::now();
+            let (hits, stats) = db.query_locked(&txn, &t, col, &path, false).unwrap();
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            txn.commit().unwrap();
+            (hits.len(), stats, us)
+        };
+        // False positives: values no document holds.
+        let (mut admitted, mut candidates) = (0, 0);
+        for i in 0..QUERIES {
+            let (hits, stats, _) = run(&format!("absent-{i}"));
+            assert_eq!(hits, 0);
+            admitted += stats.docs_evaluated;
+            candidates += stats.candidates;
+        }
+        // Present values, spread over the corpus: pruned vs every document.
+        let picks: Vec<usize> = (0..QUERIES).map(|i| i * c.docs / QUERIES + 7).collect();
+        let (mut pruned_us, mut evaluated) = (Vec::new(), 0);
+        for &i in &picks {
+            let (hits, stats, us) = run(&(c.present)(i));
+            assert!(hits >= 1, "{} finds its document", (c.present)(i));
+            pruned_us.push(us);
+            evaluated += stats.docs_evaluated;
+        }
+        let mut scan_us = Vec::new();
+        for &i in &picks {
+            let path = XPathParser::new()
+                .parse(&(c.query)(&(c.present)(i)))
+                .unwrap();
+            let tree = QueryTree::compile(&path).unwrap();
+            let t0 = Instant::now();
+            let mut scanner = access::DocScanner::new(col, &tree, dict, false);
+            let (mut stats, mut hits) = (access::AccessStats::default(), Vec::new());
+            for &d in &docs {
+                scanner.evaluate(d, &mut stats, &mut hits).unwrap();
+            }
+            scan_us.push(t0.elapsed().as_secs_f64() * 1e6);
+            assert!(!hits.is_empty());
+        }
+        let median = |v: &mut Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        rows.push(vec![
+            c.name.to_string(),
+            format!("{:.1}", entries as f64 / docs.len() as f64),
+            format!("{:.1}", bytes as f64 / docs.len() as f64),
+            format!("{:.2}%", 100.0 * admitted as f64 / candidates as f64),
+            format!("{:.1}", evaluated as f64 / QUERIES as f64),
+            format!("{:.0}", median(&mut pruned_us)),
+            docs.len().to_string(),
+            format!("{:.0}", median(&mut scan_us)),
+        ]);
+    }
+    print_table(
+        "E20 — synopsis size, false positives, and a non-indexed equality with and without pruning",
+        &[
+            "corpus",
+            "entries/doc",
+            "synopsis B/doc",
+            "false positives (absent values)",
+            "docs evaluated (pruned)",
+            "µs/query (pruned, query_locked)",
+            "docs evaluated (DocScanner)",
+            "µs/query (DocScanner, all docs)",
+        ],
+        &rows,
+    );
+}
 
 fn e19_btree() {
     use rx_storage::BTree;

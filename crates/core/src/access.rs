@@ -20,6 +20,7 @@ use crate::conc;
 use crate::db::{BaseTable, XmlColumn};
 use crate::error::{EngineError, Result};
 use crate::executor::{CachedPlan, PlanCache, PlanKey, QueryExecutor};
+use crate::synopsis::{self, SynopsisTerm};
 use crate::traverse::Traverser;
 use crate::validx::{IndexEntry, IndexKeys, ValueIndex};
 use crate::xmltable::{DocId, LocatedRoots};
@@ -248,6 +249,10 @@ pub struct AccessStats {
     pub candidates: u64,
     /// Documents fully (re-)evaluated.
     pub docs_evaluated: u64,
+    /// Candidates whose synopsis ruled them out under their S lock, before
+    /// any of their records was read (DESIGN.md §19). They do not count in
+    /// `docs_evaluated`.
+    pub docs_pruned: u64,
     /// Heap records fetched during evaluation.
     pub records_fetched: u64,
     /// Element contents the scan declined and traversal jumped over.
@@ -643,6 +648,21 @@ pub fn evaluate_docs(
     stats: &mut AccessStats,
 ) -> Result<Vec<QueryHit>> {
     conc::lock_documents_shared(txn, table.def.id, &docs)?;
+    evaluate_locked(exec, lanes, txn, column, dict, tree, docs, stats)
+}
+
+/// [`evaluate_docs`] once the caller holds the S lock of every candidate.
+#[allow(clippy::too_many_arguments)]
+fn evaluate_locked(
+    exec: Option<&QueryExecutor>,
+    lanes: usize,
+    txn: &Txn,
+    column: &Arc<XmlColumn>,
+    dict: &Arc<NameDict>,
+    tree: &Arc<QueryTree>,
+    docs: Vec<DocId>,
+    stats: &mut AccessStats,
+) -> Result<Vec<QueryHit>> {
     // Lanes of a read-only transaction read committed documents only, so
     // they may publish cache snapshots.
     let publish = !txn.has_logged();
@@ -788,7 +808,8 @@ fn anchor_nodes(
 }
 
 /// Execute a plan with an already-compiled tree in `txn`, optionally
-/// fanning candidate-document evaluation across `exec`'s worker lanes.
+/// fanning candidate-document evaluation across `exec`'s worker lanes. No
+/// synopsis is read: every candidate is evaluated.
 ///
 /// The read follows the §5.1 DocID-locking protocol: "care must be taken
 /// also to prevent reading a partially inserted document by using a lock".
@@ -806,9 +827,52 @@ pub fn execute_tree(
     exec: Option<&QueryExecutor>,
     txn: &Txn,
 ) -> Result<(Vec<QueryHit>, AccessStats)> {
+    execute(plan, &[], table, column, dict, tree, exec, txn)
+}
+
+/// Execute a prepared query ([`prepare`]): [`execute_tree`] that, once the
+/// candidates' S locks are granted and before fan-out, drops the documents
+/// whose synopsis rules out one of the plan's synopsis terms, so the lanes
+/// are chosen for the survivors only (DESIGN.md §19).
+pub fn execute_prepared(
+    prepared: &CachedPlan,
+    table: &Arc<BaseTable>,
+    column: &Arc<XmlColumn>,
+    dict: &Arc<NameDict>,
+    exec: Option<&QueryExecutor>,
+    txn: &Txn,
+) -> Result<(Vec<QueryHit>, AccessStats)> {
+    execute(
+        &prepared.plan,
+        &prepared.synopsis,
+        table,
+        column,
+        dict,
+        &prepared.tree,
+        exec,
+        txn,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn execute(
+    plan: &AccessPlan,
+    synopsis: &[SynopsisTerm],
+    table: &Arc<BaseTable>,
+    column: &Arc<XmlColumn>,
+    dict: &Arc<NameDict>,
+    tree: &Arc<QueryTree>,
+    exec: Option<&QueryExecutor>,
+    txn: &Txn,
+) -> Result<(Vec<QueryHit>, AccessStats)> {
     let mut stats = AccessStats::default();
+    let mut rids = None;
     let (docs, anchors) = match plan {
-        AccessPlan::FullScan => (all_docids(table)?, None),
+        AccessPlan::FullScan => {
+            let (docs, rows) = all_rows(table)?;
+            rids = Some(rows);
+            (docs, None)
+        }
         AccessPlan::Index {
             terms,
             combine,
@@ -862,10 +926,10 @@ pub fn execute_tree(
     if anchors.is_none() {
         stats.candidates = docs.len() as u64;
     }
+    conc::lock_documents_shared(txn, table.def.id, &docs)?;
+    let docs = synopsis::prune(table, column, synopsis, docs, rids, &mut stats)?;
     let lanes = fan_out_lanes(exec, docs.len());
-    let mut hits = evaluate_docs(
-        exec, lanes, txn, table, column, dict, tree, docs, &mut stats,
-    )?;
+    let mut hits = evaluate_locked(exec, lanes, txn, column, dict, tree, docs, &mut stats)?;
     if let Some((anchors, depth)) = anchors {
         hits.retain(|h| match &h.node {
             Some(n) => anchors
@@ -925,9 +989,11 @@ pub fn prepare(
     prefer_nodeid: bool,
 ) -> Result<Arc<CachedPlan>> {
     let build = || -> Result<Arc<CachedPlan>> {
+        let plan = plan(path, column, prefer_nodeid);
         Ok(Arc::new(CachedPlan {
             tree: Arc::new(QueryTree::compile(path)?),
-            plan: Arc::new(plan(path, column, prefer_nodeid)),
+            synopsis: synopsis_terms(path, &plan),
+            plan: Arc::new(plan),
         }))
     };
     match cache {
@@ -944,16 +1010,63 @@ pub fn prepare(
     }
 }
 
+/// The synopsis terms a plan checks (DESIGN.md §19.2): every decidable
+/// conjunct of a full scan; those of a DocID list that none of its ANDed
+/// index terms already answers; none for a NodeID list.
+fn synopsis_terms(path: &Path, plan: &AccessPlan) -> Vec<SynopsisTerm> {
+    let conjuncts = synopsis::conjuncts(path);
+    let answered = |c: &synopsis::Conjunct<'_>| match plan {
+        AccessPlan::FullScan => false,
+        AccessPlan::Index {
+            granularity: Granularity::NodeId,
+            ..
+        } => true,
+        AccessPlan::Index {
+            terms,
+            combine,
+            anchor_depth,
+            ..
+        } => {
+            let anchor = anchor_depth - 1;
+            let and = *combine == Combine::And || terms.len() == 1;
+            and && c.step == Some(anchor)
+                && c.operand.is_simple()
+                && !c.operand.absolute
+                && terms.iter().any(|t| {
+                    let IndexKeys::Typed(key_type) = t.index.def.keys else {
+                        return false;
+                    };
+                    t.access_path == access_path(path, anchor, c.operand).to_string()
+                        && encode_key(key_type, c.literal)
+                            .and_then(|k| KeyRange::from_cmp(CmpOp::Eq, k))
+                            .is_some_and(|r| r == t.range)
+                })
+        }
+    };
+    conjuncts
+        .iter()
+        .filter(|c| !answered(c))
+        .map(|c| c.term)
+        .collect()
+}
+
 /// All DocIDs of a table, from the DocID index.
 pub fn all_docids(table: &Arc<BaseTable>) -> Result<Vec<DocId>> {
-    let mut out = Vec::new();
-    table.docid_index().scan_all(|k, _| {
+    Ok(all_rows(table)?.0)
+}
+
+/// All DocIDs of a table and their base-row RIDs, in DocID order, from one
+/// scan of the DocID index.
+pub fn all_rows(table: &Arc<BaseTable>) -> Result<(Vec<DocId>, Vec<Rid>)> {
+    let (mut docs, mut rids) = (Vec::new(), Vec::new());
+    table.docid_index().scan_all(|k, v| {
         if let Ok(b) = <[u8; 8]>::try_from(k) {
-            out.push(u64::from_be_bytes(b));
+            docs.push(u64::from_be_bytes(b));
+            rids.push(Rid::from_u64(v));
         }
         true
     })?;
-    Ok(out)
+    Ok((docs, rids))
 }
 
 fn combine_sets<T: Ord + Clone>(mut sets: Vec<BTreeSet<T>>, combine: Combine) -> BTreeSet<T> {

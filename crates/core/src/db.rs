@@ -219,9 +219,20 @@ pub struct XmlColumn {
     pub position: usize,
     xml: XmlTable,
     indexes: RwLock<Vec<Arc<ValueIndex>>>,
+    /// Keys of the names that some document of the column uses, or once
+    /// used, as an element with element children (sorted; it never
+    /// shrinks). Persisted under `nonleaf/<table id>/<column>`.
+    non_leaf: RwLock<Vec<u64>>,
 }
 
 impl XmlColumn {
+    /// The synopsis keys of the names that may occur as an element with
+    /// element children in some document of the column (DESIGN.md §19.2).
+    /// A name outside this list has no `NON_LEAF` entry in any synopsis.
+    pub fn non_leaf_names(&self) -> parking_lot::RwLockReadGuard<'_, Vec<u64>> {
+        self.non_leaf.read()
+    }
+
     /// The internal XML table.
     pub fn xml_table(&self) -> &XmlTable {
         &self.xml
@@ -307,25 +318,61 @@ pub struct Row {
     pub values: Vec<String>,
 }
 
-fn encode_base_row(doc: DocId, values: &[String]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(16);
-    e.u64(doc);
-    e.varint(values.len() as u64);
-    for v in values {
-        e.str(v);
+/// A base row: the DocID as a varint, then one length-prefixed slot per
+/// column, in column order. A relational column's slot holds its string; an
+/// XML column's holds the document's synopsis (DESIGN.md §19).
+fn encode_base_row(doc: DocId, slots: &[Vec<u8>]) -> Vec<u8> {
+    let mut e = Enc::with_capacity(16 + slots.iter().map(Vec::len).sum::<usize>());
+    e.varint(doc);
+    e.varint(slots.len() as u64);
+    for s in slots {
+        e.bytes(s);
     }
     e.into_bytes()
 }
 
-fn decode_base_row(rec: &[u8]) -> Result<Row> {
+fn decode_base_row(rec: &[u8], columns: &[ColumnDef]) -> Result<Row> {
     let mut d = Dec::new(rec);
-    let doc = d.u64()?;
+    let doc = d.varint()?;
     let n = d.varint()? as usize;
     let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(d.str()?.to_string());
+    for i in 0..n {
+        values.push(match columns.get(i).map(|c| c.kind) {
+            Some(ColumnKind::Xml) => {
+                d.bytes()?;
+                String::new()
+            }
+            _ => d.str()?.to_string(),
+        });
     }
     Ok(Row { doc, values })
+}
+
+/// The DocID of base row `rec` and the byte range of its slot at column
+/// `position`. A row without that slot reads as an empty one.
+fn locate_slot(rec: &[u8], position: usize) -> Result<(DocId, std::ops::Range<usize>)> {
+    let mut d = Dec::new(rec);
+    let doc = d.varint()?;
+    let n = d.varint()? as usize;
+    if position >= n {
+        return Ok((doc, rec.len()..rec.len()));
+    }
+    for _ in 0..position {
+        d.bytes()?;
+    }
+    let len = d.varint()? as usize;
+    let start = rec.len() - d.remaining();
+    if len > d.remaining() {
+        return Err(EngineError::Record("base row slot overruns the row".into()));
+    }
+    Ok((doc, start..start + len))
+}
+
+/// The DocID of base row `rec` and its slot at column `position` (for an
+/// XML column, the document's synopsis).
+pub(crate) fn base_row_slot(rec: &[u8], position: usize) -> Result<(DocId, &[u8])> {
+    let (doc, range) = locate_slot(rec, position)?;
+    Ok((doc, &rec[range]))
 }
 
 // Catalog key prefixes.
@@ -347,6 +394,31 @@ fn k_table(name: &str) -> Vec<u8> {
 
 fn k_doccnt(table_id: u32) -> Vec<u8> {
     format!("doccnt/{table_id}").into_bytes()
+}
+
+fn k_non_leaf(table_id: u32, column: &str) -> Vec<u8> {
+    format!("nonleaf/{table_id}/{column}").into_bytes()
+}
+
+/// Catalog record of a column's non-leaf name keys: a count, then each
+/// key.
+fn encode_non_leaf(keys: &[u64]) -> Vec<u8> {
+    let mut e = Enc::with_capacity(2 + 8 * keys.len());
+    e.varint(keys.len() as u64);
+    for &k in keys {
+        e.u64(k);
+    }
+    e.into_bytes()
+}
+
+fn decode_non_leaf(bytes: &[u8]) -> Result<Vec<u64>> {
+    let mut d = Dec::new(bytes);
+    let n = d.varint()?;
+    let mut keys = Vec::new();
+    for _ in 0..n {
+        keys.push(d.u64()?);
+    }
+    Ok(keys)
 }
 
 /// Catalog key prefixes of index definitions: typed indexes under `idx/`,
@@ -594,7 +666,8 @@ impl Database {
     /// Plan + execute an XPath query over `column` in `txn`: the engine's one
     /// query entry point. The plan comes from the plan cache; evaluation
     /// fans out across the worker pool after every candidate document is
-    /// S-locked in `txn` (§5.1, DESIGN.md §14).
+    /// S-locked in `txn` (§5.1, DESIGN.md §14) and the candidates whose
+    /// synopsis rules them out are dropped (DESIGN.md §19).
     pub fn query_locked(
         &self,
         txn: &Txn,
@@ -605,12 +678,11 @@ impl Database {
     ) -> Result<(Vec<crate::access::QueryHit>, crate::access::AccessStats)> {
         let prepared =
             crate::access::prepare(Some(&self.plan_cache), table, column, path, prefer_nodeid)?;
-        crate::access::execute_tree(
-            &prepared.plan,
+        crate::access::execute_prepared(
+            &prepared,
             table,
             column,
             &self.dict,
-            &prepared.tree,
             Some(&self.executor),
             txn,
         )
@@ -717,6 +789,7 @@ impl Database {
                     position: pos,
                     xml,
                     indexes: RwLock::new(Vec::new()),
+                    non_leaf: RwLock::new(Vec::new()),
                 }));
             } else {
                 col_spaces.push(0);
@@ -801,11 +874,16 @@ impl Database {
                 let space = self.open_space(def.space_id)?;
                 indexes.push(Arc::new(ValueIndex::open(space, def.clone())?));
             }
+            let non_leaf = match self.catalog.get(&k_non_leaf(id, &cname)) {
+                Some(bytes) => decode_non_leaf(&bytes)?,
+                None => Vec::new(),
+            };
             let col = Arc::new(XmlColumn {
                 name: cname,
                 position: pos,
                 xml,
                 indexes: RwLock::new(indexes),
+                non_leaf: RwLock::new(non_leaf),
             });
             xml_columns.push(col);
         }
@@ -855,6 +933,9 @@ impl Database {
         // back after it is deleted.
         self.tables.write().remove(name);
         self.catalog.delete(&k_doccnt(t.def.id))?;
+        for col in t.xml_columns() {
+            self.catalog.delete(&k_non_leaf(t.def.id, &col.name))?;
+        }
         self.plan_cache.invalidate_table(t.def.id);
         // Snapshots of the dropped table's spaces can never be read again;
         // free their bytes.
@@ -1018,20 +1099,23 @@ impl Database {
         // §5.1: X-lock the document (plus table intent) so no reader ever
         // sees a partially inserted document.
         crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
-        let mut base_values = Vec::with_capacity(values.len());
+        let mut slots = Vec::with_capacity(values.len());
+        let mut catalog_dirty = false;
         for (cv, cd) in values.iter().zip(&table.def.columns) {
             match (cv, cd.kind) {
-                (ColValue::Str(s), ColumnKind::Str) => base_values.push(s.clone()),
+                (ColValue::Str(s), ColumnKind::Str) => slots.push(s.as_bytes().to_vec()),
                 (ColValue::Xml(text), ColumnKind::Xml) => {
                     let col = table.xml_column(&cd.name)?;
-                    self.store_document(txn, col, doc, text, None)?;
-                    base_values.push(String::new());
+                    let synopsis = self.store_document(txn, col, doc, text, None)?;
+                    catalog_dirty |= self.note_non_leaf(table, col, &synopsis.non_leaf)?;
+                    slots.push(crate::synopsis::encode_sized(&synopsis.entries));
                 }
                 (ColValue::XmlValidated { text, schema }, ColumnKind::Xml) => {
                     let col = table.xml_column(&cd.name)?;
                     let program = self.schema(schema)?;
-                    self.store_document(txn, col, doc, text, Some(&program))?;
-                    base_values.push(String::new());
+                    let synopsis = self.store_document(txn, col, doc, text, Some(&program))?;
+                    catalog_dirty |= self.note_non_leaf(table, col, &synopsis.non_leaf)?;
+                    slots.push(crate::synopsis::encode_sized(&synopsis.entries));
                 }
                 _ => {
                     return Err(EngineError::Invalid(format!(
@@ -1041,8 +1125,9 @@ impl Database {
                 }
             }
         }
+        self.persist_dict_if_grown(catalog_dirty)?;
         // Base row + DocID index.
-        let row = encode_base_row(doc, &base_values);
+        let row = encode_base_row(doc, &slots);
         let rid = txn.heap_insert(&table.heap, row)?;
         txn.index_insert(&table.docid_index, doc.to_be_bytes().to_vec(), rid.to_u64())?;
         Ok(doc)
@@ -1057,7 +1142,8 @@ impl Database {
         Ok(doc)
     }
 
-    /// Parse/validate, pack, and index one document into an XML column.
+    /// Parse/validate, pack, and index one document into an XML column,
+    /// returning its synopsis entries (built in the same keygen pass).
     fn store_document(
         &self,
         txn: &Txn,
@@ -1065,9 +1151,10 @@ impl Database {
         doc: DocId,
         text: &str,
         schema: Option<&SchemaProgram>,
-    ) -> Result<()> {
+    ) -> Result<crate::synopsis::Entries> {
         let indexes = col.indexes();
-        let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
+        let mut keygen =
+            IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict).with_synopsis();
         let xml = &col.xml;
         let mut err: Option<EngineError> = None;
         {
@@ -1100,8 +1187,35 @@ impl Database {
         for (vi, items) in indexes.iter().zip(&all_items) {
             vi.insert_entries(txn, doc, xml, items)?;
         }
-        self.persist_dict_if_grown()?;
-        Ok(())
+        Ok(keygen.take_synopsis())
+    }
+
+    /// Add `names` to the column's non-leaf names. A grown list is put in
+    /// the catalog, and `true` returned: the caller's
+    /// `persist_dict_if_grown` then flushes the catalog space,
+    /// so the list is durable before the commit of the document that uses
+    /// it, as the name dictionary is. The list is a superset: a name that a
+    /// rolled-back or deleted document added stays, which only costs
+    /// queries a second probe.
+    fn note_non_leaf(&self, table: &BaseTable, col: &XmlColumn, names: &[u64]) -> Result<bool> {
+        let known = |list: &[u64]| names.iter().all(|n| list.binary_search(n).is_ok());
+        if known(&col.non_leaf.read()) {
+            return Ok(false);
+        }
+        let mut list = col.non_leaf.write();
+        if known(&list) {
+            return Ok(false);
+        }
+        for &n in names {
+            if let Err(i) = list.binary_search(&n) {
+                list.insert(i, n);
+            }
+        }
+        self.catalog.put(
+            &k_non_leaf(table.def.id, &col.name),
+            &encode_non_leaf(&list),
+        )?;
+        Ok(true)
     }
 
     /// Fetch a base row by DocID.
@@ -1109,7 +1223,7 @@ impl Database {
         match table.row_rid(doc)? {
             Some(rid) => {
                 let rec = table.heap.fetch(rid)?;
-                Ok(Some(decode_base_row(&rec)?))
+                Ok(Some(decode_base_row(&rec, &table.def.columns)?))
             }
             None => Ok(None),
         }
@@ -1167,21 +1281,50 @@ impl Database {
         let col = table.xml_column(column)?;
         crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
         let indexes = col.indexes();
-        let stats = if indexes.is_empty() {
-            mutate(txn, &col.xml)?
-        } else {
-            let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict);
-            for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
+        let trees = || indexes.iter().map(|i| &i.tree);
+        if !indexes.is_empty() {
+            let pre = IndexKeyGen::new(trees(), &self.dict).derive(&col.xml, doc)?;
+            for (vi, items) in indexes.iter().zip(&pre) {
                 vi.delete_entries(txn, doc, items)?;
             }
-            let stats = mutate(txn, &col.xml)?;
-            for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
-                vi.insert_entries(txn, doc, &col.xml, items)?;
-            }
-            stats
-        };
-        self.persist_dict_if_grown()?;
+        }
+        let stats = mutate(txn, &col.xml)?;
+        let mut keygen = IndexKeyGen::new(trees(), &self.dict).with_synopsis();
+        for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
+            vi.insert_entries(txn, doc, &col.xml, items)?;
+        }
+        let synopsis = keygen.take_synopsis();
+        let catalog_dirty = self.note_non_leaf(table, col, &synopsis.non_leaf)?;
+        self.rewrite_synopsis(txn, table, col, doc, &synopsis.entries)?;
+        self.persist_dict_if_grown(catalog_dirty)?;
         Ok(stats)
+    }
+
+    /// Rewrite the synopsis of `doc` in `col` from its post-image `entries`
+    /// at the size it already has, so the base row keeps its length, its RID
+    /// and its DocID-index entry. The rewrite is an ordinary logged heap
+    /// update, so rollback and recovery restore the old synopsis with the
+    /// old document.
+    fn rewrite_synopsis(
+        &self,
+        txn: &Txn,
+        table: &Arc<BaseTable>,
+        col: &XmlColumn,
+        doc: DocId,
+        entries: &[u64],
+    ) -> Result<()> {
+        let rid = table.row_rid(doc)?.ok_or_else(|| EngineError::NotFound {
+            kind: "document",
+            name: doc.to_string(),
+        })?;
+        let mut row = table.heap.fetch(rid)?;
+        let (_, slot) = locate_slot(&row, col.position)?;
+        let filter = crate::synopsis::encode(entries, slot.len());
+        if row[slot.clone()] != filter[..] {
+            row[slot].copy_from_slice(&filter);
+            txn.heap_update(&table.heap, rid, row)?;
+        }
+        Ok(())
     }
 
     /// Serialize a stored document back to XML text (§4.4 task 1).
@@ -1203,11 +1346,17 @@ impl Database {
     /// *before* the commit record of any document that uses them (packed
     /// records store integer name IDs, so the dictionary must never lag the
     /// data). Each entry is small, so the dictionary can outgrow a page.
-    fn persist_dict_if_grown(&self) -> Result<()> {
+    /// `catalog_dirty` says the caller put other catalog entries that must
+    /// be durable by then too (a column's non-leaf names); they share the
+    /// one flush.
+    fn persist_dict_if_grown(&self, catalog_dirty: bool) -> Result<()> {
         let mut persisted = self.dict_persisted.lock();
         let (strings_from, qnames_from) = *persisted;
         let (strings, qnames) = self.dict.export_from(strings_from, qnames_from);
         if strings.is_empty() && qnames.is_empty() {
+            if catalog_dirty {
+                self.pool.flush_space(0)?;
+            }
             return Ok(());
         }
         for (id, s) in (strings_from..).zip(&strings) {
@@ -1239,7 +1388,7 @@ impl Database {
             .txns
             .oldest_active_lsn()
             .map_or(barrier, |lsn| lsn.min(barrier));
-        self.persist_dict_if_grown()?;
+        self.persist_dict_if_grown(false)?;
         for table in self.tables.read().values() {
             let key = k_doccnt(table.def.id);
             let high = table.doc_high.load(Ordering::Relaxed);

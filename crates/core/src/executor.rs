@@ -222,6 +222,10 @@ pub struct CachedPlan {
     pub tree: Arc<QueryTree>,
     /// Selected access plan (holds `Arc`s to the indexes it scans).
     pub plan: Arc<AccessPlan>,
+    /// The equality conjuncts whose synopsis check skips candidates before
+    /// evaluation (DESIGN.md §19.2); empty when none is decidable or every
+    /// one is answered by an index term.
+    pub synopsis: Vec<crate::synopsis::SynopsisTerm>,
 }
 
 /// An LRU cache of compiled plans, shared by every query against the
@@ -352,6 +356,7 @@ mod tests {
         Arc::new(CachedPlan {
             tree: Arc::new(QueryTree::compile(&path).unwrap()),
             plan: Arc::new(AccessPlan::FullScan),
+            synopsis: Vec::new(),
         })
     }
 

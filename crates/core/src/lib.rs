@@ -19,6 +19,8 @@
 //! * [`update`] — sub-document updates with stable Dewey IDs (§3.1);
 //! * [`access`] — DocID/NodeID list, filtering, ANDing/ORing access methods
 //!   and access-path selection (§4.3, Table 2);
+//! * [`synopsis`] — per-document equality synopses that skip documents
+//!   which cannot match before any record is read;
 //! * [`construct`] — constructor functions with tagging templates and XMLAGG
 //!   linked-list quicksort (§4.1, Fig. 5);
 //! * [`runtime`] — virtual-SAX runtime, XML handles, sequences (§4.4, Fig. 8);
@@ -50,6 +52,7 @@ pub mod mvcc;
 pub mod pack;
 pub mod runtime;
 pub mod sqlxml;
+pub mod synopsis;
 pub mod traverse;
 pub mod update;
 pub mod validx;

@@ -26,6 +26,7 @@
 use crate::error::{EngineError, Result};
 use crate::fulltext::tokenize;
 use crate::pack::NodeObserver;
+use crate::synopsis::{Entries, SynopsisBuilder};
 use crate::traverse::{IdEventSink, Traverser};
 use crate::xmltable::{DocId, XmlTable};
 use rx_storage::{BTree, Rid, TableSpace, Txn};
@@ -400,8 +401,12 @@ impl ValueIndex {
 /// keys for the node ID index and XPath value indexes are generated per
 /// record" (§3.2) without any separate pass — and into one stored-document
 /// traversal ([`IndexKeyGen::derive`]) for delete, update and backfill.
+/// With [`IndexKeyGen::with_synopsis`] the same pass also builds the
+/// document's synopsis (DESIGN.md §19).
 pub struct IndexKeyGen<'q, 'd> {
     scans: Vec<QuickXScan<'q, 'd>>,
+    dict: &'d NameDict,
+    synopsis: Option<SynopsisBuilder<'d>>,
 }
 
 impl<'q, 'd> IndexKeyGen<'q, 'd> {
@@ -412,7 +417,24 @@ impl<'q, 'd> IndexKeyGen<'q, 'd> {
                 .into_iter()
                 .map(|t| QuickXScan::new(t, dict))
                 .collect(),
+            dict,
+            synopsis: None,
         }
+    }
+
+    /// Also build each document's synopsis entries in the pass (a stored
+    /// traversal then reads every element's content).
+    pub fn with_synopsis(mut self) -> Self {
+        self.synopsis = Some(SynopsisBuilder::new(self.dict));
+        self
+    }
+
+    /// The synopsis entries of the document just finished; empty without
+    /// [`IndexKeyGen::with_synopsis`].
+    pub fn take_synopsis(&mut self) -> Entries {
+        self.synopsis
+            .as_mut()
+            .map_or_else(Entries::default, SynopsisBuilder::finish)
     }
 
     /// Finish the current document, returning one result list per index
@@ -437,6 +459,9 @@ impl<'q, 'd> IndexKeyGen<'q, 'd> {
 
 impl NodeObserver for IndexKeyGen<'_, '_> {
     fn node(&mut self, id: &[u8], ev: &Event<'_>) -> Result<()> {
+        if let Some(synopsis) = &mut self.synopsis {
+            synopsis.event(ev);
+        }
         for scan in &mut self.scans {
             scan.set_current_node(id);
             scan.event(*ev)?;
@@ -452,7 +477,7 @@ impl IdEventSink for IndexKeyGen<'_, '_> {
     }
 
     fn wants_content(&self) -> bool {
-        self.scans.iter().any(QuickXScan::wants_content)
+        self.synopsis.is_some() || self.scans.iter().any(QuickXScan::wants_content)
     }
 }
 

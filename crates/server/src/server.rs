@@ -364,8 +364,14 @@ impl Server {
     /// requests, force-close every connection, join all threads, and roll
     /// back whatever sessions remain. Idempotent.
     pub fn shutdown(&self) {
-        if self.inner.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
+        // The flag is set under the queue lock: a worker checks it and goes
+        // to sleep under that lock, so it either sees the flag or is already
+        // waiting when `notify_all` runs, and no wakeup is lost.
+        {
+            let _queue = self.inner.queue.lock();
+            if self.inner.shutting_down.swap(true, Ordering::SeqCst) {
+                return;
+            }
         }
         self.inner.queue_cv.notify_all();
         // Drain: workers finish everything already admitted.
@@ -1083,6 +1089,37 @@ mod tests {
         }
         assert_eq!(server.stats().connections, 200);
         server.shutdown();
+    }
+
+    /// A worker that finds the queue empty and the flag clear must still be
+    /// woken by a shutdown that sets the flag right then. Many short
+    /// serve/shutdown rounds run on a helper thread, and the test fails
+    /// after a deadline instead of hanging in `join`.
+    #[test]
+    fn shutdown_wakes_every_idle_worker() {
+        let db = Database::create_in_memory().unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                let server = Server::start(
+                    Arc::clone(&db),
+                    ServerConfig {
+                        workers: 4,
+                        queue_depth: 16,
+                        // The reaper polls every 5 ms, so shutdown joins it
+                        // quickly.
+                        idle_timeout: Duration::from_millis(20),
+                        ..ServerConfig::default()
+                    },
+                );
+                server.connect().unwrap().ping().unwrap();
+                server.shutdown();
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a shutdown hung: an idle worker missed its wakeup");
     }
 
     #[test]

@@ -116,6 +116,26 @@ impl HeapTable {
             })
     }
 
+    /// Visit the records at `rids` in order without copying them, latching
+    /// each page once per run of consecutive RIDs on it. A slot that holds
+    /// no record is visited as `None`.
+    pub fn fetch_each(
+        &self,
+        rids: &[Rid],
+        mut visit: impl FnMut(usize, Option<&[u8]>),
+    ) -> Result<()> {
+        let mut i = 0;
+        while let Some(first) = rids.get(i) {
+            let g = self.space.fetch(first.page)?;
+            let p = g.read();
+            while let Some(rid) = rids.get(i).filter(|r| r.page == first.page) {
+                visit(i, p.get(rid.slot));
+                i += 1;
+            }
+        }
+        Ok(())
+    }
+
     /// Fetch a record into a shareable allocation: one copy out of the
     /// latched page, after which the bytes can be handed to any number of
     /// readers (e.g. a document cache) without further copying.

@@ -11,7 +11,7 @@ use rx_storage::{
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -270,15 +270,28 @@ fn checkpoint_coordinates_with_group_commit() {
     let wal = Wal::new(Arc::new(MemLogStore::new()));
     let txns = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
     let stop = AtomicBool::new(false);
+    // Each committer counts its first commit; the checkpoints start only
+    // once all four have committed, so some commit always reaches the WAL.
+    let started = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for slot in 0..4 {
             let txns = Arc::clone(&txns);
-            let stop = &stop;
+            let (stop, started) = (&stop, &started);
             s.spawn(move || {
+                commit_one_insert(&txns, slot);
+                started.fetch_add(1, Ordering::SeqCst);
                 while !stop.load(Ordering::Relaxed) {
                     commit_one_insert(&txns, slot);
                 }
             });
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while started.load(Ordering::SeqCst) < 4 {
+            if Instant::now() > deadline {
+                stop.store(true, Ordering::Relaxed);
+                panic!("a committer never committed");
+            }
+            std::thread::yield_now();
         }
         for _ in 0..20 {
             let barrier = wal.current_lsn() + 1;
