@@ -12,6 +12,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::pack::Packer;
+use crate::synopsis::SynopsisBuilder;
 use crate::validx::{IndexKeyGen, IndexKeys, ValueIndex, ValueIndexDef};
 use crate::xmltable::{DocId, XmlTable};
 use parking_lot::RwLock;
@@ -219,20 +220,9 @@ pub struct XmlColumn {
     pub position: usize,
     xml: XmlTable,
     indexes: RwLock<Vec<Arc<ValueIndex>>>,
-    /// Keys of the names that some document of the column uses, or once
-    /// used, as an element with element children (sorted; it never
-    /// shrinks). Persisted under `nonleaf/<table id>/<column>`.
-    non_leaf: RwLock<Vec<u64>>,
 }
 
 impl XmlColumn {
-    /// The synopsis keys of the names that may occur as an element with
-    /// element children in some document of the column (DESIGN.md §19.2).
-    /// A name outside this list has no `NON_LEAF` entry in any synopsis.
-    pub fn non_leaf_names(&self) -> parking_lot::RwLockReadGuard<'_, Vec<u64>> {
-        self.non_leaf.read()
-    }
-
     /// The internal XML table.
     pub fn xml_table(&self) -> &XmlTable {
         &self.xml
@@ -320,7 +310,8 @@ pub struct Row {
 
 /// A base row: the DocID as a varint, then one length-prefixed slot per
 /// column, in column order. A relational column's slot holds its string; an
-/// XML column's holds the document's synopsis (DESIGN.md §19).
+/// XML column's holds the document's synopsis (DESIGN.md §19). This is
+/// on-disk format [`FORMAT`].
 fn encode_base_row(doc: DocId, slots: &[Vec<u8>]) -> Vec<u8> {
     let mut e = Enc::with_capacity(16 + slots.iter().map(Vec::len).sum::<usize>());
     e.varint(doc);
@@ -349,13 +340,17 @@ fn decode_base_row(rec: &[u8], columns: &[ColumnDef]) -> Result<Row> {
 }
 
 /// The DocID of base row `rec` and the byte range of its slot at column
-/// `position`. A row without that slot reads as an empty one.
+/// `position`. A row that cannot be decoded, or has no such slot, is an
+/// error.
 fn locate_slot(rec: &[u8], position: usize) -> Result<(DocId, std::ops::Range<usize>)> {
     let mut d = Dec::new(rec);
     let doc = d.varint()?;
     let n = d.varint()? as usize;
     if position >= n {
-        return Ok((doc, rec.len()..rec.len()));
+        return Err(EngineError::Record(format!(
+            "base row of document {doc} has {n} slots, not {}",
+            position + 1
+        )));
     }
     for _ in 0..position {
         d.bytes()?;
@@ -375,7 +370,14 @@ pub(crate) fn base_row_slot(rec: &[u8], position: usize) -> Result<(DocId, &[u8]
     Ok((doc, &rec[range]))
 }
 
+/// The on-disk format this build writes and reads. Format 1 stores base
+/// rows as [`encode_base_row`] writes them, with a synopsis in each XML
+/// column's slot; directories written before it carry no format key and
+/// are refused at open rather than misread.
+const FORMAT: u32 = 1;
+
 // Catalog key prefixes.
+const K_FORMAT: &[u8] = b"meta/format";
 const K_NEXT_SPACE: &[u8] = b"meta/next_space";
 const K_NEXT_TABLE: &[u8] = b"meta/next_table";
 /// The name dictionary: one entry per string under `dict/s/` and one per
@@ -394,31 +396,6 @@ fn k_table(name: &str) -> Vec<u8> {
 
 fn k_doccnt(table_id: u32) -> Vec<u8> {
     format!("doccnt/{table_id}").into_bytes()
-}
-
-fn k_non_leaf(table_id: u32, column: &str) -> Vec<u8> {
-    format!("nonleaf/{table_id}/{column}").into_bytes()
-}
-
-/// Catalog record of a column's non-leaf name keys: a count, then each
-/// key.
-fn encode_non_leaf(keys: &[u64]) -> Vec<u8> {
-    let mut e = Enc::with_capacity(2 + 8 * keys.len());
-    e.varint(keys.len() as u64);
-    for &k in keys {
-        e.u64(k);
-    }
-    e.into_bytes()
-}
-
-fn decode_non_leaf(bytes: &[u8]) -> Result<Vec<u64>> {
-    let mut d = Dec::new(bytes);
-    let n = d.varint()?;
-    let mut keys = Vec::new();
-    for _ in 0..n {
-        keys.push(d.u64()?);
-    }
-    Ok(keys)
 }
 
 /// Catalog key prefixes of index definitions: typed indexes under `idx/`,
@@ -485,6 +462,9 @@ pub struct Database {
     schemas: RwLock<HashMap<String, Arc<SchemaProgram>>>,
     /// (strings, qnames) counts last persisted to the catalog.
     dict_persisted: parking_lot::Mutex<(usize, usize)>,
+    /// Synopsis builders between documents, with their buffers and name
+    /// keys; one is taken per stored or updated document (DESIGN.md §19.1).
+    synopsis_builders: parking_lot::Mutex<Vec<SynopsisBuilder>>,
     executor: crate::executor::QueryExecutor,
     plan_cache: crate::executor::PlanCache,
     doc_cache: Arc<crate::doccache::DocCache>,
@@ -524,6 +504,7 @@ impl Database {
             }
             let space = TableSpace::create(pool.clone(), 0, Self::make_backend(storage, 0)?)?;
             let catalog = Catalog::create(space)?;
+            catalog.put(K_FORMAT, &FORMAT.to_le_bytes())?;
             catalog.put(K_NEXT_SPACE, &1u64.to_le_bytes())?;
             pool.flush_space(0)?;
             Ok(catalog)
@@ -555,6 +536,13 @@ impl Database {
         config.validate()?;
         let pool = BufferPool::new(config.buffer_pages);
         let catalog = catalog(&storage, &pool)?;
+        let format = catalog.get(K_FORMAT);
+        if format.as_deref() != Some(&FORMAT.to_le_bytes()[..]) {
+            return Err(EngineError::Invalid(format!(
+                "unsupported on-disk format {:?} (this build reads format {FORMAT})",
+                format.map(|v| v.try_into().map_or(0, u32::from_le_bytes))
+            )));
+        }
         let dict = load_dict(&catalog)?;
         let wal = match &storage {
             Storage::Memory => Wal::new(Arc::new(MemLogStore::new())),
@@ -566,6 +554,7 @@ impl Database {
             plan_cache: crate::executor::PlanCache::new(crate::executor::PLAN_CACHE_CAPACITY),
             doc_cache: crate::doccache::DocCache::new(config.doc_cache_bytes),
             dict_persisted: parking_lot::Mutex::new((dict.string_count(), dict.qname_count())),
+            synopsis_builders: parking_lot::Mutex::new(Vec::new()),
             dict: Arc::new(dict),
             config,
             storage,
@@ -789,7 +778,6 @@ impl Database {
                     position: pos,
                     xml,
                     indexes: RwLock::new(Vec::new()),
-                    non_leaf: RwLock::new(Vec::new()),
                 }));
             } else {
                 col_spaces.push(0);
@@ -874,16 +862,11 @@ impl Database {
                 let space = self.open_space(def.space_id)?;
                 indexes.push(Arc::new(ValueIndex::open(space, def.clone())?));
             }
-            let non_leaf = match self.catalog.get(&k_non_leaf(id, &cname)) {
-                Some(bytes) => decode_non_leaf(&bytes)?,
-                None => Vec::new(),
-            };
             let col = Arc::new(XmlColumn {
                 name: cname,
                 position: pos,
                 xml,
                 indexes: RwLock::new(indexes),
-                non_leaf: RwLock::new(non_leaf),
             });
             xml_columns.push(col);
         }
@@ -933,9 +916,6 @@ impl Database {
         // back after it is deleted.
         self.tables.write().remove(name);
         self.catalog.delete(&k_doccnt(t.def.id))?;
-        for col in t.xml_columns() {
-            self.catalog.delete(&k_non_leaf(t.def.id, &col.name))?;
-        }
         self.plan_cache.invalidate_table(t.def.id);
         // Snapshots of the dropped table's spaces can never be read again;
         // free their bytes.
@@ -1100,22 +1080,17 @@ impl Database {
         // sees a partially inserted document.
         crate::conc::lock_document_exclusive(txn, table.def.id, doc)?;
         let mut slots = Vec::with_capacity(values.len());
-        let mut catalog_dirty = false;
         for (cv, cd) in values.iter().zip(&table.def.columns) {
             match (cv, cd.kind) {
                 (ColValue::Str(s), ColumnKind::Str) => slots.push(s.as_bytes().to_vec()),
                 (ColValue::Xml(text), ColumnKind::Xml) => {
                     let col = table.xml_column(&cd.name)?;
-                    let synopsis = self.store_document(txn, col, doc, text, None)?;
-                    catalog_dirty |= self.note_non_leaf(table, col, &synopsis.non_leaf)?;
-                    slots.push(crate::synopsis::encode_sized(&synopsis.entries));
+                    slots.push(self.store_document(txn, col, doc, text, None)?);
                 }
                 (ColValue::XmlValidated { text, schema }, ColumnKind::Xml) => {
                     let col = table.xml_column(&cd.name)?;
                     let program = self.schema(schema)?;
-                    let synopsis = self.store_document(txn, col, doc, text, Some(&program))?;
-                    catalog_dirty |= self.note_non_leaf(table, col, &synopsis.non_leaf)?;
-                    slots.push(crate::synopsis::encode_sized(&synopsis.entries));
+                    slots.push(self.store_document(txn, col, doc, text, Some(&program))?);
                 }
                 _ => {
                     return Err(EngineError::Invalid(format!(
@@ -1125,7 +1100,7 @@ impl Database {
                 }
             }
         }
-        self.persist_dict_if_grown(catalog_dirty)?;
+        self.persist_dict_if_grown()?;
         // Base row + DocID index.
         let row = encode_base_row(doc, &slots);
         let rid = txn.heap_insert(&table.heap, row)?;
@@ -1143,7 +1118,7 @@ impl Database {
     }
 
     /// Parse/validate, pack, and index one document into an XML column,
-    /// returning its synopsis entries (built in the same keygen pass).
+    /// returning its synopsis (built in the same keygen pass).
     fn store_document(
         &self,
         txn: &Txn,
@@ -1151,10 +1126,10 @@ impl Database {
         doc: DocId,
         text: &str,
         schema: Option<&SchemaProgram>,
-    ) -> Result<crate::synopsis::Entries> {
+    ) -> Result<Vec<u8>> {
         let indexes = col.indexes();
-        let mut keygen =
-            IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict).with_synopsis();
+        let mut keygen = IndexKeyGen::new(indexes.iter().map(|i| &i.tree), &self.dict)
+            .with_synopsis(self.synopsis_builder());
         let xml = &col.xml;
         let mut err: Option<EngineError> = None;
         {
@@ -1187,35 +1162,25 @@ impl Database {
         for (vi, items) in indexes.iter().zip(&all_items) {
             vi.insert_entries(txn, doc, xml, items)?;
         }
-        Ok(keygen.take_synopsis())
+        let synopsis = keygen.finish_synopsis(crate::synopsis::encode_sized);
+        self.reuse_synopsis_builder(keygen);
+        Ok(synopsis)
     }
 
-    /// Add `names` to the column's non-leaf names. A grown list is put in
-    /// the catalog, and `true` returned: the caller's
-    /// `persist_dict_if_grown` then flushes the catalog space,
-    /// so the list is durable before the commit of the document that uses
-    /// it, as the name dictionary is. The list is a superset: a name that a
-    /// rolled-back or deleted document added stays, which only costs
-    /// queries a second probe.
-    fn note_non_leaf(&self, table: &BaseTable, col: &XmlColumn, names: &[u64]) -> Result<bool> {
-        let known = |list: &[u64]| names.iter().all(|n| list.binary_search(n).is_ok());
-        if known(&col.non_leaf.read()) {
-            return Ok(false);
+    /// A synopsis builder for one document: a reused one when there is one.
+    fn synopsis_builder(&self) -> SynopsisBuilder {
+        self.synopsis_builders
+            .lock()
+            .pop()
+            .unwrap_or_else(|| SynopsisBuilder::new(Arc::clone(&self.dict)))
+    }
+
+    /// Keep the synopsis builder of `keygen`, whose document is finished,
+    /// for the next document.
+    fn reuse_synopsis_builder(&self, keygen: IndexKeyGen<'_, '_>) {
+        if let Some(builder) = keygen.into_synopsis() {
+            self.synopsis_builders.lock().push(builder);
         }
-        let mut list = col.non_leaf.write();
-        if known(&list) {
-            return Ok(false);
-        }
-        for &n in names {
-            if let Err(i) = list.binary_search(&n) {
-                list.insert(i, n);
-            }
-        }
-        self.catalog.put(
-            &k_non_leaf(table.def.id, &col.name),
-            &encode_non_leaf(&list),
-        )?;
-        Ok(true)
     }
 
     /// Fetch a base row by DocID.
@@ -1289,14 +1254,14 @@ impl Database {
             }
         }
         let stats = mutate(txn, &col.xml)?;
-        let mut keygen = IndexKeyGen::new(trees(), &self.dict).with_synopsis();
+        let mut keygen =
+            IndexKeyGen::new(trees(), &self.dict).with_synopsis(self.synopsis_builder());
         for (vi, items) in indexes.iter().zip(&keygen.derive(&col.xml, doc)?) {
             vi.insert_entries(txn, doc, &col.xml, items)?;
         }
-        let synopsis = keygen.take_synopsis();
-        let catalog_dirty = self.note_non_leaf(table, col, &synopsis.non_leaf)?;
-        self.rewrite_synopsis(txn, table, col, doc, &synopsis.entries)?;
-        self.persist_dict_if_grown(catalog_dirty)?;
+        keygen.finish_synopsis(|entries| self.rewrite_synopsis(txn, table, col, doc, entries))?;
+        self.reuse_synopsis_builder(keygen);
+        self.persist_dict_if_grown()?;
         Ok(stats)
     }
 
@@ -1346,17 +1311,11 @@ impl Database {
     /// *before* the commit record of any document that uses them (packed
     /// records store integer name IDs, so the dictionary must never lag the
     /// data). Each entry is small, so the dictionary can outgrow a page.
-    /// `catalog_dirty` says the caller put other catalog entries that must
-    /// be durable by then too (a column's non-leaf names); they share the
-    /// one flush.
-    fn persist_dict_if_grown(&self, catalog_dirty: bool) -> Result<()> {
+    fn persist_dict_if_grown(&self) -> Result<()> {
         let mut persisted = self.dict_persisted.lock();
         let (strings_from, qnames_from) = *persisted;
         let (strings, qnames) = self.dict.export_from(strings_from, qnames_from);
         if strings.is_empty() && qnames.is_empty() {
-            if catalog_dirty {
-                self.pool.flush_space(0)?;
-            }
             return Ok(());
         }
         for (id, s) in (strings_from..).zip(&strings) {
@@ -1388,7 +1347,7 @@ impl Database {
             .txns
             .oldest_active_lsn()
             .map_or(barrier, |lsn| lsn.min(barrier));
-        self.persist_dict_if_grown(false)?;
+        self.persist_dict_if_grown()?;
         for table in self.tables.read().values() {
             let key = k_doccnt(table.def.id);
             let high = table.doc_high.load(Ordering::Relaxed);
@@ -1466,6 +1425,53 @@ mod tests {
 
     const DOC1: &str = r#"<Catalog><Product><ProductName>Widget</ProductName><RegPrice>9.99</RegPrice></Product></Catalog>"#;
     const DOC2: &str = r#"<Catalog><Product><ProductName>Gadget</ProductName><RegPrice>120</RegPrice><Discount>0.25</Discount></Product></Catalog>"#;
+
+    #[test]
+    fn base_rows_hold_relational_values_and_synopses() {
+        let columns = [
+            ColumnDef {
+                name: "sku".into(),
+                kind: ColumnKind::Str,
+            },
+            ColumnDef {
+                name: "doc".into(),
+                kind: ColumnKind::Xml,
+            },
+        ];
+        let synopsis = crate::synopsis::encode_sized(&[7]);
+        let rec = encode_base_row(300, &[b"sku-1".to_vec(), synopsis.clone()]);
+        let row = decode_base_row(&rec, &columns).unwrap();
+        assert_eq!(
+            (row.doc, row.values),
+            (300, vec!["sku-1".into(), String::new()])
+        );
+        assert_eq!(base_row_slot(&rec, 1).unwrap(), (300, &synopsis[..]));
+        assert!(
+            base_row_slot(&rec[..rec.len() - 1], 1).is_err(),
+            "a cut row"
+        );
+        assert!(base_row_slot(&rec, 2).is_err(), "no such slot");
+    }
+
+    #[test]
+    fn directories_of_another_format_are_refused() {
+        let dir = std::env::temp_dir().join(format!("rx-format-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let db = Database::create_dir(&dir).unwrap();
+            catalog_table(&db);
+        }
+        assert!(Database::open_dir(&dir).is_ok());
+        {
+            // A directory written before the format key existed.
+            let db = Database::open_dir(&dir).unwrap();
+            db.catalog.delete(K_FORMAT).unwrap();
+            db.pool.flush_space(0).unwrap();
+        }
+        let err = Database::open_dir(&dir).err().expect("refused");
+        assert!(matches!(err, EngineError::Invalid(_)), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn config_validation_rejects_zeroed_knobs() {

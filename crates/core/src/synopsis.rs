@@ -4,13 +4,10 @@
 //! QuickXScan's skip rule (§4.2) stops work *inside* a document; a synopsis
 //! stops it before the document is read at all. Every base row carries, per
 //! XML column, a small Bloom filter (a signature file in the sense of the
-//! XML IR literature) over the document's content:
-//!
-//! * `(name, string value)` for every attribute and for every element
-//!   whose children include no element (a leaf: its string value is the
-//!   concatenation of its own text children);
-//! * `(name, NON_LEAF)` for each name that occurs as an element with
-//!   element children, whose string value the filter does not hold.
+//! XML IR literature) holding `(name, string value)` for every attribute and
+//! every element of the document. An element's string value is the
+//! concatenation of its descendant text, in document order, so an element
+//! with element children has an entry just as a leaf has.
 //!
 //! Names are keyed by their local name, not by `QNameId`: an XPath name test
 //! matches the local name (and a namespace URI when it names one) whatever
@@ -19,13 +16,10 @@
 //! A query equality `relpath = "literal"` whose last step names an element
 //! or attribute `n`, in a positive conjunction, holds in a document only if
 //! the document has a node named `n` whose string value is the literal, so
-//! the filter admits the document when `(n, literal)` or `(n, NON_LEAF)` may
-//! be in it. The `NON_LEAF` probe runs only when `n` is on the column's list
-//! of names that some document uses with element children
-//! ([`XmlColumn::non_leaf_names`]), so a name that is always a leaf costs
-//! one probe, not two. Everything else admits: numbers, ranges, `or`,
-//! `not`, `text()`, wildcards. A false positive costs the scan it costs
-//! without a synopsis, so answers never change.
+//! the filter admits the document when `(n, literal)` may be in it: one
+//! probe decides. Everything else admits: numbers, ranges, `or`, `not`,
+//! `text()`, wildcards. A false positive costs the scan it costs without a
+//! synopsis, so answers never change.
 //!
 //! Synopses are built in the keygen pass at insert ([`SynopsisBuilder`],
 //! driven by [`crate::validx::IndexKeyGen`]), rewritten in place from the
@@ -40,19 +34,21 @@ use rx_storage::Rid;
 use rx_xml::event::Event;
 use rx_xml::name::{NameDict, QNameId};
 use rx_xpath::ast::{CmpOp, Expr, NodeTest, Operand, Path};
+use std::sync::Arc;
 
 /// Bits set per entry (and tested per probe): one per 16-bit quarter of
 /// the entry's hash.
 const PROBES: usize = 4;
-/// Filter size per distinct entry, in half bits (6.5 bits per entry).
-const HALF_BITS_PER_ENTRY: usize = 13;
+/// Filter size per distinct entry, in half bits (5.5 bits per entry). An
+/// order of eight line items has 28 distinct entries, one per item's string
+/// value among them, and this keeps it at two words.
+const HALF_BITS_PER_ENTRY: usize = 11;
 /// Largest filter, in 64-bit words. A document with more distinct entries
-/// than this holds at 6.5 bits each gets a denser filter, which admits more
+/// than this holds at 5.5 bits each gets a denser filter, which admits more
 /// often but never wrongly.
 pub const MAX_WORDS: usize = 32;
-/// The value hash that stands for "has element children" in a name's
-/// `NON_LEAF` entry.
-pub const NON_LEAF: u64 = 0x4e4f_4e5f_4c45_4146; // "NON_LEAF"
+/// Buffer bytes a [`SynopsisBuilder`] keeps between documents.
+const KEEP_BYTES: usize = 64 << 10;
 /// Seed of [`value_hash`], so a value and a name of the same text hash
 /// apart.
 const VALUE_SEED: u64 = 0x5641_4c55_4500_0000; // "VALUE"
@@ -85,9 +81,13 @@ pub fn hash64(seed: u64, bytes: &[u8]) -> u64 {
     }
     let tail = words.remainder();
     if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        h = step(h, u64::from_le_bytes(last));
+        // Byte by byte rather than through a copy: the tail is short, and a
+        // variable-length copy costs a call.
+        let last = tail
+            .iter()
+            .rev()
+            .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+        h = step(h, last);
     }
     fmix64(h)
 }
@@ -103,13 +103,12 @@ pub fn value_hash(value: &str) -> u64 {
 }
 
 /// The entry of a node whose name has key `name_key` and whose string
-/// value hashes to `value_hash` (for an element with element children,
-/// [`NON_LEAF`]).
+/// value hashes to `value_hash`.
 pub fn entry(name_key: u64, value_hash: u64) -> u64 {
     fmix64(name_key ^ value_hash.rotate_left(32))
 }
 
-/// Filter size in 64-bit words for `entries` distinct entries: 6.5 bits
+/// Filter size in 64-bit words for `entries` distinct entries: 5.5 bits
 /// per entry, rounded to the nearest word, at least one word and at most
 /// [`MAX_WORDS`].
 pub fn words_for(entries: usize) -> usize {
@@ -155,44 +154,31 @@ pub fn encode_sized(entries: &[u64]) -> Vec<u8> {
     encode(entries, words_for(entries.len()) * 8)
 }
 
-/// May `filter` hold entry `h`? An empty filter (a row written without a
-/// synopsis) holds everything.
+/// May `filter` hold entry `h`? An empty filter holds everything.
 pub fn may_contain(filter: &[u8], h: u64) -> bool {
     let bits = (filter.len() * 8) as u32;
     bits == 0 || positions(h, bits).all(|p| filter[(p / 8) as usize] & (1 << (p % 8)) != 0)
 }
 
-/// One decidable equality conjunct, as the two entries that admit it.
+/// One decidable equality conjunct, as the entry that admits it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynopsisTerm {
-    /// The name's key.
-    pub name: u64,
     /// `(name, literal)`.
-    pub value: u64,
-    /// `(name, NON_LEAF)`.
-    pub non_leaf: u64,
+    pub entry: u64,
 }
 
 impl SynopsisTerm {
     /// The term of `name = "literal"` on elements or attributes with local
     /// name `local`.
     pub fn new(local: &str, literal: &str) -> Self {
-        let name = name_key(local);
         SynopsisTerm {
-            name,
-            value: entry(name, value_hash(literal)),
-            non_leaf: entry(name, NON_LEAF),
+            entry: entry(name_key(local), value_hash(literal)),
         }
     }
 
-    /// Does `filter` admit a document that may satisfy this term? The
-    /// `NON_LEAF` entry is tested only when the name may have element
-    /// children in some document (`non_leaf_somewhere`, from
-    /// [`crate::db::XmlColumn::non_leaf_names`]); otherwise its absence is
-    /// known and a second probe would only add false positives.
-    pub fn admits(&self, filter: &[u8], non_leaf_somewhere: bool) -> bool {
-        (non_leaf_somewhere && may_contain(filter, self.non_leaf))
-            || may_contain(filter, self.value)
+    /// Does `filter` admit a document that may satisfy this term?
+    pub fn admits(&self, filter: &[u8]) -> bool {
+        may_contain(filter, self.entry)
     }
 }
 
@@ -252,108 +238,93 @@ fn collect<'p>(expr: &'p Expr, step: Option<usize>, out: &mut Vec<Conjunct<'p>>)
     }
 }
 
-/// Builds a document's synopsis entries from its event stream. Only the
-/// innermost open element can still be a leaf, so one text buffer serves
-/// every depth. Events record `(QNameId, value hash)` pairs without
-/// touching the dictionary; [`SynopsisBuilder::finish`] resolves the
-/// document's distinct names under one dictionary read lock.
-pub struct SynopsisBuilder<'d> {
-    dict: &'d NameDict,
-    /// Each open element and whether it has an element child.
-    open: Vec<(QNameId, bool)>,
-    /// Text of the innermost open element while it has no element child.
+/// Builds a document's synopsis entries from its event stream. An
+/// element's string value is the text that arrives between its start and
+/// its end, so one buffer holds the text of every open element and each
+/// element remembers where its own begins. A builder keeps its buffers and
+/// the key of every name it has met from one document to the next, so the
+/// database reuses builders rather than making one per document.
+pub struct SynopsisBuilder {
+    dict: Arc<NameDict>,
+    /// Each open element and where its text starts in `text`.
+    open: Vec<(QNameId, usize)>,
+    /// The text of the open elements, in document order.
     text: String,
-    /// `(name, value hash)` of every attribute and closed element.
-    nodes: Vec<(QNameId, u64)>,
+    /// The entries of the document so far.
+    entries: Vec<u64>,
+    /// The key of each name met so far, by `QNameId`; 0 until it is met (a
+    /// name whose key is 0 is only hashed again).
+    keys: Vec<u64>,
 }
 
-impl<'d> SynopsisBuilder<'d> {
+impl SynopsisBuilder {
     /// An empty builder resolving names through `dict`.
-    pub fn new(dict: &'d NameDict) -> Self {
+    pub fn new(dict: Arc<NameDict>) -> Self {
         SynopsisBuilder {
             dict,
             open: Vec::with_capacity(8),
-            text: String::with_capacity(64),
-            nodes: Vec::with_capacity(16),
+            text: String::with_capacity(256),
+            entries: Vec::with_capacity(32),
+            keys: Vec::new(),
+        }
+    }
+
+    /// The key of the local name of `name`.
+    fn key(&mut self, name: QNameId) -> u64 {
+        let i = name as usize;
+        match self.keys.get(i) {
+            Some(&key) if key != 0 => key,
+            _ => {
+                let key = name_key(&self.dict.local_of(name));
+                if self.keys.len() <= i {
+                    self.keys.resize(i + 1, 0);
+                }
+                self.keys[i] = key;
+                key
+            }
         }
     }
 
     /// Observe one event of the document.
     pub fn event(&mut self, ev: &Event<'_>) {
         match *ev {
-            Event::StartElement { name } => {
-                if let Some(parent) = self.open.last_mut() {
-                    parent.1 = true;
-                }
-                self.text.clear();
-                self.open.push((name, false));
+            Event::StartElement { name } => self.open.push((name, self.text.len())),
+            Event::Attribute { name, value, .. } => {
+                let entry = entry(self.key(name), value_hash(value));
+                self.entries.push(entry);
             }
-            Event::Attribute { name, value, .. } => self.nodes.push((name, value_hash(value))),
-            Event::Text { value, .. }
-                if self.open.last().is_some_and(|&(_, non_leaf)| !non_leaf) =>
-            {
-                self.text.push_str(value);
-            }
+            Event::Text { value, .. } if !self.open.is_empty() => self.text.push_str(value),
             Event::EndElement => {
-                if let Some((name, non_leaf)) = self.open.pop() {
-                    let value = if non_leaf {
-                        NON_LEAF
-                    } else {
-                        value_hash(&self.text)
-                    };
-                    self.nodes.push((name, value));
-                    self.text.clear();
+                if let Some((name, start)) = self.open.pop() {
+                    let entry = entry(self.key(name), value_hash(&self.text[start..]));
+                    self.entries.push(entry);
+                    if self.open.is_empty() {
+                        self.text.clear();
+                    }
                 }
             }
             _ => {}
         }
     }
 
-    /// The document's distinct entries, sorted, and the keys of the names
-    /// it uses as elements with element children; the builder is then
-    /// ready for the next document.
-    pub fn finish(&mut self) -> Entries {
+    /// Hand the document's distinct entries, sorted, to `take`, and get
+    /// ready for the next document. Buffers that a large document grew
+    /// past `KEEP_BYTES` are released, so an idle builder stays small.
+    pub fn finish<R>(&mut self, take: impl FnOnce(&[u64]) -> R) -> R {
         self.open.clear();
         self.text.clear();
-        self.nodes.sort_unstable();
-        self.nodes.dedup();
-        let mut out = Entries {
-            entries: Vec::with_capacity(self.nodes.len()),
-            non_leaf: Vec::new(),
-        };
-        let mut values = self.nodes.iter().map(|&(_, v)| v);
-        let mut last: Option<(QNameId, u64)> = None;
-        self.dict
-            .each_local(self.nodes.iter().map(|&(id, _)| id), |id, local| {
-                let key = match last {
-                    Some((seen, key)) if seen == id => key,
-                    _ => name_key(local),
-                };
-                last = Some((id, key));
-                if let Some(v) = values.next() {
-                    out.entries.push(entry(key, v));
-                    if v == NON_LEAF {
-                        out.non_leaf.push(key);
-                    }
-                }
-            });
-        self.nodes.clear();
-        for v in [&mut out.entries, &mut out.non_leaf] {
-            v.sort_unstable();
-            v.dedup();
+        self.entries.sort_unstable();
+        self.entries.dedup();
+        let out = take(&self.entries);
+        self.entries.clear();
+        if self.text.capacity() > KEEP_BYTES {
+            self.text = String::new();
+        }
+        if self.entries.capacity() * 8 > KEEP_BYTES {
+            self.entries = Vec::new();
         }
         out
     }
-}
-
-/// What [`SynopsisBuilder::finish`] returns for one document.
-#[derive(Debug, Default)]
-pub struct Entries {
-    /// Distinct filter entries, sorted.
-    pub entries: Vec<u64>,
-    /// Distinct keys of the names used as elements with element children,
-    /// sorted.
-    pub non_leaf: Vec<u64>,
 }
 
 /// Keep the candidates `docs` (DocID order, every one S-locked by the
@@ -391,24 +362,13 @@ pub fn prune(
             found
         }
     };
-    let non_leaf: Vec<bool> = {
-        let names = column.non_leaf_names();
-        terms
-            .iter()
-            .map(|t| names.binary_search(&t.name).is_ok())
-            .collect()
-    };
     let mut keep = Vec::with_capacity(docs.len());
     let mut err = None;
     table.heap().fetch_each(&rids, |i, rec| {
         let Some(rec) = rec else { return };
         match base_row_slot(rec, column.position) {
             Ok((doc, filter)) if doc == docs[i] => {
-                if terms
-                    .iter()
-                    .zip(&non_leaf)
-                    .all(|(t, &nl)| t.admits(filter, nl))
-                {
+                if terms.iter().all(|t| t.admits(filter)) {
                     keep.push(doc);
                 } else {
                     stats.docs_pruned += 1;
@@ -433,18 +393,18 @@ mod tests {
     use rx_xml::EventSink;
 
     /// The entries of `xml` as the insert-time keygen pass builds them.
-    fn entries(xml: &str) -> Entries {
-        struct Sink<'d>(SynopsisBuilder<'d>);
-        impl EventSink for Sink<'_> {
+    fn entries(xml: &str) -> Vec<u64> {
+        struct Sink(SynopsisBuilder);
+        impl EventSink for Sink {
             fn event(&mut self, ev: Event<'_>) -> rx_xml::Result<()> {
                 self.0.event(&ev);
                 Ok(())
             }
         }
-        let dict = NameDict::new();
-        let mut sink = Sink(SynopsisBuilder::new(&dict));
+        let dict = Arc::new(NameDict::new());
+        let mut sink = Sink(SynopsisBuilder::new(Arc::clone(&dict)));
         Parser::new(&dict).parse(xml, &mut sink).unwrap();
-        sink.0.finish()
+        sink.0.finish(<[u64]>::to_vec)
     }
 
     #[test]
@@ -456,7 +416,6 @@ mod tests {
             entry(name_key("ProductName"), value_hash("Product-000042")),
             0x0815_e834_45dd_17e2
         );
-        assert_eq!(entry(name_key("Product"), NON_LEAF), 0x8f7a_4e68_55c3_ae4f);
         let filter = encode(&[entry(name_key("a"), value_hash("x"))], 8);
         assert_eq!(filter, [36, 0, 0, 0, 128, 0, 0, 16]);
     }
@@ -465,26 +424,23 @@ mod tests {
     fn sizes_follow_distinct_entries() {
         assert_eq!(words_for(0), 1);
         assert_eq!(words_for(9), 1, "a product document");
-        assert_eq!(words_for(20), 2, "an order");
+        assert_eq!(words_for(28), 2, "an order of eight items");
         assert_eq!(words_for(1_000_000), MAX_WORDS);
     }
 
     #[test]
-    fn leaves_attributes_and_non_leaf_names_are_entries() {
-        let doc = r#"<r a="1"><p><n>x<!--c-->y</n><e/></p><n><k>z</k></n></r>"#;
+    fn attributes_and_elements_are_entries_by_string_value() {
+        let doc = r#"<r a="1"><p><n>x<!--c-->y</n><e/></p><n><k>z</k>w</n></r>"#;
         let got = entries(doc);
-        assert_eq!(got.non_leaf.len(), 3, "r, p and n have element children");
-        let got = got.entries;
-        let leaf = |n: &str, v: &str| entry(name_key(n), value_hash(v));
-        let non_leaf = |n: &str| entry(name_key(n), NON_LEAF);
+        let entry_of = |n: &str, v: &str| entry(name_key(n), value_hash(v));
         let mut want = vec![
-            leaf("a", "1"),
-            leaf("n", "xy"),
-            leaf("e", ""),
-            leaf("k", "z"),
-            non_leaf("r"),
-            non_leaf("p"),
-            non_leaf("n"),
+            entry_of("a", "1"),
+            entry_of("n", "xy"),
+            entry_of("e", ""),
+            entry_of("p", "xy"),
+            entry_of("k", "z"),
+            entry_of("n", "zw"),
+            entry_of("r", "xyzw"),
         ];
         want.sort_unstable();
         assert_eq!(got, want);
@@ -492,35 +448,45 @@ mod tests {
         for (name, lit) in [
             ("a", "1"),
             ("n", "xy"),
-            ("n", "anything"),
+            ("n", "zw"),
+            ("p", "xy"),
             ("e", ""),
             ("k", "z"),
+            ("r", "xyzw"),
         ] {
-            assert!(
-                SynopsisTerm::new(name, lit).admits(&filter, true),
-                "{name}={lit}"
-            );
+            assert!(SynopsisTerm::new(name, lit).admits(&filter), "{name}={lit}");
         }
-        assert!(
-            !SynopsisTerm::new("n", "anything").admits(&filter, false),
-            "without a NON_LEAF probe only the value decides"
-        );
-        assert!(
-            SynopsisTerm::new("e", "x").admits(&[], false),
-            "no filter admits"
-        );
+        assert!(SynopsisTerm::new("e", "x").admits(&[]), "no filter admits");
+    }
+
+    #[test]
+    fn many_distinct_names_fit_the_largest_filter() {
+        // 700 names with element children: the filter is capped at
+        // MAX_WORDS and still admits every one of them.
+        let mut doc = String::from("<r>");
+        for i in 0..700 {
+            doc.push_str(&format!("<n{i}><v>{i}</v></n{i}>"));
+        }
+        doc.push_str("</r>");
+        let got = entries(&doc);
+        assert_eq!(got.len(), 1 + 700 + 700, "r, each n{{i}} and each v value");
+        let filter = encode_sized(&got);
+        assert_eq!(filter.len(), MAX_WORDS * 8);
+        for i in 0..700 {
+            let v = i.to_string();
+            assert!(SynopsisTerm::new(&format!("n{i}"), &v).admits(&filter));
+            assert!(SynopsisTerm::new("v", &v).admits(&filter));
+        }
     }
 
     #[test]
     fn absent_values_are_mostly_rejected() {
         let doc = rx_gen::product_doc(&rx_gen::CatalogSpec::default(), 42);
-        let filter = encode_sized(&entries(&doc).entries);
+        let filter = encode_sized(&entries(&doc));
         assert_eq!(filter.len(), 8);
-        assert!(SynopsisTerm::new("ProductName", "Product-000042").admits(&filter, false));
+        assert!(SynopsisTerm::new("ProductName", "Product-000042").admits(&filter));
         let admitted = (0..10_000)
-            .filter(|i| {
-                SynopsisTerm::new("ProductName", &format!("absent-{i}")).admits(&filter, false)
-            })
+            .filter(|i| SynopsisTerm::new("ProductName", &format!("absent-{i}")).admits(&filter))
             .count();
         assert!(
             admitted < 2_000,

@@ -26,7 +26,7 @@
 use crate::error::{EngineError, Result};
 use crate::fulltext::tokenize;
 use crate::pack::NodeObserver;
-use crate::synopsis::{Entries, SynopsisBuilder};
+use crate::synopsis::SynopsisBuilder;
 use crate::traverse::{IdEventSink, Traverser};
 use crate::xmltable::{DocId, XmlTable};
 use rx_storage::{BTree, Rid, TableSpace, Txn};
@@ -405,8 +405,7 @@ impl ValueIndex {
 /// document's synopsis (DESIGN.md §19).
 pub struct IndexKeyGen<'q, 'd> {
     scans: Vec<QuickXScan<'q, 'd>>,
-    dict: &'d NameDict,
-    synopsis: Option<SynopsisBuilder<'d>>,
+    synopsis: Option<SynopsisBuilder>,
 }
 
 impl<'q, 'd> IndexKeyGen<'q, 'd> {
@@ -417,24 +416,30 @@ impl<'q, 'd> IndexKeyGen<'q, 'd> {
                 .into_iter()
                 .map(|t| QuickXScan::new(t, dict))
                 .collect(),
-            dict,
             synopsis: None,
         }
     }
 
-    /// Also build each document's synopsis entries in the pass (a stored
-    /// traversal then reads every element's content).
-    pub fn with_synopsis(mut self) -> Self {
-        self.synopsis = Some(SynopsisBuilder::new(self.dict));
+    /// Also build each document's synopsis entries in the pass, with
+    /// `builder` (a stored traversal then reads every element's content).
+    pub fn with_synopsis(mut self, builder: SynopsisBuilder) -> Self {
+        self.synopsis = Some(builder);
         self
     }
 
-    /// The synopsis entries of the document just finished; empty without
+    /// Hand the synopsis entries of the document just finished (distinct,
+    /// sorted) to `take`; they are empty without
     /// [`IndexKeyGen::with_synopsis`].
-    pub fn take_synopsis(&mut self) -> Entries {
+    pub fn finish_synopsis<R>(&mut self, take: impl FnOnce(&[u64]) -> R) -> R {
+        match &mut self.synopsis {
+            Some(builder) => builder.finish(take),
+            None => take(&[]),
+        }
+    }
+
+    /// The synopsis builder, for the next document's pass.
+    pub fn into_synopsis(self) -> Option<SynopsisBuilder> {
         self.synopsis
-            .as_mut()
-            .map_or_else(Entries::default, SynopsisBuilder::finish)
     }
 
     /// Finish the current document, returning one result list per index

@@ -132,20 +132,6 @@ impl NameDict {
         self.str(q.local)
     }
 
-    /// Visit the local name of each qname of `ids`, in order, under one
-    /// read lock.
-    pub fn each_local(
-        &self,
-        ids: impl IntoIterator<Item = QNameId>,
-        mut visit: impl FnMut(QNameId, &str),
-    ) {
-        let inner = self.inner.read();
-        for id in ids {
-            let q = inner.qnames[id as usize];
-            visit(id, &inner.strings[q.local as usize]);
-        }
-    }
-
     /// Do two qname ids denote the same *expanded* name (uri + local),
     /// regardless of prefix? This is XPath/XQuery name equality.
     pub fn same_name(&self, a: QNameId, b: QNameId) -> bool {
