@@ -590,15 +590,12 @@ impl Database {
                 }
             }
         }
-        let report = rx_storage::recover(db.txns.wal(), &env)?;
+        rx_storage::recover(db.txns.wal(), &env)?;
         for table in db.tables.read().values() {
-            // Value indexes derived their multi-valued flag from the pages as
-            // found at open; redo and undo may have changed the entries since.
-            if report.redone + report.undone > 0 {
-                for col in &table.xml_columns {
-                    for vi in col.indexes() {
-                        vi.recompute_multi_valued()?;
-                    }
+            // Once, after redo and undo have settled the entries.
+            for col in &table.xml_columns {
+                for vi in col.indexes() {
+                    vi.recompute_multi_valued()?;
                 }
             }
             // The counter starts at the high-water of the last checkpoint;

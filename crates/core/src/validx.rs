@@ -212,11 +212,12 @@ impl ValueIndex {
         Self::new(BTree::create(space, VALUE_INDEX_ANCHOR)?, def)
     }
 
-    /// Open an existing index.
+    /// Open an existing index. Its multi-valued flag reads false until
+    /// `Database`'s open derives it from the entries once, after recovery:
+    /// the flag is valid once the open returns. Recovery's redo and undo
+    /// write the B+tree directly and never read the flag.
     pub fn open(space: Arc<TableSpace>, def: ValueIndexDef) -> Result<ValueIndex> {
-        let vi = Self::new(BTree::open(space, VALUE_INDEX_ANCHOR)?, def)?;
-        vi.recompute_multi_valued()?;
-        Ok(vi)
+        Self::new(BTree::open(space, VALUE_INDEX_ANCHOR)?, def)
     }
 
     /// True once some document may hold more than one entry in this index
@@ -231,10 +232,10 @@ impl ValueIndex {
         self.multi_valued.load(Ordering::Acquire)
     }
 
-    /// Re-derive the multi-valued flag of a typed index from the stored
-    /// entries: one scan that stops at the first DocID seen twice. Runs at
-    /// open and again after crash recovery (which can redo or undo entries),
-    /// when no transaction is active, so clearing the flag here is sound.
+    /// Derive the multi-valued flag of a typed index from the stored
+    /// entries: one scan that stops at the first DocID seen twice. Runs once
+    /// per open, after crash recovery (which can redo or undo entries), when
+    /// no transaction is active, so clearing the flag here is sound.
     pub(crate) fn recompute_multi_valued(&self) -> Result<()> {
         if self.def.keys == IndexKeys::Terms {
             return Ok(());

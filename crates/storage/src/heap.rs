@@ -1,20 +1,24 @@
 //! Heap tables.
 //!
-//! A heap table stores variable-length records in a chain of slotted data
-//! pages within one table space, addressed by RID. This is the structure the
-//! paper's internal XML tables use for packed XML records (§3.1): each
-//! `(DocID, minNodeID, XMLData)` row is simply a heap record here.
+//! A heap table stores variable-length records in slotted data pages,
+//! addressed by RID. This is the structure the paper's internal XML tables
+//! use for packed XML records (§3.1): each `(DocID, minNodeID, XMLData)` row
+//! is simply a heap record here.
+//!
+//! A table space holds at most one heap, so the heap's pages are simply the
+//! space's `Data` pages: scans walk pages `1..high_water` and skip every
+//! other page type (a B+tree may share the space). The only page the heap
+//! remembers is its append target, in anchor slot 1 of the space header.
 
 use crate::error::{Result, StorageError};
-use crate::page::{PageType, MAX_RECORD_SIZE};
+use crate::page::{Page, PageType, MAX_RECORD_SIZE};
 use crate::rid::Rid;
 use crate::space::TableSpace;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Anchor slot holding the first data page of the heap chain.
-const ANCHOR_FIRST: usize = 0;
-/// Anchor slot holding the last data page (append target).
+/// Anchor slot holding the append target. Slot 0 is left unused: older
+/// builds kept the first page of a page chain there.
 const ANCHOR_LAST: usize = 1;
 
 /// A heap table over a table space. Thread-safe; inserts serialize on an
@@ -30,7 +34,6 @@ impl HeapTable {
         let first = space.allocate(PageType::Data)?;
         let first_no = first.pid().page;
         drop(first);
-        space.set_anchor(ANCHOR_FIRST, first_no)?;
         space.set_anchor(ANCHOR_LAST, first_no)?;
         Ok(Arc::new(HeapTable {
             space,
@@ -40,7 +43,7 @@ impl HeapTable {
 
     /// Open the heap already present in `space`.
     pub fn open(space: Arc<TableSpace>) -> Result<Arc<Self>> {
-        if space.anchor(ANCHOR_FIRST)? == 0 {
+        if space.anchor(ANCHOR_LAST)? == 0 {
             return Err(StorageError::Catalog(format!(
                 "space {} contains no heap",
                 space.id()
@@ -67,19 +70,18 @@ impl HeapTable {
         }
         let _g = self.append.lock();
         let last_no = self.space.anchor(ANCHOR_LAST)?;
-        let last = self.space.fetch(last_no)?;
         {
+            let last = self.space.fetch(last_no)?;
             let mut p = last.write();
+            self.as_data(&mut p, last_no)?;
             if p.can_fit(data.len()) {
                 let slot = p.insert(data)?;
                 return Ok(Rid::new(last_no, slot));
             }
         }
-        // Allocate a fresh page and link it at the end of the chain.
         let fresh = self.space.allocate(PageType::Data)?;
         let fresh_no = fresh.pid().page;
         let slot = fresh.write().insert(data)?;
-        last.write().set_next_page(fresh_no);
         self.space.set_anchor(ANCHOR_LAST, fresh_no)?;
         Ok(Rid::new(fresh_no, slot))
     }
@@ -89,18 +91,28 @@ impl HeapTable {
     /// shrink keeps its freed bytes reserved until [`HeapTable::release`].
     pub fn insert_at(&self, rid: Rid, data: &[u8]) -> Result<()> {
         let _g = self.append.lock();
-        // Make sure the page exists in the chain; redo may hit pages that the
-        // crashed run allocated. Allocation is monotone, so extending the
-        // high-water mark and linking is safe.
         let g = self.space.fetch(rid.page)?;
-        {
-            let mut p = g.write();
-            if p.page_type() != PageType::Data {
+        let mut p = g.write();
+        self.as_data(&mut p, rid.page)?;
+        p.insert_at(rid.slot, data)
+    }
+
+    /// Check that page `page_no` of this heap holds records. A page that was
+    /// never written (redo of a page the crashed run allocated, or an append
+    /// target whose header reached disk before the page did) is formatted
+    /// as an empty data page; any other type means the space is corrupt.
+    fn as_data(&self, p: &mut Page, page_no: u32) -> Result<()> {
+        match p.page_type() {
+            PageType::Data => Ok(()),
+            PageType::Free => {
                 p.format(PageType::Data);
+                Ok(())
             }
-            p.insert_at(rid.slot, data)?;
+            other => Err(StorageError::Corrupt(format!(
+                "heap page {page_no} of space {} is a {other:?} page",
+                self.space.id()
+            ))),
         }
-        Ok(())
     }
 
     /// Fetch a record by RID.
@@ -226,69 +238,40 @@ impl HeapTable {
         }
     }
 
-    /// Full scan in page-chain order. The visitor returns `true` to continue.
-    pub fn scan(&self, mut visit: impl FnMut(Rid, &[u8]) -> bool) -> Result<()> {
-        let mut page_no = self.space.anchor(ANCHOR_FIRST)?;
-        while page_no != 0 {
+    /// Visit this heap's pages in page-number order: every `Data` page of
+    /// the space below its high-water mark. The visitor returns `true` to
+    /// continue.
+    fn each_page(&self, mut visit: impl FnMut(u32, &Page) -> bool) -> Result<()> {
+        for page_no in 1..self.space.high_water()? {
             let g = self.space.fetch(page_no)?;
             let p = g.read();
-            for (slot, rec) in p.iter_records() {
-                if !visit(Rid::new(page_no, slot), rec) {
-                    return Ok(());
-                }
+            if p.page_type() == PageType::Data && !visit(page_no, &p) {
+                break;
             }
-            page_no = p.next_page();
         }
         Ok(())
     }
 
-    /// Relink the page chain after crash recovery: walk every allocated page
-    /// of the space and chain the Data pages in page-number order, resetting
-    /// the first/last anchors. Idempotent. Needed because chain-link updates
-    /// are not logged physically; logical redo re-installs records at their
-    /// RIDs but cannot know the chain.
-    pub fn rebuild_chain(&self) -> Result<()> {
-        let _g = self.append.lock();
-        let hw = self.space.high_water()?;
-        let mut first = 0u32;
-        let mut prev = 0u32;
-        for p in 1..hw {
-            let g = self.space.fetch(p)?;
-            let is_data = g.read().page_type() == PageType::Data;
-            if !is_data {
-                continue;
-            }
-            if first == 0 {
-                first = p;
-            } else {
-                let pg = self.space.fetch(prev)?;
-                pg.write().set_next_page(p);
-            }
-            g.write().set_next_page(0);
-            prev = p;
-        }
-        if first != 0 {
-            self.space.set_anchor(ANCHOR_FIRST, first)?;
-            self.space.set_anchor(ANCHOR_LAST, prev)?;
-        }
-        Ok(())
+    /// Full scan in page-number order. The visitor returns `true` to continue.
+    pub fn scan(&self, mut visit: impl FnMut(Rid, &[u8]) -> bool) -> Result<()> {
+        self.each_page(|page_no, p| {
+            p.iter_records()
+                .all(|(slot, rec)| visit(Rid::new(page_no, slot), rec))
+        })
     }
 
     /// Count pages and live records (used by the storage experiments).
     pub fn stats(&self) -> Result<HeapStats> {
         let mut s = HeapStats::default();
-        let mut page_no = self.space.anchor(ANCHOR_FIRST)?;
-        while page_no != 0 {
-            let g = self.space.fetch(page_no)?;
-            let p = g.read();
+        self.each_page(|_, p| {
             s.pages += 1;
             s.reserved += p.reserved_count() as u64;
             for (_, rec) in p.iter_records() {
                 s.records += 1;
                 s.record_bytes += rec.len() as u64;
             }
-            page_no = p.next_page();
-        }
+            true
+        })?;
         Ok(s)
     }
 }
@@ -296,7 +279,7 @@ impl HeapTable {
 /// Size statistics for a heap table.
 #[derive(Default, Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapStats {
-    /// Data pages in the chain.
+    /// Data pages.
     pub pages: u64,
     /// Live records.
     pub records: u64,
@@ -313,10 +296,12 @@ mod tests {
     use crate::backend::MemBackend;
     use crate::buffer::BufferPool;
 
+    fn space() -> Arc<TableSpace> {
+        TableSpace::create(BufferPool::new(256), 1, Arc::new(MemBackend::new())).unwrap()
+    }
+
     fn heap() -> Arc<HeapTable> {
-        let pool = BufferPool::new(256);
-        let ts = TableSpace::create(pool, 1, Arc::new(MemBackend::new())).unwrap();
-        HeapTable::create(ts).unwrap()
+        HeapTable::create(space()).unwrap()
     }
 
     #[test]
@@ -415,5 +400,67 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn append_anchor_on_a_never_written_page_is_formatted() {
+        let h = heap();
+        let ts = h.space();
+        // A page the crashed run allocated and named in the header but
+        // never wrote back.
+        let unwritten = ts.high_water().unwrap();
+        ts.ensure_high_water(unwritten + 1).unwrap();
+        assert_eq!(
+            ts.fetch(unwritten).unwrap().read().page_type(),
+            PageType::Free
+        );
+        ts.set_anchor(ANCHOR_LAST, unwritten).unwrap();
+        let r = h.insert(b"appended").unwrap();
+        assert_eq!(r.page, unwritten);
+        assert_eq!(h.fetch(r).unwrap(), b"appended");
+        assert_eq!(h.stats().unwrap().pages, 2);
+    }
+
+    #[test]
+    fn append_anchor_on_a_btree_page_is_corrupt() {
+        let h = heap();
+        let tree = crate::btree::BTree::create(Arc::clone(h.space()), 2).unwrap();
+        tree.insert(b"key", 1).unwrap();
+        let meta = h.space().anchor(2).unwrap();
+        h.space().set_anchor(ANCHOR_LAST, meta).unwrap();
+        assert!(matches!(h.insert(b"record"), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn scan_and_stats_skip_the_pages_of_a_shared_btree() {
+        let ts = space();
+        let h = HeapTable::create(Arc::clone(&ts)).unwrap();
+        let tree = crate::btree::BTree::create(Arc::clone(&ts), 2).unwrap();
+        // Interleave the two so heap and tree pages alternate in the space.
+        let body = vec![5u8; 700];
+        let mut rids = Vec::new();
+        for i in 0..200u32 {
+            rids.push(h.insert(&body).unwrap());
+            for k in 0..40u32 {
+                tree.insert(&(i * 40 + k).to_be_bytes(), k as u64).unwrap();
+            }
+        }
+        let heap_pages: std::collections::HashSet<u32> = rids.iter().map(|r| r.page).collect();
+        let last = rids.last().unwrap().page;
+        assert!(
+            (1..last).any(|p| !heap_pages.contains(&p)),
+            "tree pages lie among the heap's"
+        );
+        let mut seen = Vec::new();
+        h.scan(|rid, rec| {
+            assert_eq!(rec, &body[..]);
+            seen.push(rid);
+            true
+        })
+        .unwrap();
+        assert_eq!(seen, rids, "page-number order is insertion order");
+        let s = h.stats().unwrap();
+        assert_eq!((s.pages, s.records), (heap_pages.len() as u64, 200));
+        assert_eq!(tree.len().unwrap(), 8_000);
     }
 }

@@ -21,7 +21,7 @@ const OFF_FLAGS: usize = 9; // u8: reserved
 const OFF_SLOT_COUNT: usize = 10; // u16
 const OFF_FREE_START: usize = 12; // u16: end of slot directory
 const OFF_FREE_END: usize = 14; // u16: start of record heap
-const OFF_NEXT_PAGE: usize = 16; // u32: chain link (heap page chains, leaf chains)
+const OFF_NEXT_PAGE: usize = 16; // u32: chain link (B+tree leaf chains)
 /// Size of the fixed page header.
 pub const PAGE_HEADER_SIZE: usize = 20;
 /// Bytes per slot directory entry: offset u16 + length u16.
@@ -50,7 +50,8 @@ pub const MAX_RECORD_SIZE: usize = PAGE_SIZE - PAGE_HEADER_SIZE - SLOT_SIZE;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum PageType {
-    /// Unallocated / freed page.
+    /// A page never written: past the end of its file, or allocated by a
+    /// run that crashed before writing it back. Reads as all zeros.
     Free = 0,
     /// Table space header page (page 0 of every space).
     SpaceHeader = 1,

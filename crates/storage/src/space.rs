@@ -1,11 +1,13 @@
 //! Table spaces.
 //!
 //! A table space is a page-addressed container backed by a file (or memory).
-//! Page 0 is the space header: a magic number, the allocation high-water mark,
-//! the head of the free-page list, and a handful of general-purpose "anchor"
-//! slots that higher layers use to remember their entry points (heap first
-//! page, B+tree meta page, …). The paper stores each XML column in its own
-//! internal table space (§3.1), reusing relational space management unchanged.
+//! Page 0 is the space header: a magic number, the allocation high-water mark
+//! and a handful of general-purpose "anchor" slots that higher layers use to
+//! remember their entry points (heap append page, B+tree meta page, …).
+//! Pages are allocated at the high-water mark and never freed: heaps keep
+//! their pages and B+tree deletion is lazy. The paper stores each XML column
+//! in its own internal table space (§3.1), reusing relational space
+//! management unchanged.
 
 use crate::backend::StorageBackend;
 use crate::buffer::{BufferPool, PageGuard, PageId, SpaceId};
@@ -17,7 +19,8 @@ use std::sync::Arc;
 const MAGIC: u32 = 0x5258_5350; // "RXSP"
 const HDR_MAGIC: usize = PAGE_HEADER_SIZE;
 const HDR_HIGH_WATER: usize = PAGE_HEADER_SIZE + 4;
-const HDR_FREE_HEAD: usize = PAGE_HEADER_SIZE + 8;
+// The header word at `PAGE_HEADER_SIZE + 8` is unused; the anchors stay
+// after it so that spaces written by older builds open unchanged.
 const HDR_ANCHORS: usize = PAGE_HEADER_SIZE + 12;
 /// Number of general-purpose anchor slots in the space header.
 pub const ANCHOR_SLOTS: usize = 16;
@@ -50,7 +53,6 @@ impl TableSpace {
             let b = p.bytes_mut();
             b[HDR_MAGIC..HDR_MAGIC + 4].copy_from_slice(&MAGIC.to_le_bytes());
             b[HDR_HIGH_WATER..HDR_HIGH_WATER + 4].copy_from_slice(&1u32.to_le_bytes());
-            b[HDR_FREE_HEAD..HDR_FREE_HEAD + 4].copy_from_slice(&0u32.to_le_bytes());
         }
         Ok(ts)
     }
@@ -108,7 +110,7 @@ impl TableSpace {
         Ok(())
     }
 
-    /// Number of pages ever allocated (including header and freed pages).
+    /// Number of pages ever allocated, the header included.
     pub fn high_water(&self) -> Result<u32> {
         self.read_hdr_u32(HDR_HIGH_WATER)
     }
@@ -136,36 +138,12 @@ impl TableSpace {
         self.write_hdr_u32(HDR_ANCHORS + 4 * i, v)
     }
 
-    /// Allocate a page (reusing the free list when possible) formatted as `ptype`.
+    /// Allocate a page at the high-water mark, formatted as `ptype`.
     pub fn allocate(&self, ptype: PageType) -> Result<PageGuard> {
         let _g = self.alloc.lock();
-        let free_head = self.read_hdr_u32(HDR_FREE_HEAD)?;
-        let page_no = if free_head != 0 {
-            // Pop the free list: the free page's chain link is the next free page.
-            let freed = self.pool.fetch(PageId::new(self.space, free_head))?;
-            let next = freed.read().next_page();
-            self.write_hdr_u32(HDR_FREE_HEAD, next)?;
-            free_head
-        } else {
-            let hw = self.read_hdr_u32(HDR_HIGH_WATER)?;
-            self.write_hdr_u32(HDR_HIGH_WATER, hw + 1)?;
-            hw
-        };
+        let page_no = self.read_hdr_u32(HDR_HIGH_WATER)?;
+        self.write_hdr_u32(HDR_HIGH_WATER, page_no + 1)?;
         self.pool.fetch_new(PageId::new(self.space, page_no), ptype)
-    }
-
-    /// Return a page to the free list.
-    pub fn free(&self, page_no: u32) -> Result<()> {
-        assert_ne!(page_no, 0, "cannot free the space header");
-        let _g = self.alloc.lock();
-        let head = self.read_hdr_u32(HDR_FREE_HEAD)?;
-        let g = self.pool.fetch(PageId::new(self.space, page_no))?;
-        {
-            let mut p = g.write();
-            p.format(PageType::Free);
-            p.set_next_page(head);
-        }
-        self.write_hdr_u32(HDR_FREE_HEAD, page_no)
     }
 
     /// Fetch an existing page of this space.
@@ -192,20 +170,6 @@ mod tests {
         assert_eq!(a.pid().page, 1);
         assert_eq!(b.pid().page, 2);
         assert_eq!(ts.high_water().unwrap(), 3);
-    }
-
-    #[test]
-    fn free_list_reuse() {
-        let ts = space();
-        let a = ts.allocate(PageType::Data).unwrap().pid().page;
-        let b = ts.allocate(PageType::Data).unwrap().pid().page;
-        ts.free(a).unwrap();
-        ts.free(b).unwrap();
-        // LIFO reuse.
-        assert_eq!(ts.allocate(PageType::Data).unwrap().pid().page, b);
-        assert_eq!(ts.allocate(PageType::Data).unwrap().pid().page, a);
-        // Exhausted free list extends the space.
-        assert_eq!(ts.allocate(PageType::Data).unwrap().pid().page, 3);
     }
 
     #[test]

@@ -973,10 +973,10 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
         .unwrap_or(0);
     let recs = &all[start..];
 
-    // Physical preparation: the log names pages (via RIDs) that the crashed
-    // run allocated but whose space headers may not have been flushed. Raise
-    // each space's high-water mark past every logged page so redo-time
-    // allocations never clobber them.
+    // The one physical repair: the log names pages (via RIDs) that the
+    // crashed run allocated but whose space headers may not have been
+    // flushed. Raise each space's high-water mark past every logged page so
+    // redo-time allocations never clobber them and heap scans reach them.
     {
         let mut max_page: HashMap<SpaceId, u32> = HashMap::new();
         for r in recs {
@@ -1036,12 +1036,6 @@ pub fn recover(wal: &Wal, env: &RecoveryEnv) -> Result<RecoveryReport> {
         }
     }
     report.winners = committed.len();
-
-    // Chain repair: logical redo installed records at their RIDs but cannot
-    // maintain heap page chains; rebuild them before losers roll back.
-    for h in env.heaps.values() {
-        h.rebuild_chain()?;
-    }
 
     // Loser pass: each loser rolls back as at runtime. Losers touch disjoint
     // documents and slots (their locks and reservations were held to the
