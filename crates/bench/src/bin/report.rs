@@ -1895,8 +1895,8 @@ fn e11_parallel_query() {
         println!("multi-core host to see the scan scale with lanes.");
     }
 
-    // Part 2: index plans under fan-out (the verify arm re-evaluates only
-    // candidate documents, partitioned across lanes).
+    // Part 2: index plans under fan-out (a DocID filtering list
+    // re-evaluates only its candidate documents, partitioned across lanes).
     let idx_q = "/Catalog/Categories/Product[Discount > 0.20]";
     let idx_path = XPathParser::new().parse(idx_q).unwrap();
     let idx_plan = access::plan(&idx_path, col, false);
@@ -2389,7 +2389,6 @@ fn e13_doc_cache() {
                 access::AccessPlan::Index {
                     granularity: access::Granularity::NodeId,
                     exact: true,
-                    verify: false,
                     ..
                 }
             ),

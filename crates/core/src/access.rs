@@ -33,7 +33,7 @@ use rx_xpath::containment::{classify, IndexMatch};
 use rx_xpath::quickxscan::{QuickXScan, ResultItem};
 use rx_xpath::QueryTree;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -164,9 +164,10 @@ pub enum Combine {
 /// Candidate granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
-    /// DocID lists (small documents).
+    /// DocID lists: every candidate document is evaluated.
     DocId,
-    /// NodeID lists at the anchor node (large documents).
+    /// An exact NodeID list whose anchor nodes are the result: answered from
+    /// the anchors without evaluating a document (large documents).
     NodeId,
 }
 
@@ -175,8 +176,9 @@ pub enum AccessPlan {
     /// Evaluate by scanning every document with QuickXScan (the relational-
     /// scan analogue).
     FullScan,
-    /// Index access: scan term ranges, combine candidate lists, verify when
-    /// the combined list is not exact.
+    /// Index access: scan term ranges and combine candidate lists. A DocID
+    /// list evaluates its candidate documents; a NodeID list answers its
+    /// anchors.
     Index {
         /// The terms.
         terms: Vec<IndexTerm>,
@@ -184,15 +186,13 @@ pub enum AccessPlan {
         combine: Combine,
         /// Candidate granularity.
         granularity: Granularity,
-        /// Depth of the anchor step (NodeID granularity only): candidates
-        /// map to their ancestor at this depth.
+        /// Depth of the anchor step (the step whose predicates the terms
+        /// decide): a NodeID list's entries map to their ancestor at this
+        /// depth.
         anchor_depth: usize,
-        /// Is the combined candidate list exact (no re-evaluation needed to
-        /// decide the indexed predicates)?
+        /// Is the combined candidate list exact (it decides the indexed
+        /// predicates)? Always true for a NodeID list.
         exact: bool,
-        /// Whether the full query must still run on candidates (non-indexed
-        /// predicates, or result ≠ anchor, or inexact list).
-        verify: bool,
     },
 }
 
@@ -206,7 +206,6 @@ impl AccessPlan {
                 combine,
                 granularity,
                 exact,
-                verify,
                 ..
             } => {
                 let mut s = String::new();
@@ -222,10 +221,9 @@ impl AccessPlan {
                     });
                 }
                 s.push_str(if *exact { " (exact" } else { " (filtering" });
-                s.push_str(if *verify {
-                    ", re-evaluation)"
-                } else {
-                    ", no re-evaluation)"
+                s.push_str(match granularity {
+                    Granularity::DocId => ", re-evaluation)",
+                    Granularity::NodeId => ", no re-evaluation)",
                 });
                 for t in terms {
                     s.push_str(&format!(
@@ -411,9 +409,11 @@ fn decompose(expr: &Expr, indexes: &[Arc<ValueIndex>], path: &Path, anchor: usiz
 }
 
 /// Choose an access plan for `path` against the indexes of `column`.
-/// `prefer_nodeid` selects NodeID-granularity candidate lists (large
-/// documents); it requires the anchor prefix to use only child axes so the
-/// anchor depth is fixed.
+/// `prefer_nodeid` selects a NodeID list (large documents) where one can
+/// answer the query from its anchors: the anchor prefix uses only child
+/// axes (so the anchor depth is fixed), the list is exact at node level,
+/// it covers every predicate and the result is the anchor. Every other
+/// index plan is a DocID list.
 pub fn plan(path: &Path, column: &XmlColumn, prefer_nodeid: bool) -> AccessPlan {
     let indexes = column.indexes();
     if indexes.is_empty() {
@@ -445,30 +445,23 @@ pub fn plan(path: &Path, column: &XmlColumn, prefer_nodeid: bool) -> AccessPlan 
     // Exactness per Table 2: all exact → exact; under NodeID-level ANDing a
     // single exact term keeps the list exact; otherwise filtering.
     let all_exact = terms.iter().all(|t| t.match_kind == IndexMatch::Exact);
+    let node_exact = all_exact
+        || (combine == Combine::And && terms.iter().any(|t| t.match_kind == IndexMatch::Exact));
     let anchor_child_only = path.steps[..=anchor].iter().all(|s| s.axis == Axis::Child);
-    let granularity = if prefer_nodeid && anchor_child_only {
-        Granularity::NodeId
-    } else {
-        Granularity::DocId
-    };
-    let exact = match granularity {
-        Granularity::NodeId => {
-            all_exact
-                || (combine == Combine::And
-                    && terms.iter().any(|t| t.match_kind == IndexMatch::Exact))
-        }
-        Granularity::DocId => all_exact && terms.len() == 1,
-    };
     // Does the query ask for exactly the anchor nodes?
     let result_is_anchor = anchor == path.steps.len() - 1;
-    let verify = !exact || !covered || !result_is_anchor || granularity == Granularity::DocId;
+    let answers = node_exact && covered && result_is_anchor && anchor_child_only;
+    let (granularity, exact) = if prefer_nodeid && answers {
+        (Granularity::NodeId, true)
+    } else {
+        (Granularity::DocId, all_exact && terms.len() == 1)
+    };
     AccessPlan::Index {
         terms,
         combine,
         granularity,
         anchor_depth: anchor + 1,
         exact,
-        verify,
     }
 }
 
@@ -602,17 +595,17 @@ pub fn roots_by_range_scan(docs: &[DocId]) -> bool {
     }
 }
 
-/// Fewest candidate documents an executor lane must get before a batch
-/// fans out. Handing a lane to a pool thread costs a wake-up and a merge,
-/// which a few small documents do not repay: E11d (EXPERIMENTS.md) times
-/// serial against 2-lane evaluation of 1 to 256 cached product documents,
-/// and on a 2-vCPU host 2 lanes break even at about 64 candidates.
+/// Fewest candidates (documents, or the anchors of an exact NodeID list)
+/// an executor lane must get before a batch fans out. Handing a lane to a
+/// pool thread costs a wake-up and a merge, which a few small documents do
+/// not repay: E11d (EXPERIMENTS.md) times serial against 2-lane evaluation
+/// of 1 to 256 cached product documents, and on a 2-vCPU host 2 lanes break
+/// even at about 64 candidates.
 pub const MIN_DOCS_PER_LANE: usize = 32;
 
-/// How many lanes a batch of `candidates` documents is evaluated on: the
-/// executor's lanes, capped so every lane gets at least
-/// [`MIN_DOCS_PER_LANE`] documents. One lane means the calling thread
-/// evaluates the whole batch.
+/// How many lanes a batch of `candidates` is run on: the executor's lanes,
+/// capped so every lane gets at least [`MIN_DOCS_PER_LANE`] candidates. One
+/// lane means the calling thread runs the whole batch.
 pub fn fan_out_lanes(exec: Option<&QueryExecutor>, candidates: usize) -> usize {
     exec.map_or(1, |e| {
         e.workers().min(candidates / MIN_DOCS_PER_LANE).max(1)
@@ -666,43 +659,56 @@ fn evaluate_locked(
     // Lanes of a read-only transaction read committed documents only, so
     // they may publish cache snapshots.
     let publish = !txn.has_logged();
+    let (column, dict, tree) = (Arc::clone(column), Arc::clone(dict), Arc::clone(tree));
     // One lane: a single scanner over a contiguous run of candidates. A
     // dense run's roots are located by a range scan that starts only now,
     // after every S lock above is granted (§9.2 order), so the entries of
     // locked documents cannot change under it.
-    let lane = move |column: &XmlColumn,
-                     dict: &NameDict,
-                     tree: &QueryTree,
-                     docs: &[DocId],
-                     stats: &mut AccessStats|
-          -> Result<Vec<QueryHit>> {
+    run_lanes(exec, lanes, docs, stats, move |docs, stats| {
         let mut hits = Vec::new();
-        DocScanner::new(column, tree, dict, publish).evaluate_run(docs, stats, &mut hits)?;
+        DocScanner::new(&column, &tree, &dict, publish).evaluate_run(&docs, stats, &mut hits)?;
         Ok(hits)
-    };
-    let lanes = lanes.min(docs.len());
+    })
+}
+
+/// The lane runner every plan uses: split `items` into `lanes` contiguous,
+/// evenly sized windows and run `lane` on each, on `exec`'s pool. Each
+/// lane's hits are in its window's order, so concatenating them in window
+/// order reproduces exactly the serial output; per-lane stats are summed.
+/// The first error in window (= document) order propagates, matching the
+/// serial loop. Runs `lane` once over every item on the calling thread
+/// when no executor is supplied or `lanes` is 1.
+fn run_lanes<T, F>(
+    exec: Option<&QueryExecutor>,
+    lanes: usize,
+    mut items: Vec<T>,
+    stats: &mut AccessStats,
+    lane: F,
+) -> Result<Vec<QueryHit>>
+where
+    T: Send + 'static,
+    F: Fn(Vec<T>, &mut AccessStats) -> Result<Vec<QueryHit>> + Send + Sync + 'static,
+{
+    let lanes = lanes.min(items.len());
     let exec = match exec {
         Some(exec) if lanes > 1 => exec,
-        _ => return lane(column, dict, tree, &docs, stats),
+        _ => return lane(items, stats),
     };
     type PartResult = Result<(Vec<QueryHit>, AccessStats)>;
-    let mut tasks: Vec<Box<dyn FnOnce() -> PartResult + Send>> = Vec::new();
-    // One shared candidate list; each lane gets a window into it instead of
-    // its own copy of the slice.
-    let n = docs.len();
-    let docs: Arc<[DocId]> = docs.into();
-    for i in 0..lanes {
-        let window = i * n / lanes..(i + 1) * n / lanes;
-        let column = Arc::clone(column);
-        let dict = Arc::clone(dict);
-        let tree = Arc::clone(tree);
-        let docs = Arc::clone(&docs);
+    let lane = Arc::new(lane);
+    let n = items.len();
+    let mut tasks: Vec<Box<dyn FnOnce() -> PartResult + Send>> = Vec::with_capacity(lanes);
+    // Windows are cut off the end, so each item moves once.
+    for i in (0..lanes).rev() {
+        let window = items.split_off(i * n / lanes);
+        let lane = Arc::clone(&lane);
         tasks.push(Box::new(move || {
             let mut stats = AccessStats::default();
-            let hits = lane(&column, &dict, &tree, &docs[window], &mut stats)?;
+            let hits = lane(window, &mut stats)?;
             Ok((hits, stats))
         }));
     }
+    tasks.reverse();
     let mut hits = Vec::new();
     for r in exec.run_batch(tasks) {
         let (h, s) = r?;
@@ -712,25 +718,6 @@ fn evaluate_locked(
         stats.subtrees_skipped += s.subtrees_skipped;
     }
     Ok(hits)
-}
-
-/// True when hit node `n` equals, descends from, or is an ancestor of one of
-/// the `sorted` candidate anchors (all at exactly `anchor_depth` levels).
-/// Ancestry on Dewey IDs is a byte-prefix test, so both directions reduce to
-/// binary searches: a hit at or below the anchor depth has one possible
-/// anchor (its prefix truncated to `anchor_depth`), and a shallower hit's
-/// descendants form a contiguous byte-order run starting at its insertion
-/// point.
-fn anchor_listed(sorted: &[NodeId], n: &NodeId, anchor_depth: usize) -> bool {
-    match ancestor_at_depth(n, anchor_depth) {
-        Some(a) => sorted
-            .binary_search_by(|c| c.as_bytes().cmp(a.as_bytes()))
-            .is_ok(),
-        None => {
-            let i = sorted.partition_point(|c| c.as_bytes() < n.as_bytes());
-            sorted.get(i).is_some_and(|c| n.is_ancestor_or_self(c))
-        }
-    }
 }
 
 /// Scan the ranges of a plan's index terms, returning one entry list per
@@ -867,11 +854,11 @@ fn execute(
 ) -> Result<(Vec<QueryHit>, AccessStats)> {
     let mut stats = AccessStats::default();
     let mut rids = None;
-    let (docs, anchors) = match plan {
+    let docs = match plan {
         AccessPlan::FullScan => {
             let (docs, rows) = all_rows(table)?;
             rids = Some(rows);
-            (docs, None)
+            docs
         }
         AccessPlan::Index {
             terms,
@@ -883,86 +870,67 @@ fn execute(
                 .iter()
                 .map(|es| es.iter().map(|e| e.doc).collect())
                 .collect();
-            (combine_sets(sets, *combine).into_iter().collect(), None)
+            combine_sets(sets, *combine).into_iter().collect()
         }
         AccessPlan::Index {
             terms,
             combine,
             granularity: Granularity::NodeId,
             anchor_depth,
-            verify,
             ..
         } => {
+            // The entries below are read before any lock, so one may belong
+            // to a value that an uncommitted or since committed update has
+            // replaced. While a document's S lock is held no writer can
+            // change its entries, so the terms are scanned again under the
+            // locks and only that second list, restricted to the locked
+            // documents, is answered (DESIGN.md §14.3).
             let nodes = anchor_nodes(terms, *combine, *anchor_depth, |_| true, &mut stats)?;
             stats.candidates = nodes.len() as u64;
             let mut docs: Vec<DocId> = nodes.iter().map(|(d, _)| *d).collect();
             docs.dedup();
-            // An exact list whose result is the anchor nodes needs no
-            // re-evaluation. The entries above were read before any lock,
-            // so one may belong to a value that an uncommitted or since
-            // committed update has replaced. While a document's S lock is
-            // held no writer can change its entries, so the terms are
-            // scanned again under the locks and only that second list,
-            // restricted to the locked documents, is answered (DESIGN.md
-            // §14.3).
-            if !verify {
-                conc::lock_documents_shared(txn, table.def.id, &docs)?;
-                let locked = |d: DocId| docs.binary_search(&d).is_ok();
-                let nodes = anchor_nodes(terms, *combine, *anchor_depth, locked, &mut stats)?;
-                return emit_anchors(column, nodes, stats);
-            }
-            // Evaluate per candidate *document*, then keep only hits under a
-            // listed anchor. `nodes` iterates in (doc, node) order, so each
-            // document's anchor list arrives already byte-sorted and the
-            // filter is a binary search instead of a rescan of the whole
-            // candidate list per hit.
-            let mut anchors: HashMap<DocId, Vec<NodeId>> = HashMap::new();
-            for (d, n) in nodes {
-                anchors.entry(d).or_default().push(n);
-            }
-            (docs, Some((anchors, *anchor_depth)))
+            conc::lock_documents_shared(txn, table.def.id, &docs)?;
+            let locked = |d: DocId| docs.binary_search(&d).is_ok();
+            let nodes: Vec<(DocId, NodeId)> =
+                anchor_nodes(terms, *combine, *anchor_depth, locked, &mut stats)?
+                    .into_iter()
+                    .collect();
+            let lanes = fan_out_lanes(exec, nodes.len());
+            let column = Arc::clone(column);
+            let hits = run_lanes(exec, lanes, nodes, &mut stats, move |nodes, stats| {
+                answer_anchors(&column, nodes, stats)
+            })?;
+            return Ok((hits, stats));
         }
     };
-    if anchors.is_none() {
-        stats.candidates = docs.len() as u64;
-    }
+    stats.candidates = docs.len() as u64;
     conc::lock_documents_shared(txn, table.def.id, &docs)?;
     let docs = synopsis::prune(table, column, synopsis, docs, rids, &mut stats)?;
     let lanes = fan_out_lanes(exec, docs.len());
-    let mut hits = evaluate_locked(exec, lanes, txn, column, dict, tree, docs, &mut stats)?;
-    if let Some((anchors, depth)) = anchors {
-        hits.retain(|h| match &h.node {
-            Some(n) => anchors
-                .get(&h.doc)
-                .is_some_and(|set| anchor_listed(set, n, depth)),
-            None => true,
-        });
-    }
+    let hits = evaluate_locked(exec, lanes, txn, column, dict, tree, docs, &mut stats)?;
     Ok((hits, stats))
 }
 
-/// Answer an exact NodeID list whose result is the anchor nodes directly:
-/// each anchor's string value, without re-evaluating its document. `nodes`
-/// iterates in (doc, node) order, so one traverser per document serves all
-/// of its anchors — sharing the document-cache snapshot and the
-/// ceiling-probe memo, consecutive anchors that live in the same record cost
-/// one fetch, not one each.
-fn emit_anchors(
+/// One lane of an exact NodeID list: the string value of each anchor of a
+/// window of the `(doc, anchor)` list, without evaluating its document. One
+/// traverser, rebound per document, serves every anchor: consecutive
+/// anchors of a document share its document-cache snapshot and the
+/// ceiling-probe memo, so anchors that live in the same record cost one
+/// fetch, not one each.
+fn answer_anchors(
     column: &XmlColumn,
-    nodes: BTreeSet<(DocId, NodeId)>,
-    mut stats: AccessStats,
-) -> Result<(Vec<QueryHit>, AccessStats)> {
-    let xml = column.xml_table();
+    nodes: Vec<(DocId, NodeId)>,
+    stats: &mut AccessStats,
+) -> Result<Vec<QueryHit>> {
+    let mut t = Traverser::unbound(column.xml_table(), false);
+    let mut bound = None;
     let mut hits = Vec::with_capacity(nodes.len());
-    let mut cur: Option<(DocId, Traverser<'_>)> = None;
     for (doc, node) in nodes {
-        if cur.as_ref().map(|(d, _)| *d) != Some(doc) {
-            if let Some((_, done)) = cur.take() {
-                stats.records_fetched += done.stats.records_fetched;
-            }
-            cur = Some((doc, Traverser::new(xml, doc)));
+        if bound != Some(doc) {
+            stats.records_fetched += t.stats.records_fetched;
+            t.rebind(doc);
+            bound = Some(doc);
         }
-        let (_, t) = cur.as_mut().expect("traverser bound above");
         let value = t.string_value(&node)?;
         hits.push(QueryHit {
             doc,
@@ -970,10 +938,8 @@ fn emit_anchors(
             value,
         });
     }
-    if let Some((_, done)) = cur {
-        stats.records_fetched += done.stats.records_fetched;
-    }
-    Ok((hits, stats))
+    stats.records_fetched += t.stats.records_fetched;
+    Ok(hits)
 }
 
 /// Compile + plan a query exactly once, through `cache` when one is given.
@@ -1232,14 +1198,10 @@ mod tests {
         let plan = plan(&path, col, true);
         match &plan {
             AccessPlan::Index {
-                granularity,
-                verify,
-                exact,
-                ..
+                granularity, exact, ..
             } => {
                 assert_eq!(*granularity, Granularity::NodeId);
                 assert!(*exact);
-                assert!(!*verify, "exact NodeID list needs no re-evaluation");
             }
             AccessPlan::FullScan => panic!("expected index plan"),
         }
@@ -1248,6 +1210,35 @@ mod tests {
         assert_eq!(stats.docs_evaluated, 0, "no document re-evaluation");
         assert_eq!(stats.index_entries, 2, "scanned again under the S lock");
         assert!(hits[0].value.contains("P5"));
+    }
+
+    /// `prefer_nodeid` yields a NodeID list only where the list answers the
+    /// query from its anchors; every plan that would have to evaluate a
+    /// document is a DocID list.
+    #[test]
+    fn nodeid_lists_only_answer() {
+        let (_db, t) = setup();
+        let col = t.xml_column("doc").unwrap();
+        let granularity = |qs: &str| match plan(&q(qs), col, true) {
+            AccessPlan::Index { granularity, .. } => granularity,
+            AccessPlan::FullScan => panic!("expected an index plan for {qs}"),
+        };
+        assert_eq!(
+            granularity("/Catalog/Categories/Product[RegPrice > 100]"),
+            Granularity::NodeId
+        );
+        for qs in [
+            // The result lies below the anchor.
+            "/Catalog/Categories/Product[RegPrice > 100]/ProductName",
+            // A containment term only filters.
+            "/Catalog/Categories/Product[Discount > 0.15]",
+            // A predicate no index covers.
+            "/Catalog/Categories/Product[RegPrice > 100 and ProductName = 'P7']",
+            // Predicates on another step.
+            "/Catalog/Categories[Product]/Product[RegPrice > 100]",
+        ] {
+            assert_eq!(granularity(qs), Granularity::DocId, "{qs}");
+        }
     }
 
     #[test]
@@ -1642,18 +1633,24 @@ mod exactness_tests {
         }
         // DocID granularity with two terms: not exact (re-evaluation needed).
         match plan(&path, col, false) {
-            AccessPlan::Index { exact, verify, .. } => {
+            AccessPlan::Index {
+                granularity, exact, ..
+            } => {
+                assert_eq!(granularity, Granularity::DocId);
                 assert!(!exact);
-                assert!(verify);
             }
             AccessPlan::FullScan => panic!("expected an index plan"),
         }
-        // Two containment-only terms at NodeID level: filtering.
+        // Two containment-only terms at NodeID level: filtering, so the
+        // NodeID list cannot answer and the plan is a DocID list.
         let path = XPathParser::new()
             .parse("/Catalog/Product[Discount > 0.1 and Discount < 0.5]")
             .unwrap();
         match plan(&path, col, true) {
-            AccessPlan::Index { exact, .. } => {
+            AccessPlan::Index {
+                granularity, exact, ..
+            } => {
+                assert_eq!(granularity, Granularity::DocId);
                 assert!(!exact, "containment-only ANDing is a filter");
             }
             AccessPlan::FullScan => panic!("expected an index plan"),

@@ -566,7 +566,7 @@ impl Database {
         // Load all tables so recovery can reach every space.
         let mut env = RecoveryEnv::default();
         for (key, _) in db.catalog.list_prefix(b"tbl/") {
-            let table = db.load_table(&String::from_utf8_lossy(&key[4..]))?;
+            let table = db.load_table(&String::from_utf8_lossy(&key[4..]), &[])?;
             env.heaps.insert(table.base_space, Arc::clone(&table.heap));
             env.indexes.insert(
                 (table.base_space, DOCID_INDEX_ANCHOR as u32),
@@ -740,7 +740,9 @@ impl Database {
 
     // -- tables -------------------------------------------------------------
 
-    /// Create a base table.
+    /// Create a base table: format its spaces (the base heap and DocID
+    /// index, one XML table per XML column), put its catalog record, and
+    /// bring it up through `load_table`, as every open does.
     pub fn create_table(
         &self,
         name: &str,
@@ -754,68 +756,48 @@ impl Database {
         }
         let id = self.catalog.bump_counter(K_NEXT_TABLE)? as u32;
         let base_space = self.allocate_space()?;
-        let base_space_id = base_space.id();
-        let heap = HeapTable::create(base_space.clone())?;
-        let docid_index = BTree::create(base_space, DOCID_INDEX_ANCHOR)?;
-        let mut defs = Vec::new();
-        let mut xml_columns = Vec::new();
-        let mut col_spaces: Vec<u32> = Vec::new();
-        for (pos, (cname, kind)) in columns.iter().enumerate() {
-            defs.push(ColumnDef {
-                name: (*cname).to_string(),
-                kind: *kind,
-            });
-            if *kind == ColumnKind::Xml {
-                let space = self.allocate_space()?;
-                col_spaces.push(space.id());
-                let xml = XmlTable::create(space)?;
-                xml.set_doc_cache(Arc::clone(&self.doc_cache));
-                xml_columns.push(Arc::new(XmlColumn {
-                    name: (*cname).to_string(),
-                    position: pos,
-                    xml,
-                    indexes: RwLock::new(Vec::new()),
-                }));
-            } else {
-                col_spaces.push(0);
-            }
-        }
-        // Persist the definition.
+        HeapTable::create(Arc::clone(&base_space))?;
+        BTree::create(Arc::clone(&base_space), DOCID_INDEX_ANCHOR)?;
         let mut e = Enc::new();
-        e.u32(id).u32(base_space_id).varint(defs.len() as u64);
-        for (i, c) in defs.iter().enumerate() {
-            e.str(&c.name)
-                .u8(match c.kind {
+        e.u32(id).u32(base_space.id()).varint(columns.len() as u64);
+        let mut spaces = vec![base_space];
+        for (cname, kind) in columns {
+            let space = match kind {
+                ColumnKind::Str => 0,
+                ColumnKind::Xml => {
+                    let space = self.allocate_space()?;
+                    XmlTable::create(Arc::clone(&space))?;
+                    let id = space.id();
+                    spaces.push(space);
+                    id
+                }
+            };
+            e.str(cname)
+                .u8(match kind {
                     ColumnKind::Str => 0,
                     ColumnKind::Xml => 1,
                 })
-                .u32(col_spaces[i]);
+                .u32(space);
         }
         self.catalog.put(&k_table(name), &e.into_bytes())?;
-        let table = Arc::new(BaseTable {
-            def: TableDef {
-                id,
-                name: name.to_string(),
-                columns: defs,
-            },
-            heap,
-            docid_index,
-            xml_columns,
-            base_space: base_space_id,
-            doc_high: AtomicU64::new(0),
-        });
-        self.tables
-            .write()
-            .insert(name.to_string(), Arc::clone(&table));
+        let table = self.load_table(name, &spaces)?;
         // DDL is durable immediately.
         self.pool.flush_all()?;
         Ok(table)
     }
 
-    fn load_table(&self, name: &str) -> Result<Arc<BaseTable>> {
+    /// The table `name`, brought up from its catalog record on first use.
+    /// `created` holds the spaces [`Database::create_table`] has just
+    /// formatted (an in-memory space cannot be opened a second time);
+    /// every other space is opened.
+    fn load_table(&self, name: &str, created: &[Arc<TableSpace>]) -> Result<Arc<BaseTable>> {
         if let Some(t) = self.tables.read().get(name) {
             return Ok(Arc::clone(t));
         }
+        let space = |id: u32| match created.iter().find(|s| s.id() == id) {
+            Some(s) => Ok(Arc::clone(s)),
+            None => self.open_space(id),
+        };
         let bytes = self
             .catalog
             .get(&k_table(name))
@@ -836,13 +818,13 @@ impl Database {
             } else {
                 ColumnKind::Str
             };
-            let space = d.u32()?;
+            let col_space = d.u32()?;
             if kind == ColumnKind::Xml {
-                xml_cols_raw.push((cname.clone(), pos, space));
+                xml_cols_raw.push((cname.clone(), pos, col_space));
             }
             defs.push(ColumnDef { name: cname, kind });
         }
-        let base_space = self.open_space(base_space_id)?;
+        let base_space = space(base_space_id)?;
         let heap = HeapTable::open(base_space.clone())?;
         let docid_index = BTree::open(base_space, DOCID_INDEX_ANCHOR)?;
         let index_defs = self
@@ -851,13 +833,15 @@ impl Database {
             .map(|(k, v)| decode_index_def(k, v))
             .collect::<Result<Vec<_>>>()?;
         let mut xml_columns = Vec::new();
-        for (cname, pos, space) in xml_cols_raw {
-            let xml = XmlTable::open(self.open_space(space)?)?;
+        for (cname, pos, col_space) in xml_cols_raw {
+            let xml = XmlTable::open(space(col_space)?)?;
             xml.set_doc_cache(Arc::clone(&self.doc_cache));
             let mut indexes = Vec::new();
             for (_, def) in index_defs.iter().filter(|(c, _)| *c == cname) {
-                let space = self.open_space(def.space_id)?;
-                indexes.push(Arc::new(ValueIndex::open(space, def.clone())?));
+                indexes.push(Arc::new(ValueIndex::open(
+                    space(def.space_id)?,
+                    def.clone(),
+                )?));
             }
             let col = Arc::new(XmlColumn {
                 name: cname,
@@ -895,7 +879,7 @@ impl Database {
 
     /// Get a table by name.
     pub fn table(&self, name: &str) -> Result<Arc<BaseTable>> {
-        self.load_table(name)
+        self.load_table(name, &[])
     }
 
     /// Drop a base table: remove its definition, index definitions, and doc
@@ -904,7 +888,7 @@ impl Database {
     /// abandoned rather than reclaimed (recovery skips WAL records whose
     /// space is no longer reachable from the catalog).
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let t = self.load_table(name)?;
+        let t = self.load_table(name, &[])?;
         for (key, _) in self.index_records(name) {
             self.catalog.delete(&key)?;
         }
@@ -1330,7 +1314,8 @@ impl Database {
     }
 
     /// Flush all dirty pages, persist the name dictionary and every table's
-    /// DocID high-water, and truncate the WAL (a checkpoint).
+    /// DocID high-water, and rewrite the WAL without the records the pages
+    /// now hold (a checkpoint).
     pub fn checkpoint(&self) -> Result<()> {
         // Safe truncation floor: the engine mutates pages before logging, so
         // every record assigned up to here has its page effect in the pool
@@ -1352,6 +1337,10 @@ impl Database {
                 self.catalog.put(&key, &high.to_le_bytes())?;
             }
         }
+        // The log before the pages: a page the flush writes may hold
+        // changes of transactions still in flight, and if the rewrite below
+        // fails the old log must already hold their undo.
+        self.txns.wal().force()?;
         self.pool.flush_all()?;
         self.txns.wal().checkpoint(keep_from)?;
         Ok(())

@@ -109,7 +109,7 @@ pub struct Traverser<'x> {
     publish: bool,
     /// Ceiling-probe memo for the cold path: `(memo_probe, memo_upper,
     /// memo_rec)` of the last successful locate. For sorted probe sequences
-    /// (the NodeID no-verify path, nested subtree descents) any probe `p`
+    /// (an exact NodeID list's anchors, nested subtree descents) any probe `p`
     /// with `last_probe <= p <= upper` must resolve to the same record —
     /// there is no index entry in `[last_probe, upper)` or the previous
     /// ceiling probe would have returned it — so consecutive anchors sharing

@@ -413,11 +413,16 @@ pub trait LogStore: Send + Sync {
     fn flush(&self) -> Result<()>;
     /// Read back the entire log image.
     fn read_all(&self) -> Result<Vec<u8>>;
-    /// Discard all log content (after a checkpoint).
-    fn truncate(&self) -> Result<()>;
+    /// Durably replace the whole log with `image` (a checkpoint's rewrite).
+    /// Atomic: a crash, or an error before the new image is in place, leaves
+    /// the old image.
+    fn replace(&self, image: &[u8]) -> Result<()>;
 }
 
-/// File-backed log.
+/// File-backed log. [`LogStore::replace`] writes the new image to a
+/// temporary file beside the log (the log's name plus `.tmp`), fsyncs it and
+/// renames it over the log; opening ignores a temporary file that a crash
+/// left behind.
 pub struct FileLogStore {
     file: Mutex<File>,
     path: std::path::PathBuf,
@@ -456,10 +461,29 @@ impl LogStore for FileLogStore {
         Ok(buf)
     }
 
-    fn truncate(&self) -> Result<()> {
-        let f = self.file.lock();
-        f.set_len(0)?;
-        f.sync_data()?;
+    fn replace(&self, image: &[u8]) -> Result<()> {
+        let mut file = self.file.lock();
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
+        // The new image's append handle is opened on the temporary file, so
+        // it follows the rename and no open can fail once the image is in
+        // place.
+        let mut next = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&tmp)?;
+        next.set_len(0)?;
+        next.write_all(image)?;
+        next.sync_all()?;
+        std::fs::rename(&tmp, &self.path)?;
+        *file = next;
+        // Make the rename durable.
+        let dir = match self.path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
         Ok(())
     }
 }
@@ -491,8 +515,8 @@ impl LogStore for MemLogStore {
         Ok(self.buf.lock().clone())
     }
 
-    fn truncate(&self) -> Result<()> {
-        self.buf.lock().clear();
+    fn replace(&self, image: &[u8]) -> Result<()> {
+        *self.buf.lock() = image.to_vec();
         Ok(())
     }
 }
@@ -774,19 +798,22 @@ impl Wal {
         Ok(recs)
     }
 
-    /// Write a checkpoint record and truncate the log prefix, coordinating
+    /// Write a checkpoint record and drop the log prefix, coordinating
     /// with any in-flight group-commit flush.
     ///
     /// The caller must have durably flushed every dirty page first and pass
     /// `keep_from`: the lowest LSN whose effects are *not* guaranteed
     /// durable on pages (in practice `min(oldest active transaction's Begin
     /// LSN, highest assigned LSN at flush time + 1)`). Records below the
-    /// floor are truncated away; records at or above it — including
-    /// everything still in the staging buffer — are carried across the
-    /// truncation and fsynced together with the new checkpoint marker, so a
-    /// commit acknowledged by a concurrent `wait_durable` is never lost and
-    /// loser transactions keep their undo chain. `durable_lsn` advances to
-    /// the checkpoint LSN only once the carried image is on disk.
+    /// floor are dropped; records at or above it — including everything
+    /// still in the staging buffer — are carried into the new image behind
+    /// the new checkpoint marker, so a commit acknowledged by a concurrent
+    /// `wait_durable` is never lost and loser transactions keep their undo
+    /// chain. The store swaps the images atomically ([`LogStore::replace`]):
+    /// until the new image is durable the old one stays, so a crash or an
+    /// error mid-checkpoint leaves every record the old log held, the undo
+    /// of transactions in flight included. `durable_lsn` advances to the
+    /// checkpoint LSN only once the carried image is on disk.
     pub fn checkpoint(&self, keep_from: Lsn) -> Result<()> {
         let mut st = self.state.lock();
         while st.flushing {
@@ -815,9 +842,7 @@ impl Wal {
                     push_frame(&mut image, lsn, p);
                 }
             }
-            self.store.truncate()?;
-            self.store.append(&image)?;
-            self.store.flush()
+            self.store.replace(&image)
         })();
         let mut st = self.state.lock();
         st.flushing = false;
@@ -831,10 +856,10 @@ impl Wal {
                 st.durable_lsn = st.durable_lsn.max(ckpt_lsn);
             }
             Err(_) => {
-                // The rewrite may or may not have reached the store; restage
-                // the staged batch so no record is lost in memory. Redo is
-                // idempotent, so a duplicate append after a partial rewrite
-                // is harmless.
+                // The store holds its old image, or (when only the final
+                // directory fsync failed) the new one; restage the staged
+                // batch so no record is lost in memory. Redo is idempotent,
+                // so a record both carried and appended again is harmless.
                 let mut restored = staged;
                 restored.extend_from_slice(&st.staging);
                 st.staging = restored;

@@ -194,8 +194,8 @@ impl LogStore for GatedStore {
     fn read_all(&self) -> rx_storage::Result<Vec<u8>> {
         self.inner.read_all()
     }
-    fn truncate(&self) -> rx_storage::Result<()> {
-        self.inner.truncate()
+    fn replace(&self, image: &[u8]) -> rx_storage::Result<()> {
+        self.inner.replace(image)
     }
 }
 
@@ -519,8 +519,8 @@ impl LogStore for FailingAppendStore {
     fn read_all(&self) -> rx_storage::Result<Vec<u8>> {
         self.inner.read_all()
     }
-    fn truncate(&self) -> rx_storage::Result<()> {
-        self.inner.truncate()
+    fn replace(&self, image: &[u8]) -> rx_storage::Result<()> {
+        self.inner.replace(image)
     }
 }
 
@@ -599,4 +599,107 @@ fn failed_commit_flush_recovers_as_aborted() {
         matches!(fresh.fetch(rid), Err(StorageError::RecordNotFound { .. })),
         "failed commit's insert survived recovery"
     );
+}
+
+/// A log store whose `replace` fails before it touches the log, as when the
+/// temporary image cannot be written.
+struct FailingReplaceStore(FileLogStore);
+
+impl LogStore for FailingReplaceStore {
+    fn append(&self, bytes: &[u8]) -> rx_storage::Result<()> {
+        self.0.append(bytes)
+    }
+    fn flush(&self) -> rx_storage::Result<()> {
+        self.0.flush()
+    }
+    fn read_all(&self) -> rx_storage::Result<Vec<u8>> {
+        self.0.read_all()
+    }
+    fn replace(&self, _image: &[u8]) -> rx_storage::Result<()> {
+        Err(StorageError::Catalog("injected replace failure".into()))
+    }
+}
+
+/// A checkpoint flushes pages that hold an in-flight transaction's insert,
+/// then its log rewrite fails. The old log stays whole, so after a crash
+/// recovery still finds the insert's undo and rolls the transaction back.
+#[test]
+fn failed_checkpoint_rewrite_keeps_the_undo_of_in_flight_work() {
+    let dir = tmpdir("ckpt-fail");
+    let (kept, lost);
+    {
+        let pool = BufferPool::new(64);
+        let backend = Arc::new(FileBackend::open(&dir.join("space-1.dat")).unwrap());
+        let space = TableSpace::create(pool.clone(), SPACE, backend).unwrap();
+        let heap = HeapTable::create(space).unwrap();
+        pool.flush_all().unwrap();
+        let store = Arc::new(FailingReplaceStore(
+            FileLogStore::open(&dir.join("wal.log")).unwrap(),
+        ));
+        let wal = Wal::new(Arc::clone(&store) as Arc<dyn LogStore>);
+        let txns = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
+        let committed = txns.begin().unwrap();
+        kept = committed.heap_insert(&heap, b"committed".to_vec()).unwrap();
+        committed.commit().unwrap();
+        let in_flight = txns.begin().unwrap();
+        lost = in_flight.heap_insert(&heap, b"in flight".to_vec()).unwrap();
+        // As Database::checkpoint does: compute the keep floor, force the
+        // log, flush every page (the in-flight insert's too), then rewrite
+        // the log.
+        let barrier = wal.current_lsn() + 1;
+        let keep = txns.oldest_active_lsn().map_or(barrier, |l| l.min(barrier));
+        wal.force().unwrap();
+        let before = store.read_all().unwrap();
+        pool.flush_all().unwrap();
+        assert!(wal.checkpoint(keep).is_err());
+        assert_eq!(
+            store.read_all().unwrap(),
+            before,
+            "a failed rewrite leaves the old image"
+        );
+        // Crash with the transaction in flight.
+        std::mem::forget(in_flight);
+    }
+
+    let pool = BufferPool::new(64);
+    let backend = Arc::new(FileBackend::open(&dir.join("space-1.dat")).unwrap());
+    let space = TableSpace::open(pool.clone(), SPACE, backend).unwrap();
+    let heap = HeapTable::open(space).unwrap();
+    assert_eq!(
+        heap.fetch(lost).unwrap(),
+        b"in flight",
+        "the page was flushed"
+    );
+    let wal = Wal::new(Arc::new(FileLogStore::open(&dir.join("wal.log")).unwrap()));
+    let env = RecoveryEnv {
+        heaps: HashMap::from([(SPACE, Arc::clone(&heap))]),
+        ..Default::default()
+    };
+    let report = recover(&wal, &env).unwrap();
+    assert_eq!(report.losers, 1, "{report:?}");
+    assert_eq!(heap.fetch(kept).unwrap(), b"committed");
+    assert!(heap.fetch(lost).is_err(), "the in-flight insert is undone");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `FileLogStore::replace` swaps the whole image: appends after it extend
+/// the new image, reopening reads it, and a temporary file that a crash
+/// left beside the log is ignored at open and overwritten.
+#[test]
+fn file_log_replace_swaps_the_whole_image() {
+    let dir = tmpdir("replace");
+    let path = dir.join("wal.log");
+    std::fs::write(dir.join("wal.log.tmp"), b"torn image").unwrap();
+    let store = FileLogStore::open(&path).unwrap();
+    store.append(b"old").unwrap();
+    assert_eq!(store.read_all().unwrap(), b"old");
+    store.replace(b"new").unwrap();
+    store.append(b"+tail").unwrap();
+    store.flush().unwrap();
+    assert_eq!(store.read_all().unwrap(), b"new+tail");
+    assert!(!dir.join("wal.log.tmp").exists());
+    drop(store);
+    let reopened = FileLogStore::open(&path).unwrap();
+    assert_eq!(reopened.read_all().unwrap(), b"new+tail");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

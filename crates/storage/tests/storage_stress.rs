@@ -53,8 +53,8 @@ impl rx_storage::wal::LogStore for SlowSyncStore {
     fn read_all(&self) -> rx_storage::Result<Vec<u8>> {
         self.0.read_all()
     }
-    fn truncate(&self) -> rx_storage::Result<()> {
-        self.0.truncate()
+    fn replace(&self, image: &[u8]) -> rx_storage::Result<()> {
+        self.0.replace(image)
     }
 }
 

@@ -527,3 +527,36 @@ fn records_on_pages_allocated_after_the_checkpoint_survive_a_crash() {
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A checkpoint whose log rewrite fails (here: the temporary image's path
+/// is taken by a directory) has already forced the log and flushed pages
+/// holding an in-flight insert. The old log stays in place, so the database
+/// reopened after a crash rolls that insert back and keeps the committed
+/// row.
+#[test]
+fn failed_checkpoint_rewrite_still_rolls_back_in_flight_work() {
+    let dir = tmpdir("ckpt-fail");
+    {
+        let db = Database::create_dir(&dir).unwrap();
+        let t = db.create_table("p", &[("doc", ColumnKind::Xml)]).unwrap();
+        db.insert_row(&t, &[ColValue::Xml("<a><v>keep</v></a>".into())])
+            .unwrap();
+        let txn = db.begin().unwrap();
+        db.insert_row_txn(&txn, &t, &[ColValue::Xml("<a><v>drop</v></a>".into())])
+            .unwrap();
+        std::fs::create_dir(dir.join("wal.log.tmp")).unwrap();
+        assert!(db.checkpoint().is_err());
+        std::mem::forget(txn);
+    }
+    let db = Database::open_dir(&dir).unwrap();
+    let t = db.table("p").unwrap();
+    assert!(
+        db.fetch_row(&t, 2).unwrap().is_none(),
+        "the loser is undone"
+    );
+    assert!(db
+        .serialize_document(&t, "doc", 1)
+        .unwrap()
+        .contains("keep"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use system_rx::engine::access::{self, AccessStats, QueryHit};
+use system_rx::engine::access::{self, AccessStats, QueryHit, MIN_DOCS_PER_LANE};
 use system_rx::engine::db::{BaseTable, ColValue, ColumnKind, Database, DbConfig};
 use system_rx::gen::{product_doc, CatalogSpec};
 use system_rx::xml::value::KeyType;
@@ -136,6 +136,68 @@ proptest! {
             let expected = prices.iter().filter(|&&p| p > threshold).count();
             prop_assert_eq!(hs.len(), expected);
         }
+    }
+
+    /// An exact NodeID list answers its anchors on the executor's lanes:
+    /// `query_workers = 1` and `query_workers = 3` return the same ordered
+    /// hits, equal to the DocID plan's, with no document evaluated. One
+    /// large document, inserted among small ones, holds more than half of
+    /// the qualifying anchors and at least `2 * MIN_DOCS_PER_LANE` of them,
+    /// so the run fans out and the first lane boundary falls inside that
+    /// document: its anchors split across lanes.
+    #[test]
+    fn laned_anchor_answers_equal_serial_ones(
+        before in prop::collection::vec(0u32..400, 0..20),
+        large in prop::collection::vec(50u32..400, 2 * MIN_DOCS_PER_LANE..160),
+        after in prop::collection::vec(0u32..400, 0..20),
+        threshold in 0u32..50,
+    ) {
+        let serial = db_with_workers(1);
+        let par = db_with_workers(3);
+        let items = |prices: &[u32], first: usize| -> String {
+            prices
+                .iter()
+                .enumerate()
+                .map(|(j, p)| format!("<i><v>{p}</v><n>n{}</n></i>", first + j))
+                .collect()
+        };
+        for db in [&serial, &par] {
+            let t = db.create_table("p", &[("doc", ColumnKind::Xml)]).unwrap();
+            db.create_value_index("p", "v_idx", "doc", "/r/i/v", KeyType::Double)
+                .unwrap();
+            let small = before.iter().map(|p| (vec![*p], 0));
+            let docs = small
+                .clone()
+                .chain(std::iter::once((large.clone(), 1000)))
+                .chain(after.iter().map(|p| (vec![*p], 0)));
+            for (prices, first) in docs {
+                let xml = format!("<r>{}</r>", items(&prices, first));
+                db.insert_row(&t, &[ColValue::Xml(xml)]).unwrap();
+            }
+        }
+        let path = XPathParser::new()
+            .parse(&format!("/r/i[v > {threshold}]"))
+            .unwrap();
+        let ts = serial.table("p").unwrap();
+        let tp = par.table("p").unwrap();
+        let explain = access::plan(&path, ts.xml_column("doc").unwrap(), true).explain();
+        prop_assert!(explain.starts_with("NodeID list access (exact, no re-evaluation)"), "{}", explain);
+        let fanned = par.stats().parallel_queries;
+        let (hs, ss) = locked_query(&serial, &ts, &path, true);
+        let (hp, sp) = locked_query(&par, &tp, &path, true);
+        prop_assert_eq!(&hp, &hs);
+        prop_assert!(par.stats().parallel_queries > fanned, "the anchors never fanned out");
+        prop_assert_eq!(serial.stats().parallel_queries, 0);
+        // Records fetched may differ: a document split across lanes is
+        // located once per lane.
+        prop_assert_eq!(
+            (sp.candidates, sp.index_entries, sp.docs_evaluated),
+            (ss.candidates, ss.index_entries, 0)
+        );
+        let qualifying = before.iter().chain(&after).filter(|&&p| p > threshold).count();
+        prop_assert_eq!(hs.len(), qualifying + large.len());
+        let (docid_hits, _) = locked_query(&serial, &ts, &path, false);
+        prop_assert_eq!(&docid_hits, &hs);
     }
 }
 

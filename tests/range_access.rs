@@ -486,16 +486,20 @@ fn stale_anchor_db() -> (Arc<Database>, Arc<BaseTable>) {
 }
 
 /// A writer's uncommitted update moves document 1's first price into the
-/// window of an exact NodeID query; a reader runs the query while the
-/// writer holds its locks, so its first index scan sees the uncommitted
-/// entry and it then waits for its S lock. Once the reader is seen waiting
-/// (`DbStats::lock_waits` rises), a committing writer also moves the second
-/// price into the window, then commits; otherwise it rolls back. Returns
-/// the reader's answer.
-fn reader_beside_writer(commit: bool) -> (Vec<QueryHit>, AccessStats) {
+/// window of `query` (a predicate `[RegPrice > 100]` on `Product`); a
+/// reader runs the query while the writer holds its locks, so its first
+/// index scan sees the uncommitted entry and it then waits for its S lock.
+/// Once the reader is seen waiting (`DbStats::lock_waits` rises), a
+/// committing writer also moves the second price into the window, then
+/// commits; otherwise it rolls back. Returns the reader's answer.
+fn reader_beside_writer(
+    commit: bool,
+    query: &str,
+    prefer_nodeid: bool,
+) -> (Vec<QueryHit>, AccessStats) {
     let (db, t) = stale_anchor_db();
     let col = t.xml_column("doc").unwrap();
-    let path = q("/Catalog/Categories/Product[RegPrice > 100]");
+    let path = q(query);
     let prices: Vec<NodeId> = run_plan(
         &db,
         &AccessPlan::FullScan,
@@ -518,7 +522,7 @@ fn reader_beside_writer(commit: bool) -> (Vec<QueryHit>, AccessStats) {
     set_price(&writer, &prices[0], "150");
     let waits = db.stats().lock_waits;
     std::thread::scope(|s| {
-        let reader = s.spawn(|| locked_query(&db, &t, &path, true));
+        let reader = s.spawn(|| locked_query(&db, &t, &path, prefer_nodeid));
         let deadline = Instant::now() + Duration::from_secs(10);
         while db.stats().lock_waits == waits {
             assert!(
@@ -537,11 +541,14 @@ fn reader_beside_writer(commit: bool) -> (Vec<QueryHit>, AccessStats) {
     })
 }
 
+/// An exact NodeID query over `stale_anchor_db`: its result is the anchor.
+const EXACT_ANCHORS: &str = "/Catalog/Categories/Product[RegPrice > 100]";
+
 /// An index entry of an uncommitted value that rolls back while the reader
 /// waits is not answered: the exact list is read again under the S lock.
 #[test]
 fn exact_nodeid_list_drops_an_entry_its_writer_rolls_back() {
-    let (hits, stats) = reader_beside_writer(false);
+    let (hits, stats) = reader_beside_writer(false, EXACT_ANCHORS, true);
     assert_eq!(
         stats.candidates, 2,
         "the first scan saw the uncommitted entry"
@@ -555,7 +562,7 @@ fn exact_nodeid_list_drops_an_entry_its_writer_rolls_back() {
 /// answers, including an entry the first scan could not have seen.
 #[test]
 fn exact_nodeid_list_answers_what_its_writer_commits() {
-    let (hits, stats) = reader_beside_writer(true);
+    let (hits, stats) = reader_beside_writer(true, EXACT_ANCHORS, true);
     assert_eq!(
         stats.candidates, 2,
         "the first scan saw the uncommitted entry"
@@ -563,4 +570,25 @@ fn exact_nodeid_list_answers_what_its_writer_commits() {
     assert_eq!(stats.docs_evaluated, 0);
     let values: Vec<(DocId, &str)> = hits.iter().map(|h| (h.doc, h.value.as_str())).collect();
     assert_eq!(values, [(1, "a150"), (1, "b160"), (2, "c150")]);
+}
+
+/// A query whose result lies below the anchor must evaluate its documents,
+/// so it is a DocID list whether or not it prefers NodeID lists, and it
+/// answers what the writer commits while the reader waits: both of
+/// document 1's products, the second moved into range after the reader's
+/// first index scan.
+#[test]
+fn plans_that_evaluate_answer_what_their_writer_commits() {
+    let query = "/Catalog/Categories/Product[RegPrice > 100]/ProductName";
+    for prefer_nodeid in [false, true] {
+        let (hits, stats) = reader_beside_writer(true, query, prefer_nodeid);
+        let values: Vec<(DocId, &str)> = hits.iter().map(|h| (h.doc, h.value.as_str())).collect();
+        assert_eq!(
+            values,
+            [(1, "a"), (1, "b"), (2, "c")],
+            "nodeid={prefer_nodeid}"
+        );
+        assert_eq!(stats.candidates, 2, "nodeid={prefer_nodeid}");
+        assert_eq!(stats.docs_evaluated, 2, "nodeid={prefer_nodeid}");
+    }
 }
