@@ -129,7 +129,7 @@ pub struct DbStats {
     /// Fsyncs issued by the WAL group-commit flusher.
     pub wal_fsyncs: u64,
     /// Commits whose records were not yet durable on arrival, i.e. that
-    /// joined a group-commit flush as leader or waiter (fewer fsyncs than
+    /// took part in a group-commit flush (fewer fsyncs than
     /// this under concurrent load means batching is working).
     pub wal_group_commits: u64,
     /// Largest number of records one fsync covered.

@@ -23,7 +23,6 @@
 //!   which cannot match before any record is read;
 //! * [`construct`] — constructor functions with tagging templates and XMLAGG
 //!   linked-list quicksort (§4.1, Fig. 5);
-//! * [`runtime`] — virtual-SAX runtime, XML handles, sequences (§4.4, Fig. 8);
 //! * [`conc`] / [`mvcc`] — DocID locking (the document is the one write
 //!   unit) and document multiversioning (§5);
 //! * [`executor`] — the shared query worker pool and plan cache;
@@ -50,7 +49,6 @@ pub mod fulltext;
 pub mod lru;
 pub mod mvcc;
 pub mod pack;
-pub mod runtime;
 pub mod sqlxml;
 pub mod synopsis;
 pub mod traverse;

@@ -529,12 +529,15 @@ pub fn fetch_node(xml: &XmlTable, doc: DocId, node: &NodeId) -> Result<Option<St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::{fig5_emp_ctor, Constructed, Template};
     use crate::pack::{NoObserver, Packer};
     use rx_storage::wal::{MemLogStore, Wal};
     use rx_storage::{BufferPool, LockManager, MemBackend, TableSpace, TxnManager};
     use rx_xml::name::NameDict;
     use rx_xml::parser::Parser;
     use rx_xml::serialize::Serializer;
+    use rx_xpath::quickxscan::QuickXScan;
+    use rx_xpath::{QueryTree, XPathParser};
     use std::sync::Arc;
 
     fn store(input: &str, target: usize) -> (XmlTable, NameDict) {
@@ -679,5 +682,68 @@ mod tests {
         let mut sink = DropIds(&mut ser);
         Traverser::new(&xt, 1).run_subtree(&b, &mut sink).unwrap();
         assert_eq!(ser.finish(), "<b><c>x</c></b>");
+    }
+
+    /// §4.4, Fig. 8: XML in each of its runtime forms replays straight into
+    /// the one serializer and the one scanner, with no tree built in
+    /// between: a parser's token stream, a stored document, a constructed
+    /// row, and the stored subtree of a query hit.
+    #[test]
+    fn every_source_feeds_one_serializer_and_one_scanner() {
+        let text = r#"<Emp id="1234" name="John Doe"><HIRE>2000-10-24</HIRE><department>Accting</department></Emp>"#;
+        let (xt, dict) = store(text, 3500);
+        let tokens = Parser::new(&dict).parse_to_tokens(text).unwrap();
+        let tpl = Template::compile(&fig5_emp_ctor(), &dict).unwrap();
+        let args = ["1234", "John", "Doe", "2000-10-24", "Accting"];
+        let row = Constructed::new(tpl, args.map(String::from).to_vec()).unwrap();
+        let compile = |q: &str| QueryTree::compile(&XPathParser::new().parse(q).unwrap()).unwrap();
+        let tree = compile("/Emp/department");
+
+        let mut ser = Serializer::new(&dict);
+        tokens.replay(&mut ser).unwrap();
+        assert_eq!(ser.finish(), text, "token stream");
+        let mut ser = Serializer::new(&dict);
+        Traverser::new(&xt, 1).run(&mut DropIds(&mut ser)).unwrap();
+        assert_eq!(ser.finish(), text, "stored document");
+        let mut ser = Serializer::new(&dict);
+        row.replay(&mut ser).unwrap();
+        assert_eq!(ser.finish(), text, "constructed row");
+
+        let mut scan = QuickXScan::new(&tree, &dict);
+        tokens.replay(&mut scan).unwrap();
+        let from_tokens = scan.finish().unwrap();
+        let mut scan = QuickXScan::new(&tree, &dict);
+        scan.event(Event::StartDocument).unwrap();
+        row.replay(&mut scan).unwrap();
+        scan.event(Event::EndDocument).unwrap();
+        let from_row = scan.finish().unwrap();
+        let mut scan = QuickXScan::new(&tree, &dict);
+        Traverser::new(&xt, 1).run(&mut scan).unwrap();
+        let hits = scan.finish().unwrap();
+        for items in [&from_tokens, &from_row, &hits] {
+            let values: Vec<&str> = items.iter().map(|i| i.value.as_str()).collect();
+            assert_eq!(values, ["Accting"]);
+        }
+        // Only stored data hands out node IDs.
+        assert!(from_tokens[0].node.is_none() && from_row[0].node.is_none());
+        let hit = hits[0]
+            .node
+            .as_ref()
+            .expect("a stored hit carries its node ID");
+
+        let mut ser = Serializer::new(&dict);
+        Traverser::new(&xt, 1)
+            .run_subtree(hit, &mut DropIds(&mut ser))
+            .unwrap();
+        assert_eq!(ser.finish(), "<department>Accting</department>");
+        let tree = compile("/department");
+        let mut scan = QuickXScan::new(&tree, &dict);
+        scan.id_event(&[], Event::StartDocument).unwrap();
+        Traverser::new(&xt, 1).run_subtree(hit, &mut scan).unwrap();
+        scan.id_event(&[], Event::EndDocument).unwrap();
+        let items = scan.finish().unwrap();
+        assert_eq!(items.len(), 1);
+        assert_eq!(items[0].value, "Accting");
+        assert_eq!(items[0].node.as_ref(), Some(hit));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! §5 of the paper argues that XML concurrency needs "multiple granularity
 //! locking \[4\] given the hierarchical nature of XML data". This lock
-//! manager has the classical intent modes (IS/IX/S/SIX/U/X) over a
+//! manager has the classical intent modes (IS/IX/S/SIX/X) over a
 //! two-level hierarchy: tables and their documents. The §5.2 node-ID prefix
 //! locks are deliberately absent: a packed record holds nodes of many
 //! subtrees, and rollback puts back a whole record's before-image, so the
@@ -64,14 +64,12 @@ pub enum LockMode {
     S,
     /// Shared + intent exclusive.
     SIX,
-    /// Update (read now, may upgrade to X).
-    U,
     /// Exclusive.
     X,
 }
 
 impl LockMode {
-    /// Gray's compatibility matrix (U treated as compatible with read modes).
+    /// Gray's compatibility matrix.
     pub fn compatible(self, other: LockMode) -> bool {
         use LockMode::*;
         match (self, other) {
@@ -80,11 +78,8 @@ impl LockMode {
             (IX, IX) => true,
             (IX, _) | (_, IX) => false,
             (S, S) => true,
-            (S, U) | (U, S) => true,
             (S, _) | (_, S) => false,
             (SIX, _) | (_, SIX) => false,
-            (U, U) => false,
-            (U, X) | (X, U) => false,
             (X, X) => false,
         }
     }
@@ -98,7 +93,6 @@ impl LockMode {
             (SIX, IS) | (SIX, IX) | (SIX, S) => true,
             (S, IS) => true,
             (IX, IS) => true,
-            (U, IS) | (U, S) => true,
             _ => false,
         }
     }
@@ -114,7 +108,6 @@ impl LockMode {
         }
         match (self, other) {
             (S, IX) | (IX, S) => SIX,
-            (U, IX) | (IX, U) => SIX,
             _ => X,
         }
     }
@@ -472,8 +465,6 @@ mod tests {
         assert!(!SIX.compatible(SIX));
         assert!(SIX.compatible(IS));
         assert!(!X.compatible(IS));
-        assert!(U.compatible(S));
-        assert!(!U.compatible(U));
     }
 
     #[test]

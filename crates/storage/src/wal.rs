@@ -21,7 +21,7 @@ use crate::codec::{Dec, Enc};
 use crate::error::{Result, StorageError};
 use crate::heap::HeapTable;
 use crate::rid::Rid;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -527,8 +527,8 @@ pub struct WalStatsSnapshot {
     /// Backend fsyncs issued by group-commit flush batches.
     pub fsyncs: u64,
     /// `wait_durable` calls whose LSN was not already durable on arrival
-    /// (commits that joined a flush — as leader or waiter — rather than
-    /// returning immediately).
+    /// (commits that took the log tail to flush, or parked until a flush
+    /// covered them, rather than returning immediately).
     pub group_commits: u64,
     /// Total records covered by all flush batches.
     pub batch_records_total: u64,
@@ -564,21 +564,84 @@ impl WalStats {
 /// The write-ahead log: frames records, assigns LSNs, and makes commits
 /// durable with **group commit**.
 ///
-/// `log()` appends framed bytes to an in-memory staging buffer under a short
-/// critical section — no backend I/O is ever performed while holding the
-/// state mutex. Committers call [`Wal::wait_durable`] with their commit LSN:
-/// the first waiter to find no flush in flight is elected *leader*, takes the
-/// whole staging buffer, writes and fsyncs it as one batch outside the lock,
-/// advances `durable_lsn`, and wakes every waiter the batch covered. One
-/// fsync thereby amortizes across all concurrently committing sessions.
+/// Two locks, taken in the order tail → state:
+/// - `state` holds LSN assignment, the staging buffer and `durable_lsn`. It
+///   is never held across store I/O: `log()` frames its record into the
+///   staging buffer under it and returns.
+/// - `tail` holds the log store, which is reachable only through it
+///   (`Tail`), so every append, fsync, read and image swap happens under
+///   it.
+///
+/// Committers call [`Wal::wait_durable`] with their commit LSN. One that
+/// takes the tail takes the whole staging buffer with it, appends and
+/// fsyncs it as one batch, and advances `durable_lsn`. Committers that find
+/// the tail held park on `tail_freed` until it is let go, and those the
+/// batch covered return without I/O. One fsync thereby amortizes across all
+/// concurrently committing sessions.
 pub struct Wal {
-    store: Arc<dyn LogStore>,
+    tail: Mutex<Arc<dyn LogStore>>,
     state: Mutex<WalState>,
-    flushed: Condvar,
+    /// Notified, under the state lock, each time a holder lets go of the
+    /// tail.
+    tail_freed: Condvar,
     /// Highest transaction id in the log image found at open.
     last_txn: TxnId,
     /// Group-commit counters.
     pub stats: WalStats,
+}
+
+/// The log store, reached through the tail lock. Dropping it lets go of the
+/// tail and wakes every committer parked in [`Wal::wait_durable`]: the
+/// holder may have made their records durable, and the tail is free for one
+/// of them to flush the rest.
+struct Tail<'w> {
+    wal: &'w Wal,
+    /// `Some` until the drop lets go of it.
+    store: Option<MutexGuard<'w, Arc<dyn LogStore>>>,
+}
+
+impl std::ops::Deref for Tail<'_> {
+    type Target = dyn LogStore;
+
+    fn deref(&self) -> &Self::Target {
+        &***self.store.as_ref().expect("the tail is held until drop")
+    }
+}
+
+impl Tail<'_> {
+    /// Hand the whole staging buffer to the store. Returns the batch's
+    /// record count and the highest LSN assigned when it was taken: every
+    /// record up to that LSN is then in the store. A batch the store refuses
+    /// goes back to the front of staging, so no logged record is lost, the
+    /// counters stay truthful and the next tail holder retries it in LSN
+    /// order.
+    fn append_staged(&self) -> Result<(u64, Lsn)> {
+        let mut st = self.wal.state.lock();
+        let batch = std::mem::take(&mut st.staging);
+        let records = std::mem::take(&mut st.staged_records);
+        let last = st.next_lsn - 1;
+        drop(st);
+        if !batch.is_empty() {
+            if let Err(e) = self.append(&batch) {
+                let mut st = self.wal.state.lock();
+                st.staging.splice(0..0, batch);
+                st.staged_records += records;
+                return Err(e);
+            }
+        }
+        Ok((records, last))
+    }
+}
+
+impl Drop for Tail<'_> {
+    fn drop(&mut self) {
+        self.store = None;
+        // A committer that found the tail held went on to park without
+        // letting go of the state lock, so taking it here orders this
+        // wake-up after that wait.
+        let _st = self.wal.state.lock();
+        self.wal.tail_freed.notify_all();
+    }
 }
 
 struct WalState {
@@ -592,8 +655,6 @@ struct WalState {
     staging: Vec<u8>,
     /// Record count in `staging`.
     staged_records: u64,
-    /// A leader currently owns the store tail (appending and/or fsyncing).
-    flushing: bool,
     /// Highest LSN known to be on durable storage.
     durable_lsn: Lsn,
 }
@@ -615,17 +676,16 @@ impl Wal {
             bytes = buf.len() as u64;
         }
         Arc::new(Wal {
-            store,
+            tail: Mutex::new(store),
             last_txn,
             state: Mutex::new(WalState {
                 next_lsn: max_lsn + 1,
                 bytes_written: bytes,
                 staging: Vec::new(),
                 staged_records: 0,
-                flushing: false,
                 durable_lsn: max_lsn,
             }),
-            flushed: Condvar::new(),
+            tail_freed: Condvar::new(),
             stats: WalStats::default(),
         })
     }
@@ -651,75 +711,57 @@ impl Wal {
         Ok(lsn)
     }
 
+    /// Take the tail lock, waiting for its holder.
+    fn tail(&self) -> Tail<'_> {
+        Tail {
+            wal: self,
+            store: Some(self.tail.lock()),
+        }
+    }
+
     /// Block until every record with LSN `<= lsn` is durable. Committers call
-    /// this with their commit LSN; whichever waiter finds no flush in flight
-    /// becomes the leader and flushes the entire staged batch for everyone.
+    /// this with their commit LSN; one that takes the tail flushes everything
+    /// staged by then, for itself and every committer parked meanwhile.
     pub fn wait_durable(&self, lsn: Lsn) -> Result<()> {
         let mut st = self.state.lock();
         if st.durable_lsn >= lsn {
             return Ok(());
         }
         self.stats.group_commits.fetch_add(1, Ordering::Relaxed);
-        loop {
+        let tail = loop {
             if st.durable_lsn >= lsn {
                 return Ok(());
             }
-            if st.flushing {
-                self.flushed.wait(&mut st);
-                continue;
+            // The one acquisition against the tail → state order. It never
+            // blocks, so it cannot deadlock with a holder that waits for the
+            // state lock.
+            if let Some(store) = self.tail.try_lock() {
+                break Tail {
+                    wal: self,
+                    store: Some(store),
+                };
             }
-            // Leader election: this thread owns the store tail until the
-            // batch is on disk. All LSNs below `target` are either in the
-            // batch we are taking or were handed to the store by an earlier
-            // leader (whose bytes our fsync also covers).
-            let batch = std::mem::take(&mut st.staging);
-            let nrecs = std::mem::take(&mut st.staged_records);
-            let target = st.next_lsn - 1;
-            st.flushing = true;
-            drop(st);
-            let append_res = if batch.is_empty() {
-                Ok(())
-            } else {
-                self.store.append(&batch)
-            };
-            if let Err(e) = append_res {
-                // The batch never reached the store: put it back at the front
-                // of staging so no logged record is lost and the counters
-                // stay truthful; a later flusher retries in order.
-                let mut st = self.state.lock();
-                st.flushing = false;
-                let mut restored = batch;
-                restored.extend_from_slice(&st.staging);
-                st.staging = restored;
-                st.staged_records += nrecs;
-                self.flushed.notify_all();
-                return Err(e);
-            }
-            let flush_res = self.store.flush();
-            st = self.state.lock();
-            st.flushing = false;
-            match flush_res {
-                Ok(()) => {
-                    st.durable_lsn = st.durable_lsn.max(target);
-                    self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .batch_records_total
-                        .fetch_add(nrecs, Ordering::Relaxed);
-                    self.stats
-                        .batch_records_max
-                        .fetch_max(nrecs, Ordering::Relaxed);
-                    self.flushed.notify_all();
-                    // Loop: durable_lsn now covers our lsn (we staged before
-                    // waiting), so the next iteration returns.
-                }
-                Err(e) => {
-                    // Bytes are appended but not durably synced: durable_lsn
-                    // stays put; a later successful fsync will cover them.
-                    self.flushed.notify_all();
-                    return Err(e);
-                }
-            }
-        }
+            // The holder's batch may cover `lsn`. Parked committers all wake
+            // when it lets go; queued on the tail lock instead, they would
+            // be let go one at a time, each behind any later flush.
+            self.tail_freed.wait(&mut st);
+        };
+        drop(st);
+        let (records, last) = tail.append_staged()?;
+        // A failed fsync leaves `durable_lsn` where it was: the bytes are in
+        // the store, and a later successful fsync covers them.
+        tail.flush()?;
+        let mut st = self.state.lock();
+        st.durable_lsn = st.durable_lsn.max(last);
+        drop(st);
+        self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .batch_records_total
+            .fetch_add(records, Ordering::Relaxed);
+        self.stats
+            .batch_records_max
+            .fetch_max(records, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Force everything logged so far to durable storage.
@@ -755,120 +797,67 @@ impl Wal {
         self.state.lock().next_lsn - 1
     }
 
-    /// Hand any staged bytes to the backend store (without requiring an
-    /// fsync), serialized against in-flight group-commit flushes so the store
-    /// tail is only ever written by one thread.
-    fn drain_staging(&self) -> Result<()> {
-        let mut st = self.state.lock();
-        loop {
-            if st.flushing {
-                self.flushed.wait(&mut st);
-                continue;
-            }
-            if st.staging.is_empty() {
-                return Ok(());
-            }
-            let batch = std::mem::take(&mut st.staging);
-            let nrecs = std::mem::take(&mut st.staged_records);
-            st.flushing = true;
-            drop(st);
-            let res = self.store.append(&batch);
-            st = self.state.lock();
-            st.flushing = false;
-            if let Err(e) = res {
-                let mut restored = batch;
-                restored.extend_from_slice(&st.staging);
-                st.staging = restored;
-                st.staged_records += nrecs;
-                self.flushed.notify_all();
-                return Err(e);
-            }
-            self.flushed.notify_all();
-        }
-    }
-
-    /// Decode the whole log (staged records included).
+    /// Decode the whole log (staged records included: they are appended to
+    /// the store first, without an fsync).
     pub fn read_records(&self) -> Result<Vec<LogRecord>> {
-        self.drain_staging()?;
-        let buf = self.store.read_all()?;
-        let mut recs = Vec::new();
-        for (_lsn, payload) in walk_frames(&buf) {
-            recs.push(LogRecord::decode(payload)?);
-        }
-        Ok(recs)
+        let tail = self.tail();
+        tail.append_staged()?;
+        let buf = tail.read_all()?;
+        drop(tail);
+        walk_frames(&buf)
+            .map(|(_lsn, payload)| LogRecord::decode(payload))
+            .collect()
     }
 
-    /// Write a checkpoint record and drop the log prefix, coordinating
-    /// with any in-flight group-commit flush.
+    /// Write a checkpoint record and drop the log prefix, under the tail
+    /// lock, so no flush runs beside it.
     ///
     /// The caller must have durably flushed every dirty page first and pass
     /// `keep_from`: the lowest LSN whose effects are *not* guaranteed
     /// durable on pages (in practice `min(oldest active transaction's Begin
     /// LSN, highest assigned LSN at flush time + 1)`). Records below the
     /// floor are dropped; records at or above it — including everything
-    /// still in the staging buffer — are carried into the new image behind
-    /// the new checkpoint marker, so a commit acknowledged by a concurrent
-    /// `wait_durable` is never lost and loser transactions keep their undo
-    /// chain. The store swaps the images atomically ([`LogStore::replace`]):
-    /// until the new image is durable the old one stays, so a crash or an
-    /// error mid-checkpoint leaves every record the old log held, the undo
-    /// of transactions in flight included. `durable_lsn` advances to the
+    /// still in the staging buffer, which is appended to the old image
+    /// first — are carried into the new image behind the new checkpoint
+    /// marker, so a commit acknowledged by a concurrent `wait_durable` is
+    /// never lost and loser transactions keep their undo chain. The store
+    /// swaps the images atomically ([`LogStore::replace`]): until the new
+    /// image is durable the old one stays, so a crash or an error
+    /// mid-checkpoint leaves every record the old log held, the undo of
+    /// transactions in flight included. `durable_lsn` advances to the
     /// checkpoint LSN only once the carried image is on disk.
     pub fn checkpoint(&self, keep_from: Lsn) -> Result<()> {
-        let mut st = self.state.lock();
-        while st.flushing {
-            self.flushed.wait(&mut st);
-        }
-        let staged = std::mem::take(&mut st.staging);
-        let staged_recs = std::mem::take(&mut st.staged_records);
+        let tail = self.tail();
         let payload = LogRecord::Checkpoint.encode();
-        let ckpt_lsn = st.next_lsn;
-        st.next_lsn += 1;
-        st.bytes_written += payload.len() as u64 + FRAME_HDR as u64;
-        st.flushing = true;
-        drop(st);
-        let res = (|| {
-            let old = self.store.read_all()?;
-            let mut image = Vec::with_capacity(FRAME_HDR + payload.len() + staged.len());
-            push_frame(&mut image, ckpt_lsn, &payload);
-            // Carry every surviving record behind the new marker. Stale
-            // checkpoint markers are dropped so recovery's "start after the
-            // last marker" finds the one above and replays everything
-            // carried. File order stays LSN order: the old image was
-            // LSN-ordered (markers aside) and staged LSNs are above every
-            // stored one.
-            for (lsn, p) in walk_frames(&old).chain(walk_frames(&staged)) {
-                if lsn >= keep_from && p.first() != Some(&CHECKPOINT_TAG) {
-                    push_frame(&mut image, lsn, p);
-                }
-            }
-            self.store.replace(&image)
-        })();
-        let mut st = self.state.lock();
-        st.flushing = false;
-        match &res {
-            Ok(()) => {
-                // Every LSN <= ckpt_lsn is now either durable in the
-                // rewritten log or (below `keep_from`) durable as a flushed
-                // page image, so the watermark may cover the dropped records
-                // — and must cover the carried ones, whose committers are
-                // parked in wait_durable.
-                st.durable_lsn = st.durable_lsn.max(ckpt_lsn);
-            }
-            Err(_) => {
-                // The store holds its old image, or (when only the final
-                // directory fsync failed) the new one; restage the staged
-                // batch so no record is lost in memory. Redo is idempotent,
-                // so a record both carried and appended again is harmless.
-                let mut restored = staged;
-                restored.extend_from_slice(&st.staging);
-                st.staging = restored;
-                st.staged_records += staged_recs;
+        let ckpt_lsn = {
+            let mut st = self.state.lock();
+            st.next_lsn += 1;
+            st.bytes_written += payload.len() as u64 + FRAME_HDR as u64;
+            st.next_lsn - 1
+        };
+        // Every LSN below the marker's is now in the store or staged; this
+        // puts the staged ones in the store too.
+        tail.append_staged()?;
+        let old = tail.read_all()?;
+        let mut image = Vec::with_capacity(FRAME_HDR + payload.len() + old.len());
+        push_frame(&mut image, ckpt_lsn, &payload);
+        // Carry every surviving record behind the new marker. Stale
+        // checkpoint markers are dropped so recovery's "start after the last
+        // marker" finds the one above and replays everything carried.
+        for (lsn, p) in walk_frames(&old) {
+            if lsn >= keep_from && p.first() != Some(&CHECKPOINT_TAG) {
+                push_frame(&mut image, lsn, p);
             }
         }
+        tail.replace(&image)?;
+        // Every LSN <= ckpt_lsn is now either durable in the rewritten log
+        // or (below `keep_from`) durable as a flushed page image, so the
+        // watermark may cover the dropped records — and must cover the
+        // carried ones, whose committers may be parked on the tail.
+        let mut st = self.state.lock();
+        st.durable_lsn = st.durable_lsn.max(ckpt_lsn);
         drop(st);
-        self.flushed.notify_all();
-        res
+        Ok(())
     }
 }
 

@@ -1,7 +1,8 @@
 //! Durability under group commit: every acknowledged commit survives crash
 //! recovery (including a torn log tail mid-batch), an unacknowledged
-//! in-flight transaction rolls back cleanly, and the leader-follower flush
-//! protocol provably batches — one fsync covering many committers.
+//! in-flight transaction rolls back cleanly, and the flush under the log's
+//! tail lock provably batches — one fsync covering many committers — while
+//! `Wal::log` never waits for it.
 
 use parking_lot::{Condvar, Mutex};
 use rx_storage::wal::{recover, FileLogStore, LogRecord, LogStore, MemLogStore, RecoveryEnv, Wal};
@@ -152,28 +153,35 @@ fn acked_commits_survive_crash_with_torn_tail() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A log store whose fsync blocks until the test opens a gate, making the
+/// A log store whose fsync blocks until the test lets it through, making the
 /// group-commit batching deterministic: the first committer is held inside
-/// its fsync while seven more stage their records, then one follower-elected
-/// leader flushes all seven with a single additional fsync.
+/// its fsync, holding the log tail, while seven more stage their records;
+/// then the next committer to take the tail flushes all seven with a single
+/// additional fsync.
 #[derive(Default)]
 struct GatedStore {
     inner: MemLogStore,
-    open: Mutex<bool>,
+    /// Fsyncs the gate still lets through (`u64::MAX` once it is open).
+    passes: Mutex<u64>,
     cond: Condvar,
-    entered: AtomicU64,
+    /// Fsyncs entered, held at the gate or not.
     flushes: AtomicU64,
 }
 
 impl GatedStore {
-    fn wait_entered(&self) {
-        while self.entered.load(Ordering::Acquire) == 0 {
+    fn wait_entered(&self, n: u64) {
+        while self.flushes.load(Ordering::Acquire) < n {
             std::thread::yield_now();
         }
     }
 
+    fn let_one_through(&self) {
+        *self.passes.lock() += 1;
+        self.cond.notify_all();
+    }
+
     fn open_gate(&self) {
-        *self.open.lock() = true;
+        *self.passes.lock() = u64::MAX;
         self.cond.notify_all();
     }
 }
@@ -184,10 +192,12 @@ impl LogStore for GatedStore {
     }
     fn flush(&self) -> rx_storage::Result<()> {
         self.flushes.fetch_add(1, Ordering::AcqRel);
-        self.entered.fetch_add(1, Ordering::AcqRel);
-        let mut open = self.open.lock();
-        while !*open {
-            self.cond.wait(&mut open);
+        let mut passes = self.passes.lock();
+        while *passes == 0 {
+            self.cond.wait(&mut passes);
+        }
+        if *passes != u64::MAX {
+            *passes -= 1;
         }
         Ok(())
     }
@@ -211,10 +221,10 @@ fn one_fsync_amortizes_across_concurrent_committers() {
         // Leader: commits first and blocks inside the gated fsync.
         let leader_txns = Arc::clone(&txns);
         let leader = s.spawn(move || commit_one_insert(&leader_txns, 0));
-        store.wait_entered();
+        store.wait_entered(1);
 
-        // Followers: stage Begin+HeapInsert+Commit and pile up on the
-        // durable-LSN condvar while the leader is stuck in fsync.
+        // Followers: stage Begin+HeapInsert+Commit and park while the
+        // leader holds the log tail, stuck in its fsync.
         let mut followers = Vec::new();
         for slot in 1..=FOLLOWERS as u16 {
             let txns = Arc::clone(&txns);
@@ -247,9 +257,9 @@ fn one_fsync_amortizes_across_concurrent_committers() {
     assert_eq!(store.flushes.load(Ordering::Acquire), 2);
     let s = wal.stats.snapshot();
     assert_eq!(s.fsyncs, 2);
-    // The leader always waits, and at least one follower must lead the
-    // second flush; a follower scheduled late may find its LSN already
-    // durable and skip waiting entirely.
+    // The leader always waits, and at least one follower must take the
+    // tail for the second flush; a follower scheduled late may find its LSN
+    // already durable and skip waiting entirely.
     assert!(
         s.group_commits >= 2 && s.group_commits <= FOLLOWERS + 1,
         "group_commits out of range: {}",
@@ -261,6 +271,122 @@ fn one_fsync_amortizes_across_concurrent_committers() {
         s.batch_records_max
     );
     assert_eq!(wal.durable_lag(), 0);
+}
+
+/// A committer whose record the last flush covered returns when that flush
+/// ends, even though another committer takes the tail for the next flush at
+/// once. A is held in the first fsync, whose batch holds X's commit; D
+/// staged after A took its batch and waits for the tail before X does. When
+/// the first fsync ends, D flushes and is held in the second one, and X must
+/// not wait for it. Committers queued on the tail lock, rather than parked
+/// until it is let go, would be let go in turn, D first, and X would wait.
+#[test]
+fn a_commit_the_last_flush_covered_does_not_wait_for_the_next() {
+    const X: u64 = 1_000;
+
+    let store = Arc::new(GatedStore::default());
+    let wal = Wal::new(Arc::clone(&store) as Arc<dyn LogStore>);
+    let txns = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
+    wal.log(&LogRecord::Begin { txn: X }).unwrap();
+    let x_commit = wal.log(&LogRecord::Commit { txn: X }).unwrap();
+
+    std::thread::scope(|s| {
+        let a_txns = Arc::clone(&txns);
+        s.spawn(move || commit_one_insert(&a_txns, 0));
+        store.wait_entered(1);
+        let d_txns = Arc::clone(&txns);
+        s.spawn(move || commit_one_insert(&d_txns, 1));
+        // X's two records, then A's three and D's three.
+        while wal.records_written() < 8 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+
+        let (returned, rx) = std::sync::mpsc::channel();
+        let wal_x = &wal;
+        s.spawn(move || {
+            wal_x.wait_durable(x_commit).unwrap();
+            returned.send(()).unwrap();
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        store.let_one_through();
+        store.wait_entered(2);
+        // Bounded, so a commit held behind D's fsync fails the test instead
+        // of hanging it.
+        let waited = rx.recv_timeout(Duration::from_secs(30)).is_err();
+        store.open_gate();
+        assert!(!waited, "a covered commit waited for the next flush");
+    });
+    assert_eq!(store.flushes.load(Ordering::Acquire), 2);
+    assert_eq!(wal.durable_lag(), 0);
+}
+
+/// A flush holds only the log tail. Committer A is held inside its fsync:
+/// meanwhile another session's `Wal::log` returns, and a checkpoint queues
+/// on the tail until the fsync ends. Recovery then finds A committed, and
+/// the records the other session staged during the stall carried across the
+/// checkpoint.
+#[test]
+fn log_and_checkpoint_beside_a_stuck_flush() {
+    const B: u64 = 1_000;
+
+    let store = Arc::new(GatedStore::default());
+    let wal = Wal::new(Arc::clone(&store) as Arc<dyn LogStore>);
+    let txns = TxnManager::new(Arc::clone(&wal), LockManager::with_defaults());
+    let checkpointed = AtomicBool::new(false);
+    let b_insert = LogRecord::HeapInsert {
+        txn: B,
+        space: SPACE,
+        rid: rx_storage::Rid::new(1, 1),
+        data: payload(B, 0),
+    };
+
+    std::thread::scope(|s| {
+        let a_txns = Arc::clone(&txns);
+        let a = s.spawn(move || commit_one_insert(&a_txns, 0));
+        store.wait_entered(1);
+
+        // Bounded, so a `log` that waits for the fsync fails the test
+        // instead of hanging it.
+        let (logged, rx) = std::sync::mpsc::channel();
+        let (wal_b, rec) = (&wal, &b_insert);
+        s.spawn(move || {
+            wal_b.log(&LogRecord::Begin { txn: B }).unwrap();
+            wal_b.log(rec).unwrap();
+            logged.send(()).unwrap();
+        });
+        if rx.recv_timeout(Duration::from_secs(30)).is_err() {
+            store.open_gate();
+            panic!("Wal::log waited for a stuck fsync");
+        }
+
+        let (wal_c, done) = (&wal, &checkpointed);
+        let c = s.spawn(move || {
+            wal_c.checkpoint(1).unwrap();
+            done.store(true, Ordering::Release);
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let early = checkpointed.load(Ordering::Acquire);
+        store.open_gate();
+        assert!(!early, "the checkpoint finished beside a stuck fsync");
+        a.join().unwrap();
+        c.join().unwrap();
+    });
+    let commit = wal.log(&LogRecord::Commit { txn: B }).unwrap();
+    wal.wait_durable(commit).unwrap();
+
+    // Reopen over the same store, as after a crash.
+    let wal = Wal::new(Arc::clone(&store) as Arc<dyn LogStore>);
+    let recs = wal.read_records().unwrap();
+    assert_eq!(recs.first(), Some(&LogRecord::Checkpoint));
+    // A is the manager's first transaction.
+    assert!(
+        recs.contains(&LogRecord::Commit { txn: 1 }),
+        "A's commit: {recs:?}"
+    );
+    assert!(recs.contains(&b_insert), "B's staged insert was lost");
+    let report = recover(&wal, &RecoveryEnv::default()).unwrap();
+    assert_eq!((report.winners, report.losers), (2, 0), "{report:?}");
 }
 
 /// Commits acknowledged before a checkpoint stay durable through it, and the
@@ -499,7 +625,7 @@ fn acked_commits_survive_checkpoint_raced_with_commits() {
 }
 
 /// A log store whose next append can be made to fail once, exercising the
-/// leader error path where the batch is restored to staging.
+/// flush error path where the batch is restored to staging.
 #[derive(Default)]
 struct FailingAppendStore {
     inner: MemLogStore,
@@ -546,7 +672,7 @@ fn failed_commit_flush_recovers_as_aborted() {
         id = t.id();
         rid = t.heap_insert(&heap, data.clone()).unwrap();
         store.fail_next.store(true, Ordering::Release);
-        // The leader's append fails: the committer is told the commit did
+        // The flush's append fails: the committer is told the commit did
         // not take, and the Drop-rollback undoes the insert, logging the
         // compensation and an Abort (whose flush succeeds and carries the
         // restored batch — including the orphaned Commit — with it).
